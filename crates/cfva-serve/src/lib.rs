@@ -24,18 +24,10 @@
 //!   the stride-equivalence class of the request (see
 //!   [`cfva_core::StrideClass`]), resolves repeated requests without
 //!   touching the pool — [`service::Service::stats`] reports its
-//!   hit/miss/eviction counters.
-//! * [`sched`] — the conflict-aware admission batcher: with
-//!   [`sched::SchedulerConfig`] installed, predictable measurements
-//!   are parked in a bounded window, scored pairwise with the
-//!   conflict predictor ([`cfva_core::equiv::conflict_score`]), and
-//!   routed to workers as predicted-conflict-free composite batches;
-//!   cold windows and unpredictable specs degrade to FIFO. Responses
-//!   are bit-identical with the scheduler on, off, or serial — only
-//!   scheduling (latency) changes. [`api::Request::MultiStream`]
-//!   exposes the same wave planner as a request: co-run a set of
-//!   streams under FIFO or conflict-aware wave partitioning and
-//!   measure the contended makespan against the sequential baseline.
+//!   hit/miss/eviction counters. [`api::Request::MultiStream`] co-runs
+//!   a set of streams under FIFO or conflict-aware wave partitioning
+//!   (pairs scored by [`cfva_core::equiv::conflict_score`]) and
+//!   measures the contended makespan against the sequential baseline.
 //! * [`fault`] — the seeded, deterministic chaos injector
 //!   ([`fault::FaultPlan`]): worker kills, job delays, queue bursts,
 //!   cache poisoning and injected panics, threaded through the pool
@@ -79,7 +71,7 @@ pub mod fault;
 pub mod locks;
 pub mod pool;
 pub mod runner;
-pub mod sched;
+mod sched;
 pub mod service;
 pub mod workload;
 

@@ -2,7 +2,7 @@
 //!
 //! # The hierarchy: every lock is a leaf
 //!
-//! The serving layer owns ten lock classes ([`LockClass`]): the
+//! The serving layer owns nine lock classes ([`LockClass`]): the
 //! scheduler ([`Sched`](LockClass::Sched)), the per-ticket result slot
 //! ([`TicketSlot`](LockClass::TicketSlot)), the worker-handle registry
 //! ([`Handles`](LockClass::Handles)), the per-spec metadata map
@@ -10,11 +10,10 @@
 //! ([`CacheShard`](LockClass::CacheShard)), the pool supervisor's
 //! restart ledger ([`Supervisor`](LockClass::Supervisor)), the
 //! degraded-fallback session map
-//! ([`DegradedSessions`](LockClass::DegradedSessions)) and the
-//! conflict-aware admission window
-//! ([`SchedWindow`](LockClass::SchedWindow)), the wire front end's
-//! connection registry ([`WireConns`](LockClass::WireConns)) and the
-//! wire codec's `&'static str` intern pool
+//! ([`DegradedSessions`](LockClass::DegradedSessions)), the wire
+//! front end's connection registry
+//! ([`WireConns`](LockClass::WireConns)) and the wire codec's
+//! `&'static str` intern pool
 //! ([`WireIntern`](LockClass::WireIntern)) — the last two acquired
 //! only by `cfva-wire`, which reuses this module rather than growing
 //! a second lock discipline. The concurrency design keeps the
@@ -35,15 +34,11 @@
 //! * `DegradedSessions` guards the submit-side analytic fallback's
 //!   session map; the fallback computes entirely on the caller's
 //!   thread with no other serve lock held.
-//! * `SchedWindow` guards the admission batcher's bounded window of
-//!   packaged-but-unsubmitted jobs. A flush drains the window *under*
-//!   the lock but colors the conflict graph and submits the batches
-//!   strictly *after* releasing it — pool submission takes `Sched`, so
-//!   holding the window across it would nest.
 //! * `WireConns` guards the wire server's list of live connection
-//!   handles. The acceptor pushes under the lock and releases before
-//!   touching the socket; drain-on-shutdown swaps the list out under
-//!   the lock and joins the per-connection threads strictly after
+//!   handles. The acceptor swaps out finished handles and pushes the
+//!   new one under the lock, and joins the finished ones after
+//!   releasing it; drain-on-shutdown swaps the list out under the
+//!   lock and joins the per-connection threads strictly after
 //!   releasing it (a joined thread may be blocked acquiring `Sched`
 //!   or `TicketSlot`, so joining under `WireConns` would nest by
 //!   proxy).
@@ -102,8 +97,6 @@ pub enum LockClass {
     Supervisor,
     /// The service's degraded-fallback session map.
     DegradedSessions,
-    /// The conflict-aware admission batcher's bounded window.
-    SchedWindow,
     /// The wire server's live-connection registry (`cfva-wire`).
     WireConns,
     /// The wire codec's `&'static str` intern pool (`cfva-wire`).

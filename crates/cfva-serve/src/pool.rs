@@ -49,10 +49,8 @@ use std::time::Duration;
 use crate::fault::{self, FaultPlan, WorkerFault};
 use crate::locks::{self, ClassedMutex, LockClass};
 
-/// The boxed closure a worker runs against its session. Crate-visible
-/// so the admission batcher can hold packaged-but-unsubmitted jobs in
-/// its window (see `sched`).
-pub(crate) type BoxedRun<'a, S> = Box<dyn FnOnce(&mut S) + Send + 'a>;
+/// The boxed closure a worker runs against its session.
+type BoxedRun<'a, S> = Box<dyn FnOnce(&mut S) + Send + 'a>;
 
 /// A queued unit of work: runs on a worker against its session. `tag`
 /// is the pool-wide job sequence number keying the fault plan; always
@@ -545,7 +543,7 @@ impl<R> Drop for Completer<R> {
 /// re-raised at the ticket, so one bad request cannot kill a worker
 /// (the session is handed back; `BatchRunner` scratch is rebuilt on
 /// the next measurement, so a torn session state is harmless).
-pub(crate) fn package<'a, S, R, F>(job: F) -> (BoxedRun<'a, S>, Ticket<R>)
+fn package<'a, S, R, F>(job: F) -> (BoxedRun<'a, S>, Ticket<R>)
 where
     F: FnOnce(&mut S) -> R + Send + 'a,
     R: Send + 'a,
@@ -803,32 +801,6 @@ impl<S: 'static> Pool<S> {
         assert!(worker < self.workers, "no such worker: {worker}");
         let (job, ticket) = package(job);
         self.core.push(Some(worker), job, true).map(|()| ticket)
-    }
-
-    /// Queues an already-packaged batch as **one** composite job on
-    /// `worker`'s local queue: the member runs execute back to back on
-    /// one worker with nothing interleaved between them — the admission
-    /// batcher's contract for a co-scheduled wave. Unbounded (the
-    /// batcher accounts its window against the admission capacity
-    /// itself, before packaging). If the pool refuses (shutdown race),
-    /// the composite is dropped and every member ticket resolves as
-    /// panicked through its `Completer` — abandoned, never stranded.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `worker >= self.workers()`.
-    pub(crate) fn submit_sequence(
-        &self,
-        worker: usize,
-        runs: Vec<BoxedRun<'static, S>>,
-    ) -> Result<(), SubmitError> {
-        assert!(worker < self.workers, "no such worker: {worker}");
-        let composite: BoxedRun<'static, S> = Box::new(move |session: &mut S| {
-            for run in runs {
-                run(session);
-            }
-        });
-        self.core.push(Some(worker), composite, false)
     }
 
     /// Graceful shutdown: no new work is admitted (further submission

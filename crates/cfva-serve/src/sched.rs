@@ -1,258 +1,13 @@
-//! The conflict-aware admission batcher: predicted-conflict batching
-//! in front of the session pool.
+//! Co-run wave planning for [`Request::MultiStream`]: partition a set
+//! of streams into waves that run concurrently on the multi-stream
+//! engine, scoring stream pairs with the occupancy-signature conflict
+//! predictor ([`conflict_score`](cfva_core::equiv::conflict_score)).
 //!
-//! # What it does
-//!
-//! With a [`SchedulerConfig`] installed
-//! ([`ServiceConfig::scheduler`](crate::service::ServiceConfig)),
-//! predictable measurement requests are not submitted one by one.
-//! They are **packaged** (closure + ticket, exactly what the direct
-//! path submits) and parked in a bounded window together with their
-//! [occupancy signatures](cfva_core::equiv::OccupancySignature). When
-//! the window fills — or a caller blocks on a ticket, or the service
-//! flushes — the batcher colors the window's **predicted-conflict
-//! graph** greedily: two requests may share a batch only when they
-//! target the same map and their pairwise
-//! [`conflict_score`](cfva_core::equiv::conflict_score) (×1000,
-//! rounded) stays within [`SchedulerConfig::max_score_milli`]. Each
-//! batch is routed to its spec's affinity worker as **one composite
-//! job** ([`Pool`]`::submit_sequence`), so a set of streams the
-//! predictor calls compatible runs back to back on one warm session
-//! with nothing interleaved.
-//!
-//! # What it does not do
-//!
-//! Change responses. Every member of a batch still computes its own
-//! response against its own request; the batcher only reorders and
-//! groups executions. Scheduler on ≡ scheduler off ≡ serial, bit for
-//! bit, is pinned by proptest in `tests/service_equivalence.rs`.
-//!
-//! # Degrading to FIFO
-//!
-//! The batcher degrades to plain FIFO submission — counted under
-//! `scheduler_fifo_fallbacks` — whenever prediction has nothing to
-//! offer: the window is cold (a flush finds a single parked request),
-//! a request's spec does not build (no map, no signature), or the
-//! request shape is not a measurement. Unpredictable requests never
-//! wait: they take the direct submit path immediately.
-//!
-//! # Locking
-//!
-//! The window is one [`LockClass::SchedWindow`] mutex and obeys the
-//! crate's leaf discipline: a flush *takes* the parked entries under
-//! the lock, releases it, and only then scores, colors and submits
-//! (submission acquires the pool's `Sched` lock — holding the window
-//! across it would nest).
-
-use std::sync::atomic::Ordering;
-use std::sync::{Arc, Weak};
+//! [`Request::MultiStream`]: crate::api::Request::MultiStream
 
 use cfva_core::equiv::OccupancySignature;
 
 use crate::api::SchedulePlan;
-use crate::locks::{ClassedMutex, LockClass};
-use crate::pool::{BoxedRun, Pool};
-use crate::service::{ServeCounters, SpecSessions};
-
-/// Admission-batcher sizing knobs
-/// ([`ServiceConfig::scheduler`](crate::service::ServiceConfig)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SchedulerConfig {
-    /// Requests parked before a flush triggers on its own. A caller
-    /// blocking on any scheduled ticket also flushes, so a partially
-    /// filled window never strands work.
-    pub window: usize,
-    /// Largest batch routed to a worker as one composite job.
-    pub batch_width: usize,
-    /// Largest pairwise conflict score (×1000) tolerated inside one
-    /// batch. The default `0` co-schedules only streams the predictor
-    /// calls module-disjoint.
-    pub max_score_milli: u32,
-}
-
-impl Default for SchedulerConfig {
-    fn default() -> Self {
-        SchedulerConfig {
-            window: 8,
-            batch_width: 4,
-            max_score_milli: 0,
-        }
-    }
-}
-
-/// One parked request: the packaged run the direct path would have
-/// submitted, plus everything the batcher needs to score it.
-pub(crate) struct WindowEntry {
-    /// The packaged job; its ticket is already in the caller's hands.
-    pub(crate) run: BoxedRun<'static, SpecSessions>,
-    /// The spec's affinity worker (the same `route` as the direct
-    /// path).
-    pub(crate) worker: usize,
-    /// The canonical spec string; batches never span maps.
-    pub(crate) canon: String,
-    /// The stream's predicted module-occupancy signature.
-    pub(crate) signature: OccupancySignature,
-    /// The map's module count — the `conflict_score` scale factor.
-    pub(crate) module_count: f64,
-}
-
-impl std::fmt::Debug for WindowEntry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WindowEntry")
-            .field("worker", &self.worker)
-            .field("canon", &self.canon)
-            .finish_non_exhaustive()
-    }
-}
-
-/// The batcher state shared between the service and its scheduled
-/// tickets (tickets flush before blocking, so a parked request can
-/// never deadlock its own caller).
-#[derive(Debug)]
-pub(crate) struct SchedulerShared {
-    window: ClassedMutex<Vec<WindowEntry>>,
-    /// Weak: the service owns the pool; the batcher must not keep it
-    /// alive past shutdown.
-    pool: Weak<Pool<SpecSessions>>,
-    config: SchedulerConfig,
-    counters: Arc<ServeCounters>,
-}
-
-/// A batch under construction during a flush.
-struct Batch {
-    worker: usize,
-    canon: String,
-    runs: Vec<BoxedRun<'static, SpecSessions>>,
-    signatures: Vec<OccupancySignature>,
-    module_count: f64,
-    predicted_milli: u64,
-}
-
-impl SchedulerShared {
-    pub(crate) fn new(
-        pool: Weak<Pool<SpecSessions>>,
-        config: SchedulerConfig,
-        counters: Arc<ServeCounters>,
-    ) -> Arc<Self> {
-        Arc::new(SchedulerShared {
-            window: ClassedMutex::new(LockClass::SchedWindow, Vec::new()),
-            pool,
-            config,
-            counters,
-        })
-    }
-
-    /// Requests currently parked (the `scheduler_window_occupancy`
-    /// gauge).
-    pub(crate) fn occupancy(&self) -> usize {
-        self.window.lock().len()
-    }
-
-    /// Parks a packaged request; flushes when the window is full.
-    pub(crate) fn enqueue(&self, entry: WindowEntry) {
-        let full = {
-            let mut window = self.window.lock();
-            window.push(entry);
-            window.len() >= self.config.window.max(1)
-        };
-        if full {
-            self.flush();
-        }
-    }
-
-    /// Counts a request that bypassed the window (unpredictable spec
-    /// or shape).
-    pub(crate) fn note_fifo_fallback(&self) {
-        self.counters
-            .scheduler_fifo_fallbacks
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Drains the window: scores, colors, submits. Safe to call at any
-    /// time from any thread; an empty window is a no-op.
-    pub(crate) fn flush(&self) {
-        let entries = std::mem::take(&mut *self.window.lock());
-        if entries.is_empty() {
-            return;
-        }
-        let Some(pool) = self.pool.upgrade() else {
-            // The service is gone mid-flush; dropping the runs resolves
-            // every member ticket as panicked — abandoned, not hung.
-            return;
-        };
-        if entries.len() == 1 {
-            // Cold window: nothing to batch against — degrade to FIFO.
-            self.counters
-                .scheduler_fifo_fallbacks
-                .fetch_add(1, Ordering::Relaxed);
-            for entry in entries {
-                let _ = pool.submit_sequence(entry.worker, vec![entry.run]);
-            }
-            return;
-        }
-        // Greedy coloring in arrival order: each request joins the
-        // first open batch of its map whose members it is predicted
-        // compatible with, else opens a new one. O(window²) pairwise
-        // scores — the window is small by construction.
-        let mut batches: Vec<Batch> = Vec::new();
-        let threshold = u64::from(self.config.max_score_milli);
-        let width = self.config.batch_width.max(1);
-        for entry in entries {
-            let mut pending = Some(entry);
-            for batch in &mut batches {
-                let Some(candidate) = pending.as_ref() else {
-                    break;
-                };
-                if batch.canon != candidate.canon || batch.runs.len() >= width {
-                    continue;
-                }
-                let scores: Vec<u64> = batch
-                    .signatures
-                    .iter()
-                    .map(|sig| score_milli(batch.module_count, sig, &candidate.signature))
-                    .collect();
-                if scores.iter().all(|&s| s <= threshold) {
-                    let Some(taken) = pending.take() else {
-                        break;
-                    };
-                    batch.predicted_milli += scores.iter().sum::<u64>();
-                    batch.runs.push(taken.run);
-                    batch.signatures.push(taken.signature);
-                }
-            }
-            if let Some(opener) = pending {
-                batches.push(Batch {
-                    worker: opener.worker,
-                    canon: opener.canon,
-                    runs: vec![opener.run],
-                    signatures: vec![opener.signature],
-                    module_count: opener.module_count,
-                    predicted_milli: 0,
-                });
-            }
-        }
-        for batch in batches {
-            if batch.runs.len() >= 2 {
-                self.counters
-                    .scheduler_batches
-                    .fetch_add(1, Ordering::Relaxed);
-                self.counters
-                    .scheduler_batched
-                    .fetch_add(batch.runs.len() as u64, Ordering::Relaxed);
-                self.counters
-                    .predicted_conflicts_milli
-                    .fetch_add(batch.predicted_milli, Ordering::Relaxed);
-            } else {
-                self.counters
-                    .scheduler_fifo_fallbacks
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            // A refusal here is the shutdown race: the dropped runs
-            // resolve their tickets as panicked through the Completer.
-            let _ = pool.submit_sequence(batch.worker, batch.runs);
-        }
-    }
-}
 
 /// One pairwise predicted-conflict score, in milli-units: the
 /// [`conflict_score`](cfva_core::equiv::conflict_score) of the two
@@ -266,8 +21,8 @@ pub(crate) fn score_milli(
 }
 
 /// Partitions `n` streams into co-run waves under `schedule` — the
-/// pure planning core shared by [`Request::MultiStream`] execution and
-/// exercised directly by the scheduler's unit tests.
+/// pure planning core of [`Request::MultiStream`] execution, exercised
+/// directly by the unit tests below.
 ///
 /// * [`Together`](SchedulePlan::Together): one wave of everything.
 /// * [`FifoWaves`](SchedulePlan::FifoWaves): arrival-order chunks of
@@ -387,7 +142,7 @@ mod tests {
         );
         assert!(waves.iter().all(|w| w.len() <= 2));
         assert_eq!(flat(&waves), vec![0, 1, 2, 3, 4]);
-        // …and an all-conflicting window degenerates to singletons.
+        // …and an all-conflicting set degenerates to singletons.
         let solo = plan_waves(
             3,
             SchedulePlan::ConflictAware {

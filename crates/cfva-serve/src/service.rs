@@ -52,7 +52,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cfva_core::equiv::occupancy_signature;
-use cfva_core::mapping::{MapSpec, ModuleMap, Registry};
+use cfva_core::mapping::{MapSpec, Registry};
 use cfva_core::plan::{AccessPlan, Strategy};
 use cfva_core::Stride;
 use cfva_core::StrideClass;
@@ -69,9 +69,9 @@ use crate::api::{
 use crate::cache::{CacheKey, CacheStats, RequestKey, ResultCache};
 use crate::fault::{FaultPlan, SubmitFault};
 use crate::locks::{ClassedMutex, LockClass};
-use crate::pool::{package, panic_message, Pool, PoolOptions, SubmitError, Ticket};
+use crate::pool::{panic_message, Pool, PoolOptions, SubmitError, Ticket};
 use crate::runner::BatchRunner;
-use crate::sched::{plan_waves, score_milli, SchedulerConfig, SchedulerShared, WindowEntry};
+use crate::sched::{plan_waves, score_milli};
 use crate::workload::StrideSampler;
 
 /// A completion handle for one submitted request, deadline-aware: a
@@ -90,10 +90,6 @@ pub struct ServeTicket {
     /// The service's deadline-exceeded counter, bumped on caller-side
     /// expiry; `None` for tickets born resolved.
     counters: Option<Arc<ServeCounters>>,
-    /// The admission batcher this ticket's request may be parked in;
-    /// `poll`/`wait` flush it before blocking, so a windowed request
-    /// can never deadlock its own caller. `None` on the direct path.
-    scheduler: Option<Arc<SchedulerShared>>,
     /// Set once the deadline error has been delivered through `poll`.
     expired: bool,
 }
@@ -107,7 +103,6 @@ impl ServeTicket {
             deadline: None,
             budget: None,
             counters: None,
-            scheduler: None,
             expired: false,
         }
     }
@@ -117,26 +112,13 @@ impl ServeTicket {
         budget: Option<Duration>,
         deadline: Option<Instant>,
         counters: Arc<ServeCounters>,
-        scheduler: Option<Arc<SchedulerShared>>,
     ) -> Self {
         ServeTicket {
             inner,
             deadline,
             budget,
             counters: Some(counters),
-            scheduler,
             expired: false,
-        }
-    }
-
-    /// Flushes the admission window this request may be parked in —
-    /// every blocking or polling entry point calls this first, so a
-    /// windowed ticket always makes progress.
-    fn unpark(&self) {
-        if let Some(scheduler) = &self.scheduler {
-            if !self.inner.is_ready() {
-                scheduler.flush();
-            }
         }
     }
 
@@ -155,7 +137,6 @@ impl ServeTicket {
     /// service configured with `max_retries` handling disabled —
     /// normally requests resolve to typed errors instead.
     pub fn poll(&mut self) -> Option<ServeResult> {
-        self.unpark();
         if let Some(result) = self.inner.poll() {
             return Some(result);
         }
@@ -184,7 +165,6 @@ impl ServeTicket {
     /// Same panic contract as [`poll`](ServeTicket::poll), plus the
     /// double-take contract of [`Ticket::wait`].
     pub fn wait(self) -> ServeResult {
-        self.unpark();
         let Some(deadline) = self.deadline else {
             return self.inner.wait();
         };
@@ -215,7 +195,6 @@ impl ServeTicket {
     /// the timeout is not.
     #[must_use = "on timeout the still-pending ticket comes back in the Err; dropping it loses the response"]
     pub fn wait_timeout(self, timeout: Duration) -> Result<ServeResult, ServeTicket> {
-        self.unpark();
         let now = Instant::now();
         let capped = match self.deadline {
             Some(deadline) => timeout.min(deadline.saturating_duration_since(now)),
@@ -279,10 +258,6 @@ pub struct ServiceConfig {
     /// ([`crate::fault`]). Defaults to `None`; the hooks cost nothing
     /// when absent.
     pub fault_plan: Option<Arc<FaultPlan>>,
-    /// The conflict-aware admission batcher ([`crate::sched`]).
-    /// Defaults to `None` — plain FIFO admission. Responses are
-    /// bit-identical either way; only scheduling changes.
-    pub scheduler: Option<SchedulerConfig>,
 }
 
 impl Default for ServiceConfig {
@@ -314,7 +289,6 @@ impl ServiceConfig {
             degraded_fallback: false,
             default_budget: None,
             fault_plan: None,
-            scheduler: None,
         }
     }
 
@@ -366,14 +340,6 @@ impl ServiceConfig {
         self.fault_plan = Some(plan);
         self
     }
-
-    /// Enables the conflict-aware admission batcher
-    /// ([`crate::sched`]).
-    #[must_use]
-    pub fn scheduler(mut self, config: SchedulerConfig) -> Self {
-        self.scheduler = Some(config);
-        self
-    }
 }
 
 /// A point-in-time snapshot of service load, cache effectiveness and
@@ -401,22 +367,12 @@ pub struct ServiceStats {
     /// Faults the installed [`FaultPlan`] has fired so far (0 without
     /// a plan).
     pub faults_injected: u64,
-    /// Composite batches (≥ 2 members) the admission batcher has
-    /// routed to workers (0 without a scheduler).
-    pub scheduler_batches: u64,
-    /// Requests that traveled inside such a batch.
-    pub scheduler_batched: u64,
-    /// Requests the batcher degraded to plain FIFO submission: cold
-    /// window, unpredictable spec or shape, or no compatible partner.
-    pub scheduler_fifo_fallbacks: u64,
-    /// Requests currently parked in the admission window.
-    pub scheduler_window_occupancy: usize,
     /// Predicted pairwise conflict scores (×1000) summed over every
-    /// co-scheduled group: the batcher's batches and every
-    /// [`Response::MultiStream`] wave.
+    /// executed [`Response::MultiStream`] wave.
     pub scheduler_predicted_conflicts_milli: u64,
-    /// Measured conflicts summed over every [`Response::MultiStream`]
-    /// co-run — predicted-vs-actual in one snapshot.
+    /// Measured conflicts summed over every executed
+    /// [`Response::MultiStream`] wave — predicted-vs-actual in one
+    /// snapshot.
     pub scheduler_actual_conflicts: u64,
     /// TCP connections a `cfva-wire` front end has accepted on behalf
     /// of this service. Always 0 from [`Service::stats`]: the service
@@ -433,23 +389,19 @@ pub struct ServiceStats {
     pub wire_in_flight: usize,
 }
 
-/// The service's robustness counters, shared with every ticket and
-/// with the admission batcher.
+/// The service's robustness counters, shared with every ticket.
 #[derive(Debug, Default)]
-pub(crate) struct ServeCounters {
+struct ServeCounters {
     retries: AtomicU64,
     deadline_exceeded: AtomicU64,
     degraded: AtomicU64,
-    pub(crate) scheduler_batches: AtomicU64,
-    pub(crate) scheduler_batched: AtomicU64,
-    pub(crate) scheduler_fifo_fallbacks: AtomicU64,
-    pub(crate) predicted_conflicts_milli: AtomicU64,
-    pub(crate) actual_conflicts: AtomicU64,
+    predicted_conflicts_milli: AtomicU64,
+    actual_conflicts: AtomicU64,
 }
 
 /// One worker's session cache: canonical spec string → warm session.
 #[derive(Debug, Default)]
-pub(crate) struct SpecSessions {
+struct SpecSessions {
     sessions: HashMap<String, BatchRunner>,
 }
 
@@ -510,12 +462,7 @@ impl Drop for InFlightGuard {
 /// ```
 #[derive(Debug)]
 pub struct Service {
-    /// Shared so the admission batcher can hold a `Weak` back-edge
-    /// without keeping the pool alive past shutdown.
-    pool: Arc<Pool<SpecSessions>>,
-    /// The conflict-aware admission batcher; `None` (the default)
-    /// means plain FIFO admission with zero overhead.
-    scheduler: Option<Arc<SchedulerShared>>,
+    pool: Pool<SpecSessions>,
     /// The memoized result cache; `None` when disabled.
     cache: Option<Arc<ResultCache>>,
     /// Canonical spec string → the map's `address_bits_used` (the one
@@ -523,13 +470,6 @@ pub struct Service {
     /// spec that parses but does not build — those have no sound cache
     /// key and bypass the cache. Populated once per spec.
     spec_used_bits: ClassedMutex<HashMap<String, Option<u32>>>,
-    /// Canonical spec string → the built map the admission batcher
-    /// scores with, or `None` for a spec that parses but does not
-    /// build. Populated once per spec; only touched when a scheduler
-    /// is installed. A separate mutex from `spec_used_bits` (same
-    /// [`LockClass::SpecMeta`] label) so neither path lengthens the
-    /// other's critical section.
-    spec_maps: ClassedMutex<HashMap<String, Option<Arc<dyn ModuleMap + Send + Sync>>>>,
     /// Admitted-but-unresolved gauge (queued or executing).
     in_flight: Arc<AtomicUsize>,
     /// Robustness counters, shared with every pending ticket.
@@ -562,25 +502,16 @@ impl Service {
         if let Some(plan) = config.fault_plan.clone() {
             options = options.faults(plan);
         }
-        let pool = Arc::new(Pool::with_options(
-            config.workers,
-            config.queue_capacity,
-            options,
-            |_| SpecSessions::default(),
-        ));
-        let counters = Arc::new(ServeCounters::default());
-        let scheduler = config
-            .scheduler
-            .map(|sched| SchedulerShared::new(Arc::downgrade(&pool), sched, Arc::clone(&counters)));
+        let pool = Pool::with_options(config.workers, config.queue_capacity, options, |_| {
+            SpecSessions::default()
+        });
         Service {
             pool,
-            scheduler,
             cache: (config.cache_capacity > 0)
                 .then(|| Arc::new(ResultCache::new(config.cache_capacity))),
             spec_used_bits: ClassedMutex::new(LockClass::SpecMeta, HashMap::new()),
-            spec_maps: ClassedMutex::new(LockClass::SpecMeta, HashMap::new()),
             in_flight: Arc::new(AtomicUsize::new(0)),
-            counters,
+            counters: Arc::new(ServeCounters::default()),
             degraded_sessions: ClassedMutex::new(LockClass::DegradedSessions, HashMap::new()),
             max_retries: config.max_retries,
             degraded_fallback: config.degraded_fallback,
@@ -616,13 +547,6 @@ impl Service {
             deadline_exceeded: self.counters.deadline_exceeded.load(Ordering::Relaxed),
             degraded: self.counters.degraded.load(Ordering::Relaxed),
             faults_injected: self.faults.as_ref().map_or(0, |p| p.injected()),
-            scheduler_batches: self.counters.scheduler_batches.load(Ordering::Relaxed),
-            scheduler_batched: self.counters.scheduler_batched.load(Ordering::Relaxed),
-            scheduler_fifo_fallbacks: self
-                .counters
-                .scheduler_fifo_fallbacks
-                .load(Ordering::Relaxed),
-            scheduler_window_occupancy: self.scheduler.as_ref().map_or(0, |s| s.occupancy()),
             scheduler_predicted_conflicts_milli: self
                 .counters
                 .predicted_conflicts_milli
@@ -631,17 +555,6 @@ impl Service {
             wire_connections: 0,
             wire_rejections: 0,
             wire_in_flight: 0,
-        }
-    }
-
-    /// Drains the admission batcher's window (if a scheduler is
-    /// installed): every parked request is scored, batched and
-    /// submitted now. A no-op otherwise. Blocking on any scheduled
-    /// ticket flushes implicitly; this is the explicit knob for
-    /// fire-and-poll callers.
-    pub fn flush(&self) {
-        if let Some(scheduler) = &self.scheduler {
-            scheduler.flush();
         }
     }
 
@@ -757,68 +670,6 @@ impl Service {
         let worker = route(&canon, self.pool.workers());
         let deadline = budget.map(|b| Instant::now() + b);
 
-        // Conflict-aware admission: a predictable single measurement
-        // is parked in the batcher's window instead of being submitted
-        // directly — see [`crate::sched`]. Everything else (and every
-        // measurement against a spec that does not build, which has no
-        // signature to score) degrades to the plain FIFO path below.
-        if let Some(scheduler) = &self.scheduler {
-            if let Request::Measure { vec, .. } = &request {
-                match self.map_for(&canon) {
-                    // The window rides on the admission bound: parked
-                    // + queued must stay within capacity, else fall
-                    // through for the normal Overloaded semantics.
-                    Some(map)
-                        if self.pool.queue_depth() + scheduler.occupancy()
-                            < self.pool.capacity() =>
-                    {
-                        let signature = occupancy_signature(map.as_ref(), vec);
-                        let module_count = map.module_count() as f64;
-                        self.in_flight.fetch_add(1, Ordering::Relaxed);
-                        let guard = InFlightGuard(Arc::clone(&self.in_flight));
-                        let counters = Arc::clone(&self.counters);
-                        let max_retries = self.max_retries;
-                        let degrade = self.degraded_fallback;
-                        let entry_canon = canon.clone();
-                        let (run, ticket) = package(move |sessions: &mut SpecSessions| {
-                            let _guard = guard;
-                            serve_one(
-                                sessions,
-                                &canon,
-                                &spec,
-                                &request,
-                                &populate,
-                                ServeAttempts {
-                                    deadline,
-                                    budget,
-                                    max_retries,
-                                    degrade,
-                                    inject_panic,
-                                    counters: &counters,
-                                },
-                            )
-                        });
-                        scheduler.enqueue(WindowEntry {
-                            run,
-                            worker,
-                            canon: entry_canon,
-                            signature,
-                            module_count,
-                        });
-                        return Ok(ServeTicket::pending(
-                            ticket,
-                            budget,
-                            deadline,
-                            Arc::clone(&self.counters),
-                            Some(Arc::clone(scheduler)),
-                        ));
-                    }
-                    Some(_) => {} // no window room: direct bounded path
-                    None => scheduler.note_fifo_fallback(),
-                }
-            }
-        }
-
         // Only the degraded overload path needs the request after the
         // closure takes it; clone up front only when that path is live.
         let fallback_inputs = (self.degraded_fallback && degradable(&request))
@@ -858,7 +709,6 @@ impl Service {
                 budget,
                 deadline,
                 Arc::clone(&self.counters),
-                None,
             )),
             Err(SubmitError::QueueFull {
                 queue_depth,
@@ -970,24 +820,6 @@ impl Service {
         })
     }
 
-    /// The built map of the canonical spec — what the admission
-    /// batcher scores occupancy signatures under — memoized per spec
-    /// (including the negative result for specs that parse but do not
-    /// build; those degrade to FIFO).
-    fn map_for(&self, canon: &str) -> Option<Arc<dyn ModuleMap + Send + Sync>> {
-        let mut maps = self.spec_maps.lock();
-        if let Some(map) = maps.get(canon) {
-            return map.clone();
-        }
-        let map: Option<Arc<dyn ModuleMap + Send + Sync>> = canon
-            .parse::<MapSpec>()
-            .ok()
-            .and_then(|spec| Registry::builtin().build(&spec).ok())
-            .map(Arc::from);
-        maps.insert(canon.to_string(), map.clone());
-        map
-    }
-
     /// `address_bits_used` of the canonical spec's map — the one
     /// map-side input the stride-class reduction needs — computed by a
     /// one-time registry build per spec and memoized (including the
@@ -1015,19 +847,7 @@ impl Service {
     ///
     /// [`submit`]: Self::submit
     pub fn shutdown(&self) {
-        // Parked requests are accepted work: flush them into the pool
-        // before admission closes, so their tickets resolve normally.
-        self.flush();
         self.pool.shutdown();
-    }
-}
-
-impl Drop for Service {
-    fn drop(&mut self) {
-        // Parked requests are accepted work: route them into the pool
-        // before it drains, so their tickets resolve normally instead
-        // of being abandoned with the window.
-        self.flush();
     }
 }
 

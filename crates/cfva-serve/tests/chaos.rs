@@ -269,54 +269,78 @@ fn deadline_budget_resolves_typed_error_instead_of_blocking() {
     service.shutdown();
 }
 
+/// Busy-loop iterations of the injected delay that wedges the worker
+/// in [`degraded_fallback_sheds_overload_with_flagged_estimates`]:
+/// about a second on a 2-core x86-64 host, and far longer than the
+/// test's own submissions on any machine.
+const WEDGE_SPINS: u32 = 50_000_000;
+
 #[test]
 fn degraded_fallback_sheds_overload_with_flagged_estimates() {
-    // One worker, tiny queue, fallback on: once the queue is full,
-    // further measures resolve *immediately* as Degraded instead of
+    // One worker, a 2-deep queue, fallback on: once the queue is full,
+    // further submissions resolve *immediately* as Degraded instead of
     // Overloaded.
+    let spec = "xor-matched:t=3,s=4";
     let service = Service::new(
         ServiceConfig::with_workers(1)
             .queue_capacity(2)
             .cache_capacity(0)
-            .degraded_fallback(true),
+            .degraded_fallback(true)
+            .fault_plan(Arc::new(FaultPlan::new().delay_at(0, WEDGE_SPINS))),
     );
-    // Wedge the only worker and fill the 2-deep queue with slow sweeps.
-    let slow: Vec<_> = (0..3)
-        .map(|i| {
+    let sweep = |sigma: i64| Request::FamilySweep {
+        spec: spec.into(),
+        len: 64,
+        max_x: 4,
+        sigma,
+    };
+    // Wedge the worker: pool job 0 carries the injected delay, and the
+    // fault counter ticks when the worker pops that job, right before
+    // it starts spinning. Only then is the queue filled, so it cannot
+    // drain before the measures arrive.
+    let mut tickets = vec![service.submit(sweep(1)).expect("an empty queue admits")];
+    while service.stats().faults_injected == 0 {
+        std::thread::yield_now();
+    }
+    for sigma in [3, 5] {
+        tickets.push(
             service
-                .submit(Request::FamilySweep {
-                    spec: "xor-matched:t=3,s=4".into(),
-                    len: 65536,
-                    max_x: 10,
-                    sigma: 2 * i + 1,
-                })
-                .expect("the first three submissions fill worker + queue")
-        })
-        .collect();
+                .submit(sweep(sigma))
+                .expect("fallback absorbs overload"),
+        );
+    }
     let stride = Stride::from_parts(7, 1).expect("odd sigma");
-    let mut shed = 0u64;
     for i in 0..8u64 {
         let vec = VectorSpec::with_stride((128 + i).into(), stride, 64).expect("bounded");
         let ticket = service
             .submit(Request::Measure {
-                spec: "xor-matched:t=3,s=4".into(),
+                spec: spec.into(),
                 vec,
                 strategy: Strategy::Auto,
             })
-            .expect("the fallback absorbs overload instead of rejecting");
+            .expect("fallback absorbs overload instead of rejecting");
+        tickets.push(ticket);
+    }
+    // Count sheds over every submission, sweeps included: the caller's
+    // view and the service's counter must agree exactly.
+    let mut shed = 0u64;
+    for (i, ticket) in tickets.into_iter().enumerate() {
         let result = ticket
             .wait_timeout(Duration::from_secs(60))
-            .unwrap_or_else(|_| panic!("measure {i} failed to resolve"))
-            .expect("measures serve");
+            .unwrap_or_else(|_| panic!("submission {i} failed to resolve"))
+            .expect("submissions serve");
         match result {
             Response::Degraded { response, .. } => {
                 assert!(
-                    matches!(*response, Response::Measured(Some(_))),
-                    "degraded measures keep the Measured shape"
+                    matches!(
+                        *response,
+                        Response::Measured(Some(_)) | Response::FamilySweep(_)
+                    ),
+                    "degraded responses keep their full shape"
                 );
                 shed += 1;
             }
-            Response::Measured(Some(_)) => {} // queue had room again
+            Response::Measured(Some(_)) | Response::FamilySweep(_) => {}
             other => panic!("unexpected response {other:?}"),
         }
     }
@@ -325,9 +349,6 @@ fn degraded_fallback_sheds_overload_with_flagged_estimates() {
         "a wedged worker behind a full 2-deep queue must shed at least once"
     );
     assert_eq!(service.stats().degraded, shed);
-    for t in slow {
-        t.wait().expect("sweeps finish normally");
-    }
     service.shutdown();
 }
 

@@ -11,7 +11,6 @@ use cfva_core::plan::Strategy;
 use cfva_core::VectorSpec;
 use cfva_memsim::IssuePolicy;
 use cfva_serve::api::{Request, Response, SchedulePlan};
-use cfva_serve::sched::SchedulerConfig;
 use cfva_serve::service::{Service, ServiceConfig};
 
 /// Eight stride-2 streams on `interleaved:m=3` (eight modules): even
@@ -78,44 +77,4 @@ fn conflict_aware_beats_fifo_by_at_least_1_3x() {
         );
     }
     service.shutdown();
-}
-
-#[test]
-fn admission_batcher_pairs_disjoint_requests_and_stays_correct() {
-    // The same adversarial arrival order through the *admission
-    // window*: the batcher must form composite batches (it saw
-    // predictable, disjoint-scorable requests) and every response must
-    // still be exactly what a scheduler-less service returns.
-    let streams = adversarial_streams(512);
-    let scheduled = Service::new(ServiceConfig::with_workers(2).cache_capacity(0).scheduler(
-        SchedulerConfig {
-            window: 4,
-            batch_width: 2,
-            max_score_milli: 0,
-        },
-    ));
-    let plain = Service::new(ServiceConfig::with_workers(2).cache_capacity(0));
-    let submit = |service: &Service, vec: VectorSpec| {
-        service
-            .submit(Request::Measure {
-                spec: "interleaved:m=3".into(),
-                vec,
-                strategy: Strategy::Auto,
-            })
-            .expect("queue has room")
-    };
-    let on: Vec<_> = streams.iter().map(|v| submit(&scheduled, *v)).collect();
-    let off: Vec<_> = streams.iter().map(|v| submit(&plain, *v)).collect();
-    scheduled.flush();
-    for (with, without) in on.into_iter().zip(off) {
-        assert_eq!(with.wait(), without.wait());
-    }
-    let stats = scheduled.stats();
-    assert!(
-        stats.scheduler_batches >= 1,
-        "disjoint-scorable windows must batch, got {stats:?}"
-    );
-    assert_eq!(stats.scheduler_window_occupancy, 0, "flush drained");
-    scheduled.shutdown();
-    plain.shutdown();
 }

@@ -9,7 +9,6 @@ use cfva_core::{Stride, VectorSpec};
 use cfva_memsim::IssuePolicy;
 use cfva_serve::api::{Estimator, Request, Response, SchedulePlan, ServeError};
 use cfva_serve::runner::BatchRunner;
-use cfva_serve::sched::SchedulerConfig;
 use cfva_serve::service::{Service, ServiceConfig};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -67,64 +66,6 @@ proptest! {
             .expect("registered specs build")
             .measure_owned(&vec, strategy);
         prop_assert_eq!(pooled, serial, "{}: {} {}", spec, vec, strategy);
-    }
-
-    /// Scheduler on ≡ scheduler off ≡ fresh serial session, bit for
-    /// bit, for every registered spec: the conflict-aware admission
-    /// batcher only regroups and reorders executions — responses are
-    /// order-independent, so none of them may change.
-    #[test]
-    fn scheduler_on_off_and_serial_are_bit_identical(
-        kind in 0usize..64,
-        seed in 0u64..1024,
-    ) {
-        let specs = all_specs();
-        let spec = &specs[kind % specs.len()];
-        let mut rng = StdRng::seed_from_u64(seed);
-        // A mix of spread and clustered strides, so flushes see both
-        // compatible and conflicting window members.
-        let mut streams = Vec::new();
-        for _ in 0..6 {
-            let sigma = 2 * rng.gen_range(0i64..8) + 1;
-            let x = rng.gen_range(0u32..10);
-            let stride = Stride::from_parts(sigma, x).expect("odd sigma");
-            let vec = VectorSpec::with_stride(rng.gen_range(0u64..1024).into(), stride, 64)
-                .expect("bounded base");
-            streams.push(vec);
-        }
-        // Caches off on both sides so every request actually executes
-        // (and, on the scheduled side, actually rides the window).
-        let scheduled = Service::new(
-            ServiceConfig::with_workers(2).cache_capacity(0).scheduler(SchedulerConfig {
-                window: 4,
-                batch_width: 2,
-                max_score_milli: 100,
-            }),
-        );
-        let plain = Service::new(ServiceConfig::with_workers(2).cache_capacity(0));
-        let mut serial = BatchRunner::from_spec_str(spec).expect("registered specs build");
-        let submit = |service: &Service, vec: &VectorSpec| {
-            service
-                .submit(Request::Measure {
-                    spec: spec.clone(),
-                    vec: *vec,
-                    strategy: Strategy::Auto,
-                })
-                .expect("queue has room")
-        };
-        let on: Vec<_> = streams.iter().map(|vec| submit(&scheduled, vec)).collect();
-        let off: Vec<_> = streams.iter().map(|vec| submit(&plain, vec)).collect();
-        for ((vec, with), without) in streams.iter().zip(on).zip(off) {
-            // `wait` flushes the window first, so a parked request can
-            // never deadlock its own caller.
-            let a = with.wait();
-            let b = without.wait();
-            prop_assert_eq!(&a, &b, "{}: {}", spec, vec);
-            let expected = Ok(Response::Measured(serial.measure_owned(vec, Strategy::Auto)));
-            prop_assert_eq!(&a, &expected, "{}: {}", spec, vec);
-        }
-        scheduled.shutdown();
-        plain.shutdown();
     }
 }
 
@@ -613,52 +554,16 @@ fn multi_stream_conflict_aware_beats_fifo_and_reconciles_with_serial() {
     assert_eq!(fifo.sequential_baseline, solo);
     assert_eq!(aware.sequential_baseline, solo);
     // And co-running disjoint pairs strictly beats running them one by
-    // one — the throughput win the batcher is built around.
+    // one — the throughput win wave planning is built around.
     assert!(aware.makespan < solo, "co-run CF pairs beat sequential");
     service.shutdown();
 }
 
 #[test]
 fn scheduler_stats_expose_every_counter_in_one_snapshot() {
-    // Exercise the admission window, the FIFO fallback path and a
-    // MultiStream co-run, then check the full `ServiceStats` snapshot
-    // field by field.
-    let service = Service::new(ServiceConfig::with_workers(1).cache_capacity(0).scheduler(
-        SchedulerConfig {
-            window: 2,
-            batch_width: 2,
-            max_score_milli: 1_000_000,
-        },
-    ));
-    // Two predictable measurements fill the window and flush as one
-    // composite batch.
-    let batched: Vec<_> = [0u64, 1]
-        .into_iter()
-        .map(|base| {
-            service
-                .submit(Request::Measure {
-                    spec: "interleaved:m=3".into(),
-                    vec: VectorSpec::new(base, 2, 64).expect("valid"),
-                    strategy: Strategy::Auto,
-                })
-                .expect("queue has room")
-        })
-        .collect();
-    for ticket in batched {
-        assert!(matches!(ticket.wait(), Ok(Response::Measured(Some(_)))));
-    }
-    // A partnerless entry flushed alone degrades to FIFO submission.
-    let vec = VectorSpec::new(0, 3, 64).expect("valid");
-    let fell_back = service
-        .submit(Request::Measure {
-            spec: "interleaved:m=3".into(),
-            vec,
-            strategy: Strategy::Auto,
-        })
-        .expect("queue has room");
-    service.flush();
-    assert!(matches!(fell_back.wait(), Ok(Response::Measured(Some(_)))));
-    // A contended MultiStream co-run feeds the predicted/actual pair.
+    // A contended MultiStream co-run, then the full `ServiceStats`
+    // snapshot field by field.
+    let service = Service::new(ServiceConfig::with_workers(1).cache_capacity(0));
     let outcome = service
         .submit(Request::MultiStream {
             spec: "interleaved:m=3".into(),
@@ -677,6 +582,10 @@ fn scheduler_stats_expose_every_counter_in_one_snapshot() {
         other => panic!("unexpected response {other:?}"),
     };
     assert!(outcome.actual_conflicts > 0, "same-parity co-run conflicts");
+    assert!(
+        outcome.predicted_conflicts_milli > 0,
+        "and was predicted to"
+    );
 
     let stats = service.stats();
     assert_eq!(stats.queue_depth, 0, "drained");
@@ -687,15 +596,13 @@ fn scheduler_stats_expose_every_counter_in_one_snapshot() {
     assert_eq!(stats.deadline_exceeded, 0);
     assert_eq!(stats.degraded, 0);
     assert_eq!(stats.faults_injected, 0);
-    assert!(stats.scheduler_batches >= 1, "the full window batched");
-    assert!(stats.scheduler_batched >= 2, "both members rode the batch");
-    assert_eq!(stats.scheduler_window_occupancy, 0, "window flushed");
+    // One executed co-run: the predicted/actual pair is exactly its
+    // outcome's.
     assert_eq!(
-        stats.scheduler_predicted_conflicts_milli > 0,
-        stats.scheduler_actual_conflicts > 0,
-        "the co-run was predicted to conflict and did"
+        stats.scheduler_predicted_conflicts_milli,
+        outcome.predicted_conflicts_milli
     );
-    assert!(stats.scheduler_actual_conflicts >= outcome.actual_conflicts);
+    assert_eq!(stats.scheduler_actual_conflicts, outcome.actual_conflicts);
     // No wire front end is attached to this service, so its snapshot
     // reports the wire counters as zero; the live values are asserted
     // in cfva-wire's equivalence suite.
@@ -703,10 +610,4 @@ fn scheduler_stats_expose_every_counter_in_one_snapshot() {
     assert_eq!(stats.wire_rejections, 0);
     assert_eq!(stats.wire_in_flight, 0);
     service.shutdown();
-    let drained = service.stats();
-    assert_eq!(drained.scheduler_window_occupancy, 0);
-    assert!(
-        drained.scheduler_fifo_fallbacks >= 1,
-        "partnerless flushes degrade to FIFO"
-    );
 }

@@ -15,20 +15,26 @@
 //!   lost peer.
 //! * **Bounded memory.** A frame length is attacker-controlled input;
 //!   [`MAX_FRAME_LEN`] caps what a single frame may ask the reader to
-//!   allocate.
+//!   allocate, and the payload buffer grows only as bytes arrive, so a
+//!   bare length word cannot pin the cap's worth of memory.
 
 use std::io::{self, Read, Write};
 
 /// The protocol version exchanged in the hello frames. Bump on any
 /// incompatible schema change; the server refuses mismatched hellos
 /// with a typed `Fatal` frame instead of mis-decoding.
-pub const PROTOCOL_VERSION: u32 = 1;
+pub const PROTOCOL_VERSION: u32 = 2;
 
 /// Upper bound on a frame's payload length, in bytes (64 MiB). A
 /// `Response::FamilySweep` over a large family fits with orders of
 /// magnitude to spare; anything bigger is a corrupt or hostile length
 /// word.
 pub const MAX_FRAME_LEN: u32 = 64 << 20;
+
+/// Payload bytes reserved up front when reading a frame (64 KiB):
+/// typical frames fit without regrowing, and larger ones grow with the
+/// bytes actually received.
+const INITIAL_PAYLOAD_CAPACITY: usize = 64 << 10;
 
 /// Why a frame could not be read or written.
 #[derive(Debug)]
@@ -112,8 +118,16 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<String, FrameError> {
             max: MAX_FRAME_LEN,
         });
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
+    // Grow the buffer with the bytes that actually arrive: the length
+    // word alone must not pin `len` bytes of memory.
+    let mut payload = Vec::with_capacity((len as usize).min(INITIAL_PAYLOAD_CAPACITY));
+    r.take(u64::from(len)).read_to_end(&mut payload)?;
+    if payload.len() < len as usize {
+        return Err(FrameError::Io(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "eof inside a frame payload",
+        )));
+    }
     String::from_utf8(payload).map_err(|e| FrameError::InvalidUtf8 {
         valid_up_to: e.utf8_error().valid_up_to(),
     })

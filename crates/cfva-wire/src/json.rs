@@ -1214,16 +1214,6 @@ fn service_stats_to_value(s: &ServiceStats) -> Value {
         ("deadline_exceeded", Value::UInt(s.deadline_exceeded)),
         ("degraded", Value::UInt(s.degraded)),
         ("faults_injected", Value::UInt(s.faults_injected)),
-        ("scheduler_batches", Value::UInt(s.scheduler_batches)),
-        ("scheduler_batched", Value::UInt(s.scheduler_batched)),
-        (
-            "scheduler_fifo_fallbacks",
-            Value::UInt(s.scheduler_fifo_fallbacks),
-        ),
-        (
-            "scheduler_window_occupancy",
-            Value::UInt(s.scheduler_window_occupancy as u64),
-        ),
         (
             "scheduler_predicted_conflicts_milli",
             Value::UInt(s.scheduler_predicted_conflicts_milli),
@@ -1253,13 +1243,6 @@ fn service_stats_from_value(value: &Value) -> Result<ServiceStats, DecodeError> 
         deadline_exceeded: dec_u64(field(fields, "deadline_exceeded", WHAT)?, WHAT)?,
         degraded: dec_u64(field(fields, "degraded", WHAT)?, WHAT)?,
         faults_injected: dec_u64(field(fields, "faults_injected", WHAT)?, WHAT)?,
-        scheduler_batches: dec_u64(field(fields, "scheduler_batches", WHAT)?, WHAT)?,
-        scheduler_batched: dec_u64(field(fields, "scheduler_batched", WHAT)?, WHAT)?,
-        scheduler_fifo_fallbacks: dec_u64(field(fields, "scheduler_fifo_fallbacks", WHAT)?, WHAT)?,
-        scheduler_window_occupancy: dec_usize(
-            field(fields, "scheduler_window_occupancy", WHAT)?,
-            WHAT,
-        )?,
         scheduler_predicted_conflicts_milli: dec_u64(
             field(fields, "scheduler_predicted_conflicts_milli", WHAT)?,
             WHAT,

@@ -94,6 +94,14 @@ struct ConnHandle {
     writer: JoinHandle<()>,
 }
 
+impl ConnHandle {
+    /// Both threads have exited: the connection is over and its
+    /// handle only pins the registry's socket clone.
+    fn is_finished(&self) -> bool {
+        self.reader.is_finished() && self.writer.is_finished()
+    }
+}
+
 /// What a reader hands its connection's writer.
 enum Outgoing {
     /// The client's hello checked out: answer it.
@@ -286,11 +294,27 @@ fn accept_loop(
                 writer_loop(stream, &rx, &counters, &conn_in_flight, max);
             })
         };
-        state.lock().conns.push(ConnHandle {
-            stream: registry_clone,
-            reader,
-            writer,
-        });
+        // Reap on every accept: finished connections leave the
+        // registry, closing its socket clone. Their threads have
+        // exited, so the joins after the lock is released return at
+        // once.
+        let finished: Vec<ConnHandle> = {
+            let mut state = state.lock();
+            let finished = state
+                .conns
+                .extract_if(.., |conn| conn.is_finished())
+                .collect();
+            state.conns.push(ConnHandle {
+                stream: registry_clone,
+                reader,
+                writer,
+            });
+            finished
+        };
+        for conn in finished {
+            let _ = conn.reader.join();
+            let _ = conn.writer.join();
+        }
     }
 }
 

@@ -7,7 +7,7 @@
 //! non-UTF-8 and malformed inputs and requires typed errors, never a
 //! panic.
 
-use std::io::Cursor;
+use std::io::{Cursor, Read};
 use std::time::Duration;
 
 use cfva_core::plan::Strategy;
@@ -425,15 +425,11 @@ fn service_stats_round_trips() {
         deadline_exceeded: 8,
         degraded: 9,
         faults_injected: 10,
-        scheduler_batches: 11,
-        scheduler_batched: 12,
-        scheduler_fifo_fallbacks: 13,
-        scheduler_window_occupancy: 14,
-        scheduler_predicted_conflicts_milli: 15,
-        scheduler_actual_conflicts: 16,
-        wire_connections: 17,
-        wire_rejections: 18,
-        wire_in_flight: 19,
+        scheduler_predicted_conflicts_milli: 11,
+        scheduler_actual_conflicts: 12,
+        wire_connections: 13,
+        wire_rejections: 14,
+        wire_in_flight: 15,
     };
     let text = json::encode_service_stats(&stats);
     assert_eq!(
@@ -518,10 +514,6 @@ fn server_frames_round_trip() {
                 deadline_exceeded: 0,
                 degraded: 0,
                 faults_injected: 0,
-                scheduler_batches: 0,
-                scheduler_batched: 0,
-                scheduler_fifo_fallbacks: 0,
-                scheduler_window_occupancy: 0,
                 scheduler_predicted_conflicts_milli: 0,
                 scheduler_actual_conflicts: 0,
                 wire_connections: 1,
@@ -602,6 +594,42 @@ fn oversize_length_words_are_rejected() {
         frame::read_frame(&mut Cursor::new(hostile)),
         Err(FrameError::Oversize { .. })
     ));
+}
+
+/// A reader over fixed bytes that records the largest buffer a caller
+/// offered it — a stand-in for how much the caller allocated up front.
+struct LargestRead {
+    bytes: Cursor<Vec<u8>>,
+    largest: usize,
+}
+
+impl Read for LargestRead {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.largest = self.largest.max(buf.len());
+        self.bytes.read(buf)
+    }
+}
+
+#[test]
+fn max_length_header_with_a_short_payload_is_unexpected_eof() {
+    // A legal but huge length word followed by a few bytes and EOF: the
+    // reader must report the truncation, having buffered only what
+    // actually arrived rather than the advertised 64 MiB up front.
+    let mut buf = MAX_FRAME_LEN.to_be_bytes().to_vec();
+    buf.extend_from_slice(b"{\"x\"");
+    let mut reader = LargestRead {
+        bytes: Cursor::new(buf),
+        largest: 0,
+    };
+    match frame::read_frame(&mut reader) {
+        Err(FrameError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof),
+        other => panic!("expected UnexpectedEof, got {other:?}"),
+    }
+    assert!(
+        reader.largest < 1 << 20,
+        "a bare length word made the reader offer a {}-byte buffer",
+        reader.largest
+    );
 }
 
 #[test]
@@ -802,10 +830,6 @@ proptest! {
             deadline_exceeded: a % 19,
             degraded: a % 23,
             faults_injected: a % 29,
-            scheduler_batches: a % 31,
-            scheduler_batched: a % 37,
-            scheduler_fifo_fallbacks: a % 41,
-            scheduler_window_occupancy: b % 43,
             scheduler_predicted_conflicts_milli: a % 47,
             scheduler_actual_conflicts: a % 53,
             wire_connections: a % 59,
