@@ -16,20 +16,21 @@
 //! the server's admission caps are per-connection anyway.
 
 use std::collections::HashMap;
-use std::io::{BufReader, Write};
+use std::io::BufReader;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use cfva_serve::api::{Request, ServeResult};
 use cfva_serve::service::ServiceStats;
 
-use crate::frame::{self, PROTOCOL_VERSION};
+use crate::frame::{self, Outbox, PROTOCOL_VERSION};
 use crate::json::{self, ClientFrame, ServerFrame};
 use crate::WireError;
 
 /// A handle for one in-flight wire request, redeemed with
 /// [`WireClient::wait`]. Dropping it without waiting abandons the
-/// response (the client discards it when it arrives).
+/// response: a later `wait` or `stats` that reads it along the way
+/// stashes it, and it is freed only when the client is dropped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct WireTicket {
     id: u64,
@@ -49,6 +50,8 @@ impl WireTicket {
 pub struct WireClient {
     writer: TcpStream,
     reader: BufReader<TcpStream>,
+    /// The reused send buffer: every frame leaves in one write.
+    outbox: Outbox,
     next_id: u64,
     /// The per-connection in-flight cap the server announced in its
     /// hello.
@@ -65,14 +68,15 @@ impl WireClient {
     /// is not a hello (e.g. a `Fatal` refusing our protocol version).
     pub fn connect<A: ToSocketAddrs>(addr: A) -> Result<WireClient, WireError> {
         let writer = TcpStream::connect(addr).map_err(frame::FrameError::Io)?;
-        // Frames go out as a length word then a payload; TCP_NODELAY
-        // keeps that write-write-read pattern from tripping Nagle
-        // against the server's delayed ACK. Best effort.
+        // Each frame leaves in one write and the client then waits for
+        // the answer: TCP_NODELAY sends it at once instead of letting
+        // Nagle hold it behind the server's delayed ACK. Best effort.
         let _ = writer.set_nodelay(true);
         let read_half = writer.try_clone().map_err(frame::FrameError::Io)?;
         let mut client = WireClient {
             writer,
             reader: BufReader::new(read_half),
+            outbox: Outbox::default(),
             next_id: 0,
             max_in_flight: 0,
             stash: HashMap::new(),
@@ -204,10 +208,10 @@ impl WireClient {
         }
     }
 
+    /// Sends one frame, length word and payload, with one write.
     fn send(&mut self, msg: &ClientFrame) -> Result<(), WireError> {
-        let payload = json::encode_client_frame(msg);
-        frame::write_frame(&mut self.writer, &payload)?;
-        self.writer.flush().map_err(frame::FrameError::Io)?;
+        self.outbox.push(msg)?;
+        self.outbox.flush(&mut self.writer)?;
         Ok(())
     }
 

@@ -2,7 +2,7 @@
 //! by that many bytes of UTF-8 JSON.
 //!
 //! The framing layer knows nothing about the schema — it moves
-//! strings. Three properties matter:
+//! strings. Four properties matter:
 //!
 //! * **Typed failure, never panic.** Truncated length words,
 //!   truncated payloads, lengths beyond [`MAX_FRAME_LEN`] and
@@ -17,8 +17,16 @@
 //!   [`MAX_FRAME_LEN`] caps what a single frame may ask the reader to
 //!   allocate, and the payload buffer grows only as bytes arrive, so a
 //!   bare length word cannot pin the cap's worth of memory.
+//! * **One write per frame.** The client and server send through an
+//!   `Outbox`: each frame's payload is encoded in place behind a
+//!   placeholder length word in one reused per-connection buffer, and
+//!   the length word and payload leave together in one `write_all`,
+//!   never split across two syscalls (or, under `TCP_NODELAY`, two
+//!   segments).
 
 use std::io::{self, Read, Write};
+
+use crate::json::Encode;
 
 /// The protocol version exchanged in the hello frames. Bump on any
 /// incompatible schema change; the server refuses mismatched hellos
@@ -35,6 +43,10 @@ pub const MAX_FRAME_LEN: u32 = 64 << 20;
 /// typical frames fit without regrowing, and larger ones grow with the
 /// bytes actually received.
 const INITIAL_PAYLOAD_CAPACITY: usize = 64 << 10;
+
+/// Capacity an [`Outbox`] keeps between flushes (1 MiB): a burst of
+/// large frames grows it once, and it shrinks back after the burst.
+const RETAINED_CAPACITY: usize = 1 << 20;
 
 /// Why a frame could not be read or written.
 #[derive(Debug)]
@@ -91,16 +103,80 @@ impl From<io::Error> for FrameError {
 /// [`FrameError::Oversize`] before anything is written, so the stream
 /// stays frame-aligned.
 pub fn write_frame<W: Write>(w: &mut W, payload: &str) -> Result<(), FrameError> {
-    let len = u32::try_from(payload.len())
-        .ok()
-        .filter(|len| *len <= MAX_FRAME_LEN)
-        .ok_or(FrameError::Oversize {
-            len: u32::try_from(payload.len()).unwrap_or(u32::MAX),
-            max: MAX_FRAME_LEN,
-        })?;
+    let len = frame_len(payload.len())?;
     w.write_all(&len.to_be_bytes())?;
     w.write_all(payload.as_bytes())?;
     Ok(())
+}
+
+/// A payload length as its length word, or [`FrameError::Oversize`].
+fn frame_len(len: usize) -> Result<u32, FrameError> {
+    u32::try_from(len)
+        .ok()
+        .filter(|len| *len <= MAX_FRAME_LEN)
+        .ok_or(FrameError::Oversize {
+            len: u32::try_from(len).unwrap_or(u32::MAX),
+            max: MAX_FRAME_LEN,
+        })
+}
+
+/// Outgoing frames for one connection, encoded in place into one
+/// reused buffer.
+///
+/// [`push`](Outbox::push) appends a placeholder length word and
+/// encodes the payload straight after it; [`flush`](Outbox::flush)
+/// patches the length words and sends every queued frame with one
+/// `write_all`. Once grown, the buffer serves every later frame
+/// without allocating; past [`RETAINED_CAPACITY`] it shrinks back
+/// after each flush.
+#[derive(Debug, Default)]
+pub(crate) struct Outbox {
+    buf: String,
+    /// Each queued frame's start in `buf` and its payload length.
+    frames: Vec<(usize, u32)>,
+}
+
+impl Outbox {
+    /// Queues one frame. A payload over [`MAX_FRAME_LEN`] is dropped
+    /// and refused with [`FrameError::Oversize`], so the queue stays
+    /// frame-aligned.
+    pub(crate) fn push(&mut self, payload: &dyn Encode) -> Result<(), FrameError> {
+        let start = self.buf.len();
+        self.buf.push_str("\0\0\0\0");
+        payload.encode(&mut self.buf);
+        match frame_len(self.buf.len() - start - 4) {
+            Ok(len) => {
+                self.frames.push((start, len));
+                Ok(())
+            }
+            Err(e) => {
+                self.buf.truncate(start);
+                Err(e)
+            }
+        }
+    }
+
+    /// Sends every queued frame with one `write_all`. The queue is
+    /// emptied whether or not the write succeeds.
+    pub(crate) fn flush<W: Write>(&mut self, w: &mut W) -> Result<(), FrameError> {
+        if self.frames.is_empty() {
+            return Ok(());
+        }
+        // The patched length words are not UTF-8, so the bytes leave
+        // the `String` for the write and come back empty.
+        let mut bytes = std::mem::take(&mut self.buf).into_bytes();
+        for (start, len) in self.frames.drain(..) {
+            if let Some(word) = bytes.get_mut(start..start + 4) {
+                word.copy_from_slice(&len.to_be_bytes());
+            }
+        }
+        let sent = w.write_all(&bytes);
+        bytes.clear();
+        bytes.shrink_to(RETAINED_CAPACITY);
+        // An empty buffer is valid UTF-8: this keeps the allocation.
+        self.buf = String::from_utf8(bytes).unwrap_or_default();
+        sent.map_err(FrameError::Io)
+    }
 }
 
 /// Reads one frame's payload.
@@ -155,4 +231,58 @@ fn read_exact_or_closed<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<(), FrameE
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::json::{self, ServerFrame};
+
+    /// A sink that records the bytes of every `write` call.
+    #[derive(Default)]
+    struct Writes(Vec<Vec<u8>>);
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn queued_frames_leave_in_one_write_and_read_back() {
+        let frames = [
+            ServerFrame::Fatal {
+                reason: "first".to_string(),
+            },
+            ServerFrame::Hello {
+                proto: PROTOCOL_VERSION,
+                max_in_flight: 8,
+            },
+        ];
+        let mut outbox = Outbox::default();
+        let mut sink = Writes::default();
+        for f in &frames {
+            outbox.push(f).expect("small frames fit");
+        }
+        outbox.flush(&mut sink).expect("write");
+        assert_eq!(sink.0.len(), 1, "one write for every queued frame");
+        let mut stream = io::Cursor::new(sink.0.concat());
+        for f in &frames {
+            let payload = read_frame(&mut stream).expect("frame reads back");
+            assert_eq!(payload, json::encode_server_frame(f));
+        }
+        assert!(matches!(read_frame(&mut stream), Err(FrameError::Closed)));
+
+        // The buffer is reused: the next frame is a write of its own.
+        outbox.push(&frames[0]).expect("small frame fits");
+        outbox.flush(&mut sink).expect("write");
+        assert_eq!(sink.0.len(), 2);
+        outbox.flush(&mut sink).expect("nothing queued");
+        assert_eq!(sink.0.len(), 2, "an empty flush writes nothing");
+    }
 }

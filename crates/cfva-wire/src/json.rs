@@ -2,40 +2,58 @@
 //! crosses the socket.
 //!
 //! The workspace vendors its dependencies, so there is no external
-//! serde; this module is the serde layer. It has three floors:
+//! serde; this module is the serde layer. Every type is encoded and
+//! decoded directly, with no document tree in between:
 //!
-//! 1. [`Value`] — a small JSON document model, with [`parse`] (a
-//!    recursion-capped, never-panicking parser returning typed
-//!    [`DecodeError`]s) and [`encode`] (an allocating writer).
-//! 2. Typed codecs — `encode_*` / `decode_*` pairs for
-//!    [`Request`], [`Response`], [`ServeError`], `ServeResult` and
-//!    [`ServiceStats`]. Enums travel as one-key tagged objects
-//!    (`{"measure": {...}}`) or bare strings for unit variants
-//!    (`"shutting_down"`); every round-trip is bit-identical, proven
-//!    by proptest in `tests/codec_roundtrip.rs` and enforced
-//!    per-variant by cfva-lint's L004.
-//! 3. Frame envelopes — [`ClientFrame`] / [`ServerFrame`], the
-//!    payloads of the length-prefixed frames in [`crate::frame`]:
-//!    a versioned hello, `request_id`-correlated submissions and
-//!    results (responses may return out of submission order), and a
-//!    stats probe.
+//! * **Encode.** Each type writes its JSON straight into a
+//!   caller-owned `String`, numbers formatted in place. The frame
+//!   layer ([`crate::frame`]) encodes into one reused per-connection
+//!   buffer behind the length word, so a frame costs no allocation
+//!   once the buffer has grown.
+//! * **Decode.** Each type pulls itself off one lexer, the same one
+//!   [`parse`] uses. Keys may come in any order and with whitespace;
+//!   unknown keys are skipped but still syntax-checked and
+//!   depth-capped ([`MAX_DEPTH`]); for a duplicate key the first
+//!   occurrence wins; strings without escapes are sliced out of the
+//!   frame text. Malformed text anywhere in the document is
+//!   [`DecodeError::Syntax`], even after a shape problem. Otherwise the
+//!   first problem in field declaration order is reported:
+//!   [`DecodeError::Schema`] for a wrong shape, [`DecodeError::Invalid`]
+//!   for a value its constructor rejects.
 //!
-//! Numbers are kept in three lanes (`u64` / `i64` / `f64`) so a
-//! 64-bit counter survives without a float detour; floats encode via
-//! Rust's shortest round-trip formatting (`{:?}`), so `f64` fields are
-//! bit-identical after a round trip too. Non-finite floats encode as
-//! the strings `"nan"` / `"inf"` / `"-inf"` (JSON has no spelling for
-//! them); NaN canonicalizes to `f64::NAN`.
+//! Plain structs (`AccessStats`, `FamilyPoint`, `ServiceStats`, …)
+//! are generated in both directions from one field table each
+//! (`record!`); enums are written by hand over the same helpers.
+//! Enums travel as one-key tagged objects (`{"measure": {...}}`) or
+//! bare strings for unit variants (`"shutting_down"`). Every round
+//! trip is bit-identical, proven by proptest in
+//! `tests/codec_roundtrip.rs`, which also pins the exact text of every
+//! variant; cfva-lint's L004 refuses a variant that suite does not
+//! name. [`ClientFrame`] / [`ServerFrame`] are the frame envelopes: a
+//! versioned hello, `request_id`-correlated submissions and results
+//! (responses may return out of submission order), and a stats probe.
+//!
+//! Integers travel as integer literals, so a 64-bit counter survives
+//! without a float detour; floats encode via Rust's shortest
+//! round-trip formatting (`{:?}`), so `f64` fields are bit-identical
+//! after a round trip too. Non-finite floats encode as the strings
+//! `"nan"` / `"inf"` / `"-inf"` (JSON has no spelling for them); NaN
+//! canonicalizes to `f64::NAN`.
+//!
+//! [`Value`] and [`parse`] remain as a generic document API.
 //!
 //! Decoding [`ConfigError`] needs `&'static str` fields; those are
 //! re-materialized through an append-only, deduplicating intern pool
 //! (class `WireIntern` — see `cfva_serve::locks`). The pool leaks by
 //! design, bounded by the number of *distinct* strings decoded.
 
+use std::borrow::Cow;
+use std::fmt::Write as _;
+use std::sync::OnceLock;
 use std::time::Duration;
 
-use cfva_core::ConfigError;
-use cfva_core::VectorSpec;
+use cfva_core::plan::Strategy;
+use cfva_core::{ConfigError, VectorSpec};
 use cfva_memsim::{AccessStats, IssuePolicy};
 use cfva_serve::api::{
     Estimator, FamilyPoint, MultiStreamOutcome, Request, Response, SchedulePlan, ServeError,
@@ -44,11 +62,8 @@ use cfva_serve::api::{
 use cfva_serve::locks::{ClassedMutex, LockClass};
 use cfva_serve::service::ServiceStats;
 use cfva_serve::CacheStats;
-use std::sync::OnceLock;
 
-use cfva_core::plan::Strategy;
-
-/// Maximum nesting depth [`parse`] accepts before returning a typed
+/// Maximum nesting depth the lexer accepts before returning a typed
 /// error instead of risking the stack. The deepest legitimate wire
 /// document is a `Response::Degraded` chain; the service produces
 /// depth ≤ 2 of those, so 96 is generous.
@@ -60,9 +75,8 @@ pub const MAX_DEPTH: u32 = 96;
 
 /// A parsed JSON document.
 ///
-/// Object fields keep their order (a `Vec`, not a map): encoding is
-/// deterministic and round-trips preserve field order, which keeps
-/// the codec's output canonical for byte-level comparison.
+/// Object fields keep their order (a `Vec`, not a map), exactly as
+/// they appear in the text.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// `null`.
@@ -80,8 +94,19 @@ pub enum Value {
     Str(String),
     /// An array.
     Arr(Vec<Value>),
-    /// An object, fields in source/encode order.
+    /// An object, fields in source order.
     Obj(Vec<(String, Value)>),
+}
+
+/// A scalar token of the lexer: what a `null`, boolean or number
+/// literal reads as, before a typed decoder or [`parse`] takes it.
+#[derive(Debug, Clone, Copy)]
+enum Scalar {
+    Null,
+    Bool(bool),
+    UInt(u64),
+    Int(i64),
+    Float(f64),
 }
 
 /// Why a wire payload failed to decode.
@@ -130,94 +155,18 @@ fn schema(what: &'static str, reason: impl Into<String>) -> DecodeError {
     }
 }
 
-// ---------------------------------------------------------------------
-// Encoder
-// ---------------------------------------------------------------------
-
-/// Encodes a [`Value`] as compact JSON (no whitespace).
-///
-/// Non-finite floats encode as the strings `"nan"` / `"inf"` /
-/// `"-inf"`; finite floats use Rust's shortest round-trip formatting.
-#[must_use]
-pub fn encode(value: &Value) -> String {
-    let mut out = String::new();
-    write_value(value, &mut out);
-    out
-}
-
-fn write_value(value: &Value, out: &mut String) {
-    match value {
-        Value::Null => out.push_str("null"),
-        Value::Bool(true) => out.push_str("true"),
-        Value::Bool(false) => out.push_str("false"),
-        Value::UInt(n) => {
-            out.push_str(&n.to_string());
-        }
-        Value::Int(n) => {
-            out.push_str(&n.to_string());
-        }
-        Value::Float(x) => {
-            if x.is_finite() {
-                // `{:?}` is Rust's shortest representation that parses
-                // back to the same bits — "2.0" stays a float lane,
-                // "1e300" stays compact.
-                out.push_str(&format!("{x:?}"));
-            } else if x.is_nan() {
-                out.push_str("\"nan\"");
-            } else if *x > 0.0 {
-                out.push_str("\"inf\"");
-            } else {
-                out.push_str("\"-inf\"");
-            }
-        }
-        Value::Str(s) => write_string(s, out),
-        Value::Arr(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_value(item, out);
-            }
-            out.push(']');
-        }
-        Value::Obj(fields) => {
-            out.push('{');
-            for (i, (key, item)) in fields.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_string(key, out);
-                out.push(':');
-                write_value(item, out);
-            }
-            out.push('}');
-        }
+/// Splits a decode result: a syntax error aborts the document at once
+/// (the outer `Err`), while a shape error is held (`Ok(Err(_))`) until
+/// the rest of the text has been syntax-checked.
+fn defer<T>(result: Result<T, DecodeError>) -> Result<Result<T, DecodeError>, DecodeError> {
+    match result {
+        Err(e @ DecodeError::Syntax { .. }) => Err(e),
+        other => Ok(other),
     }
 }
 
-fn write_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 // ---------------------------------------------------------------------
-// Parser
+// Lexer
 // ---------------------------------------------------------------------
 
 /// Parses a JSON document.
@@ -227,19 +176,7 @@ fn write_string(s: &str, out: &mut String) {
 /// return a typed [`DecodeError::Syntax`]. Trailing non-whitespace
 /// after the top-level value is rejected.
 pub fn parse(text: &str) -> Result<Value, DecodeError> {
-    let mut p = Parser {
-        text,
-        bytes: text.as_bytes(),
-        pos: 0,
-        depth: 0,
-    };
-    p.skip_ws();
-    let value = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing data after the top-level value"));
-    }
-    Ok(value)
+    Parser::new(text).document(Parser::value)
 }
 
 struct Parser<'a> {
@@ -249,7 +186,32 @@ struct Parser<'a> {
     depth: u32,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
+    fn new(text: &'a str) -> Self {
+        Parser {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+            depth: 0,
+        }
+    }
+
+    /// Reads one whole document with `read`: surrounding whitespace is
+    /// allowed, trailing data is a syntax error, and a shape error from
+    /// `read` loses to any syntax error in the rest of the text.
+    fn document<T>(
+        mut self,
+        read: impl FnOnce(&mut Self) -> Result<T, DecodeError>,
+    ) -> Result<T, DecodeError> {
+        self.skip_ws();
+        let value = defer(read(&mut self))?;
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(self.err("trailing data after the top-level value"));
+        }
+        value
+    }
+
     fn err(&self, reason: &'static str) -> DecodeError {
         DecodeError::Syntax {
             offset: self.pos,
@@ -278,14 +240,14 @@ impl Parser<'_> {
 
     /// `self.text[a..b]`, as a typed error instead of a panic if the
     /// range is somehow out of bounds.
-    fn slice(&self, a: usize, b: usize) -> Result<&str, DecodeError> {
+    fn slice(&self, a: usize, b: usize) -> Result<&'a str, DecodeError> {
         self.text.get(a..b).ok_or(DecodeError::Syntax {
             offset: a,
             reason: "internal: slice out of range",
         })
     }
 
-    fn literal(&mut self, lit: &'static str, value: Value) -> Result<Value, DecodeError> {
+    fn literal(&mut self, lit: &'static str, value: Scalar) -> Result<Scalar, DecodeError> {
         let end = self.pos + lit.len();
         if self.text.get(self.pos..end) == Some(lit) {
             self.pos = end;
@@ -295,17 +257,56 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Value, DecodeError> {
+    /// A `null`, boolean or number.
+    fn scalar(&mut self) -> Result<Scalar, DecodeError> {
         match self.peek() {
-            Some(b'n') => self.literal("null", Value::Null),
-            Some(b't') => self.literal("true", Value::Bool(true)),
-            Some(b'f') => self.literal("false", Value::Bool(false)),
-            Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'n') => self.literal("null", Scalar::Null),
+            Some(b't') => self.literal("true", Scalar::Bool(true)),
+            Some(b'f') => self.literal("false", Scalar::Bool(false)),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
+        }
+    }
+
+    /// One value as a [`Value`] document.
+    fn value(&mut self) -> Result<Value, DecodeError> {
+        match self.peek() {
+            Some(b'"') => Ok(Value::Str(self.string()?.into_owned())),
+            Some(b'[') => {
+                let mut items = Vec::new();
+                self.elements(|p| {
+                    items.push(p.value()?);
+                    Ok(())
+                })?;
+                Ok(Value::Arr(items))
+            }
+            Some(b'{') => {
+                let mut fields = Vec::new();
+                self.members(|p, key| {
+                    fields.push((key.into_owned(), p.value()?));
+                    Ok(())
+                })?;
+                Ok(Value::Obj(fields))
+            }
+            _ => Ok(match self.scalar()? {
+                Scalar::Null => Value::Null,
+                Scalar::Bool(b) => Value::Bool(b),
+                Scalar::UInt(n) => Value::UInt(n),
+                Scalar::Int(n) => Value::Int(n),
+                Scalar::Float(x) => Value::Float(x),
+            }),
+        }
+    }
+
+    /// Consumes one value without keeping it — still syntax-checked
+    /// and depth-capped.
+    fn skip(&mut self) -> Result<(), DecodeError> {
+        match self.peek() {
+            Some(b'"') => self.string().map(drop),
+            Some(b'[') => self.elements(Self::skip),
+            Some(b'{') => self.members(|p, _| p.skip()),
+            _ => self.scalar().map(drop),
         }
     }
 
@@ -317,41 +318,49 @@ impl Parser<'_> {
         Ok(())
     }
 
-    fn array(&mut self) -> Result<Value, DecodeError> {
+    /// Walks an array, calling `element` with the parser on each item;
+    /// `element` must consume it.
+    fn elements(
+        &mut self,
+        mut element: impl FnMut(&mut Self) -> Result<(), DecodeError>,
+    ) -> Result<(), DecodeError> {
         self.expect_byte(b'[', "expected '['")?;
         self.enter()?;
-        let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
             self.depth -= 1;
-            return Ok(Value::Arr(items));
+            return Ok(());
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            element(self)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
                     self.depth -= 1;
-                    return Ok(Value::Arr(items));
+                    return Ok(());
                 }
                 _ => return Err(self.err("expected ',' or ']' in array")),
             }
         }
     }
 
-    fn object(&mut self) -> Result<Value, DecodeError> {
+    /// Walks an object, calling `member` with each key and the parser
+    /// on its value; `member` must consume the value.
+    fn members(
+        &mut self,
+        mut member: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), DecodeError>,
+    ) -> Result<(), DecodeError> {
         self.expect_byte(b'{', "expected '{'")?;
         self.enter()?;
-        let mut fields = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
             self.depth -= 1;
-            return Ok(Value::Obj(fields));
+            return Ok(());
         }
         loop {
             self.skip_ws();
@@ -359,37 +368,46 @@ impl Parser<'_> {
             self.skip_ws();
             self.expect_byte(b':', "expected ':' after object key")?;
             self.skip_ws();
-            let value = self.value()?;
-            fields.push((key, value));
+            member(self, key)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
                     self.depth -= 1;
-                    return Ok(Value::Obj(fields));
+                    return Ok(());
                 }
                 _ => return Err(self.err("expected ',' or '}' in object")),
             }
         }
     }
 
-    fn string(&mut self) -> Result<String, DecodeError> {
+    /// A string literal: sliced out of the text when it has no
+    /// escapes, rebuilt only when it does.
+    fn string(&mut self) -> Result<Cow<'a, str>, DecodeError> {
         self.expect_byte(b'"', "expected '\"'")?;
-        let mut out = String::new();
+        let mut owned: Option<String> = None;
         let mut run_start = self.pos;
         loop {
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
-                    out.push_str(self.slice(run_start, self.pos)?);
+                    let run = self.slice(run_start, self.pos)?;
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(match owned {
+                        None => Cow::Borrowed(run),
+                        Some(mut out) => {
+                            out.push_str(run);
+                            Cow::Owned(out)
+                        }
+                    });
                 }
                 Some(b'\\') => {
-                    out.push_str(self.slice(run_start, self.pos)?);
+                    let run = self.slice(run_start, self.pos)?;
+                    let out = owned.get_or_insert_with(String::new);
+                    out.push_str(run);
                     self.pos += 1;
-                    self.escape(&mut out)?;
+                    self.escape(out)?;
                     run_start = self.pos;
                 }
                 Some(b) if b < 0x20 => {
@@ -457,7 +475,7 @@ impl Parser<'_> {
         Ok(code)
     }
 
-    fn number(&mut self) -> Result<Value, DecodeError> {
+    fn number(&mut self) -> Result<Scalar, DecodeError> {
         let start = self.pos;
         let negative = self.peek() == Some(b'-');
         if negative {
@@ -466,7 +484,14 @@ impl Parser<'_> {
         if !matches!(self.peek(), Some(b'0'..=b'9')) {
             return Err(self.err("digit expected in number"));
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
+        // The integer part, accumulated while scanning (`None` once it
+        // exceeds `u64`): a plain non-negative integer, the common
+        // case, needs no second pass.
+        let mut magnitude = Some(0u64);
+        while let Some(digit @ b'0'..=b'9') = self.peek() {
+            magnitude = magnitude
+                .and_then(|m| m.checked_mul(10))
+                .and_then(|m| m.checked_add(u64::from(digit - b'0')));
             self.pos += 1;
         }
         let mut float = false;
@@ -496,185 +521,595 @@ impl Parser<'_> {
         let lit = self.slice(start, self.pos)?;
         if float {
             lit.parse::<f64>()
-                .map(Value::Float)
+                .map(Scalar::Float)
                 .map_err(|_| self.err("malformed float"))
         } else if negative {
             lit.parse::<i64>()
-                .map(Value::Int)
+                .map(Scalar::Int)
                 .map_err(|_| self.err("integer does not fit in i64"))
         } else {
-            lit.parse::<u64>()
-                .map(Value::UInt)
-                .map_err(|_| self.err("integer does not fit in u64"))
+            magnitude
+                .map(Scalar::UInt)
+                .ok_or_else(|| self.err("integer does not fit in u64"))
+        }
+    }
+
+    // -- typed-decoder helpers ----------------------------------------
+    //
+    // Each consumes exactly one value unless it returns a syntax
+    // error, so a shape error never stops the rest of the document
+    // from being syntax-checked.
+
+    /// A compact array of plain integers (`[1,22,333]`, no
+    /// whitespace, as every encoder writes an arrival profile), read
+    /// in one tight pass. `None`, with nothing consumed, for anything
+    /// else, which the general path then reads.
+    fn plain_uint_array(&mut self) -> Option<Vec<u64>> {
+        if self.peek() != Some(b'[') || self.depth >= MAX_DEPTH {
+            return None;
+        }
+        let rest = self.bytes.get(self.pos + 1..)?;
+        let body = rest.get(..rest.iter().position(|b| *b == b']')?)?;
+        let mut items = Vec::new();
+        if !body.is_empty() {
+            items.reserve(1 + body.iter().filter(|b| **b == b',').count());
+            for number in body.split(|b| *b == b',') {
+                if !(1..=19).contains(&number.len()) || !number.iter().all(u8::is_ascii_digit) {
+                    return None;
+                }
+                items.push(number.iter().fold(0, |n, d| n * 10 + u64::from(d - b'0')));
+            }
+        }
+        self.pos += body.len() + 2;
+        Some(items)
+    }
+
+    /// A scalar for a typed leaf; a string, array or object is
+    /// consumed and comes back as `None`.
+    fn leaf(&mut self) -> Result<Option<Scalar>, DecodeError> {
+        match self.peek() {
+            Some(b'"' | b'[' | b'{') => self.skip().map(|()| None),
+            _ => self.scalar().map(Some),
+        }
+    }
+
+    /// A string for a typed leaf; any other value is consumed and
+    /// comes back as `None`.
+    fn text(&mut self) -> Result<Option<Cow<'a, str>>, DecodeError> {
+        if self.peek() == Some(b'"') {
+            self.string().map(Some)
+        } else {
+            self.skip().map(|()| None)
+        }
+    }
+
+    /// Walks an object's members for a typed decoder; any other value
+    /// is consumed and reported as a shape error.
+    fn object(
+        &mut self,
+        what: &'static str,
+        mut member: impl FnMut(&mut Self, &str) -> Result<(), DecodeError>,
+    ) -> Result<(), DecodeError> {
+        if self.peek() != Some(b'{') {
+            self.skip()?;
+            return Err(schema(what, "expected an object"));
+        }
+        self.members(|p, key| member(p, &key))
+    }
+
+    /// Decodes one field into its slot, holding a shape error until
+    /// the object is done. A duplicate key is skipped, so the first
+    /// occurrence wins.
+    fn slot<T: Decode>(
+        &mut self,
+        slot: &mut Option<Result<T, DecodeError>>,
+        key: &'static str,
+    ) -> Result<(), DecodeError> {
+        if slot.is_some() {
+            return self.skip();
+        }
+        *slot = Some(defer(T::decode(self, key))?);
+        Ok(())
+    }
+
+    /// Decodes an enum: a bare string names a unit variant (`unit`),
+    /// a one-key object `{"tag": body}` any other (`body`, which
+    /// returns `None` for a tag it does not know, leaving the body
+    /// unread).
+    fn tagged<T>(
+        &mut self,
+        what: &'static str,
+        unit: impl FnOnce(&str) -> Option<T>,
+        body: impl FnOnce(&mut Self, &str) -> Option<Result<T, DecodeError>>,
+    ) -> Result<T, DecodeError> {
+        const ONE_TAG: &str = "expected exactly one variant tag";
+        match self.peek() {
+            Some(b'"') => {
+                let name = self.string()?;
+                unit(&name).ok_or_else(|| schema(what, format!("unknown variant `{name}`")))
+            }
+            Some(b'{') => {
+                let mut body = Some(body);
+                let mut out = None;
+                self.members(|p, tag| {
+                    let Some(body) = body.take() else {
+                        out = Some(Err(schema(what, ONE_TAG)));
+                        return p.skip();
+                    };
+                    out = Some(match body(p, &tag) {
+                        Some(decoded) => defer(decoded)?,
+                        None => {
+                            p.skip()?;
+                            Err(schema(what, format!("unknown variant `{tag}`")))
+                        }
+                    });
+                    Ok(())
+                })?;
+                out.unwrap_or_else(|| Err(schema(what, ONE_TAG)))
+            }
+            _ => {
+                self.skip()?;
+                Err(schema(what, "expected a variant tag"))
+            }
         }
     }
 }
 
 // ---------------------------------------------------------------------
-// Scalar codec helpers
+// The codec traits
 // ---------------------------------------------------------------------
 
-fn obj(fields: Vec<(&'static str, Value)>) -> Value {
-    Value::Obj(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
+/// A type that writes its JSON straight into a caller-owned buffer.
+pub(crate) trait Encode {
+    /// Appends this value's JSON to `out`.
+    fn encode(&self, out: &mut String);
 
-/// One-key tagged object: the enum-variant encoding.
-fn tag(name: &'static str, inner: Value) -> Value {
-    Value::Obj(vec![(name.to_string(), inner)])
-}
-
-fn as_obj<'v>(value: &'v Value, what: &'static str) -> Result<&'v [(String, Value)], DecodeError> {
-    match value {
-        Value::Obj(fields) => Ok(fields),
-        other => Err(schema(what, format!("expected an object, got {other:?}"))),
+    /// Appends a slice of this type as a JSON array. A type with a
+    /// faster bulk form overrides it.
+    fn encode_slice(items: &[Self], out: &mut String)
+    where
+        Self: Sized,
+    {
+        out.push('[');
+        for (i, item) in items.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            item.encode(out);
+        }
+        out.push(']');
     }
 }
 
-fn as_arr<'v>(value: &'v Value, what: &'static str) -> Result<&'v [Value], DecodeError> {
-    match value {
-        Value::Arr(items) => Ok(items),
-        other => Err(schema(what, format!("expected an array, got {other:?}"))),
+/// A type read straight off the lexer. `decode` consumes exactly one
+/// value unless it returns a syntax error.
+trait Decode: Sized {
+    /// Decodes one value; `what` names the field, for errors.
+    fn decode(p: &mut Parser<'_>, what: &'static str) -> Result<Self, DecodeError>;
+
+    /// The value of an absent field, or `None` if the field is
+    /// required (only `Option` fields may be left out).
+    fn absent() -> Option<Self> {
+        None
+    }
+
+    /// Decodes an array of this type. A type with a faster bulk form
+    /// overrides it.
+    fn decode_vec(p: &mut Parser<'_>, what: &'static str) -> Result<Vec<Self>, DecodeError> {
+        decode_items(p, what)
     }
 }
 
-/// The value of a one-key tagged object, or the bare string of a unit
-/// variant (returned as `(tag, None)`).
-fn as_tagged<'v>(
-    value: &'v Value,
+/// An array decoded item by item; the first ill-shaped item is
+/// reported once the whole array has been read.
+fn decode_items<T: Decode>(p: &mut Parser<'_>, what: &'static str) -> Result<Vec<T>, DecodeError> {
+    if p.peek() != Some(b'[') {
+        p.skip()?;
+        return Err(schema(what, "expected an array"));
+    }
+    let mut items = Vec::new();
+    let mut bad = None;
+    p.elements(|p| {
+        match defer(T::decode(p, what))? {
+            Ok(item) => items.push(item),
+            Err(e) => {
+                bad.get_or_insert(e);
+            }
+        }
+        Ok(())
+    })?;
+    bad.map_or(Ok(items), Err)
+}
+
+/// A field's final value: its decoded result, its default when it was
+/// absent, or a missing-field error.
+fn take<T: Decode>(
+    slot: Option<Result<T, DecodeError>>,
     what: &'static str,
-) -> Result<(&'v str, Option<&'v Value>), DecodeError> {
-    match value {
-        Value::Str(name) => Ok((name, None)),
-        Value::Obj(fields) => match fields.first() {
-            Some((name, inner)) if fields.len() == 1 => Ok((name, Some(inner))),
-            _ => Err(schema(what, "expected exactly one variant tag")),
-        },
-        other => Err(schema(
-            what,
-            format!("expected a variant tag, got {other:?}"),
-        )),
-    }
-}
-
-fn field<'v>(
-    fields: &'v [(String, Value)],
     key: &'static str,
-    what: &'static str,
-) -> Result<&'v Value, DecodeError> {
-    fields
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| schema(what, format!("missing field `{key}`")))
-}
-
-fn opt_field<'v>(fields: &'v [(String, Value)], key: &'static str) -> Option<&'v Value> {
-    fields
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .filter(|v| !matches!(v, Value::Null))
-}
-
-fn dec_u64(value: &Value, what: &'static str) -> Result<u64, DecodeError> {
-    match value {
-        Value::UInt(n) => Ok(*n),
-        other => Err(schema(
-            what,
-            format!("expected a non-negative integer, got {other:?}"),
-        )),
+) -> Result<T, DecodeError> {
+    match slot {
+        Some(decoded) => decoded,
+        None => T::absent().ok_or_else(|| schema(what, format!("missing field `{key}`"))),
     }
 }
 
-fn dec_u32(value: &Value, what: &'static str) -> Result<u32, DecodeError> {
-    u32::try_from(dec_u64(value, what)?)
-        .map_err(|_| schema(what, "integer does not fit in u32".to_string()))
+fn to_text(value: &dyn Encode) -> String {
+    let mut out = String::new();
+    value.encode(&mut out);
+    out
 }
 
-fn dec_usize(value: &Value, what: &'static str) -> Result<usize, DecodeError> {
-    usize::try_from(dec_u64(value, what)?)
-        .map_err(|_| schema(what, "integer does not fit in usize".to_string()))
+fn from_text<T: Decode>(text: &str, what: &'static str) -> Result<T, DecodeError> {
+    Parser::new(text).document(|p| T::decode(p, what))
 }
 
-fn enc_i64(n: i64) -> Value {
-    if n < 0 {
-        Value::Int(n)
-    } else {
-        Value::UInt(n as u64)
-    }
-}
-
-fn dec_i64(value: &Value, what: &'static str) -> Result<i64, DecodeError> {
-    match value {
-        Value::Int(n) => Ok(*n),
-        Value::UInt(n) => {
-            i64::try_from(*n).map_err(|_| schema(what, "integer does not fit in i64".to_string()))
+/// Writes `{"key":value,...}`; keys are plain identifiers and need no
+/// escaping.
+fn write_obj(out: &mut String, fields: &[(&str, &dyn Encode)]) {
+    out.push('{');
+    for (i, (key, value)) in fields.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
         }
-        other => Err(schema(what, format!("expected an integer, got {other:?}"))),
+        out.push('"');
+        out.push_str(key);
+        out.push_str("\":");
+        value.encode(out);
+    }
+    out.push('}');
+}
+
+/// Writes a tagged variant, `{"tag":inner}`.
+fn write_tag(out: &mut String, tag: &str, inner: &dyn Encode) {
+    out.push_str("{\"");
+    out.push_str(tag);
+    out.push_str("\":");
+    inner.encode(out);
+    out.push('}');
+}
+
+/// Writes a struct-like variant, `{"tag":{"key":value,...}}`.
+fn write_variant(out: &mut String, tag: &str, fields: &[(&str, &dyn Encode)]) {
+    out.push_str("{\"");
+    out.push_str(tag);
+    out.push_str("\":");
+    write_obj(out, fields);
+    out.push('}');
+}
+
+/// Writes a JSON string literal, copying unescaped runs whole. Every
+/// escaped byte is ASCII, so the runs split on character boundaries.
+fn write_string(out: &mut String, s: &str) {
+    out.push('"');
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0x08 => "\\b",
+            0x0c => "\\f",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(s.get(run..i).unwrap_or_default());
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(escape);
+        }
+        run = i + 1;
+    }
+    out.push_str(s.get(run..).unwrap_or_default());
+    out.push('"');
+}
+
+/// Decodes an object's fields into locals named after its keys, then
+/// evaluates `$build` (a `Result`). Keys may come in any order,
+/// unknown keys are skipped and the first of duplicate keys wins; a
+/// missing or ill-shaped field is reported in declaration order. The
+/// second form builds a struct or struct-like variant from its field
+/// names.
+macro_rules! decode_fields {
+    ($p:expr, $what:expr, [$($field:ident $(: $ty:ty)?),* $(,)?] => $build:expr) => {{
+        $(let mut $field $(: Option<Result<$ty, DecodeError>>)? = None;)*
+        $p.object($what, |p, key| match key {
+            $(stringify!($field) => p.slot(&mut $field, stringify!($field)),)*
+            _ => p.skip(),
+        })
+        .and_then(|()| {
+            $(let $field = take($field, $what, stringify!($field))?;)*
+            $build
+        })
+    }};
+    ($p:expr, $what:expr, $($path:ident)::+ { $($field:ident),* $(,)? }) => {
+        decode_fields!($p, $what, [$($field),*] => Ok($($path)::+ { $($field),* }))
+    };
+}
+
+// ---------------------------------------------------------------------
+// Scalars and containers
+// ---------------------------------------------------------------------
+
+/// Writes `n`'s decimal digits at the front of `buf` (20 bytes hold
+/// any `u64`) and returns how many it wrote.
+fn put_u64(buf: &mut [u8], n: u64) -> usize {
+    let width = n.checked_ilog10().map_or(1, |log| log as usize + 1);
+    let mut rest = n;
+    for slot in buf.iter_mut().take(width).rev() {
+        *slot = b'0' + (rest % 10) as u8;
+        rest /= 10;
+    }
+    width
+}
+
+/// Appends ASCII bytes (digits and commas) to `out`.
+fn push_ascii(out: &mut String, bytes: &[u8]) {
+    out.push_str(std::str::from_utf8(bytes).unwrap_or_default());
+}
+
+/// Writes `n` in decimal, without going through `fmt`.
+fn write_u64(out: &mut String, n: u64) {
+    let mut digits = [0u8; 20];
+    let width = put_u64(&mut digits, n);
+    push_ascii(out, &digits[..width]);
+}
+
+impl Encode for u64 {
+    fn encode(&self, out: &mut String) {
+        write_u64(out, *self);
+    }
+
+    /// Digits and commas collect in a stack buffer flushed in chunks:
+    /// one `push_str` per few dozen numbers instead of one per number.
+    fn encode_slice(items: &[u64], out: &mut String) {
+        let mut chunk = [0u8; 256];
+        let mut len = 0;
+        out.push('[');
+        for (i, n) in items.iter().enumerate() {
+            if len + 21 > chunk.len() {
+                push_ascii(out, &chunk[..len]);
+                len = 0;
+            }
+            if i > 0 {
+                chunk[len] = b',';
+                len += 1;
+            }
+            len += put_u64(chunk.get_mut(len..).unwrap_or_default(), *n);
+        }
+        push_ascii(out, &chunk[..len]);
+        out.push(']');
     }
 }
 
-fn enc_f64(x: f64) -> Value {
-    Value::Float(x)
-}
-
-fn dec_f64(value: &Value, what: &'static str) -> Result<f64, DecodeError> {
-    match value {
-        Value::Float(x) => Ok(*x),
-        Value::UInt(n) => Ok(*n as f64),
-        Value::Int(n) => Ok(*n as f64),
-        Value::Str(s) if s == "nan" => Ok(f64::NAN),
-        Value::Str(s) if s == "inf" => Ok(f64::INFINITY),
-        Value::Str(s) if s == "-inf" => Ok(f64::NEG_INFINITY),
-        other => Err(schema(what, format!("expected a number, got {other:?}"))),
+impl Encode for u32 {
+    fn encode(&self, out: &mut String) {
+        write_u64(out, u64::from(*self));
     }
 }
 
-fn dec_bool(value: &Value, what: &'static str) -> Result<bool, DecodeError> {
-    match value {
-        Value::Bool(b) => Ok(*b),
-        other => Err(schema(what, format!("expected a boolean, got {other:?}"))),
+impl Encode for usize {
+    fn encode(&self, out: &mut String) {
+        write_u64(out, *self as u64);
     }
 }
 
-fn dec_string(value: &Value, what: &'static str) -> Result<String, DecodeError> {
-    match value {
-        Value::Str(s) => Ok(s.clone()),
-        other => Err(schema(what, format!("expected a string, got {other:?}"))),
+impl Encode for i64 {
+    fn encode(&self, out: &mut String) {
+        if *self < 0 {
+            out.push('-');
+        }
+        write_u64(out, self.unsigned_abs());
     }
 }
 
-fn enc_u64_arr(items: &[u64]) -> Value {
-    Value::Arr(items.iter().map(|n| Value::UInt(*n)).collect())
-}
-
-fn dec_u64_arr(value: &Value, what: &'static str) -> Result<Vec<u64>, DecodeError> {
-    as_arr(value, what)?
-        .iter()
-        .map(|v| dec_u64(v, what))
-        .collect()
-}
-
-fn enc_duration(d: Duration) -> Value {
-    obj(vec![
-        ("secs", Value::UInt(d.as_secs())),
-        ("nanos", Value::UInt(u64::from(d.subsec_nanos()))),
-    ])
-}
-
-fn dec_duration(value: &Value, what: &'static str) -> Result<Duration, DecodeError> {
-    let fields = as_obj(value, what)?;
-    let secs = dec_u64(field(fields, "secs", what)?, what)?;
-    let nanos = dec_u32(field(fields, "nanos", what)?, what)?;
-    if nanos >= 1_000_000_000 {
-        return Err(schema(what, "nanos must be below 1e9".to_string()));
+impl Decode for u64 {
+    fn decode(p: &mut Parser<'_>, what: &'static str) -> Result<Self, DecodeError> {
+        match p.leaf()? {
+            Some(Scalar::UInt(n)) => Ok(n),
+            _ => Err(schema(what, "expected a non-negative integer")),
+        }
     }
-    Ok(Duration::new(secs, nanos))
+
+    fn decode_vec(p: &mut Parser<'_>, what: &'static str) -> Result<Vec<Self>, DecodeError> {
+        match p.plain_uint_array() {
+            Some(items) => Ok(items),
+            None => decode_items(p, what),
+        }
+    }
+}
+
+impl Decode for u32 {
+    fn decode(p: &mut Parser<'_>, what: &'static str) -> Result<Self, DecodeError> {
+        u32::try_from(u64::decode(p, what)?)
+            .map_err(|_| schema(what, "integer does not fit in u32"))
+    }
+}
+
+impl Decode for usize {
+    fn decode(p: &mut Parser<'_>, what: &'static str) -> Result<Self, DecodeError> {
+        usize::try_from(u64::decode(p, what)?)
+            .map_err(|_| schema(what, "integer does not fit in usize"))
+    }
+}
+
+impl Decode for i64 {
+    fn decode(p: &mut Parser<'_>, what: &'static str) -> Result<Self, DecodeError> {
+        match p.leaf()? {
+            Some(Scalar::Int(n)) => Ok(n),
+            Some(Scalar::UInt(n)) => {
+                i64::try_from(n).map_err(|_| schema(what, "integer does not fit in i64"))
+            }
+            _ => Err(schema(what, "expected an integer")),
+        }
+    }
+}
+
+impl Encode for f64 {
+    fn encode(&self, out: &mut String) {
+        if self.is_finite() {
+            // `{:?}` is Rust's shortest representation that parses
+            // back to the same bits — "2.0" stays a float lane,
+            // "1e300" stays compact.
+            let _ = write!(out, "{self:?}");
+        } else if self.is_nan() {
+            out.push_str("\"nan\"");
+        } else if *self > 0.0 {
+            out.push_str("\"inf\"");
+        } else {
+            out.push_str("\"-inf\"");
+        }
+    }
+}
+
+impl Decode for f64 {
+    fn decode(p: &mut Parser<'_>, what: &'static str) -> Result<Self, DecodeError> {
+        if p.peek() == Some(b'"') {
+            return match &*p.string()? {
+                "nan" => Ok(f64::NAN),
+                "inf" => Ok(f64::INFINITY),
+                "-inf" => Ok(f64::NEG_INFINITY),
+                _ => Err(schema(what, "expected a number")),
+            };
+        }
+        match p.leaf()? {
+            Some(Scalar::Float(x)) => Ok(x),
+            Some(Scalar::UInt(n)) => Ok(n as f64),
+            Some(Scalar::Int(n)) => Ok(n as f64),
+            _ => Err(schema(what, "expected a number")),
+        }
+    }
+}
+
+impl Encode for bool {
+    fn encode(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
+    }
+}
+
+impl Decode for bool {
+    fn decode(p: &mut Parser<'_>, what: &'static str) -> Result<Self, DecodeError> {
+        match p.leaf()? {
+            Some(Scalar::Bool(b)) => Ok(b),
+            _ => Err(schema(what, "expected a boolean")),
+        }
+    }
+}
+
+impl Encode for str {
+    fn encode(&self, out: &mut String) {
+        write_string(out, self);
+    }
+}
+
+impl Encode for String {
+    fn encode(&self, out: &mut String) {
+        write_string(out, self);
+    }
+}
+
+impl Decode for String {
+    fn decode(p: &mut Parser<'_>, what: &'static str) -> Result<Self, DecodeError> {
+        p.text()?
+            .map(Cow::into_owned)
+            .ok_or_else(|| schema(what, "expected a string"))
+    }
+}
+
+impl Decode for &'static str {
+    fn decode(p: &mut Parser<'_>, what: &'static str) -> Result<Self, DecodeError> {
+        p.text()?
+            .map(|s| intern_str(&s))
+            .ok_or_else(|| schema(what, "expected a string"))
+    }
+}
+
+impl Decode for &'static [&'static str] {
+    fn decode(p: &mut Parser<'_>, what: &'static str) -> Result<Self, DecodeError> {
+        Vec::decode(p, what).map(intern_slice)
+    }
+}
+
+impl<T: Encode + ?Sized> Encode for &T {
+    fn encode(&self, out: &mut String) {
+        (**self).encode(out);
+    }
+}
+
+impl<T: Encode + ?Sized> Encode for Box<T> {
+    fn encode(&self, out: &mut String) {
+        (**self).encode(out);
+    }
+}
+
+impl<T: Decode> Decode for Box<T> {
+    fn decode(p: &mut Parser<'_>, what: &'static str) -> Result<Self, DecodeError> {
+        T::decode(p, what).map(Box::new)
+    }
+}
+
+impl<T: Encode> Encode for [T] {
+    fn encode(&self, out: &mut String) {
+        T::encode_slice(self, out);
+    }
+}
+
+impl<T: Encode> Encode for Vec<T> {
+    fn encode(&self, out: &mut String) {
+        self.as_slice().encode(out);
+    }
+}
+
+impl<T: Decode> Decode for Vec<T> {
+    fn decode(p: &mut Parser<'_>, what: &'static str) -> Result<Self, DecodeError> {
+        T::decode_vec(p, what)
+    }
+}
+
+/// `null` for `None`. As a struct field, an absent key is `None` too.
+impl<T: Encode> Encode for Option<T> {
+    fn encode(&self, out: &mut String) {
+        match self {
+            Some(value) => value.encode(out),
+            None => out.push_str("null"),
+        }
+    }
+}
+
+impl<T: Decode> Decode for Option<T> {
+    fn decode(p: &mut Parser<'_>, what: &'static str) -> Result<Self, DecodeError> {
+        if p.peek() == Some(b'n') {
+            p.literal("null", Scalar::Null)?;
+            return Ok(None);
+        }
+        T::decode(p, what).map(Some)
+    }
+
+    fn absent() -> Option<Self> {
+        Some(None)
+    }
+}
+
+impl Encode for Duration {
+    fn encode(&self, out: &mut String) {
+        write_obj(
+            out,
+            &[("secs", &self.as_secs()), ("nanos", &self.subsec_nanos())],
+        );
+    }
+}
+
+impl Decode for Duration {
+    fn decode(p: &mut Parser<'_>, what: &'static str) -> Result<Self, DecodeError> {
+        decode_fields!(p, what, [secs: u64, nanos: u32] => if nanos < 1_000_000_000 {
+            Ok(Duration::new(secs, nanos))
+        } else {
+            Err(schema(what, "nanos must be below 1e9"))
+        })
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -715,822 +1150,278 @@ fn intern_slice(items: Vec<&'static str>) -> &'static [&'static str] {
 // Domain types
 // ---------------------------------------------------------------------
 
-fn enc_strategy(s: Strategy) -> Value {
-    // The registry's spec-string vocabulary, same as `Display`.
-    Value::Str(s.to_string())
-}
-
-fn dec_strategy(value: &Value, what: &'static str) -> Result<Strategy, DecodeError> {
-    match value {
-        Value::Str(name) => match name.as_str() {
-            "canonical" => Ok(Strategy::Canonical),
-            "subsequence" => Ok(Strategy::Subsequence),
-            "conflict-free" => Ok(Strategy::ConflictFree),
-            "auto" => Ok(Strategy::Auto),
-            other => Err(schema(what, format!("unknown strategy `{other}`"))),
-        },
-        other => Err(schema(what, format!("expected a strategy, got {other:?}"))),
-    }
-}
-
-fn enc_policy(p: IssuePolicy) -> Value {
-    Value::Str(p.to_string())
-}
-
-fn dec_policy(value: &Value, what: &'static str) -> Result<IssuePolicy, DecodeError> {
-    match value {
-        Value::Str(name) => match name.as_str() {
-            "round-robin" => Ok(IssuePolicy::RoundRobin),
-            "priority" => Ok(IssuePolicy::Priority),
-            "work-conserving" => Ok(IssuePolicy::WorkConserving),
-            other => Err(schema(what, format!("unknown issue policy `{other}`"))),
-        },
-        other => Err(schema(
-            what,
-            format!("expected an issue policy, got {other:?}"),
-        )),
-    }
-}
-
-fn enc_estimator(e: Estimator) -> Value {
-    match e {
-        Estimator::MonteCarlo {
-            samples,
-            max_x,
-            max_sigma,
-        } => tag(
-            "monte_carlo",
-            obj(vec![
-                ("samples", Value::UInt(u64::from(samples))),
-                ("max_x", Value::UInt(u64::from(max_x))),
-                ("max_sigma", Value::UInt(max_sigma)),
-            ]),
-        ),
-        Estimator::Stratified { max_x, per_family } => tag(
-            "stratified",
-            obj(vec![
-                ("max_x", Value::UInt(u64::from(max_x))),
-                ("per_family", Value::UInt(u64::from(per_family))),
-            ]),
-        ),
-    }
-}
-
-fn dec_estimator(value: &Value, what: &'static str) -> Result<Estimator, DecodeError> {
-    match as_tagged(value, what)? {
-        ("monte_carlo", Some(inner)) => {
-            let fields = as_obj(inner, what)?;
-            Ok(Estimator::MonteCarlo {
-                samples: dec_u32(field(fields, "samples", what)?, what)?,
-                max_x: dec_u32(field(fields, "max_x", what)?, what)?,
-                max_sigma: dec_u64(field(fields, "max_sigma", what)?, what)?,
-            })
+/// One field table per plain struct, generating both directions; keys
+/// are the field names, written in declaration order.
+macro_rules! record {
+    ($($ty:ident { $($field:ident),* $(,)? })*) => {$(
+        impl Encode for $ty {
+            fn encode(&self, out: &mut String) {
+                write_obj(out, &[$((stringify!($field), &self.$field)),*]);
+            }
         }
-        ("stratified", Some(inner)) => {
-            let fields = as_obj(inner, what)?;
-            Ok(Estimator::Stratified {
-                max_x: dec_u32(field(fields, "max_x", what)?, what)?,
-                per_family: dec_u32(field(fields, "per_family", what)?, what)?,
-            })
+
+        impl Decode for $ty {
+            fn decode(p: &mut Parser<'_>, _: &'static str) -> Result<Self, DecodeError> {
+                decode_fields!(p, stringify!($ty), $ty { $($field),* })
+            }
         }
-        (other, _) => Err(schema(what, format!("unknown estimator `{other}`"))),
+    )*};
+}
+
+record! {
+    AccessStats {
+        latency, elements, stall_cycles, conflicts, arrival, module_busy, max_in_q,
+    }
+    FamilyPoint {
+        x, stride, latency, conflicts, stall_cycles, cycles_per_element,
+    }
+    StreamSummary {
+        wave, elements, first_issue, latency, spread, conflicts, stall_cycles,
+    }
+    MultiStreamOutcome {
+        per_stream, wave_makespans, makespan, sequential_baseline,
+        predicted_conflicts_milli, actual_conflicts,
+    }
+    CacheStats {
+        hits, misses, evictions, bypasses, invalidations, entries, capacity,
+    }
+    ServiceStats {
+        queue_depth, in_flight, cache, retries, restarts, deadline_exceeded, degraded,
+        faults_injected, scheduler_predicted_conflicts_milli, scheduler_actual_conflicts,
+        wire_connections, wire_rejections, wire_in_flight,
     }
 }
 
-fn enc_schedule(s: SchedulePlan) -> Value {
-    match s {
-        SchedulePlan::Together => Value::Str("together".to_string()),
-        SchedulePlan::FifoWaves { width } => tag(
-            "fifo_waves",
-            obj(vec![("width", Value::UInt(u64::from(width)))]),
-        ),
-        SchedulePlan::ConflictAware {
-            width,
-            max_score_milli,
-        } => tag(
-            "conflict_aware",
-            obj(vec![
-                ("width", Value::UInt(u64::from(width))),
-                ("max_score_milli", Value::UInt(u64::from(max_score_milli))),
-            ]),
-        ),
+/// Fieldless enums spelled as bare strings: the registry's
+/// spec-string vocabulary, the same as their `Display`.
+macro_rules! names {
+    ($($ty:ident { $($variant:path => $name:literal),* $(,)? })*) => {$(
+        impl Encode for $ty {
+            fn encode(&self, out: &mut String) {
+                write_string(out, match self { $($variant => $name),* });
+            }
+        }
+
+        impl Decode for $ty {
+            fn decode(p: &mut Parser<'_>, what: &'static str) -> Result<Self, DecodeError> {
+                match p.text()?.as_deref() {
+                    $(Some($name) => Ok($variant),)*
+                    _ => Err(schema(what, concat!("expected a ", stringify!($ty), " name"))),
+                }
+            }
+        }
+    )*};
+}
+
+names! {
+    Strategy {
+        Strategy::Canonical => "canonical",
+        Strategy::Subsequence => "subsequence",
+        Strategy::ConflictFree => "conflict-free",
+        Strategy::Auto => "auto",
+    }
+    IssuePolicy {
+        IssuePolicy::RoundRobin => "round-robin",
+        IssuePolicy::Priority => "priority",
+        IssuePolicy::WorkConserving => "work-conserving",
     }
 }
 
-fn dec_schedule(value: &Value, what: &'static str) -> Result<SchedulePlan, DecodeError> {
-    match as_tagged(value, what)? {
-        ("together", None) => Ok(SchedulePlan::Together),
-        ("fifo_waves", Some(inner)) => {
-            let fields = as_obj(inner, what)?;
-            Ok(SchedulePlan::FifoWaves {
-                width: dec_u32(field(fields, "width", what)?, what)?,
-            })
-        }
-        ("conflict_aware", Some(inner)) => {
-            let fields = as_obj(inner, what)?;
-            Ok(SchedulePlan::ConflictAware {
-                width: dec_u32(field(fields, "width", what)?, what)?,
-                max_score_milli: dec_u32(field(fields, "max_score_milli", what)?, what)?,
-            })
-        }
-        (other, _) => Err(schema(what, format!("unknown schedule plan `{other}`"))),
+impl Encode for VectorSpec {
+    fn encode(&self, out: &mut String) {
+        write_obj(
+            out,
+            &[
+                ("base", &self.base().get()),
+                ("stride", &self.stride().get()),
+                ("len", &self.len()),
+            ],
+        );
     }
-}
-
-fn enc_vector_spec(v: &VectorSpec) -> Value {
-    obj(vec![
-        ("base", Value::UInt(v.base().get())),
-        ("stride", enc_i64(v.stride().get())),
-        ("len", Value::UInt(v.len())),
-    ])
 }
 
 /// Decodes through [`VectorSpec::new`], so a hostile peer cannot smuggle
 /// in a spec the in-process constructor would reject (zero stride,
 /// address overflow): the wire re-validates and returns the same typed
 /// [`ConfigError`].
-fn dec_vector_spec(value: &Value, what: &'static str) -> Result<VectorSpec, DecodeError> {
-    let fields = as_obj(value, what)?;
-    let base = dec_u64(field(fields, "base", what)?, what)?;
-    let stride = dec_i64(field(fields, "stride", what)?, what)?;
-    let len = dec_u64(field(fields, "len", what)?, what)?;
-    VectorSpec::new(base, stride, len).map_err(DecodeError::Invalid)
-}
-
-fn enc_access_stats(s: &AccessStats) -> Value {
-    obj(vec![
-        ("latency", Value::UInt(s.latency)),
-        ("elements", Value::UInt(s.elements)),
-        ("stall_cycles", Value::UInt(s.stall_cycles)),
-        ("conflicts", Value::UInt(s.conflicts)),
-        ("arrival", enc_u64_arr(&s.arrival)),
-        ("module_busy", enc_u64_arr(&s.module_busy)),
-        ("max_in_q", Value::UInt(s.max_in_q as u64)),
-    ])
-}
-
-fn dec_access_stats(value: &Value, what: &'static str) -> Result<AccessStats, DecodeError> {
-    let fields = as_obj(value, what)?;
-    Ok(AccessStats {
-        latency: dec_u64(field(fields, "latency", what)?, what)?,
-        elements: dec_u64(field(fields, "elements", what)?, what)?,
-        stall_cycles: dec_u64(field(fields, "stall_cycles", what)?, what)?,
-        conflicts: dec_u64(field(fields, "conflicts", what)?, what)?,
-        arrival: dec_u64_arr(field(fields, "arrival", what)?, what)?,
-        module_busy: dec_u64_arr(field(fields, "module_busy", what)?, what)?,
-        max_in_q: dec_usize(field(fields, "max_in_q", what)?, what)?,
-    })
-}
-
-fn enc_opt_access_stats(s: &Option<AccessStats>) -> Value {
-    match s {
-        Some(stats) => enc_access_stats(stats),
-        None => Value::Null,
+impl Decode for VectorSpec {
+    fn decode(p: &mut Parser<'_>, _: &'static str) -> Result<Self, DecodeError> {
+        decode_fields!(p, "VectorSpec", [base: u64, stride: i64, len: u64] =>
+            VectorSpec::new(base, stride, len).map_err(DecodeError::Invalid))
     }
 }
 
-fn dec_opt_access_stats(
-    value: &Value,
-    what: &'static str,
-) -> Result<Option<AccessStats>, DecodeError> {
-    match value {
-        Value::Null => Ok(None),
-        other => dec_access_stats(other, what).map(Some),
+/// One `MeasureBatch` access: `{"vec":…,"strategy":…}`.
+impl Encode for (VectorSpec, Strategy) {
+    fn encode(&self, out: &mut String) {
+        write_obj(out, &[("vec", &self.0), ("strategy", &self.1)]);
     }
 }
 
-fn enc_family_point(p: &FamilyPoint) -> Value {
-    obj(vec![
-        ("x", Value::UInt(u64::from(p.x))),
-        ("stride", enc_i64(p.stride)),
-        ("latency", Value::UInt(p.latency)),
-        ("conflicts", Value::UInt(p.conflicts)),
-        ("stall_cycles", Value::UInt(p.stall_cycles)),
-        ("cycles_per_element", enc_f64(p.cycles_per_element)),
-    ])
+impl Decode for (VectorSpec, Strategy) {
+    fn decode(p: &mut Parser<'_>, what: &'static str) -> Result<Self, DecodeError> {
+        decode_fields!(p, what, [vec, strategy] => Ok((vec, strategy)))
+    }
 }
 
-fn dec_family_point(value: &Value, what: &'static str) -> Result<FamilyPoint, DecodeError> {
-    let fields = as_obj(value, what)?;
-    Ok(FamilyPoint {
-        x: dec_u32(field(fields, "x", what)?, what)?,
-        stride: dec_i64(field(fields, "stride", what)?, what)?,
-        latency: dec_u64(field(fields, "latency", what)?, what)?,
-        conflicts: dec_u64(field(fields, "conflicts", what)?, what)?,
-        stall_cycles: dec_u64(field(fields, "stall_cycles", what)?, what)?,
-        cycles_per_element: dec_f64(field(fields, "cycles_per_element", what)?, what)?,
-    })
+/// One variant table per enum, generating both directions:
+/// `"tag" => Variant { a, b }` travels as `{"tag":{"a":…,"b":…}}`,
+/// `"tag" => Variant(inner)` as `{"tag":inner}`, and `"tag" => Variant`
+/// as the bare string `"tag"`.
+macro_rules! tagged {
+    ($($ty:ident { $($tag:literal => $variant:ident $(($inner:ident))? $({ $($field:ident),* })?,)* })*) => {$(
+        impl Encode for $ty {
+            fn encode(&self, out: &mut String) {
+                match self {
+                    $($ty::$variant $(($inner))? $({ $($field),* })? => {
+                        variant!(encode out, $tag $(($inner))? $({ $($field),* })?)
+                    })*
+                }
+            }
+        }
+
+        impl Decode for $ty {
+            fn decode(p: &mut Parser<'_>, _: &'static str) -> Result<Self, DecodeError> {
+                p.tagged(
+                    stringify!($ty),
+                    |name| match name {
+                        $($tag => variant!(unit $ty::$variant $(($inner))? $({ $($field),* })?),)*
+                        _ => None,
+                    },
+                    |p, tag| match tag {
+                        $($tag => variant!(body p, $ty::$variant $(($inner))? $({ $($field),* })?),)*
+                        _ => None,
+                    },
+                )
+            }
+        }
+    )*};
 }
 
-fn enc_stream_summary(s: &StreamSummary) -> Value {
-    obj(vec![
-        ("wave", Value::UInt(u64::from(s.wave))),
-        ("elements", Value::UInt(s.elements)),
-        ("first_issue", Value::UInt(s.first_issue)),
-        ("latency", Value::UInt(s.latency)),
-        ("spread", Value::UInt(s.spread)),
-        ("conflicts", Value::UInt(s.conflicts)),
-        ("stall_cycles", Value::UInt(s.stall_cycles)),
-    ])
+/// The three variant shapes of `tagged!`: how each encodes, whether it
+/// is a unit variant, and how its body decodes.
+macro_rules! variant {
+    (encode $out:ident, $tag:literal) => {
+        $tag.encode($out)
+    };
+    (encode $out:ident, $tag:literal ($inner:ident)) => {
+        write_tag($out, $tag, $inner)
+    };
+    (encode $out:ident, $tag:literal { $($field:ident),* }) => {
+        write_variant($out, $tag, &[$((stringify!($field), $field)),*])
+    };
+    (unit $ty:ident::$variant:ident) => {
+        Some($ty::$variant)
+    };
+    (unit $ty:ident::$variant:ident $($shape:tt)+) => {
+        None
+    };
+    (body $p:ident, $ty:ident::$variant:ident) => {
+        None
+    };
+    (body $p:ident, $ty:ident::$variant:ident ($inner:ident)) => {
+        Some(Decode::decode($p, stringify!($ty)).map($ty::$variant))
+    };
+    (body $p:ident, $ty:ident::$variant:ident { $($field:ident),* }) => {
+        Some(decode_fields!($p, stringify!($ty), $ty::$variant { $($field),* }))
+    };
 }
 
-fn dec_stream_summary(value: &Value, what: &'static str) -> Result<StreamSummary, DecodeError> {
-    let fields = as_obj(value, what)?;
-    Ok(StreamSummary {
-        wave: dec_u32(field(fields, "wave", what)?, what)?,
-        elements: dec_u64(field(fields, "elements", what)?, what)?,
-        first_issue: dec_u64(field(fields, "first_issue", what)?, what)?,
-        latency: dec_u64(field(fields, "latency", what)?, what)?,
-        spread: dec_u64(field(fields, "spread", what)?, what)?,
-        conflicts: dec_u64(field(fields, "conflicts", what)?, what)?,
-        stall_cycles: dec_u64(field(fields, "stall_cycles", what)?, what)?,
-    })
+tagged! {
+    Estimator {
+        "monte_carlo" => MonteCarlo { samples, max_x, max_sigma },
+        "stratified" => Stratified { max_x, per_family },
+    }
+    SchedulePlan {
+        "together" => Together,
+        "fifo_waves" => FifoWaves { width },
+        "conflict_aware" => ConflictAware { width, max_score_milli },
+    }
+    ConfigError {
+        "not_power_of_two" => NotPowerOfTwo { what, value },
+        "out_of_range" => OutOfRange { what, value, constraint },
+        "zero_stride" => ZeroStride,
+        "singular_matrix" => SingularMatrix,
+        "address_overflow" => AddressOverflow,
+        "spec_syntax" => SpecSyntax { spec, reason },
+        "unknown_map" => UnknownMap { name, registered },
+        "missing_key" => MissingKey { map, key },
+        "unknown_key" => UnknownKey { map, key, accepted },
+        "duplicate_key" => DuplicateKey { key },
+        "invalid_value" => InvalidValue { key, value, expected },
+        "matrix_file" => MatrixFile { path, reason },
+        "duplicate_map" => DuplicateMap { name },
+    }
+    Request {
+        "measure" => Measure { spec, vec, strategy },
+        "measure_batch" => MeasureBatch { spec, accesses },
+        "family_sweep" => FamilySweep { spec, len, max_x, sigma },
+        "efficiency" => Efficiency { spec, strategy, len, estimator, seed },
+        "multi_stream" => MultiStream { spec, streams, strategy, policy, schedule },
+    }
+    // `Degraded` nests a whole response; the lexer's depth cap bounds
+    // that recursion at `MAX_DEPTH`.
+    Response {
+        "measured" => Measured(stats),
+        "batch" => Batch(items),
+        "family_sweep" => FamilySweep(points),
+        "efficiency" => Efficiency(eta),
+        "multi_stream" => MultiStream(outcome),
+        "degraded" => Degraded { response, exact },
+    }
+    ServeResult {
+        "ok" => Ok(response),
+        "err" => Err(error),
+    }
 }
 
-fn enc_multi_stream_outcome(o: &MultiStreamOutcome) -> Value {
-    obj(vec![
-        (
-            "per_stream",
-            Value::Arr(o.per_stream.iter().map(enc_stream_summary).collect()),
-        ),
-        ("wave_makespans", enc_u64_arr(&o.wave_makespans)),
-        ("makespan", Value::UInt(o.makespan)),
-        ("sequential_baseline", Value::UInt(o.sequential_baseline)),
-        (
-            "predicted_conflicts_milli",
-            Value::UInt(o.predicted_conflicts_milli),
-        ),
-        ("actual_conflicts", Value::UInt(o.actual_conflicts)),
-    ])
+/// Hand-written: `deadline_exceeded` carries its budget as the bare
+/// duration rather than as a one-field object.
+impl Encode for ServeError {
+    fn encode(&self, out: &mut String) {
+        match self {
+            ServeError::Overloaded {
+                queue_depth,
+                capacity,
+            } => write_variant(
+                out,
+                "overloaded",
+                &[("queue_depth", queue_depth), ("capacity", capacity)],
+            ),
+            ServeError::ShuttingDown => "shutting_down".encode(out),
+            ServeError::Spec(e) => write_tag(out, "spec", e),
+            ServeError::Request(e) => write_tag(out, "request", e),
+            ServeError::DeadlineExceeded { budget } => write_tag(out, "deadline_exceeded", budget),
+            ServeError::WorkerPanicked { attempts, message } => write_variant(
+                out,
+                "worker_panicked",
+                &[("attempts", attempts), ("message", message)],
+            ),
+        }
+    }
 }
 
-fn dec_multi_stream_outcome(
-    value: &Value,
-    what: &'static str,
-) -> Result<MultiStreamOutcome, DecodeError> {
-    let fields = as_obj(value, what)?;
-    Ok(MultiStreamOutcome {
-        per_stream: as_arr(field(fields, "per_stream", what)?, what)?
-            .iter()
-            .map(|v| dec_stream_summary(v, what))
-            .collect::<Result<_, _>>()?,
-        wave_makespans: dec_u64_arr(field(fields, "wave_makespans", what)?, what)?,
-        makespan: dec_u64(field(fields, "makespan", what)?, what)?,
-        sequential_baseline: dec_u64(field(fields, "sequential_baseline", what)?, what)?,
-        predicted_conflicts_milli: dec_u64(
-            field(fields, "predicted_conflicts_milli", what)?,
-            what,
-        )?,
-        actual_conflicts: dec_u64(field(fields, "actual_conflicts", what)?, what)?,
-    })
-}
-
-// ---------------------------------------------------------------------
-// ConfigError
-// ---------------------------------------------------------------------
-
-fn enc_config_error(e: &ConfigError) -> Value {
-    match e {
-        ConfigError::NotPowerOfTwo { what, value } => tag(
-            "not_power_of_two",
-            obj(vec![
-                ("what", Value::Str((*what).to_string())),
-                ("value", Value::UInt(*value)),
-            ]),
-        ),
-        ConfigError::OutOfRange {
-            what,
-            value,
-            constraint,
-        } => tag(
-            "out_of_range",
-            obj(vec![
-                ("what", Value::Str((*what).to_string())),
-                ("value", Value::UInt(*value)),
-                ("constraint", Value::Str((*constraint).to_string())),
-            ]),
-        ),
-        ConfigError::ZeroStride => Value::Str("zero_stride".to_string()),
-        ConfigError::SingularMatrix => Value::Str("singular_matrix".to_string()),
-        ConfigError::AddressOverflow => Value::Str("address_overflow".to_string()),
-        ConfigError::SpecSyntax { spec, reason } => tag(
-            "spec_syntax",
-            obj(vec![
-                ("spec", Value::Str(spec.clone())),
-                ("reason", Value::Str(reason.clone())),
-            ]),
-        ),
-        ConfigError::UnknownMap { name, registered } => tag(
-            "unknown_map",
-            obj(vec![
-                ("name", Value::Str(name.clone())),
-                (
-                    "registered",
-                    Value::Arr(registered.iter().map(|s| Value::Str(s.clone())).collect()),
+impl Decode for ServeError {
+    fn decode(p: &mut Parser<'_>, _: &'static str) -> Result<Self, DecodeError> {
+        const WHAT: &str = "ServeError";
+        p.tagged(
+            WHAT,
+            |name| (name == "shutting_down").then_some(ServeError::ShuttingDown),
+            |p, tag| match tag {
+                "overloaded" => Some(decode_fields!(p, WHAT, [queue_depth, capacity] => {
+                    Ok(ServeError::Overloaded { queue_depth, capacity })
+                })),
+                "spec" => Some(Decode::decode(p, WHAT).map(ServeError::Spec)),
+                "request" => Some(Decode::decode(p, WHAT).map(ServeError::Request)),
+                "deadline_exceeded" => Some(
+                    Decode::decode(p, WHAT).map(|budget| ServeError::DeadlineExceeded { budget }),
                 ),
-            ]),
-        ),
-        ConfigError::MissingKey { map, key } => tag(
-            "missing_key",
-            obj(vec![
-                ("map", Value::Str(map.clone())),
-                ("key", Value::Str((*key).to_string())),
-            ]),
-        ),
-        ConfigError::UnknownKey { map, key, accepted } => tag(
-            "unknown_key",
-            obj(vec![
-                ("map", Value::Str(map.clone())),
-                ("key", Value::Str(key.clone())),
-                (
-                    "accepted",
-                    Value::Arr(
-                        accepted
-                            .iter()
-                            .map(|s| Value::Str((*s).to_string()))
-                            .collect(),
-                    ),
-                ),
-            ]),
-        ),
-        ConfigError::DuplicateKey { key } => {
-            tag("duplicate_key", obj(vec![("key", Value::Str(key.clone()))]))
-        }
-        ConfigError::InvalidValue {
-            key,
-            value,
-            expected,
-        } => tag(
-            "invalid_value",
-            obj(vec![
-                ("key", Value::Str(key.clone())),
-                ("value", Value::Str(value.clone())),
-                ("expected", Value::Str((*expected).to_string())),
-            ]),
-        ),
-        ConfigError::MatrixFile { path, reason } => tag(
-            "matrix_file",
-            obj(vec![
-                ("path", Value::Str(path.clone())),
-                ("reason", Value::Str(reason.clone())),
-            ]),
-        ),
-        ConfigError::DuplicateMap { name } => tag(
-            "duplicate_map",
-            obj(vec![("name", Value::Str(name.clone()))]),
-        ),
-    }
-}
-
-fn dec_config_error(value: &Value, what: &'static str) -> Result<ConfigError, DecodeError> {
-    match as_tagged(value, what)? {
-        ("zero_stride", None) => Ok(ConfigError::ZeroStride),
-        ("singular_matrix", None) => Ok(ConfigError::SingularMatrix),
-        ("address_overflow", None) => Ok(ConfigError::AddressOverflow),
-        ("not_power_of_two", Some(inner)) => {
-            let fields = as_obj(inner, what)?;
-            Ok(ConfigError::NotPowerOfTwo {
-                what: intern_str(&dec_string(field(fields, "what", what)?, what)?),
-                value: dec_u64(field(fields, "value", what)?, what)?,
-            })
-        }
-        ("out_of_range", Some(inner)) => {
-            let fields = as_obj(inner, what)?;
-            Ok(ConfigError::OutOfRange {
-                what: intern_str(&dec_string(field(fields, "what", what)?, what)?),
-                value: dec_u64(field(fields, "value", what)?, what)?,
-                constraint: intern_str(&dec_string(field(fields, "constraint", what)?, what)?),
-            })
-        }
-        ("spec_syntax", Some(inner)) => {
-            let fields = as_obj(inner, what)?;
-            Ok(ConfigError::SpecSyntax {
-                spec: dec_string(field(fields, "spec", what)?, what)?,
-                reason: dec_string(field(fields, "reason", what)?, what)?,
-            })
-        }
-        ("unknown_map", Some(inner)) => {
-            let fields = as_obj(inner, what)?;
-            Ok(ConfigError::UnknownMap {
-                name: dec_string(field(fields, "name", what)?, what)?,
-                registered: as_arr(field(fields, "registered", what)?, what)?
-                    .iter()
-                    .map(|v| dec_string(v, what))
-                    .collect::<Result<_, _>>()?,
-            })
-        }
-        ("missing_key", Some(inner)) => {
-            let fields = as_obj(inner, what)?;
-            Ok(ConfigError::MissingKey {
-                map: dec_string(field(fields, "map", what)?, what)?,
-                key: intern_str(&dec_string(field(fields, "key", what)?, what)?),
-            })
-        }
-        ("unknown_key", Some(inner)) => {
-            let fields = as_obj(inner, what)?;
-            let accepted: Vec<&'static str> = as_arr(field(fields, "accepted", what)?, what)?
-                .iter()
-                .map(|v| dec_string(v, what).map(|s| intern_str(&s)))
-                .collect::<Result<_, _>>()?;
-            Ok(ConfigError::UnknownKey {
-                map: dec_string(field(fields, "map", what)?, what)?,
-                key: dec_string(field(fields, "key", what)?, what)?,
-                accepted: intern_slice(accepted),
-            })
-        }
-        ("duplicate_key", Some(inner)) => {
-            let fields = as_obj(inner, what)?;
-            Ok(ConfigError::DuplicateKey {
-                key: dec_string(field(fields, "key", what)?, what)?,
-            })
-        }
-        ("invalid_value", Some(inner)) => {
-            let fields = as_obj(inner, what)?;
-            Ok(ConfigError::InvalidValue {
-                key: dec_string(field(fields, "key", what)?, what)?,
-                value: dec_string(field(fields, "value", what)?, what)?,
-                expected: intern_str(&dec_string(field(fields, "expected", what)?, what)?),
-            })
-        }
-        ("matrix_file", Some(inner)) => {
-            let fields = as_obj(inner, what)?;
-            Ok(ConfigError::MatrixFile {
-                path: dec_string(field(fields, "path", what)?, what)?,
-                reason: dec_string(field(fields, "reason", what)?, what)?,
-            })
-        }
-        ("duplicate_map", Some(inner)) => {
-            let fields = as_obj(inner, what)?;
-            Ok(ConfigError::DuplicateMap {
-                name: dec_string(field(fields, "name", what)?, what)?,
-            })
-        }
-        (other, _) => Err(schema(what, format!("unknown config error `{other}`"))),
-    }
-}
-
-// ---------------------------------------------------------------------
-// Stats
-// ---------------------------------------------------------------------
-
-fn enc_cache_stats(c: &CacheStats) -> Value {
-    obj(vec![
-        ("hits", Value::UInt(c.hits)),
-        ("misses", Value::UInt(c.misses)),
-        ("evictions", Value::UInt(c.evictions)),
-        ("bypasses", Value::UInt(c.bypasses)),
-        ("invalidations", Value::UInt(c.invalidations)),
-        ("entries", Value::UInt(c.entries as u64)),
-        ("capacity", Value::UInt(c.capacity as u64)),
-    ])
-}
-
-fn dec_cache_stats(value: &Value, what: &'static str) -> Result<CacheStats, DecodeError> {
-    let fields = as_obj(value, what)?;
-    Ok(CacheStats {
-        hits: dec_u64(field(fields, "hits", what)?, what)?,
-        misses: dec_u64(field(fields, "misses", what)?, what)?,
-        evictions: dec_u64(field(fields, "evictions", what)?, what)?,
-        bypasses: dec_u64(field(fields, "bypasses", what)?, what)?,
-        invalidations: dec_u64(field(fields, "invalidations", what)?, what)?,
-        entries: dec_usize(field(fields, "entries", what)?, what)?,
-        capacity: dec_usize(field(fields, "capacity", what)?, what)?,
-    })
-}
-
-fn service_stats_to_value(s: &ServiceStats) -> Value {
-    obj(vec![
-        ("queue_depth", Value::UInt(s.queue_depth as u64)),
-        ("in_flight", Value::UInt(s.in_flight as u64)),
-        (
-            "cache",
-            match &s.cache {
-                Some(c) => enc_cache_stats(c),
-                None => Value::Null,
+                "worker_panicked" => Some(decode_fields!(p, WHAT, [attempts, message] => {
+                    Ok(ServeError::WorkerPanicked { attempts, message })
+                })),
+                _ => None,
             },
-        ),
-        ("retries", Value::UInt(s.retries)),
-        ("restarts", Value::UInt(s.restarts)),
-        ("deadline_exceeded", Value::UInt(s.deadline_exceeded)),
-        ("degraded", Value::UInt(s.degraded)),
-        ("faults_injected", Value::UInt(s.faults_injected)),
-        (
-            "scheduler_predicted_conflicts_milli",
-            Value::UInt(s.scheduler_predicted_conflicts_milli),
-        ),
-        (
-            "scheduler_actual_conflicts",
-            Value::UInt(s.scheduler_actual_conflicts),
-        ),
-        ("wire_connections", Value::UInt(s.wire_connections)),
-        ("wire_rejections", Value::UInt(s.wire_rejections)),
-        ("wire_in_flight", Value::UInt(s.wire_in_flight as u64)),
-    ])
-}
-
-fn service_stats_from_value(value: &Value) -> Result<ServiceStats, DecodeError> {
-    const WHAT: &str = "ServiceStats";
-    let fields = as_obj(value, WHAT)?;
-    Ok(ServiceStats {
-        queue_depth: dec_usize(field(fields, "queue_depth", WHAT)?, WHAT)?,
-        in_flight: dec_usize(field(fields, "in_flight", WHAT)?, WHAT)?,
-        cache: match opt_field(fields, "cache") {
-            Some(v) => Some(dec_cache_stats(v, WHAT)?),
-            None => None,
-        },
-        retries: dec_u64(field(fields, "retries", WHAT)?, WHAT)?,
-        restarts: dec_u64(field(fields, "restarts", WHAT)?, WHAT)?,
-        deadline_exceeded: dec_u64(field(fields, "deadline_exceeded", WHAT)?, WHAT)?,
-        degraded: dec_u64(field(fields, "degraded", WHAT)?, WHAT)?,
-        faults_injected: dec_u64(field(fields, "faults_injected", WHAT)?, WHAT)?,
-        scheduler_predicted_conflicts_milli: dec_u64(
-            field(fields, "scheduler_predicted_conflicts_milli", WHAT)?,
-            WHAT,
-        )?,
-        scheduler_actual_conflicts: dec_u64(
-            field(fields, "scheduler_actual_conflicts", WHAT)?,
-            WHAT,
-        )?,
-        wire_connections: dec_u64(field(fields, "wire_connections", WHAT)?, WHAT)?,
-        wire_rejections: dec_u64(field(fields, "wire_rejections", WHAT)?, WHAT)?,
-        wire_in_flight: dec_usize(field(fields, "wire_in_flight", WHAT)?, WHAT)?,
-    })
-}
-
-// ---------------------------------------------------------------------
-// Request / Response / ServeError
-// ---------------------------------------------------------------------
-
-fn request_to_value(r: &Request) -> Value {
-    match r {
-        Request::Measure {
-            spec,
-            vec,
-            strategy,
-        } => tag(
-            "measure",
-            obj(vec![
-                ("spec", Value::Str(spec.clone())),
-                ("vec", enc_vector_spec(vec)),
-                ("strategy", enc_strategy(*strategy)),
-            ]),
-        ),
-        Request::MeasureBatch { spec, accesses } => tag(
-            "measure_batch",
-            obj(vec![
-                ("spec", Value::Str(spec.clone())),
-                (
-                    "accesses",
-                    Value::Arr(
-                        accesses
-                            .iter()
-                            .map(|(v, s)| {
-                                obj(vec![
-                                    ("vec", enc_vector_spec(v)),
-                                    ("strategy", enc_strategy(*s)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ]),
-        ),
-        Request::FamilySweep {
-            spec,
-            len,
-            max_x,
-            sigma,
-        } => tag(
-            "family_sweep",
-            obj(vec![
-                ("spec", Value::Str(spec.clone())),
-                ("len", Value::UInt(*len)),
-                ("max_x", Value::UInt(u64::from(*max_x))),
-                ("sigma", enc_i64(*sigma)),
-            ]),
-        ),
-        Request::Efficiency {
-            spec,
-            strategy,
-            len,
-            estimator,
-            seed,
-        } => tag(
-            "efficiency",
-            obj(vec![
-                ("spec", Value::Str(spec.clone())),
-                ("strategy", enc_strategy(*strategy)),
-                ("len", Value::UInt(*len)),
-                ("estimator", enc_estimator(*estimator)),
-                ("seed", Value::UInt(*seed)),
-            ]),
-        ),
-        Request::MultiStream {
-            spec,
-            streams,
-            strategy,
-            policy,
-            schedule,
-        } => tag(
-            "multi_stream",
-            obj(vec![
-                ("spec", Value::Str(spec.clone())),
-                (
-                    "streams",
-                    Value::Arr(streams.iter().map(enc_vector_spec).collect()),
-                ),
-                ("strategy", enc_strategy(*strategy)),
-                ("policy", enc_policy(*policy)),
-                ("schedule", enc_schedule(*schedule)),
-            ]),
-        ),
-    }
-}
-
-fn request_from_value(value: &Value) -> Result<Request, DecodeError> {
-    const WHAT: &str = "Request";
-    match as_tagged(value, WHAT)? {
-        ("measure", Some(inner)) => {
-            let fields = as_obj(inner, WHAT)?;
-            Ok(Request::Measure {
-                spec: dec_string(field(fields, "spec", WHAT)?, WHAT)?,
-                vec: dec_vector_spec(field(fields, "vec", WHAT)?, WHAT)?,
-                strategy: dec_strategy(field(fields, "strategy", WHAT)?, WHAT)?,
-            })
-        }
-        ("measure_batch", Some(inner)) => {
-            let fields = as_obj(inner, WHAT)?;
-            let accesses = as_arr(field(fields, "accesses", WHAT)?, WHAT)?
-                .iter()
-                .map(|v| {
-                    let pair = as_obj(v, WHAT)?;
-                    Ok((
-                        dec_vector_spec(field(pair, "vec", WHAT)?, WHAT)?,
-                        dec_strategy(field(pair, "strategy", WHAT)?, WHAT)?,
-                    ))
-                })
-                .collect::<Result<_, DecodeError>>()?;
-            Ok(Request::MeasureBatch {
-                spec: dec_string(field(fields, "spec", WHAT)?, WHAT)?,
-                accesses,
-            })
-        }
-        ("family_sweep", Some(inner)) => {
-            let fields = as_obj(inner, WHAT)?;
-            Ok(Request::FamilySweep {
-                spec: dec_string(field(fields, "spec", WHAT)?, WHAT)?,
-                len: dec_u64(field(fields, "len", WHAT)?, WHAT)?,
-                max_x: dec_u32(field(fields, "max_x", WHAT)?, WHAT)?,
-                sigma: dec_i64(field(fields, "sigma", WHAT)?, WHAT)?,
-            })
-        }
-        ("efficiency", Some(inner)) => {
-            let fields = as_obj(inner, WHAT)?;
-            Ok(Request::Efficiency {
-                spec: dec_string(field(fields, "spec", WHAT)?, WHAT)?,
-                strategy: dec_strategy(field(fields, "strategy", WHAT)?, WHAT)?,
-                len: dec_u64(field(fields, "len", WHAT)?, WHAT)?,
-                estimator: dec_estimator(field(fields, "estimator", WHAT)?, WHAT)?,
-                seed: dec_u64(field(fields, "seed", WHAT)?, WHAT)?,
-            })
-        }
-        ("multi_stream", Some(inner)) => {
-            let fields = as_obj(inner, WHAT)?;
-            Ok(Request::MultiStream {
-                spec: dec_string(field(fields, "spec", WHAT)?, WHAT)?,
-                streams: as_arr(field(fields, "streams", WHAT)?, WHAT)?
-                    .iter()
-                    .map(|v| dec_vector_spec(v, WHAT))
-                    .collect::<Result<_, _>>()?,
-                strategy: dec_strategy(field(fields, "strategy", WHAT)?, WHAT)?,
-                policy: dec_policy(field(fields, "policy", WHAT)?, WHAT)?,
-                schedule: dec_schedule(field(fields, "schedule", WHAT)?, WHAT)?,
-            })
-        }
-        (other, _) => Err(schema(WHAT, format!("unknown request `{other}`"))),
-    }
-}
-
-fn response_to_value(r: &Response) -> Value {
-    match r {
-        Response::Measured(stats) => tag("measured", enc_opt_access_stats(stats)),
-        Response::Batch(items) => tag(
-            "batch",
-            Value::Arr(items.iter().map(enc_opt_access_stats).collect()),
-        ),
-        Response::FamilySweep(points) => tag(
-            "family_sweep",
-            Value::Arr(points.iter().map(enc_family_point).collect()),
-        ),
-        Response::Efficiency(x) => tag("efficiency", enc_f64(*x)),
-        Response::MultiStream(outcome) => tag("multi_stream", enc_multi_stream_outcome(outcome)),
-        Response::Degraded { response, exact } => tag(
-            "degraded",
-            obj(vec![
-                ("response", response_to_value(response)),
-                ("exact", Value::Bool(*exact)),
-            ]),
-        ),
-    }
-}
-
-fn response_from_value(value: &Value) -> Result<Response, DecodeError> {
-    const WHAT: &str = "Response";
-    match as_tagged(value, WHAT)? {
-        ("measured", Some(inner)) => Ok(Response::Measured(dec_opt_access_stats(inner, WHAT)?)),
-        ("batch", Some(inner)) => Ok(Response::Batch(
-            as_arr(inner, WHAT)?
-                .iter()
-                .map(|v| dec_opt_access_stats(v, WHAT))
-                .collect::<Result<_, _>>()?,
-        )),
-        ("family_sweep", Some(inner)) => Ok(Response::FamilySweep(
-            as_arr(inner, WHAT)?
-                .iter()
-                .map(|v| dec_family_point(v, WHAT))
-                .collect::<Result<_, _>>()?,
-        )),
-        ("efficiency", Some(inner)) => Ok(Response::Efficiency(dec_f64(inner, WHAT)?)),
-        ("multi_stream", Some(inner)) => Ok(Response::MultiStream(dec_multi_stream_outcome(
-            inner, WHAT,
-        )?)),
-        ("degraded", Some(inner)) => {
-            let fields = as_obj(inner, WHAT)?;
-            Ok(Response::Degraded {
-                response: Box::new(response_from_value(field(fields, "response", WHAT)?)?),
-                exact: dec_bool(field(fields, "exact", WHAT)?, WHAT)?,
-            })
-        }
-        (other, _) => Err(schema(WHAT, format!("unknown response `{other}`"))),
-    }
-}
-
-fn serve_error_to_value(e: &ServeError) -> Value {
-    match e {
-        ServeError::Overloaded {
-            queue_depth,
-            capacity,
-        } => tag(
-            "overloaded",
-            obj(vec![
-                ("queue_depth", Value::UInt(*queue_depth as u64)),
-                ("capacity", Value::UInt(*capacity as u64)),
-            ]),
-        ),
-        ServeError::ShuttingDown => Value::Str("shutting_down".to_string()),
-        ServeError::Spec(e) => tag("spec", enc_config_error(e)),
-        ServeError::Request(e) => tag("request", enc_config_error(e)),
-        ServeError::DeadlineExceeded { budget } => tag("deadline_exceeded", enc_duration(*budget)),
-        ServeError::WorkerPanicked { attempts, message } => tag(
-            "worker_panicked",
-            obj(vec![
-                ("attempts", Value::UInt(u64::from(*attempts))),
-                ("message", Value::Str(message.clone())),
-            ]),
-        ),
-    }
-}
-
-fn serve_error_from_value(value: &Value) -> Result<ServeError, DecodeError> {
-    const WHAT: &str = "ServeError";
-    match as_tagged(value, WHAT)? {
-        ("shutting_down", None) => Ok(ServeError::ShuttingDown),
-        ("overloaded", Some(inner)) => {
-            let fields = as_obj(inner, WHAT)?;
-            Ok(ServeError::Overloaded {
-                queue_depth: dec_usize(field(fields, "queue_depth", WHAT)?, WHAT)?,
-                capacity: dec_usize(field(fields, "capacity", WHAT)?, WHAT)?,
-            })
-        }
-        ("spec", Some(inner)) => Ok(ServeError::Spec(dec_config_error(inner, WHAT)?)),
-        ("request", Some(inner)) => Ok(ServeError::Request(dec_config_error(inner, WHAT)?)),
-        ("deadline_exceeded", Some(inner)) => Ok(ServeError::DeadlineExceeded {
-            budget: dec_duration(inner, WHAT)?,
-        }),
-        ("worker_panicked", Some(inner)) => {
-            let fields = as_obj(inner, WHAT)?;
-            Ok(ServeError::WorkerPanicked {
-                attempts: dec_u32(field(fields, "attempts", WHAT)?, WHAT)?,
-                message: dec_string(field(fields, "message", WHAT)?, WHAT)?,
-            })
-        }
-        (other, _) => Err(schema(WHAT, format!("unknown serve error `{other}`"))),
-    }
-}
-
-fn serve_result_to_value(r: &ServeResult) -> Value {
-    match r {
-        Ok(response) => tag("ok", response_to_value(response)),
-        Err(e) => tag("err", serve_error_to_value(e)),
-    }
-}
-
-fn serve_result_from_value(value: &Value) -> Result<ServeResult, DecodeError> {
-    const WHAT: &str = "ServeResult";
-    match as_tagged(value, WHAT)? {
-        ("ok", Some(inner)) => Ok(Ok(response_from_value(inner)?)),
-        ("err", Some(inner)) => Ok(Err(serve_error_from_value(inner)?)),
-        (other, _) => Err(schema(WHAT, format!("expected ok/err, got `{other}`"))),
+        )
     }
 }
 
@@ -1541,57 +1432,57 @@ fn serve_result_from_value(value: &Value) -> Result<ServeResult, DecodeError> {
 /// Encodes a [`Request`] as a JSON string.
 #[must_use]
 pub fn encode_request(r: &Request) -> String {
-    encode(&request_to_value(r))
+    to_text(r)
 }
 
 /// Decodes a [`Request`] from a JSON string.
 pub fn decode_request(text: &str) -> Result<Request, DecodeError> {
-    request_from_value(&parse(text)?)
+    from_text(text, "Request")
 }
 
 /// Encodes a [`Response`] as a JSON string.
 #[must_use]
 pub fn encode_response(r: &Response) -> String {
-    encode(&response_to_value(r))
+    to_text(r)
 }
 
 /// Decodes a [`Response`] from a JSON string.
 pub fn decode_response(text: &str) -> Result<Response, DecodeError> {
-    response_from_value(&parse(text)?)
+    from_text(text, "Response")
 }
 
 /// Encodes a [`ServeError`] as a JSON string.
 #[must_use]
 pub fn encode_serve_error(e: &ServeError) -> String {
-    encode(&serve_error_to_value(e))
+    to_text(e)
 }
 
 /// Decodes a [`ServeError`] from a JSON string.
 pub fn decode_serve_error(text: &str) -> Result<ServeError, DecodeError> {
-    serve_error_from_value(&parse(text)?)
+    from_text(text, "ServeError")
 }
 
 /// Encodes a `ServeResult` (`{"ok": …}` / `{"err": …}`) as a JSON
 /// string.
 #[must_use]
 pub fn encode_serve_result(r: &ServeResult) -> String {
-    encode(&serve_result_to_value(r))
+    to_text(r)
 }
 
 /// Decodes a `ServeResult` from a JSON string.
 pub fn decode_serve_result(text: &str) -> Result<ServeResult, DecodeError> {
-    serve_result_from_value(&parse(text)?)
+    from_text(text, "ServeResult")
 }
 
 /// Encodes a [`ServiceStats`] snapshot as a JSON string.
 #[must_use]
 pub fn encode_service_stats(s: &ServiceStats) -> String {
-    encode(&service_stats_to_value(s))
+    to_text(s)
 }
 
 /// Decodes a [`ServiceStats`] snapshot from a JSON string.
 pub fn decode_service_stats(text: &str) -> Result<ServiceStats, DecodeError> {
-    service_stats_from_value(&parse(text)?)
+    from_text(text, "ServiceStats")
 }
 
 // ---------------------------------------------------------------------
@@ -1663,132 +1554,76 @@ pub enum ServerFrame {
     },
 }
 
+tagged! {
+    ServerFrame {
+        "hello" => Hello { proto, max_in_flight },
+        "result" => Result { id, result },
+        "stats" => Stats { id, stats },
+        "fatal" => Fatal { reason },
+    }
+}
+
+/// Hand-written: a submission without a budget leaves the `budget` key
+/// out instead of writing `null`.
+impl Encode for ClientFrame {
+    fn encode(&self, out: &mut String) {
+        match self {
+            ClientFrame::Hello { proto } => write_variant(out, "hello", &[("proto", proto)]),
+            ClientFrame::Submit {
+                id,
+                request,
+                budget: Some(budget),
+            } => write_variant(
+                out,
+                "submit",
+                &[("id", id), ("request", request), ("budget", budget)],
+            ),
+            ClientFrame::Submit {
+                id,
+                request,
+                budget: None,
+            } => write_variant(out, "submit", &[("id", id), ("request", request)]),
+            ClientFrame::Stats { id } => write_variant(out, "stats", &[("id", id)]),
+        }
+    }
+}
+
+impl Decode for ClientFrame {
+    fn decode(p: &mut Parser<'_>, _: &'static str) -> Result<Self, DecodeError> {
+        const WHAT: &str = "ClientFrame";
+        p.tagged(
+            WHAT,
+            |_| None,
+            |p, tag| match tag {
+                "hello" => Some(decode_fields!(p, WHAT, ClientFrame::Hello { proto })),
+                "submit" => Some(decode_fields!(p, WHAT, [id, request, budget] => {
+                    Ok(ClientFrame::Submit { id, request, budget })
+                })),
+                "stats" => Some(decode_fields!(p, WHAT, ClientFrame::Stats { id })),
+                _ => None,
+            },
+        )
+    }
+}
+
 /// Encodes a [`ClientFrame`] as a JSON string.
 #[must_use]
 pub fn encode_client_frame(f: &ClientFrame) -> String {
-    let value = match f {
-        ClientFrame::Hello { proto } => tag(
-            "hello",
-            obj(vec![("proto", Value::UInt(u64::from(*proto)))]),
-        ),
-        ClientFrame::Submit {
-            id,
-            request,
-            budget,
-        } => {
-            let mut fields = vec![
-                ("id", Value::UInt(*id)),
-                ("request", request_to_value(request)),
-            ];
-            if let Some(budget) = budget {
-                fields.push(("budget", enc_duration(*budget)));
-            }
-            tag("submit", obj(fields))
-        }
-        ClientFrame::Stats { id } => tag("stats", obj(vec![("id", Value::UInt(*id))])),
-    };
-    encode(&value)
+    to_text(f)
 }
 
 /// Decodes a [`ClientFrame`] from a JSON string.
 pub fn decode_client_frame(text: &str) -> Result<ClientFrame, DecodeError> {
-    const WHAT: &str = "ClientFrame";
-    let value = parse(text)?;
-    match as_tagged(&value, WHAT)? {
-        ("hello", Some(inner)) => {
-            let fields = as_obj(inner, WHAT)?;
-            Ok(ClientFrame::Hello {
-                proto: dec_u32(field(fields, "proto", WHAT)?, WHAT)?,
-            })
-        }
-        ("submit", Some(inner)) => {
-            let fields = as_obj(inner, WHAT)?;
-            Ok(ClientFrame::Submit {
-                id: dec_u64(field(fields, "id", WHAT)?, WHAT)?,
-                request: request_from_value(field(fields, "request", WHAT)?)?,
-                budget: match opt_field(fields, "budget") {
-                    Some(v) => Some(dec_duration(v, WHAT)?),
-                    None => None,
-                },
-            })
-        }
-        ("stats", Some(inner)) => {
-            let fields = as_obj(inner, WHAT)?;
-            Ok(ClientFrame::Stats {
-                id: dec_u64(field(fields, "id", WHAT)?, WHAT)?,
-            })
-        }
-        (other, _) => Err(schema(WHAT, format!("unknown client frame `{other}`"))),
-    }
+    from_text(text, "ClientFrame")
 }
 
 /// Encodes a [`ServerFrame`] as a JSON string.
 #[must_use]
 pub fn encode_server_frame(f: &ServerFrame) -> String {
-    let value = match f {
-        ServerFrame::Hello {
-            proto,
-            max_in_flight,
-        } => tag(
-            "hello",
-            obj(vec![
-                ("proto", Value::UInt(u64::from(*proto))),
-                ("max_in_flight", Value::UInt(u64::from(*max_in_flight))),
-            ]),
-        ),
-        ServerFrame::Result { id, result } => tag(
-            "result",
-            obj(vec![
-                ("id", Value::UInt(*id)),
-                ("result", serve_result_to_value(result)),
-            ]),
-        ),
-        ServerFrame::Stats { id, stats } => tag(
-            "stats",
-            obj(vec![
-                ("id", Value::UInt(*id)),
-                ("stats", service_stats_to_value(stats)),
-            ]),
-        ),
-        ServerFrame::Fatal { reason } => {
-            tag("fatal", obj(vec![("reason", Value::Str(reason.clone()))]))
-        }
-    };
-    encode(&value)
+    to_text(f)
 }
 
 /// Decodes a [`ServerFrame`] from a JSON string.
 pub fn decode_server_frame(text: &str) -> Result<ServerFrame, DecodeError> {
-    const WHAT: &str = "ServerFrame";
-    let value = parse(text)?;
-    match as_tagged(&value, WHAT)? {
-        ("hello", Some(inner)) => {
-            let fields = as_obj(inner, WHAT)?;
-            Ok(ServerFrame::Hello {
-                proto: dec_u32(field(fields, "proto", WHAT)?, WHAT)?,
-                max_in_flight: dec_u32(field(fields, "max_in_flight", WHAT)?, WHAT)?,
-            })
-        }
-        ("result", Some(inner)) => {
-            let fields = as_obj(inner, WHAT)?;
-            Ok(ServerFrame::Result {
-                id: dec_u64(field(fields, "id", WHAT)?, WHAT)?,
-                result: serve_result_from_value(field(fields, "result", WHAT)?)?,
-            })
-        }
-        ("stats", Some(inner)) => {
-            let fields = as_obj(inner, WHAT)?;
-            Ok(ServerFrame::Stats {
-                id: dec_u64(field(fields, "id", WHAT)?, WHAT)?,
-                stats: service_stats_from_value(field(fields, "stats", WHAT)?)?,
-            })
-        }
-        ("fatal", Some(inner)) => {
-            let fields = as_obj(inner, WHAT)?;
-            Ok(ServerFrame::Fatal {
-                reason: dec_string(field(fields, "reason", WHAT)?, WHAT)?,
-            })
-        }
-        (other, _) => Err(schema(WHAT, format!("unknown server frame `{other}`"))),
-    }
+    from_text(text, "ServerFrame")
 }

@@ -10,17 +10,22 @@
 //! The crate is dependency-free by policy (no external serde — the
 //! workspace vendors its dependencies), so the codec is hand-rolled:
 //!
-//! * [`json`] — a small JSON document model ([`json::Value`]), an
-//!   allocating encoder, a recursion-capped parser, and a typed
-//!   encoder/decoder pair for every API type that crosses the wire
-//!   (`Request`, `Response`, `ServeError`, `ServiceStats`, and the
-//!   frame envelopes). Round-trips are bit-identical — proven by
-//!   proptest in `tests/codec_roundtrip.rs`, and cfva-lint's L004
-//!   refuses any API variant the round-trip suite does not reach.
+//! * [`json`] — a direct codec for every API type that crosses the
+//!   wire (`Request`, `Response`, `ServeError`, `ServiceStats`, and the
+//!   frame envelopes): each type writes its JSON straight into a
+//!   caller-owned buffer and reads itself straight off one
+//!   recursion-capped lexer, with no document tree in between. The
+//!   same lexer backs a small generic document API ([`json::Value`],
+//!   [`json::parse`]). Round-trips are bit-identical — proven by
+//!   proptest in `tests/codec_roundtrip.rs`, which also pins the exact
+//!   text of every variant, and cfva-lint's L004 refuses any API
+//!   variant the round-trip suite does not reach.
 //! * [`frame`] — the transport framing: a big-endian `u32` payload
 //!   length followed by that many bytes of UTF-8 JSON, with an
 //!   oversize cap and typed errors for truncation, bad lengths and
-//!   invalid UTF-8. A versioned hello opens every connection.
+//!   invalid UTF-8. Both ends send each frame, length word and
+//!   payload, with one write from a reused per-connection buffer. A
+//!   versioned hello opens every connection.
 //! * [`server`] — [`server::WireServer`]: one acceptor thread,
 //!   per-connection reader/writer threads reaping tickets (responses
 //!   are correlated by `request_id` and may return out of submission

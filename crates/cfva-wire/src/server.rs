@@ -14,7 +14,9 @@
 //!   pending-ticket list. It reaps whichever ticket resolves first —
 //!   responses return **out of submission order**, correlated by
 //!   `request_id` — and keeps reaping even if the socket dies, so no
-//!   accepted ticket is ever abandoned.
+//!   accepted ticket is ever abandoned. Frames are encoded in place
+//!   into one reused buffer ([`frame::Outbox`](crate::frame)) and each
+//!   round of reaped results leaves in one write.
 //!
 //! # Admission control is per-client
 //!
@@ -34,7 +36,7 @@
 //! flush every accepted ticket's result to its client, then joins all
 //! threads. Zero lost tickets, verified by the CI wire smoke.
 
-use std::io::{BufReader, BufWriter, Write};
+use std::io::BufReader;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender, TryRecvError};
@@ -46,7 +48,7 @@ use cfva_serve::api::{ServeError, ServeResult};
 use cfva_serve::locks::{ClassedMutex, LockClass};
 use cfva_serve::service::{ServeTicket, Service, ServiceStats};
 
-use crate::frame::{self, FrameError, PROTOCOL_VERSION};
+use crate::frame::{self, FrameError, Outbox, PROTOCOL_VERSION};
 use crate::json::{self, ClientFrame, ServerFrame};
 
 /// Tuning knobs for a [`WireServer`].
@@ -252,11 +254,10 @@ fn accept_loop(
             // either way, admission is closed.
             return;
         }
-        // The frame layer writes a 4-byte length word and then the
-        // payload: without TCP_NODELAY that write-write-read pattern
-        // trips Nagle against the peer's delayed ACK (~40 ms per round
-        // trip on loopback). Best effort — a socket that can't set the
-        // option still works, just slower.
+        // Without TCP_NODELAY a response written while an earlier
+        // one is still unacknowledged waits for the peer's delayed
+        // ACK (~40 ms per round trip on loopback). Best effort — a
+        // socket that can't set the option still works, just slower.
         let _ = stream.set_nodelay(true);
         let Ok(read_half) = stream.try_clone() else {
             continue;
@@ -428,6 +429,30 @@ fn reader_loop(
     }
 }
 
+/// A connection's write half. Frames queue in one reused buffer and
+/// leave with one write per [`flush`](Sink::flush); once the socket
+/// fails or a fatal frame is out, `broken` is set and later frames are
+/// dropped.
+struct Sink {
+    stream: TcpStream,
+    outbox: Outbox,
+    broken: bool,
+}
+
+impl Sink {
+    fn send(&mut self, frame_msg: &ServerFrame) {
+        if !self.broken && self.outbox.push(frame_msg).is_err() {
+            self.broken = true;
+        }
+    }
+
+    fn flush(&mut self) {
+        if self.outbox.flush(&mut self.stream).is_err() {
+            self.broken = true;
+        }
+    }
+}
+
 /// Owns the write half and the pending-ticket list. Writes whichever
 /// ticket resolves first; never abandons a ticket, even when the
 /// socket dies mid-connection.
@@ -438,30 +463,27 @@ fn writer_loop(
     conn_in_flight: &AtomicUsize,
     max_in_flight: usize,
 ) {
-    let mut w = BufWriter::new(stream);
+    let mut w = Sink {
+        stream,
+        outbox: Outbox::default(),
+        broken: false,
+    };
     let mut pending: Vec<(u64, ServeTicket)> = Vec::new();
     // `false` once the reader is gone (channel closed): no new work.
     let mut alive = true;
-    // `true` once the socket failed or a fatal was sent: keep reaping
-    // tickets (their results are simply discarded), stop writing.
-    let mut broken = false;
 
     loop {
         // Idle and nothing pending: block for the next instruction.
         if alive && pending.is_empty() {
             match rx.recv() {
-                Ok(msg) => {
-                    handle_outgoing(msg, &mut w, &mut pending, &mut broken, max_in_flight);
-                }
+                Ok(msg) => handle_outgoing(msg, &mut w, &mut pending, max_in_flight),
                 Err(_) => alive = false,
             }
         }
         // Drain whatever else queued up without blocking.
         while alive {
             match rx.try_recv() {
-                Ok(msg) => {
-                    handle_outgoing(msg, &mut w, &mut pending, &mut broken, max_in_flight);
-                }
+                Ok(msg) => handle_outgoing(msg, &mut w, &mut pending, max_in_flight),
                 Err(TryRecvError::Empty) => break,
                 Err(TryRecvError::Disconnected) => alive = false,
             }
@@ -482,7 +504,7 @@ fn writer_loop(
             let (id, mut ticket) = pending.swap_remove(i);
             match ticket.poll() {
                 Some(result) => {
-                    finish(id, result, &mut w, &mut broken, counters, conn_in_flight);
+                    finish(id, result, &mut w, counters, conn_in_flight);
                     wrote = true;
                 }
                 None => pending.push((id, ticket)),
@@ -493,47 +515,36 @@ fn writer_loop(
         if !wrote && !pending.is_empty() {
             let (id, ticket) = pending.remove(0);
             match ticket.wait_timeout(Duration::from_millis(1)) {
-                Ok(result) => {
-                    finish(id, result, &mut w, &mut broken, counters, conn_in_flight);
-                }
+                Ok(result) => finish(id, result, &mut w, counters, conn_in_flight),
                 Err(ticket) => pending.insert(0, (id, ticket)),
             }
         }
-        let _ = w.flush();
+        w.flush();
     }
-    let _ = w.flush();
+    w.flush();
 }
 
 fn handle_outgoing(
     msg: Outgoing,
-    w: &mut BufWriter<TcpStream>,
+    w: &mut Sink,
     pending: &mut Vec<(u64, ServeTicket)>,
-    broken: &mut bool,
     max_in_flight: usize,
 ) {
     match msg {
         Outgoing::Hello => {
             let max = u32::try_from(max_in_flight).unwrap_or(u32::MAX);
-            send_frame(
-                w,
-                broken,
-                &ServerFrame::Hello {
-                    proto: PROTOCOL_VERSION,
-                    max_in_flight: max,
-                },
-            );
+            w.send(&ServerFrame::Hello {
+                proto: PROTOCOL_VERSION,
+                max_in_flight: max,
+            });
         }
-        Outgoing::Ready(id, result) => {
-            send_frame(w, broken, &ServerFrame::Result { id, result });
-        }
+        Outgoing::Ready(id, result) => w.send(&ServerFrame::Result { id, result }),
         Outgoing::Ticket(id, ticket) => pending.push((id, ticket)),
-        Outgoing::Stats(id, stats) => {
-            send_frame(w, broken, &ServerFrame::Stats { id, stats });
-        }
+        Outgoing::Stats(id, stats) => w.send(&ServerFrame::Stats { id, stats }),
         Outgoing::Fatal(reason) => {
-            send_frame(w, broken, &ServerFrame::Fatal { reason });
-            let _ = w.flush();
-            *broken = true;
+            w.send(&ServerFrame::Fatal { reason });
+            w.flush();
+            w.broken = true;
         }
     }
 }
@@ -541,22 +552,11 @@ fn handle_outgoing(
 fn finish(
     id: u64,
     result: ServeResult,
-    w: &mut BufWriter<TcpStream>,
-    broken: &mut bool,
+    w: &mut Sink,
     counters: &WireCounters,
     conn_in_flight: &AtomicUsize,
 ) {
     conn_in_flight.fetch_sub(1, Ordering::Relaxed);
     counters.in_flight.fetch_sub(1, Ordering::Relaxed);
-    send_frame(w, broken, &ServerFrame::Result { id, result });
-}
-
-fn send_frame(w: &mut BufWriter<TcpStream>, broken: &mut bool, frame_msg: &ServerFrame) {
-    if *broken {
-        return;
-    }
-    let payload = json::encode_server_frame(frame_msg);
-    if frame::write_frame(w, &payload).is_err() {
-        *broken = true;
-    }
+    w.send(&ServerFrame::Result { id, result });
 }

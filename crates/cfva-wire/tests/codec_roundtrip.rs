@@ -731,6 +731,592 @@ fn invalid_vector_specs_surface_the_registry_error() {
 }
 
 // ---------------------------------------------------------------
+// Golden wire format
+// ---------------------------------------------------------------
+
+/// One instance of every frame envelope, every `Request`, `Response`
+/// and `ServeError` variant, and every `ConfigError` field shape,
+/// each paired with its encoding.
+fn golden_cases() -> Vec<(&'static str, String)> {
+    let measure = Request::Measure {
+        spec: "xor-matched:t=3,s=4".to_string(),
+        vec: vec_spec(16, 12, 64),
+        strategy: Strategy::Auto,
+    };
+    let stats = ServiceStats {
+        queue_depth: 3,
+        in_flight: 2,
+        cache: Some(CacheStats {
+            hits: 10,
+            misses: 20,
+            evictions: 3,
+            bypasses: 4,
+            invalidations: 5,
+            entries: 17,
+            capacity: 64,
+        }),
+        retries: 6,
+        restarts: 7,
+        deadline_exceeded: 8,
+        degraded: 9,
+        faults_injected: 10,
+        scheduler_predicted_conflicts_milli: 11,
+        scheduler_actual_conflicts: 12,
+        wire_connections: 13,
+        wire_rejections: 14,
+        wire_in_flight: 15,
+    };
+    let mut cases = vec![
+        (
+            "client hello",
+            json::encode_client_frame(&ClientFrame::Hello {
+                proto: frame::PROTOCOL_VERSION,
+            }),
+        ),
+        (
+            "client submit with budget",
+            json::encode_client_frame(&ClientFrame::Submit {
+                id: 42,
+                request: measure.clone(),
+                budget: Some(Duration::new(1, 250_000_000)),
+            }),
+        ),
+        (
+            "client submit without budget",
+            json::encode_client_frame(&ClientFrame::Submit {
+                id: u64::MAX,
+                request: measure.clone(),
+                budget: None,
+            }),
+        ),
+        (
+            "client stats",
+            json::encode_client_frame(&ClientFrame::Stats { id: 7 }),
+        ),
+        (
+            "server hello",
+            json::encode_server_frame(&ServerFrame::Hello {
+                proto: frame::PROTOCOL_VERSION,
+                max_in_flight: 64,
+            }),
+        ),
+        (
+            "server result",
+            json::encode_server_frame(&ServerFrame::Result {
+                id: 3,
+                result: Ok(Response::Measured(Some(access_stats(5)))),
+            }),
+        ),
+        (
+            "server stats",
+            json::encode_server_frame(&ServerFrame::Stats { id: 5, stats }),
+        ),
+        (
+            "server stats without cache",
+            json::encode_service_stats(&ServiceStats {
+                cache: None,
+                ..stats
+            }),
+        ),
+        (
+            "server fatal",
+            json::encode_server_frame(&ServerFrame::Fatal {
+                reason: "bad \"hello\"\\\n\r\t\u{8}\u{c}\u{1}\u{1f} é ∑ 🦀".to_string(),
+            }),
+        ),
+        ("request measure", json::encode_request(&measure)),
+        (
+            "request measure_batch",
+            json::encode_request(&Request::MeasureBatch {
+                spec: "interleave:t=2".to_string(),
+                accesses: vec![
+                    (vec_spec(0, 1, 8), Strategy::Canonical),
+                    (vec_spec(64, -3, 16), Strategy::Subsequence),
+                    (vec_spec(128, 32, 4), Strategy::ConflictFree),
+                ],
+            }),
+        ),
+        (
+            "request family_sweep",
+            json::encode_request(&Request::FamilySweep {
+                spec: "xor-matched:t=3,s=4".to_string(),
+                len: 256,
+                max_x: 6,
+                sigma: -5,
+            }),
+        ),
+        (
+            "request efficiency monte_carlo",
+            json::encode_request(&Request::Efficiency {
+                spec: "xor-matched:t=3,s=3".to_string(),
+                strategy: Strategy::Auto,
+                len: 64,
+                estimator: Estimator::MonteCarlo {
+                    samples: 500,
+                    max_x: 8,
+                    max_sigma: 63,
+                },
+                seed: u64::MAX,
+            }),
+        ),
+        (
+            "request efficiency stratified",
+            json::encode_request(&Request::Efficiency {
+                spec: "interleave:t=2".to_string(),
+                strategy: Strategy::Canonical,
+                len: 128,
+                estimator: Estimator::Stratified {
+                    max_x: 10,
+                    per_family: 40,
+                },
+                seed: 0,
+            }),
+        ),
+    ];
+    for (label, policy, schedule) in [
+        (
+            "request multi_stream together",
+            IssuePolicy::RoundRobin,
+            SchedulePlan::Together,
+        ),
+        (
+            "request multi_stream fifo_waves",
+            IssuePolicy::Priority,
+            SchedulePlan::FifoWaves { width: 2 },
+        ),
+        (
+            "request multi_stream conflict_aware",
+            IssuePolicy::WorkConserving,
+            SchedulePlan::ConflictAware {
+                width: 3,
+                max_score_milli: 1500,
+            },
+        ),
+    ] {
+        cases.push((
+            label,
+            json::encode_request(&Request::MultiStream {
+                spec: "xor-matched:t=3,s=4".to_string(),
+                streams: vec![vec_spec(0, 1, 64), vec_spec(64, -2, 32)],
+                strategy: Strategy::ConflictFree,
+                policy,
+                schedule,
+            }),
+        ));
+    }
+    let point = FamilyPoint {
+        x: 5,
+        stride: -96,
+        latency: 901,
+        conflicts: 320,
+        stall_cycles: 512,
+        cycles_per_element: 0.1 + 0.2,
+    };
+    cases.extend([
+        (
+            "response measured",
+            json::encode_response(&Response::Measured(Some(access_stats(17)))),
+        ),
+        (
+            "response measured none",
+            json::encode_response(&Response::Measured(None)),
+        ),
+        (
+            "response batch",
+            json::encode_response(&Response::Batch(vec![Some(access_stats(1)), None])),
+        ),
+        (
+            "response family_sweep",
+            json::encode_response(&Response::FamilySweep(vec![
+                point.clone(),
+                FamilyPoint {
+                    cycles_per_element: 1.0,
+                    ..point.clone()
+                },
+            ])),
+        ),
+        (
+            "response multi_stream",
+            json::encode_response(&Response::MultiStream(MultiStreamOutcome {
+                per_stream: vec![StreamSummary {
+                    wave: 1,
+                    elements: 32,
+                    first_issue: 2,
+                    latency: 120,
+                    spread: 80,
+                    conflicts: 17,
+                    stall_cycles: 9,
+                }],
+                wave_makespans: vec![73, 130],
+                makespan: 203,
+                sequential_baseline: 193,
+                predicted_conflicts_milli: 2125,
+                actual_conflicts: 17,
+            })),
+        ),
+        (
+            "response degraded",
+            json::encode_response(&Response::Degraded {
+                response: Box::new(Response::FamilySweep(vec![point])),
+                exact: false,
+            }),
+        ),
+    ]);
+    for (label, eta) in [
+        ("response efficiency", 0.875),
+        ("response efficiency tiny", 5e-324),
+        ("response efficiency huge", 1e300),
+        ("response efficiency negative zero", -0.0),
+        ("response efficiency nan", f64::NAN),
+        ("response efficiency inf", f64::INFINITY),
+        ("response efficiency -inf", f64::NEG_INFINITY),
+    ] {
+        cases.push((label, json::encode_response(&Response::Efficiency(eta))));
+    }
+    cases.extend([
+        (
+            "error overloaded",
+            json::encode_serve_error(&ServeError::Overloaded {
+                queue_depth: 129,
+                capacity: 128,
+            }),
+        ),
+        (
+            "error shutting_down",
+            json::encode_serve_error(&ServeError::ShuttingDown),
+        ),
+        (
+            "error request",
+            json::encode_serve_error(&ServeError::Request(ConfigError::ZeroStride)),
+        ),
+        (
+            "error deadline_exceeded",
+            json::encode_serve_error(&ServeError::DeadlineExceeded {
+                budget: Duration::new(3, 141_592_653),
+            }),
+        ),
+        (
+            "error worker_panicked",
+            json::encode_serve_error(&ServeError::WorkerPanicked {
+                attempts: 4,
+                message: "index out of bounds".to_string(),
+            }),
+        ),
+        (
+            "result ok",
+            json::encode_serve_result(&Ok(Response::Efficiency(1.0))),
+        ),
+        (
+            "result err",
+            json::encode_serve_result(&Err(ServeError::ShuttingDown)),
+        ),
+    ]);
+    for e in all_config_errors() {
+        cases.push(("error spec", json::encode_serve_error(&ServeError::Spec(e))));
+    }
+    cases
+}
+
+/// The exact text of every `golden_cases` encoding, recorded from the
+/// `Value`-tree encoder the direct codec replaced. Changing one byte
+/// here changes the wire format, which needs a `PROTOCOL_VERSION`
+/// bump.
+const GOLDEN: &[(&str, &str)] = &[
+    ("client hello", r#"{"hello":{"proto":2}}"#),
+    (
+        "client submit with budget",
+        r#"{"submit":{"id":42,"request":{"measure":{"spec":"xor-matched:t=3,s=4","vec":{"base":16,"stride":12,"len":64},"strategy":"auto"}},"budget":{"secs":1,"nanos":250000000}}}"#,
+    ),
+    (
+        "client submit without budget",
+        r#"{"submit":{"id":18446744073709551615,"request":{"measure":{"spec":"xor-matched:t=3,s=4","vec":{"base":16,"stride":12,"len":64},"strategy":"auto"}}}}"#,
+    ),
+    ("client stats", r#"{"stats":{"id":7}}"#),
+    (
+        "server hello",
+        r#"{"hello":{"proto":2,"max_in_flight":64}}"#,
+    ),
+    (
+        "server result",
+        r#"{"result":{"id":3,"result":{"ok":{"measured":{"latency":105,"elements":64,"stall_cycles":5,"conflicts":0,"arrival":[5,6,8,14],"module_busy":[8,9,10,5],"max_in_q":1}}}}}"#,
+    ),
+    (
+        "server stats",
+        r#"{"stats":{"id":5,"stats":{"queue_depth":3,"in_flight":2,"cache":{"hits":10,"misses":20,"evictions":3,"bypasses":4,"invalidations":5,"entries":17,"capacity":64},"retries":6,"restarts":7,"deadline_exceeded":8,"degraded":9,"faults_injected":10,"scheduler_predicted_conflicts_milli":11,"scheduler_actual_conflicts":12,"wire_connections":13,"wire_rejections":14,"wire_in_flight":15}}}"#,
+    ),
+    (
+        "server stats without cache",
+        r#"{"queue_depth":3,"in_flight":2,"cache":null,"retries":6,"restarts":7,"deadline_exceeded":8,"degraded":9,"faults_injected":10,"scheduler_predicted_conflicts_milli":11,"scheduler_actual_conflicts":12,"wire_connections":13,"wire_rejections":14,"wire_in_flight":15}"#,
+    ),
+    (
+        "server fatal",
+        r#"{"fatal":{"reason":"bad \"hello\"\\\n\r\t\b\f\u0001\u001f é ∑ 🦀"}}"#,
+    ),
+    (
+        "request measure",
+        r#"{"measure":{"spec":"xor-matched:t=3,s=4","vec":{"base":16,"stride":12,"len":64},"strategy":"auto"}}"#,
+    ),
+    (
+        "request measure_batch",
+        r#"{"measure_batch":{"spec":"interleave:t=2","accesses":[{"vec":{"base":0,"stride":1,"len":8},"strategy":"canonical"},{"vec":{"base":64,"stride":-3,"len":16},"strategy":"subsequence"},{"vec":{"base":128,"stride":32,"len":4},"strategy":"conflict-free"}]}}"#,
+    ),
+    (
+        "request family_sweep",
+        r#"{"family_sweep":{"spec":"xor-matched:t=3,s=4","len":256,"max_x":6,"sigma":-5}}"#,
+    ),
+    (
+        "request efficiency monte_carlo",
+        r#"{"efficiency":{"spec":"xor-matched:t=3,s=3","strategy":"auto","len":64,"estimator":{"monte_carlo":{"samples":500,"max_x":8,"max_sigma":63}},"seed":18446744073709551615}}"#,
+    ),
+    (
+        "request efficiency stratified",
+        r#"{"efficiency":{"spec":"interleave:t=2","strategy":"canonical","len":128,"estimator":{"stratified":{"max_x":10,"per_family":40}},"seed":0}}"#,
+    ),
+    (
+        "request multi_stream together",
+        r#"{"multi_stream":{"spec":"xor-matched:t=3,s=4","streams":[{"base":0,"stride":1,"len":64},{"base":64,"stride":-2,"len":32}],"strategy":"conflict-free","policy":"round-robin","schedule":"together"}}"#,
+    ),
+    (
+        "request multi_stream fifo_waves",
+        r#"{"multi_stream":{"spec":"xor-matched:t=3,s=4","streams":[{"base":0,"stride":1,"len":64},{"base":64,"stride":-2,"len":32}],"strategy":"conflict-free","policy":"priority","schedule":{"fifo_waves":{"width":2}}}}"#,
+    ),
+    (
+        "request multi_stream conflict_aware",
+        r#"{"multi_stream":{"spec":"xor-matched:t=3,s=4","streams":[{"base":0,"stride":1,"len":64},{"base":64,"stride":-2,"len":32}],"strategy":"conflict-free","policy":"work-conserving","schedule":{"conflict_aware":{"width":3,"max_score_milli":1500}}}}"#,
+    ),
+    (
+        "response measured",
+        r#"{"measured":{"latency":117,"elements":64,"stall_cycles":3,"conflicts":2,"arrival":[17,18,20,26],"module_busy":[8,9,10,6],"max_in_q":1}}"#,
+    ),
+    ("response measured none", r#"{"measured":null}"#),
+    (
+        "response batch",
+        r#"{"batch":[{"latency":101,"elements":64,"stall_cycles":1,"conflicts":1,"arrival":[1,2,4,10],"module_busy":[8,9,10,1],"max_in_q":1},null]}"#,
+    ),
+    (
+        "response family_sweep",
+        r#"{"family_sweep":[{"x":5,"stride":-96,"latency":901,"conflicts":320,"stall_cycles":512,"cycles_per_element":0.30000000000000004},{"x":5,"stride":-96,"latency":901,"conflicts":320,"stall_cycles":512,"cycles_per_element":1.0}]}"#,
+    ),
+    (
+        "response multi_stream",
+        r#"{"multi_stream":{"per_stream":[{"wave":1,"elements":32,"first_issue":2,"latency":120,"spread":80,"conflicts":17,"stall_cycles":9}],"wave_makespans":[73,130],"makespan":203,"sequential_baseline":193,"predicted_conflicts_milli":2125,"actual_conflicts":17}}"#,
+    ),
+    (
+        "response degraded",
+        r#"{"degraded":{"response":{"family_sweep":[{"x":5,"stride":-96,"latency":901,"conflicts":320,"stall_cycles":512,"cycles_per_element":0.30000000000000004}]},"exact":false}}"#,
+    ),
+    ("response efficiency", r#"{"efficiency":0.875}"#),
+    ("response efficiency tiny", r#"{"efficiency":5e-324}"#),
+    ("response efficiency huge", r#"{"efficiency":1e300}"#),
+    (
+        "response efficiency negative zero",
+        r#"{"efficiency":-0.0}"#,
+    ),
+    ("response efficiency nan", r#"{"efficiency":"nan"}"#),
+    ("response efficiency inf", r#"{"efficiency":"inf"}"#),
+    ("response efficiency -inf", r#"{"efficiency":"-inf"}"#),
+    (
+        "error overloaded",
+        r#"{"overloaded":{"queue_depth":129,"capacity":128}}"#,
+    ),
+    ("error shutting_down", r#""shutting_down""#),
+    ("error request", r#"{"request":"zero_stride"}"#),
+    (
+        "error deadline_exceeded",
+        r#"{"deadline_exceeded":{"secs":3,"nanos":141592653}}"#,
+    ),
+    (
+        "error worker_panicked",
+        r#"{"worker_panicked":{"attempts":4,"message":"index out of bounds"}}"#,
+    ),
+    ("result ok", r#"{"ok":{"efficiency":1.0}}"#),
+    ("result err", r#"{"err":"shutting_down"}"#),
+    (
+        "error spec",
+        r#"{"spec":{"not_power_of_two":{"what":"modules","value":12}}}"#,
+    ),
+    (
+        "error spec",
+        r#"{"spec":{"out_of_range":{"what":"s","value":3,"constraint":"s >= t"}}}"#,
+    ),
+    ("error spec", r#"{"spec":"zero_stride"}"#),
+    ("error spec", r#"{"spec":"singular_matrix"}"#),
+    ("error spec", r#"{"spec":"address_overflow"}"#),
+    (
+        "error spec",
+        r#"{"spec":{"spec_syntax":{"spec":"xor:","reason":"empty key"}}}"#,
+    ),
+    (
+        "error spec",
+        r#"{"spec":{"unknown_map":{"name":"warp","registered":["xor","interleave"]}}}"#,
+    ),
+    (
+        "error spec",
+        r#"{"spec":{"missing_key":{"map":"xor","key":"t"}}}"#,
+    ),
+    (
+        "error spec",
+        r#"{"spec":{"unknown_key":{"map":"xor","key":"q","accepted":["t","s"]}}}"#,
+    ),
+    ("error spec", r#"{"spec":{"duplicate_key":{"key":"t"}}}"#),
+    (
+        "error spec",
+        r#"{"spec":{"invalid_value":{"key":"t","value":"x9","expected":"an unsigned integer"}}}"#,
+    ),
+    (
+        "error spec",
+        r#"{"spec":{"matrix_file":{"path":"m.txt","reason":"no such file"}}}"#,
+    ),
+    ("error spec", r#"{"spec":{"duplicate_map":{"name":"xor"}}}"#),
+];
+
+#[test]
+fn wire_format_matches_the_golden_text() {
+    assert_eq!(
+        frame::PROTOCOL_VERSION,
+        2,
+        "the golden text below is protocol version 2"
+    );
+    let cases = golden_cases();
+    assert_eq!(cases.len(), GOLDEN.len(), "one golden text per case");
+    for ((label, text), (golden_label, golden)) in cases.iter().zip(GOLDEN) {
+        assert_eq!(label, golden_label, "case order changed");
+        assert_eq!(text, golden, "{label}: the encoding changed");
+    }
+}
+
+// ---------------------------------------------------------------
+// Decoder tolerance and adversarial input
+// ---------------------------------------------------------------
+
+#[test]
+fn loose_frames_decode_like_their_canonical_text() {
+    // Every key reordered, whitespace around every token, unknown keys
+    // holding objects and arrays, and an escaped `spec`.
+    let canonical = ClientFrame::Submit {
+        id: 42,
+        request: Request::Measure {
+            spec: "xor-matched:t=3,s=4".to_string(),
+            vec: vec_spec(16, 12, 64),
+            strategy: Strategy::Auto,
+        },
+        budget: Some(Duration::new(1, 5)),
+    };
+    let loose = concat!(
+        " { \"submit\" : { \"budget\" : { \"nanos\" : 5 , \"secs\" : 1 } ,\n",
+        "\t\"extra\" : { \"a\" : [ 1 , { \"b\" : null } ] , \"c\" : \"\\u0041\" } ,\r\n",
+        " \"request\" : { \"measure\" : { \"strategy\" : \"auto\" ,",
+        " \"notes\" : [ \"x\" , -2.5e3 , true , [ ] , { } ] ,",
+        " \"vec\" : { \"len\" : 64 , \"stride\" : 12 , \"base\" : 16 } ,",
+        " \"spec\" : \"xor\\u002dmatched:t\\u003d3,s=4\" } } , \"id\" : 42 } } \n",
+    );
+    assert_eq!(
+        json::decode_client_frame(loose).expect("a loose client frame decodes"),
+        canonical
+    );
+
+    let loose = concat!(
+        "{ \"measured\" : { \"max_in_q\" : 1 , \"arrival\" : [ 9 , 10 , 12 , 18 ] ,",
+        " \"module_busy\" : [8,9,10,9] , \"unknown\" : [ [ ] , { \"k\" : [ ] } ] ,",
+        " \"conflicts\" : 4 , \"stall_cycles\" : 2 , \"elements\" : 64 , \"latency\" : 109 } }",
+    );
+    assert_eq!(
+        json::decode_response(loose).expect("a loose response decodes"),
+        Response::Measured(Some(access_stats(9)))
+    );
+
+    let loose = concat!(
+        "{\"result\": {\"result\": {\"ok\": {\"efficiency\": 0.875}}, \"trace\": [1, {}],",
+        " \"id\": 3}}",
+    );
+    let back = json::decode_server_frame(loose).expect("a loose server frame decodes");
+    assert_eq!(
+        json::encode_server_frame(&back),
+        r#"{"result":{"id":3,"result":{"ok":{"efficiency":0.875}}}}"#
+    );
+}
+
+#[test]
+fn a_duplicate_key_takes_its_first_value() {
+    let text = concat!(
+        r#"{"measure":{"spec":"first","spec":"second","#,
+        r#""vec":{"base":16,"stride":12,"len":64,"len":"not a number"},"#,
+        r#""strategy":"auto","strategy":7}}"#,
+    );
+    assert_eq!(
+        json::decode_request(text).expect("duplicate keys decode"),
+        Request::Measure {
+            spec: "first".to_string(),
+            vec: vec_spec(16, 12, 64),
+            strategy: Strategy::Auto,
+        }
+    );
+}
+
+#[test]
+fn deep_degraded_chains_hit_the_depth_cap_not_the_stack() {
+    let open = "{\"degraded\":{\"response\":".repeat(10_000);
+    assert!(matches!(
+        json::decode_response(&open),
+        Err(DecodeError::Syntax { .. })
+    ));
+    let frame = format!("{{\"result\":{{\"id\":1,\"result\":{{\"ok\":{open}");
+    assert!(matches!(
+        json::decode_server_frame(&frame),
+        Err(DecodeError::Syntax { .. })
+    ));
+    // Closed and otherwise well-formed, the chain is still too deep.
+    let closed = format!(
+        "{open}{{\"measured\":null}}{}",
+        ",\"exact\":true}}".repeat(10_000)
+    );
+    assert!(matches!(
+        json::decode_response(&closed),
+        Err(DecodeError::Syntax { .. })
+    ));
+    // A chain well inside the cap decodes.
+    let mut nested = Response::Measured(None);
+    for _ in 0..20 {
+        nested = Response::Degraded {
+            response: Box::new(nested),
+            exact: true,
+        };
+    }
+    rt_response(&nested);
+}
+
+#[test]
+fn malformed_text_after_a_shape_problem_is_still_a_syntax_error() {
+    for bad in [
+        // A wrong-typed field, then a trailing comma.
+        r#"{"measure":{"spec":1,"vec":{"base":0,"stride":1,"len":1},"strategy":"auto",}}"#,
+        // An unknown variant whose body is malformed.
+        r#"{"no_such_variant":{"a":[1,2,}}"#,
+        // Two variant tags, the second value malformed.
+        r#"{"measure":{},"extra":tru}"#,
+        // A shape problem, then trailing data.
+        r#"{"measure":{}} x"#,
+        // An invalid vector spec, then a bad escape in an unknown key.
+        r#"{"measure":{"vec":{"base":0,"stride":0,"len":4},"junk":"\q","spec":"m","strategy":"auto"}}"#,
+        // A wrong-typed field, then an integer past u64.
+        r#"{"measure":{"spec":false,"junk":99999999999999999999999}}"#,
+    ] {
+        match json::decode_request(bad) {
+            Err(DecodeError::Syntax { .. }) => {}
+            other => panic!("{bad:?}: expected Syntax error, got {other:?}"),
+        }
+    }
+    // Well-formed, reordered, with a zero stride: the constructor's own
+    // error, not a shape error.
+    let zero_stride =
+        r#"{"measure":{"strategy":"auto","vec":{"len":4,"stride":0,"base":0},"spec":"m"}}"#;
+    match json::decode_request(zero_stride) {
+        Err(DecodeError::Invalid(ConfigError::ZeroStride)) => {}
+        other => panic!("expected Invalid(ZeroStride), got {other:?}"),
+    }
+}
+
+// ---------------------------------------------------------------
 // Property tests
 // ---------------------------------------------------------------
 
@@ -874,5 +1460,27 @@ proptest! {
         frame::write_frame(&mut framed, &text).expect("write");
         let keep = cut.min(framed.len());
         let _ = frame::read_frame(&mut Cursor::new(&framed[..keep]));
+
+        // A mutated `Measured` result frame: the typed decoder must not
+        // panic, and must call the text malformed exactly when the
+        // generic parser does.
+        let text = json::encode_server_frame(&ServerFrame::Result {
+            id: seed,
+            result: Ok(Response::Measured(Some(access_stats(seed % 1000)))),
+        });
+        let mut bytes = text.as_bytes()[..cut.min(text.len())].to_vec();
+        if !bytes.is_empty() {
+            let at = flip % bytes.len();
+            bytes[at] = bytes[at].wrapping_add(1 + (seed % 255) as u8);
+        }
+        if let Ok(mutated) = String::from_utf8(bytes) {
+            let typed = json::decode_server_frame(&mutated);
+            prop_assert_eq!(
+                matches!(typed, Err(DecodeError::Syntax { .. })),
+                json::parse(&mutated).is_err(),
+                "text was {}",
+                mutated
+            );
+        }
     }
 }
