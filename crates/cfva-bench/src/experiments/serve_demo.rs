@@ -5,8 +5,8 @@
 //! Each client runs a closed loop with a small in-flight window:
 //! submit until the window is full, then reap the oldest ticket,
 //! recording submit→response latency. The request mix spans every
-//! [`Request`] variant across all registered map specs, so worker
-//! session caches, spec-affinity routing and work stealing are all
+//! [`Request`] variant across all registered map specs, so every
+//! worker's per-spec session cache and the shared admission queue are
 //! exercised. An over-capacity run (small `--queue`, many clients)
 //! must *reject* with `Overloaded` — never deadlock — which the
 //! summary reports and CI asserts via `--require-rejections`.

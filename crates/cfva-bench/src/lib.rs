@@ -16,7 +16,7 @@
 //! are re-exported from) the `cfva-serve` crate since PR 5, so the
 //! experiment harness, the criterion benches and the request-serving
 //! front end all measure through **one** execution substrate — the
-//! work-stealing session pool in `cfva_serve::pool`.
+//! `BatchRunner` sessions in `cfva_serve::runner`.
 
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]

@@ -63,9 +63,8 @@ pub enum Estimator {
 }
 
 /// One unit of service work. Every variant names its map by registry
-/// spec string; the serving layer routes same-spec requests to the
-/// same worker so its cached session (planner, memory system, scratch
-/// buffers) is reused across requests.
+/// spec string; each worker caches one session (planner, memory
+/// system, scratch buffers) per spec and reuses it across requests.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Request {
     /// Plan and simulate one access (`BatchRunner::measure`).

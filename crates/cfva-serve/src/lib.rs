@@ -7,12 +7,12 @@
 //!   planner, one memory system and the plan/stats scratch buffers, so
 //!   repeated measurement performs no heap allocation after warm-up.
 //! * [`workload`] — stride populations under the paper's family model.
-//! * [`pool`] — a hand-rolled work-stealing session pool
-//!   (`std::thread` + `Mutex`/`Condvar`, no external runtime):
-//!   per-worker local queues, a global injector, steal-on-idle, a
-//!   bounded admission queue and [`pool::Ticket`] completion handles.
-//!   [`runner::BatchRunner::sweep`] is a thin deterministic wrapper
-//!   over it.
+//! * [`pool`] — a hand-rolled session pool (`std::thread` +
+//!   `Mutex`/`Condvar`, no external runtime): one bounded FIFO
+//!   admission queue served by supervised workers, and
+//!   [`pool::Ticket`] completion handles.
+//!   [`runner::BatchRunner::sweep`] fans contiguous chunks out over
+//!   `std::thread::scope` threads instead.
 //! * [`service`] + [`api`] — plan/measure-as-a-service: a typed
 //!   [`api::Request`]/[`api::Response`] schema (maps named by registry
 //!   spec strings) behind a [`service::Service`] handle whose

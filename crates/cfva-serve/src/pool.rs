@@ -1,29 +1,16 @@
-//! A hand-rolled work-stealing session pool — the one scheduling
-//! substrate under parallel sweeps, the benches and the serving front
-//! end. No external runtime: plain `std::thread` workers coordinated
-//! with a `Mutex`/`Condvar` pair.
+//! A hand-rolled session pool — the scheduling substrate under the
+//! serving front end. No external runtime: plain `std::thread` workers
+//! coordinated with a `Mutex`/`Condvar` pair.
 //!
 //! # Shape
 //!
-//! Crossbeam-style topology with std primitives:
-//!
-//! * one **local queue per worker** — jobs submitted with
-//!   [`Pool::submit_to`] land here, giving callers affinity (the
-//!   serving layer routes same-spec requests to the same worker so its
-//!   session cache stays hot);
-//! * a **global injector** — [`Pool::submit`] round-robins nothing and
-//!   reorders nothing: any idle worker may pick an injected job up;
-//! * **steal-on-idle** — a worker with an empty local queue first
-//!   drains the injector, then steals from the *back* of a peer's
-//!   local queue (ring order from its own index), so a stalled
-//!   worker's backlog is finished by its peers.
-//!
-//! All queues sit behind **one** mutex paired with the wake-up condvar.
-//! That is deliberate: jobs here are whole simulator runs (micro- to
-//! milliseconds), so queue transfer cost is noise, and a single lock
-//! keeps the sleep/wake protocol — and the drain-on-shutdown proof —
-//! trivially correct. (A lock-free Chase–Lev deque would need `unsafe`,
-//! which this workspace forbids.)
+//! One **bounded FIFO admission queue** behind one mutex, paired with
+//! the wake-up condvar. Every worker pops from its front, so whichever
+//! worker is free runs the oldest waiting job, and a push wakes exactly
+//! one sleeping worker. That is deliberate: jobs here are whole
+//! simulator runs (micro- to milliseconds), so queue transfer cost is
+//! noise, and a single queue under a single lock keeps the sleep/wake
+//! protocol — and the drain-on-shutdown proof — trivially correct.
 //!
 //! Each worker owns a long-lived **session** of type `S`, built on the
 //! worker's own thread by the pool's `make` closure and handed by
@@ -32,12 +19,11 @@
 //!
 //! # Completion and backpressure
 //!
-//! Submission returns a [`Ticket`] — a future-like handle resolved by
-//! the worker that executes the job ([`Ticket::poll`] /
-//! [`Ticket::wait`] / [`Ticket::wait_timeout`]). The bounded admission
-//! flavors ([`Pool::try_submit`], [`Pool::try_submit_to`]) refuse work
-//! beyond the queue capacity with [`SubmitError::QueueFull`] instead
-//! of queueing unboundedly; [`Pool::shutdown`] drains every queued job
+//! [`Pool::try_submit`] returns a [`Ticket`] — a future-like handle
+//! resolved by the worker that executes the job ([`Ticket::poll`] /
+//! [`Ticket::wait`] / [`Ticket::wait_timeout`]). Work beyond the queue
+//! capacity is refused with [`SubmitError::QueueFull`] instead of
+//! queued unboundedly; [`Pool::shutdown`] drains every queued job
 //! before the workers exit, so accepted tickets always resolve.
 
 use std::collections::VecDeque;
@@ -50,23 +36,22 @@ use crate::fault::{self, FaultPlan, WorkerFault};
 use crate::locks::{self, ClassedMutex, LockClass};
 
 /// The boxed closure a worker runs against its session.
-type BoxedRun<'a, S> = Box<dyn FnOnce(&mut S) + Send + 'a>;
+type BoxedRun<S> = Box<dyn FnOnce(&mut S) + Send>;
 
 /// A queued unit of work: runs on a worker against its session. `tag`
 /// is the pool-wide job sequence number keying the fault plan; always
 /// 0 when no plan is installed (the counter is skipped entirely).
-struct Job<'a, S> {
-    run: BoxedRun<'a, S>,
+struct Job<S> {
+    run: BoxedRun<S>,
     tag: u64,
 }
 
-/// Why a bounded submission was refused.
+/// Why a submission was refused.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SubmitError {
     /// The admission queue is at capacity; the job was **not** queued.
     QueueFull {
-        /// Jobs waiting (across the injector and all local queues) at
-        /// the moment of refusal.
+        /// Jobs waiting in the queue at the moment of refusal.
         queue_depth: usize,
         /// The configured admission capacity.
         capacity: usize,
@@ -92,12 +77,10 @@ impl std::fmt::Display for SubmitError {
 
 impl std::error::Error for SubmitError {}
 
-/// The scheduler state all workers share: every queue behind one lock.
-struct Sched<'a, S> {
-    injector: VecDeque<Job<'a, S>>,
-    locals: Vec<VecDeque<Job<'a, S>>>,
-    /// Total queued (injector + locals); the bounded-admission gauge.
-    queued: usize,
+/// The scheduler state all workers share, behind one lock.
+struct Sched<S> {
+    /// The admission queue; its length is the bounded-admission gauge.
+    queue: VecDeque<Job<S>>,
     shutting_down: bool,
     /// Workers whose session constructed and whose loop is (or will
     /// be) serving. A `make` closure that panics decrements this; at
@@ -110,33 +93,9 @@ struct Sched<'a, S> {
     next_tag: u64,
 }
 
-impl<'a, S> Sched<'a, S> {
-    /// Next job for `worker`: local front, then injector front, then a
-    /// steal from the back of a peer's queue (ring order).
-    fn pop_for(&mut self, worker: usize) -> Option<Job<'a, S>> {
-        let job = self.locals[worker]
-            .pop_front()
-            .or_else(|| self.injector.pop_front())
-            .or_else(|| {
-                let n = self.locals.len();
-                (1..n).find_map(|off| {
-                    self.locals
-                        .get_mut((worker + off) % n)
-                        .and_then(VecDeque::pop_back)
-                })
-            });
-        if job.is_some() {
-            self.queued -= 1;
-        }
-        job
-    }
-}
-
-/// Shared pool core, generic over the job lifetime so the same worker
-/// loop serves both the long-lived [`Pool`] and the scoped pool behind
-/// `BatchRunner::sweep`.
-struct Core<'a, S> {
-    sched: ClassedMutex<Sched<'a, S>>,
+/// Pool state shared by the handle and every worker thread.
+struct Core<S> {
+    sched: ClassedMutex<Sched<S>>,
     /// Signalled on every submission and on shutdown.
     work: Condvar,
     capacity: usize,
@@ -152,46 +111,10 @@ struct Core<'a, S> {
     restarts_total: AtomicU64,
 }
 
-impl<'a, S> Core<'a, S> {
-    fn new(workers: usize, capacity: usize) -> Self {
-        Core::with_faults(workers, capacity, None, PoolOptions::DEFAULT_MAX_RESTARTS)
-    }
-
-    fn with_faults(
-        workers: usize,
-        capacity: usize,
-        faults: Option<Arc<FaultPlan>>,
-        max_restarts: u32,
-    ) -> Self {
-        Core {
-            sched: ClassedMutex::new(
-                LockClass::Sched,
-                Sched {
-                    injector: VecDeque::new(),
-                    locals: (0..workers).map(|_| VecDeque::new()).collect(),
-                    queued: 0,
-                    shutting_down: false,
-                    alive: workers,
-                    next_tag: 0,
-                },
-            ),
-            work: Condvar::new(),
-            capacity,
-            faults,
-            supervisor: ClassedMutex::new(LockClass::Supervisor, vec![0; workers]),
-            max_restarts,
-            restarts_total: AtomicU64::new(0),
-        }
-    }
-
-    /// Queues `run` (injector, or worker-local when `to` is given),
-    /// enforcing the admission capacity when `bounded`.
-    fn push(
-        &self,
-        to: Option<usize>,
-        run: BoxedRun<'a, S>,
-        bounded: bool,
-    ) -> Result<(), SubmitError> {
+impl<S> Core<S> {
+    /// Queues `run` at the back of the queue, enforcing the admission
+    /// capacity.
+    fn push(&self, run: BoxedRun<S>) -> Result<(), SubmitError> {
         let mut sched = self.sched.lock();
         // A dead pool (every worker's session construction panicked)
         // refuses like a shut-down one: accepting would strand the
@@ -199,9 +122,9 @@ impl<'a, S> Core<'a, S> {
         if sched.shutting_down || sched.alive == 0 {
             return Err(SubmitError::ShuttingDown);
         }
-        if bounded && sched.queued >= self.capacity {
+        if sched.queue.len() >= self.capacity {
             return Err(SubmitError::QueueFull {
-                queue_depth: sched.queued,
+                queue_depth: sched.queue.len(),
                 capacity: self.capacity,
             });
         }
@@ -214,25 +137,21 @@ impl<'a, S> Core<'a, S> {
         } else {
             0
         };
-        let job = Job { run, tag };
-        match to {
-            Some(worker) => sched.locals[worker].push_back(job),
-            None => sched.injector.push_back(job),
-        }
-        sched.queued += 1;
+        sched.queue.push_back(Job { run, tag });
         drop(sched);
-        self.work.notify_all();
+        // Any worker can run any job, so one wake-up is enough.
+        self.work.notify_one();
         Ok(())
     }
 
-    /// The worker loop: execute until shutdown **and** every queue is
+    /// The worker loop: execute until shutdown **and** the queue is
     /// empty — shutdown drains, it never abandons queued jobs.
-    fn run_worker(&self, worker: usize, session: &mut S) {
+    fn run_worker(&self, session: &mut S) {
         loop {
             let job = {
                 let mut sched = self.sched.lock();
                 loop {
-                    if let Some(job) = sched.pop_for(worker) {
+                    if let Some(job) = sched.queue.pop_front() {
                         break Some(job);
                     }
                     if sched.shutting_down {
@@ -253,11 +172,12 @@ impl<'a, S> Core<'a, S> {
 
     /// The pool-side fault hook: consults the plan (when installed)
     /// for the popped job's tag. A `Delay` spins before returning the
-    /// job; a `KillWorker` **re-queues the job first** — it was
-    /// accepted, so its ticket must still resolve — and then panics
-    /// the worker thread with no lock held, handing control to the
+    /// job; a `KillWorker` **re-queues the job at the front first** —
+    /// it was accepted, so its ticket must still resolve, and it keeps
+    /// its place ahead of later submissions — and then panics the
+    /// worker thread with no lock held, handing control to the
     /// supervisor path in [`supervise`].
-    fn apply_worker_fault(&self, job: Job<'a, S>) -> Job<'a, S> {
+    fn apply_worker_fault(&self, job: Job<S>) -> Job<S> {
         let Some(plan) = &self.faults else {
             return job;
         };
@@ -268,12 +188,8 @@ impl<'a, S> Core<'a, S> {
                 job
             }
             Some(WorkerFault::KillWorker) => {
-                {
-                    let mut sched = self.sched.lock();
-                    sched.injector.push_front(job);
-                    sched.queued += 1;
-                }
-                self.work.notify_all();
+                self.sched.lock().queue.push_front(job);
+                self.work.notify_one();
                 // cfva-lint: allow(L002, reason = "the injected kill IS the fault being tested; it fires outside every lock and the supervisor path recovers it")
                 panic!("injected fault: worker killed by FaultPlan");
             }
@@ -295,27 +211,24 @@ impl<'a, S> Core<'a, S> {
         true
     }
 
-    /// A worker whose `make` closure panicked: it never serves. The
-    /// last live worker to fall takes every queued job down with it —
-    /// dropping a job resolves its ticket as panicked (see
-    /// [`Completer`]), so waiters get a panic, not a hang. (While any
-    /// worker remains alive, queued jobs are simply left for it to
-    /// pop or steal.)
+    /// A worker that will never serve again (its `make` closure
+    /// panicked, or its restart budget is spent). The last live worker
+    /// to fall takes every queued job down with it — dropping a job
+    /// resolves its ticket as panicked (see [`Completer`]), so waiters
+    /// get an outcome, not a hang. While any worker remains alive,
+    /// queued jobs are simply left for it to pop.
     fn abandon_worker(&self) {
-        let orphans: Vec<Job<'a, S>> = {
+        let orphans = {
             let mut sched = self.sched.lock();
             sched.alive -= 1;
             if sched.alive > 0 {
-                Vec::new()
+                VecDeque::new()
             } else {
-                sched.queued = 0;
-                let mut orphans: Vec<Job<'a, S>> = sched.injector.drain(..).collect();
-                for local in &mut sched.locals {
-                    orphans.extend(local.drain(..));
-                }
-                orphans
+                std::mem::take(&mut sched.queue)
             }
         };
+        // Dropped outside the scheduler lock: each orphan's completer
+        // takes its own ticket lock.
         drop(orphans);
     }
 
@@ -325,7 +238,7 @@ impl<'a, S> Core<'a, S> {
     }
 
     fn queue_depth(&self) -> usize {
-        self.sched.lock().queued
+        self.sched.lock().queue.len()
     }
 }
 
@@ -344,6 +257,10 @@ enum Slot<R> {
     /// the slot for as long as the completer side keeps it alive.
     Abandoned,
 }
+
+/// What a take found: the job's result, or the message of the panic
+/// that ended it (including a job dropped before it could run).
+pub(crate) type Outcome<R> = Result<R, String>;
 
 struct TicketShared<R> {
     slot: ClassedMutex<Slot<R>>,
@@ -411,8 +328,7 @@ impl<R> Ticket<R> {
     ///
     /// Re-raises the job's panic if it panicked on its worker.
     pub fn poll(&mut self) -> Option<R> {
-        let mut slot = self.shared.slot.lock();
-        Self::take(&mut slot)
+        self.poll_outcome().map(reraise)
     }
 
     /// Blocks until the job finishes and returns its result.
@@ -423,10 +339,31 @@ impl<R> Ticket<R> {
     /// panics if the result was already taken through
     /// [`poll`](Ticket::poll).
     pub fn wait(self) -> R {
+        reraise(self.wait_outcome())
+    }
+
+    /// Like [`wait`](Ticket::wait), but gives up after `timeout`,
+    /// handing the still-pending ticket back as `Err` so the caller
+    /// can keep polling or waiting.
+    #[must_use = "on timeout the still-pending ticket comes back in the Err; dropping it loses the result"]
+    pub fn wait_timeout(self, timeout: Duration) -> Result<R, Ticket<R>> {
+        self.wait_timeout_outcome(timeout).map(reraise)
+    }
+
+    /// [`poll`](Ticket::poll) that hands a job panic back as `Err`
+    /// instead of re-raising it.
+    pub(crate) fn poll_outcome(&mut self) -> Option<Outcome<R>> {
+        let mut slot = self.shared.slot.lock();
+        Self::take(&mut slot)
+    }
+
+    /// [`wait`](Ticket::wait) that hands a job panic back as `Err`
+    /// instead of re-raising it. Still panics on a double take.
+    pub(crate) fn wait_outcome(self) -> Outcome<R> {
         let mut slot = self.shared.slot.lock();
         loop {
-            if let Some(result) = Self::take(&mut slot) {
-                return result;
+            if let Some(outcome) = Self::take(&mut slot) {
+                return outcome;
             }
             if matches!(*slot, Slot::Taken) {
                 // cfva-lint: allow(L002, reason = "documented # Panics contract: double-take is a caller bug, not a load condition")
@@ -436,16 +373,14 @@ impl<R> Ticket<R> {
         }
     }
 
-    /// Like [`wait`](Ticket::wait), but gives up after `timeout`,
-    /// handing the still-pending ticket back as `Err` so the caller
-    /// can keep polling or waiting.
-    #[must_use = "on timeout the still-pending ticket comes back in the Err; dropping it loses the result"]
-    pub fn wait_timeout(self, timeout: Duration) -> Result<R, Ticket<R>> {
+    /// [`wait_timeout`](Ticket::wait_timeout) that hands a job panic
+    /// back as `Ok(Err(message))` instead of re-raising it.
+    pub(crate) fn wait_timeout_outcome(self, timeout: Duration) -> Result<Outcome<R>, Ticket<R>> {
         let deadline = std::time::Instant::now() + timeout;
         let mut slot = self.shared.slot.lock();
         loop {
-            if let Some(result) = Self::take(&mut slot) {
-                return Ok(result);
+            if let Some(outcome) = Self::take(&mut slot) {
+                return Ok(outcome);
             }
             let now = std::time::Instant::now();
             if now >= deadline {
@@ -456,11 +391,10 @@ impl<R> Ticket<R> {
         }
     }
 
-    fn take(slot: &mut Slot<R>) -> Option<R> {
+    fn take(slot: &mut Slot<R>) -> Option<Outcome<R>> {
         match std::mem::replace(slot, Slot::Taken) {
-            Slot::Done(result) => Some(result),
-            // cfva-lint: allow(L002, reason = "deliberate re-raise of the job's own panic at the take site, per the Ticket contract")
-            Slot::Panicked(msg) => panic!("pool job panicked: {msg}"),
+            Slot::Done(result) => Some(Ok(result)),
+            Slot::Panicked(msg) => Some(Err(msg)),
             Slot::Pending => {
                 *slot = Slot::Pending;
                 None
@@ -476,13 +410,20 @@ impl<R> Ticket<R> {
     }
 }
 
+/// Re-raises a job's panic at the take site, per the [`Ticket`]
+/// contract.
+fn reraise<R>(outcome: Outcome<R>) -> R {
+    // cfva-lint: allow(L002, reason = "deliberate re-raise of the job's own panic at the take site, per the Ticket contract")
+    outcome.unwrap_or_else(|msg| panic!("pool job panicked: {msg}"))
+}
+
 impl<R> Drop for Ticket<R> {
     /// Marks a still-pending slot **abandoned**, so the job side
     /// discards the result instead of parking it in the slot (see
     /// [`Slot::Abandoned`]).
     ///
     /// Runs on every drop — including during an unwind out of
-    /// [`Ticket::wait`]'s panic re-raise, which poisons the slot's
+    /// [`Ticket::wait`]'s double-take panic, which poisons the slot's
     /// mutex — so it takes the poison-recovering, checker-free lock
     /// path: panicking here would be a double panic (process abort).
     fn drop(&mut self) {
@@ -530,30 +471,30 @@ impl<R> Drop for Completer<R> {
     fn drop(&mut self) {
         if !self.completed {
             self.complete(Slot::Panicked(
-                "job dropped before it could run (every pool worker's session \
-                 construction panicked?)"
+                "job dropped before it could run (every pool worker died or \
+                 its session construction panicked)"
                     .to_string(),
             ));
         }
     }
 }
 
-/// Wraps a result-returning job into a queueable [`Job`] plus the
+/// Wraps a result-returning job into a queueable closure plus the
 /// [`Ticket`] that observes it. Panics are caught on the worker and
 /// re-raised at the ticket, so one bad request cannot kill a worker
 /// (the session is handed back; `BatchRunner` scratch is rebuilt on
 /// the next measurement, so a torn session state is harmless).
-fn package<'a, S, R, F>(job: F) -> (BoxedRun<'a, S>, Ticket<R>)
+fn package<S, R, F>(job: F) -> (BoxedRun<S>, Ticket<R>)
 where
-    F: FnOnce(&mut S) -> R + Send + 'a,
-    R: Send + 'a,
+    F: FnOnce(&mut S) -> R + Send + 'static,
+    R: Send + 'static,
 {
     let (ticket, shared) = Ticket::new();
     let mut completer = Completer {
         shared,
         completed: false,
     };
-    let boxed: BoxedRun<'a, S> = Box::new(move |session: &mut S| {
+    let boxed: BoxedRun<S> = Box::new(move |session: &mut S| {
         let outcome = catch_unwind(AssertUnwindSafe(|| job(session)));
         completer.complete(match outcome {
             Ok(result) => Slot::Done(result),
@@ -621,8 +562,8 @@ impl PoolOptions {
     }
 }
 
-/// A long-lived work-stealing pool whose workers each own a session of
-/// type `S`, built on the worker's own thread.
+/// A long-lived pool whose workers each own a session of type `S`,
+/// built on the worker's own thread, and serve one shared FIFO queue.
 ///
 /// See the [module docs](self) for the scheduling shape. Dropping the
 /// pool shuts it down and **drains**: every already-accepted job runs
@@ -636,13 +577,13 @@ impl PoolOptions {
 /// its per-worker budget ([`PoolOptions::max_restarts`]), spawns a
 /// replacement that rebuilds the session from scratch, and joins it —
 /// so [`Pool::shutdown`]'s join of the original handle transitively
-/// joins the whole restart chain. The dead worker's local queue lives
-/// in the shared scheduler, so the replacement (or a stealing peer)
-/// finishes its backlog: every accepted ticket still resolves. Past
-/// the budget the worker bows out through the same abandonment path as
-/// a worker whose session never constructed.
+/// joins the whole restart chain. The queue is shared scheduler state,
+/// so the replacement (or any peer) finishes the backlog: every
+/// accepted ticket still resolves. Past the budget the worker bows out
+/// through the same abandonment path as a worker whose session never
+/// constructed.
 pub struct Pool<S: 'static> {
-    core: Arc<Core<'static, S>>,
+    core: Arc<Core<S>>,
     handles: ClassedMutex<Vec<std::thread::JoinHandle<()>>>,
     workers: usize,
 }
@@ -661,8 +602,7 @@ impl<S> std::fmt::Debug for Pool<S> {
 impl<S: 'static> Pool<S> {
     /// Spawns `workers` threads, each building its session with
     /// `make(worker_index)` on its own thread. `capacity` bounds the
-    /// admission queue enforced by the `try_submit*` flavors
-    /// (unbounded submission ignores it).
+    /// admission queue.
     ///
     /// # Panics
     ///
@@ -686,12 +626,23 @@ impl<S: 'static> Pool<S> {
     {
         assert!(workers >= 1, "a pool needs at least one worker");
         assert!(capacity >= 1, "admission capacity must be at least 1");
-        let core = Arc::new(Core::with_faults(
-            workers,
+        let core = Arc::new(Core {
+            sched: ClassedMutex::new(
+                LockClass::Sched,
+                Sched {
+                    queue: VecDeque::new(),
+                    shutting_down: false,
+                    alive: workers,
+                    next_tag: 0,
+                },
+            ),
+            work: Condvar::new(),
             capacity,
-            options.faults,
-            options.max_restarts,
-        ));
+            faults: options.faults,
+            supervisor: ClassedMutex::new(LockClass::Supervisor, vec![0; workers]),
+            max_restarts: options.max_restarts,
+            restarts_total: AtomicU64::new(0),
+        });
         let make = Arc::new(make);
         let handles = (0..workers)
             .map(|worker| {
@@ -717,8 +668,7 @@ impl<S: 'static> Pool<S> {
         self.core.restarts_total.load(Ordering::Relaxed)
     }
 
-    /// The admission-queue capacity enforced by the `try_submit*`
-    /// flavors.
+    /// The admission-queue capacity.
     pub fn capacity(&self) -> usize {
         self.core.capacity
     }
@@ -728,53 +678,11 @@ impl<S: 'static> Pool<S> {
         self.core.queue_depth()
     }
 
-    /// Queues `job` on the global injector, ignoring the admission
-    /// bound — for owners feeding the pool a finite batch (sweeps).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pool is shutting down (the owner controls
-    /// shutdown, so this is a caller bug, not a load condition).
-    #[must_use = "the Ticket is the only handle to the job's result"]
-    pub fn submit<R, F>(&self, job: F) -> Ticket<R>
-    where
-        F: FnOnce(&mut S) -> R + Send + 'static,
-        R: Send + 'static,
-    {
-        let (job, ticket) = package(job);
-        self.core
-            .push(None, job, false)
-            // cfva-lint: allow(L002, reason = "documented # Panics contract: the owner controls shutdown, so a refused unbounded submit is a caller bug")
-            .expect("pool is not accepting work (shut down, or every worker session panicked at construction)");
-        ticket
-    }
-
-    /// [`submit`](Self::submit) straight onto `worker`'s local queue —
-    /// affinity submission; idle peers may still steal it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `worker >= self.workers()` or the pool is shutting
-    /// down.
-    #[must_use = "the Ticket is the only handle to the job's result"]
-    pub fn submit_to<R, F>(&self, worker: usize, job: F) -> Ticket<R>
-    where
-        F: FnOnce(&mut S) -> R + Send + 'static,
-        R: Send + 'static,
-    {
-        assert!(worker < self.workers, "no such worker: {worker}");
-        let (job, ticket) = package(job);
-        self.core
-            .push(Some(worker), job, false)
-            // cfva-lint: allow(L002, reason = "documented # Panics contract: the owner controls shutdown, so a refused unbounded submit is a caller bug")
-            .expect("pool is not accepting work (shut down, or every worker session panicked at construction)");
-        ticket
-    }
-
-    /// Bounded admission onto the injector: refused with
-    /// [`SubmitError::QueueFull`] when `capacity` jobs are already
-    /// waiting, or [`SubmitError::ShuttingDown`] after
-    /// [`shutdown`](Self::shutdown) has begun.
+    /// Queues `job` at the back of the admission queue; the next free
+    /// worker runs it. Refused with [`SubmitError::QueueFull`] when
+    /// `capacity` jobs are already waiting, or
+    /// [`SubmitError::ShuttingDown`] after [`shutdown`](Self::shutdown)
+    /// has begun (or once every worker has died for good).
     #[must_use = "the Ticket inside is the only handle to the job's result"]
     pub fn try_submit<R, F>(&self, job: F) -> Result<Ticket<R>, SubmitError>
     where
@@ -782,25 +690,7 @@ impl<S: 'static> Pool<S> {
         R: Send + 'static,
     {
         let (job, ticket) = package(job);
-        self.core.push(None, job, true).map(|()| ticket)
-    }
-
-    /// Bounded admission with worker affinity — the serving layer's
-    /// entry: same-spec requests land on the same worker's queue so
-    /// its session cache stays hot, and idle peers steal overflow.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `worker >= self.workers()`.
-    #[must_use = "the Ticket inside is the only handle to the job's result"]
-    pub fn try_submit_to<R, F>(&self, worker: usize, job: F) -> Result<Ticket<R>, SubmitError>
-    where
-        F: FnOnce(&mut S) -> R + Send + 'static,
-        R: Send + 'static,
-    {
-        assert!(worker < self.workers, "no such worker: {worker}");
-        let (job, ticket) = package(job);
-        self.core.push(Some(worker), job, true).map(|()| ticket)
+        self.core.push(job).map(|()| ticket)
     }
 
     /// Graceful shutdown: no new work is admitted (further submission
@@ -832,23 +722,23 @@ impl<S: 'static> Pool<S> {
 /// supervision behavior), because a constructor that panics once will
 /// usually panic forever and the restart budget is better spent on
 /// mid-service deaths.
-fn supervise<S, F>(core: Arc<Core<'static, S>>, make: Arc<F>, worker: usize)
+fn supervise<S, F>(core: Arc<Core<S>>, make: Arc<F>, worker: usize)
 where
     S: 'static,
     F: Fn(usize) -> S + Send + Sync + 'static,
 {
     let served = catch_unwind(AssertUnwindSafe(|| {
         match catch_unwind(AssertUnwindSafe(|| make(worker))) {
-            Ok(mut session) => core.run_worker(worker, &mut session),
+            Ok(mut session) => core.run_worker(&mut session),
             Err(_) => core.abandon_worker(),
         }
     }));
     if served.is_err() {
         // The worker died mid-service: job panics are caught at the
         // job boundary, so this is an injected kill or a substrate
-        // bug. Its local queue is shared scheduler state — the
-        // replacement (or a stealing peer) picks the backlog up, so
-        // every accepted ticket still resolves.
+        // bug. The queue is shared scheduler state — the replacement
+        // (or any peer) picks the backlog up, so every accepted ticket
+        // still resolves.
         if core.note_restart(worker) {
             let (respawn_core, respawn_make) = (Arc::clone(&core), Arc::clone(&make));
             let chain = std::thread::spawn(move || supervise(respawn_core, respawn_make, worker));
@@ -870,125 +760,23 @@ impl<S: 'static> Drop for Pool<S> {
     }
 }
 
-/// A borrowed handle to a scoped pool — same scheduler as [`Pool`],
-/// but jobs may borrow from the caller's stack.
-pub struct ScopedPool<'p, 'a, S> {
-    core: &'p Core<'a, S>,
-    workers: usize,
-}
-
-impl<S> std::fmt::Debug for ScopedPool<'_, '_, S> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ScopedPool")
-            .field("workers", &self.workers)
-            .finish()
-    }
-}
-
-impl<'a, S> ScopedPool<'_, 'a, S> {
-    /// The worker count.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Queues `job` on the global injector (unbounded — the scope
-    /// owner feeds a finite batch).
-    #[must_use = "the Ticket is the only handle to the job's result"]
-    pub fn submit<R, F>(&self, job: F) -> Ticket<R>
-    where
-        F: FnOnce(&mut S) -> R + Send + 'a,
-        R: Send + 'a,
-    {
-        let (job, ticket) = package(job);
-        self.core
-            .push(None, job, false)
-            // cfva-lint: allow(L002, reason = "documented contract: the scope owner never shuts down mid-body, so refusal means every worker died — panic over hang")
-            .expect("scoped pool refused work (every worker session panicked at construction?)");
-        ticket
-    }
-
-    /// Queues `job` on `worker`'s local queue; idle peers may steal it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `worker >= self.workers()`.
-    #[must_use = "the Ticket is the only handle to the job's result"]
-    pub fn submit_to<R, F>(&self, worker: usize, job: F) -> Ticket<R>
-    where
-        F: FnOnce(&mut S) -> R + Send + 'a,
-        R: Send + 'a,
-    {
-        assert!(worker < self.workers, "no such worker: {worker}");
-        let (job, ticket) = package(job);
-        self.core
-            .push(Some(worker), job, false)
-            // cfva-lint: allow(L002, reason = "documented contract: the scope owner never shuts down mid-body, so refusal means every worker died — panic over hang")
-            .expect("scoped pool refused work (every worker session panicked at construction?)");
-        ticket
-    }
-}
-
-/// Runs `f` against a temporary pool of `workers` threads whose jobs
-/// may borrow from the enclosing scope — the substrate under
-/// [`BatchRunner::sweep`](crate::runner::BatchRunner::sweep). Sessions
-/// are built by `make(worker_index)` on each worker's own thread. When
-/// `f` returns, the pool drains (every submitted job completes) and
-/// the workers are joined.
-pub fn scoped<'a, S, T, M, F>(workers: usize, make: M, f: F) -> T
-where
-    S: 'a,
-    M: Fn(usize) -> S + Sync + 'a,
-    F: for<'p> FnOnce(&'p ScopedPool<'p, 'a, S>) -> T,
-{
-    /// Flags shutdown when dropped, so the workers are released (and
-    /// `thread::scope` can join them) however the scope body exits —
-    /// including an unwind out of `f` (e.g. [`Ticket::wait`]
-    /// re-raising a job panic). Without this, a panicking scope body
-    /// would leave the workers parked on the condvar forever and turn
-    /// the panic into a deadlock at the scope's implicit join.
-    struct ShutdownOnDrop<'g, 'a, S>(&'g Core<'a, S>);
-    impl<S> Drop for ShutdownOnDrop<'_, '_, S> {
-        fn drop(&mut self) {
-            self.0.begin_shutdown();
-        }
-    }
-
-    assert!(workers >= 1, "a pool needs at least one worker");
-    let core: Core<'a, S> = Core::new(workers, usize::MAX);
-    let core = &core;
-    let make = &make;
-    std::thread::scope(move |scope| {
-        for worker in 0..workers {
-            scope.spawn(move || {
-                // Same session-construction hygiene as `Pool::new`: a
-                // panicking `make` abandons the worker (dropping the
-                // queue once no worker is left, which resolves the
-                // orphaned tickets as panicked) instead of stranding
-                // the scope body in a wait nothing will satisfy.
-                match catch_unwind(AssertUnwindSafe(|| make(worker))) {
-                    Ok(mut session) => core.run_worker(worker, &mut session),
-                    Err(_) => core.abandon_worker(),
-                }
-            });
-        }
-        // Drain-and-join before leaving: the guard flags shutdown when
-        // `f` returns *or unwinds*; `thread::scope` then joins the
-        // workers, which exit once shutdown is flagged AND the queues
-        // are empty.
-        let _release_workers = ShutdownOnDrop(core);
-        f(&ScopedPool { core, workers })
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{mpsc, Mutex};
+    use std::sync::mpsc;
+
+    /// Test shorthand: every pool here is sized so admission succeeds.
+    fn submit<S: 'static, R: Send + 'static>(
+        pool: &Pool<S>,
+        job: impl FnOnce(&mut S) -> R + Send + 'static,
+    ) -> Ticket<R> {
+        pool.try_submit(job).expect("queue has room")
+    }
 
     #[test]
     fn submit_and_wait_round_trip() {
         let pool = Pool::new(2, 16, |worker| worker);
-        let t = pool.submit(|session: &mut usize| *session + 100);
+        let t = submit(&pool, |session: &mut usize| *session + 100);
         let value = t.wait();
         assert!(value == 100 || value == 101);
         pool.shutdown();
@@ -998,7 +786,7 @@ mod tests {
     fn tickets_resolve_in_any_submission_pattern() {
         let pool = Pool::new(3, 64, |_| ());
         let tickets: Vec<Ticket<u64>> = (0..50u64)
-            .map(|i| pool.submit(move |(): &mut ()| i * i))
+            .map(|i| submit(&pool, move |(): &mut ()| i * i))
             .collect();
         let results: Vec<u64> = tickets.into_iter().map(Ticket::wait).collect();
         assert_eq!(results, (0..50u64).map(|i| i * i).collect::<Vec<_>>());
@@ -1009,8 +797,8 @@ mod tests {
     fn poll_is_none_until_done_then_takes_once() {
         let pool = Pool::new(1, 4, |_| ());
         let (gate_tx, gate_rx) = mpsc::channel::<()>();
-        let stall = pool.submit(move |(): &mut ()| gate_rx.recv().unwrap());
-        let mut t = pool.submit(|(): &mut ()| 7u32);
+        let stall = submit(&pool, move |(): &mut ()| gate_rx.recv().unwrap());
+        let mut t = submit(&pool, |(): &mut ()| 7u32);
         assert!(!t.is_ready());
         assert_eq!(t.poll(), None);
         gate_tx.send(()).unwrap();
@@ -1033,8 +821,8 @@ mod tests {
     fn wait_timeout_returns_ticket_on_pending_job() {
         let pool = Pool::new(1, 4, |_| ());
         let (gate_tx, gate_rx) = mpsc::channel::<()>();
-        let stall = pool.submit(move |(): &mut ()| gate_rx.recv().unwrap());
-        let t = pool.submit(|(): &mut ()| 1u8);
+        let stall = submit(&pool, move |(): &mut ()| gate_rx.recv().unwrap());
+        let t = submit(&pool, |(): &mut ()| 1u8);
         let t = t
             .wait_timeout(Duration::from_millis(10))
             .expect_err("worker is stalled; the job cannot have run");
@@ -1046,67 +834,24 @@ mod tests {
     #[test]
     fn panicking_job_resolves_ticket_and_spares_the_worker() {
         let pool = Pool::new(1, 4, |_| ());
-        let t = pool.submit(|(): &mut ()| -> () { panic!("bad request") });
+        let t = submit(&pool, |(): &mut ()| -> () { panic!("bad request") });
         let outcome = catch_unwind(AssertUnwindSafe(move || t.wait()));
         let msg = panic_message(outcome.expect_err("job panicked").as_ref());
         assert!(msg.contains("bad request"), "{msg}");
         // The worker survived and still serves.
-        assert_eq!(pool.submit(|(): &mut ()| 3u8).wait(), 3);
+        assert_eq!(submit(&pool, |(): &mut ()| 3u8).wait(), 3);
         pool.shutdown();
     }
 
     #[test]
-    fn scoped_jobs_borrow_from_the_stack() {
-        let data: Vec<u64> = (0..100).collect();
-        let total: u64 = scoped(
-            3,
-            |_| (),
-            |pool| {
-                let tickets: Vec<Ticket<u64>> = data
-                    .chunks(7)
-                    .map(|chunk| pool.submit(move |(): &mut ()| chunk.iter().sum::<u64>()))
-                    .collect();
-                tickets.into_iter().map(Ticket::wait).sum()
-            },
-        );
-        assert_eq!(total, data.iter().sum::<u64>());
-    }
-
-    #[test]
-    fn scope_body_panic_propagates_instead_of_deadlocking() {
-        // `Ticket::wait` re-raises a job panic *inside* the scope
-        // body; the shutdown guard must still release the workers so
-        // thread::scope can join and the panic propagates — the
-        // failure mode being pinned here is a hang, not a wrong value.
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            scoped(
-                2,
-                |_| (),
-                |pool| {
-                    let t = pool.submit(|(): &mut ()| -> u32 { panic!("job boom") });
-                    t.wait()
-                },
-            )
-        }));
-        let msg = panic_message(outcome.expect_err("panic must propagate").as_ref());
-        assert!(msg.contains("job boom"), "{msg}");
-    }
-
-    #[test]
-    fn panicking_session_constructor_panics_the_waiter_instead_of_hanging() {
-        // Whether the submission races ahead of the worker deaths
-        // (job queued, then dropped by the last dying worker → ticket
-        // resolves panicked) or behind them (dead pool refuses, the
-        // unbounded submit's expect fires), the caller gets a panic —
-        // the pinned failure mode is a hang.
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            scoped(
-                2,
-                |_| -> () { panic!("make boom") },
-                |pool| pool.submit(|(): &mut ()| 1u32).wait(),
-            )
-        }));
-        assert!(outcome.is_err(), "a dead scoped pool must panic, not hang");
+    fn outcome_takes_hand_a_job_panic_back_instead_of_raising() {
+        let pool = Pool::new(1, 4, |_| ());
+        let t = submit(&pool, |(): &mut ()| -> u8 { panic!("typed boom") });
+        match t.wait_outcome() {
+            Err(msg) => assert!(msg.contains("typed boom"), "{msg}"),
+            Ok(v) => panic!("expected the panic message, got {v}"),
+        }
+        pool.shutdown();
     }
 
     #[test]
@@ -1129,25 +874,6 @@ mod tests {
     }
 
     #[test]
-    fn scoped_drains_unwaited_tickets_before_returning() {
-        let counter = Mutex::new(0u32);
-        scoped(
-            2,
-            |_| (),
-            |pool| {
-                for _ in 0..20 {
-                    // Deliberately dropped tickets: the scope must
-                    // still run every job before unwinding.
-                    let _ = pool.submit(|(): &mut ()| {
-                        *counter.lock().unwrap() += 1;
-                    });
-                }
-            },
-        );
-        assert_eq!(*counter.lock().unwrap(), 20);
-    }
-
-    #[test]
     fn capacity_accessors_report_configuration() {
         let pool: Pool<()> = Pool::new(2, 5, |_| ());
         assert_eq!(pool.workers(), 2);
@@ -1161,12 +887,14 @@ mod tests {
         let ran = Arc::new(AtomicU32::new(0));
         let pool = Pool::new(1, 8, |_| ());
         let (gate_tx, gate_rx) = mpsc::channel::<()>();
-        let stall = pool.submit(move |(): &mut ()| gate_rx.recv().unwrap());
+        let stall = submit(&pool, move |(): &mut ()| gate_rx.recv().unwrap());
         let counted = Arc::clone(&ran);
         // Dropped before it can run: the slot flips to Abandoned, the
         // job still executes (accepted work always runs), and the
         // completer discards the now-unwanted result.
-        drop(pool.submit(move |(): &mut ()| counted.fetch_add(1, Ordering::Relaxed)));
+        drop(submit(&pool, move |(): &mut ()| {
+            counted.fetch_add(1, Ordering::Relaxed)
+        }));
         gate_tx.send(()).unwrap();
         stall.wait();
         pool.shutdown();
@@ -1181,22 +909,40 @@ mod tests {
         // Tag 0: the first accepted job. Its pop trips KillWorker — the
         // job is re-queued, the worker thread dies, the supervisor
         // restarts it, and the restarted worker serves the job.
-        let t = pool.submit(|(): &mut ()| 41u32 + 1);
+        let t = submit(&pool, |(): &mut ()| 41u32 + 1);
         assert_eq!(t.wait(), 42);
         assert_eq!(pool.restarts(), 1);
         pool.shutdown();
     }
 
     #[test]
+    fn killed_job_is_requeued_ahead_of_later_submissions() {
+        let plan = Arc::new(FaultPlan::new().kill_worker_at(0));
+        let options = PoolOptions::new().faults(plan);
+        let pool = Pool::with_options(1, 8, options, |_| ());
+        let order = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let tickets: Vec<Ticket<()>> = (0..4u32)
+            .map(|i| {
+                let order = Arc::clone(&order);
+                submit(&pool, move |(): &mut ()| order.lock().unwrap().push(i))
+            })
+            .collect();
+        tickets.into_iter().for_each(Ticket::wait);
+        assert_eq!(*order.lock().unwrap(), vec![0, 1, 2, 3]);
+        assert_eq!(pool.restarts(), 1);
+        pool.shutdown();
+    }
+
+    #[test]
     fn exhausted_restart_budget_abandons_instead_of_looping() {
-        // Two kills against a zero restart budget: the first killed
-        // worker is abandoned outright. With every worker gone the
-        // pool drops its orphans, so the ticket resolves (panicked)
-        // rather than stranding the caller.
+        // A kill against a zero restart budget: the killed worker is
+        // abandoned outright. With every worker gone the pool drops
+        // its orphans, so the ticket resolves (panicked) rather than
+        // stranding the caller.
         let plan = Arc::new(FaultPlan::new().kill_worker_at(0));
         let options = PoolOptions::new().faults(plan).max_restarts(0);
         let pool = Pool::with_options(1, 8, options, |_| ());
-        let t = pool.submit(|(): &mut ()| 1u32);
+        let t = submit(&pool, |(): &mut ()| 1u32);
         let outcome = catch_unwind(AssertUnwindSafe(move || t.wait()));
         assert!(outcome.is_err(), "orphaned ticket must resolve by panic");
         assert_eq!(pool.restarts(), 0);
@@ -1207,10 +953,10 @@ mod tests {
     fn panic_during_shutdown_drain_still_resolves_every_ticket() {
         let pool = Pool::new(1, 32, |_| ());
         let (gate_tx, gate_rx) = mpsc::channel::<()>();
-        let stall = pool.submit(move |(): &mut ()| gate_rx.recv().unwrap());
-        let panicker = pool.submit(|(): &mut ()| -> u32 { panic!("mid-drain boom") });
+        let stall = submit(&pool, move |(): &mut ()| gate_rx.recv().unwrap());
+        let panicker = submit(&pool, |(): &mut ()| -> u32 { panic!("mid-drain boom") });
         let tickets: Vec<Ticket<u64>> = (0..10u64)
-            .map(|i| pool.submit(move |(): &mut ()| i))
+            .map(|i| submit(&pool, move |(): &mut ()| i))
             .collect();
         std::thread::scope(|scope| {
             let drainer = scope.spawn(|| pool.shutdown());
@@ -1234,9 +980,9 @@ mod tests {
         let options = PoolOptions::new().faults(plan);
         let pool = Pool::with_options(1, 32, options, |_| ());
         let (gate_tx, gate_rx) = mpsc::channel::<()>();
-        let stall = pool.submit(move |(): &mut ()| gate_rx.recv().unwrap());
+        let stall = submit(&pool, move |(): &mut ()| gate_rx.recv().unwrap());
         let tickets: Vec<Ticket<u64>> = (0..10u64)
-            .map(|i| pool.submit(move |(): &mut ()| i))
+            .map(|i| submit(&pool, move |(): &mut ()| i))
             .collect();
         std::thread::scope(|scope| {
             let drainer = scope.spawn(|| pool.shutdown());
@@ -1255,7 +1001,7 @@ mod tests {
         let plan = Arc::new(FaultPlan::new().delay_at(0, 64));
         let options = PoolOptions::new().faults(plan.clone());
         let pool = Pool::with_options(1, 8, options, |_| ());
-        assert_eq!(pool.submit(|(): &mut ()| 5u8).wait(), 5);
+        assert_eq!(submit(&pool, |(): &mut ()| 5u8).wait(), 5);
         assert_eq!(plan.injected(), 1);
         assert_eq!(pool.restarts(), 0);
         pool.shutdown();

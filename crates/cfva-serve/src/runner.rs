@@ -10,7 +10,7 @@
 //!   planner, one memory system and the plan/stats scratch buffers.
 //!   Repeated measurement through a session performs **no heap
 //!   allocation** after warm-up; [`BatchRunner::sweep`] fans independent
-//!   sweep points out across threads, one session per worker.
+//!   sweep points out across scoped threads, one session per thread.
 
 use cfva_core::plan::{AccessPlan, Planner, Strategy};
 use cfva_core::VectorSpec;
@@ -485,30 +485,26 @@ impl BatchRunner {
         )
     }
 
-    /// Runs `run` over every sweep point, in parallel across the
-    /// work-stealing session pool ([`crate::pool`]), with **one
-    /// session per worker** (built by `make_session`); results come
-    /// back in point order.
+    /// Runs `run` over every sweep point, in parallel on
+    /// [`std::thread::scope`] threads, with **one session per thread**
+    /// (built by `make_session` on that thread); results come back in
+    /// point order.
     ///
-    /// Worker count is the machine's available parallelism, capped at
+    /// Thread count is the machine's available parallelism, capped at
     /// the number of points; points are split into contiguous chunks,
-    /// one chunk submitted to each worker's local queue, so a worker's
-    /// session is reused across its whole chunk (an idle peer may
-    /// steal a chunk, in which case *its* session — an identical
-    /// `make_session()` build — runs it).
+    /// one scoped thread per chunk, so a thread's session is reused
+    /// across its whole chunk. Points may borrow from the caller's
+    /// stack. A panic in `run` or `make_session` is re-raised on the
+    /// caller's thread once every chunk thread has been joined.
     ///
     /// Determinism: results are bit-identical to the serial loop
     /// `points.iter().map(|p| run(&mut session, p))` **provided each
     /// point is self-contained** — any randomness must be seeded per
     /// point (see `tests/batch_runner.rs`), never threaded through a
     /// shared RNG. The other half of the guarantee is the
-    /// **submission-order merge**: one [`crate::pool::Ticket`] per
-    /// contiguous chunk, awaited in the order the chunks were
-    /// submitted and concatenated, so the output `Vec` is exactly the
-    /// serial output regardless of which worker finishes (or steals)
-    /// what. This is the same scheduling substrate the serving front
-    /// end (`cfva_serve::service`) runs on — bench, experiments and
-    /// serving share one pool implementation.
+    /// **chunk-order merge**: chunk threads are joined in chunk order
+    /// and their results concatenated, so the output `Vec` is exactly
+    /// the serial output regardless of which thread finishes first.
     ///
     /// ```
     /// use cfva_serve::runner::BatchRunner;
@@ -533,10 +529,10 @@ impl BatchRunner {
     /// // Serial reference...
     /// let mut session = make();
     /// let serial: Vec<u64> = points.iter().map(|p| run(&mut session, p)).collect();
-    /// // ...equals the pooled sweep: chunk results are merged in
-    /// // *submission* order (ticket per chunk, awaited in the order
-    /// // submitted), not completion order, so the output is the
-    /// // serial Vec whichever worker finishes — or steals — a chunk.
+    /// // ...equals the threaded sweep: chunk results are merged in
+    /// // *chunk* order (threads joined in the order spawned), not
+    /// // completion order, so the output is the serial Vec whichever
+    /// // thread finishes first.
     /// let parallel = BatchRunner::sweep_with_threads(4, make, &points, run);
     /// assert_eq!(parallel, serial);
     /// # Ok(())
@@ -557,7 +553,7 @@ impl BatchRunner {
         Self::sweep_with_threads(threads, make_session, points, run)
     }
 
-    /// [`sweep`](Self::sweep) with an explicit worker count (mainly for
+    /// [`sweep`](Self::sweep) with an explicit thread count (mainly for
     /// tests pinning the parallel path; `threads` is capped at the
     /// number of points).
     pub fn sweep_with_threads<P, R>(
@@ -576,35 +572,37 @@ impl BatchRunner {
             return points.iter().map(|p| run(&mut session, p)).collect();
         }
 
-        let chunk_len = points.len().div_ceil(threads);
         // Rounding up the chunk length can leave fewer chunks than
-        // requested workers (e.g. 5 points / 4 threads → 3 chunks of
-        // 2); size the pool to the chunks so no worker builds a
-        // session it will never use.
-        let workers = points.len().div_ceil(chunk_len);
-        let run = &run;
-        crate::pool::scoped(
-            workers,
-            |_worker| make_session(),
-            |pool| {
-                // One contiguous chunk per worker-local queue; tickets
-                // awaited in submission order, so the merged Vec is the
-                // serial result whatever the execution interleaving.
-                let tickets: Vec<crate::pool::Ticket<Vec<R>>> = points
-                    .chunks(chunk_len)
-                    .enumerate()
-                    .map(|(worker, chunk)| {
-                        pool.submit_to(worker, move |session: &mut BatchRunner| {
-                            chunk.iter().map(|p| run(session, p)).collect::<Vec<R>>()
-                        })
+        // requested threads (e.g. 5 points / 4 threads → 3 chunks of
+        // 2); one thread per chunk, so no thread builds a session it
+        // will never use.
+        let chunk_len = points.len().div_ceil(threads);
+        let (make_session, run) = (&make_session, &run);
+        std::thread::scope(|scope| {
+            let chunks: Vec<_> = points
+                .chunks(chunk_len)
+                .map(|chunk| {
+                    scope.spawn(move || {
+                        let mut session = make_session();
+                        chunk
+                            .iter()
+                            .map(|p| run(&mut session, p))
+                            .collect::<Vec<R>>()
                     })
-                    .collect();
-                tickets
-                    .into_iter()
-                    .flat_map(crate::pool::Ticket::wait)
-                    .collect()
-            },
-        )
+                })
+                .collect();
+            // Joined in chunk order, so the merged Vec is the serial
+            // result whatever the execution interleaving; a chunk's
+            // panic is re-raised here with its own payload.
+            chunks
+                .into_iter()
+                .flat_map(|chunk| {
+                    chunk
+                        .join()
+                        .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+                })
+                .collect()
+        })
     }
 }
 
@@ -841,5 +839,40 @@ mod tests {
         // Unit stride is conflict free for every base: all latencies at
         // the floor.
         assert!(results.iter().all(|&l| l == 4 + 16 + 1));
+    }
+
+    fn small_session() -> BatchRunner {
+        BatchRunner::new(
+            Planner::matched(XorMatched::new(2, 2).unwrap()),
+            MemConfig::new(2, 2).unwrap(),
+        )
+    }
+
+    /// Runs a 4-thread sweep over 8 points and returns the message of
+    /// the panic it must re-raise (the failure mode pinned is a hang).
+    fn sweep_panic(
+        make_session: impl Fn() -> BatchRunner + Sync,
+        run: impl Fn(&mut BatchRunner, &u64) -> u64 + Sync,
+    ) -> String {
+        let points: Vec<u64> = (0..8).collect();
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            BatchRunner::sweep_with_threads(4, make_session, &points, run)
+        }));
+        crate::pool::panic_message(outcome.expect_err("the panic must propagate").as_ref())
+    }
+
+    #[test]
+    fn sweep_reraises_a_panicking_points_panic() {
+        let msg = sweep_panic(small_session, |_, &p| {
+            assert!(p != 5, "point {p} boom");
+            p
+        });
+        assert!(msg.contains("point 5 boom"), "{msg}");
+    }
+
+    #[test]
+    fn sweep_reraises_a_panicking_session_constructors_panic() {
+        let msg = sweep_panic(|| panic!("make boom"), |_, &p| p);
+        assert!(msg.contains("make boom"), "{msg}");
     }
 }

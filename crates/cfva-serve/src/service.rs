@@ -1,17 +1,15 @@
 //! The serving front end: a [`Service`] handle dispatching typed
-//! [`Request`]s onto the work-stealing session pool.
+//! [`Request`]s onto the session pool's single FIFO admission queue.
 //!
-//! # Session affinity
+//! # Sessions
 //!
 //! Each pool worker owns a cache of long-lived [`BatchRunner`]
-//! sessions **keyed by canonical spec string**. `submit()` hashes the
-//! request's spec to pick a preferred worker and queues onto that
-//! worker's local queue, so repeated requests against the same map hit
-//! a warm session (planner, memory system, plan/stats scratch — no
-//! rebuild, no allocation). Work stealing keeps affinity a *hint*, not
-//! a bottleneck: when the preferred worker is busy, an idle peer
-//! steals the request and serves it from its own cache (building the
-//! session on first touch).
+//! sessions **keyed by canonical spec string**. `submit()` queues the
+//! request at the back of the one shared queue and whichever worker is
+//! free serves it from its own cache, building the session on first
+//! touch; later requests against the same map hit a warm session
+//! (planner, memory system, plan/stats scratch — no rebuild, no
+//! allocation).
 //!
 //! # Backpressure and shutdown
 //!
@@ -130,15 +128,11 @@ impl ServeTicket {
     /// Non-blocking take — `Some` once resolved, and at most once.
     /// Past the deadline a still-pending ticket resolves to
     /// [`ServeError::DeadlineExceeded`] (also delivered at most once).
-    ///
-    /// # Panics
-    ///
-    /// Re-raises the request's panic if it exhausted its retries in a
-    /// service configured with `max_retries` handling disabled —
-    /// normally requests resolve to typed errors instead.
+    /// A request the pool dropped unrun (every worker died for good)
+    /// resolves to [`ServeError::WorkerPanicked`] with `attempts: 0`.
     pub fn poll(&mut self) -> Option<ServeResult> {
-        if let Some(result) = self.inner.poll() {
-            return Some(result);
+        if let Some(outcome) = self.inner.poll_outcome() {
+            return Some(flatten(outcome));
         }
         match self.deadline {
             Some(deadline) if !self.expired && Instant::now() >= deadline => {
@@ -162,11 +156,12 @@ impl ServeTicket {
     ///
     /// # Panics
     ///
-    /// Same panic contract as [`poll`](ServeTicket::poll), plus the
-    /// double-take contract of [`Ticket::wait`].
+    /// Panics if the response was already taken through
+    /// [`poll`](ServeTicket::poll) (the double-take contract of
+    /// [`Ticket::wait`]).
     pub fn wait(self) -> ServeResult {
         let Some(deadline) = self.deadline else {
-            return self.inner.wait();
+            return flatten(self.inner.wait_outcome());
         };
         let budget = self.budget.unwrap_or_default();
         let counters = self.counters.clone();
@@ -174,10 +169,10 @@ impl ServeTicket {
         let outcome = if now >= deadline {
             Err(self.inner)
         } else {
-            self.inner.wait_timeout(deadline - now)
+            self.inner.wait_timeout_outcome(deadline - now)
         };
         match outcome {
-            Ok(result) => result,
+            Ok(outcome) => flatten(outcome),
             Err(abandoned) => {
                 drop(abandoned); // marks the slot abandoned; the result is discarded on completion
                 if let Some(counters) = &counters {
@@ -200,8 +195,8 @@ impl ServeTicket {
             Some(deadline) => timeout.min(deadline.saturating_duration_since(now)),
             None => timeout,
         };
-        match self.inner.wait_timeout(capped) {
-            Ok(result) => Ok(result),
+        match self.inner.wait_timeout_outcome(capped) {
+            Ok(outcome) => Ok(flatten(outcome)),
             Err(inner) => {
                 let revived = ServeTicket { inner, ..self };
                 match revived.deadline {
@@ -218,6 +213,18 @@ impl ServeTicket {
             }
         }
     }
+}
+
+/// A pool outcome as a service result. Request panics are caught and
+/// retried inside the job, so a panicked slot means the job was
+/// dropped before it ever ran: the pool lost its last worker.
+fn flatten(outcome: Result<ServeResult, String>) -> ServeResult {
+    outcome.unwrap_or_else(|message| {
+        Err(ServeError::WorkerPanicked {
+            attempts: 0,
+            message,
+        })
+    })
 }
 
 /// Service sizing and robustness knobs.
@@ -432,7 +439,7 @@ impl Drop for InFlightGuard {
     }
 }
 
-/// Plan/measure-as-a-service over the work-stealing session pool. See
+/// Plan/measure-as-a-service over the session pool. See
 /// the [module docs](self).
 ///
 /// # Examples
@@ -610,10 +617,9 @@ impl Service {
     ) -> Result<ServeTicket, ServeError> {
         let parsed: MapSpec = request.spec().parse().map_err(ServeError::Spec)?;
         validate(&request)?;
-        // Canonicalize once: the canonical string keys the affinity
-        // router, the worker's session table and the result cache, so
-        // equivalent spellings share a worker, a session and a cache
-        // entry.
+        // Canonicalize once: the canonical string keys the worker's
+        // session table and the result cache, so equivalent spellings
+        // share a session and a cache entry.
         let spec = parsed.canonical();
         let canon = spec.to_string();
 
@@ -667,7 +673,6 @@ impl Service {
             _ => None,
         };
 
-        let worker = route(&canon, self.pool.workers());
         let deadline = budget.map(|b| Instant::now() + b);
 
         // Only the degraded overload path needs the request after the
@@ -683,26 +688,24 @@ impl Service {
         let counters = Arc::clone(&self.counters);
         let max_retries = self.max_retries;
         let degrade = self.degraded_fallback;
-        let submitted = self
-            .pool
-            .try_submit_to(worker, move |sessions: &mut SpecSessions| {
-                let _guard = guard;
-                serve_one(
-                    sessions,
-                    &canon,
-                    &spec,
-                    &request,
-                    &populate,
-                    ServeAttempts {
-                        deadline,
-                        budget,
-                        max_retries,
-                        degrade,
-                        inject_panic,
-                        counters: &counters,
-                    },
-                )
-            });
+        let submitted = self.pool.try_submit(move |sessions: &mut SpecSessions| {
+            let _guard = guard;
+            serve_one(
+                sessions,
+                &canon,
+                &spec,
+                &request,
+                &populate,
+                ServeAttempts {
+                    deadline,
+                    budget,
+                    max_retries,
+                    degrade,
+                    inject_panic,
+                    counters: &counters,
+                },
+            )
+        });
         match submitted {
             Ok(ticket) => Ok(ServeTicket::pending(
                 ticket,
@@ -849,18 +852,6 @@ impl Service {
     pub fn shutdown(&self) {
         self.pool.shutdown();
     }
-}
-
-/// FNV-1a over the canonical spec string — the affinity router. Plain
-/// and dependency-free; all that matters is a stable spec → worker
-/// assignment within one service lifetime.
-fn route(key: &str, workers: usize) -> usize {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in key.bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    (hash % workers as u64) as usize
 }
 
 /// Submit-side parameter validation: everything that can be rejected
@@ -1307,17 +1298,6 @@ fn multi_stream(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn routing_is_stable_and_in_range() {
-        for workers in [1, 2, 3, 8] {
-            for key in ["xor-matched:t=3,s=4", "skewed:m=3,d=1", "interleaved:m=3"] {
-                let w = route(key, workers);
-                assert!(w < workers);
-                assert_eq!(w, route(key, workers), "routing must be deterministic");
-            }
-        }
-    }
 
     #[test]
     fn bad_spec_rejected_at_submit() {

@@ -31,7 +31,7 @@ const SMOKE_SEEDS: [u64; 3] = [7, 1992, 0xCF5A];
 
 /// A deterministic little request mix: measures across three specs and
 /// stride families, plus a sweep — enough shape diversity to exercise
-/// routing, sessions and the cache under fire.
+/// the queue, sessions and the cache under fire.
 fn request_mix(n: u64) -> Vec<Request> {
     let specs = [
         "xor-matched:t=3,s=3",
@@ -208,16 +208,18 @@ fn cache_on_equals_cache_off_under_chaos() {
 
 #[test]
 fn poisoned_ticket_slot_never_leaks_to_unrelated_requests() {
-    // A job panic re-raised through `Ticket::wait` poisons that
-    // ticket's own slot mutex mid-unwind. Unrelated requests — before,
-    // concurrent, and after — must be untouched: the poison is scoped
-    // to the one slot, and the worker (which caught the panic at the
-    // job boundary) keeps serving.
+    // A job panic re-raised through `Ticket::wait` unwinds out of that
+    // one ticket. Unrelated requests — before, concurrent, and after —
+    // must be untouched: the failure is scoped to the one slot, and
+    // the worker (which caught the panic at the job boundary) keeps
+    // serving.
     let pool = Pool::new(2, 32, |_| ());
-    let before = pool.submit(|(): &mut ()| 1u32);
-    let poisoned = pool.submit(|(): &mut ()| -> u32 { panic!("boom") });
+    let before = pool.try_submit(|(): &mut ()| 1u32).expect("room");
+    let poisoned = pool
+        .try_submit(|(): &mut ()| -> u32 { panic!("boom") })
+        .expect("room");
     let during: Vec<_> = (0..8u32)
-        .map(|i| pool.submit(move |(): &mut ()| i))
+        .map(|i| pool.try_submit(move |(): &mut ()| i).expect("room"))
         .collect();
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || poisoned.wait()));
     assert!(outcome.is_err(), "the panic re-raises at wait()");
@@ -225,8 +227,40 @@ fn poisoned_ticket_slot_never_leaks_to_unrelated_requests() {
     for (i, t) in during.into_iter().enumerate() {
         assert_eq!(t.wait(), i as u32);
     }
-    assert_eq!(pool.submit(|(): &mut ()| 9u32).wait(), 9);
+    assert_eq!(pool.try_submit(|(): &mut ()| 9u32).expect("room").wait(), 9);
     pool.shutdown();
+}
+
+#[test]
+fn a_request_dropped_unrun_resolves_worker_panicked_instead_of_panicking() {
+    // One worker, no restart budget, a kill on the first pool job: the
+    // pool dies with that request still queued and drops it unrun. The
+    // ticket resolves to a typed error, and later submits are refused.
+    let service = Service::new(
+        ServiceConfig::with_workers(1)
+            .max_worker_restarts(0)
+            .fault_plan(Arc::new(FaultPlan::new().kill_worker_at(0))),
+    );
+    let measure = |base: u64| Request::Measure {
+        spec: "interleaved:m=3".into(),
+        vec: VectorSpec::new(base, 1, 16).expect("valid"),
+        strategy: Strategy::Auto,
+    };
+    let doomed = service.submit(measure(0)).expect("an empty queue admits");
+    match doomed.wait_timeout(Duration::from_secs(60)) {
+        Ok(Err(ServeError::WorkerPanicked { attempts, message })) => {
+            assert_eq!(attempts, 0, "the request never ran");
+            assert!(message.contains("dropped"), "{message}");
+        }
+        Ok(other) => panic!("expected WorkerPanicked, got {other:?}"),
+        Err(_pending) => panic!("the dropped request's ticket never resolved"),
+    }
+    assert!(matches!(
+        service.submit(measure(1)),
+        Err(ServeError::ShuttingDown)
+    ));
+    assert_eq!(service.stats().restarts, 0);
+    service.shutdown();
 }
 
 #[test]

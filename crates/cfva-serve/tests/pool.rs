@@ -1,6 +1,7 @@
 //! Pool semantics the serving layer depends on: bounded admission
 //! rejects under a stalled worker, shutdown drains every accepted
-//! job, and an idle worker steals a stalled peer's backlog.
+//! job, and a free worker serves the shared queue behind a stalled
+//! peer in submission order.
 
 use std::sync::mpsc;
 use std::time::Duration;
@@ -19,7 +20,9 @@ fn stall_job(rx: mpsc::Receiver<()>) -> impl FnOnce(&mut usize) -> usize + Send 
 fn bounded_queue_rejects_with_typed_overload_under_a_stalled_worker() {
     let pool = Pool::new(1, 2, |worker| worker);
     let (gate, gate_rx) = mpsc::channel();
-    let stalled = pool.submit(stall_job(gate_rx));
+    let stalled = pool
+        .try_submit(stall_job(gate_rx))
+        .expect("empty queue admits");
     // Give the worker a beat to pick the stall job up, so the two
     // fillers below are genuinely *queued*, not racing for the pop.
     while pool.queue_depth() > 0 {
@@ -57,7 +60,10 @@ fn bounded_queue_rejects_with_typed_overload_under_a_stalled_worker() {
 fn shutdown_drains_every_accepted_job() {
     let pool = Pool::new(2, 1024, |worker| worker);
     let tickets: Vec<Ticket<u64>> = (0..200u64)
-        .map(|i| pool.submit(move |_: &mut usize| i * 3))
+        .map(|i| {
+            pool.try_submit(move |_: &mut usize| i * 3)
+                .expect("queue has room")
+        })
         .collect();
     // Shutdown must block until queued AND in-flight jobs finish; by
     // the time it returns, every ticket has resolved.
@@ -74,7 +80,9 @@ fn shutdown_drains_every_accepted_job() {
 fn submission_after_shutdown_begins_is_refused_and_accepted_work_drains() {
     let pool = Pool::new(1, 64, |worker| worker);
     let (gate, gate_rx) = mpsc::channel();
-    let stalled = pool.submit(stall_job(gate_rx));
+    let stalled = pool
+        .try_submit(stall_job(gate_rx))
+        .expect("empty queue admits");
 
     std::thread::scope(|scope| {
         let pool = &pool;
@@ -107,70 +115,54 @@ fn submission_after_shutdown_begins_is_refused_and_accepted_work_drains() {
 }
 
 #[test]
-fn idle_worker_steals_a_stalled_peers_backlog() {
+fn a_free_worker_serves_the_queue_behind_a_gated_peer_in_order() {
     // Sessions are the worker index, so each job reports who ran it.
     let pool = Pool::new(2, 64, |worker| worker);
     let (gate, gate_rx) = mpsc::channel();
     let (holder_tx, holder_rx) = mpsc::channel();
 
-    // Stall one worker. The stall job is targeted at worker 0's local
-    // queue, but the idle peer may legitimately steal it first — so
-    // the job reports which worker actually holds it before blocking.
-    let stalled = pool.submit_to(0, move |worker: &mut usize| {
-        holder_tx.send(*worker).expect("test alive");
-        gate_rx.recv().expect("gate sender dropped");
-        *worker
-    });
-    let holder = holder_rx.recv().expect("stall job started");
-    let peer = 1 - holder;
+    // Gate whichever worker pops the first job; it reports its index
+    // before blocking.
+    let gated = pool
+        .try_submit(move |worker: &mut usize| {
+            holder_tx.send(*worker).expect("test alive");
+            gate_rx.recv().expect("gate sender dropped");
+            *worker
+        })
+        .expect("empty queue admits");
+    let holder = holder_rx.recv().expect("gate job started");
+    let free = 1 - holder;
 
-    // Pile the *holder's* local queue high while the peer sits idle.
-    // Until the gate opens the holder cannot run anything, so the only
-    // way these jobs complete is the peer stealing them.
-    let backlog: Vec<Ticket<usize>> = (0..8)
-        .map(|_| pool.submit_to(holder, |worker: &mut usize| *worker))
+    // Everything queued behind the gated job can only be popped by the
+    // free worker, one job at a time from the front of the queue.
+    let (order_tx, order_rx) = mpsc::channel();
+    let backlog: Vec<Ticket<usize>> = (0..8u32)
+        .map(|i| {
+            let order_tx = order_tx.clone();
+            pool.try_submit(move |worker: &mut usize| {
+                order_tx.send(i).expect("test alive");
+                *worker
+            })
+            .expect("queue has room")
+        })
         .collect();
 
     let mut ran_on: Vec<usize> = Vec::new();
     for ticket in backlog {
         match ticket.wait_timeout(Duration::from_secs(30)) {
             Ok(worker) => ran_on.push(worker),
-            Err(_) => panic!("backlog job never ran: stealing is broken"),
+            Err(_) => panic!("a job queued behind a gated worker never ran"),
         }
     }
     assert!(
-        ran_on.iter().all(|&w| w == peer),
-        "worker {holder} was stalled; every backlog job must have been \
-         stolen by worker {peer}, got {ran_on:?}"
+        ran_on.iter().all(|&w| w == free),
+        "worker {holder} was gated; every queued job must have run on \
+         worker {free}, got {ran_on:?}"
     );
+    let order: Vec<u32> = order_rx.try_iter().collect();
+    assert_eq!(order, (0..8).collect::<Vec<_>>(), "FIFO: submission order");
 
     gate.send(()).unwrap();
-    assert_eq!(stalled.wait(), holder);
-    pool.shutdown();
-}
-
-#[test]
-fn affinity_submission_prefers_the_target_worker_when_free() {
-    let pool = Pool::new(2, 64, |worker| worker);
-    let (gate, gate_rx) = mpsc::channel();
-    let (holder_tx, holder_rx) = mpsc::channel();
-    // Stall one worker (wherever the stall job lands); jobs targeted
-    // at the free peer's local queue run on that peer.
-    let stalled = pool.submit_to(1, move |worker: &mut usize| {
-        holder_tx.send(*worker).expect("test alive");
-        gate_rx.recv().expect("gate sender dropped");
-        *worker
-    });
-    let holder = holder_rx.recv().expect("stall job started");
-    let peer = 1 - holder;
-    for _ in 0..4 {
-        let worker = pool.submit_to(peer, |worker: &mut usize| *worker).wait();
-        assert_eq!(
-            worker, peer,
-            "worker {peer} is free and owns the local queue"
-        );
-    }
-    gate.send(()).unwrap();
-    assert_eq!(stalled.wait(), holder);
+    assert_eq!(gated.wait(), holder);
     pool.shutdown();
 }

@@ -8,11 +8,13 @@ use cfva_core::plan::Strategy;
 use cfva_core::{Stride, VectorSpec};
 use cfva_memsim::IssuePolicy;
 use cfva_serve::api::{Estimator, Request, Response, SchedulePlan, ServeError};
+use cfva_serve::fault::FaultPlan;
 use cfva_serve::runner::BatchRunner;
 use cfva_serve::service::{Service, ServiceConfig};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// Every registered coverage spec, as owned strings.
 fn all_specs() -> Vec<String> {
@@ -47,7 +49,7 @@ proptest! {
 
         // Three workers and a shared warm service would also work, but
         // a per-case service additionally covers cold session builds
-        // on every worker the router picks.
+        // on whichever worker pops the request.
         let service = Service::new(ServiceConfig::with_workers(3));
         let ticket = service
             .submit(Request::Measure {
@@ -216,12 +218,23 @@ fn batch_and_sweep_and_efficiency_match_direct_session_calls() {
     service.shutdown();
 }
 
+/// Busy-loop iterations of the injected delay that wedges the worker
+/// in [`overloaded_burst_rejects_typed_and_every_accepted_ticket_resolves`]:
+/// about a second on a 2-core x86-64 host, and far longer than the
+/// burst's own submissions on any machine.
+const WEDGE_SPINS: u32 = 50_000_000;
+
 #[test]
 fn overloaded_burst_rejects_typed_and_every_accepted_ticket_resolves() {
-    // One worker pinned down by a heavy request, a queue of two, and a
-    // burst: some submissions MUST come back Overloaded (typed, with
-    // the observed depth), and everything accepted must still resolve.
-    let service = Service::new(ServiceConfig::with_workers(1).queue_capacity(2));
+    // One worker wedged by an injected delay, a queue of two, and a
+    // burst: exactly two submissions fit behind the wedge, every other
+    // one comes back Overloaded (typed, with the observed depth), and
+    // everything accepted still resolves.
+    let service = Service::new(
+        ServiceConfig::with_workers(1)
+            .queue_capacity(2)
+            .fault_plan(Arc::new(FaultPlan::new().delay_at(0, WEDGE_SPINS))),
+    );
     let heavy = service
         .submit(Request::Efficiency {
             spec: "xor-matched:t=3,s=4".into(),
@@ -235,6 +248,12 @@ fn overloaded_burst_rejects_typed_and_every_accepted_ticket_resolves() {
             seed: 3,
         })
         .expect("room");
+    // Pool job 0 carries the delay, and the fault counter ticks when
+    // the worker pops it, right before it starts spinning: from here on
+    // the queue cannot drain until the burst is over.
+    while service.stats().faults_injected == 0 {
+        std::thread::yield_now();
+    }
 
     let mut accepted = Vec::new();
     let mut overloads = 0u32;
@@ -249,17 +268,14 @@ fn overloaded_burst_rejects_typed_and_every_accepted_ticket_resolves() {
                 queue_depth,
                 capacity,
             }) => {
-                assert_eq!(capacity, 2);
-                assert!(queue_depth >= capacity, "refused below the bound");
+                assert_eq!((queue_depth, capacity), (2, 2));
                 overloads += 1;
             }
             Err(e) => panic!("unexpected submit error: {e}"),
         }
     }
-    assert!(
-        overloads > 0,
-        "a 200-request burst against a stalled queue of 2 must overflow"
-    );
+    assert_eq!(accepted.len(), 2, "exactly the queue's capacity fits");
+    assert_eq!(overloads, 198, "every other submission is refused");
     for ticket in accepted {
         assert!(matches!(ticket.wait(), Ok(Response::Measured(Some(_)))));
     }
@@ -326,8 +342,6 @@ fn submits_after_shutdown_are_refused_as_shutting_down() {
 
 #[test]
 fn exhausted_retries_resolve_worker_panicked_with_the_message() {
-    use cfva_serve::fault::FaultPlan;
-    use std::sync::Arc;
     // A panic injected at submission 0 with retries disabled: the
     // ticket resolves the typed error, the worker survives, and the
     // service keeps serving bit-identically.

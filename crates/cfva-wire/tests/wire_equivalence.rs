@@ -15,11 +15,13 @@ use cfva_core::plan::Strategy;
 use cfva_core::{Stride, VectorSpec};
 use cfva_memsim::IssuePolicy;
 use cfva_serve::api::{Estimator, Request, Response, SchedulePlan, ServeError};
+use cfva_serve::fault::FaultPlan;
 use cfva_serve::service::{Service, ServiceConfig};
 use cfva_wire::client::WireClient;
 use cfva_wire::frame::{self, PROTOCOL_VERSION};
 use cfva_wire::json::{self, ClientFrame, ServerFrame};
 use cfva_wire::server::{WireServer, WireServerConfig};
+use cfva_wire::WireError;
 use proptest::prelude::*;
 
 /// Every registered coverage spec, as owned strings.
@@ -270,6 +272,58 @@ fn service_shutdown_surfaces_shutting_down_through_the_socket() {
     ));
     drop(client);
     server.shutdown();
+}
+
+#[test]
+fn a_request_dropped_unrun_answers_worker_panicked_and_the_writer_survives() {
+    // One worker, no restart budget, a kill on the first pool job: the
+    // pool dies with that request still queued and drops it unrun. The
+    // socket must answer it with a typed WorkerPanicked, and a second
+    // submit on the same connection must still be answered (the dead
+    // pool refuses it as ShuttingDown) — proof the writer is alive.
+    let (service, server) = serve_pair(
+        ServiceConfig::with_workers(1)
+            .max_worker_restarts(0)
+            .fault_plan(Arc::new(FaultPlan::new().kill_worker_at(0))),
+        WireServerConfig::default(),
+    );
+    let addr = server.local_addr();
+    let measure = |base: u64| Request::Measure {
+        spec: "interleaved:m=3".to_string(),
+        vec: VectorSpec::new(base, 1, 16).expect("valid"),
+        strategy: Strategy::Auto,
+    };
+    // The client runs on its own thread so a hang fails this test on a
+    // bounded timeout instead of wedging it.
+    let (done, outcome) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let round_trips = (|| {
+            let mut client = WireClient::connect(addr)?;
+            let first = client.submit(measure(0))?;
+            let first = client.wait(first)?;
+            let second = client.submit(measure(1))?;
+            let second = client.wait(second)?;
+            Ok::<_, WireError>((first, second))
+        })();
+        let _ = done.send(round_trips);
+    });
+    let (first, second) = outcome
+        .recv_timeout(Duration::from_secs(30))
+        .expect("the wire client hung: the dropped job took the connection's writer down")
+        .expect("wire transport");
+    match first {
+        Err(ServeError::WorkerPanicked { attempts, message }) => {
+            assert_eq!(attempts, 0, "the request never ran");
+            assert!(message.contains("dropped"), "{message}");
+        }
+        other => panic!("expected WorkerPanicked, got {other:?}"),
+    }
+    assert!(
+        matches!(second, Err(ServeError::ShuttingDown)),
+        "expected ShuttingDown from the dead pool, got {second:?}"
+    );
+    server.shutdown();
+    service.shutdown();
 }
 
 #[test]

@@ -1,5 +1,5 @@
 //! Plan/measure-as-a-service in a dozen lines: stand up the
-//! work-stealing session pool behind a [`Service`], submit typed
+//! session pool behind a [`Service`], submit typed
 //! requests against maps named by registry spec strings, and reap the
 //! tickets — including the backpressure path a production client must
 //! handle.
@@ -19,9 +19,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // are told to back off.
     let service = Service::new(ServiceConfig::with_workers(2).queue_capacity(8));
 
-    // Fire a mixed burst: measurements on two different maps (routed
-    // to spec-affine workers) plus an efficiency estimate. Tickets are
-    // reaped later, in any order.
+    // Fire a mixed burst: measurements on two different maps plus an
+    // efficiency estimate, queued FIFO for whichever worker is free.
+    // Tickets are reaped later, in any order.
     let measure = service.submit(Request::Measure {
         spec: "xor-matched:t=3,s=3".into(),
         vec: VectorSpec::new(16, 12, 64)?,
