@@ -18,13 +18,13 @@
 //!
 //! # The lock hierarchy (L001)
 //!
-//! The serving layer's locks — scheduler (`sched`), ticket result slot
-//! (`slot`), worker handles (`handles`), spec metadata
-//! (`spec_used_bits`), result-cache shards (`shard`/`shards`) — form a
-//! deliberately *flat* hierarchy: every lock is a leaf, and holding
-//! two at once is a bug by definition. Completion goes through
-//! `Completer` after the scheduler lock is released; cache population
-//! happens outside both. The static check lives in
+//! The serving layer's locks — scheduler (`sched`), worker handles
+//! (`handles`), spec metadata (`spec_used_bits`), result-cache shards
+//! (`shard`/`shards`) — form a deliberately *flat* hierarchy: every
+//! lock is a leaf, and holding two at once is a bug by definition.
+//! Jobs run and resolve their tickets (over one-shot channels) after
+//! the scheduler lock is released; cache population happens outside
+//! it. The static check lives in
 //! [`lints::lock_order` (L001)](lints); the matching dynamic check is
 //! `cfva-serve`'s debug-build lock-class stack, which panics on the
 //! same inversion at runtime.

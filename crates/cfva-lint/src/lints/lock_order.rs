@@ -2,12 +2,11 @@
 //!
 //! The serving layer's concurrency design keeps every lock a **leaf**:
 //! a thread holds at most one of the serve locks at a time. The
-//! scheduler mutex (`sched`), the per-ticket result slot (`slot`), the
-//! worker-handle list (`handles`), the spec metadata map
-//! (`spec_used_bits`) and the result-cache shards (`shards` /
-//! `shard()`) must never nest in either direction — completion paths
-//! resolve tickets *after* releasing the scheduler lock, and cache
-//! population happens outside both. A nested acquisition is either a
+//! scheduler mutex (`sched`), the worker-handle list (`handles`), the
+//! spec metadata map (`spec_used_bits`) and the result-cache shards
+//! (`shards` / `shard()`) must never nest in either direction — jobs
+//! run and resolve their tickets *after* releasing the scheduler lock,
+//! and cache population happens outside it. A nested acquisition is either a
 //! latent deadlock (opposite orders on two threads) or an accidental
 //! extension of a critical section; both are rejected here.
 //!

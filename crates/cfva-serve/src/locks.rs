@@ -2,9 +2,8 @@
 //!
 //! # The hierarchy: every lock is a leaf
 //!
-//! The serving layer owns nine lock classes ([`LockClass`]): the
-//! scheduler ([`Sched`](LockClass::Sched)), the per-ticket result slot
-//! ([`TicketSlot`](LockClass::TicketSlot)), the worker-handle registry
+//! The serving layer owns eight lock classes ([`LockClass`]): the
+//! scheduler ([`Sched`](LockClass::Sched)), the worker-handle registry
 //! ([`Handles`](LockClass::Handles)), the per-spec metadata map
 //! ([`SpecMeta`](LockClass::SpecMeta)), the result-cache shards
 //! ([`CacheShard`](LockClass::CacheShard)), the pool supervisor's
@@ -20,11 +19,10 @@
 //! hierarchy deliberately **flat**: a thread holds at most one of
 //! them at a time.
 //!
-//! * Workers pop a job under `Sched`, release, *then* run it — ticket
-//!   resolution (`TicketSlot`) happens strictly after the scheduler
-//!   lock is gone.
+//! * Workers pop a job under `Sched`, release, *then* run it. Tickets
+//!   resolve through one-shot channels, not a lock.
 //! * Cache lookups and population (`CacheShard`) happen before
-//!   submission or after completion, never inside either lock.
+//!   submission or after completion, never under `Sched`.
 //! * `Handles` is touched only by `shutdown`, after admission closes.
 //! * `Supervisor` is touched only on the worker-death path: a dying
 //!   worker thread records its restart (and reads the restart budget)
@@ -39,9 +37,8 @@
 //!   new one under the lock, and joins the finished ones after
 //!   releasing it; drain-on-shutdown swaps the list out under the
 //!   lock and joins the per-connection threads strictly after
-//!   releasing it (a joined thread may be blocked acquiring `Sched`
-//!   or `TicketSlot`, so joining under `WireConns` would nest by
-//!   proxy).
+//!   releasing it (a joined thread may be blocked acquiring `Sched`,
+//!   so joining under `WireConns` would nest by proxy).
 //! * `WireIntern` guards the codec's append-only pool of leaked
 //!   `&'static str` values (decoding `ConfigError` needs statics).
 //!   Interning is pure string work; no other lock is reachable from
@@ -65,28 +62,16 @@
 //! state that is only ever mutated in small, panic-free critical
 //! sections (jobs run *outside* the locks, with panics caught at the
 //! job boundary), so a poisoned lock means a bug in this crate itself,
-//! not a bad request — unrecoverable by design. The one deliberate
-//! exception is [`ClassedMutex::lock_unchecked`], used by drop paths
-//! that may run *during an unwind* (ticket abandonment, completer
-//! cleanup): those recover from poison instead of panicking, because a
-//! panic there would be a double panic and abort the process, and the
-//! cleanup they perform is sound against any partially-updated slot. A
-//! poisoned lock never leaks past the request that poisoned it —
-//! unrelated requests keep resolving (pinned by
-//! `poisoned_ticket_slot_never_leaks_to_unrelated_requests` in
-//! `tests/chaos.rs`).
+//! not a bad request — unrecoverable by design.
 
-use std::sync::{Condvar, Mutex, MutexGuard, WaitTimeoutResult};
-use std::time::Duration;
+use std::sync::{Condvar, Mutex, MutexGuard};
 
 /// The serve-layer lock classes. See the [module docs](self) for what
 /// each guards and why they never nest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LockClass {
-    /// The pool scheduler: every queue, behind one lock.
+    /// The pool scheduler: the admission queue, behind one lock.
     Sched,
-    /// One ticket's result slot.
-    TicketSlot,
     /// The pool's worker `JoinHandle` registry.
     Handles,
     /// The service's per-spec metadata map.
@@ -143,22 +128,6 @@ impl<T> ClassedMutex<T> {
     /// The class this mutex was registered under.
     pub fn class(&self) -> LockClass {
         self.class
-    }
-
-    /// Locks without the debug-order bookkeeping and **recovering from
-    /// poison** instead of panicking.
-    ///
-    /// Exclusively for drop paths that may run *during an unwind*
-    /// (ticket abandonment, completer cleanup): a panic there would be
-    /// a double panic and abort the process, so this path must never
-    /// panic. A poisoned slot mutex here means the panicking side was
-    /// interrupted mid-store; the cleanup it protects (marking a slot
-    /// abandoned, discarding a result) is sound against any such
-    /// partial state.
-    pub(crate) fn lock_unchecked(&self) -> MutexGuard<'_, T> {
-        self.inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 }
 
@@ -235,26 +204,6 @@ pub fn wait<'a, T>(cv: &Condvar, guard: ClassedGuard<'a, T>) -> ClassedGuard<'a,
     ClassedGuard::renew(class, inner)
 }
 
-/// `Condvar::wait_timeout` over a classed guard; same held-token
-/// handling as [`wait`].
-///
-/// # Panics
-///
-/// Panics if the lock is poisoned (see the [module docs](self)).
-pub fn wait_timeout<'a, T>(
-    cv: &Condvar,
-    guard: ClassedGuard<'a, T>,
-    timeout: Duration,
-) -> (ClassedGuard<'a, T>, WaitTimeoutResult) {
-    let class = guard.class;
-    let inner = guard.into_inner();
-    let (inner, timed_out) = cv
-        .wait_timeout(inner, timeout)
-        // cfva-lint: allow(L002, reason = "same single poison point as ClassedMutex::lock")
-        .expect("cfva-serve lock poisoned");
-    (ClassedGuard::renew(class, inner), timed_out)
-}
-
 /// The debug-build checker: a thread-local stack of held classes.
 /// Compiled out entirely in release builds.
 #[cfg(debug_assertions)]
@@ -305,7 +254,7 @@ mod tests {
     #[test]
     fn sequential_acquisitions_are_fine() {
         let a = ClassedMutex::new(LockClass::Sched, 1u32);
-        let b = ClassedMutex::new(LockClass::TicketSlot, 2u32);
+        let b = ClassedMutex::new(LockClass::Handles, 2u32);
         assert_eq!(*a.lock(), 1);
         assert_eq!(*b.lock(), 2);
         assert_eq!(*a.lock(), 1); // re-lock after release is fine too
@@ -357,28 +306,12 @@ mod tests {
         assert!(outcome.is_err());
     }
 
-    #[cfg(debug_assertions)]
-    #[test]
-    fn wait_timeout_releases_the_held_token_during_the_wait() {
-        // After a timed-out wait the guard is held again; dropping it
-        // must leave the thread able to take another class — i.e. the
-        // renew path keeps the stack balanced.
-        let m = ClassedMutex::new(LockClass::Sched, ());
-        let cv = Condvar::new();
-        let g = m.lock();
-        let (g, timed_out) = wait_timeout(&cv, g, Duration::from_millis(1));
-        assert!(timed_out.timed_out());
-        drop(g);
-        let other = ClassedMutex::new(LockClass::TicketSlot, ());
-        let _g = other.lock(); // would panic if Sched were still registered
-    }
-
     #[test]
     fn threads_track_held_locks_independently() {
         // The checker is per-thread: two threads may each hold one
         // lock concurrently without tripping it.
         let a = std::sync::Arc::new(ClassedMutex::new(LockClass::Sched, 0u32));
-        let b = std::sync::Arc::new(ClassedMutex::new(LockClass::TicketSlot, 0u32));
+        let b = std::sync::Arc::new(ClassedMutex::new(LockClass::CacheShard, 0u32));
         let (a2, b2) = (std::sync::Arc::clone(&a), std::sync::Arc::clone(&b));
         let t = std::thread::spawn(move || {
             for _ in 0..100 {

@@ -21,14 +21,24 @@
 //!
 //! [`Pool::try_submit`] returns a [`Ticket`] — a future-like handle
 //! resolved by the worker that executes the job ([`Ticket::poll`] /
-//! [`Ticket::wait`] / [`Ticket::wait_timeout`]). Work beyond the queue
-//! capacity is refused with [`SubmitError::QueueFull`] instead of
-//! queued unboundedly; [`Pool::shutdown`] drains every queued job
-//! before the workers exit, so accepted tickets always resolve.
+//! [`Ticket::wait`] / [`Ticket::wait_timeout`]). A ticket is the
+//! receiving end of a one-shot channel; the job carries the sending
+//! end and sends exactly once: the result, the caught panic's message,
+//! or — when the job is dropped without running — a "dropped"
+//! message. Dropping a ticket drops the receiver, so a late outcome is
+//! discarded by its failed send. The same send can run a wake hook,
+//! which is how the wire writer learns of completions without polling.
+//!
+//! Work beyond the queue capacity is refused with
+//! [`SubmitError::QueueFull`] instead of queued unboundedly;
+//! [`Pool::shutdown`] drains every queued job before the workers exit,
+//! so accepted tickets always resolve.
 
+use std::cell::OnceCell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender};
 use std::sync::{Arc, Condvar};
 use std::time::Duration;
 
@@ -214,7 +224,7 @@ impl<S> Core<S> {
     /// A worker that will never serve again (its `make` closure
     /// panicked, or its restart budget is spent). The last live worker
     /// to fall takes every queued job down with it — dropping a job
-    /// resolves its ticket as panicked (see [`Completer`]), so waiters
+    /// resolves its ticket as panicked (see [`Resolver`]), so waiters
     /// get an outcome, not a hang. While any worker remains alive,
     /// queued jobs are simply left for it to pop.
     fn abandon_worker(&self) {
@@ -227,8 +237,8 @@ impl<S> Core<S> {
                 std::mem::take(&mut sched.queue)
             }
         };
-        // Dropped outside the scheduler lock: each orphan's completer
-        // takes its own ticket lock.
+        // Dropped outside the scheduler lock: each orphan's resolver
+        // sends its ticket the "dropped" outcome and runs its wake hook.
         drop(orphans);
     }
 
@@ -242,30 +252,17 @@ impl<S> Core<S> {
     }
 }
 
-/// How one job ended, as seen by its [`Ticket`].
-enum Slot<R> {
-    Pending,
-    Done(R),
-    /// The job panicked on its worker; the payload's message.
-    Panicked(String),
-    /// The result was already taken by [`Ticket::poll`].
-    Taken,
-    /// The ticket was dropped while the job was still pending (e.g.
-    /// after a [`Ticket::wait_timeout`] the caller gave up on). The
-    /// job still runs — it was accepted — but its result (or panic
-    /// payload) is **discarded at completion** instead of parked in
-    /// the slot for as long as the completer side keeps it alive.
-    Abandoned,
-}
-
 /// What a take found: the job's result, or the message of the panic
 /// that ended it (including a job dropped before it could run).
 pub(crate) type Outcome<R> = Result<R, String>;
 
-struct TicketShared<R> {
-    slot: ClassedMutex<Slot<R>>,
-    done: Condvar,
-}
+/// A hook run once a job's outcome is on its ticket — the completion
+/// push an event-driven caller (the wire writer) sleeps on.
+pub(crate) type Wake = Box<dyn FnOnce() + Send>;
+
+/// The outcome of a job destroyed without running.
+const DROPPED: &str = "job dropped before it could run (every pool worker died or \
+                       its session construction panicked)";
 
 /// A future-like completion handle for one submitted job.
 ///
@@ -274,10 +271,18 @@ struct TicketShared<R> {
 /// [`wait`](Ticket::wait) / [`wait_timeout`](Ticket::wait_timeout)
 /// observes it first. If the job panicked on its worker, the panic is
 /// re-raised (with its message) at the take site — a pool worker never
-/// dies with the panic.
+/// dies with the panic. Dropping a ticket abandons the job's result:
+/// the job still runs (it was accepted), and its outcome is discarded
+/// when it completes.
 #[must_use = "a Ticket is the only handle to the request's result; drop it and the result is lost"]
 pub struct Ticket<R> {
-    shared: Arc<TicketShared<R>>,
+    /// The job side's one-shot channel; `None` once the outcome has
+    /// been taken, and for a ticket born resolved.
+    rx: Option<Receiver<Outcome<R>>>,
+    /// The outcome, once [`is_ready`](Ticket::is_ready) received it
+    /// off `rx` (or born resolved), until taken. Boxed to keep the
+    /// ticket small.
+    outcome: OnceCell<Box<Outcome<R>>>,
 }
 
 impl<R> std::fmt::Debug for Ticket<R> {
@@ -294,30 +299,20 @@ impl<R> Ticket<R> {
     /// `wait`/`poll` return immediately.
     pub(crate) fn ready(result: R) -> Self {
         Ticket {
-            shared: Arc::new(TicketShared {
-                slot: ClassedMutex::new(LockClass::TicketSlot, Slot::Done(result)),
-                done: Condvar::new(),
-            }),
+            rx: None,
+            outcome: OnceCell::from(Box::new(Ok(result))),
         }
-    }
-
-    fn new() -> (Self, Arc<TicketShared<R>>) {
-        let shared = Arc::new(TicketShared {
-            slot: ClassedMutex::new(LockClass::TicketSlot, Slot::Pending),
-            done: Condvar::new(),
-        });
-        (
-            Ticket {
-                shared: Arc::clone(&shared),
-            },
-            shared,
-        )
     }
 
     /// Whether the job has finished (the result — or its panic — is
     /// ready to take).
     pub fn is_ready(&self) -> bool {
-        !matches!(*self.shared.slot.lock(), Slot::Pending)
+        if self.outcome.get().is_none() {
+            if let Some(Ok(outcome)) = self.rx.as_ref().map(Receiver::try_recv) {
+                let _ = self.outcome.set(Box::new(outcome));
+            }
+        }
+        self.outcome.get().is_some()
     }
 
     /// Non-blocking take: `Some(result)` once the job has finished,
@@ -353,59 +348,44 @@ impl<R> Ticket<R> {
     /// [`poll`](Ticket::poll) that hands a job panic back as `Err`
     /// instead of re-raising it.
     pub(crate) fn poll_outcome(&mut self) -> Option<Outcome<R>> {
-        let mut slot = self.shared.slot.lock();
-        Self::take(&mut slot)
+        let outcome = match self.outcome.take() {
+            Some(outcome) => *outcome,
+            None => self.rx.as_ref()?.try_recv().ok()?,
+        };
+        self.rx = None;
+        Some(outcome)
     }
 
     /// [`wait`](Ticket::wait) that hands a job panic back as `Err`
     /// instead of re-raising it. Still panics on a double take.
-    pub(crate) fn wait_outcome(self) -> Outcome<R> {
-        let mut slot = self.shared.slot.lock();
-        loop {
-            if let Some(outcome) = Self::take(&mut slot) {
-                return outcome;
-            }
-            if matches!(*slot, Slot::Taken) {
-                // cfva-lint: allow(L002, reason = "documented # Panics contract: double-take is a caller bug, not a load condition")
-                panic!("ticket result already taken by poll()");
-            }
-            slot = locks::wait(&self.shared.done, slot);
+    pub(crate) fn wait_outcome(mut self) -> Outcome<R> {
+        if let Some(outcome) = self.outcome.take() {
+            return *outcome;
+        }
+        match &self.rx {
+            Some(rx) => rx.recv().unwrap_or_else(|_| Err(DROPPED.to_string())),
+            // cfva-lint: allow(L002, reason = "documented # Panics contract: double-take is a caller bug, not a load condition")
+            None => panic!("ticket result already taken by poll()"),
         }
     }
 
     /// [`wait_timeout`](Ticket::wait_timeout) that hands a job panic
     /// back as `Ok(Err(message))` instead of re-raising it.
-    pub(crate) fn wait_timeout_outcome(self, timeout: Duration) -> Result<Outcome<R>, Ticket<R>> {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut slot = self.shared.slot.lock();
-        loop {
-            if let Some(outcome) = Self::take(&mut slot) {
-                return Ok(outcome);
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                drop(slot);
-                return Err(self);
-            }
-            (slot, _) = locks::wait_timeout(&self.shared.done, slot, deadline - now);
+    pub(crate) fn wait_timeout_outcome(
+        mut self,
+        timeout: Duration,
+    ) -> Result<Outcome<R>, Ticket<R>> {
+        if let Some(outcome) = self.outcome.take() {
+            return Ok(*outcome);
         }
-    }
-
-    fn take(slot: &mut Slot<R>) -> Option<Outcome<R>> {
-        match std::mem::replace(slot, Slot::Taken) {
-            Slot::Done(result) => Some(Ok(result)),
-            Slot::Panicked(msg) => Some(Err(msg)),
-            Slot::Pending => {
-                *slot = Slot::Pending;
-                None
-            }
-            // Unreachable while a Ticket is alive (only its own Drop
-            // writes Abandoned), but harmless to preserve.
-            Slot::Abandoned => {
-                *slot = Slot::Abandoned;
-                None
-            }
-            Slot::Taken => None,
+        let Some(rx) = &self.rx else {
+            // Already taken: nothing will ever arrive.
+            return Err(self);
+        };
+        match rx.recv_timeout(timeout) {
+            Ok(outcome) => Ok(outcome),
+            Err(RecvTimeoutError::Timeout) => Err(self),
+            Err(RecvTimeoutError::Disconnected) => Ok(Err(DROPPED.to_string())),
         }
     }
 }
@@ -417,64 +397,31 @@ fn reraise<R>(outcome: Outcome<R>) -> R {
     outcome.unwrap_or_else(|msg| panic!("pool job panicked: {msg}"))
 }
 
-impl<R> Drop for Ticket<R> {
-    /// Marks a still-pending slot **abandoned**, so the job side
-    /// discards the result instead of parking it in the slot (see
-    /// [`Slot::Abandoned`]).
-    ///
-    /// Runs on every drop — including during an unwind out of
-    /// [`Ticket::wait`]'s double-take panic, which poisons the slot's
-    /// mutex — so it takes the poison-recovering, checker-free lock
-    /// path: panicking here would be a double panic (process abort).
-    fn drop(&mut self) {
-        let mut slot = self.shared.slot.lock_unchecked();
-        if matches!(*slot, Slot::Pending) {
-            *slot = Slot::Abandoned;
+/// The job side of a ticket: sends its one outcome, then runs the wake
+/// hook. A job destroyed without running (a dead pool dropping its
+/// queue, or a refused submission) resolves from `Drop` with the
+/// [`DROPPED`] message, so no waiter blocks on a ticket nothing will
+/// complete. A send to a dropped ticket fails, discarding the outcome.
+struct Resolver<R> {
+    tx: Option<SyncSender<Outcome<R>>>,
+    wake: Option<Wake>,
+}
+
+impl<R> Resolver<R> {
+    fn resolve(&mut self, outcome: Outcome<R>) {
+        if let Some(tx) = self.tx.take() {
+            let _ = tx.send(outcome);
+            if let Some(wake) = self.wake.take() {
+                wake();
+            }
         }
     }
 }
 
-/// The job-side half of a ticket: resolves it exactly once, and — the
-/// load-bearing part — resolves it as *panicked* from `Drop` if the
-/// job is destroyed without ever running (a dead pool dropping its
-/// queue), so no interleaving leaves a waiter blocked on a ticket
-/// nothing will ever complete.
-struct Completer<R> {
-    shared: Arc<TicketShared<R>>,
-    completed: bool,
-}
-
-impl<R> Completer<R> {
-    /// Resolves the slot — unless the ticket was dropped while the job
-    /// was pending, in which case the outcome (result or panic
-    /// payload) is discarded on the spot: nothing will ever take it,
-    /// so parking it would hold the allocation for as long as the
-    /// completer side lives.
-    ///
-    /// Uses the checker-free, poison-recovering lock path because the
-    /// completer may resolve from `Drop` during an unwind (a dying
-    /// pool dropping its queue); a panic here would abort.
-    fn complete(&mut self, outcome: Slot<R>) {
-        let mut slot = self.shared.slot.lock_unchecked();
-        if matches!(*slot, Slot::Abandoned) {
-            *slot = Slot::Taken;
-        } else {
-            *slot = outcome;
-        }
-        drop(slot);
-        self.shared.done.notify_all();
-        self.completed = true;
-    }
-}
-
-impl<R> Drop for Completer<R> {
+impl<R> Drop for Resolver<R> {
     fn drop(&mut self) {
-        if !self.completed {
-            self.complete(Slot::Panicked(
-                "job dropped before it could run (every pool worker died or \
-                 its session construction panicked)"
-                    .to_string(),
-            ));
+        if self.tx.is_some() {
+            self.resolve(Err(DROPPED.to_string()));
         }
     }
 }
@@ -484,23 +431,21 @@ impl<R> Drop for Completer<R> {
 /// re-raised at the ticket, so one bad request cannot kill a worker
 /// (the session is handed back; `BatchRunner` scratch is rebuilt on
 /// the next measurement, so a torn session state is harmless).
-fn package<S, R, F>(job: F) -> (BoxedRun<S>, Ticket<R>)
+fn package<S, R, F>(job: F, wake: Option<Wake>) -> (BoxedRun<S>, Ticket<R>)
 where
     F: FnOnce(&mut S) -> R + Send + 'static,
     R: Send + 'static,
 {
-    let (ticket, shared) = Ticket::new();
-    let mut completer = Completer {
-        shared,
-        completed: false,
-    };
+    let (tx, rx) = mpsc::sync_channel(1);
+    let mut resolver = Resolver { tx: Some(tx), wake };
     let boxed: BoxedRun<S> = Box::new(move |session: &mut S| {
         let outcome = catch_unwind(AssertUnwindSafe(|| job(session)));
-        completer.complete(match outcome {
-            Ok(result) => Slot::Done(result),
-            Err(payload) => Slot::Panicked(panic_message(payload.as_ref())),
-        });
+        resolver.resolve(outcome.map_err(|payload| panic_message(payload.as_ref())));
     });
+    let ticket = Ticket {
+        rx: Some(rx),
+        outcome: OnceCell::new(),
+    };
     (boxed, ticket)
 }
 
@@ -689,7 +634,22 @@ impl<S: 'static> Pool<S> {
         F: FnOnce(&mut S) -> R + Send + 'static,
         R: Send + 'static,
     {
-        let (job, ticket) = package(job);
+        self.try_submit_waking(job, None)
+    }
+
+    /// [`try_submit`](Self::try_submit) with a [`Wake`] hook, run once
+    /// the job's outcome is on the ticket — including the "dropped"
+    /// outcome of a job that never runs, and of a refused submission.
+    pub(crate) fn try_submit_waking<R, F>(
+        &self,
+        job: F,
+        wake: Option<Wake>,
+    ) -> Result<Ticket<R>, SubmitError>
+    where
+        F: FnOnce(&mut S) -> R + Send + 'static,
+        R: Send + 'static,
+    {
+        let (job, ticket) = package(job, wake);
         self.core.push(job).map(|()| ticket)
     }
 
@@ -818,6 +778,54 @@ mod tests {
     }
 
     #[test]
+    fn wait_after_poll_took_the_result_panics_already_taken() {
+        let pool = Pool::new(1, 4, |_| ());
+        let mut t = submit(&pool, |(): &mut ()| 7u32);
+        let taken = loop {
+            if let Some(v) = t.poll() {
+                break v;
+            }
+            std::thread::yield_now();
+        };
+        assert_eq!(taken, 7);
+        assert_eq!(t.poll(), None, "a taken result is gone");
+        let outcome = catch_unwind(AssertUnwindSafe(move || t.wait()));
+        let msg = panic_message(outcome.expect_err("double take panics").as_ref());
+        assert!(msg.contains("already taken"), "{msg}");
+        pool.shutdown();
+    }
+
+    #[test]
+    fn wake_runs_once_the_outcome_is_on_the_ticket() {
+        let pool = Pool::new(1, 4, |_| ());
+        let (woke_tx, woke_rx) = mpsc::channel();
+        let wake: Wake = Box::new(move || woke_tx.send(()).unwrap());
+        let mut t = pool
+            .try_submit_waking(|(): &mut ()| 5u8, Some(wake))
+            .expect("room");
+        woke_rx.recv().expect("the hook runs");
+        assert_eq!(t.poll(), Some(5), "the outcome lands before the wake");
+        pool.shutdown();
+
+        // A job the dead pool drops unrun wakes too, with the
+        // "dropped" outcome already on its ticket.
+        let plan = Arc::new(FaultPlan::new().kill_worker_at(0));
+        let options = PoolOptions::new().faults(plan).max_restarts(0);
+        let pool = Pool::with_options(1, 8, options, |_| ());
+        let (woke_tx, woke_rx) = mpsc::channel();
+        let wake: Wake = Box::new(move || woke_tx.send(()).unwrap());
+        let mut t = pool
+            .try_submit_waking(|(): &mut ()| 1u32, Some(wake))
+            .expect("room");
+        woke_rx.recv().expect("the hook runs for a dropped job");
+        match t.poll_outcome() {
+            Some(Err(msg)) => assert!(msg.contains("dropped"), "{msg}"),
+            other => panic!("expected the dropped outcome, got {other:?}"),
+        }
+        pool.shutdown();
+    }
+
+    #[test]
     fn wait_timeout_returns_ticket_on_pending_job() {
         let pool = Pool::new(1, 4, |_| ());
         let (gate_tx, gate_rx) = mpsc::channel::<()>();
@@ -889,9 +897,9 @@ mod tests {
         let (gate_tx, gate_rx) = mpsc::channel::<()>();
         let stall = submit(&pool, move |(): &mut ()| gate_rx.recv().unwrap());
         let counted = Arc::clone(&ran);
-        // Dropped before it can run: the slot flips to Abandoned, the
-        // job still executes (accepted work always runs), and the
-        // completer discards the now-unwanted result.
+        // Dropped before it can run: the job still executes (accepted
+        // work always runs), and its send to the dropped ticket fails,
+        // discarding the now-unwanted result.
         drop(submit(&pool, move |(): &mut ()| {
             counted.fetch_add(1, Ordering::Relaxed)
         }));

@@ -67,7 +67,7 @@ use crate::api::{
 use crate::cache::{CacheKey, CacheStats, RequestKey, ResultCache};
 use crate::fault::{FaultPlan, SubmitFault};
 use crate::locks::{ClassedMutex, LockClass};
-use crate::pool::{panic_message, Pool, PoolOptions, SubmitError, Ticket};
+use crate::pool::{panic_message, Pool, PoolOptions, SubmitError, Ticket, Wake};
 use crate::runner::BatchRunner;
 use crate::sched::{plan_waves, score_milli};
 use crate::workload::StrideSampler;
@@ -120,9 +120,21 @@ impl ServeTicket {
         }
     }
 
-    /// Whether the response (or its typed error) is ready to take.
+    /// Whether the response (or its typed error) is ready to take:
+    /// `true` exactly when [`poll`](ServeTicket::poll) would return
+    /// `Some` — including a pending ticket past its deadline.
     pub fn is_ready(&self) -> bool {
         self.inner.is_ready()
+            || self
+                .deadline
+                .is_some_and(|deadline| !self.expired && Instant::now() >= deadline)
+    }
+
+    /// The absolute deadline, for a ticket submitted with a budget.
+    /// Past it, [`poll`](ServeTicket::poll) resolves a still-pending
+    /// ticket to [`ServeError::DeadlineExceeded`].
+    pub fn deadline(&self) -> Option<Instant> {
+        self.deadline
     }
 
     /// Non-blocking take — `Some` once resolved, and at most once.
@@ -152,7 +164,7 @@ impl ServeTicket {
     /// budget, until the deadline, resolving
     /// [`ServeError::DeadlineExceeded`] instead of blocking forever.
     /// The abandoned in-flight result is discarded when it eventually
-    /// completes (see [`Ticket`]'s abandonment semantics).
+    /// completes (see [`Ticket`]: a dropped ticket discards its result).
     ///
     /// # Panics
     ///
@@ -174,7 +186,7 @@ impl ServeTicket {
         match outcome {
             Ok(outcome) => flatten(outcome),
             Err(abandoned) => {
-                drop(abandoned); // marks the slot abandoned; the result is discarded on completion
+                drop(abandoned); // the late result's send fails and it is discarded
                 if let Some(counters) = &counters {
                     counters.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
                 }
@@ -583,7 +595,7 @@ impl Service {
     /// resolve through the ticket as `Err`.
     #[must_use = "the ServeTicket inside is the only handle to the response"]
     pub fn submit(&self, request: Request) -> Result<ServeTicket, ServeError> {
-        self.submit_inner(request, true, self.default_budget)
+        self.submit_inner(request, true, self.default_budget, None)
     }
 
     /// [`submit`](Self::submit) without consulting or populating the
@@ -592,7 +604,7 @@ impl Service {
     /// checks). Counted under [`CacheStats::bypasses`].
     #[must_use = "the ServeTicket inside is the only handle to the response"]
     pub fn submit_uncached(&self, request: Request) -> Result<ServeTicket, ServeError> {
-        self.submit_inner(request, false, self.default_budget)
+        self.submit_inner(request, false, self.default_budget, None)
     }
 
     /// [`submit`](Self::submit) with a per-request deadline budget
@@ -606,7 +618,26 @@ impl Service {
         request: Request,
         budget: Duration,
     ) -> Result<ServeTicket, ServeError> {
-        self.submit_inner(request, true, Some(budget))
+        self.submit_inner(request, true, Some(budget), None)
+    }
+
+    /// [`submit`](Self::submit) for an event-driven caller: `budget`
+    /// (or [`ServiceConfig::default_budget`] when `None`) bounds the
+    /// request as in [`submit_with_budget`](Self::submit_with_budget),
+    /// and `wake` runs on the worker once the response is on the
+    /// ticket — also when the pool drops the request unrun. A ticket
+    /// born resolved (a cache hit or a submit-side degraded answer)
+    /// never wakes, so poll every ticket once on receipt; a refused
+    /// submission may still run `wake`.
+    #[must_use = "the ServeTicket inside is the only handle to the response"]
+    pub fn submit_with_wake(
+        &self,
+        request: Request,
+        budget: Option<Duration>,
+        wake: impl FnOnce() + Send + 'static,
+    ) -> Result<ServeTicket, ServeError> {
+        let budget = budget.or(self.default_budget);
+        self.submit_inner(request, true, budget, Some(Box::new(wake)))
     }
 
     fn submit_inner(
@@ -614,6 +645,7 @@ impl Service {
         request: Request,
         use_cache: bool,
         budget: Option<Duration>,
+        wake: Option<Wake>,
     ) -> Result<ServeTicket, ServeError> {
         let parsed: MapSpec = request.spec().parse().map_err(ServeError::Spec)?;
         validate(&request)?;
@@ -688,24 +720,27 @@ impl Service {
         let counters = Arc::clone(&self.counters);
         let max_retries = self.max_retries;
         let degrade = self.degraded_fallback;
-        let submitted = self.pool.try_submit(move |sessions: &mut SpecSessions| {
-            let _guard = guard;
-            serve_one(
-                sessions,
-                &canon,
-                &spec,
-                &request,
-                &populate,
-                ServeAttempts {
-                    deadline,
-                    budget,
-                    max_retries,
-                    degrade,
-                    inject_panic,
-                    counters: &counters,
-                },
-            )
-        });
+        let submitted = self.pool.try_submit_waking(
+            move |sessions: &mut SpecSessions| {
+                let _guard = guard;
+                serve_one(
+                    sessions,
+                    &canon,
+                    &spec,
+                    &request,
+                    &populate,
+                    ServeAttempts {
+                        deadline,
+                        budget,
+                        max_retries,
+                        degrade,
+                        inject_panic,
+                        counters: &counters,
+                    },
+                )
+            },
+            wake,
+        );
         match submitted {
             Ok(ticket) => Ok(ServeTicket::pending(
                 ticket,

@@ -207,10 +207,10 @@ fn cache_on_equals_cache_off_under_chaos() {
 }
 
 #[test]
-fn poisoned_ticket_slot_never_leaks_to_unrelated_requests() {
+fn a_panicking_job_never_leaks_to_unrelated_requests() {
     // A job panic re-raised through `Ticket::wait` unwinds out of that
     // one ticket. Unrelated requests — before, concurrent, and after —
-    // must be untouched: the failure is scoped to the one slot, and
+    // must be untouched: the failure is scoped to the one ticket, and
     // the worker (which caught the panic at the job boundary) keeps
     // serving.
     let pool = Pool::new(2, 32, |_| ());

@@ -485,6 +485,51 @@ fn deadline_and_degraded_responses_stay_equivalent_to_their_sources() {
 }
 
 #[test]
+fn a_pending_ticket_past_its_deadline_is_ready() {
+    use std::time::Duration;
+    // A zero budget queued behind a wedged worker: the ticket is still
+    // pending, but past its deadline `poll` resolves it, so `is_ready`
+    // must say so before the poll and stop saying so after it.
+    let service = Service::new(
+        ServiceConfig::with_workers(1)
+            .queue_capacity(8)
+            .cache_capacity(0)
+            .fault_plan(Arc::new(FaultPlan::new().delay_at(0, WEDGE_SPINS))),
+    );
+    let wedge = service
+        .submit(Request::Measure {
+            spec: "xor-matched:t=3,s=4".into(),
+            vec: VectorSpec::new(0, 12, 64).expect("valid"),
+            strategy: Strategy::Auto,
+        })
+        .expect("room");
+    // The wedge has started: the budgeted request cannot run before
+    // the asserts below.
+    while service.stats().faults_injected == 0 {
+        std::thread::yield_now();
+    }
+    let mut budgeted = service
+        .submit_with_budget(
+            Request::Measure {
+                spec: "xor-matched:t=3,s=4".into(),
+                vec: VectorSpec::new(0, 5, 64).expect("valid"),
+                strategy: Strategy::Auto,
+            },
+            Duration::ZERO,
+        )
+        .expect("room");
+    assert!(budgeted.is_ready(), "past its deadline, poll would resolve");
+    assert!(matches!(
+        budgeted.poll(),
+        Some(Err(ServeError::DeadlineExceeded { budget })) if budget == Duration::ZERO
+    ));
+    assert!(!budgeted.is_ready(), "the deadline error is delivered once");
+    drop(budgeted);
+    wedge.wait().expect("the wedge itself serves normally");
+    service.shutdown();
+}
+
+#[test]
 fn multi_stream_conflict_aware_beats_fifo_and_reconciles_with_serial() {
     // interleaved:m=3, stride 2: even bases cover the even modules,
     // odd bases the odd ones. Arrival order [0, 2, 1, 3] makes naive

@@ -5,7 +5,7 @@
 //! [`Response`](cfva_serve::api::Response) schema travels as
 //! length-prefixed JSON frames between a [`client::WireClient`] and a
 //! [`server::WireServer`] that feeds
-//! [`Service::submit`](cfva_serve::service::Service::submit).
+//! [`Service::submit_with_wake`](cfva_serve::service::Service::submit_with_wake).
 //!
 //! The crate is dependency-free by policy (no external serde — the
 //! workspace vendors its dependencies), so the codec is hand-rolled:
@@ -27,9 +27,12 @@
 //!   payload, with one write from a reused per-connection buffer. A
 //!   versioned hello opens every connection.
 //! * [`server`] — [`server::WireServer`]: one acceptor thread,
-//!   per-connection reader/writer threads reaping tickets (responses
-//!   are correlated by `request_id` and may return out of submission
-//!   order), per-connection admission caps surfacing typed
+//!   per-connection reader/writer threads, and a completion-driven
+//!   writer: each request's wake hook tells the writer its response is
+//!   ready, and the writer otherwise sleeps until the next message or
+//!   the earliest pending deadline (responses are correlated by
+//!   `request_id` and may return out of submission order),
+//!   per-connection admission caps surfacing typed
 //!   [`ServeError::Overloaded`](cfva_serve::api::ServeError) and
 //!   [`ServeError::ShuttingDown`](cfva_serve::api::ServeError) on the
 //!   wire, and a graceful drain: shutdown stops accepting, flushes

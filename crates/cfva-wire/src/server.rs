@@ -1,22 +1,29 @@
 //! The serving side of the wire: accept connections, feed
-//! [`Service::submit`], reap tickets back onto the socket.
+//! [`Service::submit_with_wake`], reap tickets back onto the socket.
 //!
 //! # Thread anatomy
 //!
 //! One **acceptor** thread owns the listener. Each connection gets a
-//! **reader** and a **writer** thread:
+//! **reader** and a **writer** thread, joined by one channel:
 //!
 //! * the reader parses frames, enforces the per-connection admission
 //!   cap, checks the shutdown flag and submits to the service — every
-//!   outcome (a live ticket, or an immediate typed rejection) is
-//!   handed to the writer over a channel;
+//!   outcome (a live ticket under a reader-assigned sequence number,
+//!   or an immediate typed rejection) is handed to the writer over the
+//!   channel. When it stops reading it says so with an explicit
+//!   message;
+//! * each admitted request carries a wake hook that, on completion,
+//!   pushes the ticket's sequence number onto the same channel;
 //! * the writer owns the socket's write half and the connection's
-//!   pending-ticket list. It reaps whichever ticket resolves first —
-//!   responses return **out of submission order**, correlated by
-//!   `request_id` — and keeps reaping even if the socket dies, so no
-//!   accepted ticket is ever abandoned. Frames are encoded in place
-//!   into one reused buffer ([`frame::Outbox`](crate::frame)) and each
-//!   round of reaped results leaves in one write.
+//!   pending tickets, keyed by sequence number (clients may reuse a
+//!   `request_id`). It polls a ticket once on receipt and again on its
+//!   wake, and otherwise sleeps until the next message or the earliest
+//!   pending deadline — responses return **out of submission order**,
+//!   correlated by `request_id`. It keeps reaping even if the socket
+//!   dies, so no accepted ticket is ever abandoned. Frames are encoded
+//!   in place into one reused buffer ([`frame::Outbox`](crate::frame))
+//!   and every batch of messages the writer wakes to leaves in one
+//!   write.
 //!
 //! # Admission control is per-client
 //!
@@ -36,13 +43,14 @@
 //! flush every accepted ticket's result to its client, then joins all
 //! threads. Zero lost tickets, verified by the CI wire smoke.
 
+use std::collections::HashMap;
 use std::io::BufReader;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, Sender, TryRecvError};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::Instant;
 
 use cfva_serve::api::{ServeError, ServeResult};
 use cfva_serve::locks::{ClassedMutex, LockClass};
@@ -104,19 +112,31 @@ impl ConnHandle {
     }
 }
 
-/// What a reader hands its connection's writer.
+/// What a reader — or a completing request's wake hook — hands its
+/// connection's writer.
 enum Outgoing {
     /// The client's hello checked out: answer it.
     Hello,
     /// An immediate outcome with no ticket (rejection or decode-level
     /// service error).
     Ready(u64, ServeResult),
-    /// An admitted ticket to reap.
-    Ticket(u64, ServeTicket),
+    /// An admitted ticket to reap, answering `request_id` `id`, under
+    /// the reader-assigned sequence number `seq`.
+    Ticket {
+        seq: u64,
+        id: u64,
+        ticket: ServeTicket,
+    },
+    /// The request behind sequence number `seq` has its response on
+    /// the ticket. It may arrive before that ticket does.
+    Wake(u64),
     /// A stats snapshot to send.
     Stats(u64, ServiceStats),
     /// A protocol violation: report it, then stop writing.
     Fatal(String),
+    /// The reader has stopped: nothing more will be admitted. Sent
+    /// explicitly because pending wake hooks keep the channel open.
+    Closed,
 }
 
 /// A TCP front door for one [`Service`].
@@ -285,6 +305,7 @@ fn accept_loop(
                     &conn_in_flight,
                     config.max_in_flight_per_conn,
                 );
+                let _ = tx.send(Outgoing::Closed);
             })
         };
         let writer = {
@@ -332,6 +353,7 @@ fn reader_loop(
     max_in_flight: usize,
 ) {
     let mut reader = BufReader::new(stream);
+    let mut next_seq = 0u64;
 
     // The handshake: exactly one hello, version-checked, before
     // anything else.
@@ -398,15 +420,17 @@ fn reader_loop(
                     ));
                     continue;
                 }
-                let submitted = match budget {
-                    Some(budget) => service.submit_with_budget(request, budget),
-                    None => service.submit(request),
+                let seq = next_seq;
+                next_seq += 1;
+                let waker = tx.clone();
+                let wake = move || {
+                    let _ = waker.send(Outgoing::Wake(seq));
                 };
-                match submitted {
+                match service.submit_with_wake(request, budget, wake) {
                     Ok(ticket) => {
                         conn_in_flight.fetch_add(1, Ordering::Relaxed);
                         counters.in_flight.fetch_add(1, Ordering::Relaxed);
-                        let _ = tx.send(Outgoing::Ticket(id, ticket));
+                        let _ = tx.send(Outgoing::Ticket { seq, id, ticket });
                     }
                     Err(e) => {
                         counters.rejections.fetch_add(1, Ordering::Relaxed);
@@ -453,7 +477,19 @@ impl Sink {
     }
 }
 
-/// Owns the write half and the pending-ticket list. Writes whichever
+/// The writer's state: the write half and the pending tickets, keyed
+/// by sequence number, each with the `request_id` it answers.
+struct Writer<'a> {
+    sink: Sink,
+    pending: HashMap<u64, (u64, ServeTicket)>,
+    counters: &'a WireCounters,
+    conn_in_flight: &'a AtomicUsize,
+    max_in_flight: usize,
+    /// `false` once the reader has stopped: no new tickets.
+    reading: bool,
+}
+
+/// Owns the write half and the pending tickets. Writes whichever
 /// ticket resolves first; never abandons a ticket, even when the
 /// socket dies mid-connection.
 fn writer_loop(
@@ -463,100 +499,89 @@ fn writer_loop(
     conn_in_flight: &AtomicUsize,
     max_in_flight: usize,
 ) {
-    let mut w = Sink {
-        stream,
-        outbox: Outbox::default(),
-        broken: false,
+    let mut w = Writer {
+        sink: Sink {
+            stream,
+            outbox: Outbox::default(),
+            broken: false,
+        },
+        pending: HashMap::new(),
+        counters,
+        conn_in_flight,
+        max_in_flight,
+        reading: true,
     };
-    let mut pending: Vec<(u64, ServeTicket)> = Vec::new();
-    // `false` once the reader is gone (channel closed): no new work.
-    let mut alive = true;
-
-    loop {
-        // Idle and nothing pending: block for the next instruction.
-        if alive && pending.is_empty() {
-            match rx.recv() {
-                Ok(msg) => handle_outgoing(msg, &mut w, &mut pending, max_in_flight),
-                Err(_) => alive = false,
-            }
-        }
-        // Drain whatever else queued up without blocking.
-        while alive {
-            match rx.try_recv() {
-                Ok(msg) => handle_outgoing(msg, &mut w, &mut pending, max_in_flight),
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => alive = false,
-            }
-        }
-        if !alive && pending.is_empty() {
-            break;
-        }
-
-        // Reap every ready ticket, in whatever order they resolved.
-        let mut wrote = false;
-        let mut i = 0;
-        while i < pending.len() {
-            let ready = pending.get_mut(i).is_some_and(|(_, t)| t.is_ready());
-            if !ready {
-                i += 1;
-                continue;
-            }
-            let (id, mut ticket) = pending.swap_remove(i);
-            match ticket.poll() {
-                Some(result) => {
-                    finish(id, result, &mut w, counters, conn_in_flight);
-                    wrote = true;
+    while w.reading || !w.pending.is_empty() {
+        // Sleep until a message arrives or the earliest pending
+        // deadline passes, whichever is first.
+        let earliest = w.pending.values().filter_map(|(_, t)| t.deadline()).min();
+        let next = match earliest {
+            Some(deadline) => rx.recv_timeout(deadline.saturating_duration_since(Instant::now())),
+            None => rx.recv().map_err(RecvTimeoutError::from),
+        };
+        match next {
+            Ok(msg) => {
+                w.handle(msg);
+                // Batch whatever else queued up into the same write.
+                while let Ok(msg) = rx.try_recv() {
+                    w.handle(msg);
                 }
-                None => pending.push((id, ticket)),
             }
-        }
-        // Nothing was ready: park briefly on the oldest ticket so the
-        // loop neither spins nor misses a newly resolved one.
-        if !wrote && !pending.is_empty() {
-            let (id, ticket) = pending.remove(0);
-            match ticket.wait_timeout(Duration::from_millis(1)) {
-                Ok(result) => finish(id, result, &mut w, counters, conn_in_flight),
-                Err(ticket) => pending.insert(0, (id, ticket)),
+            // A deadline passed: those tickets now poll as resolved.
+            Err(RecvTimeoutError::Timeout) => {
+                let seqs: Vec<u64> = w.pending.keys().copied().collect();
+                seqs.into_iter().for_each(|seq| w.reap(seq));
             }
+            // Every sender is gone (the reader died without saying so),
+            // and with them every wake hook: each pending ticket's wake
+            // was handled, so nothing is left pending.
+            Err(RecvTimeoutError::Disconnected) => break,
         }
-        w.flush();
-    }
-    w.flush();
-}
-
-fn handle_outgoing(
-    msg: Outgoing,
-    w: &mut Sink,
-    pending: &mut Vec<(u64, ServeTicket)>,
-    max_in_flight: usize,
-) {
-    match msg {
-        Outgoing::Hello => {
-            let max = u32::try_from(max_in_flight).unwrap_or(u32::MAX);
-            w.send(&ServerFrame::Hello {
-                proto: PROTOCOL_VERSION,
-                max_in_flight: max,
-            });
-        }
-        Outgoing::Ready(id, result) => w.send(&ServerFrame::Result { id, result }),
-        Outgoing::Ticket(id, ticket) => pending.push((id, ticket)),
-        Outgoing::Stats(id, stats) => w.send(&ServerFrame::Stats { id, stats }),
-        Outgoing::Fatal(reason) => {
-            w.send(&ServerFrame::Fatal { reason });
-            w.flush();
-            w.broken = true;
-        }
+        w.sink.flush();
     }
 }
 
-fn finish(
-    id: u64,
-    result: ServeResult,
-    w: &mut Sink,
-    counters: &WireCounters,
-    conn_in_flight: &AtomicUsize,
-) {
-    conn_in_flight.fetch_sub(1, Ordering::Relaxed);
-    counters.in_flight.fetch_sub(1, Ordering::Relaxed);
-    w.send(&ServerFrame::Result { id, result });
+impl Writer<'_> {
+    fn handle(&mut self, msg: Outgoing) {
+        match msg {
+            Outgoing::Hello => {
+                let max = u32::try_from(self.max_in_flight).unwrap_or(u32::MAX);
+                self.sink.send(&ServerFrame::Hello {
+                    proto: PROTOCOL_VERSION,
+                    max_in_flight: max,
+                });
+            }
+            Outgoing::Ready(id, result) => self.sink.send(&ServerFrame::Result { id, result }),
+            Outgoing::Ticket { seq, id, ticket } => {
+                self.pending.insert(seq, (id, ticket));
+                self.reap(seq);
+            }
+            // A wake for an unknown sequence number was either reaped
+            // already or has not arrived yet (then it is polled on
+            // receipt).
+            Outgoing::Wake(seq) => self.reap(seq),
+            Outgoing::Stats(id, stats) => self.sink.send(&ServerFrame::Stats { id, stats }),
+            Outgoing::Fatal(reason) => {
+                self.sink.send(&ServerFrame::Fatal { reason });
+                self.sink.flush();
+                self.sink.broken = true;
+            }
+            Outgoing::Closed => self.reading = false,
+        }
+    }
+
+    /// Writes ticket `seq`'s result if it has one.
+    fn reap(&mut self, seq: u64) {
+        let Some((id, ticket)) = self.pending.get_mut(&seq) else {
+            return;
+        };
+        let id = *id;
+        let Some(result) = ticket.poll() else {
+            return;
+        };
+        self.pending.remove(&seq);
+        self.conn_in_flight.fetch_sub(1, Ordering::Relaxed);
+        self.counters.in_flight.fetch_sub(1, Ordering::Relaxed);
+        self.sink.send(&ServerFrame::Result { id, result });
+    }
 }

@@ -7,6 +7,8 @@
 //! and the `wire_*` counters in [`ServiceStats`] account for every
 //! connection, rejection and in-flight ticket.
 
+use std::io::BufReader;
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -14,7 +16,7 @@ use cfva_core::mapping::Registry;
 use cfva_core::plan::Strategy;
 use cfva_core::{Stride, VectorSpec};
 use cfva_memsim::IssuePolicy;
-use cfva_serve::api::{Estimator, Request, Response, SchedulePlan, ServeError};
+use cfva_serve::api::{Estimator, Request, Response, SchedulePlan, ServeError, ServeResult};
 use cfva_serve::fault::FaultPlan;
 use cfva_serve::service::{Service, ServiceConfig};
 use cfva_wire::client::WireClient;
@@ -38,6 +40,49 @@ fn serve_pair(config: ServiceConfig, wire: WireServerConfig) -> (Arc<Service>, W
     let server =
         WireServer::bind(Arc::clone(&service), "127.0.0.1:0", wire).expect("loopback bind");
     (service, server)
+}
+
+/// Busy-loop iterations of an injected delay that wedges one worker:
+/// about a second on a 2-core x86-64 host.
+const WEDGE_SPINS: u32 = 50_000_000;
+
+/// A raw connection past the hello exchange, for tests that need to
+/// see frames in the order the server wrote them. Reads time out, so
+/// a missing answer fails the test instead of hanging it.
+fn raw_connect(addr: std::net::SocketAddr) -> (TcpStream, BufReader<TcpStream>) {
+    let mut raw = TcpStream::connect(addr).expect("connect");
+    raw.set_nodelay(true).expect("nodelay");
+    raw.set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("read timeout");
+    let hello = json::encode_client_frame(&ClientFrame::Hello {
+        proto: PROTOCOL_VERSION,
+    });
+    frame::write_frame(&mut raw, &hello).expect("write hello");
+    let mut reader = BufReader::new(raw.try_clone().expect("clone"));
+    let text = frame::read_frame(&mut reader).expect("server answers the hello");
+    assert!(matches!(
+        json::decode_server_frame(&text).expect("decodes"),
+        ServerFrame::Hello { .. }
+    ));
+    (raw, reader)
+}
+
+fn raw_submit(raw: &mut TcpStream, id: u64, request: Request, budget: Option<Duration>) {
+    let submit = json::encode_client_frame(&ClientFrame::Submit {
+        id,
+        request,
+        budget,
+    });
+    frame::write_frame(raw, &submit).expect("write submit");
+}
+
+/// The next `Result` frame's `(request_id, result)`.
+fn raw_result(reader: &mut BufReader<TcpStream>) -> (u64, ServeResult) {
+    let text = frame::read_frame(reader).expect("a result frame before the read timeout");
+    match json::decode_server_frame(&text).expect("decodes") {
+        ServerFrame::Result { id, result } => (id, result),
+        other => panic!("expected a Result frame, got {other:?}"),
+    }
 }
 
 proptest! {
@@ -369,6 +414,99 @@ fn deadline_budgets_are_forwarded_across_the_wire() {
 }
 
 #[test]
+fn a_request_running_past_its_budget_answers_deadline_exceeded_as_in_process() {
+    // Two workers, no cache. Request A is wedged by an injected delay;
+    // request B, a sweep far longer than its 10 ms budget, starts at
+    // once on the other worker. In-process, B's ticket resolves
+    // DeadlineExceeded at its deadline while the sweep runs on; over
+    // the wire B must answer the same, before A — whichever of the two
+    // jobs finishes first.
+    let (service, server) = serve_pair(
+        ServiceConfig::with_workers(2)
+            .cache_capacity(0)
+            .fault_plan(Arc::new(FaultPlan::new().delay_at(0, WEDGE_SPINS))),
+        WireServerConfig::default(),
+    );
+    let before = service.stats().deadline_exceeded;
+    let (mut raw, mut reader) = raw_connect(server.local_addr());
+    let budget = Duration::from_millis(10);
+    raw_submit(
+        &mut raw,
+        0,
+        Request::Measure {
+            spec: "interleaved:m=3".to_string(),
+            vec: VectorSpec::new(0, 1, 16).expect("valid"),
+            strategy: Strategy::Auto,
+        },
+        None,
+    );
+    raw_submit(
+        &mut raw,
+        1,
+        Request::FamilySweep {
+            spec: "xor-matched:t=3,s=4".to_string(),
+            len: 1 << 18,
+            max_x: 12,
+            sigma: 9,
+        },
+        Some(budget),
+    );
+    match raw_result(&mut reader) {
+        (1, Err(ServeError::DeadlineExceeded { budget: echoed })) => {
+            assert_eq!(echoed, budget, "the submitted budget, echoed");
+        }
+        other => panic!("expected B's DeadlineExceeded first, got {other:?}"),
+    }
+    match raw_result(&mut reader) {
+        (0, Ok(Response::Measured(Some(_)))) => {}
+        other => panic!("expected A's response second, got {other:?}"),
+    }
+    assert_eq!(
+        service.stats().deadline_exceeded - before,
+        1,
+        "B's expiry is counted once, as in-process"
+    );
+    drop((raw, reader));
+    server.shutdown();
+    service.shutdown();
+}
+
+#[test]
+fn duplicate_in_flight_request_ids_are_each_answered() {
+    // The request_id is the client's correlation tag, not a key the
+    // server may rely on: two submits reusing one id, both in flight
+    // behind a wedged worker, must each get a Result frame.
+    let (service, server) = serve_pair(
+        ServiceConfig::with_workers(1)
+            .cache_capacity(0)
+            .fault_plan(Arc::new(FaultPlan::new().delay_at(0, WEDGE_SPINS))),
+        WireServerConfig::default(),
+    );
+    let (mut raw, mut reader) = raw_connect(server.local_addr());
+    for base in [0u64, 64] {
+        raw_submit(
+            &mut raw,
+            7,
+            Request::Measure {
+                spec: "interleaved:m=3".to_string(),
+                vec: VectorSpec::new(base, 1, 16).expect("valid"),
+                strategy: Strategy::Auto,
+            },
+            None,
+        );
+    }
+    for _ in 0..2 {
+        match raw_result(&mut reader) {
+            (7, Ok(Response::Measured(Some(_)))) => {}
+            other => panic!("expected an answer to id 7, got {other:?}"),
+        }
+    }
+    drop((raw, reader));
+    server.shutdown();
+    service.shutdown();
+}
+
+#[test]
 fn graceful_drain_flushes_every_accepted_ticket() {
     // Submit a pile, then shut the server down *before* reading any
     // result: the drain must flush every accepted ticket's response to
@@ -450,7 +588,6 @@ fn multiple_connections_are_counted_and_isolated() {
 #[test]
 fn version_mismatch_is_refused_with_a_typed_fatal() {
     use std::io::Write;
-    use std::net::TcpStream;
 
     let (service, server) = serve_pair(ServiceConfig::with_workers(1), WireServerConfig::default());
 
@@ -462,7 +599,7 @@ fn version_mismatch_is_refused_with_a_typed_fatal() {
     });
     frame::write_frame(&mut raw, &hello).expect("write");
     raw.flush().expect("flush");
-    let mut reader = std::io::BufReader::new(raw.try_clone().expect("clone"));
+    let mut reader = BufReader::new(raw.try_clone().expect("clone"));
     let text = frame::read_frame(&mut reader).expect("server answers");
     match json::decode_server_frame(&text).expect("decodes") {
         ServerFrame::Fatal { reason } => {
@@ -477,7 +614,7 @@ fn version_mismatch_is_refused_with_a_typed_fatal() {
     let premature = json::encode_client_frame(&ClientFrame::Stats { id: 1 });
     frame::write_frame(&mut raw, &premature).expect("write");
     raw.flush().expect("flush");
-    let mut reader = std::io::BufReader::new(raw.try_clone().expect("clone"));
+    let mut reader = BufReader::new(raw.try_clone().expect("clone"));
     let text = frame::read_frame(&mut reader).expect("server answers");
     assert!(matches!(
         json::decode_server_frame(&text).expect("decodes"),
