@@ -19,7 +19,7 @@
 //! # The lock hierarchy (L001)
 //!
 //! The serving layer's locks — scheduler (`sched`), worker handles
-//! (`handles`), spec metadata (`spec_used_bits`), result-cache shards
+//! (`handles`), spec table (`specs`), result-cache shards
 //! (`shard`/`shards`) — form a deliberately *flat* hierarchy: every
 //! lock is a leaf, and holding two at once is a bug by definition.
 //! Jobs run and resolve their tickets (over one-shot channels) after

@@ -3,7 +3,7 @@
 //! The serving layer's concurrency design keeps every lock a **leaf**:
 //! a thread holds at most one of the serve locks at a time. The
 //! scheduler mutex (`sched`), the worker-handle list (`handles`), the
-//! spec metadata map (`spec_used_bits`) and the result-cache shards
+//! spec table (`specs`) and the result-cache shards
 //! (`shards` / `shard()`) must never nest in either direction — jobs
 //! run and resolve their tickets *after* releasing the scheduler lock,
 //! and cache population happens outside it. A nested acquisition is either a

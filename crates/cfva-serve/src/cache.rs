@@ -24,6 +24,7 @@
 use std::collections::HashMap;
 use std::hash::{BuildHasher, RandomState};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use cfva_core::plan::Strategy;
 use cfva_core::StrideClass;
@@ -92,8 +93,9 @@ pub(crate) enum RequestKey {
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct CacheKey {
     /// The **canonical** spec string (`MapSpec::canonical`), so
-    /// equivalent spellings share one entry.
-    pub(crate) spec: String,
+    /// equivalent spellings share one entry; shared with the service's
+    /// spec table, so building a key allocates nothing.
+    pub(crate) spec: Arc<str>,
     /// The class-reduced request.
     pub(crate) req: RequestKey,
 }
@@ -264,7 +266,7 @@ mod tests {
 
     fn key(seed: u64) -> CacheKey {
         CacheKey {
-            spec: "interleaved:m=3".to_string(),
+            spec: "interleaved:m=3".into(),
             req: RequestKey::Efficiency {
                 strategy: Strategy::Auto,
                 len: 64,

@@ -4,8 +4,8 @@
 //!
 //! The serving layer owns eight lock classes ([`LockClass`]): the
 //! scheduler ([`Sched`](LockClass::Sched)), the worker-handle registry
-//! ([`Handles`](LockClass::Handles)), the per-spec metadata map
-//! ([`SpecMeta`](LockClass::SpecMeta)), the result-cache shards
+//! ([`Handles`](LockClass::Handles)), the spec table
+//! ([`SpecTable`](LockClass::SpecTable)), the result-cache shards
 //! ([`CacheShard`](LockClass::CacheShard)), the pool supervisor's
 //! restart ledger ([`Supervisor`](LockClass::Supervisor)), the
 //! degraded-fallback session map
@@ -23,6 +23,10 @@
 //!   resolve through one-shot channels, not a lock.
 //! * Cache lookups and population (`CacheShard`) happen before
 //!   submission or after completion, never under `Sched`.
+//! * `SpecTable` guards the service's raw-spec → resolved-entry map.
+//!   A submit holds it for one hash probe plus an `Arc` clone, or for
+//!   one insert; the spec parse and map build of a first touch run
+//!   between two acquisitions, never under it.
 //! * `Handles` is touched only by `shutdown`, after admission closes.
 //! * `Supervisor` is touched only on the worker-death path: a dying
 //!   worker thread records its restart (and reads the restart budget)
@@ -74,8 +78,8 @@ pub enum LockClass {
     Sched,
     /// The pool's worker `JoinHandle` registry.
     Handles,
-    /// The service's per-spec metadata map.
-    SpecMeta,
+    /// The service's spec table: raw spec string → resolved entry.
+    SpecTable,
     /// One shard of the canonical result cache.
     CacheShard,
     /// The pool supervisor's per-worker restart ledger.
@@ -263,7 +267,7 @@ mod tests {
 
     #[test]
     fn guard_mutation_round_trips() {
-        let m = ClassedMutex::new(LockClass::SpecMeta, vec![1u32]);
+        let m = ClassedMutex::new(LockClass::SpecTable, vec![1u32]);
         m.lock().push(2);
         assert_eq!(*m.lock(), vec![1, 2]);
     }

@@ -4,7 +4,9 @@
 //! # Sessions
 //!
 //! Each pool worker owns a cache of long-lived [`BatchRunner`]
-//! sessions **keyed by canonical spec string**. `submit()` queues the
+//! sessions **keyed by canonical spec string** (at most
+//! [`Service::SPEC_TABLE_CAPACITY`] of them; one is evicted when a new
+//! spec arrives at a full map). `submit()` queues the
 //! request at the back of the one shared queue and whichever worker is
 //! free serves it from its own cache, building the session on first
 //! touch; later requests against the same map hit a warm session
@@ -35,7 +37,17 @@
 //! request*: `submit` consults a sharded, bounded LRU cache keyed on
 //! the canonical spec string plus the class-reduced request **before**
 //! touching the pool. A hit resolves the ticket immediately — the O(1)
-//! serve path: no queueing, no session, no simulation. Misses populate
+//! serve path: no queueing, no session, no simulation.
+//!
+//! The spec side of the key comes from the **spec table**: each
+//! distinct raw spec string is parsed, canonicalized and built once
+//! into a shared `SpecEntry` (canonical text, canonical [`MapSpec`],
+//! the map's used address bits), so a repeated spelling costs one hash
+//! probe and an `Arc` clone: no parse, no string allocation. Parse
+//! errors are never stored.
+//! The table holds at most [`Service::SPEC_TABLE_CAPACITY`] raw
+//! strings; past that, each request with an unseen spelling resolves
+//! a fresh entry of its own — slower, never different. Misses populate
 //! the cache when the worker completes (successful responses only).
 //! Bypass per request with [`Service::submit_uncached`], or disable
 //! service-wide with [`ServiceConfig::cache_capacity`]` = 0`;
@@ -418,26 +430,48 @@ struct ServeCounters {
     actual_conflicts: AtomicU64,
 }
 
-/// One worker's session cache: canonical spec string → warm session.
+/// One raw spec string, resolved once by the spec table: everything
+/// the cache key, the session lookup and the degraded fallback need.
+#[derive(Debug)]
+struct SpecEntry {
+    /// The canonical spec text (`MapSpec::canonical`), shared by every
+    /// cache key and session built from this entry.
+    canon: Arc<str>,
+    /// The canonical spec itself.
+    spec: MapSpec,
+    /// The map's `address_bits_used` — the one map-side input of the
+    /// stride-class reduction — or `None` when the spec parses but
+    /// does not build (no sound cache key: such requests bypass).
+    used_bits: Option<u32>,
+}
+
+/// A session cache: canonical spec text → warm session, holding at
+/// most [`Service::SPEC_TABLE_CAPACITY`] sessions. One per pool worker,
+/// plus the service's degraded-fallback map.
 #[derive(Debug, Default)]
 struct SpecSessions {
-    sessions: HashMap<String, BatchRunner>,
+    sessions: HashMap<Arc<str>, BatchRunner>,
 }
 
 impl SpecSessions {
-    /// The worker-side session lookup; builds (and caches) the session
-    /// on first touch. `key` is the spec's canonical string, computed
-    /// **once at submission** — the hot path allocates nothing (the
-    /// `Entry` API would re-stringify the spec per request). Build
-    /// failures are not cached — a transient failure (e.g. a matrix
-    /// file appearing later) may succeed on retry.
-    fn get_or_create(&mut self, key: &str, spec: &MapSpec) -> Result<&mut BatchRunner, ServeError> {
-        if !self.sessions.contains_key(key) {
-            let session = BatchRunner::from_spec(spec).map_err(ServeError::Spec)?;
-            self.sessions.insert(key.to_string(), session);
+    /// The session lookup; builds (and caches) the session on first
+    /// touch, evicting an arbitrary session from a full map. The key is
+    /// the entry's canonical text from the spec table — the hot path
+    /// allocates nothing. Build failures are not cached — a transient
+    /// failure (e.g. a matrix file appearing later) may succeed on
+    /// retry.
+    fn get_or_create(&mut self, entry: &SpecEntry) -> Result<&mut BatchRunner, ServeError> {
+        if !self.sessions.contains_key(&*entry.canon) {
+            let session = BatchRunner::from_spec(&entry.spec).map_err(ServeError::Spec)?;
+            if self.sessions.len() >= Service::SPEC_TABLE_CAPACITY {
+                if let Some(victim) = self.sessions.keys().next().cloned() {
+                    self.sessions.remove(&victim);
+                }
+            }
+            self.sessions.insert(Arc::clone(&entry.canon), session);
         }
-        // cfva-lint: allow(L002, reason = "contains_key two lines up guarantees the entry; the double lookup (vs the Entry API) avoids a per-request key allocation on the hot path")
-        Ok(self.sessions.get_mut(key).expect("just ensured"))
+        // cfva-lint: allow(L002, reason = "contains_key above guarantees the entry; the double lookup (vs the Entry API) keeps the hot path free of refcount traffic on the shared key")
+        Ok(self.sessions.get_mut(&*entry.canon).expect("just ensured"))
     }
 }
 
@@ -484,18 +518,21 @@ pub struct Service {
     pool: Pool<SpecSessions>,
     /// The memoized result cache; `None` when disabled.
     cache: Option<Arc<ResultCache>>,
-    /// Canonical spec string → the map's `address_bits_used` (the one
-    /// map-side input of the stride-class reduction), or `None` for a
-    /// spec that parses but does not build — those have no sound cache
-    /// key and bypass the cache. Populated once per spec.
-    spec_used_bits: ClassedMutex<HashMap<String, Option<u32>>>,
+    /// The spec table: raw spec string → its resolved [`SpecEntry`],
+    /// so each spelling is parsed, canonicalized and built once. Holds
+    /// at most [`Service::SPEC_TABLE_CAPACITY`] strings; past that,
+    /// unseen spellings resolve a fresh entry per request. Parse
+    /// errors are never stored. Keyed with `RandomState`: the strings
+    /// come from clients.
+    specs: ClassedMutex<HashMap<String, Arc<SpecEntry>>>,
     /// Admitted-but-unresolved gauge (queued or executing).
     in_flight: Arc<AtomicUsize>,
     /// Robustness counters, shared with every pending ticket.
     counters: Arc<ServeCounters>,
     /// Caller-thread sessions for the submit-side degraded fallback
-    /// (overload shedding never touches the saturated pool).
-    degraded_sessions: ClassedMutex<HashMap<String, BatchRunner>>,
+    /// (overload shedding never touches the saturated pool), bounded
+    /// like every worker's.
+    degraded_sessions: ClassedMutex<SpecSessions>,
     /// Worker-side retry budget per request.
     max_retries: u32,
     /// Whether overload/retry-exhaustion degrade to analytic estimates.
@@ -510,6 +547,11 @@ pub struct Service {
 }
 
 impl Service {
+    /// The bound on the spec table's distinct raw spec strings, and on
+    /// every session map's distinct canonical specs — what a client
+    /// sending endless distinct specs can make the service hold.
+    pub const SPEC_TABLE_CAPACITY: usize = 256;
+
     /// Spawns the worker pool. Workers start with empty session
     /// caches; sessions are built on first request per spec.
     ///
@@ -528,10 +570,10 @@ impl Service {
             pool,
             cache: (config.cache_capacity > 0)
                 .then(|| Arc::new(ResultCache::new(config.cache_capacity))),
-            spec_used_bits: ClassedMutex::new(LockClass::SpecMeta, HashMap::new()),
+            specs: ClassedMutex::new(LockClass::SpecTable, HashMap::new()),
             in_flight: Arc::new(AtomicUsize::new(0)),
             counters: Arc::new(ServeCounters::default()),
-            degraded_sessions: ClassedMutex::new(LockClass::DegradedSessions, HashMap::new()),
+            degraded_sessions: ClassedMutex::new(LockClass::DegradedSessions, Default::default()),
             max_retries: config.max_retries,
             degraded_fallback: config.degraded_fallback,
             default_budget: config.default_budget,
@@ -647,13 +689,10 @@ impl Service {
         budget: Option<Duration>,
         wake: Option<Wake>,
     ) -> Result<ServeTicket, ServeError> {
-        let parsed: MapSpec = request.spec().parse().map_err(ServeError::Spec)?;
+        // The canonical text keys the sessions and the result cache, so
+        // equivalent spellings share a session and a cache entry.
+        let entry = self.resolve(request.spec())?;
         validate(&request)?;
-        // Canonicalize once: the canonical string keys the worker's
-        // session table and the result cache, so equivalent spellings
-        // share a session and a cache entry.
-        let spec = parsed.canonical();
-        let canon = spec.to_string();
 
         // Chaos hook: consume this submission index's scheduled fault
         // (if a plan is installed — the index only advances under one).
@@ -682,7 +721,7 @@ impl Service {
         let inject_panic = matches!(submit_fault, Some(SubmitFault::PanicJob));
 
         let key = match &self.cache {
-            Some(cache) if use_cache => match self.cache_key(&canon, &request) {
+            Some(cache) if use_cache => match Self::cache_key(&entry, &request) {
                 Some(key) => {
                     if let Some(response) = cache.get(&key) {
                         return Ok(ServeTicket::now(Ok(response)));
@@ -710,7 +749,7 @@ impl Service {
         // Only the degraded overload path needs the request after the
         // closure takes it; clone up front only when that path is live.
         let fallback_inputs = (self.degraded_fallback && degradable(&request))
-            .then(|| (canon.clone(), spec.clone(), request.clone()));
+            .then(|| (Arc::clone(&entry), request.clone()));
         self.in_flight.fetch_add(1, Ordering::Relaxed);
         // The guard rides inside the closure from here on: any way the
         // job can end — completion, panic, rejection at the queue, or
@@ -725,8 +764,7 @@ impl Service {
                 let _guard = guard;
                 serve_one(
                     sessions,
-                    &canon,
-                    &spec,
+                    &entry,
                     &request,
                     &populate,
                     ServeAttempts {
@@ -756,8 +794,8 @@ impl Service {
                 // analytic estimator (caller thread — the saturated
                 // pool is left alone) when the caller opted in and the
                 // request shape degrades.
-                if let Some((canon, spec, request)) = &fallback_inputs {
-                    if let Some(response) = self.degrade_on_submit(canon, spec, request) {
+                if let Some((entry, request)) = &fallback_inputs {
+                    if let Some(response) = self.degrade_on_submit(entry, request) {
                         self.counters.degraded.fetch_add(1, Ordering::Relaxed);
                         return Ok(ServeTicket::now(Ok(response)));
                     }
@@ -775,36 +813,25 @@ impl Service {
     /// the **caller's** thread against the service's fallback session
     /// map. `None` when the request shape does not degrade
     /// (batch/efficiency) or the spec does not build.
-    fn degrade_on_submit(
-        &self,
-        canon: &str,
-        spec: &MapSpec,
-        request: &Request,
-    ) -> Option<Response> {
+    fn degrade_on_submit(&self, entry: &SpecEntry, request: &Request) -> Option<Response> {
         if !degradable(request) {
             return None;
         }
         let mut sessions = self.degraded_sessions.lock();
-        if !sessions.contains_key(canon) {
-            let session = BatchRunner::from_spec(spec).ok()?;
-            sessions.insert(canon.to_string(), session);
-        }
-        // cfva-lint: allow(L002, reason = "contains_key above guarantees the entry, mirroring SpecSessions::get_or_create")
-        let session = sessions.get_mut(canon).expect("just ensured");
-        degraded_response_session(session, request)
+        degraded_response_session(sessions.get_or_create(entry).ok()?, request)
     }
 
-    /// The cache key of `request` under the canonical spec `canon`, or
+    /// The cache key of `request` under the resolved spec `entry`, or
     /// `None` when no sound key exists (the spec does not build, so
     /// there is no map to class-reduce measurements under).
-    fn cache_key(&self, canon: &str, request: &Request) -> Option<CacheKey> {
+    fn cache_key(entry: &SpecEntry, request: &Request) -> Option<CacheKey> {
         let req = match request {
             Request::Measure { vec, strategy, .. } => RequestKey::Measure {
-                class: StrideClass::reduce_with_used(self.used_bits(canon)?, vec),
+                class: StrideClass::reduce_with_used(entry.used_bits?, vec),
                 strategy: *strategy,
             },
             Request::MeasureBatch { accesses, .. } => {
-                let used = self.used_bits(canon)?;
+                let used = entry.used_bits?;
                 RequestKey::Batch {
                     items: accesses
                         .iter()
@@ -840,7 +867,7 @@ impl Service {
                 schedule,
                 ..
             } => {
-                let used = self.used_bits(canon)?;
+                let used = entry.used_bits?;
                 RequestKey::MultiStream {
                     streams: streams
                         .iter()
@@ -853,27 +880,34 @@ impl Service {
             }
         };
         Some(CacheKey {
-            spec: canon.to_string(),
+            spec: Arc::clone(&entry.canon),
             req,
         })
     }
 
-    /// `address_bits_used` of the canonical spec's map — the one
-    /// map-side input the stride-class reduction needs — computed by a
-    /// one-time registry build per spec and memoized (including the
-    /// negative result for specs that parse but do not build).
-    fn used_bits(&self, canon: &str) -> Option<u32> {
-        let mut meta = self.spec_used_bits.lock();
-        if let Some(&used) = meta.get(canon) {
-            return used;
+    /// The spec table lookup: `raw`'s resolved entry, resolving (and,
+    /// below the cap, storing) it on first sight. The parse and map
+    /// build run outside the lock; racing first touches each resolve,
+    /// and all adopt whichever entry was stored first.
+    fn resolve(&self, raw: &str) -> Result<Arc<SpecEntry>, ServeError> {
+        if let Some(entry) = self.specs.lock().get(raw) {
+            return Ok(Arc::clone(entry));
         }
-        let used = canon
+        let spec = raw
             .parse::<MapSpec>()
-            .ok()
-            .and_then(|spec| Registry::builtin().build(&spec).ok())
-            .map(|map| map.address_bits_used());
-        meta.insert(canon.to_string(), used);
-        used
+            .map_err(ServeError::Spec)?
+            .canonical();
+        let built = Registry::builtin().build(&spec);
+        let entry = Arc::new(SpecEntry {
+            canon: spec.to_string().into(),
+            used_bits: built.ok().map(|map| map.address_bits_used()),
+            spec,
+        });
+        let mut specs = self.specs.lock();
+        if specs.len() >= Self::SPEC_TABLE_CAPACITY {
+            return Ok(entry);
+        }
+        Ok(Arc::clone(specs.entry(raw.to_string()).or_insert(entry)))
     }
 
     /// Graceful shutdown: stops admission (further [`submit`]s fail
@@ -1004,8 +1038,7 @@ struct ServeAttempts<'a> {
 /// are rebuilt on demand), so re-execution after a panic is sound.
 fn serve_one(
     sessions: &mut SpecSessions,
-    canon: &str,
-    spec: &MapSpec,
+    entry: &SpecEntry,
     request: &Request,
     populate: &Option<(Arc<ResultCache>, CacheKey)>,
     policy: ServeAttempts<'_>,
@@ -1032,7 +1065,7 @@ fn serve_one(
                 // cfva-lint: allow(L002, reason = "the injected fault itself — fires only under an installed FaultPlan, and the surrounding retry loop is its test subject")
                 panic!("injected fault: request panicked by FaultPlan");
             }
-            execute(sessions, canon, spec, request)
+            execute(sessions, entry, request)
         }));
         match outcome {
             Ok(result) => {
@@ -1069,7 +1102,7 @@ fn serve_one(
                 // the shape allows; otherwise surface the typed error.
                 if policy.degrade && degradable(request) {
                     let fallback = catch_unwind(AssertUnwindSafe(|| {
-                        let session = sessions.get_or_create(canon, spec).ok()?;
+                        let session = sessions.get_or_create(entry).ok()?;
                         degraded_response_session(session, request)
                     }))
                     .ok()
@@ -1170,15 +1203,9 @@ fn degraded_response_session(session: &mut BatchRunner, request: &Request) -> Op
 }
 
 /// The worker-side request dispatch, against the worker's session
-/// cache. `canon` is the spec's canonical string, stringified once at
-/// submission.
-fn execute(
-    sessions: &mut SpecSessions,
-    canon: &str,
-    spec: &MapSpec,
-    request: &Request,
-) -> ServeResult {
-    let session = sessions.get_or_create(canon, spec)?;
+/// cache and the request's entry from the spec table.
+fn execute(sessions: &mut SpecSessions, entry: &SpecEntry, request: &Request) -> ServeResult {
+    let session = sessions.get_or_create(entry)?;
     match request {
         Request::Measure { vec, strategy, .. } => {
             Ok(Response::Measured(session.measure_owned(vec, *strategy)))
@@ -1421,6 +1448,109 @@ mod tests {
             })
             .expect("in-domain estimator is accepted");
         assert!(matches!(ticket.wait(), Ok(Response::Efficiency(_))));
+        service.shutdown();
+    }
+
+    fn measure(spec: &str) -> Request {
+        Request::Measure {
+            spec: spec.into(),
+            vec: VectorSpec::new(16, 12, 64).unwrap(),
+            strategy: Strategy::Auto,
+        }
+    }
+
+    /// Sessions held by the single worker of `service`.
+    fn worker_sessions(service: &Service) -> usize {
+        service
+            .pool
+            .try_submit(|sessions: &mut SpecSessions| sessions.sessions.len())
+            .expect("room")
+            .wait()
+    }
+
+    #[test]
+    fn spec_table_and_session_maps_stay_bounded() {
+        const CAP: usize = Service::SPEC_TABLE_CAPACITY;
+        let cached = Service::new(ServiceConfig::with_workers(1));
+        let uncached = Service::new(ServiceConfig::with_workers(1).cache_capacity(0));
+        // CAP + 8 distinct buildable canonical specs: two independent
+        // GF(2) rows, the second one varying.
+        for k in 2..CAP as u64 + 10 {
+            let request = measure(&format!("custom-gf2:rows=1|{k}"));
+            let warm = cached.submit(request.clone()).expect("room").wait();
+            let cold = uncached.submit(request.clone()).expect("room").wait();
+            assert!(warm.is_ok(), "rows=1|{k}: {warm:?}");
+            assert_eq!(warm, cold, "rows=1|{k}");
+            let entry = cached.resolve(request.spec()).expect("parses");
+            assert!(cached.degrade_on_submit(&entry, &request).is_some());
+        }
+        for service in [&cached, &uncached] {
+            assert_eq!(service.specs.lock().len(), CAP);
+            assert_eq!(worker_sessions(service), CAP);
+        }
+        assert_eq!(cached.degraded_sessions.lock().sessions.len(), CAP);
+        // Past the cap every spec still serves; an evicted session is
+        // rebuilt on demand.
+        let again = measure("custom-gf2:rows=1|2");
+        assert_eq!(
+            cached.submit_uncached(again.clone()).expect("room").wait(),
+            uncached.submit(again).expect("room").wait()
+        );
+        cached.shutdown();
+        uncached.shutdown();
+    }
+
+    #[test]
+    fn spec_table_never_stores_parse_errors_and_stays_bounded_under_churn() {
+        let service = Service::new(ServiceConfig::with_workers(1));
+        for i in 0..Service::SPEC_TABLE_CAPACITY + 16 {
+            let err = service.submit(measure(&format!("interleaved:m{i}")));
+            assert!(matches!(err, Err(ServeError::Spec(_))), "{err:?}");
+            let spelling = format!("interleaved:m={}3", "0".repeat(i));
+            assert!(service
+                .submit(measure(&spelling))
+                .expect("room")
+                .wait()
+                .is_ok());
+        }
+        let specs = service.specs.lock();
+        assert_eq!(specs.len(), Service::SPEC_TABLE_CAPACITY);
+        for (raw, entry) in specs.iter() {
+            assert!(
+                raw.parse::<MapSpec>().is_ok(),
+                "stored a parse error: {raw}"
+            );
+            assert_eq!(&*entry.canon, "interleaved:m=3");
+        }
+        drop(specs);
+        service.shutdown();
+    }
+
+    #[test]
+    fn concurrent_first_touch_stores_one_entry() {
+        const THREADS: usize = 8;
+        let service = Service::new(ServiceConfig::with_workers(2));
+        let barrier = std::sync::Barrier::new(THREADS);
+        let responses: Vec<ServeResult> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        service
+                            .submit(measure("xor-matched:t=3,s=4"))
+                            .expect("room")
+                            .wait()
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("joins"))
+                .collect()
+        });
+        assert!(responses[0].is_ok(), "{:?}", responses[0]);
+        assert!(responses.iter().all(|r| *r == responses[0]));
+        assert_eq!(service.specs.lock().len(), 1);
         service.shutdown();
     }
 

@@ -4,12 +4,14 @@
 //! stride-class membership), the bypass knobs really bypass, the bound
 //! really bounds — and a hit is *much* cheaper than a pooled miss.
 
+use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
 use cfva_core::mapping::{MapSpec, ModuleMap, Registry};
 use cfva_core::plan::Strategy;
-use cfva_core::{Stride, VectorSpec};
-use cfva_serve::api::{Estimator, Request};
+use cfva_core::{ConfigError, Stride, VectorSpec};
+use cfva_serve::api::{Estimator, Request, Response, ServeError};
+use cfva_serve::runner::BatchRunner;
 use cfva_serve::service::{Service, ServiceConfig};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -310,5 +312,141 @@ fn cache_hit_path_is_50x_faster_than_pooled_misses() {
         "cache hits must be >= 50x faster: {ITERS} hits took {hit_total:?}, \
          {ITERS} pooled misses took {miss_total:?}"
     );
+    service.shutdown();
+}
+
+/// A `Measure` on `spec` at a fixed access.
+fn measure(spec: &str) -> Request {
+    Request::Measure {
+        spec: spec.into(),
+        vec: VectorSpec::new(16, 12, 128).expect("valid"),
+        strategy: Strategy::Auto,
+    }
+}
+
+#[test]
+fn hostile_spelling_churn_still_shares_one_entry_past_the_spec_table_cap() {
+    // More distinct raw spellings of `interleaved:m=3` than the spec
+    // table holds, mixed with distinct unparsable specs: past the cap
+    // each new spelling resolves on its own, and must still land on
+    // the one cache entry.
+    let mut spellings: Vec<String> = (0..Service::SPEC_TABLE_CAPACITY + 32)
+        .map(|zeros| format!("interleaved:m={}3", "0".repeat(zeros)))
+        .collect();
+    spellings.extend(
+        ["0x3", "0x03", "0b11", "0b011", "0b1_1", "3_", "_3", "0x_3"]
+            .map(|m| format!("interleaved:m={m}")),
+    );
+
+    let service = Service::new(ServiceConfig::with_workers(2));
+    let expected = service
+        .submit(measure("interleaved:m=3"))
+        .expect("room")
+        .wait()
+        .expect("serves");
+    for (i, spelling) in spellings.iter().enumerate() {
+        let refused = service.submit(measure(&format!("interleaved:m{i}")));
+        assert!(
+            matches!(refused, Err(ServeError::Spec(_))),
+            "unparsable spec #{i} must be refused at submit: {refused:?}"
+        );
+        let got = service
+            .submit(measure(spelling))
+            .expect("room")
+            .wait()
+            .expect("serves");
+        assert_eq!(got, expected, "{spelling}");
+    }
+    let cache = service.stats().cache.expect("cache on");
+    assert_eq!(
+        (cache.hits, cache.misses, cache.entries, cache.bypasses),
+        (spellings.len() as u64, 1, 1, 0),
+        "every spelling shares the first spelling's entry: {cache:?}"
+    );
+    service.shutdown();
+}
+
+#[test]
+fn unbuildable_specs_bypass_the_cache_and_rebuild_every_time() {
+    let service = Service::new(ServiceConfig::with_workers(1));
+    // Rank deficient: parses, never builds.
+    for _ in 0..3 {
+        let ticket = service
+            .submit(measure("custom-gf2:rows=0b11|0b11"))
+            .expect("grammar is valid, submission succeeds");
+        assert!(
+            matches!(
+                ticket.wait(),
+                Err(ServeError::Spec(ConfigError::SingularMatrix))
+            ),
+            "the build error resolves through the ticket"
+        );
+    }
+
+    // A matrix file that appears later: the spec table remembers that
+    // the spec did not build (so it keeps bypassing the cache), but the
+    // worker retries the session build on every request.
+    let path = std::env::temp_dir().join(format!("cfva-serve-late-{}.gf2", std::process::id()));
+    std::fs::remove_file(&path).ok();
+    let spec = format!("custom-gf2:matrix=@{}", path.display());
+    let missing = service.submit(measure(&spec)).expect("room").wait();
+    assert!(
+        matches!(
+            missing,
+            Err(ServeError::Spec(ConfigError::MatrixFile { .. }))
+        ),
+        "{missing:?}"
+    );
+    std::fs::write(&path, "0010001\n0100010\n1000100\n").expect("write matrix");
+    let late = service.submit(measure(&spec)).expect("room").wait();
+    std::fs::remove_file(&path).ok();
+    assert!(
+        matches!(late, Ok(Response::Measured(Some(_)))),
+        "the session build is retried once the file exists: {late:?}"
+    );
+
+    let cache = service.stats().cache.expect("cache on");
+    assert_eq!(
+        (cache.hits, cache.misses, cache.entries, cache.bypasses),
+        (0, 0, 0, 5),
+        "unbuildable specs have no sound key: {cache:?}"
+    );
+    service.shutdown();
+}
+
+#[test]
+fn concurrent_first_touch_of_a_cold_spec_answers_identically() {
+    const THREADS: usize = 8;
+    let service = Service::new(ServiceConfig::with_workers(2));
+    let barrier = Barrier::new(THREADS);
+    let responses: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..THREADS)
+            .map(|_| {
+                scope.spawn(|| {
+                    barrier.wait();
+                    service
+                        .submit(measure("skewed:m=3,d=0x1"))
+                        .expect("room")
+                        .wait()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("submitter joins"))
+            .collect()
+    });
+    let serial = BatchRunner::from_spec_str("skewed:m=3,d=1")
+        .expect("builds")
+        .measure_owned(
+            &VectorSpec::new(16, 12, 128).expect("valid"),
+            Strategy::Auto,
+        );
+    for response in &responses {
+        assert_eq!(response, &Ok(Response::Measured(serial.clone())));
+    }
+    let cache = service.stats().cache.expect("cache on");
+    assert_eq!(cache.entries, 1, "{cache:?}");
+    assert_eq!(cache.hits + cache.misses, THREADS as u64, "{cache:?}");
     service.shutdown();
 }
