@@ -1,9 +1,12 @@
-//! Cycle engine vs event-queue engine vs fast path, on the regimes
-//! each one targets. The headline comparison is the worst-case
+//! Cycle engine vs event kernel vs fast path, on the regimes each one
+//! targets. The headline comparison is the worst-case
 //! all-requests-one-module stride (stride = M on low-order
 //! interleaving, T = 64), where the event engine's ≥ 2× advantage is
 //! also *enforced* by
 //! `cfva-memsim/tests/event_engine.rs::event_engine_at_least_2x_faster_on_all_conflicts_stride`.
+//! The dense aperiodic case is the event kernel's own regime: a
+//! conflicted stream with no recurrence to extrapolate, in which
+//! nearly every cycle has an event.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
@@ -48,6 +51,7 @@ fn bench_engines(c: &mut Criterion) {
     let (planner, cfg) = from_spec("xor-matched:t=3,s=4");
     let vec = VectorSpec::new(16, 12, 128).expect("valid");
     let plan = planner.plan(&vec, Strategy::Canonical).expect("plans");
+    group.throughput(Throughput::Elements(128));
     for engine in [Engine::Cycle, Engine::Event] {
         let mut sys = MemorySystem::new(cfg.with_engine(engine));
         let mut out = AccessStats::default();
@@ -57,16 +61,32 @@ fn bench_engines(c: &mut Criterion) {
         );
     }
 
-    // Conflict-free plan: the fast path's home turf; the event engine
-    // must at least not regress badly vs the cycle loop here (it
-    // processes every cycle, like the oracle, when no queueing
-    // happens).
+    // Conflict-free plan: the fast path's home turf. With no queueing
+    // the event kernel processes every cycle, as the oracle does, but
+    // touches only the modules with an event in it.
     let plan = planner.plan(&vec, Strategy::ConflictFree).expect("window");
     for engine in [Engine::Cycle, Engine::Event, Engine::FastPath] {
         let mut sys = MemorySystem::new(cfg.with_engine(engine));
         let mut out = AccessStats::default();
         group.bench_function(
             BenchmarkId::new(format!("conflict_free_{engine}"), 128u64),
+            |b| b.iter(|| sys.run_plan_into(black_box(&plan), &mut out)),
+        );
+    }
+
+    // Dense aperiodic: the pseudo-random map's module sequence does not
+    // recur within the vector, so nothing extrapolates (FastPath falls
+    // through Periodic to the plain kernel) and conflicts keep every
+    // cycle busy.
+    let (planner, cfg) = from_spec("pseudo-random:m=3,bits=14");
+    let vec = VectorSpec::new(0, 3, 4096).expect("valid");
+    let plan = planner.plan(&vec, Strategy::Auto).expect("plans");
+    group.throughput(Throughput::Elements(4096));
+    for engine in [Engine::Cycle, Engine::Event, Engine::FastPath] {
+        let mut sys = MemorySystem::new(cfg.with_engine(engine));
+        let mut out = AccessStats::default();
+        group.bench_function(
+            BenchmarkId::new(format!("dense_aperiodic_{engine}"), 4096u64),
             |b| b.iter(|| sys.run_plan_into(black_box(&plan), &mut out)),
         );
     }

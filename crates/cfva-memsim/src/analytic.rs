@@ -151,9 +151,8 @@ impl MemorySystem {
             return AnalyticEstimate::from_stats(out, n.max(1) as u64);
         }
 
-        let mut fail = std::mem::take(&mut self.periodic.fail);
-        let p = minimal_period(n, request, &mut fail);
-        self.periodic.fail = fail;
+        let scratch = &mut self.periodic;
+        let p = minimal_period(n, request, &mut scratch.seq, &mut scratch.fail, u64::MAX);
 
         let n_u64 = n as u64;
         let r = n_u64 % p;

@@ -1,41 +1,24 @@
-//! The event-queue engine: cycle-exact simulation without the
-//! per-cycle scan.
+//! The engine selector, and the event engine it names.
 //!
-//! The per-cycle engine ([`MemorySystem::run_cycle`]) walks every
-//! occupied module once per cycle, so a conflicted access — the
-//! interesting regime of the paper, where requests queue behind one
-//! module for `T` cycles at a time — costs `O(latency)` iterations
-//! even though almost nothing happens in most of them. The engine in
-//! this module instead advances time to the **next cycle at which the
-//! system state can change**, keyed on three kinds of events:
-//!
-//! * **completion** — a module's service stage finishes (a priority
-//!   queue of `(ready_cycle, module)` pairs, invalidated lazily);
-//! * **bus grant** — some output buffer holds a datum, so the return
-//!   bus is busy next cycle;
-//! * **issue** — the processor's next request can enter its target
-//!   module's input buffer next cycle.
-//!
-//! When none of the three is imminent, the only activity is the
-//! processor stalling against a full input buffer while a service
-//! runs — so the engine jumps straight to the next completion and
-//! accounts the skipped stall cycles in closed form (emitting the
-//! per-cycle `Stall` trace events only when tracing is on). At every
-//! *processed* cycle it executes exactly the oracle's four phases over
-//! the same module state, which is why its [`AccessStats`] and
+//! The per-cycle engine ([`MemorySystem::run_cycle`](crate::MemorySystem))
+//! walks every occupied module in each of its four phases, every cycle,
+//! so a conflicted access — the interesting regime of the paper, where
+//! requests queue behind one module for `T` cycles at a time — costs
+//! `O(latency × occupied modules)` even though almost nothing happens
+//! in most cycles. [`Engine::Event`] runs the shared event kernel
+//! (`kernel.rs`) instead: it processes only the cycles at which the
+//! system state can change (a completion falls due, a datum waits on
+//! the return bus, or the processor's next request fits its target's
+//! input buffer) and, in each, touches only the modules with an event
+//! that cycle. Idle stretches in which the processor merely stalls
+//! behind a running service are jumped over, their stall cycles
+//! charged in closed form. Its [`AccessStats`](crate::AccessStats) and
 //! [`Trace`](crate::Trace) output is **bit-identical** to the cycle
-//! engine's — asserted across all seven `ModuleMap`s, queue depths and
-//! pathological one-module strides by `tests/event_engine.rs` and the
-//! engine-agreement property suite.
+//! engine's — asserted across every registered map, queue depths, port
+//! counts, output back-pressure and pathological one-module strides by
+//! `tests/event_engine.rs` and the engine-agreement property suite.
 
-use std::cmp::Reverse;
 use std::fmt;
-
-use cfva_core::{Addr, ModuleId};
-
-use crate::stats::AccessStats;
-use crate::system::{MemorySystem, Request};
-use crate::trace::Event;
 
 /// Which simulation core executes a request stream.
 ///
@@ -51,8 +34,8 @@ use crate::trace::Event;
 /// | engine | cost | role |
 /// |---|---|---|
 /// | [`Cycle`](Engine::Cycle) | `O(latency · occupied modules)` | the oracle — reference semantics, default |
-/// | [`Event`](Engine::Event) | `O(events)` | conflicted streams: queueing collapses to completion events |
-/// | [`Periodic`](Engine::Periodic) | `O(P_x + transient)` simulated | long periodic streams: steady-state periods extrapolated in closed form (`periodic.rs`); degrades to `Event` behaviour when no recurrence is found |
+/// | [`Event`](Engine::Event) | `O(processed cycles × modules with an event)` | the event kernel: idle stall stretches are jumped, each processed cycle touches only the modules that complete, are granted the bus, are issued to or start service |
+/// | [`Periodic`](Engine::Periodic) | `O(P_x + transient)` simulated | the event kernel plus steady-state detection: long periodic streams extrapolate whole periods in closed form (`periodic.rs`); exactly `Event` when no recurrence is found |
 /// | [`FastPath`](Engine::FastPath) | `O(requests)` | verified conflict-free shortcut, falls back to `Periodic` |
 /// | [`Analytic`](Engine::Analytic) | `O(P_x + transient)` simulated | closed-form aggregate estimates from short congruent probes (`analytic.rs`); aggregates only |
 ///
@@ -68,10 +51,11 @@ pub enum Engine {
     /// simplest — the oracle all verification compares against.
     #[default]
     Cycle,
-    /// The event-queue engine of this module.
+    /// The event kernel (`kernel.rs`): only cycles where the state can
+    /// change are processed, and only the modules with an event in them.
     Event,
     /// The steady-state fast-forward engine (`periodic.rs`): the event
-    /// engine plus recurrence detection at period boundaries of the
+    /// kernel plus recurrence detection at period boundaries of the
     /// stream's module sequence; once the queue/occupancy state recurs,
     /// the remaining whole periods are extrapolated in closed form.
     /// Streams with no detectable recurrence (short vectors,
@@ -104,223 +88,4 @@ impl fmt::Display for Engine {
             Engine::Analytic => "analytic",
         })
     }
-}
-
-impl MemorySystem {
-    /// The event-queue engine. Runs the oracle's four phases at every
-    /// processed cycle and skips the provably idle stretches between
-    /// them; statistics land in `out`, reusing its buffers.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`run_plan`](Self::run_plan).
-    pub(crate) fn run_event<F>(&mut self, n: usize, request: &F, out: &mut AccessStats)
-    where
-        F: Fn(usize) -> (u64, Addr, ModuleId),
-    {
-        self.reset();
-        let MemorySystem {
-            cfg,
-            modules,
-            trace,
-            active,
-            completions,
-            ..
-        } = self;
-        completions.clear();
-        let n_u64 = n as u64;
-        for k in 0..n {
-            let (_, _, module) = request(k);
-            assert!(
-                module.get() < cfg.module_count(),
-                "request targets module {} but memory has {}",
-                module,
-                cfg.module_count()
-            );
-        }
-
-        out.arrival.clear();
-        out.arrival.resize(n, u64::MAX);
-        let arrival = &mut out.arrival;
-        let mut delivered: u64 = 0;
-        let mut next_request: usize = 0;
-        let mut stall_cycles: u64 = 0;
-        let mut first_issue: Option<u64> = None;
-        let mut last_arrival: u64 = 0;
-
-        let safety_bound = 1_000_000u64.max(n_u64 * cfg.t_cycles() * 4 + 10_000);
-        let mut cycle: u64 = 0;
-        while delivered < n_u64 {
-            assert!(
-                cycle < safety_bound,
-                "simulation exceeded {safety_bound} cycles — engine bug"
-            );
-
-            // The four phases, verbatim from the cycle oracle.
-
-            // Phase 1: service completions (ascending module order).
-            for &idx in active.iter() {
-                let module = &mut modules[idx];
-                let in_service = module.in_service().map(|r| r.element);
-                module.tick_complete(cycle);
-                if let (Some(element), None) = (in_service, module.in_service()) {
-                    trace.push(Event::Complete {
-                        cycle,
-                        module: ModuleId::new(idx as u64),
-                        element,
-                    });
-                }
-            }
-
-            // Phase 2: bus grants — oldest issue first, lowest module on
-            // ties; one grant per port.
-            for _ in 0..cfg.ports() {
-                let grant = active
-                    .iter()
-                    .filter_map(|&idx| modules[idx].output_ready().map(|ready| (ready, idx)))
-                    .min();
-                let Some((_, idx)) = grant else { break };
-                let req = modules[idx]
-                    .take_output()
-                    // cfva-lint: allow(L002, reason = "idx came from the output_ready() filter on the same tick, so take_output() cannot be empty")
-                    .expect("granted module has output");
-                let when = cycle + 1; // one-cycle bus
-                arrival[req.element as usize] = when;
-                last_arrival = last_arrival.max(when);
-                delivered += 1;
-                trace.push(Event::Deliver {
-                    cycle: when,
-                    element: req.element,
-                });
-            }
-
-            // Phase 3: processor issue — one request per port, in-order
-            // (a blocked request blocks the ports behind it).
-            for _ in 0..cfg.ports() {
-                if next_request >= n {
-                    break;
-                }
-                let (element, addr, module) = request(next_request);
-                let midx = module.get() as usize;
-                if modules[midx].can_accept() {
-                    modules[midx].accept(Request {
-                        element,
-                        addr,
-                        module,
-                        issue_cycle: cycle,
-                    });
-                    if let Err(pos) = active.binary_search(&midx) {
-                        active.insert(pos, midx);
-                    }
-                    first_issue.get_or_insert(cycle);
-                    next_request += 1;
-                    trace.push(Event::Issue {
-                        cycle,
-                        element,
-                        module,
-                    });
-                } else {
-                    stall_cycles += 1;
-                    trace.push(Event::Stall { cycle, module });
-                    break;
-                }
-            }
-
-            // Phase 4: service starts. Each start schedules a
-            // completion event.
-            for &idx in active.iter() {
-                let module = &mut modules[idx];
-                let serving_before = module.served();
-                module.tick_start(cycle);
-                if module.served() > serving_before {
-                    let (element, ready_at) = module
-                        .in_service()
-                        .map(|r| r.element)
-                        .zip(module.service_ready_at())
-                        // cfva-lint: allow(L002, reason = "served() just increased, so the service stage holds a request with a ready time")
-                        .expect("service stage just filled");
-                    completions.push(Reverse((ready_at, idx)));
-                    trace.push(Event::ServiceStart {
-                        cycle,
-                        module: ModuleId::new(idx as u64),
-                        element,
-                    });
-                }
-            }
-
-            // Drop drained modules from the active set.
-            active.retain(|&idx| modules[idx].is_active());
-
-            // --- Scheduling: the next cycle anything can happen. ---
-            //
-            // Either of these means the very next cycle is live:
-            //  * a datum waits on the return bus (phase 2 fires), or
-            //  * the processor's next request fits its target's input
-            //    buffer (phase 3 fires).
-            if active.iter().any(|&idx| modules[idx].has_output()) || delivered >= n_u64 {
-                cycle += 1;
-                continue;
-            }
-            if next_request < n {
-                let (_, _, module) = request(next_request);
-                // cfva-lint: allow(L002, reason = "module_of returns an id < module_count by the ModuleMap contract, and modules is sized to module_count")
-                if modules[module.get() as usize].can_accept() {
-                    cycle += 1;
-                    continue;
-                }
-            }
-
-            // Otherwise the system is quiescent except for running
-            // services (every output buffer is empty and, after phase
-            // 4, any module with queued input is serving): jump to the
-            // next completion. Cycles skipped over are pure stall
-            // cycles when requests remain — account them in closed
-            // form.
-            let target = match next_completion(completions, modules) {
-                Some(ready) => ready.max(cycle + 1),
-                // No service running: nothing can unblock before the
-                // next cycle (unreachable in practice — kept as a
-                // defensive fallback rather than an assert).
-                None => cycle + 1,
-            };
-            if next_request < n {
-                let skipped = target - (cycle + 1);
-                stall_cycles += skipped;
-                if trace.is_enabled() && skipped > 0 {
-                    let (_, _, module) = request(next_request);
-                    for c in cycle + 1..target {
-                        trace.push(Event::Stall { cycle: c, module });
-                    }
-                }
-            }
-            cycle = target;
-        }
-
-        let first = first_issue.unwrap_or(0);
-        out.latency = last_arrival - first + 1;
-        out.elements = n_u64;
-        out.stall_cycles = stall_cycles;
-        out.conflicts = modules.iter().map(|m| m.queued_conflicts()).sum();
-        out.module_busy.clear();
-        out.module_busy
-            .extend(modules.iter().map(|m| m.busy_cycles()));
-        out.max_in_q = modules.iter().map(|m| m.max_in_q()).max().unwrap_or(0);
-    }
-}
-
-/// The earliest pending completion, discarding stale queue entries
-/// (services that already completed) lazily. Valid entries are peeked,
-/// not popped: the completion itself happens in phase 1 of the target
-/// cycle, which invalidates the entry.
-fn next_completion(
-    completions: &mut std::collections::BinaryHeap<Reverse<(u64, usize)>>,
-    modules: &[crate::module::MemModule],
-) -> Option<u64> {
-    while let Some(&Reverse((ready, idx))) = completions.peek() {
-        if modules[idx].service_ready_at() == Some(ready) {
-            return Some(ready);
-        }
-        completions.pop();
-    }
-    None
 }

@@ -1,0 +1,494 @@
+//! The event kernel: the one compact simulation loop behind
+//! [`Engine::Event`](crate::Engine::Event), [`Engine::Periodic`](crate::Engine::Periodic),
+//! the analytic estimator's probes and the static multi-stream co-run.
+//!
+//! The kernel runs the oracle's four phases (complete → bus → issue →
+//! start, see [`MemorySystem`]) but only at *processed* cycles — the
+//! cycles where the state can change — and only over the modules that
+//! have an event in that cycle:
+//!
+//! * **compact queues** — queues hold request indices (`u32`); a
+//!   request's issue cycle lives once in a per-request table. The
+//!   queues are reusable scratch on the [`MemorySystem`], so a run does
+//!   not allocate;
+//! * **completions in start order** — `T` is constant, so completion
+//!   cycles are nondecreasing in start order: completions are a FIFO of
+//!   `(ready cycle, module)`, ascending in module within a cycle;
+//! * **bus arbiter** — one heap entry `(front issue cycle, module)` per
+//!   module with output; a grant pops the minimum, as the oracle's scan
+//!   does;
+//! * **starts** — only a module that completed or was issued to this
+//!   cycle can start service (every other module with queued input is
+//!   already serving);
+//! * **blocked completions** — a completion that finds its output queue
+//!   full is retried in the cycle after that module's next bus grant,
+//!   the first cycle its output queue has room.
+//!
+//! Between processed cycles only running services and a stalled
+//! processor remain, so the kernel jumps to the next completion and
+//! charges the skipped stall cycles in closed form (emitting the
+//! per-cycle `Stall` trace events when tracing is on). Trace events keep
+//! the oracle's order: ascending module within a phase.
+//!
+//! An [`Observer`] sees every delivery and is called at request-count
+//! boundaries it asks for; the periodic engine's recurrence detector is
+//! one, the plain event engine uses none.
+
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
+
+use cfva_core::{Addr, ModuleId};
+
+use crate::stats::AccessStats;
+use crate::system::MemorySystem;
+use crate::trace::{Event, Trace};
+
+/// One module's queues and service slot, holding request indices.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Bank {
+    pub(crate) inq: VecDeque<u32>,
+    /// The request in service and the cycle it finishes.
+    pub(crate) svc: Option<(u32, u64)>,
+    /// The in-service request finished but found the output queue full.
+    blocked: bool,
+    pub(crate) outq: VecDeque<u32>,
+}
+
+impl Bank {
+    /// Whether the module holds any request.
+    pub(crate) fn is_occupied(&self) -> bool {
+        !self.inq.is_empty() || self.svc.is_some() || !self.outq.is_empty()
+    }
+}
+
+/// Reusable state of the kernel, kept on the [`MemorySystem`].
+#[derive(Debug, Default)]
+pub(crate) struct Kernel {
+    pub(crate) banks: Vec<Bank>,
+    /// Pending completions `(ready cycle, module)` in start order.
+    completions: VecDeque<(u64, u32)>,
+    /// Bus arbiter: `(issue cycle of the output front, module)`, one
+    /// entry per module with output.
+    bus: BinaryHeap<Reverse<(u64, u32)>>,
+    /// Modules whose blocked completion retries next cycle.
+    retry: Vec<u32>,
+    /// Per-cycle scratch: modules completing, modules that may start.
+    due: Vec<u32>,
+    touched: Vec<u32>,
+    /// Issue cycle per request index (valid once issued).
+    pub(crate) issue_at: Vec<u64>,
+    /// Per-request records of a recorded run (see [`Records`]).
+    record: bool,
+    late: Vec<bool>,
+    stalls_of: Vec<u64>,
+}
+
+/// Per-request records of a recorded run, indexed by request: its issue
+/// cycle, whether its service started after that cycle (a conflict), and
+/// the stall cycles charged while it waited to issue. The static
+/// multi-stream co-run derives its per-stream statistics from these.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Records<'a> {
+    pub(crate) issue: &'a [u64],
+    pub(crate) late: &'a [bool],
+    pub(crate) stalls: &'a [u64],
+}
+
+impl Kernel {
+    /// Sizes the state for a run of `n` requests and returns every
+    /// module to idle, keeping the queue allocations.
+    fn prepare(&mut self, modules: usize, q_in: usize, q_out: usize, n: usize) {
+        self.banks.resize_with(modules, || Bank {
+            inq: VecDeque::with_capacity(q_in),
+            outq: VecDeque::with_capacity(q_out),
+            ..Bank::default()
+        });
+        for bank in &mut self.banks {
+            bank.inq.clear();
+            bank.svc = None;
+            bank.blocked = false;
+            bank.outq.clear();
+        }
+        self.completions.clear();
+        self.bus.clear();
+        self.retry.clear();
+        if self.issue_at.len() < n {
+            self.issue_at.resize(n, 0);
+        }
+        if self.record {
+            self.late.clear();
+            self.late.resize(n, false);
+            self.stalls_of.clear();
+            self.stalls_of.resize(n, 0);
+        }
+    }
+}
+
+/// Watches a kernel run: sees every delivery and is called at the end
+/// of the processed cycle in which the issued-request count reaches
+/// [`boundary_at`](Observer::boundary_at).
+pub(crate) trait Observer {
+    /// Request `k` reached the processor at cycle `when`.
+    fn delivered(&mut self, _k: usize, _when: u64) {}
+
+    /// The issued-request count at which to call
+    /// [`boundary`](Observer::boundary) next; `usize::MAX` for never.
+    fn boundary_at(&self) -> usize {
+        usize::MAX
+    }
+
+    /// Called at a boundary; may fast-forward the run.
+    fn boundary<F>(&mut self, _run: &mut Run<'_>, _request: &F)
+    where
+        F: Fn(usize) -> (u64, Addr, ModuleId),
+    {
+    }
+}
+
+/// The plain event engine observes nothing.
+impl Observer for () {}
+
+/// The live state of one kernel run.
+#[derive(Debug)]
+pub(crate) struct Run<'a> {
+    kernel: &'a mut Kernel,
+    pub(crate) trace: &'a mut Trace,
+    pub(crate) out: &'a mut AccessStats,
+    /// The current (last processed) cycle.
+    pub(crate) cycle: u64,
+    /// Requests issued so far.
+    pub(crate) next: usize,
+    pub(crate) delivered: u64,
+    pub(crate) stall_cycles: u64,
+    pub(crate) conflicts: u64,
+    pub(crate) last_arrival: u64,
+}
+
+impl Run<'_> {
+    /// The kernel state, for reading signatures.
+    pub(crate) fn kernel(&self) -> &Kernel {
+        self.kernel
+    }
+
+    /// Fast-forwards the run's queue state over whole extrapolated
+    /// periods: every request held by `modules` (which must cover all
+    /// occupied ones) becomes its counterpart `dq` requests later, and
+    /// every clock advances `dt` cycles. Counters and arrivals are the
+    /// caller's to advance.
+    pub(crate) fn shift<F>(&mut self, modules: &[usize], dt: u64, dq: u64, request: &F)
+    where
+        F: Fn(usize) -> (u64, Addr, ModuleId),
+    {
+        let k = &mut *self.kernel;
+        // Remap the queues first and collect the new issue cycles: a held
+        // request's counterpart may itself be held (`dq` can be shorter
+        // than the queued window), so no issue cycle is overwritten
+        // before it is read.
+        let mut moved = Vec::new();
+        for &m in modules {
+            let b = &mut k.banks[m];
+            let held = b.inq.iter_mut().chain(b.svc.as_mut().map(|(r, _)| r));
+            for r in held.chain(b.outq.iter_mut()) {
+                let from = *r as usize;
+                let to = from + dq as usize;
+                debug_assert_eq!(
+                    request(from).2,
+                    request(to).2,
+                    "module sequence must be periodic"
+                );
+                moved.push((to, k.issue_at[from] + dt));
+                *r = to as u32;
+            }
+            if let Some((_, ready)) = &mut b.svc {
+                *ready += dt;
+            }
+        }
+        for (to, issued) in moved {
+            k.issue_at[to] = issued;
+        }
+        for c in &mut k.completions {
+            c.0 += dt;
+        }
+        let bus: Vec<_> = k
+            .bus
+            .drain()
+            .map(|Reverse((c, m))| Reverse((c + dt, m)))
+            .collect();
+        k.bus.extend(bus);
+        self.cycle += dt;
+    }
+}
+
+impl MemorySystem {
+    /// The plain event engine: the kernel with no observer.
+    pub(crate) fn run_event<F>(&mut self, n: usize, request: &F, out: &mut AccessStats)
+    where
+        F: Fn(usize) -> (u64, Addr, ModuleId),
+    {
+        self.run_kernel(n, request, out, &mut ());
+    }
+
+    /// Runs a raw request stream on the kernel while recording the
+    /// per-request [`Records`] (the static multi-stream co-run).
+    pub(crate) fn run_recorded(
+        &mut self,
+        requests: &[(u64, Addr, ModuleId)],
+        out: &mut AccessStats,
+    ) -> Records<'_> {
+        self.kernel.record = true;
+        self.run_kernel(requests.len(), &|k| requests[k], out, &mut ());
+        self.kernel.record = false;
+        let n = requests.len();
+        Records {
+            issue: &self.kernel.issue_at[..n],
+            late: &self.kernel.late[..n],
+            stalls: &self.kernel.stalls_of[..n],
+        }
+    }
+
+    /// The kernel loop; statistics land in `out`, reusing its buffers.
+    ///
+    /// # Panics
+    ///
+    /// Same conditions as [`run_plan`](Self::run_plan), and on streams
+    /// of 2^32 requests or more.
+    pub(crate) fn run_kernel<F, O>(
+        &mut self,
+        n: usize,
+        request: &F,
+        out: &mut AccessStats,
+        obs: &mut O,
+    ) where
+        F: Fn(usize) -> (u64, Addr, ModuleId),
+        O: Observer,
+    {
+        let cfg = self.cfg;
+        assert!(
+            u32::try_from(n).is_ok(),
+            "the event kernel runs fewer than 2^32 requests"
+        );
+        let modules = cfg.module_count() as usize;
+        let (t, ports, n_u64) = (cfg.t_cycles(), cfg.ports(), n as u64);
+        self.trace.clear();
+        self.kernel.prepare(modules, cfg.q_in(), cfg.q_out(), n);
+        out.arrival.clear();
+        out.arrival.resize(n, u64::MAX);
+        out.module_busy.clear();
+        out.module_busy.resize(modules, 0);
+
+        let mut run = Run {
+            kernel: &mut self.kernel,
+            trace: &mut self.trace,
+            out,
+            cycle: 0,
+            next: 0,
+            delivered: 0,
+            stall_cycles: 0,
+            conflicts: 0,
+            last_arrival: 0,
+        };
+        let (q_in, q_out) = (cfg.q_in(), cfg.q_out());
+        let mut first_issue: Option<u64> = None;
+        let mut max_in_q = 0;
+        let safety_bound = 1_000_000u64.max(n_u64 * t * 4 + 10_000);
+        while run.delivered < n_u64 {
+            let cycle = run.cycle;
+            assert!(
+                cycle < safety_bound,
+                "simulation exceeded {safety_bound} cycles — engine bug"
+            );
+            let k = &mut *run.kernel;
+
+            // Phase 1: completions due this cycle, plus blocked ones
+            // whose output queue drained last cycle — ascending module.
+            k.due.clear();
+            while let Some(&(ready, m)) = k.completions.front() {
+                if ready != cycle {
+                    debug_assert!(ready > cycle, "a completion cycle was skipped");
+                    break;
+                }
+                k.completions.pop_front();
+                k.due.push(m);
+            }
+            if !k.retry.is_empty() {
+                k.due.append(&mut k.retry);
+                k.due.sort_unstable();
+            }
+            k.touched.clear();
+            for &m in &k.due {
+                let b = &mut k.banks[m as usize];
+                let Some((req, _)) = b.svc else {
+                    continue; // every due module is serving
+                };
+                if b.outq.len() == q_out {
+                    b.blocked = true;
+                    continue;
+                }
+                if b.outq.is_empty() {
+                    k.bus.push(Reverse((k.issue_at[req as usize], m)));
+                }
+                b.outq.push_back(req);
+                b.svc = None;
+                b.blocked = false;
+                k.touched.push(m);
+                if run.trace.is_enabled() {
+                    run.trace.push(Event::Complete {
+                        cycle,
+                        module: ModuleId::new(u64::from(m)),
+                        element: request(req as usize).0,
+                    });
+                }
+            }
+
+            // Phase 2: bus grants — oldest issue first, lowest module on
+            // ties; one grant per port.
+            for _ in 0..ports {
+                let Some(Reverse((_, m))) = k.bus.pop() else {
+                    break;
+                };
+                let b = &mut k.banks[m as usize];
+                let Some(req) = b.outq.pop_front() else {
+                    break; // every module on the bus heap has output
+                };
+                if let Some(&front) = b.outq.front() {
+                    k.bus.push(Reverse((k.issue_at[front as usize], m)));
+                }
+                if b.blocked {
+                    b.blocked = false;
+                    k.retry.push(m);
+                }
+                let when = cycle + 1; // one-cycle bus
+                let element = request(req as usize).0;
+                run.out.arrival[element as usize] = when;
+                run.last_arrival = run.last_arrival.max(when);
+                run.delivered += 1;
+                obs.delivered(req as usize, when);
+                run.trace.push(Event::Deliver {
+                    cycle: when,
+                    element,
+                });
+            }
+
+            // Phase 3: processor issue — one request per port, in order
+            // (a blocked request blocks the ports behind it).
+            for _ in 0..ports {
+                if run.next >= n {
+                    break;
+                }
+                let (element, _, module) = request(run.next);
+                let midx = module.get() as usize;
+                assert!(
+                    midx < modules,
+                    "request targets module {module} but memory has {modules}"
+                );
+                let b = &mut k.banks[midx];
+                if b.inq.len() == q_in {
+                    run.stall_cycles += 1;
+                    if k.record {
+                        k.stalls_of[run.next] += 1;
+                    }
+                    run.trace.push(Event::Stall { cycle, module });
+                    break;
+                }
+                b.inq.push_back(run.next as u32);
+                max_in_q = max_in_q.max(b.inq.len());
+                k.issue_at[run.next] = cycle;
+                k.touched.push(midx as u32);
+                first_issue.get_or_insert(cycle);
+                run.next += 1;
+                run.trace.push(Event::Issue {
+                    cycle,
+                    element,
+                    module,
+                });
+            }
+
+            // Phase 4: service starts, at modules that completed or were
+            // issued to this cycle — ascending module.
+            if k.touched.len() > 1 {
+                k.touched.sort_unstable();
+                k.touched.dedup();
+            }
+            for &m in &k.touched {
+                let b = &mut k.banks[m as usize];
+                if b.svc.is_some() {
+                    continue;
+                }
+                let Some(req) = b.inq.pop_front() else {
+                    continue;
+                };
+                let late = cycle > k.issue_at[req as usize];
+                if late {
+                    run.conflicts += 1;
+                }
+                if k.record {
+                    k.late[req as usize] = late;
+                }
+                b.svc = Some((req, cycle + t));
+                run.out.module_busy[m as usize] += t;
+                k.completions.push_back((cycle + t, m));
+                if run.trace.is_enabled() {
+                    run.trace.push(Event::ServiceStart {
+                        cycle,
+                        module: ModuleId::new(u64::from(m)),
+                        element: request(req as usize).0,
+                    });
+                }
+            }
+
+            if run.next == obs.boundary_at() {
+                obs.boundary(&mut run, request);
+            }
+
+            // --- Scheduling: the next cycle anything can happen. ---
+            //
+            // The next cycle is live when a datum waits on the bus, a
+            // blocked completion retries, or the processor's next
+            // request fits its target's input buffer.
+            let cycle = run.cycle;
+            let k = &*run.kernel;
+            let live = run.delivered >= n_u64
+                || !k.bus.is_empty()
+                || !k.retry.is_empty()
+                || (run.next < n && {
+                    // An out-of-range module fails the issue phase's
+                    // range check next cycle.
+                    let (_, _, module) = request(run.next);
+                    let midx = module.get() as usize;
+                    k.banks.get(midx).is_none_or(|b| b.inq.len() < q_in)
+                });
+            if live {
+                run.cycle = cycle + 1;
+                continue;
+            }
+            // Otherwise only running services remain (every output
+            // queue is empty, and every module with queued input is
+            // serving): jump to the next completion. Cycles skipped
+            // over are pure stall cycles while requests remain.
+            let target = k
+                .completions
+                .front()
+                .map_or(cycle + 1, |&(ready, _)| ready.max(cycle + 1));
+            if run.next < n {
+                let skipped = target - (cycle + 1);
+                run.stall_cycles += skipped;
+                if run.kernel.record {
+                    run.kernel.stalls_of[run.next] += skipped;
+                }
+                if run.trace.is_enabled() && skipped > 0 {
+                    let (_, _, module) = request(run.next);
+                    for c in cycle + 1..target {
+                        run.trace.push(Event::Stall { cycle: c, module });
+                    }
+                }
+            }
+            run.cycle = target;
+        }
+
+        run.out.latency = run.last_arrival - first_issue.unwrap_or(0) + 1;
+        run.out.elements = n_u64;
+        run.out.stall_cycles = run.stall_cycles;
+        run.out.conflicts = run.conflicts;
+        run.out.max_in_q = max_in_q;
+    }
+}

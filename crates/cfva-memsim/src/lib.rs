@@ -20,14 +20,15 @@
 //!
 //! Four interchangeable [`Engine`]s execute a request stream with
 //! bit-identical results: the per-cycle loop (the oracle, default),
-//! the event-queue engine of [`Engine::Event`] (conflicted accesses
-//! collapse to completion events), the periodic steady-state
-//! fast-forward engine of [`Engine::Periodic`] (whole periods of long
-//! streams are extrapolated in closed form), and the verified
-//! conflict-free fast path of [`Engine::FastPath`] (which falls back
-//! through `Periodic` to `Event`). A fifth, [`Engine::Analytic`],
-//! trades the per-element vectors for closed-form **aggregate**
-//! estimates derived from a handful of short probe runs, reporting via
+//! the event kernel of [`Engine::Event`] (only cycles where the state
+//! can change are processed, and in each only the modules with an
+//! event), the periodic steady-state fast-forward engine of
+//! [`Engine::Periodic`] (the same kernel; whole periods of long streams
+//! are extrapolated in closed form), and the verified conflict-free
+//! fast path of [`Engine::FastPath`] (which falls back through
+//! `Periodic` to `Event`). A fifth, [`Engine::Analytic`], trades the
+//! per-element vectors for closed-form **aggregate** estimates derived
+//! from a handful of short kernel probe runs, reporting via
 //! [`AnalyticEstimate::exact`] whether the estimate provably equals a
 //! full simulation. See the `Engine` docs and the equivalence suites
 //! under `tests/`.
@@ -60,6 +61,7 @@
 mod analytic;
 mod config;
 mod event;
+mod kernel;
 mod module;
 pub mod multi;
 mod periodic;

@@ -11,6 +11,10 @@ use crate::system::Request;
 /// output queue is full at completion time the finished request blocks
 /// the service stage (back-pressure), exactly like a real bank whose
 /// read latch has not been drained.
+///
+/// This is the model the per-cycle oracle ([`Engine::Cycle`](crate::Engine::Cycle))
+/// and the work-conserving multi-stream arbiter tick; the event kernel
+/// keeps the same state as per-module queues of request indices.
 #[derive(Debug, Clone)]
 pub struct MemModule {
     t_cycles: u64,
@@ -87,7 +91,7 @@ impl MemModule {
         }
     }
 
-    /// Phase 3 of a cycle: starts serving the next queued request if the
+    /// Phase 4 of a cycle: starts serving the next queued request if the
     /// service stage is free.
     pub fn tick_start(&mut self, cycle: u64) {
         if self.service.is_none() {
@@ -113,73 +117,14 @@ impl MemModule {
         !self.out_q.is_empty()
     }
 
-    /// The oldest finished request waiting on the bus, if any.
-    pub fn output_front(&self) -> Option<&Request> {
-        self.out_q.front()
-    }
-
     /// The request currently in service, if any.
     pub fn in_service(&self) -> Option<&Request> {
         self.service.as_ref().map(|(req, _)| req)
     }
 
-    /// The cycle the in-service request finishes (the completion may
-    /// still be deferred past it by output-buffer back-pressure), if a
-    /// request is in service. The event engine keys its completion
-    /// queue on this.
-    pub fn service_ready_at(&self) -> Option<u64> {
-        self.service.as_ref().map(|&(_, ready_at)| ready_at)
-    }
-
     /// Removes and returns the oldest finished request (bus grant).
     pub fn take_output(&mut self) -> Option<Request> {
         self.out_q.pop_front()
-    }
-
-    /// The queued input requests, oldest first (periodic-engine state
-    /// signatures).
-    pub(crate) fn input_queue(&self) -> &VecDeque<Request> {
-        &self.in_q
-    }
-
-    /// The finished requests waiting on the bus, oldest first
-    /// (periodic-engine state signatures).
-    pub(crate) fn output_queue(&self) -> &VecDeque<Request> {
-        &self.out_q
-    }
-
-    /// The request in service and its completion cycle (periodic-engine
-    /// state signatures).
-    pub(crate) fn service_slot(&self) -> Option<(&Request, u64)> {
-        self.service.as_ref().map(|(req, ready)| (req, *ready))
-    }
-
-    /// Fast-forwards the module over extrapolated steady-state periods:
-    /// shifts every held request (and the service completion) `dt`
-    /// cycles into the future and lets `remap` rewrite each request to
-    /// its counterpart later in the stream. Counters are advanced
-    /// separately via [`add_counters`](Self::add_counters).
-    pub(crate) fn shift_queues(&mut self, dt: u64, mut remap: impl FnMut(&mut Request)) {
-        for req in &mut self.in_q {
-            req.issue_cycle += dt;
-            remap(req);
-        }
-        if let Some((req, ready)) = &mut self.service {
-            req.issue_cycle += dt;
-            *ready += dt;
-            remap(req);
-        }
-        for req in &mut self.out_q {
-            req.issue_cycle += dt;
-            remap(req);
-        }
-    }
-
-    /// Adds the statistics contribution of extrapolated steady-state
-    /// periods (periodic engine).
-    pub(crate) fn add_counters(&mut self, busy: u64, conflicts: u64) {
-        self.busy_cycles += busy;
-        self.queued_conflicts += conflicts;
     }
 
     /// Whether the module still holds work (queued, in service, or

@@ -38,10 +38,11 @@
 //! * Any other engine selects the **fast path**: a merged stream that
 //!   satisfies the paper's conflict-free window property is fully
 //!   determined and finished in closed form (no simulation at all);
-//!   anything else runs on the event-queue engine
-//!   ([`Engine::Event`]) and demuxes its — provably bit-identical —
-//!   trace. `tests` prove `run_multi` bit-identical across the two
-//!   paths for every registered map.
+//!   anything else runs on the event kernel ([`Engine::Event`]) with
+//!   tracing off, and the per-stream statistics come from the kernel's
+//!   per-request records (issue cycle, late service start, stall
+//!   cycles charged). `tests` prove `run_multi` bit-identical across
+//!   the two paths for every registered map.
 //!
 //! [`IssuePolicy::WorkConserving`] issues based on live module state,
 //! so it always runs its own cycle-accurate arbitration loop.
@@ -57,7 +58,9 @@ use cfva_core::{Addr, ConfigError, ModuleId};
 
 use crate::config::MemConfig;
 use crate::event::Engine;
+use crate::kernel::Records;
 use crate::module::MemModule;
+use crate::stats::AccessStats;
 use crate::system::{MemorySystem, Request};
 use crate::trace::Event;
 
@@ -216,11 +219,11 @@ pub fn run_multi(
         IssuePolicy::RoundRobin | IssuePolicy::Priority => {
             let merged = merge(plans, total, policy);
             if matches!(cfg.engine(), Engine::Cycle) {
-                Ok(run_traced(cfg, plans, &merged, Engine::Cycle))
+                Ok(run_traced(cfg, plans, &merged))
             } else if cfg.ports() == 1 && window_conflict_free(&merged, &cfg) {
                 Ok(finish_conflict_free(&cfg, plans, &merged))
             } else {
-                Ok(run_traced(cfg, plans, &merged, Engine::Event))
+                Ok(run_recorded(cfg, plans, &merged))
             }
         }
     }
@@ -349,77 +352,84 @@ fn finish_conflict_free(cfg: &MemConfig, plans: &[&AccessPlan], merged: &Merged)
     }
 }
 
-/// Runs the merged stream on `engine` with tracing enabled and
-/// de-multiplexes per-stream statistics from the (bit-identical across
-/// engines) event trace.
-fn run_traced(
-    cfg: MemConfig,
-    plans: &[&AccessPlan],
-    merged: &Merged,
-    engine: Engine,
-) -> MultiStats {
-    let mut sim = MemorySystem::new(cfg.with_engine(engine));
+/// Runs the merged stream on the per-cycle oracle with tracing enabled
+/// and rebuilds the per-request records from the event trace.
+fn run_traced(cfg: MemConfig, plans: &[&AccessPlan], merged: &Merged) -> MultiStats {
+    let mut sim = MemorySystem::new(cfg.with_engine(Engine::Cycle));
     sim.enable_trace();
     let combined = sim.run_requests(&merged.requests);
-
     let total = merged.requests.len();
-    let mut streams = empty_streams(plans);
-    let mut first_issue = vec![u64::MAX; plans.len()];
-    let mut issue_cycle = vec![0u64; total];
+    let (mut issue, mut late, mut stalls) = (vec![0; total], vec![false; total], vec![0; total]);
     let mut issued = 0usize;
     for event in sim.trace().events() {
         match *event {
             Event::Issue { cycle, element, .. } => {
-                let k = element as usize;
-                if let Some(slot) = issue_cycle.get_mut(k) {
+                if let Some(slot) = issue.get_mut(element as usize) {
                     *slot = cycle;
-                }
-                let s = merged.stream_of.get(k).copied().unwrap_or(0) as usize;
-                if let Some(first) = first_issue.get_mut(s) {
-                    if *first == u64::MAX {
-                        *first = cycle;
-                    }
                 }
                 issued += 1;
             }
+            // The stalled request is the next un-issued one.
             Event::Stall { .. } => {
-                // The stalled request is the next un-issued one.
-                let s = merged.stream_of.get(issued).copied().unwrap_or(0) as usize;
-                if let Some(stream) = streams.get_mut(s) {
-                    stream.stall_cycles += 1;
+                if let Some(slot) = stalls.get_mut(issued) {
+                    *slot += 1;
                 }
             }
             Event::ServiceStart { cycle, element, .. } => {
                 let k = element as usize;
-                if cycle > issue_cycle.get(k).copied().unwrap_or(0) {
-                    let s = merged.stream_of.get(k).copied().unwrap_or(0) as usize;
-                    if let Some(stream) = streams.get_mut(s) {
-                        stream.conflicts += 1;
-                    }
+                if let (Some(slot), Some(&issued_at)) = (late.get_mut(k), issue.get(k)) {
+                    *slot = cycle > issued_at;
                 }
             }
             _ => {}
         }
     }
-    for k in 0..total {
+    let records = Records {
+        issue: &issue,
+        late: &late,
+        stalls: &stalls,
+    };
+    demux(plans, merged, records, &combined)
+}
+
+/// Runs the merged stream on the event kernel, trace-free, with the
+/// kernel's per-request records.
+fn run_recorded(cfg: MemConfig, plans: &[&AccessPlan], merged: &Merged) -> MultiStats {
+    let mut sim = MemorySystem::new(cfg.with_engine(Engine::Event));
+    let mut combined = AccessStats::default();
+    let records = sim.run_recorded(&merged.requests, &mut combined);
+    demux(plans, merged, records, &combined)
+}
+
+/// De-multiplexes per-stream statistics from the combined run and its
+/// per-request records (issue cycle, late service start, stall cycles
+/// charged), indexed by merged request.
+fn demux(
+    plans: &[&AccessPlan],
+    merged: &Merged,
+    records: Records<'_>,
+    combined: &AccessStats,
+) -> MultiStats {
+    let mut streams = empty_streams(plans);
+    let mut first_issue = vec![None; plans.len()];
+    for k in 0..merged.requests.len() {
         let s = merged.stream_of[k] as usize;
         let elem = merged.elem_of[k] as usize;
-        let when = combined.arrival.get(k).copied().unwrap_or(0);
+        if let Some(first) = first_issue.get_mut(s) {
+            // Requests issue in merged order: the first seen is the
+            // stream's first issue.
+            first.get_or_insert(records.issue[k]);
+        }
         if let Some(stream) = streams.get_mut(s) {
+            stream.conflicts += u64::from(records.late[k]);
+            stream.stall_cycles += records.stalls[k];
             if let Some(slot) = stream.arrival.get_mut(elem) {
-                *slot = when;
+                *slot = combined.arrival.get(k).copied().unwrap_or(0);
             }
         }
     }
-    for (stream, first) in streams.iter_mut().zip(&first_issue) {
-        finalize_stream(
-            stream,
-            if *first == u64::MAX {
-                None
-            } else {
-                Some(*first)
-            },
-        );
+    for (stream, first) in streams.iter_mut().zip(first_issue) {
+        finalize_stream(stream, first);
     }
     MultiStats {
         streams,

@@ -7,13 +7,14 @@
 //! its entire queue/occupancy state at one period boundary is a
 //! time-shifted copy of the state at the previous boundary, and every
 //! later period replays the same events shifted by a constant number of
-//! cycles. Simulating each of those periods — as even the event-queue
-//! engine does — is redundant work.
+//! cycles. Simulating each of those periods — as even the event kernel
+//! does — is redundant work.
 //!
-//! This engine runs the event engine for the startup transient, capturing
-//! a **state signature** at each boundary of the stream's (minimal)
-//! module-sequence period: per occupied module, the queued / in-service
-//! / output requests encoded *relative* to the boundary (request index
+//! This engine is the event kernel (`kernel.rs`) with a recurrence
+//! detector as its observer. At each boundary of the stream's (minimal)
+//! module-sequence period the detector reads a **state signature** from
+//! the kernel's queues: per occupied module, the queued / in-service /
+//! output requests encoded *relative* to the boundary (request index
 //! minus the boundary request, cycles minus the boundary cycle). When a
 //! signature recurs, the remaining `k` whole periods are **extrapolated
 //! in closed form**:
@@ -22,32 +23,31 @@
 //!   repeats `k` times, shifted by the period's request span and cycle
 //!   span;
 //! * stall cycles, per-module busy time and queueing conflicts — the
-//!   reference window's deltas, times `k`;
-//! * trace events (when tracing is on) — the reference window replayed
-//!   `k` times with shifted cycles and remapped element ids,
+//!   reference window's deltas, times `k`,
 //!
-//! and the live machine state is fast-forwarded (queue contents remapped
-//! to their stream counterparts `k` periods later, all clocks advanced)
-//! so the ordinary event loop finishes the tail and the drain exactly as
-//! the oracle would. Stats **and** traces are therefore bit-identical to
-//! the cycle engine — asserted across all seven `ModuleMap`s by
-//! `tests/periodic_engine.rs` and the engine-agreement property suite.
+//! and the kernel state is shifted (held requests remapped to their
+//! stream counterparts `k` periods later, all clocks advanced) so the
+//! kernel finishes the tail and the drain exactly as the oracle would.
+//! Stats are therefore bit-identical to the cycle engine — asserted
+//! across every registered `ModuleMap` by `tests/periodic_engine.rs`
+//! and the engine-agreement property suite. A traced run is not
+//! extrapolated (no production caller traces a long stream), so its
+//! trace is the kernel's own and equal to the oracle's as well.
 //!
 //! When no recurrence is found within the detection budget (short
 //! vectors, transients longer than the allowance, multi-port issue),
-//! detection is abandoned and the run completes as a plain
-//! [`Engine::Event`](crate::Engine::Event) simulation — the documented
+//! detection is abandoned and the run is exactly an
+//! [`Engine::Event`](crate::Engine::Event) run — the documented
 //! fallback chain `FastPath → Periodic → Event`.
 
-use std::cmp::Reverse;
 use std::collections::VecDeque;
 
 use cfva_core::{Addr, ModuleId};
 
-use crate::module::MemModule;
+use crate::config::MemConfig;
+use crate::kernel::{Observer, Run};
 use crate::stats::AccessStats;
-use crate::system::{MemorySystem, Request};
-use crate::trace::{Event, Trace};
+use crate::system::MemorySystem;
 
 /// Reusable buffers of the periodic engine, kept on the
 /// [`MemorySystem`] so the `O(n)` working sets of repeated runs
@@ -57,12 +57,11 @@ use crate::trace::{Event, Trace};
 /// fresh each detection.
 #[derive(Debug, Default)]
 pub(crate) struct PeriodicScratch {
-    /// KMP failure function over the module sequence (shared with the
-    /// analytic estimator, which detects periods the same way).
+    /// The stream's module sequence and the KMP failure function over
+    /// it (shared with the analytic estimator, which detects periods
+    /// the same way).
+    pub(crate) seq: Vec<u32>,
     pub(crate) fail: Vec<usize>,
-    /// element id → request index (the streams the engine accepts carry
-    /// a permutation of `0..n` as element ids).
-    elem_to_req: Vec<u64>,
     /// Delivery log while detection is active: `(request index, arrival
     /// cycle)` in delivery order.
     deliveries: Vec<(u64, u64)>,
@@ -87,33 +86,40 @@ enum SigEntry {
 /// Everything recorded at one period boundary.
 #[derive(Debug)]
 struct BoundaryRec {
-    /// `next_request` at capture (a multiple of the period).
+    /// Requests issued at capture (a multiple of the period).
     req: u64,
     /// The cycle whose processing ended at this boundary.
     cycle: u64,
     stall_cycles: u64,
+    conflicts: u64,
     delivered: u64,
     /// Length of the delivery log at capture.
     log_pos: usize,
-    /// Length of the trace at capture.
-    trace_pos: usize,
-    /// `(busy_cycles, queued_conflicts)` per period module, aligned
-    /// with `Detection::period_modules`.
-    module_stats: Vec<(u64, u64)>,
+    /// Busy cycles per period module, aligned with
+    /// `Detection::period_modules`.
+    busy: Vec<u64>,
     sig: Vec<SigEntry>,
 }
 
-/// Live state of the recurrence detector.
-struct Detection {
+/// The recurrence detector: a kernel [`Observer`] that captures a
+/// signature at each period boundary and, on a recurrence,
+/// fast-forwards the run.
+struct Detection<'s> {
+    scratch: &'s mut PeriodicScratch,
+    /// Whether detection is still running.
+    active: bool,
+    /// Whether whole periods were skipped.
+    extrapolated: bool,
+    n: u64,
     /// Minimal period of the stream's module sequence, in requests.
     p: u64,
-    /// `next_request` value to capture the next signature at.
+    /// Issued-request count to capture the next signature at.
     next_boundary: u64,
     /// Give up once the next boundary would exceed this (transient too
     /// long, or too little stream left to profit).
     limit: u64,
-    /// Sorted distinct modules of one period — the only modules whose
-    /// counters can change once the stream is underway.
+    /// Sorted distinct modules of one period — the only modules that
+    /// ever hold work, since the module sequence is periodic.
     period_modules: Vec<usize>,
     /// Recent boundary records; a new signature is compared against all
     /// of them, so recurrences spanning several periods (beat patterns)
@@ -124,141 +130,255 @@ struct Detection {
 /// How many recent boundaries a new signature is compared against.
 const SIGNATURE_RING: usize = 4;
 
-/// Minimal period of the module sequence `request(0..n).module` — the
-/// standard KMP border argument: `n - fail[n-1]` satisfies
-/// `module(k) == module(k + p)` for every valid `k`, even when `p` does
-/// not divide `n`.
-pub(crate) fn minimal_period<F>(n: usize, request: &F, fail: &mut Vec<usize>) -> u64
+/// Minimal period of the module sequence `request(0..n).module`, or
+/// some value above `cap` as soon as the period is known to exceed it,
+/// for `n >= 1` — the standard KMP border argument: `n - fail[n-1]`
+/// satisfies `module(k) == module(k + p)` for every valid `k`, even
+/// when `p` does not divide `n`. A prefix's minimal period never shrinks
+/// as the prefix grows, so the scan stops at the first prefix whose
+/// period exceeds `cap`. Once the scanned prefix holds two whole
+/// periods, the rest is checked against it directly; the tables grow
+/// again only if that check fails. `seq` receives the module sequence
+/// as far as the tables go.
+pub(crate) fn minimal_period<F>(
+    n: usize,
+    request: &F,
+    seq: &mut Vec<u32>,
+    fail: &mut Vec<usize>,
+    cap: u64,
+) -> u64
 where
     F: Fn(usize) -> (u64, Addr, ModuleId),
 {
-    let module = |k: usize| request(k).2;
+    let module = |k: usize| request(k).2.get() as u32;
+    seq.clear();
+    seq.push(module(0));
     fail.clear();
-    fail.resize(n, 0);
+    fail.push(0);
     let mut len = 0usize;
-    for i in 1..n {
+    let mut i = 1;
+    while i < n {
+        let p = i - len;
+        if i >= 2 * p {
+            // The prefix is p-periodic: continue it without the tables.
+            let start = i;
+            // cfva-lint: allow(L002, reason = "i % p < p <= start = seq.len(): the index stays inside the scanned prefix")
+            while i < n && module(i) == seq[i % p] {
+                i += 1;
+            }
+            if i == n {
+                return p as u64;
+            }
+            // A mismatch: the verified stretch keeps period p, so its
+            // table entries follow in closed form; resume the scan.
+            for j in start..i {
+                // cfva-lint: allow(L002, reason = "j >= start >= 2p, so j - p indexes the already-filled prefix")
+                seq.push(seq[j - p]);
+                fail.push(j + 1 - p);
+            }
+            len = i - p;
+        }
         let mi = module(i);
-        while len > 0 && mi != module(len) {
+        seq.push(mi);
+        while len > 0 && mi != seq[len] {
             // cfva-lint: allow(L002, reason = "the loop condition len > 0 bounds len - 1 below the table length")
             len = fail[len - 1];
         }
-        if mi == module(len) {
+        if mi == seq[len] {
             len += 1;
         }
-        fail[i] = len;
+        fail.push(len);
+        i += 1;
+        if (i - len) as u64 > cap {
+            return (i - len) as u64;
+        }
     }
-    // cfva-lint: allow(L002, reason = "the KMP table has n >= 1 entries (the loop above filled fail[0..n]), so n - 1 is in range")
-    (n - fail[n - 1]) as u64
+    (n - len) as u64
 }
 
-/// Captures the relative state signature and counters at a boundary.
-#[allow(clippy::too_many_arguments)]
-fn capture_boundary(
-    det: &Detection,
-    elem_to_req: &[u64],
-    modules: &[MemModule],
-    active: &[usize],
-    trace: &Trace,
-    req: u64,
-    cycle: u64,
-    stall_cycles: u64,
-    delivered: u64,
-    log_pos: usize,
-) -> BoundaryRec {
-    let rel_req = |r: &Request| elem_to_req[r.element as usize] as i64 - req as i64;
-    let rel_cyc = |c: u64| c as i64 - cycle as i64;
-    let mut sig = Vec::new();
-    for &idx in active {
-        let m = &modules[idx];
-        sig.push(SigEntry::Module(idx));
-        for r in m.input_queue() {
-            sig.push(SigEntry::InQ {
-                req: rel_req(r),
-                issued: rel_cyc(r.issue_cycle),
-            });
+impl<'s> Detection<'s> {
+    /// Sets up detection for a stream, or an inactive detector when the
+    /// stream has no usable recurrence: boundaries are anchored on the
+    /// processor's request counter, so detection needs single-request
+    /// issue (one port) and at least three whole periods.
+    fn new<F>(cfg: &MemConfig, n: usize, request: &F, scratch: &'s mut PeriodicScratch) -> Self
+    where
+        F: Fn(usize) -> (u64, Addr, ModuleId),
+    {
+        let mut det = Detection {
+            scratch,
+            active: false,
+            extrapolated: false,
+            n: n as u64,
+            p: 0,
+            next_boundary: 0,
+            limit: 0,
+            period_modules: Vec::new(),
+            ring: VecDeque::new(),
+        };
+        if cfg.ports() != 1 || n < 4 {
+            return det;
         }
-        if let Some((r, ready)) = m.service_slot() {
-            sig.push(SigEntry::Service {
-                req: rel_req(r),
-                issued: rel_cyc(r.issue_cycle),
-                ready: rel_cyc(ready),
-            });
+        let n_u64 = n as u64;
+        let scratch = &mut *det.scratch;
+        let p = minimal_period(n, request, &mut scratch.seq, &mut scratch.fail, n_u64 / 3);
+        if 3 * p > n_u64 {
+            return det;
         }
-        for r in m.output_queue() {
-            sig.push(SigEntry::OutQ {
-                req: rel_req(r),
-                issued: rel_cyc(r.issue_cycle),
-            });
-        }
+        let mut period_modules: Vec<usize> = scratch.seq[..p as usize]
+            .iter()
+            .map(|&m| m as usize)
+            .collect();
+        period_modules.sort_unstable();
+        period_modules.dedup();
+        // Startup transients are bounded by the pipeline filling (a few
+        // service times and queue depths); past this allowance the
+        // stream is not settling into a one-boundary recurrence and the
+        // plain event run is the right engine.
+        let transient = 4 * (cfg.t_cycles() + (cfg.q_in() + cfg.q_out()) as u64) + 64;
+        det.scratch.deliveries.clear();
+        det.active = true;
+        det.p = p;
+        det.next_boundary = p;
+        det.limit = (3 * p).max(p + transient).min(n_u64 - p);
+        det.period_modules = period_modules;
+        det
     }
-    let module_stats = det
-        .period_modules
-        .iter()
-        .map(|&i| (modules[i].busy_cycles(), modules[i].queued_conflicts()))
-        .collect();
-    BoundaryRec {
-        req,
-        cycle,
-        stall_cycles,
-        delivered,
-        log_pos,
-        trace_pos: trace.events().len(),
-        module_stats,
-        sig,
+
+    /// The relative state signature and counters at a boundary, read
+    /// from the kernel state.
+    fn capture(&self, run: &Run<'_>) -> BoundaryRec {
+        let req = run.next as u64;
+        let kernel = run.kernel();
+        let rel_req = |r: u32| i64::from(r) - req as i64;
+        let rel_cyc = |c: u64| c as i64 - run.cycle as i64;
+        let issued = |r: u32| rel_cyc(kernel.issue_at[r as usize]);
+        let mut sig = Vec::new();
+        for &m in &self.period_modules {
+            let bank = &kernel.banks[m];
+            if !bank.is_occupied() {
+                continue;
+            }
+            sig.push(SigEntry::Module(m));
+            for &r in &bank.inq {
+                sig.push(SigEntry::InQ {
+                    req: rel_req(r),
+                    issued: issued(r),
+                });
+            }
+            if let Some((r, ready)) = bank.svc {
+                sig.push(SigEntry::Service {
+                    req: rel_req(r),
+                    issued: issued(r),
+                    ready: rel_cyc(ready),
+                });
+            }
+            for &r in &bank.outq {
+                sig.push(SigEntry::OutQ {
+                    req: rel_req(r),
+                    issued: issued(r),
+                });
+            }
+        }
+        BoundaryRec {
+            req,
+            cycle: run.cycle,
+            stall_cycles: run.stall_cycles,
+            conflicts: run.conflicts,
+            delivered: run.delivered,
+            log_pos: self.scratch.deliveries.len(),
+            busy: self
+                .period_modules
+                .iter()
+                .map(|&m| run.out.module_busy[m])
+                .collect(),
+            sig,
+        }
     }
 }
 
-/// One trace event of the reference window, shifted into an
-/// extrapolated period: cycles advance by `dt`, element ids are
-/// remapped to their stream counterparts `dq` requests later.
-fn shift_event<F>(ev: Event, dt: u64, dq: u64, elem_to_req: &[u64], request: &F) -> Event
-where
-    F: Fn(usize) -> (u64, Addr, ModuleId),
-{
-    let shift_elem = |e: u64| request((elem_to_req[e as usize] + dq) as usize).0;
-    match ev {
-        Event::Issue {
-            cycle,
-            element,
-            module,
-        } => Event::Issue {
-            cycle: cycle + dt,
-            element: shift_elem(element),
-            module,
-        },
-        Event::Stall { cycle, module } => Event::Stall {
-            cycle: cycle + dt,
-            module,
-        },
-        Event::ServiceStart {
-            cycle,
-            module,
-            element,
-        } => Event::ServiceStart {
-            cycle: cycle + dt,
-            module,
-            element: shift_elem(element),
-        },
-        Event::Complete {
-            cycle,
-            module,
-            element,
-        } => Event::Complete {
-            cycle: cycle + dt,
-            module,
-            element: shift_elem(element),
-        },
-        Event::Deliver { cycle, element } => Event::Deliver {
-            cycle: cycle + dt,
-            element: shift_elem(element),
-        },
+impl Observer for Detection<'_> {
+    fn delivered(&mut self, k: usize, when: u64) {
+        if self.active {
+            self.scratch.deliveries.push((k as u64, when));
+        }
+    }
+
+    fn boundary_at(&self) -> usize {
+        if self.active {
+            self.next_boundary as usize
+        } else {
+            usize::MAX
+        }
+    }
+
+    /// Capture, match, fast-forward.
+    fn boundary<F>(&mut self, run: &mut Run<'_>, request: &F)
+    where
+        F: Fn(usize) -> (u64, Addr, ModuleId),
+    {
+        let rec = self.capture(run);
+        let Some(prev) = self.ring.iter().rev().find(|r| r.sig == rec.sig) else {
+            self.ring.push_back(rec);
+            if self.ring.len() > SIGNATURE_RING {
+                self.ring.pop_front();
+            }
+            self.next_boundary += self.p;
+            // Past the limit the transient exhausted the budget: finish
+            // as a plain event run.
+            self.active = self.next_boundary <= self.limit;
+            return;
+        };
+        // Whether or not any periods are left to skip, the detector has
+        // done its job; the kernel finishes the tail and the drain.
+        self.active = false;
+        // Steady state: the window (prev, rec] will replay, time-shifted,
+        // `k` more times. Skip them.
+        let span = rec.req - prev.req;
+        let dc = rec.cycle - prev.cycle;
+        let k = (self.n - rec.req) / span;
+        if k == 0 {
+            return;
+        }
+        self.extrapolated = true;
+        // Aggregate statistics of the skipped periods.
+        run.stall_cycles += k * (rec.stall_cycles - prev.stall_cycles);
+        run.conflicts += k * (rec.conflicts - prev.conflicts);
+        let window_delivered = rec.delivered - prev.delivered;
+        debug_assert_eq!(
+            window_delivered, span,
+            "matched boundaries must deliver one period per window"
+        );
+        run.delivered += k * window_delivered;
+        run.next += (k * span) as usize;
+        for (i, &m) in self.period_modules.iter().enumerate() {
+            run.out.module_busy[m] += k * (rec.busy[i] - prev.busy[i]);
+        }
+
+        // Per-element arrivals of the skipped periods: every delivery in
+        // the reference window recurs k times, shifted in request index
+        // and time.
+        let mut window_last = 0;
+        for &(q, a) in &self.scratch.deliveries[prev.log_pos..rec.log_pos] {
+            window_last = window_last.max(a);
+            for i in 1..=k {
+                let (element, _, _) = request((q + i * span) as usize);
+                run.out.arrival[element as usize] = a + i * dc;
+            }
+        }
+        run.last_arrival = run.last_arrival.max(window_last + k * dc);
+
+        // Fast-forward the live machine state: every held request
+        // becomes its stream counterpart k periods later, all clocks
+        // advance k·dc.
+        run.shift(&self.period_modules, k * dc, k * span, request);
     }
 }
 
 impl MemorySystem {
-    /// The periodic steady-state fast-forward engine: the event engine
-    /// plus recurrence detection and closed-form extrapolation (see the
-    /// module docs). Statistics land in `out`, reusing its buffers.
+    /// The periodic steady-state fast-forward engine: the event kernel
+    /// with the recurrence detector as its observer (see the module
+    /// docs). Statistics land in `out`, reusing its buffers.
     ///
     /// # Panics
     ///
@@ -267,392 +387,108 @@ impl MemorySystem {
     where
         F: Fn(usize) -> (u64, Addr, ModuleId),
     {
-        self.reset();
-        let MemorySystem {
-            cfg,
-            modules,
-            trace,
-            active,
-            completions,
-            periodic,
-            ..
-        } = self;
-        completions.clear();
-        let n_u64 = n as u64;
-        for k in 0..n {
-            let (_, _, module) = request(k);
-            assert!(
-                module.get() < cfg.module_count(),
-                "request targets module {} but memory has {}",
-                module,
-                cfg.module_count()
-            );
+        if self.trace.is_enabled() {
+            // Traced runs are not extrapolated (see the module docs).
+            return self.run_event(n, request, out);
         }
-
-        // --- Recurrence detection setup -------------------------------
-        //
-        // Boundaries are anchored on the processor's request counter, so
-        // detection needs single-request issue (one port); multi-port
-        // configurations simply run the plain event path below.
-        let mut detect: Option<Detection> = None;
-        if cfg.ports() == 1 && n >= 4 {
-            let p = minimal_period(n, request, &mut periodic.fail);
-            if 3 * p <= n_u64 {
-                // element -> request index; bail out gracefully if the
-                // ids are not a permutation (the engine contract, but
-                // the other engines only enforce it at delivery time).
-                let elem_to_req = &mut periodic.elem_to_req;
-                elem_to_req.clear();
-                elem_to_req.resize(n, u64::MAX);
-                let mut valid = true;
-                for k in 0..n {
-                    let e = request(k).0;
-                    if e >= n_u64 || elem_to_req[e as usize] != u64::MAX {
-                        valid = false;
-                        break;
-                    }
-                    elem_to_req[e as usize] = k as u64;
-                }
-                if valid {
-                    let mut period_modules: Vec<usize> = (0..p as usize)
-                        .map(|k| request(k).2.get() as usize)
-                        .collect();
-                    period_modules.sort_unstable();
-                    period_modules.dedup();
-                    // Startup transients are bounded by the pipeline
-                    // filling (a few service times and queue depths);
-                    // past this allowance the stream is not settling
-                    // into a one-boundary recurrence and the plain
-                    // event path is the right engine.
-                    let transient = 4 * (cfg.t_cycles() + (cfg.q_in() + cfg.q_out()) as u64) + 64;
-                    let limit = (3 * p).max(p + transient).min(n_u64 - p);
-                    periodic.deliveries.clear();
-                    detect = Some(Detection {
-                        p,
-                        next_boundary: p,
-                        limit,
-                        period_modules,
-                        ring: VecDeque::new(),
-                    });
-                }
-            }
+        let mut scratch = std::mem::take(&mut self.periodic);
+        let mut detection = Detection::new(&self.cfg, n, request, &mut scratch);
+        self.run_kernel(n, request, out, &mut detection);
+        let extrapolated = detection.extrapolated;
+        self.periodic = scratch;
+        // Extrapolated arrivals are written by stream position; they
+        // equal the oracle's only when element ids are a permutation of
+        // `0..n` (the input contract), and exactly then do the `n`
+        // deliveries fill every slot. A stream breaking the contract
+        // reruns as a plain event run.
+        if extrapolated && out.arrival.contains(&u64::MAX) {
+            self.run_event(n, request, out);
         }
-
-        out.arrival.clear();
-        out.arrival.resize(n, u64::MAX);
-        let arrival = &mut out.arrival;
-        let mut delivered: u64 = 0;
-        let mut next_request: usize = 0;
-        let mut stall_cycles: u64 = 0;
-        let mut first_issue: Option<u64> = None;
-        let mut last_arrival: u64 = 0;
-
-        let safety_bound = 1_000_000u64.max(n_u64 * cfg.t_cycles() * 4 + 10_000);
-        let mut cycle: u64 = 0;
-        while delivered < n_u64 {
-            assert!(
-                cycle < safety_bound,
-                "simulation exceeded {safety_bound} cycles — engine bug"
-            );
-
-            // The four phases, verbatim from the cycle oracle.
-
-            // Phase 1: service completions (ascending module order).
-            for &idx in active.iter() {
-                let module = &mut modules[idx];
-                let in_service = module.in_service().map(|r| r.element);
-                module.tick_complete(cycle);
-                if let (Some(element), None) = (in_service, module.in_service()) {
-                    trace.push(Event::Complete {
-                        cycle,
-                        module: ModuleId::new(idx as u64),
-                        element,
-                    });
-                }
-            }
-
-            // Phase 2: bus grants — oldest issue first, lowest module on
-            // ties; one grant per port.
-            for _ in 0..cfg.ports() {
-                let grant = active
-                    .iter()
-                    .filter_map(|&idx| modules[idx].output_ready().map(|ready| (ready, idx)))
-                    .min();
-                let Some((_, idx)) = grant else { break };
-                let req = modules[idx]
-                    .take_output()
-                    // cfva-lint: allow(L002, reason = "idx came from the output_ready() filter on the same tick, so take_output() cannot be empty")
-                    .expect("granted module has output");
-                let when = cycle + 1; // one-cycle bus
-                arrival[req.element as usize] = when;
-                last_arrival = last_arrival.max(when);
-                delivered += 1;
-                if detect.is_some() {
-                    periodic
-                        .deliveries
-                        .push((periodic.elem_to_req[req.element as usize], when));
-                }
-                trace.push(Event::Deliver {
-                    cycle: when,
-                    element: req.element,
-                });
-            }
-
-            // Phase 3: processor issue — one request per port, in-order
-            // (a blocked request blocks the ports behind it).
-            for _ in 0..cfg.ports() {
-                if next_request >= n {
-                    break;
-                }
-                let (element, addr, module) = request(next_request);
-                let midx = module.get() as usize;
-                if modules[midx].can_accept() {
-                    modules[midx].accept(Request {
-                        element,
-                        addr,
-                        module,
-                        issue_cycle: cycle,
-                    });
-                    if let Err(pos) = active.binary_search(&midx) {
-                        active.insert(pos, midx);
-                    }
-                    first_issue.get_or_insert(cycle);
-                    next_request += 1;
-                    trace.push(Event::Issue {
-                        cycle,
-                        element,
-                        module,
-                    });
-                } else {
-                    stall_cycles += 1;
-                    trace.push(Event::Stall { cycle, module });
-                    break;
-                }
-            }
-
-            // Phase 4: service starts. Each start schedules a
-            // completion event.
-            for &idx in active.iter() {
-                let module = &mut modules[idx];
-                let serving_before = module.served();
-                module.tick_start(cycle);
-                if module.served() > serving_before {
-                    let (element, ready_at) = module
-                        .in_service()
-                        .map(|r| r.element)
-                        .zip(module.service_ready_at())
-                        // cfva-lint: allow(L002, reason = "served() just increased, so the service stage holds a request with a ready time")
-                        .expect("service stage just filled");
-                    completions.push(Reverse((ready_at, idx)));
-                    trace.push(Event::ServiceStart {
-                        cycle,
-                        module: ModuleId::new(idx as u64),
-                        element,
-                    });
-                }
-            }
-
-            // Drop drained modules from the active set.
-            active.retain(|&idx| modules[idx].is_active());
-
-            // --- Boundary check: capture, match, fast-forward. --------
-            if detect
-                .as_ref()
-                .is_some_and(|d| next_request as u64 == d.next_boundary)
-            {
-                // cfva-lint: allow(L002, reason = "the is_some_and guard on the line above proves detect is Some")
-                let mut d = detect.take().expect("just checked");
-                let rec = capture_boundary(
-                    &d,
-                    &periodic.elem_to_req,
-                    modules,
-                    active,
-                    trace,
-                    next_request as u64,
-                    cycle,
-                    stall_cycles,
-                    delivered,
-                    periodic.deliveries.len(),
-                );
-                if let Some(prev) = d.ring.iter().rev().find(|r| r.sig == rec.sig) {
-                    // Steady state: the window (prev, rec] will replay,
-                    // time-shifted, `k` more times. Skip them.
-                    let span = rec.req - prev.req;
-                    let dc = rec.cycle - prev.cycle;
-                    let k = (n_u64 - rec.req) / span;
-                    if k > 0 {
-                        // Aggregate statistics of the skipped periods.
-                        stall_cycles += k * (rec.stall_cycles - prev.stall_cycles);
-                        let window_delivered = rec.delivered - prev.delivered;
-                        debug_assert_eq!(
-                            window_delivered, span,
-                            "matched boundaries must deliver one period per window"
-                        );
-                        delivered += k * window_delivered;
-                        next_request += (k * span) as usize;
-                        for (i, &midx) in d.period_modules.iter().enumerate() {
-                            let (b0, c0) = prev.module_stats[i];
-                            let (b1, c1) = rec.module_stats[i];
-                            modules[midx].add_counters(k * (b1 - b0), k * (c1 - c0));
-                        }
-
-                        // Per-element arrivals of the skipped periods:
-                        // every delivery in the reference window recurs
-                        // k times, shifted in request index and time.
-                        for &(q, a) in &periodic.deliveries[prev.log_pos..rec.log_pos] {
-                            for i in 1..=k {
-                                let (element, _, _) = request((q + i * span) as usize);
-                                let when = a + i * dc;
-                                arrival[element as usize] = when;
-                                last_arrival = last_arrival.max(when);
-                            }
-                        }
-
-                        // Trace reconstruction: replay the reference
-                        // window's events with shifted clocks and
-                        // remapped element ids.
-                        if trace.is_enabled() {
-                            let window = trace.events()[prev.trace_pos..rec.trace_pos].to_vec();
-                            for i in 1..=k {
-                                for &ev in &window {
-                                    trace.push(shift_event(
-                                        ev,
-                                        i * dc,
-                                        i * span,
-                                        &periodic.elem_to_req,
-                                        request,
-                                    ));
-                                }
-                            }
-                        }
-
-                        // Fast-forward the live machine state: every
-                        // held request becomes its stream counterpart
-                        // k periods later, all clocks advance k·dc.
-                        let dt = k * dc;
-                        let dq = k * span;
-                        for &idx in active.iter() {
-                            modules[idx].shift_queues(dt, |r| {
-                                let kk = periodic.elem_to_req[r.element as usize] + dq;
-                                let (element, addr, module) = request(kk as usize);
-                                debug_assert_eq!(
-                                    module, r.module,
-                                    "module sequence must be periodic"
-                                );
-                                r.element = element;
-                                r.addr = addr;
-                            });
-                        }
-                        completions.clear();
-                        for &idx in active.iter() {
-                            if let Some(ready) = modules[idx].service_ready_at() {
-                                completions.push(Reverse((ready, idx)));
-                            }
-                        }
-                        cycle += dt;
-                    }
-                    // Whether or not any periods were left to skip, the
-                    // detector has done its job; the event loop finishes
-                    // the tail and the drain.
-                } else {
-                    d.ring.push_back(rec);
-                    if d.ring.len() > SIGNATURE_RING {
-                        d.ring.pop_front();
-                    }
-                    d.next_boundary += d.p;
-                    if d.next_boundary <= d.limit {
-                        detect = Some(d);
-                    }
-                    // else: transient exhausted the budget — finish as a
-                    // plain event-queue run.
-                }
-            }
-
-            // --- Scheduling: the next cycle anything can happen. ---
-            //
-            // Either of these means the very next cycle is live:
-            //  * a datum waits on the return bus (phase 2 fires), or
-            //  * the processor's next request fits its target's input
-            //    buffer (phase 3 fires).
-            if active.iter().any(|&idx| modules[idx].has_output()) || delivered >= n_u64 {
-                cycle += 1;
-                continue;
-            }
-            if next_request < n {
-                let (_, _, module) = request(next_request);
-                // cfva-lint: allow(L002, reason = "module_of returns an id < module_count by the ModuleMap contract, and modules is sized to module_count")
-                if modules[module.get() as usize].can_accept() {
-                    cycle += 1;
-                    continue;
-                }
-            }
-
-            // Otherwise the system is quiescent except for running
-            // services: jump to the next completion, accounting skipped
-            // stall cycles in closed form (see event.rs).
-            let target = match next_completion(completions, modules) {
-                Some(ready) => ready.max(cycle + 1),
-                None => cycle + 1,
-            };
-            if next_request < n {
-                let skipped = target - (cycle + 1);
-                stall_cycles += skipped;
-                if trace.is_enabled() && skipped > 0 {
-                    let (_, _, module) = request(next_request);
-                    for c in cycle + 1..target {
-                        trace.push(Event::Stall { cycle: c, module });
-                    }
-                }
-            }
-            cycle = target;
-        }
-
-        let first = first_issue.unwrap_or(0);
-        out.latency = last_arrival - first + 1;
-        out.elements = n_u64;
-        out.stall_cycles = stall_cycles;
-        out.conflicts = modules.iter().map(|m| m.queued_conflicts()).sum();
-        out.module_busy.clear();
-        out.module_busy
-            .extend(modules.iter().map(|m| m.busy_cycles()));
-        out.max_in_q = modules.iter().map(|m| m.max_in_q()).max().unwrap_or(0);
     }
-}
-
-/// The earliest pending completion, discarding stale queue entries
-/// lazily — identical to the event engine's scheduler helper.
-fn next_completion(
-    completions: &mut std::collections::BinaryHeap<Reverse<(u64, usize)>>,
-    modules: &[MemModule],
-) -> Option<u64> {
-    while let Some(&Reverse((ready, idx))) = completions.peek() {
-        if modules[idx].service_ready_at() == Some(ready) {
-            return Some(ready);
-        }
-        completions.pop();
-    }
-    None
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn stream(mods: &[u32]) -> impl Fn(usize) -> (u64, Addr, ModuleId) {
+        let mods = mods.to_vec();
+        move |k| (k as u64, Addr::new(k as u64), ModuleId::new(mods[k].into()))
+    }
+
     #[test]
     fn minimal_period_of_streams() {
-        let stream = |mods: &[u64]| {
-            let mods = mods.to_vec();
-            move |k: usize| (k as u64, Addr::new(k as u64), ModuleId::new(mods[k]))
+        let period = |seq: &[u32]| {
+            minimal_period(
+                seq.len(),
+                &stream(seq),
+                &mut Vec::new(),
+                &mut Vec::new(),
+                u64::MAX,
+            )
         };
-        let mut fail = Vec::new();
-        let s = stream(&[0, 1, 2, 0, 1, 2, 0, 1]);
-        assert_eq!(minimal_period(8, &s, &mut fail), 3);
-        let s = stream(&[5, 5, 5, 5]);
-        assert_eq!(minimal_period(4, &s, &mut fail), 1);
-        let s = stream(&[0, 1, 2, 3]);
-        assert_eq!(minimal_period(4, &s, &mut fail), 4);
+        assert_eq!(period(&[0, 1, 2, 0, 1, 2, 0, 1]), 3);
+        assert_eq!(period(&[5, 5, 5, 5]), 1);
+        assert_eq!(period(&[0, 1, 2, 3]), 4);
         // Weak periodicity: p need not divide n.
-        let s = stream(&[2, 7, 2, 7, 2]);
-        assert_eq!(minimal_period(5, &s, &mut fail), 2);
+        assert_eq!(period(&[2, 7, 2, 7, 2]), 2);
+    }
+
+    #[test]
+    fn minimal_period_stops_past_the_cap() {
+        let s = stream(&[0, 1, 2, 3, 4, 5, 6, 0, 1, 2, 3, 4, 5, 6]);
+        let (mut seq, mut fail) = (Vec::new(), Vec::new());
+        assert_eq!(minimal_period(14, &s, &mut seq, &mut fail, u64::MAX), 7);
+        assert_eq!(minimal_period(14, &s, &mut seq, &mut fail, 7), 7);
+        // Known to exceed 4 after five elements: the scan stops there.
+        assert_eq!(minimal_period(14, &s, &mut seq, &mut fail, 4), 5);
+        assert_eq!(seq, [0, 1, 2, 3, 4]);
+        // A long periodic run that breaks late still finds the full
+        // period, and the tables resume exactly.
+        let mut mods: Vec<u32> = (0..40).map(|k| k % 3).collect();
+        mods.push(7);
+        mods.extend_from_within(..41);
+        let s = stream(&mods);
+        assert_eq!(minimal_period(82, &s, &mut seq, &mut fail, u64::MAX), 41);
+        assert_eq!(seq, mods);
+    }
+
+    #[test]
+    fn minimal_period_matches_brute_force() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let (mut seq, mut fail) = (Vec::new(), Vec::new());
+        for trial in 0..2000 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            // Random repeats of a random pattern, sometimes perturbed.
+            let n = (state % 60 + 1) as usize;
+            let period = (state >> 8) % 7 + 1;
+            let pattern: Vec<u32> = (0..period)
+                .map(|k| ((state >> (16 + 3 * k)) % 3) as u32)
+                .collect();
+            let mut mods: Vec<u32> = (0..n).map(|k| pattern[k % period as usize]).collect();
+            if trial % 3 == 0 {
+                let at = (state >> 40) as usize % n;
+                mods[at] = 9;
+            }
+            let brute = (1..=n)
+                .find(|&p| (0..n - p).all(|k| mods[k] == mods[k + p]))
+                .unwrap() as u64;
+            let s = stream(&mods);
+            assert_eq!(
+                minimal_period(n, &s, &mut seq, &mut fail, u64::MAX),
+                brute,
+                "{mods:?}"
+            );
+            for cap in 0..n as u64 {
+                let got = minimal_period(n, &s, &mut seq, &mut fail, cap);
+                if brute <= cap {
+                    assert_eq!(got, brute, "{mods:?} cap {cap}");
+                } else {
+                    assert!(got > cap && got <= brute, "{mods:?} cap {cap}: {got}");
+                }
+            }
+        }
     }
 }

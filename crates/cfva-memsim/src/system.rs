@@ -1,7 +1,5 @@
 //! The cycle engine: processor, bus and module array.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::fmt;
 
 use cfva_core::plan::AccessPlan;
@@ -9,6 +7,7 @@ use cfva_core::{Addr, ModuleId};
 
 use crate::config::MemConfig;
 use crate::event::Engine;
+use crate::kernel::Kernel;
 use crate::module::MemModule;
 use crate::periodic::PeriodicScratch;
 use crate::stats::AccessStats;
@@ -47,22 +46,20 @@ pub struct Request {
 /// [`AccessStats::conflicts`].
 pub struct MemorySystem {
     pub(crate) cfg: MemConfig,
-    pub(crate) modules: Vec<MemModule>,
+    /// The cycle oracle's module array, built on its first run.
+    modules: Vec<MemModule>,
     pub(crate) trace: Trace,
     /// Indices of modules currently holding work, kept in ascending
     /// order. The cycle loop touches only these, so simulation cost
     /// scales with the *occupied* modules (≈ `T` for a register-length
     /// access), not with the memory size `M` — the difference is large
     /// on unmatched memories where `M = T²`.
-    pub(crate) active: Vec<usize>,
+    active: Vec<usize>,
     /// Scratch for the fast path's window check: last request index per
     /// module.
     last_start: Vec<u64>,
-    /// The event engine's completion queue, keyed on (service-ready
-    /// cycle, module index); kept on the system so repeated runs reuse
-    /// the allocation. Entries are invalidated lazily (see
-    /// `event.rs`).
-    pub(crate) completions: BinaryHeap<Reverse<(u64, usize)>>,
+    /// Reusable queues of the event kernel (see `kernel.rs`).
+    pub(crate) kernel: Kernel,
     /// Reusable buffers of the periodic fast-forward engine (see
     /// `periodic.rs`).
     pub(crate) periodic: PeriodicScratch,
@@ -71,16 +68,13 @@ pub struct MemorySystem {
 impl MemorySystem {
     /// Creates an idle memory system.
     pub fn new(cfg: MemConfig) -> Self {
-        let modules = (0..cfg.module_count())
-            .map(|_| MemModule::new(cfg.t_cycles(), cfg.q_in(), cfg.q_out()))
-            .collect();
         MemorySystem {
             cfg,
-            modules,
+            modules: Vec::new(),
             trace: Trace::new(),
             active: Vec::new(),
             last_start: Vec::new(),
-            completions: BinaryHeap::new(),
+            kernel: Kernel::default(),
             periodic: PeriodicScratch::default(),
         }
     }
@@ -120,7 +114,7 @@ impl MemorySystem {
     /// fail the check fall through to the periodic fast-forward engine
     /// ([`Engine::Periodic`]), which extrapolates steady-state periods
     /// of long conflicted streams in closed form and degrades to the
-    /// event-queue engine ([`Engine::Event`]) when no recurrence is
+    /// event kernel ([`Engine::Event`]) when no recurrence is
     /// found.
     ///
     /// **Disabled by default** so the cycle-accurate engine remains the
@@ -280,7 +274,7 @@ impl MemorySystem {
                 // periodic fast-forward engine takes over — long
                 // conflicted streams collapse to one steady-state
                 // period, and anything without a detectable recurrence
-                // runs as a plain event-queue simulation. This is the
+                // runs as a plain event-kernel simulation. This is the
                 // FastPath → Periodic → Event chain.
                 self.run_periodic(n, &request, out)
             }
@@ -300,7 +294,16 @@ impl MemorySystem {
     where
         F: Fn(usize) -> (u64, Addr, ModuleId),
     {
-        self.reset();
+        if self.modules.is_empty() {
+            self.modules = (0..self.cfg.module_count())
+                .map(|_| MemModule::new(self.cfg.t_cycles(), self.cfg.q_in(), self.cfg.q_out()))
+                .collect();
+        }
+        for module in &mut self.modules {
+            module.reset();
+        }
+        self.active.clear();
+        self.trace.clear();
         let MemorySystem {
             cfg,
             modules,
@@ -442,22 +445,13 @@ impl MemorySystem {
             .extend(modules.iter().map(|m| m.busy_cycles()));
         out.max_in_q = modules.iter().map(|m| m.max_in_q()).max().unwrap_or(0);
     }
-
-    pub(crate) fn reset(&mut self) {
-        for module in &mut self.modules {
-            module.reset();
-        }
-        self.active.clear();
-        self.trace.clear();
-        self.completions.clear();
-    }
 }
 
 impl fmt::Debug for MemorySystem {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("MemorySystem")
             .field("config", &self.cfg)
-            .field("modules", &self.modules.len())
+            .field("modules", &self.cfg.module_count())
             .finish_non_exhaustive()
     }
 }

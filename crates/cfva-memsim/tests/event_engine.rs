@@ -5,16 +5,19 @@
 //! registry coverage set** (a map registered in
 //! `cfva_core::mapping::Registry` is swept here automatically), stride
 //! families, queue depths, port counts and pathological same-module
-//! streams. Plus the enforced performance claim: the event engine
-//! beats the cycle loop ≥ 2× on a worst-case all-requests-one-module
-//! stride.
+//! streams — plus the dense regime the event kernel targets: long
+//! `Strategy::Auto` plans of every registered map, conflicted
+//! multi-port streams whose same-cycle issues tie at the bus, and
+//! output back-pressure. Plus the enforced performance claim: the
+//! event engine beats the cycle loop ≥ 2× on a worst-case
+//! all-requests-one-module stride.
 
 use std::time::Instant;
 
 use cfva_core::mapping::{Interleaved, Registry, XorMatched};
 use cfva_core::plan::{AccessPlan, Planner, Strategy};
 use cfva_core::{Addr, ModuleId, Stride, VectorSpec};
-use cfva_memsim::{AccessStats, Engine, MemConfig, MemorySystem};
+use cfva_memsim::{AccessStats, Engine, Event, MemConfig, MemorySystem};
 
 /// Runs one plan through all three engines on fresh systems and
 /// asserts identical statistics; also re-runs on the reused event
@@ -162,6 +165,203 @@ fn queue_depths_and_ports_are_identical() {
         let cfg = MemConfig::new(6, 3).unwrap().with_ports(ports).unwrap();
         assert_engines_equivalent(cfg, &plan, &format!("ports={ports}"));
     }
+}
+
+/// The request stream of a plan, in issue order.
+fn stream_of(plan: &AccessPlan) -> Vec<(u64, Addr, ModuleId)> {
+    plan.iter()
+        .map(|e| (e.element(), e.addr(), e.module()))
+        .collect()
+}
+
+/// One traced oracle run against a traced and an untraced event run:
+/// statistics and full traces must be equal. Returns the oracle trace
+/// so callers can check their scenario actually occurred.
+fn assert_traced_stream_equivalent(
+    cfg: MemConfig,
+    stream: &[(u64, Addr, ModuleId)],
+    label: &str,
+) -> Vec<Event> {
+    let mut oracle = MemorySystem::new(cfg);
+    oracle.enable_trace();
+    let expected = oracle.run_requests(stream);
+    let mut traced = MemorySystem::new(cfg.with_engine(Engine::Event));
+    traced.enable_trace();
+    assert_eq!(expected, traced.run_requests(stream), "{label} (traced)");
+    assert_eq!(
+        oracle.trace().events(),
+        traced.trace().events(),
+        "{label} (trace)"
+    );
+    let untraced = MemorySystem::new(cfg.with_engine(Engine::Event)).run_requests(stream);
+    assert_eq!(expected, untraced, "{label} (untraced)");
+    oracle.trace().events().to_vec()
+}
+
+/// Cycles in which two or more modules complete a service.
+fn same_cycle_completions(trace: &[Event]) -> usize {
+    let mut cycles: Vec<u64> = trace
+        .iter()
+        .filter(|e| matches!(e, Event::Complete { .. }))
+        .map(Event::cycle)
+        .collect();
+    let total = cycles.len();
+    cycles.dedup();
+    total - cycles.len()
+}
+
+/// Completions deferred past their service time by a full output
+/// queue.
+fn deferred_completions(trace: &[Event], t: u64) -> usize {
+    let mut started = std::collections::HashMap::new();
+    let mut deferred = 0;
+    for event in trace {
+        match *event {
+            Event::ServiceStart { cycle, element, .. } => {
+                started.insert(element, cycle);
+            }
+            Event::Complete { cycle, element, .. } => {
+                deferred += usize::from(cycle > started[&element] + t);
+            }
+            _ => {}
+        }
+    }
+    deferred
+}
+
+/// A deterministic pseudo-random stream over modules `0..width`
+/// (xorshift64).
+fn random_stream(seed: u64, len: u64, width: u64) -> Vec<(u64, Addr, ModuleId)> {
+    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    (0..len)
+        .map(|i| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (i, Addr::new(i), ModuleId::new(state % width))
+        })
+        .collect()
+}
+
+/// The dense regime the event kernel exists for: long `Auto` plans of
+/// every registered map, across stride families, traced and untraced.
+/// One test per queue depth, so the sweep spreads over the test
+/// threads.
+fn long_auto_sweep(q_in: usize, q_out: usize) {
+    for spec in Registry::builtin().all_specs() {
+        let planner = Planner::from_spec(&spec).expect("coverage specs are buildable");
+        let cfg = MemConfig::from_spec(&spec)
+            .expect("coverage specs fit the simulator")
+            .with_queues(q_in, q_out)
+            .expect("nonzero queues");
+        for x in 0..=3u32 {
+            for len in [1024u64, 4096, 8192] {
+                let stride = Stride::from_parts(3, x).expect("odd sigma");
+                let vec = VectorSpec::with_stride(7u64.into(), stride, len).expect("valid");
+                let plan = planner
+                    .plan(&vec, Strategy::Auto)
+                    .expect("auto always plans");
+                assert_traced_stream_equivalent(
+                    cfg,
+                    &stream_of(&plan),
+                    &format!("{spec} auto x={x} len={len} q={q_in} q'={q_out}"),
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn long_auto_plans_are_identical_q1_1() {
+    long_auto_sweep(1, 1);
+}
+
+#[test]
+fn long_auto_plans_are_identical_q2_1() {
+    long_auto_sweep(2, 1);
+}
+
+#[test]
+fn long_auto_plans_are_identical_q1_2() {
+    long_auto_sweep(1, 2);
+}
+
+#[test]
+fn long_auto_plans_are_identical_q4_2() {
+    long_auto_sweep(4, 2);
+}
+
+/// Conflicted 2- and 4-port streams: requests issued in the same cycle
+/// start, complete and reach the bus together, where the arbiter breaks
+/// the tie by module.
+#[test]
+fn conflicted_multi_port_streams_are_identical() {
+    let spec = "xor-matched:t=3,s=4".parse().unwrap();
+    let planner = Planner::from_spec(&spec).unwrap();
+    let mut ties = 0;
+    for ports in [2usize, 4] {
+        for (q_in, q_out) in [(1usize, 1usize), (2, 1), (4, 2)] {
+            let cfg = MemConfig::from_spec(&spec)
+                .unwrap()
+                .with_queues(q_in, q_out)
+                .unwrap()
+                .with_ports(ports)
+                .unwrap();
+            for x in 0..=4u32 {
+                let stride = Stride::from_parts(3, x).unwrap();
+                let vec = VectorSpec::with_stride(16u64.into(), stride, 256).unwrap();
+                let plan = planner.plan(&vec, Strategy::Canonical).unwrap();
+                let label = format!("ports={ports} q={q_in} q'={q_out} x={x}");
+                let trace = assert_traced_stream_equivalent(cfg, &stream_of(&plan), &label);
+                ties += same_cycle_completions(&trace);
+            }
+            let stream = random_stream(ports as u64, 256, 5);
+            let label = format!("ports={ports} q={q_in} q'={q_out} random");
+            let trace = assert_traced_stream_equivalent(cfg, &stream, &label);
+            ties += same_cycle_completions(&trace);
+        }
+    }
+    assert!(
+        ties > 0,
+        "no same-cycle completions: the bus tie-break went untested"
+    );
+}
+
+/// Output back-pressure: with one output slot, modules that finish in
+/// the same cycle queue for the bus, and a module whose datum is not
+/// granted before its next service ends blocks that completion.
+#[test]
+fn output_back_pressure_is_identical() {
+    let (mut simultaneous, mut deferred) = (0, 0);
+    for (m, t, ports, q_in) in [
+        (2u32, 1u32, 1usize, 2usize),
+        (3, 1, 1, 3),
+        (2, 0, 2, 2),
+        (3, 0, 2, 3),
+        (3, 0, 4, 2),
+    ] {
+        let cfg = MemConfig::new(m, t)
+            .unwrap()
+            .with_queues(q_in, 1)
+            .unwrap()
+            .with_ports(ports)
+            .unwrap();
+        for seed in 1..=12u64 {
+            let stream = random_stream(seed, 96, (1 << m) - 1);
+            let label = format!("m={m} t={t} ports={ports} q={q_in} seed={seed}");
+            let trace = assert_traced_stream_equivalent(cfg, &stream, &label);
+            simultaneous += same_cycle_completions(&trace);
+            deferred += deferred_completions(&trace, cfg.t_cycles());
+        }
+    }
+    assert!(
+        simultaneous > 0,
+        "no two modules finished in the same cycle"
+    );
+    assert!(
+        deferred > 0,
+        "no completion was blocked by a full output queue"
+    );
 }
 
 #[test]

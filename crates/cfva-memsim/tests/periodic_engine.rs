@@ -5,8 +5,12 @@
 //! **every map in the registry coverage set** (a map registered in
 //! `cfva_core::mapping::Registry` is swept here automatically), stride
 //! families, queue depths, port counts, pathological same-module
-//! streams and the long-vector regime the extrapolation targets. Plus
-//! the enforced performance claim: ≥ 3× over the event engine on
+//! streams and the long-vector regime the extrapolation targets — plus
+//! the dense regime of the shared event kernel: long `Strategy::Auto`
+//! plans of every registered map, conflicted multi-port streams whose
+//! same-cycle issues tie at the bus, and output back-pressure, including
+//! periodic streams whose fast-forward lands on a blocked completion.
+//! Plus the enforced performance claim: ≥ 3× over the event engine on
 //! long-vector (`len ≥ 64·P_x`) conflicted strides.
 
 use std::time::Instant;
@@ -14,12 +18,11 @@ use std::time::Instant;
 use cfva_core::mapping::{Interleaved, Registry, XorMatched};
 use cfva_core::plan::{AccessPlan, Planner, Strategy};
 use cfva_core::{Addr, ModuleId, Stride, VectorSpec};
-use cfva_memsim::{AccessStats, Engine, MemConfig, MemorySystem};
+use cfva_memsim::{AccessStats, Engine, Event, MemConfig, MemorySystem};
 
 /// Runs one plan through the oracle and the periodic engine (fresh and
 /// reused systems) and asserts identical statistics, then compares full
-/// traces cycle-for-cycle — the trace reconstruction of extrapolated
-/// periods must be exact.
+/// traces cycle-for-cycle (a traced periodic run is the plain kernel).
 fn assert_periodic_equivalent(cfg: MemConfig, plan: &AccessPlan, label: &str) {
     let oracle = MemorySystem::new(cfg).run_plan(plan);
 
@@ -174,6 +177,216 @@ fn queue_depths_and_ports_are_identical() {
         let cfg = MemConfig::new(6, 3).unwrap().with_ports(ports).unwrap();
         assert_periodic_equivalent(cfg, &plan, &format!("ports={ports}"));
     }
+}
+
+/// The request stream of a plan, in issue order.
+fn stream_of(plan: &AccessPlan) -> Vec<(u64, Addr, ModuleId)> {
+    plan.iter()
+        .map(|e| (e.element(), e.addr(), e.module()))
+        .collect()
+}
+
+/// One traced oracle run against a traced and an untraced periodic
+/// run: statistics and full traces must be equal. Returns the oracle
+/// trace so callers can check their scenario actually occurred.
+fn assert_traced_stream_equivalent(
+    cfg: MemConfig,
+    stream: &[(u64, Addr, ModuleId)],
+    label: &str,
+) -> Vec<Event> {
+    let mut oracle = MemorySystem::new(cfg);
+    oracle.enable_trace();
+    let expected = oracle.run_requests(stream);
+    let mut traced = MemorySystem::new(cfg.with_engine(Engine::Periodic));
+    traced.enable_trace();
+    assert_eq!(expected, traced.run_requests(stream), "{label} (traced)");
+    assert_eq!(
+        oracle.trace().events(),
+        traced.trace().events(),
+        "{label} (trace)"
+    );
+    let untraced = MemorySystem::new(cfg.with_engine(Engine::Periodic)).run_requests(stream);
+    assert_eq!(expected, untraced, "{label} (untraced)");
+    oracle.trace().events().to_vec()
+}
+
+/// Cycles in which two or more modules complete a service.
+fn same_cycle_completions(trace: &[Event]) -> usize {
+    let mut cycles: Vec<u64> = trace
+        .iter()
+        .filter(|e| matches!(e, Event::Complete { .. }))
+        .map(Event::cycle)
+        .collect();
+    let total = cycles.len();
+    cycles.dedup();
+    total - cycles.len()
+}
+
+/// Completions deferred past their service time by a full output
+/// queue.
+fn deferred_completions(trace: &[Event], t: u64) -> usize {
+    let mut started = std::collections::HashMap::new();
+    let mut deferred = 0;
+    for event in trace {
+        match *event {
+            Event::ServiceStart { cycle, element, .. } => {
+                started.insert(element, cycle);
+            }
+            Event::Complete { cycle, element, .. } => {
+                deferred += usize::from(cycle > started[&element] + t);
+            }
+            _ => {}
+        }
+    }
+    deferred
+}
+
+/// A deterministic pseudo-random module pattern of length `period`
+/// over modules `0..width` (xorshift64), repeated to `len` requests.
+fn periodic_random_stream(
+    seed: u64,
+    period: u64,
+    len: u64,
+    width: u64,
+) -> Vec<(u64, Addr, ModuleId)> {
+    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    let pattern: Vec<u64> = (0..period)
+        .map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % width
+        })
+        .collect();
+    (0..len)
+        .map(|i| {
+            let module = pattern[(i % period) as usize];
+            (i, Addr::new(i), ModuleId::new(module))
+        })
+        .collect()
+}
+
+/// The dense regime of the shared event kernel: long `Auto` plans of
+/// every registered map, across stride families, traced and untraced.
+/// One test per queue depth, so the sweep spreads over the test
+/// threads.
+fn long_auto_sweep(q_in: usize, q_out: usize) {
+    for spec in Registry::builtin().all_specs() {
+        let planner = Planner::from_spec(&spec).expect("coverage specs are buildable");
+        let cfg = MemConfig::from_spec(&spec)
+            .expect("coverage specs fit the simulator")
+            .with_queues(q_in, q_out)
+            .expect("nonzero queues");
+        for x in 0..=3u32 {
+            for len in [1024u64, 4096, 8192] {
+                let stride = Stride::from_parts(3, x).expect("odd sigma");
+                let vec = VectorSpec::with_stride(7u64.into(), stride, len).expect("valid");
+                let plan = planner
+                    .plan(&vec, Strategy::Auto)
+                    .expect("auto always plans");
+                assert_traced_stream_equivalent(
+                    cfg,
+                    &stream_of(&plan),
+                    &format!("{spec} auto x={x} len={len} q={q_in} q'={q_out}"),
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn long_auto_plans_are_identical_q1_1() {
+    long_auto_sweep(1, 1);
+}
+
+#[test]
+fn long_auto_plans_are_identical_q2_1() {
+    long_auto_sweep(2, 1);
+}
+
+#[test]
+fn long_auto_plans_are_identical_q1_2() {
+    long_auto_sweep(1, 2);
+}
+
+#[test]
+fn long_auto_plans_are_identical_q4_2() {
+    long_auto_sweep(4, 2);
+}
+
+/// Conflicted 2- and 4-port streams: requests issued in the same cycle
+/// start, complete and reach the bus together, where the arbiter breaks
+/// the tie by module. Multi-port runs take no boundaries, so these are
+/// plain kernel runs.
+#[test]
+fn conflicted_multi_port_streams_are_identical() {
+    let spec = "xor-matched:t=3,s=4".parse().unwrap();
+    let planner = Planner::from_spec(&spec).unwrap();
+    let mut ties = 0;
+    for ports in [2usize, 4] {
+        for (q_in, q_out) in [(1usize, 1usize), (2, 1), (4, 2)] {
+            let cfg = MemConfig::from_spec(&spec)
+                .unwrap()
+                .with_queues(q_in, q_out)
+                .unwrap()
+                .with_ports(ports)
+                .unwrap();
+            for x in 0..=4u32 {
+                let stride = Stride::from_parts(3, x).unwrap();
+                let vec = VectorSpec::with_stride(16u64.into(), stride, 256).unwrap();
+                let plan = planner.plan(&vec, Strategy::Canonical).unwrap();
+                let label = format!("ports={ports} q={q_in} q'={q_out} x={x}");
+                let trace = assert_traced_stream_equivalent(cfg, &stream_of(&plan), &label);
+                ties += same_cycle_completions(&trace);
+            }
+        }
+    }
+    assert!(
+        ties > 0,
+        "no same-cycle completions: the bus tie-break went untested"
+    );
+}
+
+/// Output back-pressure on periodic streams: with one output slot,
+/// modules that finish in the same cycle queue for the bus and some
+/// completions block; the detected steady state then includes blocked
+/// completions and their retries, which the fast-forward must carry
+/// over exactly.
+#[test]
+fn output_back_pressure_is_identical() {
+    let (mut simultaneous, mut deferred) = (0, 0);
+    for (m, t, q_in) in [(2u32, 1u32, 2usize), (3, 1, 3), (2, 1, 3)] {
+        let cfg = MemConfig::new(m, t).unwrap().with_queues(q_in, 1).unwrap();
+        for seed in 1..=12u64 {
+            for period in [5u64, 12] {
+                let stream = periodic_random_stream(seed, period, 480, (1 << m) - 1);
+                let label = format!("m={m} t={t} q={q_in} seed={seed} period={period}");
+                let trace = assert_traced_stream_equivalent(cfg, &stream, &label);
+                simultaneous += same_cycle_completions(&trace);
+                deferred += deferred_completions(&trace, cfg.t_cycles());
+            }
+        }
+    }
+    assert!(
+        simultaneous > 0,
+        "no two modules finished in the same cycle"
+    );
+    assert!(
+        deferred > 0,
+        "no completion was blocked by a full output queue"
+    );
+}
+
+/// Element ids are a permutation of `0..n` by contract; a stream that
+/// repeats ids still matches the oracle (extrapolated arrivals are
+/// discarded and the stream reruns as a plain event run).
+#[test]
+fn repeated_element_ids_match_the_oracle() {
+    let cfg = MemConfig::new(3, 3).unwrap();
+    let stream: Vec<(u64, Addr, ModuleId)> = (0..512u64)
+        .map(|i| (i % 100, Addr::new(i), ModuleId::new(i % 3)))
+        .collect();
+    assert_stream_equivalent(cfg, &stream, "repeated element ids");
 }
 
 #[test]
