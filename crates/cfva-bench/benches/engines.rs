@@ -4,9 +4,10 @@
 //! interleaving, T = 64), where the event engine's ≥ 2× advantage is
 //! also *enforced* by
 //! `cfva-memsim/tests/event_engine.rs::event_engine_at_least_2x_faster_on_all_conflicts_stride`.
-//! The dense aperiodic case is the event kernel's own regime: a
-//! conflicted stream with no recurrence to extrapolate, in which
-//! nearly every cycle has an event.
+//! The dense aperiodic case is a conflicted stream with no recurrence
+//! to extrapolate, in which nearly every cycle has an event: the event
+//! kernel's own regime, and the one where the fast-path chain lands on
+//! the request-order solver.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
@@ -76,8 +77,8 @@ fn bench_engines(c: &mut Criterion) {
 
     // Dense aperiodic: the pseudo-random map's module sequence does not
     // recur within the vector, so nothing extrapolates (FastPath falls
-    // through Periodic to the plain kernel) and conflicts keep every
-    // cycle busy.
+    // through Periodic to the request-order solver) and conflicts keep
+    // every cycle busy.
     let (planner, cfg) = from_spec("pseudo-random:m=3,bits=14");
     let vec = VectorSpec::new(0, 3, 4096).expect("valid");
     let plan = planner.plan(&vec, Strategy::Auto).expect("plans");

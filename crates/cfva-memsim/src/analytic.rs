@@ -23,8 +23,13 @@
 //!   `Registry::builtin().all_specs()`.
 //! * When the deltas refuse to settle the estimator falls back to a
 //!   linear fit over the probes and reports `exact = false`.
-//! * Streams too short to amortize probing (and multi-port or traced
-//!   runs) are simply executed by the event engine — trivially exact.
+//! * The probes are prefixes of one stream, and the request-order
+//!   solver (`solver.rs`) times each request from the requests before
+//!   it alone, so one solver pass over the longest probe yields every
+//!   probe's aggregates.
+//! * Streams too short to amortize probing are simply solved in full,
+//!   and multi-port or traced runs are executed by the event kernel —
+//!   trivially exact.
 //!
 //! Unlike the four simulating engines, [`Engine::Analytic`] reports
 //! **aggregates only**: the per-element arrival and per-module busy
@@ -130,9 +135,10 @@ impl MemorySystem {
     }
 
     /// The estimator core: probes short congruent prefixes with the
-    /// event engine and extrapolates. Writes the estimated aggregates
-    /// into `out` (per-element and per-module vectors cleared on the
-    /// extrapolated path, fully populated on the direct path).
+    /// request-order solver and extrapolates. Writes the estimated
+    /// aggregates into `out` (per-element and per-module vectors
+    /// cleared on the extrapolated path, fully populated on the direct
+    /// path).
     pub(crate) fn run_analytic<F>(
         &mut self,
         n: usize,
@@ -143,11 +149,16 @@ impl MemorySystem {
         F: Fn(usize) -> (u64, Addr, ModuleId),
     {
         // Streams the probing machinery does not cover run directly:
-        // multi-port issue (period boundaries are request-anchored),
-        // tracing (the trace must stay bit-identical to the oracle's),
-        // and anything too short for period detection.
-        if self.trace.is_enabled() || self.cfg.ports() != 1 || n < 4 {
+        // multi-port issue (period boundaries are request-anchored) and
+        // tracing (the trace must stay bit-identical to the oracle's)
+        // on the event kernel, anything too short for period detection
+        // on the request-order solver.
+        if self.trace.is_enabled() || self.cfg.ports() != 1 {
             self.run_event(n, request, out);
+            return AnalyticEstimate::from_stats(out, n.max(1) as u64);
+        }
+        if n < 4 {
+            self.solve(n, request, out, |_, _| {});
             return AnalyticEstimate::from_stats(out, n.max(1) as u64);
         }
 
@@ -166,12 +177,15 @@ impl MemorySystem {
         let longest = r + (c1 + PROBES as u64 - 1) * p;
         if longest >= n_u64 {
             // Probing would simulate as much as the real stream: run it.
-            self.run_event(n, request, out);
+            self.solve(n, request, out, |_, _| {});
             return AnalyticEstimate::from_stats(out, p);
         }
 
-        // Probe runs use identity element ids: a prefix of a permuted
-        // stream is not itself a permutation of its own length, and the
+        // The probes are prefixes of one stream, and a request's solved
+        // timing depends only on the requests before it: one solver pass
+        // over the longest probe yields every probe's aggregates. Probe
+        // runs use identity element ids: a prefix of a permuted stream
+        // is not itself a permutation of its own length, and the
         // aggregates being estimated do not depend on element labels.
         let probe_request = |k: usize| {
             let (_, addr, module) = request(k);
@@ -183,17 +197,23 @@ impl MemorySystem {
             conflicts: 0,
             max_in_q: 0,
         }; PROBES];
+        let mut next = 0;
         let mut scratch = AccessStats::default();
-        for (j, probe) in probes.iter_mut().enumerate() {
-            let len = (r + (c1 + j as u64) * p) as usize;
-            self.run_event(len, &probe_request, &mut scratch);
-            *probe = Probe {
-                latency: scratch.latency,
-                stalls: scratch.stall_cycles,
-                conflicts: scratch.conflicts,
-                max_in_q: scratch.max_in_q,
+        self.solve(longest as usize, &probe_request, &mut scratch, |k, sum| {
+            let Some(probe) = probes.get_mut(next) else {
+                return;
             };
-        }
+            // Probe `next` ends at request `r + (c1 + next)·p - 1`.
+            if (k + 1) as u64 == r + (c1 + next as u64) * p {
+                *probe = Probe {
+                    latency: sum.latency,
+                    stalls: sum.stall_cycles,
+                    conflicts: sum.conflicts,
+                    max_in_q: sum.max_in_q,
+                };
+                next += 1;
+            }
+        });
 
         let k_n = (n_u64 - r) / p; // whole periods in the full stream
         let steady = probes.iter().all(|pr| pr.max_in_q == probes[0].max_in_q);

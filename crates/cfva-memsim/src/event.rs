@@ -35,15 +35,15 @@ use std::fmt;
 /// |---|---|---|
 /// | [`Cycle`](Engine::Cycle) | `O(latency · occupied modules)` | the oracle — reference semantics, default |
 /// | [`Event`](Engine::Event) | `O(processed cycles × modules with an event)` | the event kernel: idle stall stretches are jumped, each processed cycle touches only the modules that complete, are granted the bus, are issued to or start service |
-/// | [`Periodic`](Engine::Periodic) | `O(P_x + transient)` simulated | the event kernel plus steady-state detection: long periodic streams extrapolate whole periods in closed form (`periodic.rs`); exactly `Event` when no recurrence is found |
-/// | [`FastPath`](Engine::FastPath) | `O(requests)` | verified conflict-free shortcut, falls back to `Periodic` |
+/// | [`Periodic`](Engine::Periodic) | `O(P_x + transient)` simulated | the event kernel plus steady-state detection: long periodic streams extrapolate whole periods in closed form (`periodic.rs`); a stream with no recurrence to detect falls back to the `O(requests)` request-order solver (`solver.rs`) when untraced on one port, and runs exactly as `Event` otherwise |
+/// | [`FastPath`](Engine::FastPath) | `O(requests)` | verified conflict-free shortcut, falls back to `Periodic` (and so to the `O(requests)` solver) |
 /// | [`Analytic`](Engine::Analytic) | `O(P_x + transient)` simulated | closed-form aggregate estimates from short congruent probes (`analytic.rs`); aggregates only |
 ///
 /// Select an engine with [`MemConfig::with_engine`](crate::MemConfig::with_engine)
 /// or [`MemorySystem::set_engine`]. The batch execution engine
 /// (`cfva-bench::runner::BatchRunner`) defaults to `FastPath`, so each
 /// access takes the cheapest proven path: the conflict-free shortcut,
-/// then periodic fast-forward, then the plain event queue.
+/// then periodic fast-forward, then the request-order solver.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum Engine {
     /// The per-cycle loop: every cycle runs the complete → bus → issue
@@ -58,14 +58,15 @@ pub enum Engine {
     /// kernel plus recurrence detection at period boundaries of the
     /// stream's module sequence; once the queue/occupancy state recurs,
     /// the remaining whole periods are extrapolated in closed form.
-    /// Streams with no detectable recurrence (short vectors,
-    /// queue-depth-limited transients, multi-port issue) run exactly as
-    /// [`Engine::Event`].
+    /// Untraced single-port streams with no recurrence to detect (short
+    /// or aperiodic vectors) are solved in one pass in request order
+    /// (`solver.rs`); traced and multi-port runs, and streams whose
+    /// transient outlasts detection, run exactly as [`Engine::Event`].
     Periodic,
     /// One-pass conflict-free check yielding closed-form statistics
     /// when it holds (single port, tracing off); conflicted streams
-    /// fall back to [`Engine::Periodic`] (which itself degrades to
-    /// [`Engine::Event`]).
+    /// fall back to [`Engine::Periodic`] (which itself degrades to the
+    /// request-order solver or to [`Engine::Event`]).
     FastPath,
     /// The analytic steady-state estimator (`analytic.rs`): aggregate
     /// statistics derived in closed form from a handful of short probe
@@ -73,7 +74,8 @@ pub enum Engine {
     /// steady-state check holds (use
     /// [`MemorySystem::analytic_estimate`] to see the flag); per-element
     /// arrival and per-module busy vectors are left **empty** on the
-    /// extrapolated path. Multi-port, traced and short streams run as
+    /// extrapolated path. Short streams are solved in full by the
+    /// request-order solver; multi-port and traced streams run as
     /// [`Engine::Event`].
     Analytic,
 }

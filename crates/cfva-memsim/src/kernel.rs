@@ -1,6 +1,10 @@
-//! The event kernel: the one compact simulation loop behind
-//! [`Engine::Event`](crate::Engine::Event), [`Engine::Periodic`](crate::Engine::Periodic),
-//! the analytic estimator's probes and the static multi-stream co-run.
+//! The event kernel: the compact simulation loop behind
+//! [`Engine::Event`](crate::Engine::Event), every traced or multi-port
+//! run of the other engines, and the detection window of
+//! [`Engine::Periodic`](crate::Engine::Periodic). Untraced single-port
+//! runs with no recurrence to detect — and the analytic estimator's
+//! probes and the conflicted static multi-stream co-run — are solved in
+//! request order instead (`solver.rs`), without stepping cycles.
 //!
 //! The kernel runs the oracle's four phases (complete → bus → issue →
 //! start, see [`MemorySystem`]) but only at *processed* cycles — the
@@ -77,21 +81,6 @@ pub(crate) struct Kernel {
     touched: Vec<u32>,
     /// Issue cycle per request index (valid once issued).
     pub(crate) issue_at: Vec<u64>,
-    /// Per-request records of a recorded run (see [`Records`]).
-    record: bool,
-    late: Vec<bool>,
-    stalls_of: Vec<u64>,
-}
-
-/// Per-request records of a recorded run, indexed by request: its issue
-/// cycle, whether its service started after that cycle (a conflict), and
-/// the stall cycles charged while it waited to issue. The static
-/// multi-stream co-run derives its per-stream statistics from these.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Records<'a> {
-    pub(crate) issue: &'a [u64],
-    pub(crate) late: &'a [bool],
-    pub(crate) stalls: &'a [u64],
 }
 
 impl Kernel {
@@ -114,12 +103,6 @@ impl Kernel {
         self.retry.clear();
         if self.issue_at.len() < n {
             self.issue_at.resize(n, 0);
-        }
-        if self.record {
-            self.late.clear();
-            self.late.resize(n, false);
-            self.stalls_of.clear();
-            self.stalls_of.resize(n, 0);
         }
     }
 }
@@ -226,24 +209,6 @@ impl MemorySystem {
         F: Fn(usize) -> (u64, Addr, ModuleId),
     {
         self.run_kernel(n, request, out, &mut ());
-    }
-
-    /// Runs a raw request stream on the kernel while recording the
-    /// per-request [`Records`] (the static multi-stream co-run).
-    pub(crate) fn run_recorded(
-        &mut self,
-        requests: &[(u64, Addr, ModuleId)],
-        out: &mut AccessStats,
-    ) -> Records<'_> {
-        self.kernel.record = true;
-        self.run_kernel(requests.len(), &|k| requests[k], out, &mut ());
-        self.kernel.record = false;
-        let n = requests.len();
-        Records {
-            issue: &self.kernel.issue_at[..n],
-            late: &self.kernel.late[..n],
-            stalls: &self.kernel.stalls_of[..n],
-        }
     }
 
     /// The kernel loop; statistics land in `out`, reusing its buffers.
@@ -384,9 +349,6 @@ impl MemorySystem {
                 let b = &mut k.banks[midx];
                 if b.inq.len() == q_in {
                     run.stall_cycles += 1;
-                    if k.record {
-                        k.stalls_of[run.next] += 1;
-                    }
                     run.trace.push(Event::Stall { cycle, module });
                     break;
                 }
@@ -417,12 +379,8 @@ impl MemorySystem {
                 let Some(req) = b.inq.pop_front() else {
                     continue;
                 };
-                let late = cycle > k.issue_at[req as usize];
-                if late {
+                if cycle > k.issue_at[req as usize] {
                     run.conflicts += 1;
-                }
-                if k.record {
-                    k.late[req as usize] = late;
                 }
                 b.svc = Some((req, cycle + t));
                 run.out.module_busy[m as usize] += t;
@@ -472,9 +430,6 @@ impl MemorySystem {
             if run.next < n {
                 let skipped = target - (cycle + 1);
                 run.stall_cycles += skipped;
-                if run.kernel.record {
-                    run.kernel.stalls_of[run.next] += skipped;
-                }
                 if run.trace.is_enabled() && skipped > 0 {
                     let (_, _, module) = request(run.next);
                     for c in cycle + 1..target {

@@ -24,11 +24,13 @@
 //! can change are processed, and in each only the modules with an
 //! event), the periodic steady-state fast-forward engine of
 //! [`Engine::Periodic`] (the same kernel; whole periods of long streams
-//! are extrapolated in closed form), and the verified conflict-free
-//! fast path of [`Engine::FastPath`] (which falls back through
-//! `Periodic` to `Event`). A fifth, [`Engine::Analytic`], trades the
-//! per-element vectors for closed-form **aggregate** estimates derived
-//! from a handful of short kernel probe runs, reporting via
+//! are extrapolated in closed form; an untraced single-port stream with
+//! no recurrence is solved in one pass in request order instead of
+//! simulated), and the verified conflict-free fast path of
+//! [`Engine::FastPath`] (which falls back to `Periodic`). A fifth,
+//! [`Engine::Analytic`], trades the per-element vectors for
+//! closed-form **aggregate** estimates derived from a handful of short
+//! probe prefixes, solved in one pass, reporting via
 //! [`AnalyticEstimate::exact`] whether the estimate provably equals a
 //! full simulation. See the `Engine` docs and the equivalence suites
 //! under `tests/`.
@@ -65,6 +67,7 @@ mod kernel;
 mod module;
 pub mod multi;
 mod periodic;
+mod solver;
 mod stats;
 mod system;
 mod trace;

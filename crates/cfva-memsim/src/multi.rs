@@ -34,12 +34,13 @@
 //!
 //! * [`Engine::Cycle`] (the default config) runs the merged stream
 //!   through the per-cycle oracle with tracing on and de-multiplexes
-//!   per-stream statistics from the event trace.
-//! * Any other engine selects the **fast path**: a merged stream that
-//!   satisfies the paper's conflict-free window property is fully
-//!   determined and finished in closed form (no simulation at all);
-//!   anything else runs on the event kernel ([`Engine::Event`]) with
-//!   tracing off, and the per-stream statistics come from the kernel's
+//!   per-stream statistics from the event trace. Multi-port memories
+//!   take this path under every engine.
+//! * Any other engine on a single-port memory selects the **fast
+//!   path**: a merged stream that satisfies the paper's conflict-free
+//!   window property is fully determined and finished in closed form
+//!   (no simulation at all); anything else runs on the request-order
+//!   solver (`solver.rs`), and the per-stream statistics come from its
 //!   per-request records (issue cycle, late service start, stall
 //!   cycles charged). `tests` prove `run_multi` bit-identical across
 //!   the two paths for every registered map.
@@ -58,7 +59,6 @@ use cfva_core::{Addr, ConfigError, ModuleId};
 
 use crate::config::MemConfig;
 use crate::event::Engine;
-use crate::kernel::Records;
 use crate::module::MemModule;
 use crate::stats::AccessStats;
 use crate::system::{MemorySystem, Request};
@@ -192,9 +192,10 @@ fn validate(cfg: &MemConfig, plans: &[&AccessPlan]) -> Result<u64, ConfigError> 
 /// Runs several plans through one memory under an issue policy.
 ///
 /// The config's [`Engine`] selects the execution path for the static
-/// policies: [`Engine::Cycle`] is the traced per-cycle oracle, anything
-/// else takes the verified fast path (closed form for conflict-free
-/// merges, event engine otherwise) — see the [module docs](self).
+/// policies: [`Engine::Cycle`] (and any multi-port memory) is the
+/// traced per-cycle oracle, anything else takes the verified fast path
+/// (closed form for conflict-free merges, the request-order solver
+/// otherwise) — see the [module docs](self).
 ///
 /// # Errors
 ///
@@ -218,12 +219,12 @@ pub fn run_multi(
         IssuePolicy::WorkConserving => Ok(run_work_conserving(cfg, plans, total)),
         IssuePolicy::RoundRobin | IssuePolicy::Priority => {
             let merged = merge(plans, total, policy);
-            if matches!(cfg.engine(), Engine::Cycle) {
+            if matches!(cfg.engine(), Engine::Cycle) || cfg.ports() != 1 {
                 Ok(run_traced(cfg, plans, &merged))
-            } else if cfg.ports() == 1 && window_conflict_free(&merged, &cfg) {
+            } else if window_conflict_free(&merged, &cfg) {
                 Ok(finish_conflict_free(&cfg, plans, &merged))
             } else {
-                Ok(run_recorded(cfg, plans, &merged))
+                Ok(run_solved(cfg, plans, &merged))
             }
         }
     }
@@ -392,13 +393,38 @@ fn run_traced(cfg: MemConfig, plans: &[&AccessPlan], merged: &Merged) -> MultiSt
     demux(plans, merged, records, &combined)
 }
 
-/// Runs the merged stream on the event kernel, trace-free, with the
-/// kernel's per-request records.
-fn run_recorded(cfg: MemConfig, plans: &[&AccessPlan], merged: &Merged) -> MultiStats {
-    let mut sim = MemorySystem::new(cfg.with_engine(Engine::Event));
+/// Solves the merged single-port stream in request order, trace-free,
+/// recording each request's issue cycle, late start and stall cycles.
+fn run_solved(cfg: MemConfig, plans: &[&AccessPlan], merged: &Merged) -> MultiStats {
+    let total = merged.requests.len();
+    let (mut issue, mut late, mut stalls) = (vec![0; total], vec![false; total], vec![0; total]);
     let mut combined = AccessStats::default();
-    let records = sim.run_recorded(&merged.requests, &mut combined);
+    MemorySystem::new(cfg).solve(
+        total,
+        &|k| merged.requests[k],
+        &mut combined,
+        |k, solved| {
+            issue[k] = solved.issue;
+            late[k] = solved.late;
+            stalls[k] = solved.stalls;
+        },
+    );
+    let records = Records {
+        issue: &issue,
+        late: &late,
+        stalls: &stalls,
+    };
     demux(plans, merged, records, &combined)
+}
+
+/// Per-request records of a static co-run, indexed by merged request:
+/// its issue cycle, whether its service started after that cycle (a
+/// conflict), and the stall cycles charged while it waited to issue.
+#[derive(Debug, Clone, Copy)]
+struct Records<'a> {
+    issue: &'a [u64],
+    late: &'a [bool],
+    stalls: &'a [u64],
 }
 
 /// De-multiplexes per-stream statistics from the combined run and its

@@ -34,11 +34,13 @@
 //! extrapolated (no production caller traces a long stream), so its
 //! trace is the kernel's own and equal to the oracle's as well.
 //!
-//! When no recurrence is found within the detection budget (short
-//! vectors, transients longer than the allowance, multi-port issue),
-//! detection is abandoned and the run is exactly an
-//! [`Engine::Event`](crate::Engine::Event) run — the documented
-//! fallback chain `FastPath → Periodic → Event`.
+//! A stream with no recurrence to detect — shorter than three whole
+//! periods of its module sequence, which covers short and aperiodic
+//! vectors — never starts detection: untraced on one port, it is
+//! solved in one pass in request order (`solver.rs`), the documented
+//! fallback chain `FastPath → Periodic → solver`. Traced and multi-port
+//! runs, and streams whose transient outlasts the detection budget,
+//! run exactly as an [`Engine::Event`](crate::Engine::Event) run.
 
 use std::collections::VecDeque;
 
@@ -197,33 +199,26 @@ where
 }
 
 impl<'s> Detection<'s> {
-    /// Sets up detection for a stream, or an inactive detector when the
+    /// Sets up detection for a single-port stream, or `None` when the
     /// stream has no usable recurrence: boundaries are anchored on the
-    /// processor's request counter, so detection needs single-request
-    /// issue (one port) and at least three whole periods.
-    fn new<F>(cfg: &MemConfig, n: usize, request: &F, scratch: &'s mut PeriodicScratch) -> Self
+    /// processor's request counter, and detection needs at least three
+    /// whole periods.
+    fn new<F>(
+        cfg: &MemConfig,
+        n: usize,
+        request: &F,
+        scratch: &'s mut PeriodicScratch,
+    ) -> Option<Self>
     where
         F: Fn(usize) -> (u64, Addr, ModuleId),
     {
-        let mut det = Detection {
-            scratch,
-            active: false,
-            extrapolated: false,
-            n: n as u64,
-            p: 0,
-            next_boundary: 0,
-            limit: 0,
-            period_modules: Vec::new(),
-            ring: VecDeque::new(),
-        };
-        if cfg.ports() != 1 || n < 4 {
-            return det;
+        if n < 4 {
+            return None;
         }
         let n_u64 = n as u64;
-        let scratch = &mut *det.scratch;
         let p = minimal_period(n, request, &mut scratch.seq, &mut scratch.fail, n_u64 / 3);
         if 3 * p > n_u64 {
-            return det;
+            return None;
         }
         let mut period_modules: Vec<usize> = scratch.seq[..p as usize]
             .iter()
@@ -236,13 +231,18 @@ impl<'s> Detection<'s> {
         // stream is not settling into a one-boundary recurrence and the
         // plain event run is the right engine.
         let transient = 4 * (cfg.t_cycles() + (cfg.q_in() + cfg.q_out()) as u64) + 64;
-        det.scratch.deliveries.clear();
-        det.active = true;
-        det.p = p;
-        det.next_boundary = p;
-        det.limit = (3 * p).max(p + transient).min(n_u64 - p);
-        det.period_modules = period_modules;
-        det
+        scratch.deliveries.clear();
+        Some(Detection {
+            scratch,
+            active: true,
+            extrapolated: false,
+            n: n_u64,
+            p,
+            next_boundary: p,
+            limit: (3 * p).max(p + transient).min(n_u64 - p),
+            period_modules,
+            ring: VecDeque::new(),
+        })
     }
 
     /// The relative state signature and counters at a boundary, read
@@ -378,7 +378,9 @@ impl Observer for Detection<'_> {
 impl MemorySystem {
     /// The periodic steady-state fast-forward engine: the event kernel
     /// with the recurrence detector as its observer (see the module
-    /// docs). Statistics land in `out`, reusing its buffers.
+    /// docs). A stream with no recurrence to detect runs on the
+    /// request-order solver when untraced on one port, and on the plain
+    /// kernel otherwise. Statistics land in `out`, reusing its buffers.
     ///
     /// # Panics
     ///
@@ -387,12 +389,16 @@ impl MemorySystem {
     where
         F: Fn(usize) -> (u64, Addr, ModuleId),
     {
-        if self.trace.is_enabled() {
-            // Traced runs are not extrapolated (see the module docs).
+        if self.trace.is_enabled() || self.cfg.ports() != 1 {
+            // Traced runs are not extrapolated (see the module docs),
+            // and multi-port runs have no request-anchored boundaries.
             return self.run_event(n, request, out);
         }
         let mut scratch = std::mem::take(&mut self.periodic);
-        let mut detection = Detection::new(&self.cfg, n, request, &mut scratch);
+        let Some(mut detection) = Detection::new(&self.cfg, n, request, &mut scratch) else {
+            self.periodic = scratch;
+            return self.solve(n, request, out, |_, _| {});
+        };
         self.run_kernel(n, request, out, &mut detection);
         let extrapolated = detection.extrapolated;
         self.periodic = scratch;

@@ -10,6 +10,7 @@ use crate::event::Engine;
 use crate::kernel::Kernel;
 use crate::module::MemModule;
 use crate::periodic::PeriodicScratch;
+use crate::solver::Solver;
 use crate::stats::AccessStats;
 use crate::trace::{Event, Trace};
 
@@ -63,6 +64,8 @@ pub struct MemorySystem {
     /// Reusable buffers of the periodic fast-forward engine (see
     /// `periodic.rs`).
     pub(crate) periodic: PeriodicScratch,
+    /// Reusable state of the request-order solver (see `solver.rs`).
+    pub(crate) solver: Solver,
 }
 
 impl MemorySystem {
@@ -76,6 +79,7 @@ impl MemorySystem {
             last_start: Vec::new(),
             kernel: Kernel::default(),
             periodic: PeriodicScratch::default(),
+            solver: Solver::default(),
         }
     }
 
@@ -113,9 +117,8 @@ impl MemorySystem {
     /// `tests/fast_path.rs`), at a fraction of the cost. Streams that
     /// fail the check fall through to the periodic fast-forward engine
     /// ([`Engine::Periodic`]), which extrapolates steady-state periods
-    /// of long conflicted streams in closed form and degrades to the
-    /// event kernel ([`Engine::Event`]) when no recurrence is
-    /// found.
+    /// of long conflicted streams in closed form and solves streams
+    /// with no recurrence in one pass in request order.
     ///
     /// **Disabled by default** so the cycle-accurate engine remains the
     /// oracle for verification work; the batch execution engine
@@ -156,9 +159,12 @@ impl MemorySystem {
     /// # Panics
     ///
     /// Panics if the plan references a module outside this memory's
-    /// range (plan built against a different mapping), or if the
-    /// simulation exceeds a hard safety bound of cycles (which would
-    /// indicate an engine bug, not a property of the plan).
+    /// range (plan built against a different mapping), or if a
+    /// cycle-stepping engine (the cycle oracle or the event kernel)
+    /// exceeds a hard safety bound of cycles (which would indicate an
+    /// engine bug, not a property of the plan). The request-order
+    /// solver steps no cycles and has no such bound. The event kernel
+    /// also refuses streams of 2^32 requests or more.
     #[must_use = "the returned AccessStats are the simulation's only output; dropping them wastes the run"]
     pub fn run_plan(&mut self, plan: &AccessPlan) -> AccessStats {
         let mut stats = AccessStats::default();
@@ -273,9 +279,9 @@ impl MemorySystem {
                 // Conflicted (or traced / multi-port) stream: the
                 // periodic fast-forward engine takes over — long
                 // conflicted streams collapse to one steady-state
-                // period, and anything without a detectable recurrence
-                // runs as a plain event-kernel simulation. This is the
-                // FastPath → Periodic → Event chain.
+                // period, and an untraced single-port stream without a
+                // recurrence is solved in request order. This is the
+                // FastPath → Periodic → solver chain.
                 self.run_periodic(n, &request, out)
             }
             Engine::Analytic => {

@@ -9,9 +9,13 @@
 //! the dense regime of the shared event kernel: long `Strategy::Auto`
 //! plans of every registered map, conflicted multi-port streams whose
 //! same-cycle issues tie at the bus, and output back-pressure, including
-//! periodic streams whose fast-forward lands on a blocked completion.
-//! Plus the enforced performance claim: ≥ 3× over the event engine on
-//! long-vector (`len ≥ 64·P_x`) conflicted strides.
+//! periodic streams whose fast-forward lands on a blocked completion —
+//! and the request-order solver that serves untraced single-port
+//! streams with no recurrence to detect: aperiodic, back-pressured and
+//! hot-module streams over a grid of memory shapes, and the deepest
+//! queues behind one slow module. Plus the enforced performance claim:
+//! ≥ 3× over the event engine on long-vector (`len ≥ 64·P_x`)
+//! conflicted strides.
 
 use std::time::Instant;
 
@@ -166,6 +170,21 @@ fn queue_depths_and_ports_are_identical() {
             assert_periodic_equivalent(cfg, &plan, &format!("q={q_in} q'={q_out} {strategy}"));
         }
     }
+    // Aperiodic conflicted streams on one port (the event suite's
+    // multi-port inputs): no recurrence to detect, so these run on the
+    // request-order solver.
+    let spec = "xor-matched:t=3,s=4".parse().unwrap();
+    for (q_in, q_out) in [(1usize, 1usize), (2, 1), (4, 2)] {
+        let cfg = MemConfig::from_spec(&spec)
+            .unwrap()
+            .with_queues(q_in, q_out)
+            .unwrap();
+        for seed in 1..=4u64 {
+            let stream = random_stream(seed, 256, 5);
+            let label = format!("q={q_in} q'={q_out} random seed={seed}");
+            assert_traced_stream_equivalent(cfg, &stream, &label);
+        }
+    }
     // Multi-port memories: boundary detection is request-anchored, so
     // the periodic engine must run these as plain event simulations —
     // still bit-identical.
@@ -239,6 +258,21 @@ fn deferred_completions(trace: &[Event], t: u64) -> usize {
         }
     }
     deferred
+}
+
+/// A deterministic pseudo-random stream over modules `0..width`
+/// (xorshift64) — aperiodic, so the periodic engine never detects a
+/// recurrence in it.
+fn random_stream(seed: u64, len: u64, width: u64) -> Vec<(u64, Addr, ModuleId)> {
+    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    (0..len)
+        .map(|i| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (i, Addr::new(i), ModuleId::new(state % width))
+        })
+        .collect()
 }
 
 /// A deterministic pseudo-random module pattern of length `period`
@@ -354,7 +388,7 @@ fn conflicted_multi_port_streams_are_identical() {
 /// over exactly.
 #[test]
 fn output_back_pressure_is_identical() {
-    let (mut simultaneous, mut deferred) = (0, 0);
+    let (mut simultaneous, mut deferred, mut aperiodic_deferred) = (0, 0, 0);
     for (m, t, q_in) in [(2u32, 1u32, 2usize), (3, 1, 3), (2, 1, 3)] {
         let cfg = MemConfig::new(m, t).unwrap().with_queues(q_in, 1).unwrap();
         for seed in 1..=12u64 {
@@ -365,6 +399,12 @@ fn output_back_pressure_is_identical() {
                 simultaneous += same_cycle_completions(&trace);
                 deferred += deferred_completions(&trace, cfg.t_cycles());
             }
+            // The event suite's aperiodic streams: solved in request
+            // order, blocked completions included.
+            let stream = random_stream(seed, 96, (1 << m) - 1);
+            let label = format!("m={m} t={t} q={q_in} seed={seed} aperiodic");
+            let trace = assert_traced_stream_equivalent(cfg, &stream, &label);
+            aperiodic_deferred += deferred_completions(&trace, cfg.t_cycles());
         }
     }
     assert!(
@@ -374,6 +414,10 @@ fn output_back_pressure_is_identical() {
     assert!(
         deferred > 0,
         "no completion was blocked by a full output queue"
+    );
+    assert!(
+        aperiodic_deferred > 0,
+        "no aperiodic completion was blocked by a full output queue"
     );
 }
 
@@ -387,6 +431,13 @@ fn repeated_element_ids_match_the_oracle() {
         .map(|i| (i % 100, Addr::new(i), ModuleId::new(i % 3)))
         .collect();
     assert_stream_equivalent(cfg, &stream, "repeated element ids");
+    // The same on an aperiodic stream, which is solved in request
+    // order: a repeated id keeps its last delivery.
+    let stream: Vec<(u64, Addr, ModuleId)> = random_stream(7, 512, 3)
+        .into_iter()
+        .map(|(i, addr, module)| (i % 100, addr, module))
+        .collect();
+    assert_stream_equivalent(cfg, &stream, "repeated element ids, aperiodic");
 }
 
 #[test]
@@ -413,6 +464,17 @@ fn pathological_same_module_streams_are_identical() {
         .map(|i| (i, Addr::new(i * 8), ModuleId::new(0)))
         .collect();
     assert_stream_equivalent(cfg, &stream, "one-module deep queues");
+    // The widest bus-slot range a legal stream reaches: the deepest
+    // queues behind one slow module, 8192 requests. One request to the
+    // other module at either end makes the stream aperiodic, so it is
+    // solved in request order rather than extrapolated.
+    let cfg = MemConfig::new(1, 6).unwrap().with_queues(8, 8).unwrap();
+    for odd in [0u64, 8191] {
+        let stream: Vec<(u64, Addr, ModuleId)> = (0..8192u64)
+            .map(|i| (i, Addr::new(i * 2), ModuleId::new(u64::from(i == odd))))
+            .collect();
+        assert_stream_equivalent(cfg, &stream, &format!("deepest one-module odd={odd}"));
+    }
 }
 
 #[test]
@@ -421,8 +483,8 @@ fn aperiodic_and_tiny_streams_are_identical() {
     assert_periodic_equivalent(cfg, &AccessPlan::new(), "empty plan");
     let stream = [(0u64, Addr::new(5), ModuleId::new(3))];
     assert_stream_equivalent(cfg, &stream, "single request");
-    // An aperiodic module sequence: detection never fires, the run is a
-    // plain event simulation.
+    // An aperiodic module sequence: detection never starts, and the run
+    // is solved in request order.
     let stream: Vec<(u64, Addr, ModuleId)> = (0..64u64)
         .map(|i| (i, Addr::new(i), ModuleId::new((i * i + i / 3) % 8)))
         .collect();
@@ -436,6 +498,47 @@ fn aperiodic_and_tiny_streams_are_identical() {
         })
         .collect();
     assert_stream_equivalent(cfg, &stream, "perturbed periodic stream");
+
+    // Random streams over a grid of memory shapes, solved in request
+    // order by a reused system: uniform module choices, and streams
+    // biased towards one hot module so input queues fill, the
+    // processor stalls and output queues back up.
+    let mut state = 0x2545_F491_4F6C_DD1Du64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    for m in [1u32, 2, 3] {
+        for t in 0..=3u32 {
+            for (q_in, q_out) in [(1usize, 1usize), (2, 1), (1, 2), (4, 2), (3, 3)] {
+                let cfg = MemConfig::new(m, t)
+                    .unwrap()
+                    .with_queues(q_in, q_out)
+                    .unwrap();
+                let mut periodic = MemorySystem::new(cfg.with_engine(Engine::Periodic));
+                for trial in 0..12 {
+                    let len = next() % 160 + 1;
+                    let hot = trial % 2 == 1;
+                    let stream: Vec<(u64, Addr, ModuleId)> = (0..len)
+                        .map(|i| {
+                            let r = next();
+                            let module = if hot && r % 3 != 0 {
+                                0
+                            } else {
+                                (r >> 8) % (1 << m)
+                            };
+                            (i, Addr::new(i), ModuleId::new(module))
+                        })
+                        .collect();
+                    let label = format!("m={m} t={t} q={q_in} q'={q_out} trial={trial}");
+                    let oracle = MemorySystem::new(cfg).run_requests(&stream);
+                    assert_eq!(oracle, periodic.run_requests(&stream), "{label}");
+                }
+            }
+        }
+    }
 }
 
 #[test]

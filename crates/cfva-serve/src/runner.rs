@@ -86,10 +86,11 @@ struct MeasureScratch {
 impl MeasureScratch {
     fn new(mem: MemConfig) -> Self {
         // Sessions default to `Engine::FastPath`, the head of the
-        // FastPath → Periodic → Event chain: conflict-free accesses
+        // FastPath → Periodic → solver chain: conflict-free accesses
         // take the verified one-pass shortcut, long conflicted
         // accesses fast-forward their steady-state periods in closed
-        // form, and everything else runs on the event-queue engine —
+        // form, and everything else is solved in one pass in request
+        // order (or, traced or multi-port, runs on the event kernel) —
         // all bit-identical to the cycle oracle (equivalence suites in
         // cfva-memsim/tests/{fast_path,event_engine,periodic_engine}.rs)
         // at a fraction of the cost. A `mem` carrying `Engine::Event`,
@@ -332,9 +333,10 @@ impl BatchRunner {
     }
 
     /// Selects the simulation engine for this session. Sessions start
-    /// on [`Engine::FastPath`] — the `FastPath → Periodic → Event`
+    /// on [`Engine::FastPath`] — the `FastPath → Periodic → solver`
     /// chain: the verified conflict-free shortcut, then steady-state
-    /// period fast-forwarding, then the plain event queue. Pick
+    /// period fast-forwarding, then the one-pass request-order solver
+    /// (the event kernel for traced or multi-port runs). Pick
     /// [`Engine::Cycle`] for verification-grade sweeps that must run
     /// the per-cycle oracle on every access, [`Engine::Event`] to
     /// force the event engine, or [`Engine::Periodic`] to skip the
