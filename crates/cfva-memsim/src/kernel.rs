@@ -3,7 +3,7 @@
 //! run of the other engines, and the detection window of
 //! [`Engine::Periodic`](crate::Engine::Periodic). Untraced single-port
 //! runs with no recurrence to detect — and the analytic estimator's
-//! probes and the conflicted static multi-stream co-run — are solved in
+//! probes and the single-port static multi-stream co-run — are solved in
 //! request order instead (`solver.rs`), without stepping cycles.
 //!
 //! The kernel runs the oracle's four phases (complete → bus → issue →

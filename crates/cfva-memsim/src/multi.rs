@@ -35,15 +35,14 @@
 //! * [`Engine::Cycle`] (the default config) runs the merged stream
 //!   through the per-cycle oracle with tracing on and de-multiplexes
 //!   per-stream statistics from the event trace. Multi-port memories
-//!   take this path under every engine.
-//! * Any other engine on a single-port memory selects the **fast
-//!   path**: a merged stream that satisfies the paper's conflict-free
-//!   window property is fully determined and finished in closed form
-//!   (no simulation at all); anything else runs on the request-order
-//!   solver (`solver.rs`), and the per-stream statistics come from its
-//!   per-request records (issue cycle, late service start, stall
-//!   cycles charged). `tests` prove `run_multi` bit-identical across
-//!   the two paths for every registered map.
+//!   take this path under every engine, at `O(cycles × occupied
+//!   modules)` plus the trace; nothing in the workspace co-runs on one.
+//! * Any other engine on a single-port memory runs the merged stream
+//!   on the request-order solver (`solver.rs`), conflict free or not,
+//!   and the per-stream statistics come from its per-request records
+//!   (issue cycle, late service start, stall cycles charged). `tests`
+//!   prove `run_multi` bit-identical across the two paths for every
+//!   registered map.
 //!
 //! [`IssuePolicy::WorkConserving`] issues based on live module state,
 //! so it always runs its own cycle-accurate arbitration loop.
@@ -60,6 +59,7 @@ use cfva_core::{Addr, ConfigError, ModuleId};
 use crate::config::MemConfig;
 use crate::event::Engine;
 use crate::module::MemModule;
+use crate::solver::Solved;
 use crate::stats::AccessStats;
 use crate::system::{MemorySystem, Request};
 use crate::trace::Event;
@@ -193,9 +193,15 @@ fn validate(cfg: &MemConfig, plans: &[&AccessPlan]) -> Result<u64, ConfigError> 
 ///
 /// The config's [`Engine`] selects the execution path for the static
 /// policies: [`Engine::Cycle`] (and any multi-port memory) is the
-/// traced per-cycle oracle, anything else takes the verified fast path
-/// (closed form for conflict-free merges, the request-order solver
-/// otherwise) — see the [module docs](self).
+/// traced per-cycle oracle, anything else solves the merged stream in
+/// request order — see the [module docs](self).
+///
+/// # Performance
+///
+/// A static co-run on a multi-port memory steps every cycle with
+/// tracing on under every engine, so it costs
+/// `O(cycles × occupied modules)` plus the trace, where a single-port
+/// one costs `O(requests)`.
 ///
 /// # Errors
 ///
@@ -221,8 +227,6 @@ pub fn run_multi(
             let merged = merge(plans, total, policy);
             if matches!(cfg.engine(), Engine::Cycle) || cfg.ports() != 1 {
                 Ok(run_traced(cfg, plans, &merged))
-            } else if window_conflict_free(&merged, &cfg) {
-                Ok(finish_conflict_free(&cfg, plans, &merged))
             } else {
                 Ok(run_solved(cfg, plans, &merged))
             }
@@ -288,167 +292,76 @@ fn merge(plans: &[&AccessPlan], total: u64, policy: IssuePolicy) -> Merged {
     }
 }
 
-/// The paper's window property on the merged stream: every window of
-/// `T` consecutive requests touches `T` distinct modules. When it
-/// holds (and the memory has one port), the run is fully determined —
-/// request `k` issues at cycle `k`, starts service immediately and
-/// arrives at `k + T + 1` — which is exactly what the cycle engine
-/// produces (`tests/fast_path.rs`).
-fn window_conflict_free(merged: &Merged, cfg: &MemConfig) -> bool {
-    let t = cfg.t_cycles();
-    let mut last_start = vec![u64::MAX; cfg.module_count() as usize];
-    for (k, &(_, _, module)) in merged.requests.iter().enumerate() {
-        let midx = module.get() as usize;
-        let k = k as u64;
-        match last_start.get_mut(midx) {
-            Some(last) => {
-                if *last != u64::MAX && k - *last < t {
-                    return false;
-                }
-                *last = k;
-            }
-            None => return false, // validated earlier; defensive
-        }
-    }
-    true
-}
-
-/// Closed-form statistics of a conflict-free merged stream (no
-/// simulation).
-fn finish_conflict_free(cfg: &MemConfig, plans: &[&AccessPlan], merged: &Merged) -> MultiStats {
-    let t = cfg.t_cycles();
-    let total = merged.requests.len() as u64;
-    let mut streams = empty_streams(plans);
-    let mut first_issue = vec![u64::MAX; plans.len()];
-    for k in 0..merged.requests.len() {
-        let s = merged.stream_of[k] as usize;
-        let elem = merged.elem_of[k] as usize;
-        let k = k as u64;
-        if let Some(first) = first_issue.get_mut(s) {
-            if *first == u64::MAX {
-                *first = k;
-            }
-        }
-        if let Some(stream) = streams.get_mut(s) {
-            if let Some(slot) = stream.arrival.get_mut(elem) {
-                *slot = k + t + 1;
-            }
-        }
-    }
-    for (stream, first) in streams.iter_mut().zip(&first_issue) {
-        finalize_stream(
-            stream,
-            if *first == u64::MAX {
-                None
-            } else {
-                Some(*first)
-            },
-        );
-    }
-    MultiStats {
-        streams,
-        makespan: t + total + 1,
-        conflicts: 0,
-        stall_cycles: 0,
-    }
-}
-
 /// Runs the merged stream on the per-cycle oracle with tracing enabled
 /// and rebuilds the per-request records from the event trace.
 fn run_traced(cfg: MemConfig, plans: &[&AccessPlan], merged: &Merged) -> MultiStats {
     let mut sim = MemorySystem::new(cfg.with_engine(Engine::Cycle));
     sim.enable_trace();
     let combined = sim.run_requests(&merged.requests);
-    let total = merged.requests.len();
-    let (mut issue, mut late, mut stalls) = (vec![0; total], vec![false; total], vec![0; total]);
+    let mut records = vec![Solved::default(); merged.requests.len()];
     let mut issued = 0usize;
     for event in sim.trace().events() {
         match *event {
             Event::Issue { cycle, element, .. } => {
-                if let Some(slot) = issue.get_mut(element as usize) {
-                    *slot = cycle;
+                if let Some(record) = records.get_mut(element as usize) {
+                    record.issue = cycle;
                 }
                 issued += 1;
             }
             // The stalled request is the next un-issued one.
             Event::Stall { .. } => {
-                if let Some(slot) = stalls.get_mut(issued) {
-                    *slot += 1;
+                if let Some(record) = records.get_mut(issued) {
+                    record.stalls += 1;
                 }
             }
             Event::ServiceStart { cycle, element, .. } => {
-                let k = element as usize;
-                if let (Some(slot), Some(&issued_at)) = (late.get_mut(k), issue.get(k)) {
-                    *slot = cycle > issued_at;
+                if let Some(record) = records.get_mut(element as usize) {
+                    record.late = cycle > record.issue;
                 }
             }
             _ => {}
         }
     }
-    let records = Records {
-        issue: &issue,
-        late: &late,
-        stalls: &stalls,
-    };
-    demux(plans, merged, records, &combined)
+    demux(plans, merged, &records, &combined)
 }
 
 /// Solves the merged single-port stream in request order, trace-free,
 /// recording each request's issue cycle, late start and stall cycles.
 fn run_solved(cfg: MemConfig, plans: &[&AccessPlan], merged: &Merged) -> MultiStats {
     let total = merged.requests.len();
-    let (mut issue, mut late, mut stalls) = (vec![0; total], vec![false; total], vec![0; total]);
+    let mut records = Vec::with_capacity(total);
     let mut combined = AccessStats::default();
     MemorySystem::new(cfg).solve(
         total,
         &|k| merged.requests[k],
         &mut combined,
-        |k, solved| {
-            issue[k] = solved.issue;
-            late[k] = solved.late;
-            stalls[k] = solved.stalls;
-        },
+        |_, solved| records.push(*solved),
     );
-    let records = Records {
-        issue: &issue,
-        late: &late,
-        stalls: &stalls,
-    };
-    demux(plans, merged, records, &combined)
-}
-
-/// Per-request records of a static co-run, indexed by merged request:
-/// its issue cycle, whether its service started after that cycle (a
-/// conflict), and the stall cycles charged while it waited to issue.
-#[derive(Debug, Clone, Copy)]
-struct Records<'a> {
-    issue: &'a [u64],
-    late: &'a [bool],
-    stalls: &'a [u64],
+    demux(plans, merged, &records, &combined)
 }
 
 /// De-multiplexes per-stream statistics from the combined run and its
-/// per-request records (issue cycle, late service start, stall cycles
-/// charged), indexed by merged request.
+/// per-request records, indexed by merged request: each one's issue
+/// cycle, late service start (a conflict) and stall cycles charged.
 fn demux(
     plans: &[&AccessPlan],
     merged: &Merged,
-    records: Records<'_>,
+    records: &[Solved],
     combined: &AccessStats,
 ) -> MultiStats {
     let mut streams = empty_streams(plans);
     let mut first_issue = vec![None; plans.len()];
-    for k in 0..merged.requests.len() {
+    for (k, record) in records.iter().enumerate() {
         let s = merged.stream_of[k] as usize;
         let elem = merged.elem_of[k] as usize;
         if let Some(first) = first_issue.get_mut(s) {
             // Requests issue in merged order: the first seen is the
             // stream's first issue.
-            first.get_or_insert(records.issue[k]);
+            first.get_or_insert(record.issue);
         }
         if let Some(stream) = streams.get_mut(s) {
-            stream.conflicts += u64::from(records.late[k]);
-            stream.stall_cycles += records.stalls[k];
+            stream.conflicts += u64::from(record.late);
+            stream.stall_cycles += record.stalls;
             if let Some(slot) = stream.arrival.get_mut(elem) {
                 *slot = combined.arrival.get(k).copied().unwrap_or(0);
             }
@@ -673,10 +586,6 @@ mod tests {
         planner.plan(&vec, Strategy::ConflictFree).unwrap()
     }
 
-    fn fast(cfg: MemConfig) -> MemConfig {
-        cfg.with_engine(Engine::FastPath)
-    }
-
     #[test]
     fn single_stream_reduces_to_run_plan() {
         let plan = cf_plan(16, 12);
@@ -873,12 +782,18 @@ mod tests {
                 Strategy::Canonical,
             )
             .unwrap();
-        let cfg = MemConfig::new(3, 3).unwrap();
-        for policy in [IssuePolicy::RoundRobin, IssuePolicy::Priority] {
-            for plans in [vec![&free_a, &free_b], vec![&free_a, &clustered]] {
-                let oracle = run_multi(cfg, &plans, policy).unwrap();
-                let fast_path = run_multi(fast(cfg), &plans, policy).unwrap();
-                assert_eq!(oracle, fast_path, "{policy}");
+        let single = MemConfig::new(3, 3).unwrap();
+        // One port runs on the solver; two take the traced oracle route
+        // under every engine.
+        for cfg in [single, single.with_ports(2).unwrap()] {
+            for policy in [IssuePolicy::RoundRobin, IssuePolicy::Priority] {
+                for plans in [vec![&free_a, &free_b], vec![&free_a, &clustered]] {
+                    let oracle = run_multi(cfg, &plans, policy).unwrap();
+                    for engine in [Engine::FastPath, Engine::Event, Engine::Periodic] {
+                        let fast_path = run_multi(cfg.with_engine(engine), &plans, policy).unwrap();
+                        assert_eq!(oracle, fast_path, "{policy} {engine:?} {}", cfg.ports());
+                    }
+                }
             }
         }
     }

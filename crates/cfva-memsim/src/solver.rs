@@ -28,7 +28,7 @@
 //! The solver serves untraced single-port runs that no cheaper path
 //! covers: the `FastPath → Periodic` chain when the stream has no
 //! recurrence to detect, the analytic estimator's probes and direct
-//! runs, and the conflicted static multi-stream co-run. Traced and
+//! runs, and every single-port static multi-stream co-run. Traced and
 //! multi-port runs stay on the event kernel (`kernel.rs`).
 
 use cfva_core::{Addr, ModuleId};

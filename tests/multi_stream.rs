@@ -1,9 +1,8 @@
 //! Multi-stream engine properties across **every registered map** (the
 //! registry coverage set, so new maps are covered on registration):
 //!
-//! * the fast path (closed-form conflict-free finish, request-order
-//!   solver records otherwise) is bit-identical to the traced cycle
-//!   oracle for both static issue policies;
+//! * the fast path (request-order solver records) is bit-identical to
+//!   the traced cycle oracle for both static issue policies;
 //! * per-stream statistics of conflict-free co-scheduled batches are
 //!   permutation-invariant: reordering the streams permutes the
 //!   per-stream views (up to the deterministic issue-slot shift of the
