@@ -158,7 +158,7 @@ impl MemorySystem {
             return AnalyticEstimate::from_stats(out, n.max(1) as u64);
         }
         if n < 4 {
-            self.solve(n, request, out, |_, _| {});
+            self.solve(n, request, out, |_, _, _| true);
             return AnalyticEstimate::from_stats(out, n.max(1) as u64);
         }
 
@@ -177,7 +177,7 @@ impl MemorySystem {
         let longest = r + (c1 + PROBES as u64 - 1) * p;
         if longest >= n_u64 {
             // Probing would simulate as much as the real stream: run it.
-            self.solve(n, request, out, |_, _| {});
+            self.solve(n, request, out, |_, _, _| true);
             return AnalyticEstimate::from_stats(out, p);
         }
 
@@ -199,21 +199,27 @@ impl MemorySystem {
         }; PROBES];
         let mut next = 0;
         let mut scratch = AccessStats::default();
-        self.solve(longest as usize, &probe_request, &mut scratch, |k, sum| {
-            let Some(probe) = probes.get_mut(next) else {
-                return;
-            };
-            // Probe `next` ends at request `r + (c1 + next)·p - 1`.
-            if (k + 1) as u64 == r + (c1 + next as u64) * p {
-                *probe = Probe {
-                    latency: sum.latency,
-                    stalls: sum.stall_cycles,
-                    conflicts: sum.conflicts,
-                    max_in_q: sum.max_in_q,
+        self.solve(
+            longest as usize,
+            &probe_request,
+            &mut scratch,
+            |k, sum, _| {
+                let Some(probe) = probes.get_mut(next) else {
+                    return false;
                 };
-                next += 1;
-            }
-        });
+                // Probe `next` ends at request `r + (c1 + next)·p - 1`.
+                if (k + 1) as u64 == r + (c1 + next as u64) * p {
+                    *probe = Probe {
+                        latency: sum.latency,
+                        stalls: sum.stall_cycles,
+                        conflicts: sum.conflicts,
+                        max_in_q: sum.max_in_q,
+                    };
+                    next += 1;
+                }
+                true
+            },
+        );
 
         let k_n = (n_u64 - r) / p; // whole periods in the full stream
         let steady = probes.iter().all(|pr| pr.max_in_q == probes[0].max_in_q);

@@ -5,7 +5,7 @@
 //! so a conflicted access — the interesting regime of the paper, where
 //! requests queue behind one module for `T` cycles at a time — costs
 //! `O(latency × occupied modules)` even though almost nothing happens
-//! in most cycles. [`Engine::Event`] runs the shared event kernel
+//! in most cycles. [`Engine::Event`] runs the event kernel
 //! (`kernel.rs`) instead: it processes only the cycles at which the
 //! system state can change (a completion falls due, a datum waits on
 //! the return bus, or the processor's next request fits its target's
@@ -35,15 +35,15 @@ use std::fmt;
 /// |---|---|---|
 /// | [`Cycle`](Engine::Cycle) | `O(latency · occupied modules)` | the oracle — reference semantics, default |
 /// | [`Event`](Engine::Event) | `O(processed cycles × modules with an event)` | the event kernel: idle stall stretches are jumped, each processed cycle touches only the modules that complete, are granted the bus, are issued to or start service |
-/// | [`Periodic`](Engine::Periodic) | `O(P_x + transient)` simulated | the event kernel plus steady-state detection: long periodic streams extrapolate whole periods in closed form (`periodic.rs`); a stream with no recurrence to detect falls back to the `O(requests)` request-order solver (`solver.rs`) when untraced on one port, and runs exactly as `Event` otherwise |
-/// | [`FastPath`](Engine::FastPath) | `O(requests)` | verified conflict-free shortcut, falls back to `Periodic` (and so to the `O(requests)` solver) |
+/// | [`Periodic`](Engine::Periodic) | `O(P_x + transient)` solved, then one copy per later request | the request-order solver (`solver.rs`) plus a recurrence detector on its state (`periodic.rs`): once a period boundary's state recurs, the rest of the stream is copied from a log of the window, shifted in time; a stream with no recurrence is solved to the end in `O(requests)`; traced and multi-port runs run exactly as `Event` |
+/// | [`FastPath`](Engine::FastPath) | `O(requests)` | verified conflict-free shortcut, falls back to `Periodic` |
 /// | [`Analytic`](Engine::Analytic) | `O(P_x + transient)` simulated | closed-form aggregate estimates from short congruent probes (`analytic.rs`); aggregates only |
 ///
 /// Select an engine with [`MemConfig::with_engine`](crate::MemConfig::with_engine)
 /// or [`MemorySystem::set_engine`]. The batch execution engine
-/// (`cfva-bench::runner::BatchRunner`) defaults to `FastPath`, so each
+/// (`cfva-serve::runner::BatchRunner`) defaults to `FastPath`, so each
 /// access takes the cheapest proven path: the conflict-free shortcut,
-/// then periodic fast-forward, then the request-order solver.
+/// then the request-order solver with periodic fast-forward.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum Engine {
     /// The per-cycle loop: every cycle runs the complete → bus → issue
@@ -54,19 +54,28 @@ pub enum Engine {
     /// The event kernel (`kernel.rs`): only cycles where the state can
     /// change are processed, and only the modules with an event in them.
     Event,
-    /// The steady-state fast-forward engine (`periodic.rs`): the event
-    /// kernel plus recurrence detection at period boundaries of the
-    /// stream's module sequence; once the queue/occupancy state recurs,
-    /// the remaining whole periods are extrapolated in closed form.
-    /// Untraced single-port streams with no recurrence to detect (short
-    /// or aperiodic vectors) are solved in one pass in request order
-    /// (`solver.rs`); traced and multi-port runs, and streams whose
-    /// transient outlasts detection, run exactly as [`Engine::Event`].
+    /// The steady-state fast-forward engine (`periodic.rs`): the
+    /// request-order solver (`solver.rs`) plus recurrence detection on
+    /// the solver's state at period boundaries of the stream's module
+    /// sequence; once that state recurs, every later request is a
+    /// time-shifted copy of its counterpart one window earlier, copied
+    /// from a log instead of solved. Streams with no recurrence to
+    /// detect (short or aperiodic vectors), or whose transient outlasts
+    /// detection, are solved to the end. Traced and multi-port runs run
+    /// exactly as [`Engine::Event`].
     Periodic,
-    /// One-pass conflict-free check yielding closed-form statistics
-    /// when it holds (single port, tracing off); conflicted streams
-    /// fall back to [`Engine::Periodic`] (which itself degrades to the
-    /// request-order solver or to [`Engine::Event`]).
+    /// The verified conflict-free shortcut: a run first checks in one
+    /// pass whether the request stream is conflict free in the paper's
+    /// sense (every window of `T` consecutive requests touches `T`
+    /// distinct modules). If it is — and the memory has a single port
+    /// and tracing is off — the statistics are fully determined:
+    /// request `k` starts service the cycle it is issued and arrives at
+    /// `k + T + 1`, the access takes `T + L + 1` cycles, and no
+    /// queueing occurs. Those are exactly the values the cycle engine
+    /// produces (asserted bit-for-bit by `tests/fast_path.rs`), at a
+    /// fraction of the cost. Every other stream falls back to
+    /// [`Engine::Periodic`]. The batch execution engine
+    /// (`cfva-serve::runner::BatchRunner`) starts its sessions here.
     FastPath,
     /// The analytic steady-state estimator (`analytic.rs`): aggregate
     /// statistics derived in closed form from a handful of short probe

@@ -1,10 +1,10 @@
 //! The event kernel: the compact simulation loop behind
-//! [`Engine::Event`](crate::Engine::Event), every traced or multi-port
-//! run of the other engines, and the detection window of
-//! [`Engine::Periodic`](crate::Engine::Periodic). Untraced single-port
-//! runs with no recurrence to detect — and the analytic estimator's
-//! probes and the single-port static multi-stream co-run — are solved in
-//! request order instead (`solver.rs`), without stepping cycles.
+//! [`Engine::Event`](crate::Engine::Event) and every traced or
+//! multi-port run of the `Periodic`, `FastPath` and `Analytic` engines.
+//! None of these is on the serving path: every untraced single-port run
+//! of those engines — and the single-port static multi-stream co-run —
+//! is solved in request order instead (`solver.rs`), without stepping
+//! cycles.
 //!
 //! The kernel runs the oracle's four phases (complete → bus → issue →
 //! start, see [`MemorySystem`]) but only at *processed* cycles — the
@@ -33,10 +33,6 @@
 //! charges the skipped stall cycles in closed form (emitting the
 //! per-cycle `Stall` trace events when tracing is on). Trace events keep
 //! the oracle's order: ascending module within a phase.
-//!
-//! An [`Observer`] sees every delivery and is called at request-count
-//! boundaries it asks for; the periodic engine's recurrence detector is
-//! one, the plain event engine uses none.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -45,30 +41,23 @@ use cfva_core::{Addr, ModuleId};
 
 use crate::stats::AccessStats;
 use crate::system::MemorySystem;
-use crate::trace::{Event, Trace};
+use crate::trace::Event;
 
 /// One module's queues and service slot, holding request indices.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct Bank {
-    pub(crate) inq: VecDeque<u32>,
+struct Bank {
+    inq: VecDeque<u32>,
     /// The request in service and the cycle it finishes.
-    pub(crate) svc: Option<(u32, u64)>,
+    svc: Option<(u32, u64)>,
     /// The in-service request finished but found the output queue full.
     blocked: bool,
-    pub(crate) outq: VecDeque<u32>,
-}
-
-impl Bank {
-    /// Whether the module holds any request.
-    pub(crate) fn is_occupied(&self) -> bool {
-        !self.inq.is_empty() || self.svc.is_some() || !self.outq.is_empty()
-    }
+    outq: VecDeque<u32>,
 }
 
 /// Reusable state of the kernel, kept on the [`MemorySystem`].
 #[derive(Debug, Default)]
 pub(crate) struct Kernel {
-    pub(crate) banks: Vec<Bank>,
+    banks: Vec<Bank>,
     /// Pending completions `(ready cycle, module)` in start order.
     completions: VecDeque<(u64, u32)>,
     /// Bus arbiter: `(issue cycle of the output front, module)`, one
@@ -80,7 +69,7 @@ pub(crate) struct Kernel {
     due: Vec<u32>,
     touched: Vec<u32>,
     /// Issue cycle per request index (valid once issued).
-    pub(crate) issue_at: Vec<u64>,
+    issue_at: Vec<u64>,
 }
 
 impl Kernel {
@@ -107,125 +96,17 @@ impl Kernel {
     }
 }
 
-/// Watches a kernel run: sees every delivery and is called at the end
-/// of the processed cycle in which the issued-request count reaches
-/// [`boundary_at`](Observer::boundary_at).
-pub(crate) trait Observer {
-    /// Request `k` reached the processor at cycle `when`.
-    fn delivered(&mut self, _k: usize, _when: u64) {}
-
-    /// The issued-request count at which to call
-    /// [`boundary`](Observer::boundary) next; `usize::MAX` for never.
-    fn boundary_at(&self) -> usize {
-        usize::MAX
-    }
-
-    /// Called at a boundary; may fast-forward the run.
-    fn boundary<F>(&mut self, _run: &mut Run<'_>, _request: &F)
-    where
-        F: Fn(usize) -> (u64, Addr, ModuleId),
-    {
-    }
-}
-
-/// The plain event engine observes nothing.
-impl Observer for () {}
-
-/// The live state of one kernel run.
-#[derive(Debug)]
-pub(crate) struct Run<'a> {
-    kernel: &'a mut Kernel,
-    pub(crate) trace: &'a mut Trace,
-    pub(crate) out: &'a mut AccessStats,
-    /// The current (last processed) cycle.
-    pub(crate) cycle: u64,
-    /// Requests issued so far.
-    pub(crate) next: usize,
-    pub(crate) delivered: u64,
-    pub(crate) stall_cycles: u64,
-    pub(crate) conflicts: u64,
-    pub(crate) last_arrival: u64,
-}
-
-impl Run<'_> {
-    /// The kernel state, for reading signatures.
-    pub(crate) fn kernel(&self) -> &Kernel {
-        self.kernel
-    }
-
-    /// Fast-forwards the run's queue state over whole extrapolated
-    /// periods: every request held by `modules` (which must cover all
-    /// occupied ones) becomes its counterpart `dq` requests later, and
-    /// every clock advances `dt` cycles. Counters and arrivals are the
-    /// caller's to advance.
-    pub(crate) fn shift<F>(&mut self, modules: &[usize], dt: u64, dq: u64, request: &F)
-    where
-        F: Fn(usize) -> (u64, Addr, ModuleId),
-    {
-        let k = &mut *self.kernel;
-        // Remap the queues first and collect the new issue cycles: a held
-        // request's counterpart may itself be held (`dq` can be shorter
-        // than the queued window), so no issue cycle is overwritten
-        // before it is read.
-        let mut moved = Vec::new();
-        for &m in modules {
-            let b = &mut k.banks[m];
-            let held = b.inq.iter_mut().chain(b.svc.as_mut().map(|(r, _)| r));
-            for r in held.chain(b.outq.iter_mut()) {
-                let from = *r as usize;
-                let to = from + dq as usize;
-                debug_assert_eq!(
-                    request(from).2,
-                    request(to).2,
-                    "module sequence must be periodic"
-                );
-                moved.push((to, k.issue_at[from] + dt));
-                *r = to as u32;
-            }
-            if let Some((_, ready)) = &mut b.svc {
-                *ready += dt;
-            }
-        }
-        for (to, issued) in moved {
-            k.issue_at[to] = issued;
-        }
-        for c in &mut k.completions {
-            c.0 += dt;
-        }
-        let bus: Vec<_> = k
-            .bus
-            .drain()
-            .map(|Reverse((c, m))| Reverse((c + dt, m)))
-            .collect();
-        k.bus.extend(bus);
-        self.cycle += dt;
-    }
-}
-
 impl MemorySystem {
-    /// The plain event engine: the kernel with no observer.
-    pub(crate) fn run_event<F>(&mut self, n: usize, request: &F, out: &mut AccessStats)
-    where
-        F: Fn(usize) -> (u64, Addr, ModuleId),
-    {
-        self.run_kernel(n, request, out, &mut ());
-    }
-
-    /// The kernel loop; statistics land in `out`, reusing its buffers.
+    /// The event engine: the kernel loop. Statistics land in `out`,
+    /// reusing its buffers.
     ///
     /// # Panics
     ///
     /// Same conditions as [`run_plan`](Self::run_plan), and on streams
     /// of 2^32 requests or more.
-    pub(crate) fn run_kernel<F, O>(
-        &mut self,
-        n: usize,
-        request: &F,
-        out: &mut AccessStats,
-        obs: &mut O,
-    ) where
+    pub(crate) fn run_event<F>(&mut self, n: usize, request: &F, out: &mut AccessStats)
+    where
         F: Fn(usize) -> (u64, Addr, ModuleId),
-        O: Observer,
     {
         let cfg = self.cfg;
         assert!(
@@ -241,28 +122,21 @@ impl MemorySystem {
         out.module_busy.clear();
         out.module_busy.resize(modules, 0);
 
-        let mut run = Run {
-            kernel: &mut self.kernel,
-            trace: &mut self.trace,
-            out,
-            cycle: 0,
-            next: 0,
-            delivered: 0,
-            stall_cycles: 0,
-            conflicts: 0,
-            last_arrival: 0,
-        };
+        let k = &mut self.kernel;
+        let trace = &mut self.trace;
+        // The current (last processed) cycle and the requests issued.
+        let (mut cycle, mut next) = (0, 0);
+        let (mut delivered, mut last_arrival) = (0, 0);
+        let (mut stall_cycles, mut conflicts) = (0, 0);
         let (q_in, q_out) = (cfg.q_in(), cfg.q_out());
         let mut first_issue: Option<u64> = None;
         let mut max_in_q = 0;
         let safety_bound = 1_000_000u64.max(n_u64 * t * 4 + 10_000);
-        while run.delivered < n_u64 {
-            let cycle = run.cycle;
+        while delivered < n_u64 {
             assert!(
                 cycle < safety_bound,
                 "simulation exceeded {safety_bound} cycles — engine bug"
             );
-            let k = &mut *run.kernel;
 
             // Phase 1: completions due this cycle, plus blocked ones
             // whose output queue drained last cycle — ascending module.
@@ -296,8 +170,8 @@ impl MemorySystem {
                 b.svc = None;
                 b.blocked = false;
                 k.touched.push(m);
-                if run.trace.is_enabled() {
-                    run.trace.push(Event::Complete {
+                if trace.is_enabled() {
+                    trace.push(Event::Complete {
                         cycle,
                         module: ModuleId::new(u64::from(m)),
                         element: request(req as usize).0,
@@ -324,11 +198,10 @@ impl MemorySystem {
                 }
                 let when = cycle + 1; // one-cycle bus
                 let element = request(req as usize).0;
-                run.out.arrival[element as usize] = when;
-                run.last_arrival = run.last_arrival.max(when);
-                run.delivered += 1;
-                obs.delivered(req as usize, when);
-                run.trace.push(Event::Deliver {
+                out.arrival[element as usize] = when;
+                last_arrival = last_arrival.max(when);
+                delivered += 1;
+                trace.push(Event::Deliver {
                     cycle: when,
                     element,
                 });
@@ -337,10 +210,10 @@ impl MemorySystem {
             // Phase 3: processor issue — one request per port, in order
             // (a blocked request blocks the ports behind it).
             for _ in 0..ports {
-                if run.next >= n {
+                if next >= n {
                     break;
                 }
-                let (element, _, module) = request(run.next);
+                let (element, _, module) = request(next);
                 let midx = module.get() as usize;
                 assert!(
                     midx < modules,
@@ -348,17 +221,17 @@ impl MemorySystem {
                 );
                 let b = &mut k.banks[midx];
                 if b.inq.len() == q_in {
-                    run.stall_cycles += 1;
-                    run.trace.push(Event::Stall { cycle, module });
+                    stall_cycles += 1;
+                    trace.push(Event::Stall { cycle, module });
                     break;
                 }
-                b.inq.push_back(run.next as u32);
+                b.inq.push_back(next as u32);
                 max_in_q = max_in_q.max(b.inq.len());
-                k.issue_at[run.next] = cycle;
+                k.issue_at[next] = cycle;
                 k.touched.push(midx as u32);
                 first_issue.get_or_insert(cycle);
-                run.next += 1;
-                run.trace.push(Event::Issue {
+                next += 1;
+                trace.push(Event::Issue {
                     cycle,
                     element,
                     module,
@@ -380,13 +253,13 @@ impl MemorySystem {
                     continue;
                 };
                 if cycle > k.issue_at[req as usize] {
-                    run.conflicts += 1;
+                    conflicts += 1;
                 }
                 b.svc = Some((req, cycle + t));
-                run.out.module_busy[m as usize] += t;
+                out.module_busy[m as usize] += t;
                 k.completions.push_back((cycle + t, m));
-                if run.trace.is_enabled() {
-                    run.trace.push(Event::ServiceStart {
+                if trace.is_enabled() {
+                    trace.push(Event::ServiceStart {
                         cycle,
                         module: ModuleId::new(u64::from(m)),
                         element: request(req as usize).0,
@@ -394,29 +267,23 @@ impl MemorySystem {
                 }
             }
 
-            if run.next == obs.boundary_at() {
-                obs.boundary(&mut run, request);
-            }
-
             // --- Scheduling: the next cycle anything can happen. ---
             //
             // The next cycle is live when a datum waits on the bus, a
             // blocked completion retries, or the processor's next
             // request fits its target's input buffer.
-            let cycle = run.cycle;
-            let k = &*run.kernel;
-            let live = run.delivered >= n_u64
+            let live = delivered >= n_u64
                 || !k.bus.is_empty()
                 || !k.retry.is_empty()
-                || (run.next < n && {
+                || (next < n && {
                     // An out-of-range module fails the issue phase's
                     // range check next cycle.
-                    let (_, _, module) = request(run.next);
+                    let (_, _, module) = request(next);
                     let midx = module.get() as usize;
                     k.banks.get(midx).is_none_or(|b| b.inq.len() < q_in)
                 });
             if live {
-                run.cycle = cycle + 1;
+                cycle += 1;
                 continue;
             }
             // Otherwise only running services remain (every output
@@ -427,23 +294,23 @@ impl MemorySystem {
                 .completions
                 .front()
                 .map_or(cycle + 1, |&(ready, _)| ready.max(cycle + 1));
-            if run.next < n {
+            if next < n {
                 let skipped = target - (cycle + 1);
-                run.stall_cycles += skipped;
-                if run.trace.is_enabled() && skipped > 0 {
-                    let (_, _, module) = request(run.next);
+                stall_cycles += skipped;
+                if trace.is_enabled() && skipped > 0 {
+                    let (_, _, module) = request(next);
                     for c in cycle + 1..target {
-                        run.trace.push(Event::Stall { cycle: c, module });
+                        trace.push(Event::Stall { cycle: c, module });
                     }
                 }
             }
-            run.cycle = target;
+            cycle = target;
         }
 
-        run.out.latency = run.last_arrival - first_issue.unwrap_or(0) + 1;
-        run.out.elements = n_u64;
-        run.out.stall_cycles = run.stall_cycles;
-        run.out.conflicts = run.conflicts;
-        run.out.max_in_q = max_in_q;
+        out.latency = last_arrival - first_issue.unwrap_or(0) + 1;
+        out.elements = n_u64;
+        out.stall_cycles = stall_cycles;
+        out.conflicts = conflicts;
+        out.max_in_q = max_in_q;
     }
 }

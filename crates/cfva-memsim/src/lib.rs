@@ -23,10 +23,11 @@
 //! the event kernel of [`Engine::Event`] (only cycles where the state
 //! can change are processed, and in each only the modules with an
 //! event), the periodic steady-state fast-forward engine of
-//! [`Engine::Periodic`] (the same kernel; whole periods of long streams
-//! are extrapolated in closed form; an untraced single-port stream with
-//! no recurrence is solved in one pass in request order instead of
-//! simulated), and the verified conflict-free fast path of
+//! [`Engine::Periodic`] (an untraced single-port stream is solved in one
+//! pass in request order instead of simulated, and once the solver's
+//! state recurs at a period boundary the rest of a long stream is copied
+//! from the logged window, shifted in time; traced and multi-port runs
+//! take the event kernel), and the verified conflict-free fast path of
 //! [`Engine::FastPath`] (which falls back to `Periodic`). A fifth,
 //! [`Engine::Analytic`], trades the per-element vectors for
 //! closed-form **aggregate** estimates derived from a handful of short

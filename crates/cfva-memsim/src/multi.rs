@@ -335,7 +335,10 @@ fn run_solved(cfg: MemConfig, plans: &[&AccessPlan], merged: &Merged) -> MultiSt
         total,
         &|k| merged.requests[k],
         &mut combined,
-        |_, solved| records.push(*solved),
+        |_, solved, _| {
+            records.push(*solved);
+            true
+        },
     );
     demux(plans, merged, &records, &combined)
 }

@@ -4,59 +4,54 @@
 //! (Valero et al.'s central observation —
 //! [`ModuleMap::period`](cfva_core::mapping::ModuleMap::period) gives
 //! the closed form `P_x`). Once the memory system reaches steady state,
-//! its entire queue/occupancy state at one period boundary is a
-//! time-shifted copy of the state at the previous boundary, and every
-//! later period replays the same events shifted by a constant number of
-//! cycles. Simulating each of those periods — as even the event kernel
-//! does — is redundant work.
+//! its state at one period boundary is a time-shifted copy of the state
+//! at an earlier one, and every later request replays its counterpart
+//! one window earlier, shifted by a constant number of cycles. Solving
+//! each of those requests is redundant work.
 //!
-//! This engine is the event kernel (`kernel.rs`) with a recurrence
-//! detector as its observer. At each boundary of the stream's (minimal)
-//! module-sequence period the detector reads a **state signature** from
-//! the kernel's queues: per occupied module, the queued / in-service /
-//! output requests encoded *relative* to the boundary (request index
-//! minus the boundary request, cycles minus the boundary cycle). When a
-//! signature recurs, the remaining `k` whole periods are **extrapolated
-//! in closed form**:
+//! This engine is the request-order solver (`solver.rs`) plus a
+//! recurrence detector that reads the solver's own state. At each
+//! boundary of the stream's (minimal) module-sequence period the
+//! detector takes the solver's **state signature**
+//! ([`Solver::signature`](crate::solver::Solver::signature)): the
+//! per-module rings, `done` cycles and held bus slots, relative to the
+//! boundary's first possible issue cycle and clamped where they can no
+//! longer delay a later request. While detection runs it logs each
+//! request's bus grant, stall cycles and late start. When a signature
+//! recurs — boundary `B` equals boundary `B'`, `Δt` cycles later —
+//! request `j ≥ B` is request `j − i·(B − B')` of the window `[B', B)`,
+//! `i·Δt` cycles later, for the `i ≥ 1` that lands it there. The pass
+//! stops, and the rest of the stream is copied from the log:
 //!
-//! * per-element arrivals — each delivery in the reference window
-//!   repeats `k` times, shifted by the period's request span and cycle
-//!   span;
-//! * stall cycles, per-module busy time and queueing conflicts — the
-//!   reference window's deltas, times `k`,
+//! * per-element arrivals — each logged grant, shifted, written once
+//!   per later request;
+//! * stall cycles, conflicts, per-module busy time and latency — per
+//!   window entry, times the number of copies it gets, in closed form.
 //!
-//! and the kernel state is shifted (held requests remapped to their
-//! stream counterparts `k` periods later, all clocks advanced) so the
-//! kernel finishes the tail and the drain exactly as the oracle would.
-//! Stats are therefore bit-identical to the cycle engine — asserted
-//! across every registered `ModuleMap` by `tests/periodic_engine.rs`
-//! and the engine-agreement property suite. A traced run is not
-//! extrapolated (no production caller traces a long stream), so its
-//! trace is the kernel's own and equal to the oracle's as well.
+//! Nothing is simulated past the recurrence. Stats are bit-identical to
+//! the cycle engine — asserted across every registered `ModuleMap` by
+//! `tests/periodic_engine.rs` and the engine-agreement property suite.
+//! A repeated element id (outside the input contract) keeps its last
+//! delivery, copied or solved, as in the oracle.
 //!
 //! A stream with no recurrence to detect — shorter than three whole
 //! periods of its module sequence, which covers short and aperiodic
-//! vectors — never starts detection: untraced on one port, it is
-//! solved in one pass in request order (`solver.rs`), the documented
-//! fallback chain `FastPath → Periodic → solver`. Traced and multi-port
-//! runs, and streams whose transient outlasts the detection budget,
-//! run exactly as an [`Engine::Event`](crate::Engine::Event) run.
+//! vectors — or whose transient outlasts the detection budget is simply
+//! solved to the end. Traced and multi-port runs run exactly as an
+//! [`Engine::Event`](crate::Engine::Event) run, on the event kernel.
 
 use std::collections::VecDeque;
 
 use cfva_core::{Addr, ModuleId};
 
 use crate::config::MemConfig;
-use crate::kernel::{Observer, Run};
+use crate::solver::{deliver, Solved, Solver};
 use crate::stats::AccessStats;
 use crate::system::MemorySystem;
 
 /// Reusable buffers of the periodic engine, kept on the
-/// [`MemorySystem`] so the `O(n)` working sets of repeated runs
-/// through a long-lived system (the batch-runner hot path) are
-/// allocated once. The per-boundary records themselves are small
-/// (`O(occupied modules)`, at most a handful per run) and are built
-/// fresh each detection.
+/// [`MemorySystem`] so the working sets of repeated runs through a
+/// long-lived system (the batch-runner hot path) are allocated once.
 #[derive(Debug, Default)]
 pub(crate) struct PeriodicScratch {
     /// The stream's module sequence and the KMP failure function over
@@ -64,73 +59,41 @@ pub(crate) struct PeriodicScratch {
     /// the same way).
     pub(crate) seq: Vec<u32>,
     pub(crate) fail: Vec<usize>,
-    /// Delivery log while detection is active: `(request index, arrival
-    /// cycle)` in delivery order.
-    deliveries: Vec<(u64, u64)>,
-}
-
-/// One module's slot in a boundary state signature, in *relative*
-/// coordinates: request indices relative to the boundary request,
-/// cycles relative to the boundary cycle. Two boundaries with equal
-/// signatures evolve identically (shifted) from there on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SigEntry {
-    /// Start of one occupied module's slots.
-    Module(usize),
-    /// A queued input request.
-    InQ { req: i64, issued: i64 },
-    /// The in-service request and its completion cycle.
-    Service { req: i64, issued: i64, ready: i64 },
-    /// A finished request waiting on the return bus.
-    OutQ { req: i64, issued: i64 },
-}
-
-/// Everything recorded at one period boundary.
-#[derive(Debug)]
-struct BoundaryRec {
-    /// Requests issued at capture (a multiple of the period).
-    req: u64,
-    /// The cycle whose processing ended at this boundary.
-    cycle: u64,
-    stall_cycles: u64,
-    conflicts: u64,
-    delivered: u64,
-    /// Length of the delivery log at capture.
-    log_pos: usize,
-    /// Busy cycles per period module, aligned with
-    /// `Detection::period_modules`.
-    busy: Vec<u64>,
-    sig: Vec<SigEntry>,
-}
-
-/// The recurrence detector: a kernel [`Observer`] that captures a
-/// signature at each period boundary and, on a recurrence,
-/// fast-forwards the run.
-struct Detection<'s> {
-    scratch: &'s mut PeriodicScratch,
-    /// Whether detection is still running.
-    active: bool,
-    /// Whether whole periods were skipped.
-    extrapolated: bool,
-    n: u64,
-    /// Minimal period of the stream's module sequence, in requests.
-    p: u64,
-    /// Issued-request count to capture the next signature at.
-    next_boundary: u64,
-    /// Give up once the next boundary would exceed this (transient too
-    /// long, or too little stream left to profit).
-    limit: u64,
     /// Sorted distinct modules of one period — the only modules that
     /// ever hold work, since the module sequence is periodic.
-    period_modules: Vec<usize>,
-    /// Recent boundary records; a new signature is compared against all
-    /// of them, so recurrences spanning several periods (beat patterns)
-    /// are caught too.
-    ring: VecDeque<BoundaryRec>,
+    modules: Vec<usize>,
+    /// Per request while detection runs, by request index: its bus
+    /// grant, the stall cycles charged before it issued, and whether
+    /// it started late.
+    log: Vec<(u64, u64, bool)>,
+    /// Recent boundaries, oldest first; a new signature is compared
+    /// against all of them, so recurrences spanning several periods
+    /// (beat patterns) are caught too.
+    boundaries: VecDeque<Boundary>,
+    /// The signature at the current boundary.
+    sig: Vec<i64>,
+}
+
+/// One period boundary: the request it precedes, the first cycle that
+/// request may issue, and the solver's state signature there.
+#[derive(Debug)]
+struct Boundary {
+    req: usize,
+    at: u64,
+    sig: Vec<i64>,
 }
 
 /// How many recent boundaries a new signature is compared against.
 const SIGNATURE_RING: usize = 4;
+
+/// A detected recurrence: from request `to` on, the stream replays the
+/// window of requests `from..to`, `dt` cycles later per window.
+#[derive(Debug, Clone, Copy)]
+struct Recurrence {
+    from: usize,
+    to: usize,
+    dt: u64,
+}
 
 /// Minimal period of the module sequence `request(0..n).module`, or
 /// some value above `cap` as soon as the period is known to exceed it,
@@ -198,10 +161,25 @@ where
     (n - len) as u64
 }
 
+/// The recurrence detector, fed by the solver pass.
+struct Detection<'s> {
+    scratch: &'s mut PeriodicScratch,
+    t: u64,
+    /// Minimal period of the stream's module sequence, in requests.
+    p: usize,
+    /// Request count at which to take the next signature, while
+    /// detection runs.
+    next_boundary: Option<usize>,
+    /// Give up once the next boundary would exceed this (transient too
+    /// long, or too little stream left to profit).
+    limit: usize,
+    /// The recurrence that stopped the pass, if one did.
+    found: Option<Recurrence>,
+}
+
 impl<'s> Detection<'s> {
     /// Sets up detection for a single-port stream, or `None` when the
-    /// stream has no usable recurrence: boundaries are anchored on the
-    /// processor's request counter, and detection needs at least three
+    /// stream has no usable recurrence: detection needs at least three
     /// whole periods.
     fn new<F>(
         cfg: &MemConfig,
@@ -215,172 +193,119 @@ impl<'s> Detection<'s> {
         if n < 4 {
             return None;
         }
-        let n_u64 = n as u64;
-        let p = minimal_period(n, request, &mut scratch.seq, &mut scratch.fail, n_u64 / 3);
-        if 3 * p > n_u64 {
-            return None;
-        }
-        let mut period_modules: Vec<usize> = scratch.seq[..p as usize]
-            .iter()
-            .map(|&m| m as usize)
-            .collect();
-        period_modules.sort_unstable();
-        period_modules.dedup();
+        let p = minimal_period(
+            n,
+            request,
+            &mut scratch.seq,
+            &mut scratch.fail,
+            n as u64 / 3,
+        );
+        let p = usize::try_from(p).ok().filter(|&p| 3 * p <= n)?;
+        scratch.modules.clear();
+        scratch
+            .modules
+            .extend(scratch.seq.iter().take(p).map(|&m| m as usize));
+        scratch.modules.sort_unstable();
+        scratch.modules.dedup();
+        scratch.log.clear();
+        scratch.boundaries.clear();
         // Startup transients are bounded by the pipeline filling (a few
         // service times and queue depths); past this allowance the
-        // stream is not settling into a one-boundary recurrence and the
-        // plain event run is the right engine.
-        let transient = 4 * (cfg.t_cycles() + (cfg.q_in() + cfg.q_out()) as u64) + 64;
-        scratch.deliveries.clear();
+        // stream is not settling into a one-boundary recurrence and is
+        // solved to the end.
+        let transient = 4 * (cfg.t_cycles() as usize + cfg.q_in() + cfg.q_out()) + 64;
         Some(Detection {
             scratch,
-            active: true,
-            extrapolated: false,
-            n: n_u64,
+            t: cfg.t_cycles(),
             p,
-            next_boundary: p,
-            limit: (3 * p).max(p + transient).min(n_u64 - p),
-            period_modules,
-            ring: VecDeque::new(),
+            next_boundary: Some(p),
+            limit: (3 * p).max(p + transient).min(n - p),
+            found: None,
         })
     }
 
-    /// The relative state signature and counters at a boundary, read
-    /// from the kernel state.
-    fn capture(&self, run: &Run<'_>) -> BoundaryRec {
-        let req = run.next as u64;
-        let kernel = run.kernel();
-        let rel_req = |r: u32| i64::from(r) - req as i64;
-        let rel_cyc = |c: u64| c as i64 - run.cycle as i64;
-        let issued = |r: u32| rel_cyc(kernel.issue_at[r as usize]);
-        let mut sig = Vec::new();
-        for &m in &self.period_modules {
-            let bank = &kernel.banks[m];
-            if !bank.is_occupied() {
-                continue;
-            }
-            sig.push(SigEntry::Module(m));
-            for &r in &bank.inq {
-                sig.push(SigEntry::InQ {
-                    req: rel_req(r),
-                    issued: issued(r),
-                });
-            }
-            if let Some((r, ready)) = bank.svc {
-                sig.push(SigEntry::Service {
-                    req: rel_req(r),
-                    issued: issued(r),
-                    ready: rel_cyc(ready),
-                });
-            }
-            for &r in &bank.outq {
-                sig.push(SigEntry::OutQ {
-                    req: rel_req(r),
-                    issued: issued(r),
-                });
-            }
+    /// Logs solved request `j` and, at a boundary, compares the
+    /// solver's signature with the recent ones. Returns `false` to stop
+    /// the pass on a recurrence.
+    fn visit(&mut self, j: usize, sum: &Solved, solver: &Solver) -> bool {
+        let Some(boundary) = self.next_boundary else {
+            return true;
+        };
+        let s = &mut *self.scratch;
+        s.log.push((sum.grant, sum.stalls, sum.late));
+        if j + 1 < boundary {
+            return true;
         }
-        BoundaryRec {
-            req,
-            cycle: run.cycle,
-            stall_cycles: run.stall_cycles,
-            conflicts: run.conflicts,
-            delivered: run.delivered,
-            log_pos: self.scratch.deliveries.len(),
-            busy: self
-                .period_modules
-                .iter()
-                .map(|&m| run.out.module_busy[m])
-                .collect(),
-            sig,
+        let at = sum.issue + 1;
+        solver.signature(&s.modules, at, self.t, &mut s.sig);
+        if let Some(prev) = s.boundaries.iter().rev().find(|b| b.sig == s.sig) {
+            self.found = Some(Recurrence {
+                from: prev.req,
+                to: boundary,
+                dt: at - prev.at,
+            });
+            return false;
         }
-    }
-}
-
-impl Observer for Detection<'_> {
-    fn delivered(&mut self, k: usize, when: u64) {
-        if self.active {
-            self.scratch.deliveries.push((k as u64, when));
+        if s.boundaries.len() == SIGNATURE_RING {
+            s.boundaries.pop_front();
         }
+        s.boundaries.push_back(Boundary {
+            req: boundary,
+            at,
+            sig: s.sig.clone(),
+        });
+        // Past the limit the transient exhausted the budget: solve on.
+        self.next_boundary = Some(boundary + self.p).filter(|&b| b <= self.limit);
+        true
     }
 
-    fn boundary_at(&self) -> usize {
-        if self.active {
-            self.next_boundary as usize
-        } else {
-            usize::MAX
-        }
-    }
-
-    /// Capture, match, fast-forward.
-    fn boundary<F>(&mut self, run: &mut Run<'_>, request: &F)
+    /// Completes a run whose pass stopped on a recurrence, with totals
+    /// `sum`: every later request copies its counterpart in the logged
+    /// window, shifted by `dt` per window. Only the arrivals are written
+    /// per request; stall cycles, conflicts, busy time and latency are
+    /// charged per window entry, times the copies it gets. Does nothing
+    /// when no recurrence was found.
+    fn replay<F>(&self, sum: &Solved, n: usize, request: &F, out: &mut AccessStats)
     where
         F: Fn(usize) -> (u64, Addr, ModuleId),
     {
-        let rec = self.capture(run);
-        let Some(prev) = self.ring.iter().rev().find(|r| r.sig == rec.sig) else {
-            self.ring.push_back(rec);
-            if self.ring.len() > SIGNATURE_RING {
-                self.ring.pop_front();
-            }
-            self.next_boundary += self.p;
-            // Past the limit the transient exhausted the budget: finish
-            // as a plain event run.
-            self.active = self.next_boundary <= self.limit;
+        let Some(Recurrence { from, to, dt }) = self.found else {
             return;
         };
-        // Whether or not any periods are left to skip, the detector has
-        // done its job; the kernel finishes the tail and the drain.
-        self.active = false;
-        // Steady state: the window (prev, rec] will replay, time-shifted,
-        // `k` more times. Skip them.
-        let span = rec.req - prev.req;
-        let dc = rec.cycle - prev.cycle;
-        let k = (self.n - rec.req) / span;
-        if k == 0 {
-            return;
+        let window = &self.scratch.log[from..to];
+        let rest = n - to;
+        let (whole, part) = (rest / window.len(), rest % window.len());
+        let mut last = 0;
+        out.stall_cycles = sum.stall_cycles;
+        out.conflicts = sum.conflicts;
+        for (i, &(grant, stalls, late)) in window.iter().enumerate() {
+            let copies = (whole + usize::from(i < part)) as u64;
+            last = last.max(grant + copies * dt);
+            out.stall_cycles += copies * stalls;
+            out.conflicts += copies * u64::from(late);
+            // The solver checked this request's module against the memory.
+            let m = request(from + i).2.get() as usize;
+            out.module_busy[m] += copies * self.t;
         }
-        self.extrapolated = true;
-        // Aggregate statistics of the skipped periods.
-        run.stall_cycles += k * (rec.stall_cycles - prev.stall_cycles);
-        run.conflicts += k * (rec.conflicts - prev.conflicts);
-        let window_delivered = rec.delivered - prev.delivered;
-        debug_assert_eq!(
-            window_delivered, span,
-            "matched boundaries must deliver one period per window"
-        );
-        run.delivered += k * window_delivered;
-        run.next += (k * span) as usize;
-        for (i, &m) in self.period_modules.iter().enumerate() {
-            run.out.module_busy[m] += k * (rec.busy[i] - prev.busy[i]);
-        }
+        out.latency = sum.latency.max(last + 2);
 
-        // Per-element arrivals of the skipped periods: every delivery in
-        // the reference window recurs k times, shifted in request index
-        // and time.
-        let mut window_last = 0;
-        for &(q, a) in &self.scratch.deliveries[prev.log_pos..rec.log_pos] {
-            window_last = window_last.max(a);
-            for i in 1..=k {
-                let (element, _, _) = request((q + i * span) as usize);
-                run.out.arrival[element as usize] = a + i * dc;
+        let (mut entry, mut shift) = (0, dt);
+        for j in to..n {
+            let (element, _, _) = request(j);
+            deliver(&mut out.arrival[element as usize], window[entry].0 + shift);
+            entry += 1;
+            if entry == window.len() {
+                (entry, shift) = (0, shift + dt);
             }
         }
-        run.last_arrival = run.last_arrival.max(window_last + k * dc);
-
-        // Fast-forward the live machine state: every held request
-        // becomes its stream counterpart k periods later, all clocks
-        // advance k·dc.
-        run.shift(&self.period_modules, k * dc, k * span, request);
     }
 }
 
 impl MemorySystem {
-    /// The periodic steady-state fast-forward engine: the event kernel
-    /// with the recurrence detector as its observer (see the module
-    /// docs). A stream with no recurrence to detect runs on the
-    /// request-order solver when untraced on one port, and on the plain
-    /// kernel otherwise. Statistics land in `out`, reusing its buffers.
+    /// The periodic steady-state fast-forward engine: the request-order
+    /// solver with the recurrence detector (see the module docs).
+    /// Traced and multi-port runs run on the event kernel. Statistics
+    /// land in `out`, reusing its buffers.
     ///
     /// # Panics
     ///
@@ -390,26 +315,23 @@ impl MemorySystem {
         F: Fn(usize) -> (u64, Addr, ModuleId),
     {
         if self.trace.is_enabled() || self.cfg.ports() != 1 {
-            // Traced runs are not extrapolated (see the module docs),
-            // and multi-port runs have no request-anchored boundaries.
+            // Traced runs keep the oracle's trace, and multi-port runs
+            // have no request-order solution.
             return self.run_event(n, request, out);
         }
         let mut scratch = std::mem::take(&mut self.periodic);
-        let Some(mut detection) = Detection::new(&self.cfg, n, request, &mut scratch) else {
-            self.periodic = scratch;
-            return self.solve(n, request, out, |_, _| {});
-        };
-        self.run_kernel(n, request, out, &mut detection);
-        let extrapolated = detection.extrapolated;
-        self.periodic = scratch;
-        // Extrapolated arrivals are written by stream position; they
-        // equal the oracle's only when element ids are a permutation of
-        // `0..n` (the input contract), and exactly then do the `n`
-        // deliveries fill every slot. A stream breaking the contract
-        // reruns as a plain event run.
-        if extrapolated && out.arrival.contains(&u64::MAX) {
-            self.run_event(n, request, out);
+        match Detection::new(&self.cfg, n, request, &mut scratch) {
+            None => {
+                self.solve(n, request, out, |_, _, _| true);
+            }
+            Some(mut detection) => {
+                let sum = self.solve(n, request, out, |j, sum, solver| {
+                    detection.visit(j, sum, solver)
+                });
+                detection.replay(&sum, n, request, out);
+            }
         }
+        self.periodic = scratch;
     }
 }
 

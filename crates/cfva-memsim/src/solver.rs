@@ -25,10 +25,11 @@
 //! `tests/periodic_engine.rs` (aperiodic, back-pressured and deep-queue
 //! streams), `tests/analytic.rs` and the root engine-agreement suites.
 //!
-//! The solver serves untraced single-port runs that no cheaper path
-//! covers: the `FastPath → Periodic` chain when the stream has no
-//! recurrence to detect, the analytic estimator's probes and direct
-//! runs, and every single-port static multi-stream co-run. Traced and
+//! The solver serves every untraced single-port run that no cheaper
+//! path covers: [`Engine::Periodic`](crate::Engine::Periodic) (with its
+//! recurrence detector reading [`Solver::signature`]), the `FastPath →
+//! Periodic` chain, the analytic estimator's probes and direct runs,
+//! and every single-port static multi-stream co-run. Traced and
 //! multi-port runs stay on the event kernel (`kernel.rs`).
 
 use cfva_core::{Addr, ModuleId};
@@ -55,6 +56,10 @@ pub(crate) struct Solver {
     /// later request can reach need no clearing; the ring doubles when
     /// a grant would land a whole ring ahead of the reachable floor.
     bus: Vec<(u64, u64)>,
+    /// The highest bus slot taken so far.
+    top: u64,
+    /// The deepest back-reference, `max(q, q')`.
+    depth: usize,
 }
 
 /// One solved request, plus the run's totals through it.
@@ -62,6 +67,8 @@ pub(crate) struct Solver {
 pub(crate) struct Solved {
     /// Cycle the request issued.
     pub(crate) issue: u64,
+    /// Cycle it was granted the bus.
+    pub(crate) grant: u64,
     /// Whether its service started after its issue cycle (a conflict).
     pub(crate) late: bool,
     /// Stall cycles charged while it waited to issue.
@@ -81,7 +88,9 @@ impl Solver {
     /// requests, rounded up to a power of two; a stream shorter than
     /// that never reaches back so far.
     fn prepare(&mut self, modules: usize, depth: usize, n: usize) {
+        self.depth = depth;
         self.ring = depth.min(n).max(1).next_power_of_two();
+        self.top = 0;
         self.count.clear();
         self.count.resize(modules, 0);
         self.done.clear();
@@ -136,22 +145,81 @@ impl Solver {
             *entry = (w, 0);
         }
         entry.1 |= 1 << (slot % 64);
+        self.top = self.top.max(slot);
         slot
+    }
+
+    /// Writes into `sig` the state every later request depends on, in
+    /// cycles relative to `at`, the first cycle the next request may
+    /// issue (`I_j + 1` after request `j`). Each value is clamped where
+    /// it can no longer delay a later request, which issues at or after
+    /// `at`, starts there or later and so completes at `at + t` or
+    /// later. Per module of `modules`: the ring entries held (at most
+    /// `max(q, q')` are ever read back), `done` (below `at` reads as 0),
+    /// then each held entry's start (below `at` reads as −1) and grant
+    /// (below `at + t − 1` reads as `t − 1`), most recent first. Then
+    /// every held bus slot at or above `at + t`. Two states with equal
+    /// signatures, facing the same module sequence, evolve identically
+    /// up to a constant time shift.
+    pub(crate) fn signature(&self, modules: &[usize], at: u64, t: u64, sig: &mut Vec<i64>) {
+        let rel = |c: u64| c as i64 - at as i64;
+        let mask = self.ring - 1;
+        sig.clear();
+        for &m in modules {
+            let rank = self.count[m];
+            let held = rank.min(self.depth as u64);
+            sig.push(held as i64);
+            sig.push(rel(self.done[m]).max(0));
+            for back in 1..=held {
+                let slot = m * self.ring + ((rank - back) as usize & mask);
+                sig.push(rel(self.starts[slot]).max(-1));
+                sig.push(rel(self.grants[slot]).max(t as i64 - 1));
+            }
+        }
+        let from = at + t;
+        for w in from / 64..=self.top / 64 {
+            let mut bits = self.word(w);
+            if w == from / 64 {
+                bits &= u64::MAX << (from % 64);
+            }
+            while bits != 0 {
+                sig.push(rel(w * 64 + u64::from(bits.trailing_zeros())));
+                bits &= bits - 1;
+            }
+        }
+    }
+}
+
+/// Records a delivery granted the bus at `grant` for one element. A
+/// repeated element id (outside the input contract) keeps its last
+/// delivery, as in the oracle.
+pub(crate) fn deliver(arrival: &mut u64, grant: u64) {
+    if *arrival == u64::MAX || *arrival <= grant {
+        *arrival = grant + 1;
     }
 }
 
 impl MemorySystem {
     /// Solves a single-port request stream in request order (see the
     /// module docs); statistics land in `out`, reusing its buffers.
-    /// `visit` sees every request once its timing is known.
+    /// `visit` sees every request once its timing is known, with the
+    /// solver state after it, and stops the pass by returning `false`;
+    /// `out` then holds the statistics of the requests solved so far,
+    /// and the returned totals are those through the last one.
     ///
     /// # Panics
     ///
     /// Same conditions as [`run_plan`](Self::run_plan).
-    pub(crate) fn solve<F, V>(&mut self, n: usize, request: &F, out: &mut AccessStats, mut visit: V)
+    pub(crate) fn solve<F, V>(
+        &mut self,
+        n: usize,
+        request: &F,
+        out: &mut AccessStats,
+        mut visit: V,
+    ) -> Solved
     where
         F: Fn(usize) -> (u64, Addr, ModuleId),
-        V: FnMut(usize, &Solved),
+        V: FnMut(usize, &Solved, &Solver) -> bool,
     {
         let cfg = self.cfg;
         debug_assert_eq!(cfg.ports(), 1, "the solver models one port");
@@ -209,25 +277,22 @@ impl MemorySystem {
             s.grants[slot] = grant;
             s.done[midx] = done;
             s.count[midx] = rank + 1;
-            // Deliveries happen in grant order; a repeated element id
-            // (outside the input contract) keeps its last one, as in the
-            // oracle.
-            let arrival = &mut out.arrival[element as usize];
-            if *arrival == u64::MAX || *arrival <= grant {
-                *arrival = grant + 1;
-            }
+            deliver(&mut out.arrival[element as usize], grant);
             out.module_busy[midx] += t;
 
             let late = start > issue;
             sum.issue = issue;
+            sum.grant = grant;
             sum.late = late;
             sum.stalls = issue - next_issue;
             sum.latency = sum.latency.max(grant + 2);
             sum.stall_cycles += sum.stalls;
             sum.conflicts += u64::from(late);
             sum.max_in_q = sum.max_in_q.max(in_q);
-            visit(j, &sum);
             next_issue = issue + 1;
+            if !visit(j, &sum, &*s) {
+                break;
+            }
         }
 
         // The first request issues at cycle 0: the latency runs to the
@@ -237,5 +302,6 @@ impl MemorySystem {
         out.stall_cycles = sum.stall_cycles;
         out.conflicts = sum.conflicts;
         out.max_in_q = sum.max_in_q;
+        sum
     }
 }

@@ -101,41 +101,6 @@ impl MemorySystem {
         self.cfg.engine()
     }
 
-    /// Enables (or disables) the verified conflict-free fast path —
-    /// shorthand for [`set_engine`](Self::set_engine) with
-    /// [`Engine::FastPath`] (or back to the default
-    /// [`Engine::Cycle`]).
-    ///
-    /// When enabled, a run first checks in one pass whether the request
-    /// stream is conflict free in the paper's sense (every window of
-    /// `T` consecutive requests touches `T` distinct modules). If it
-    /// is — and the memory has a single port and tracing is off — the
-    /// statistics are fully determined: request `k` starts service the
-    /// cycle it is issued and arrives at `k + T + 1`, the access takes
-    /// `T + L + 1` cycles, and no queueing occurs. Those are exactly
-    /// the values the cycle engine produces (asserted bit-for-bit by
-    /// `tests/fast_path.rs`), at a fraction of the cost. Streams that
-    /// fail the check fall through to the periodic fast-forward engine
-    /// ([`Engine::Periodic`]), which extrapolates steady-state periods
-    /// of long conflicted streams in closed form and solves streams
-    /// with no recurrence in one pass in request order.
-    ///
-    /// **Disabled by default** so the cycle-accurate engine remains the
-    /// oracle for verification work; the batch execution engine
-    /// (`cfva-bench::runner::BatchRunner`) enables it for throughput.
-    pub fn set_fast_path(&mut self, enabled: bool) {
-        self.set_engine(if enabled {
-            Engine::FastPath
-        } else {
-            Engine::Cycle
-        });
-    }
-
-    /// Whether the conflict-free fast path is enabled.
-    pub const fn fast_path(&self) -> bool {
-        matches!(self.cfg.engine(), Engine::FastPath)
-    }
-
     /// The configuration in use.
     pub const fn config(&self) -> MemConfig {
         self.cfg
@@ -277,11 +242,10 @@ impl MemorySystem {
                     return;
                 }
                 // Conflicted (or traced / multi-port) stream: the
-                // periodic fast-forward engine takes over — long
-                // conflicted streams collapse to one steady-state
-                // period, and an untraced single-port stream without a
-                // recurrence is solved in request order. This is the
-                // FastPath → Periodic → solver chain.
+                // periodic fast-forward engine takes over — an untraced
+                // single-port stream is solved in request order, and a
+                // long one is copied forward once its state recurs.
+                // This is the FastPath → Periodic chain.
                 self.run_periodic(n, &request, out)
             }
             Engine::Analytic => {

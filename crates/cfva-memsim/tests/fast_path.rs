@@ -7,14 +7,15 @@
 use cfva_core::mapping::{Interleaved, XorMatched, XorUnmatched};
 use cfva_core::plan::{AccessPlan, Planner, Strategy};
 use cfva_core::{Stride, VectorSpec};
-use cfva_memsim::{MemConfig, MemorySystem};
+use cfva_memsim::{Engine, MemConfig, MemorySystem};
 
 /// Runs one plan through a fresh full-engine system and a fresh
 /// fast-path system and asserts identical statistics.
 fn assert_equivalent(cfg: MemConfig, plan: &AccessPlan, label: &str) {
     let oracle = MemorySystem::new(cfg).run_plan(plan);
     let mut fast = MemorySystem::new(cfg);
-    fast.set_fast_path(true);
+    fast.set_engine(Engine::FastPath);
+    assert_eq!(fast.engine(), Engine::FastPath);
     let shortcut = fast.run_plan(plan);
     assert_eq!(oracle, shortcut, "{label}");
     // And again through the same (reused) fast system: reuse must not
@@ -114,7 +115,7 @@ fn tracing_disables_the_shortcut() {
     let plan = planner.plan(&vec, Strategy::ConflictFree).unwrap();
 
     let mut fast = MemorySystem::new(MemConfig::new(3, 3).unwrap());
-    fast.set_fast_path(true);
+    fast.set_engine(Engine::FastPath);
     fast.enable_trace();
     let stats = fast.run_plan(&plan);
     assert_eq!(stats.latency, 8 + 64 + 1);

@@ -196,7 +196,41 @@ fn queue_depths_and_ports_are_identical() {
         let cfg = MemConfig::new(6, 3).unwrap().with_ports(ports).unwrap();
         assert_periodic_equivalent(cfg, &plan, &format!("ports={ports}"));
     }
+    // Random periodic streams over a grid of memory shapes and queue
+    // depths, through one reused system per shape. Every stream holds at
+    // least three periods, so detection starts on each, and most are
+    // copied past a recurrence: the recurrence detector's signature is
+    // what keeps these equal to the oracle. Dropping the held grants and
+    // bus slots from the signature fails this grid.
+    for m in 1..=3u32 {
+        for t in 0..=4u32 {
+            for (q_in, q_out) in [(1, 1), (2, 1), (1, 2), (4, 2), (3, 3), (1, 4), (8, 8)] {
+                let cfg = MemConfig::new(m, t)
+                    .unwrap()
+                    .with_queues(q_in, q_out)
+                    .unwrap();
+                let mut periodic = MemorySystem::new(cfg.with_engine(Engine::Periodic));
+                let shape = u64::from(8 * m + t) << 16 | (q_in << 8 | q_out) as u64;
+                let mut r = shape.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+                for _ in 0..GRID_TRIALS {
+                    r ^= r << 13;
+                    r ^= r >> 7;
+                    r ^= r << 17;
+                    let period = r % 12 + 1;
+                    let len = period * ((r >> 8) % 41 + 3) + (r >> 16) % period;
+                    let stream = periodic_random_stream(r >> 24, period, len, 1 << m);
+                    let label = format!("m={m} t={t} q={q_in} q'={q_out} period={period} n={len}");
+                    let oracle = MemorySystem::new(cfg).run_requests(&stream);
+                    assert_eq!(oracle, periodic.run_requests(&stream), "{label}");
+                }
+            }
+        }
+    }
 }
+
+/// Random periodic streams per memory shape in
+/// `queue_depths_and_ports_are_identical`.
+const GRID_TRIALS: usize = 100;
 
 /// The request stream of a plan, in issue order.
 fn stream_of(plan: &AccessPlan) -> Vec<(u64, Addr, ModuleId)> {
@@ -422,8 +456,8 @@ fn output_back_pressure_is_identical() {
 }
 
 /// Element ids are a permutation of `0..n` by contract; a stream that
-/// repeats ids still matches the oracle (extrapolated arrivals are
-/// discarded and the stream reruns as a plain event run).
+/// repeats ids still matches the oracle (a repeated id keeps its last
+/// delivery, solved or copied past a recurrence).
 #[test]
 fn repeated_element_ids_match_the_oracle() {
     let cfg = MemConfig::new(3, 3).unwrap();
@@ -543,9 +577,10 @@ fn aperiodic_and_tiny_streams_are_identical() {
 
 #[test]
 fn non_pow2_lengths_leave_a_tail_to_simulate() {
-    // Lengths that are not multiples of the period exercise the tail
-    // resume after fast-forwarding: the in-flight queue contents must
-    // be remapped onto the correct late-stream requests.
+    // Lengths that are not multiples of the period end in a partial
+    // window: only the first requests of the copied window recur, and
+    // their stalls, conflicts and busy time count once more than the
+    // rest.
     let planner = Planner::baseline(Interleaved::new(3).unwrap(), 3);
     let cfg = MemConfig::new(3, 3).unwrap();
     for len in [65u64, 100, 250, 1000, 1023] {

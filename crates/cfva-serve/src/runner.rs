@@ -86,11 +86,11 @@ struct MeasureScratch {
 impl MeasureScratch {
     fn new(mem: MemConfig) -> Self {
         // Sessions default to `Engine::FastPath`, the head of the
-        // FastPath → Periodic → solver chain: conflict-free accesses
-        // take the verified one-pass shortcut, long conflicted
-        // accesses fast-forward their steady-state periods in closed
-        // form, and everything else is solved in one pass in request
-        // order (or, traced or multi-port, runs on the event kernel) —
+        // FastPath → Periodic chain: conflict-free accesses take the
+        // verified one-pass shortcut, and everything else is solved in
+        // one pass in request order, long periodic accesses copied
+        // forward once their state recurs (or, traced or multi-port,
+        // runs on the event kernel) —
         // all bit-identical to the cycle oracle (equivalence suites in
         // cfva-memsim/tests/{fast_path,event_engine,periodic_engine}.rs)
         // at a fraction of the cost. A `mem` carrying `Engine::Event`,
@@ -333,10 +333,10 @@ impl BatchRunner {
     }
 
     /// Selects the simulation engine for this session. Sessions start
-    /// on [`Engine::FastPath`] — the `FastPath → Periodic → solver`
-    /// chain: the verified conflict-free shortcut, then steady-state
-    /// period fast-forwarding, then the one-pass request-order solver
-    /// (the event kernel for traced or multi-port runs). Pick
+    /// on [`Engine::FastPath`] — the `FastPath → Periodic` chain: the
+    /// verified conflict-free shortcut, then the one-pass request-order
+    /// solver with steady-state period fast-forwarding (the event
+    /// kernel for traced or multi-port runs). Pick
     /// [`Engine::Cycle`] for verification-grade sweeps that must run
     /// the per-cycle oracle on every access, [`Engine::Event`] to
     /// force the event engine, or [`Engine::Periodic`] to skip the
@@ -348,16 +348,6 @@ impl BatchRunner {
     /// The engine this session simulates with.
     pub fn engine(&self) -> Engine {
         self.scratch.system.engine()
-    }
-
-    /// Enables or disables the simulator's verified conflict-free fast
-    /// path (on by default in a session) — shorthand for
-    /// [`set_engine`](Self::set_engine) with [`Engine::FastPath`] or
-    /// the [`Engine::Cycle`] oracle. Disable it for verification-grade
-    /// sweeps that must exercise the full cycle engine on every
-    /// access.
-    pub fn set_fast_path(&mut self, enabled: bool) {
-        self.scratch.system.set_fast_path(enabled);
     }
 
     /// Plans and simulates one access through the reused buffers,
@@ -759,9 +749,7 @@ mod tests {
         let mut session = BatchRunner::new(Planner::matched(XorMatched::new(3, 3).unwrap()), mem);
         session.set_engine(Engine::Cycle);
         assert_eq!(session.engine(), Engine::Cycle);
-        session.set_fast_path(false);
-        assert_eq!(session.engine(), Engine::Cycle);
-        session.set_fast_path(true);
+        session.set_engine(Engine::FastPath);
         assert_eq!(session.engine(), Engine::FastPath);
     }
 
