@@ -1,13 +1,9 @@
-//! Cycle engine vs event kernel vs fast path, on the regimes each one
-//! targets. The headline comparison is the worst-case
-//! all-requests-one-module stride (stride = M on low-order
-//! interleaving, T = 64), where the event engine's ≥ 2× advantage is
-//! also *enforced* by
-//! `cfva-memsim/tests/event_engine.rs::event_engine_at_least_2x_faster_on_all_conflicts_stride`.
-//! The dense aperiodic case is a conflicted stream with no recurrence
-//! to extrapolate, in which nearly every cycle has an event: the event
-//! kernel's own regime, and the one where the fast-path chain lands on
-//! the request-order solver.
+//! The cycle oracle on the regimes the engines target, against the fast
+//! path where it applies: the worst-case all-requests-one-module stride
+//! (stride = M on low-order interleaving, T = 64), a conflicted
+//! canonical plan, a conflict-free plan, and a dense aperiodic stream
+//! with no recurrence to extrapolate, where the fast-path chain lands
+//! on the request-order solver.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
@@ -32,19 +28,17 @@ fn bench_engines(c: &mut Criterion) {
 
     // Worst case: every request on one module (stride 8 on 8-way
     // low-order interleaving), long service time T = 64. The cycle
-    // loop walks ~L·T cycles; the event engine jumps them.
+    // loop walks ~L·T cycles.
     let (planner, cfg) = from_spec("interleaved:m=3,t=6");
     for len in [128u64, 512] {
         let vec = VectorSpec::new(0, 8, len).expect("valid");
         let plan = planner.plan(&vec, Strategy::Canonical).expect("plans");
         group.throughput(Throughput::Elements(len));
-        for engine in [Engine::Cycle, Engine::Event] {
-            let mut sys = MemorySystem::new(cfg.with_engine(engine));
-            let mut out = AccessStats::default();
-            group.bench_function(BenchmarkId::new(format!("one_module_{engine}"), len), |b| {
-                b.iter(|| sys.run_plan_into(black_box(&plan), &mut out))
-            });
-        }
+        let mut sys = MemorySystem::new(cfg);
+        let mut out = AccessStats::default();
+        group.bench_function(BenchmarkId::new("one_module_cycle", len), |b| {
+            b.iter(|| sys.run_plan_into(black_box(&plan), &mut out))
+        });
     }
 
     // Mixed regime: canonical order of an in-window family — bursts of
@@ -53,20 +47,16 @@ fn bench_engines(c: &mut Criterion) {
     let vec = VectorSpec::new(16, 12, 128).expect("valid");
     let plan = planner.plan(&vec, Strategy::Canonical).expect("plans");
     group.throughput(Throughput::Elements(128));
-    for engine in [Engine::Cycle, Engine::Event] {
-        let mut sys = MemorySystem::new(cfg.with_engine(engine));
-        let mut out = AccessStats::default();
-        group.bench_function(
-            BenchmarkId::new(format!("conflicted_canonical_{engine}"), 128u64),
-            |b| b.iter(|| sys.run_plan_into(black_box(&plan), &mut out)),
-        );
-    }
+    let mut sys = MemorySystem::new(cfg);
+    let mut out = AccessStats::default();
+    group.bench_function(
+        BenchmarkId::new("conflicted_canonical_cycle", 128u64),
+        |b| b.iter(|| sys.run_plan_into(black_box(&plan), &mut out)),
+    );
 
-    // Conflict-free plan: the fast path's home turf. With no queueing
-    // the event kernel processes every cycle, as the oracle does, but
-    // touches only the modules with an event in it.
+    // Conflict-free plan: the fast path's home turf.
     let plan = planner.plan(&vec, Strategy::ConflictFree).expect("window");
-    for engine in [Engine::Cycle, Engine::Event, Engine::FastPath] {
+    for engine in [Engine::Cycle, Engine::FastPath] {
         let mut sys = MemorySystem::new(cfg.with_engine(engine));
         let mut out = AccessStats::default();
         group.bench_function(
@@ -83,7 +73,7 @@ fn bench_engines(c: &mut Criterion) {
     let vec = VectorSpec::new(0, 3, 4096).expect("valid");
     let plan = planner.plan(&vec, Strategy::Auto).expect("plans");
     group.throughput(Throughput::Elements(4096));
-    for engine in [Engine::Cycle, Engine::Event, Engine::FastPath] {
+    for engine in [Engine::Cycle, Engine::FastPath] {
         let mut sys = MemorySystem::new(cfg.with_engine(engine));
         let mut out = AccessStats::default();
         group.bench_function(

@@ -2,7 +2,7 @@
 
 use cfva_core::plan::{Planner, Strategy};
 use cfva_core::{mapping::XorMatched, Stride, VectorSpec};
-use cfva_memsim::{Engine, MemConfig};
+use cfva_memsim::MemConfig;
 
 use crate::runner::BatchRunner;
 use crate::table::Table;
@@ -17,19 +17,11 @@ use crate::table::Table;
 ///   `T + L + 1` inside the window).
 pub fn latency() -> String {
     let len = 128u64;
-    // This sweep lives in the conflicted regime (canonical orders of
-    // in-window families queue hard), so pick the event engine
-    // explicitly via the config — conflict-free replay points would
-    // also be served by `Engine::FastPath`, but the interesting rows
-    // here are the ones where queueing dominates.
-    let mem_plain = MemConfig::new(3, 3)
-        .expect("valid")
-        .with_engine(Engine::Event);
+    let mem_plain = MemConfig::new(3, 3).expect("valid");
     let mem_buffered = MemConfig::new(3, 3)
         .expect("valid")
         .with_queues(2, 1)
-        .expect("valid queues")
-        .with_engine(Engine::Event);
+        .expect("valid queues");
     // Two long-lived sessions (one per memory configuration), reused
     // across every family × strategy measurement.
     let mut plain = BatchRunner::new(

@@ -49,7 +49,7 @@ fn probe_windows(
     BatchRunner::sweep(make_session, &families, |session, &x| {
         // This experiment *verifies* the windows, so every access must
         // go through the per-cycle oracle — not the conflict-free
-        // shortcut, and not the event engine either.
+        // shortcut, and not the request-order solver either.
         session.set_engine(Engine::Cycle);
         let (_, cf) = probe_family(session, x, len);
         (x, cf)

@@ -28,10 +28,10 @@
 //!   it alone, so one solver pass over the longest probe yields every
 //!   probe's aggregates.
 //! * Streams too short to amortize probing are simply solved in full,
-//!   and multi-port or traced runs are executed by the event kernel —
-//!   trivially exact.
+//!   and multi-port or traced runs step the cycle oracle — trivially
+//!   exact.
 //!
-//! Unlike the four simulating engines, [`Engine::Analytic`] reports
+//! Unlike the three simulating engines, [`Engine::Analytic`] reports
 //! **aggregates only**: the per-element arrival and per-module busy
 //! vectors of the output [`AccessStats`] are left empty on the
 //! extrapolated path (they are `O(n)` — materializing them would defeat
@@ -151,10 +151,10 @@ impl MemorySystem {
         // Streams the probing machinery does not cover run directly:
         // multi-port issue (period boundaries are request-anchored) and
         // tracing (the trace must stay bit-identical to the oracle's)
-        // on the event kernel, anything too short for period detection
+        // on the cycle oracle, anything too short for period detection
         // on the request-order solver.
         if self.trace.is_enabled() || self.cfg.ports() != 1 {
-            self.run_event(n, request, out);
+            self.run_cycle(n, request, out);
             return AnalyticEstimate::from_stats(out, n.max(1) as u64);
         }
         if n < 4 {

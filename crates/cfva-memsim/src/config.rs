@@ -255,7 +255,7 @@ mod tests {
     fn engine_defaults_to_cycle_oracle() {
         let cfg = MemConfig::new(3, 3).unwrap();
         assert_eq!(cfg.engine(), Engine::Cycle);
-        assert_eq!(cfg.with_engine(Engine::Event).engine(), Engine::Event);
+        assert_eq!(cfg.with_engine(Engine::Periodic).engine(), Engine::Periodic);
         assert_eq!(cfg.with_engine(Engine::FastPath).engine(), Engine::FastPath);
     }
 

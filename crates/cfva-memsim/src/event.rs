@@ -1,30 +1,20 @@
-//! The engine selector, and the event engine it names.
+//! The engine selector.
 //!
-//! The per-cycle engine ([`MemorySystem::run_cycle`](crate::MemorySystem))
-//! walks every occupied module in each of its four phases, every cycle,
-//! so a conflicted access — the interesting regime of the paper, where
-//! requests queue behind one module for `T` cycles at a time — costs
-//! `O(latency × occupied modules)` even though almost nothing happens
-//! in most cycles. [`Engine::Event`] runs the event kernel
-//! (`kernel.rs`) instead: it processes only the cycles at which the
-//! system state can change (a completion falls due, a datum waits on
-//! the return bus, or the processor's next request fits its target's
-//! input buffer) and, in each, touches only the modules with an event
-//! that cycle. Idle stretches in which the processor merely stalls
-//! behind a running service are jumped over, their stall cycles
-//! charged in closed form. Its [`AccessStats`](crate::AccessStats) and
-//! [`Trace`](crate::Trace) output is **bit-identical** to the cycle
-//! engine's — asserted across every registered map, queue depths, port
-//! counts, output back-pressure and pathological one-module strides by
-//! `tests/event_engine.rs` and the engine-agreement property suite.
+//! Two engines do the work behind it. The per-cycle oracle
+//! ([`MemorySystem::run_cycle`](crate::MemorySystem)) steps every cycle
+//! over the occupied modules; it runs [`Engine::Cycle`] and every traced
+//! or multi-port run. The request-order solver (`solver.rs`) times an
+//! untraced single-port stream in one pass without stepping cycles;
+//! [`Engine::Periodic`], [`Engine::FastPath`] and [`Engine::Analytic`]
+//! sit on top of it.
 
 use std::fmt;
 
 /// Which simulation core executes a request stream.
 ///
-/// The four simulating engines produce bit-identical [`AccessStats`]
+/// The three simulating engines produce bit-identical [`AccessStats`]
 /// and [`Trace`](crate::Trace) output; they differ only in cost. The
-/// fifth, [`Analytic`](Engine::Analytic), is an **estimator**: its
+/// fourth, [`Analytic`](Engine::Analytic), is an **estimator**: its
 /// aggregate statistics equal the oracle's whenever its steady-state
 /// check holds (which it reports via
 /// [`AnalyticEstimate::exact`](crate::AnalyticEstimate)), but it leaves
@@ -34,8 +24,7 @@ use std::fmt;
 /// | engine | cost | role |
 /// |---|---|---|
 /// | [`Cycle`](Engine::Cycle) | `O(latency · occupied modules)` | the oracle — reference semantics, default |
-/// | [`Event`](Engine::Event) | `O(processed cycles × modules with an event)` | the event kernel: idle stall stretches are jumped, each processed cycle touches only the modules that complete, are granted the bus, are issued to or start service |
-/// | [`Periodic`](Engine::Periodic) | `O(P_x + transient)` solved, then one copy per later request | the request-order solver (`solver.rs`) plus a recurrence detector on its state (`periodic.rs`): once a period boundary's state recurs, the rest of the stream is copied from a log of the window, shifted in time; a stream with no recurrence is solved to the end in `O(requests)`; traced and multi-port runs run exactly as `Event` |
+/// | [`Periodic`](Engine::Periodic) | `O(P_x + transient)` solved, then one copy per later request | the request-order solver (`solver.rs`) plus a recurrence detector on its state (`periodic.rs`): once a period boundary's state recurs, the rest of the stream is copied from a log of the window, shifted in time; a stream with no recurrence is solved to the end in `O(requests)`; traced and multi-port runs step the oracle |
 /// | [`FastPath`](Engine::FastPath) | `O(requests)` | verified conflict-free shortcut, falls back to `Periodic` |
 /// | [`Analytic`](Engine::Analytic) | `O(P_x + transient)` simulated | closed-form aggregate estimates from short congruent probes (`analytic.rs`); aggregates only |
 ///
@@ -51,9 +40,6 @@ pub enum Engine {
     /// simplest — the oracle all verification compares against.
     #[default]
     Cycle,
-    /// The event kernel (`kernel.rs`): only cycles where the state can
-    /// change are processed, and only the modules with an event in them.
-    Event,
     /// The steady-state fast-forward engine (`periodic.rs`): the
     /// request-order solver (`solver.rs`) plus recurrence detection on
     /// the solver's state at period boundaries of the stream's module
@@ -61,8 +47,8 @@ pub enum Engine {
     /// time-shifted copy of its counterpart one window earlier, copied
     /// from a log instead of solved. Streams with no recurrence to
     /// detect (short or aperiodic vectors), or whose transient outlasts
-    /// detection, are solved to the end. Traced and multi-port runs run
-    /// exactly as [`Engine::Event`].
+    /// detection, are solved to the end. Traced and multi-port runs step
+    /// the oracle, exactly as [`Engine::Cycle`].
     Periodic,
     /// The verified conflict-free shortcut: a run first checks in one
     /// pass whether the request stream is conflict free in the paper's
@@ -84,8 +70,8 @@ pub enum Engine {
     /// [`MemorySystem::analytic_estimate`] to see the flag); per-element
     /// arrival and per-module busy vectors are left **empty** on the
     /// extrapolated path. Short streams are solved in full by the
-    /// request-order solver; multi-port and traced streams run as
-    /// [`Engine::Event`].
+    /// request-order solver; multi-port and traced streams step the
+    /// oracle.
     Analytic,
 }
 
@@ -93,7 +79,6 @@ impl fmt::Display for Engine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
             Engine::Cycle => "cycle",
-            Engine::Event => "event",
             Engine::Periodic => "periodic",
             Engine::FastPath => "fast-path",
             Engine::Analytic => "analytic",

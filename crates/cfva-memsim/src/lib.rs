@@ -18,20 +18,18 @@
 //! paper); the integration tests assert this across the whole Theorem 1
 //! and Theorem 3 windows.
 //!
-//! Four interchangeable [`Engine`]s execute a request stream with
+//! Three interchangeable [`Engine`]s execute a request stream with
 //! bit-identical results: the per-cycle loop (the oracle, default),
-//! the event kernel of [`Engine::Event`] (only cycles where the state
-//! can change are processed, and in each only the modules with an
-//! event), the periodic steady-state fast-forward engine of
+//! the periodic steady-state fast-forward engine of
 //! [`Engine::Periodic`] (an untraced single-port stream is solved in one
 //! pass in request order instead of simulated, and once the solver's
 //! state recurs at a period boundary the rest of a long stream is copied
-//! from the logged window, shifted in time; traced and multi-port runs
-//! take the event kernel), and the verified conflict-free fast path of
-//! [`Engine::FastPath`] (which falls back to `Periodic`). A fifth,
-//! [`Engine::Analytic`], trades the per-element vectors for
-//! closed-form **aggregate** estimates derived from a handful of short
-//! probe prefixes, solved in one pass, reporting via
+//! from the logged window, shifted in time), and the verified
+//! conflict-free fast path of [`Engine::FastPath`] (which falls back to
+//! `Periodic`). Traced and multi-port runs of every engine step the
+//! oracle. A fourth, [`Engine::Analytic`], trades the per-element
+//! vectors for closed-form **aggregate** estimates derived from a
+//! handful of short probe prefixes, solved in one pass, reporting via
 //! [`AnalyticEstimate::exact`] whether the estimate provably equals a
 //! full simulation. See the `Engine` docs and the equivalence suites
 //! under `tests/`.
@@ -64,7 +62,6 @@
 mod analytic;
 mod config;
 mod event;
-mod kernel;
 mod module;
 pub mod multi;
 mod periodic;

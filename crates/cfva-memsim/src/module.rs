@@ -13,8 +13,7 @@ use crate::system::Request;
 /// read latch has not been drained.
 ///
 /// This is the model the per-cycle oracle ([`Engine::Cycle`](crate::Engine::Cycle))
-/// and the work-conserving multi-stream arbiter tick; the event kernel
-/// keeps the same state as per-module queues of request indices.
+/// and the work-conserving multi-stream arbiter tick.
 #[derive(Debug, Clone)]
 pub struct MemModule {
     t_cycles: u64,

@@ -35,8 +35,9 @@
 //! * [`Engine::Cycle`] (the default config) runs the merged stream
 //!   through the per-cycle oracle with tracing on and de-multiplexes
 //!   per-stream statistics from the event trace. Multi-port memories
-//!   take this path under every engine, at `O(cycles × occupied
-//!   modules)` plus the trace; nothing in the workspace co-runs on one.
+//!   take this path under every engine, as every multi-port run of
+//!   one stream does, at `O(cycles × occupied modules)` plus the
+//!   trace; nothing in the workspace co-runs on one.
 //! * Any other engine on a single-port memory runs the merged stream
 //!   on the request-order solver (`solver.rs`), conflict free or not,
 //!   and the per-stream statistics come from its per-request records
@@ -792,7 +793,7 @@ mod tests {
             for policy in [IssuePolicy::RoundRobin, IssuePolicy::Priority] {
                 for plans in [vec![&free_a, &free_b], vec![&free_a, &clustered]] {
                     let oracle = run_multi(cfg, &plans, policy).unwrap();
-                    for engine in [Engine::FastPath, Engine::Event, Engine::Periodic] {
+                    for engine in [Engine::FastPath, Engine::Periodic] {
                         let fast_path = run_multi(cfg.with_engine(engine), &plans, policy).unwrap();
                         assert_eq!(oracle, fast_path, "{policy} {engine:?} {}", cfg.ports());
                     }

@@ -37,8 +37,8 @@
 //! A stream with no recurrence to detect — shorter than three whole
 //! periods of its module sequence, which covers short and aperiodic
 //! vectors — or whose transient outlasts the detection budget is simply
-//! solved to the end. Traced and multi-port runs run exactly as an
-//! [`Engine::Event`](crate::Engine::Event) run, on the event kernel.
+//! solved to the end. Traced and multi-port runs step the cycle
+//! oracle, exactly as an [`Engine::Cycle`](crate::Engine::Cycle) run.
 
 use std::collections::VecDeque;
 
@@ -304,7 +304,7 @@ impl<'s> Detection<'s> {
 impl MemorySystem {
     /// The periodic steady-state fast-forward engine: the request-order
     /// solver with the recurrence detector (see the module docs).
-    /// Traced and multi-port runs run on the event kernel. Statistics
+    /// Traced and multi-port runs step the cycle oracle. Statistics
     /// land in `out`, reusing its buffers.
     ///
     /// # Panics
@@ -317,7 +317,7 @@ impl MemorySystem {
         if self.trace.is_enabled() || self.cfg.ports() != 1 {
             // Traced runs keep the oracle's trace, and multi-port runs
             // have no request-order solution.
-            return self.run_event(n, request, out);
+            return self.run_cycle(n, request, out);
         }
         let mut scratch = std::mem::take(&mut self.periodic);
         match Detection::new(&self.cfg, n, request, &mut scratch) {
@@ -342,6 +342,56 @@ mod tests {
     fn stream(mods: &[u32]) -> impl Fn(usize) -> (u64, Addr, ModuleId) {
         let mods = mods.to_vec();
         move |k| (k as u64, Addr::new(k as u64), ModuleId::new(mods[k].into()))
+    }
+
+    /// The detector on the two long conflicted plans the `periodic`
+    /// bench times: detection starts, a recurrence is found, and at
+    /// least 90% of the requests are copied rather than solved. A
+    /// detector that never starts or never matches fails here, where a
+    /// timing ratio on a noisy machine might not.
+    #[test]
+    fn detection_copies_most_of_long_conflicted_plans() {
+        use cfva_core::mapping::{Interleaved, XorMatched};
+        use cfva_core::plan::{Planner, Strategy};
+        use cfva_core::VectorSpec;
+
+        let cases = [
+            // Stride 12 (family x = 2) on the eq. (1) map: P_x = 32.
+            (
+                Planner::matched(XorMatched::new(3, 4).unwrap()),
+                MemConfig::new(3, 3).unwrap(),
+                VectorSpec::new(16, 12, 2048).unwrap(),
+            ),
+            // Stride 8 on low-order interleaving, T = 64: one module.
+            (
+                Planner::baseline(Interleaved::new(3).unwrap(), 6),
+                MemConfig::new(3, 6).unwrap(),
+                VectorSpec::new(0, 8, 4096).unwrap(),
+            ),
+        ];
+        for (planner, cfg, vec) in cases {
+            let plan = planner.plan(&vec, Strategy::Canonical).unwrap();
+            let entries = plan.entries();
+            let request = |k: usize| {
+                let e = &entries[k];
+                (e.element(), e.addr(), e.module())
+            };
+            let n = entries.len();
+            let mut scratch = PeriodicScratch::default();
+            let mut detection =
+                Detection::new(&cfg, n, &request, &mut scratch).expect("detection starts");
+            let mut out = AccessStats::default();
+            MemorySystem::new(cfg).solve(n, &request, &mut out, |j, sum, solver| {
+                detection.visit(j, sum, solver)
+            });
+            let found = detection.found.expect("a recurrence is found");
+            let copied = n - found.to;
+            assert!(
+                10 * copied >= 9 * n,
+                "{vec:?}: matched at request {}, only {copied} of {n} copied",
+                found.to
+            );
+        }
     }
 
     #[test]

@@ -30,7 +30,7 @@
 //! recurrence detector reading [`Solver::signature`]), the `FastPath →
 //! Periodic` chain, the analytic estimator's probes and direct runs,
 //! and every single-port static multi-stream co-run. Traced and
-//! multi-port runs stay on the event kernel (`kernel.rs`).
+//! multi-port runs step the cycle oracle instead.
 
 use cfva_core::{Addr, ModuleId};
 

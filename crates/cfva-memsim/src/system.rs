@@ -7,7 +7,6 @@ use cfva_core::{Addr, ModuleId};
 
 use crate::config::MemConfig;
 use crate::event::Engine;
-use crate::kernel::Kernel;
 use crate::module::MemModule;
 use crate::periodic::PeriodicScratch;
 use crate::solver::Solver;
@@ -59,8 +58,6 @@ pub struct MemorySystem {
     /// Scratch for the fast path's window check: last request index per
     /// module.
     last_start: Vec<u64>,
-    /// Reusable queues of the event kernel (see `kernel.rs`).
-    pub(crate) kernel: Kernel,
     /// Reusable buffers of the periodic fast-forward engine (see
     /// `periodic.rs`).
     pub(crate) periodic: PeriodicScratch,
@@ -77,7 +74,6 @@ impl MemorySystem {
             trace: Trace::new(),
             active: Vec::new(),
             last_start: Vec::new(),
-            kernel: Kernel::default(),
             periodic: PeriodicScratch::default(),
             solver: Solver::default(),
         }
@@ -87,10 +83,10 @@ impl MemorySystem {
     /// to building the system from a config carrying
     /// [`MemConfig::with_engine`]).
     ///
-    /// All four engines produce **bit-identical** [`AccessStats`] and
-    /// [`Trace`](crate::Trace) output; [`Engine::Cycle`] (the default)
-    /// is the oracle the others are verified against
-    /// (`tests/fast_path.rs`, `tests/event_engine.rs`,
+    /// All three simulating engines produce **bit-identical**
+    /// [`AccessStats`] and [`Trace`](crate::Trace) output;
+    /// [`Engine::Cycle`] (the default) is the oracle the others are
+    /// verified against (`tests/fast_path.rs`,
     /// `tests/periodic_engine.rs`).
     pub fn set_engine(&mut self, engine: Engine) {
         self.cfg = self.cfg.with_engine(engine);
@@ -124,12 +120,10 @@ impl MemorySystem {
     /// # Panics
     ///
     /// Panics if the plan references a module outside this memory's
-    /// range (plan built against a different mapping), or if a
-    /// cycle-stepping engine (the cycle oracle or the event kernel)
-    /// exceeds a hard safety bound of cycles (which would indicate an
-    /// engine bug, not a property of the plan). The request-order
-    /// solver steps no cycles and has no such bound. The event kernel
-    /// also refuses streams of 2^32 requests or more.
+    /// range (plan built against a different mapping), or if the cycle
+    /// oracle exceeds a hard safety bound of cycles (which would
+    /// indicate an engine bug, not a property of the plan). The
+    /// request-order solver steps no cycles and has no such bound.
     #[must_use = "the returned AccessStats are the simulation's only output; dropping them wastes the run"]
     pub fn run_plan(&mut self, plan: &AccessPlan) -> AccessStats {
         let mut stats = AccessStats::default();
@@ -231,7 +225,6 @@ impl MemorySystem {
     {
         match self.cfg.engine() {
             Engine::Cycle => self.run_cycle(n, &request, out),
-            Engine::Event => self.run_event(n, &request, out),
             Engine::Periodic => self.run_periodic(n, &request, out),
             Engine::FastPath => {
                 if !self.trace.is_enabled()
@@ -244,8 +237,9 @@ impl MemorySystem {
                 // Conflicted (or traced / multi-port) stream: the
                 // periodic fast-forward engine takes over — an untraced
                 // single-port stream is solved in request order, and a
-                // long one is copied forward once its state recurs.
-                // This is the FastPath → Periodic chain.
+                // long one is copied forward once its state recurs; a
+                // traced or multi-port one steps the oracle. This is the
+                // FastPath → Periodic chain.
                 self.run_periodic(n, &request, out)
             }
             Engine::Analytic => {

@@ -89,16 +89,15 @@ impl MeasureScratch {
         // FastPath → Periodic chain: conflict-free accesses take the
         // verified one-pass shortcut, and everything else is solved in
         // one pass in request order, long periodic accesses copied
-        // forward once their state recurs (or, traced or multi-port,
-        // runs on the event kernel) —
-        // all bit-identical to the cycle oracle (equivalence suites in
-        // cfva-memsim/tests/{fast_path,event_engine,periodic_engine}.rs)
-        // at a fraction of the cost. A `mem` carrying `Engine::Event`,
-        // `Engine::Periodic` or `Engine::FastPath` via
-        // `MemConfig::with_engine` is honored as-is. `Engine::Cycle`
-        // is indistinguishable from the config default and therefore
-        // CANNOT be requested through the config: a
-        // verification-grade session must call
+        // forward once their state recurs (traced or multi-port runs
+        // step the cycle oracle) — all bit-identical to the cycle
+        // oracle (equivalence suites in
+        // cfva-memsim/tests/{fast_path,periodic_engine}.rs) at a
+        // fraction of the cost. A `mem` carrying `Engine::Periodic` or
+        // `Engine::FastPath` via `MemConfig::with_engine` is honored
+        // as-is. `Engine::Cycle` is indistinguishable from the config
+        // default and therefore CANNOT be requested through the
+        // config: a verification-grade session must call
         // `BatchRunner::set_engine(Engine::Cycle)` after construction
         // (as the `window` experiment does).
         let mut system = MemorySystem::new(mem);
@@ -335,12 +334,12 @@ impl BatchRunner {
     /// Selects the simulation engine for this session. Sessions start
     /// on [`Engine::FastPath`] — the `FastPath → Periodic` chain: the
     /// verified conflict-free shortcut, then the one-pass request-order
-    /// solver with steady-state period fast-forwarding (the event
-    /// kernel for traced or multi-port runs). Pick
+    /// solver with steady-state period fast-forwarding (the cycle
+    /// oracle for traced or multi-port runs). Pick
     /// [`Engine::Cycle`] for verification-grade sweeps that must run
-    /// the per-cycle oracle on every access, [`Engine::Event`] to
-    /// force the event engine, or [`Engine::Periodic`] to skip the
-    /// conflict-free shortcut but keep period extrapolation.
+    /// the per-cycle oracle on every access, or [`Engine::Periodic`]
+    /// to skip the conflict-free shortcut but keep period
+    /// extrapolation.
     pub fn set_engine(&mut self, engine: Engine) {
         self.scratch.system.set_engine(engine);
     }
@@ -741,9 +740,9 @@ mod tests {
         // An explicit engine in the config is honored as-is.
         let session = BatchRunner::new(
             Planner::matched(XorMatched::new(3, 3).unwrap()),
-            mem.with_engine(Engine::Event),
+            mem.with_engine(Engine::Periodic),
         );
-        assert_eq!(session.engine(), Engine::Event);
+        assert_eq!(session.engine(), Engine::Periodic);
 
         // And the setter pins the oracle for verification sweeps.
         let mut session = BatchRunner::new(Planner::matched(XorMatched::new(3, 3).unwrap()), mem);
@@ -756,12 +755,7 @@ mod tests {
     #[test]
     fn all_session_engines_measure_identically() {
         let mem = MemConfig::new(3, 3).unwrap();
-        let engines = [
-            Engine::Cycle,
-            Engine::Event,
-            Engine::Periodic,
-            Engine::FastPath,
-        ];
+        let engines = [Engine::Cycle, Engine::Periodic, Engine::FastPath];
         let mut sessions: Vec<BatchRunner> = engines
             .into_iter()
             .map(|engine| {

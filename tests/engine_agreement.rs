@@ -1,6 +1,6 @@
-//! Property suite: the four simulation engines (`Cycle` oracle,
-//! `Event` queue, `Periodic` steady-state fast-forward, `FastPath`
-//! shortcut) agree bit-for-bit on randomly generated plans — across
+//! Property suite: the three simulation engines (`Cycle` oracle,
+//! `Periodic` steady-state fast-forward, `FastPath` shortcut) agree
+//! bit-for-bit on randomly generated plans — across
 //! **every registered `ModuleMap`** (the registry coverage set, so new
 //! maps are covered on registration) — and on synthetic request
 //! streams that mix conflict-free windows with bursts to a single
@@ -29,7 +29,7 @@ fn planner_for(kind: usize) -> (Planner, MemConfig) {
     )
 }
 
-/// Runs one plan through all four engines on fresh systems and
+/// Runs one plan through all three engines on fresh systems and
 /// asserts identical statistics.
 fn engines_agree_on_plan(
     planner: &Planner,
@@ -43,10 +43,8 @@ fn engines_agree_on_plan(
         return Ok(());
     };
     let oracle = MemorySystem::new(cfg).run_plan(&plan);
-    let event = MemorySystem::new(cfg.with_engine(Engine::Event)).run_plan(&plan);
     let periodic = MemorySystem::new(cfg.with_engine(Engine::Periodic)).run_plan(&plan);
     let fast = MemorySystem::new(cfg.with_engine(Engine::FastPath)).run_plan(&plan);
-    prop_assert_eq!(&oracle, &event, "cycle vs event");
     prop_assert_eq!(&oracle, &periodic, "cycle vs periodic");
     prop_assert_eq!(&oracle, &fast, "cycle vs fast-path");
     Ok(())
@@ -56,7 +54,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Random plans over every registered map, strategies and queue
-    /// shapes: identical `AccessStats` from all four engines.
+    /// shapes: identical `AccessStats` from all three engines.
     #[test]
     fn engines_agree_on_random_plans(
         kind in 0usize..registry_len(),
@@ -82,8 +80,7 @@ proptest! {
 
     /// Synthetic request streams alternating conflict-free rotations
     /// with bursts pinned to one module — the mixed regime where the
-    /// event engine flips between per-cycle processing and closed-form
-    /// stall skips.
+    /// fast path gives way and the periodic engine's solver queues.
     #[test]
     fn engines_agree_on_mixed_window_burst_streams(
         m in 1u32..=3,
@@ -119,10 +116,8 @@ proptest! {
             .collect();
 
         let oracle = MemorySystem::new(cfg).run_requests(&stream);
-        let event = MemorySystem::new(cfg.with_engine(Engine::Event)).run_requests(&stream);
         let periodic = MemorySystem::new(cfg.with_engine(Engine::Periodic)).run_requests(&stream);
         let fast = MemorySystem::new(cfg.with_engine(Engine::FastPath)).run_requests(&stream);
-        prop_assert_eq!(&oracle, &event, "cycle vs event");
         prop_assert_eq!(&oracle, &periodic, "cycle vs periodic");
         prop_assert_eq!(&oracle, &fast, "cycle vs fast-path");
     }
