@@ -6,7 +6,7 @@ use cfva_core::mapping::{PseudoRandom, RegionMap, XorMatched, XorUnmatched};
 use cfva_core::order::conflict_free_order_exists;
 use cfva_core::plan::{AccessPlan, Planner, Strategy};
 use cfva_core::{Stride, VectorSpec};
-use cfva_memsim::{multi, MemConfig, MemorySystem};
+use cfva_memsim::{run_multi, IssuePolicy, MemConfig, MemorySystem};
 
 use crate::runner::BatchRunner;
 use crate::table::Table;
@@ -176,7 +176,7 @@ pub fn multi_vector() -> String {
     let mut system = MemorySystem::new(mem); // reused for all solo runs
     for (name, plans) in &cases {
         let refs: Vec<&AccessPlan> = plans.iter().collect();
-        let stats = multi::run_interleaved(mem, &refs).expect("validated streams");
+        let stats = run_multi(mem, &refs, IssuePolicy::RoundRobin).expect("validated streams");
         let alone: Vec<u64> = plans.iter().map(|p| system.run_plan(p).latency).collect();
         let sequential: u64 = alone.iter().sum();
         t.row_owned(vec![

@@ -28,8 +28,7 @@
 //!   it alone, so one solver pass over the longest probe yields every
 //!   probe's aggregates.
 //! * Streams too short to amortize probing are simply solved in full,
-//!   and multi-port or traced runs step the cycle oracle — trivially
-//!   exact.
+//!   and multi-port runs step the cycle oracle — trivially exact.
 //!
 //! Unlike the three simulating engines, [`Engine::Analytic`] reports
 //! **aggregates only**: the per-element arrival and per-module busy
@@ -149,12 +148,11 @@ impl MemorySystem {
         F: Fn(usize) -> (u64, Addr, ModuleId),
     {
         // Streams the probing machinery does not cover run directly:
-        // multi-port issue (period boundaries are request-anchored) and
-        // tracing (the trace must stay bit-identical to the oracle's)
-        // on the cycle oracle, anything too short for period detection
-        // on the request-order solver.
-        if self.trace.is_enabled() || self.cfg.ports() != 1 {
-            self.run_cycle(n, request, out);
+        // multi-port issue (period boundaries are request-anchored) on
+        // the cycle oracle, anything too short for period detection on
+        // the request-order solver.
+        if self.cfg.ports() != 1 {
+            self.run_cycle(&[n], request, out);
             return AnalyticEstimate::from_stats(out, n.max(1) as u64);
         }
         if n < 4 {

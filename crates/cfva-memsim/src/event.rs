@@ -2,18 +2,19 @@
 //!
 //! Two engines do the work behind it. The per-cycle oracle
 //! ([`MemorySystem::run_cycle`](crate::MemorySystem)) steps every cycle
-//! over the occupied modules; it runs [`Engine::Cycle`] and every traced
-//! or multi-port run. The request-order solver (`solver.rs`) times an
-//! untraced single-port stream in one pass without stepping cycles;
-//! [`Engine::Periodic`], [`Engine::FastPath`] and [`Engine::Analytic`]
-//! sit on top of it.
+//! over the occupied modules; it runs [`Engine::Cycle`], every
+//! multi-port run and every work-conserving co-run, and records each
+//! request's [`Timing`](crate::Timing). The request-order solver
+//! (`solver.rs`) times a single-port stream in one pass without
+//! stepping cycles; [`Engine::Periodic`], [`Engine::FastPath`] and
+//! [`Engine::Analytic`] sit on top of it.
 
 use std::fmt;
 
 /// Which simulation core executes a request stream.
 ///
-/// The three simulating engines produce bit-identical [`AccessStats`]
-/// and [`Trace`](crate::Trace) output; they differ only in cost. The
+/// The three simulating engines produce bit-identical [`AccessStats`];
+/// they differ only in cost. The
 /// fourth, [`Analytic`](Engine::Analytic), is an **estimator**: its
 /// aggregate statistics equal the oracle's whenever its steady-state
 /// check holds (which it reports via
@@ -24,7 +25,7 @@ use std::fmt;
 /// | engine | cost | role |
 /// |---|---|---|
 /// | [`Cycle`](Engine::Cycle) | `O(latency · occupied modules)` | the oracle — reference semantics, default |
-/// | [`Periodic`](Engine::Periodic) | `O(P_x + transient)` solved, then one copy per later request | the request-order solver (`solver.rs`) plus a recurrence detector on its state (`periodic.rs`): once a period boundary's state recurs, the rest of the stream is copied from a log of the window, shifted in time; a stream with no recurrence is solved to the end in `O(requests)`; traced and multi-port runs step the oracle |
+/// | [`Periodic`](Engine::Periodic) | `O(P_x + transient)` solved, then one copy per later request | the request-order solver (`solver.rs`) plus a recurrence detector on its state (`periodic.rs`): once a period boundary's state recurs, the rest of the stream is copied from a log of the window, shifted in time; a stream with no recurrence is solved to the end in `O(requests)`; multi-port runs step the oracle |
 /// | [`FastPath`](Engine::FastPath) | `O(requests)` | verified conflict-free shortcut, falls back to `Periodic` |
 /// | [`Analytic`](Engine::Analytic) | `O(P_x + transient)` simulated | closed-form aggregate estimates from short congruent probes (`analytic.rs`); aggregates only |
 ///
@@ -47,14 +48,14 @@ pub enum Engine {
     /// time-shifted copy of its counterpart one window earlier, copied
     /// from a log instead of solved. Streams with no recurrence to
     /// detect (short or aperiodic vectors), or whose transient outlasts
-    /// detection, are solved to the end. Traced and multi-port runs step
-    /// the oracle, exactly as [`Engine::Cycle`].
+    /// detection, are solved to the end. Multi-port runs step the
+    /// oracle, exactly as [`Engine::Cycle`].
     Periodic,
     /// The verified conflict-free shortcut: a run first checks in one
     /// pass whether the request stream is conflict free in the paper's
     /// sense (every window of `T` consecutive requests touches `T`
-    /// distinct modules). If it is — and the memory has a single port
-    /// and tracing is off — the statistics are fully determined:
+    /// distinct modules). If it is — and the memory has a single port —
+    /// the statistics are fully determined:
     /// request `k` starts service the cycle it is issued and arrives at
     /// `k + T + 1`, the access takes `T + L + 1` cycles, and no
     /// queueing occurs. Those are exactly the values the cycle engine
@@ -70,8 +71,7 @@ pub enum Engine {
     /// [`MemorySystem::analytic_estimate`] to see the flag); per-element
     /// arrival and per-module busy vectors are left **empty** on the
     /// extrapolated path. Short streams are solved in full by the
-    /// request-order solver; multi-port and traced streams step the
-    /// oracle.
+    /// request-order solver; multi-port streams step the oracle.
     Analytic,
 }
 

@@ -21,13 +21,17 @@
 //! Three interchangeable [`Engine`]s execute a request stream with
 //! bit-identical results: the per-cycle loop (the oracle, default),
 //! the periodic steady-state fast-forward engine of
-//! [`Engine::Periodic`] (an untraced single-port stream is solved in one
-//! pass in request order instead of simulated, and once the solver's
-//! state recurs at a period boundary the rest of a long stream is copied
-//! from the logged window, shifted in time), and the verified
-//! conflict-free fast path of [`Engine::FastPath`] (which falls back to
-//! `Periodic`). Traced and multi-port runs of every engine step the
-//! oracle. A fourth, [`Engine::Analytic`], trades the per-element
+//! [`Engine::Periodic`] (a single-port stream is solved in one pass in
+//! request order instead of simulated, and once the solver's state
+//! recurs at a period boundary the rest of a long stream is copied from
+//! the logged window, shifted in time), and the verified conflict-free
+//! fast path of [`Engine::FastPath`] (which falls back to `Periodic`).
+//! Multi-port runs of every engine step the oracle, and so do the
+//! work-conserving co-runs of [`multi`]: the oracle's one cycle loop
+//! issues by a work-conserving rotation over in-order streams, of which
+//! a plain run is the one-stream case. [`MemorySystem::run_timed`]
+//! returns the oracle's per-request [`Timing`]s. A fourth,
+//! [`Engine::Analytic`], trades the per-element
 //! vectors for closed-form **aggregate** estimates derived from a
 //! handful of short probe prefixes, solved in one pass, reporting via
 //! [`AnalyticEstimate::exact`] whether the estimate provably equals a
@@ -68,13 +72,10 @@ mod periodic;
 mod solver;
 mod stats;
 mod system;
-mod trace;
 
 pub use analytic::AnalyticEstimate;
 pub use config::MemConfig;
 pub use event::Engine;
-pub use module::MemModule;
-pub use multi::{run_interleaved, run_multi, IssuePolicy, MultiStats, StreamStats};
+pub use multi::{run_multi, IssuePolicy, MultiStats, StreamStats};
 pub use stats::AccessStats;
-pub use system::{MemorySystem, Request};
-pub use trace::{Event, Trace};
+pub use system::{MemorySystem, Timing};

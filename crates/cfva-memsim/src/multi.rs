@@ -29,24 +29,26 @@
 //!
 //! ## Engines
 //!
-//! The static policies (`RoundRobin`, `Priority`) reduce to a merged
-//! request stream and reuse the simulator's engine chain:
+//! Every policy runs as streams that each issue in order. The static
+//! policies (`RoundRobin`, `Priority`) merge the plans into one request
+//! stream; [`IssuePolicy::WorkConserving`] keeps one stream per plan,
+//! since its issue order depends on live module state.
 //!
-//! * [`Engine::Cycle`] (the default config) runs the merged stream
-//!   through the per-cycle oracle with tracing on and de-multiplexes
-//!   per-stream statistics from the event trace. Multi-port memories
-//!   take this path under every engine, as every multi-port run of
-//!   one stream does, at `O(cycles × occupied modules)` plus the
-//!   trace; nothing in the workspace co-runs on one.
-//! * Any other engine on a single-port memory runs the merged stream
-//!   on the request-order solver (`solver.rs`), conflict free or not,
-//!   and the per-stream statistics come from its per-request records
-//!   (issue cycle, late service start, stall cycles charged). `tests`
-//!   prove `run_multi` bit-identical across the two paths for every
-//!   registered map.
+//! * The cycle oracle runs [`Engine::Cycle`] (the default config), every
+//!   multi-port memory and every work-conserving co-run. Its issue
+//!   phase is the work-conserving rotation over the streams, and with
+//!   one merged stream that is plain in-order issue. It runs at
+//!   `O(cycles × occupied modules)`; nothing in the workspace co-runs
+//!   on a multi-port memory.
+//! * Any other engine on a single-port memory solves the merged stream
+//!   of a static policy with the request-order solver (`solver.rs`),
+//!   conflict free or not, in `O(requests)`.
 //!
-//! [`IssuePolicy::WorkConserving`] issues based on live module state,
-//! so it always runs its own cycle-accurate arbitration loop.
+//! Both record each request's [`Timing`] (issue cycle,
+//! service start, stall cycles charged), and one de-multiplexer reads
+//! the per-stream statistics off those records. `tests` prove
+//! `run_multi` bit-identical across the two paths for every registered
+//! map.
 //!
 //! ## Errors
 //!
@@ -59,11 +61,8 @@ use cfva_core::{Addr, ConfigError, ModuleId};
 
 use crate::config::MemConfig;
 use crate::event::Engine;
-use crate::module::MemModule;
-use crate::solver::Solved;
 use crate::stats::AccessStats;
-use crate::system::{MemorySystem, Request};
-use crate::trace::Event;
+use crate::system::{MemorySystem, Timing};
 
 /// How the address-bus arbiter picks the next stream to issue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -140,8 +139,8 @@ impl MultiStats {
     }
 }
 
-/// One request of the merged stream: dense id `0..total` in issue
-/// order, plus the side tables back to (stream, element).
+/// The merged request stream: dense ids `0..total` in merge order,
+/// plus the side tables back to (stream, element).
 struct Merged {
     requests: Vec<(u64, Addr, ModuleId)>,
     stream_of: Vec<u32>,
@@ -192,17 +191,15 @@ fn validate(cfg: &MemConfig, plans: &[&AccessPlan]) -> Result<u64, ConfigError> 
 
 /// Runs several plans through one memory under an issue policy.
 ///
-/// The config's [`Engine`] selects the execution path for the static
-/// policies: [`Engine::Cycle`] (and any multi-port memory) is the
-/// traced per-cycle oracle, anything else solves the merged stream in
-/// request order — see the [module docs](self).
+/// Work-conserving co-runs, the config's [`Engine::Cycle`] (the
+/// default) and any multi-port memory step the per-cycle oracle; any
+/// other engine solves a static policy's merged stream in request
+/// order — see the [module docs](self).
 ///
 /// # Performance
 ///
-/// A static co-run on a multi-port memory steps every cycle with
-/// tracing on under every engine, so it costs
-/// `O(cycles × occupied modules)` plus the trace, where a single-port
-/// one costs `O(requests)`.
+/// A co-run on the oracle costs `O(cycles × occupied modules)`, where a
+/// solved one costs `O(requests)`.
 ///
 /// # Errors
 ///
@@ -222,32 +219,44 @@ pub fn run_multi(
             stall_cycles: 0,
         });
     }
-    match policy {
-        IssuePolicy::WorkConserving => Ok(run_work_conserving(cfg, plans, total)),
-        IssuePolicy::RoundRobin | IssuePolicy::Priority => {
-            let merged = merge(plans, total, policy);
-            if matches!(cfg.engine(), Engine::Cycle) || cfg.ports() != 1 {
-                Ok(run_traced(cfg, plans, &merged))
-            } else {
-                Ok(run_solved(cfg, plans, &merged))
-            }
-        }
+    let merged = merge(plans, total, policy);
+    let request = |k: usize| merged.requests[k];
+    let mut sim = MemorySystem::new(cfg);
+    let mut combined = AccessStats::default();
+    let work_conserving = policy == IssuePolicy::WorkConserving;
+    if work_conserving || cfg.engine() == Engine::Cycle || cfg.ports() != 1 {
+        // Work-conserving issue rotates over one stream per plan; a
+        // static policy's merged stream is a single stream.
+        let ends: Vec<usize> = if work_conserving {
+            plans
+                .iter()
+                .scan(0, |end, plan| {
+                    *end += plan.len() as usize;
+                    Some(*end)
+                })
+                .collect()
+        } else {
+            vec![merged.requests.len()]
+        };
+        sim.run_cycle(&ends, &request, &mut combined);
+        return Ok(demux(plans, &merged, &sim.timings, &combined));
     }
+    let mut timings = Vec::with_capacity(merged.requests.len());
+    sim.solve(
+        merged.requests.len(),
+        &request,
+        &mut combined,
+        |_, solved, _| {
+            timings.push(solved.timing);
+            true
+        },
+    );
+    Ok(demux(plans, &merged, &timings, &combined))
 }
 
-/// Runs several plans with round-robin issue — the historical entry
-/// point, now a thin wrapper over [`run_multi`] with
-/// [`IssuePolicy::RoundRobin`].
-///
-/// # Errors
-///
-/// Same conditions as [`run_multi`].
-pub fn run_interleaved(cfg: MemConfig, plans: &[&AccessPlan]) -> Result<MultiStats, ConfigError> {
-    run_multi(cfg, plans, IssuePolicy::RoundRobin)
-}
-
-/// Builds the merged issue order of a static policy: dense ids
-/// `0..total` plus side tables — no bit-tagging of element ids.
+/// Builds the merged request stream: dense ids `0..total` plus side
+/// tables — no bit-tagging of element ids. Round-robin interleaves the
+/// plans; the other policies concatenate them in plan order.
 fn merge(plans: &[&AccessPlan], total: u64, policy: IssuePolicy) -> Merged {
     let total = total as usize;
     let mut requests = Vec::with_capacity(total);
@@ -265,14 +274,7 @@ fn merge(plans: &[&AccessPlan], total: u64, policy: IssuePolicy) -> Merged {
         elem_of.push(entry.element());
     }
     match policy {
-        IssuePolicy::Priority => {
-            for (s, plan) in plans.iter().enumerate() {
-                for entry in plan.entries() {
-                    push(&mut requests, &mut stream_of, &mut elem_of, s, entry);
-                }
-            }
-        }
-        _ => {
+        IssuePolicy::RoundRobin => {
             let mut cursors = vec![0usize; plans.len()];
             let mut turn = 0usize;
             while requests.len() < total {
@@ -285,6 +287,13 @@ fn merge(plans: &[&AccessPlan], total: u64, policy: IssuePolicy) -> Merged {
                 cursors[s] += 1;
             }
         }
+        IssuePolicy::Priority | IssuePolicy::WorkConserving => {
+            for (s, plan) in plans.iter().enumerate() {
+                for entry in plan.entries() {
+                    push(&mut requests, &mut stream_of, &mut elem_of, s, entry);
+                }
+            }
+        }
     }
     Merged {
         requests,
@@ -293,79 +302,28 @@ fn merge(plans: &[&AccessPlan], total: u64, policy: IssuePolicy) -> Merged {
     }
 }
 
-/// Runs the merged stream on the per-cycle oracle with tracing enabled
-/// and rebuilds the per-request records from the event trace.
-fn run_traced(cfg: MemConfig, plans: &[&AccessPlan], merged: &Merged) -> MultiStats {
-    let mut sim = MemorySystem::new(cfg.with_engine(Engine::Cycle));
-    sim.enable_trace();
-    let combined = sim.run_requests(&merged.requests);
-    let mut records = vec![Solved::default(); merged.requests.len()];
-    let mut issued = 0usize;
-    for event in sim.trace().events() {
-        match *event {
-            Event::Issue { cycle, element, .. } => {
-                if let Some(record) = records.get_mut(element as usize) {
-                    record.issue = cycle;
-                }
-                issued += 1;
-            }
-            // The stalled request is the next un-issued one.
-            Event::Stall { .. } => {
-                if let Some(record) = records.get_mut(issued) {
-                    record.stalls += 1;
-                }
-            }
-            Event::ServiceStart { cycle, element, .. } => {
-                if let Some(record) = records.get_mut(element as usize) {
-                    record.late = cycle > record.issue;
-                }
-            }
-            _ => {}
-        }
-    }
-    demux(plans, merged, &records, &combined)
-}
-
-/// Solves the merged single-port stream in request order, trace-free,
-/// recording each request's issue cycle, late start and stall cycles.
-fn run_solved(cfg: MemConfig, plans: &[&AccessPlan], merged: &Merged) -> MultiStats {
-    let total = merged.requests.len();
-    let mut records = Vec::with_capacity(total);
-    let mut combined = AccessStats::default();
-    MemorySystem::new(cfg).solve(
-        total,
-        &|k| merged.requests[k],
-        &mut combined,
-        |_, solved, _| {
-            records.push(*solved);
-            true
-        },
-    );
-    demux(plans, merged, &records, &combined)
-}
-
 /// De-multiplexes per-stream statistics from the combined run and its
-/// per-request records, indexed by merged request: each one's issue
+/// per-request timings, indexed by merged request: each one's issue
 /// cycle, late service start (a conflict) and stall cycles charged.
 fn demux(
     plans: &[&AccessPlan],
     merged: &Merged,
-    records: &[Solved],
+    timings: &[Timing],
     combined: &AccessStats,
 ) -> MultiStats {
     let mut streams = empty_streams(plans);
     let mut first_issue = vec![None; plans.len()];
-    for (k, record) in records.iter().enumerate() {
+    for (k, timing) in timings.iter().enumerate() {
         let s = merged.stream_of[k] as usize;
         let elem = merged.elem_of[k] as usize;
         if let Some(first) = first_issue.get_mut(s) {
-            // Requests issue in merged order: the first seen is the
-            // stream's first issue.
-            first.get_or_insert(record.issue);
+            // Each stream issues in order: its first request is its
+            // first issue.
+            first.get_or_insert(timing.issue);
         }
         if let Some(stream) = streams.get_mut(s) {
-            stream.conflicts += u64::from(record.late);
-            stream.stall_cycles += record.stalls;
+            stream.conflicts += u64::from(timing.start > timing.issue);
+            stream.stall_cycles += timing.stalls;
             if let Some(slot) = stream.arrival.get_mut(elem) {
                 *slot = combined.arrival.get(k).copied().unwrap_or(0);
             }
@@ -379,171 +337,6 @@ fn demux(
         makespan: combined.latency,
         conflicts: combined.conflicts,
         stall_cycles: combined.stall_cycles,
-    }
-}
-
-/// The work-conserving arbiter: its issue order depends on live module
-/// state, so it runs its own cycle-accurate loop over the module array
-/// (the same four phases as the cycle engine) and accounts per stream
-/// directly at issue/service/delivery time.
-fn run_work_conserving(cfg: MemConfig, plans: &[&AccessPlan], total: u64) -> MultiStats {
-    let m_count = cfg.module_count() as usize;
-    let t = cfg.t_cycles();
-    let mut modules: Vec<MemModule> = (0..m_count)
-        .map(|_| MemModule::new(t, cfg.q_in(), cfg.q_out()))
-        .collect();
-    let mut active: Vec<usize> = Vec::new();
-    let mut cursors = vec![0usize; plans.len()];
-    let mut streams = empty_streams(plans);
-    let mut first_issue = vec![u64::MAX; plans.len()];
-    // Side tables indexed by dense issue id (issue order).
-    let mut issued_stream: Vec<u32> = Vec::with_capacity(total as usize);
-    let mut issued_elem: Vec<u64> = Vec::with_capacity(total as usize);
-    let mut rotation = 0usize;
-    let mut delivered: u64 = 0;
-    let mut first_issue_any: Option<u64> = None;
-    let mut last_arrival: u64 = 0;
-    let mut stall_total: u64 = 0;
-
-    let safety_bound = 1_000_000u64.max(total * t * 4 + 10_000);
-    let mut cycle: u64 = 0;
-    while delivered < total {
-        assert!(
-            cycle < safety_bound,
-            "multi-stream simulation exceeded {safety_bound} cycles — engine bug"
-        );
-
-        // Phase 1: service completions.
-        for &idx in active.iter() {
-            if let Some(module) = modules.get_mut(idx) {
-                module.tick_complete(cycle);
-            }
-        }
-
-        // Phase 2: bus grants — oldest issue first, lowest module on
-        // ties; one grant per port.
-        for _ in 0..cfg.ports() {
-            let grant = active
-                .iter()
-                .filter_map(|&idx| {
-                    modules
-                        .get(idx)
-                        .and_then(|m| m.output_ready().map(|r| (r, idx)))
-                })
-                .min();
-            let Some((_, idx)) = grant else { break };
-            let Some(req) = modules.get_mut(idx).and_then(MemModule::take_output) else {
-                break;
-            };
-            let when = cycle + 1; // one-cycle bus
-            let k = req.element as usize;
-            let s = issued_stream.get(k).copied().unwrap_or(0) as usize;
-            let elem = issued_elem.get(k).copied().unwrap_or(0) as usize;
-            if let Some(stream) = streams.get_mut(s) {
-                if let Some(slot) = stream.arrival.get_mut(elem) {
-                    *slot = when;
-                }
-            }
-            last_arrival = last_arrival.max(when);
-            delivered += 1;
-        }
-
-        // Phase 3: work-conserving issue — scan streams from the
-        // rotation pointer, skipping exhausted and blocked streams.
-        for _ in 0..cfg.ports() {
-            let mut issued_this_port = false;
-            let mut first_pending: Option<usize> = None;
-            for off in 0..plans.len() {
-                let s = (rotation + off) % plans.len();
-                let Some(entry) = plans[s].entries().get(cursors[s]) else {
-                    continue;
-                };
-                if first_pending.is_none() {
-                    first_pending = Some(s);
-                }
-                let midx = entry.module().get() as usize;
-                let Some(module) = modules.get_mut(midx) else {
-                    continue; // validated earlier; defensive
-                };
-                if !module.can_accept() {
-                    continue;
-                }
-                let dense = issued_stream.len() as u64;
-                module.accept(Request {
-                    element: dense,
-                    addr: entry.addr(),
-                    module: entry.module(),
-                    issue_cycle: cycle,
-                });
-                if let Err(pos) = active.binary_search(&midx) {
-                    active.insert(pos, midx);
-                }
-                issued_stream.push(s as u32);
-                issued_elem.push(entry.element());
-                if let Some(first) = first_issue.get_mut(s) {
-                    if *first == u64::MAX {
-                        *first = cycle;
-                    }
-                }
-                first_issue_any.get_or_insert(cycle);
-                cursors[s] += 1;
-                rotation = (s + 1) % plans.len();
-                issued_this_port = true;
-                break;
-            }
-            if !issued_this_port {
-                if let Some(s) = first_pending {
-                    // Every pending stream is blocked: a true stall,
-                    // charged to the rotation head.
-                    stall_total += 1;
-                    if let Some(stream) = streams.get_mut(s) {
-                        stream.stall_cycles += 1;
-                    }
-                }
-                break;
-            }
-        }
-
-        // Phase 4: service starts (+ per-stream conflict attribution).
-        for &idx in active.iter() {
-            let Some(module) = modules.get_mut(idx) else {
-                continue;
-            };
-            let served_before = module.served();
-            module.tick_start(cycle);
-            if module.served() > served_before {
-                if let Some(req) = module.in_service() {
-                    if cycle > req.issue_cycle {
-                        let k = req.element as usize;
-                        let s = issued_stream.get(k).copied().unwrap_or(0) as usize;
-                        if let Some(stream) = streams.get_mut(s) {
-                            stream.conflicts += 1;
-                        }
-                    }
-                }
-            }
-        }
-
-        active.retain(|&idx| modules.get(idx).is_some_and(MemModule::is_active));
-        cycle += 1;
-    }
-
-    for (stream, first) in streams.iter_mut().zip(&first_issue) {
-        finalize_stream(
-            stream,
-            if *first == u64::MAX {
-                None
-            } else {
-                Some(*first)
-            },
-        );
-    }
-    let conflicts = streams.iter().map(|s| s.conflicts).sum();
-    MultiStats {
-        streams,
-        makespan: last_arrival - first_issue_any.unwrap_or(0) + 1,
-        conflicts,
-        stall_cycles: stall_total,
     }
 }
 
@@ -594,7 +387,7 @@ mod tests {
     fn single_stream_reduces_to_run_plan() {
         let plan = cf_plan(16, 12);
         let cfg = MemConfig::new(3, 3).unwrap();
-        let multi = run_interleaved(cfg, &[&plan]).unwrap();
+        let multi = run_multi(cfg, &[&plan], IssuePolicy::RoundRobin).unwrap();
         assert_eq!(multi.streams.len(), 1);
         assert_eq!(multi.makespan, 8 + 128 + 1);
         assert_eq!(multi.conflicts, 0);
@@ -607,7 +400,7 @@ mod tests {
         let a = cf_plan(16, 12);
         let b = cf_plan(4096, 24);
         let cfg = MemConfig::new(3, 3).unwrap();
-        let multi = run_interleaved(cfg, &[&a, &b]).unwrap();
+        let multi = run_multi(cfg, &[&a, &b], IssuePolicy::RoundRobin).unwrap();
         let sequential = MultiStats::sequential_baseline(&[137, 137]);
         assert!(
             multi.makespan < sequential,
@@ -632,7 +425,7 @@ mod tests {
             .plan(&VectorSpec::new(9999, 16, 32).unwrap(), Strategy::Canonical)
             .unwrap();
         let cfg = MemConfig::new(3, 3).unwrap();
-        let multi = run_interleaved(cfg, &[&a, &b]).unwrap();
+        let multi = run_multi(cfg, &[&a, &b], IssuePolicy::RoundRobin).unwrap();
         assert_eq!(multi.streams[0].elements, 128);
         assert_eq!(multi.streams[1].elements, 32);
         assert!(multi.makespan >= 160);
@@ -643,7 +436,7 @@ mod tests {
         let plans: Vec<AccessPlan> = (0..4).map(|i| cf_plan(10_000 * i + 3, 8)).collect();
         let refs: Vec<&AccessPlan> = plans.iter().collect();
         let cfg = MemConfig::new(3, 3).unwrap();
-        let multi = run_interleaved(cfg, &refs).unwrap();
+        let multi = run_multi(cfg, &refs, IssuePolicy::RoundRobin).unwrap();
         assert_eq!(multi.streams.len(), 4);
         assert!(multi.makespan >= 512);
     }
@@ -677,7 +470,7 @@ mod tests {
     fn out_of_range_module_is_a_typed_error() {
         let plan = cf_plan(16, 12); // 8-module plan
         let cfg = MemConfig::new(2, 2).unwrap(); // 4-module memory
-        let err = run_interleaved(cfg, &[&plan]).unwrap_err();
+        let err = run_multi(cfg, &[&plan], IssuePolicy::RoundRobin).unwrap_err();
         assert!(
             matches!(err, ConfigError::OutOfRange { what: "module", .. }),
             "{err:?}"
@@ -689,7 +482,7 @@ mod tests {
         let plan = AccessPlan::default();
         let plans: Vec<&AccessPlan> = (0..(1 << 15)).map(|_| &plan).collect();
         let cfg = MemConfig::new(3, 3).unwrap();
-        let err = run_interleaved(cfg, &plans).unwrap_err();
+        let err = run_multi(cfg, &plans, IssuePolicy::RoundRobin).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -787,8 +580,8 @@ mod tests {
             )
             .unwrap();
         let single = MemConfig::new(3, 3).unwrap();
-        // One port runs on the solver; two take the traced oracle route
-        // under every engine.
+        // One port runs on the solver; two step the oracle under every
+        // engine.
         for cfg in [single, single.with_ports(2).unwrap()] {
             for policy in [IssuePolicy::RoundRobin, IssuePolicy::Priority] {
                 for plans in [vec![&free_a, &free_b], vec![&free_a, &clustered]] {

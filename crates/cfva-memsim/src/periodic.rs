@@ -37,8 +37,8 @@
 //! A stream with no recurrence to detect — shorter than three whole
 //! periods of its module sequence, which covers short and aperiodic
 //! vectors — or whose transient outlasts the detection budget is simply
-//! solved to the end. Traced and multi-port runs step the cycle
-//! oracle, exactly as an [`Engine::Cycle`](crate::Engine::Cycle) run.
+//! solved to the end. Multi-port runs step the cycle oracle, exactly
+//! as an [`Engine::Cycle`](crate::Engine::Cycle) run.
 
 use std::collections::VecDeque;
 
@@ -232,11 +232,13 @@ impl<'s> Detection<'s> {
             return true;
         };
         let s = &mut *self.scratch;
-        s.log.push((sum.grant, sum.stalls, sum.late));
+        let timing = &sum.timing;
+        s.log
+            .push((timing.grant, timing.stalls, timing.start > timing.issue));
         if j + 1 < boundary {
             return true;
         }
-        let at = sum.issue + 1;
+        let at = timing.issue + 1;
         solver.signature(&s.modules, at, self.t, &mut s.sig);
         if let Some(prev) = s.boundaries.iter().rev().find(|b| b.sig == s.sig) {
             self.found = Some(Recurrence {
@@ -304,7 +306,7 @@ impl<'s> Detection<'s> {
 impl MemorySystem {
     /// The periodic steady-state fast-forward engine: the request-order
     /// solver with the recurrence detector (see the module docs).
-    /// Traced and multi-port runs step the cycle oracle. Statistics
+    /// Multi-port runs step the cycle oracle. Statistics
     /// land in `out`, reusing its buffers.
     ///
     /// # Panics
@@ -314,10 +316,9 @@ impl MemorySystem {
     where
         F: Fn(usize) -> (u64, Addr, ModuleId),
     {
-        if self.trace.is_enabled() || self.cfg.ports() != 1 {
-            // Traced runs keep the oracle's trace, and multi-port runs
-            // have no request-order solution.
-            return self.run_cycle(n, request, out);
+        if self.cfg.ports() != 1 {
+            // Multi-port runs have no request-order solution.
+            return self.run_cycle(&[n], request, out);
         }
         let mut scratch = std::mem::take(&mut self.periodic);
         match Detection::new(&self.cfg, n, request, &mut scratch) {

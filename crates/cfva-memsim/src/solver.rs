@@ -25,17 +25,20 @@
 //! `tests/periodic_engine.rs` (aperiodic, back-pressured and deep-queue
 //! streams), `tests/analytic.rs` and the root engine-agreement suites.
 //!
-//! The solver serves every untraced single-port run that no cheaper
-//! path covers: [`Engine::Periodic`](crate::Engine::Periodic) (with its
-//! recurrence detector reading [`Solver::signature`]), the `FastPath →
-//! Periodic` chain, the analytic estimator's probes and direct runs,
-//! and every single-port static multi-stream co-run. Traced and
-//! multi-port runs step the cycle oracle instead.
+//! Each request's times are the [`Timing`](crate::Timing) the cycle
+//! oracle records for it, stalls charged to it included. The solver
+//! serves every single-port run that no cheaper path covers under the
+//! engines other than [`Engine::Cycle`](crate::Engine::Cycle):
+//! [`Engine::Periodic`](crate::Engine::Periodic) (with its recurrence
+//! detector reading [`Solver::signature`]), the `FastPath → Periodic`
+//! chain, the analytic estimator's probes and direct runs, and every
+//! single-port static multi-stream co-run. `Engine::Cycle` runs,
+//! multi-port runs and work-conserving co-runs step the cycle oracle.
 
 use cfva_core::{Addr, ModuleId};
 
 use crate::stats::AccessStats;
-use crate::system::MemorySystem;
+use crate::system::{MemorySystem, Timing};
 
 /// Reusable state of the solver, kept on the [`MemorySystem`].
 #[derive(Debug, Default)]
@@ -65,14 +68,8 @@ pub(crate) struct Solver {
 /// One solved request, plus the run's totals through it.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Solved {
-    /// Cycle the request issued.
-    pub(crate) issue: u64,
-    /// Cycle it was granted the bus.
-    pub(crate) grant: u64,
-    /// Whether its service started after its issue cycle (a conflict).
-    pub(crate) late: bool,
-    /// Stall cycles charged while it waited to issue.
-    pub(crate) stalls: u64,
+    /// The request's timing, as the cycle oracle records it.
+    pub(crate) timing: Timing,
     /// Latency of the prefix ending at this request.
     pub(crate) latency: u64,
     /// Stall cycles, conflicts and peak input-queue occupancy of the
@@ -280,14 +277,16 @@ impl MemorySystem {
             deliver(&mut out.arrival[element as usize], grant);
             out.module_busy[midx] += t;
 
-            let late = start > issue;
-            sum.issue = issue;
-            sum.grant = grant;
-            sum.late = late;
-            sum.stalls = issue - next_issue;
+            sum.timing = Timing {
+                issue,
+                start,
+                done,
+                grant,
+                stalls: issue - next_issue,
+            };
             sum.latency = sum.latency.max(grant + 2);
-            sum.stall_cycles += sum.stalls;
-            sum.conflicts += u64::from(late);
+            sum.stall_cycles += sum.timing.stalls;
+            sum.conflicts += u64::from(start > issue);
             sum.max_in_q = sum.max_in_q.max(in_q);
             next_issue = issue + 1;
             if !visit(j, &sum, &*s) {

@@ -11,19 +11,23 @@ use crate::module::MemModule;
 use crate::periodic::PeriodicScratch;
 use crate::solver::Solver;
 use crate::stats::AccessStats;
-use crate::trace::{Event, Trace};
 
-/// One in-flight memory request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Request {
-    /// Element index within the vector access.
-    pub element: u64,
-    /// Memory address.
-    pub addr: Addr,
-    /// Target module.
-    pub module: ModuleId,
-    /// Cycle the processor issued the request.
-    pub issue_cycle: u64,
+/// When one request passed each stage of the memory, in cycles.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Timing {
+    /// Cycle the request won the address bus.
+    pub issue: u64,
+    /// Cycle its module started serving it; later than `issue` means
+    /// it queued (a conflict).
+    pub start: u64,
+    /// Cycle its service completed and the datum entered the output
+    /// queue: `start + T`, or later while that queue was full.
+    pub done: u64,
+    /// Cycle it was granted the return bus; the datum arrives at
+    /// `grant + 1`.
+    pub grant: u64,
+    /// Address-bus stall cycles charged to it while it waited to issue.
+    pub stalls: u64,
 }
 
 /// The simulated memory system of the paper's Figure 2: a module array
@@ -48,13 +52,16 @@ pub struct MemorySystem {
     pub(crate) cfg: MemConfig,
     /// The cycle oracle's module array, built on its first run.
     modules: Vec<MemModule>,
-    pub(crate) trace: Trace,
     /// Indices of modules currently holding work, kept in ascending
     /// order. The cycle loop touches only these, so simulation cost
     /// scales with the *occupied* modules (≈ `T` for a register-length
     /// access), not with the memory size `M` — the difference is large
     /// on unmatched memories where `M = T²`.
     active: Vec<usize>,
+    /// The cycle oracle's next request per stream.
+    cursors: Vec<usize>,
+    /// Per request of the last cycle-oracle run, by request index.
+    pub(crate) timings: Vec<Timing>,
     /// Scratch for the fast path's window check: last request index per
     /// module.
     last_start: Vec<u64>,
@@ -71,8 +78,9 @@ impl MemorySystem {
         MemorySystem {
             cfg,
             modules: Vec::new(),
-            trace: Trace::new(),
             active: Vec::new(),
+            cursors: Vec::new(),
+            timings: Vec::new(),
             last_start: Vec::new(),
             periodic: PeriodicScratch::default(),
             solver: Solver::default(),
@@ -84,9 +92,8 @@ impl MemorySystem {
     /// [`MemConfig::with_engine`]).
     ///
     /// All three simulating engines produce **bit-identical**
-    /// [`AccessStats`] and [`Trace`](crate::Trace) output;
-    /// [`Engine::Cycle`] (the default) is the oracle the others are
-    /// verified against (`tests/fast_path.rs`,
+    /// [`AccessStats`]; [`Engine::Cycle`] (the default) is the oracle
+    /// the others are verified against (`tests/fast_path.rs`,
     /// `tests/periodic_engine.rs`).
     pub fn set_engine(&mut self, engine: Engine) {
         self.cfg = self.cfg.with_engine(engine);
@@ -100,17 +107,6 @@ impl MemorySystem {
     /// The configuration in use.
     pub const fn config(&self) -> MemConfig {
         self.cfg
-    }
-
-    /// Starts recording a cycle-by-cycle event trace.
-    pub fn enable_trace(&mut self) {
-        self.trace.set_enabled(true);
-    }
-
-    /// The recorded trace (empty unless [`enable_trace`](Self::enable_trace)
-    /// was called before the run).
-    pub fn trace(&self) -> &Trace {
-        &self.trace
     }
 
     /// Executes an access plan to completion and reports statistics.
@@ -171,6 +167,20 @@ impl MemorySystem {
         stats
     }
 
+    /// Executes a request stream as [`run_requests`](Self::run_requests)
+    /// does, but always on the cycle oracle, whatever the engine, and
+    /// also returns each request's [`Timing`], indexed like `requests`.
+    ///
+    /// # Panics
+    ///
+    /// Same conditions as [`run_plan`](Self::run_plan).
+    #[must_use = "the returned statistics and timings are the run's only output"]
+    pub fn run_timed(&mut self, requests: &[(u64, Addr, ModuleId)]) -> (AccessStats, Vec<Timing>) {
+        let mut stats = AccessStats::default();
+        self.run_cycle(&[requests.len()], &|k| requests[k], &mut stats);
+        (stats, std::mem::take(&mut self.timings))
+    }
+
     /// One-pass conflict-free fast path: checks the paper's window
     /// property while accumulating the (fully determined) statistics.
     /// Returns `false` — leaving `out` in an unspecified but resizable
@@ -224,22 +234,17 @@ impl MemorySystem {
         F: Fn(usize) -> (u64, Addr, ModuleId),
     {
         match self.cfg.engine() {
-            Engine::Cycle => self.run_cycle(n, &request, out),
+            Engine::Cycle => self.run_cycle(&[n], &request, out),
             Engine::Periodic => self.run_periodic(n, &request, out),
             Engine::FastPath => {
-                if !self.trace.is_enabled()
-                    && self.cfg.ports() == 1
-                    && n > 0
-                    && self.try_fast_path(n, &request, out)
-                {
+                if self.cfg.ports() == 1 && n > 0 && self.try_fast_path(n, &request, out) {
                     return;
                 }
-                // Conflicted (or traced / multi-port) stream: the
-                // periodic fast-forward engine takes over — an untraced
-                // single-port stream is solved in request order, and a
-                // long one is copied forward once its state recurs; a
-                // traced or multi-port one steps the oracle. This is the
-                // FastPath → Periodic chain.
+                // Conflicted (or multi-port) stream: the periodic
+                // fast-forward engine takes over — a single-port stream
+                // is solved in request order, and a long one is copied
+                // forward once its state recurs; a multi-port one steps
+                // the oracle. This is the FastPath → Periodic chain.
                 self.run_periodic(n, &request, out)
             }
             Engine::Analytic => {
@@ -252,70 +257,78 @@ impl MemorySystem {
     }
 
     /// The per-cycle engine — the reference semantics (oracle) of the
-    /// simulator: every cycle runs the four phases over the occupied
-    /// modules.
-    pub(crate) fn run_cycle<F>(&mut self, n: usize, request: &F, out: &mut AccessStats)
+    /// simulator, and the only loop that steps cycles: every cycle runs
+    /// the four phases over the occupied modules. Each request's
+    /// [`Timing`] lands in `self.timings`, by request index.
+    ///
+    /// `ends` splits the requests `0..n` into streams that each issue
+    /// in order: stream `s` ends before request `ends[s]`, and the last
+    /// end is `n`. Each cycle and port, the issue phase scans the
+    /// streams from a rotation pointer and issues the first head
+    /// request whose module has room; the pointer then moves past that
+    /// stream. When every unfinished stream is blocked the processor
+    /// stalls, charged to the next request of the first one scanned,
+    /// and the remaining ports stay idle. With one stream this is plain
+    /// in-order issue, where a blocked request blocks the ports behind
+    /// it, like a real address bus's head-of-line stall.
+    pub(crate) fn run_cycle<F>(&mut self, ends: &[usize], request: &F, out: &mut AccessStats)
     where
         F: Fn(usize) -> (u64, Addr, ModuleId),
     {
-        if self.modules.is_empty() {
-            self.modules = (0..self.cfg.module_count())
-                .map(|_| MemModule::new(self.cfg.t_cycles(), self.cfg.q_in(), self.cfg.q_out()))
-                .collect();
-        }
-        for module in &mut self.modules {
-            module.reset();
-        }
-        self.active.clear();
-        self.trace.clear();
-        let MemorySystem {
-            cfg,
-            modules,
-            trace,
-            active,
-            ..
-        } = self;
-        let n_u64 = n as u64;
+        let n = ends.last().copied().unwrap_or(0);
+        let t = self.cfg.t_cycles();
+        let m_count = self.cfg.module_count();
         for k in 0..n {
             let (_, _, module) = request(k);
             assert!(
-                module.get() < cfg.module_count(),
-                "request targets module {} but memory has {}",
-                module,
-                cfg.module_count()
+                module.get() < m_count,
+                "request targets module {module} but memory has {m_count}"
             );
         }
-
+        if self.modules.is_empty() {
+            self.modules = (0..m_count)
+                .map(|_| MemModule::new(t, self.cfg.q_in(), self.cfg.q_out()))
+                .collect();
+        }
+        let MemorySystem {
+            cfg,
+            modules,
+            active,
+            cursors,
+            timings,
+            ..
+        } = self;
+        for module in modules.iter_mut() {
+            module.reset();
+        }
+        active.clear();
+        cursors.clear();
+        cursors.push(0);
+        cursors.extend_from_slice(ends.split_last().map_or(&[], |(_, rest)| rest));
+        timings.clear();
+        timings.resize(n, Timing::default());
         out.arrival.clear();
         out.arrival.resize(n, u64::MAX);
-        let arrival = &mut out.arrival;
-        let mut delivered: u64 = 0;
-        let mut next_request: usize = 0;
-        let mut stall_cycles: u64 = 0;
-        let mut first_issue: Option<u64> = None;
-        let mut last_arrival: u64 = 0;
+        out.module_busy.clear();
+        out.module_busy.resize(modules.len(), 0);
 
-        let safety_bound = 1_000_000u64.max(n_u64 * cfg.t_cycles() * 4 + 10_000);
-        let mut cycle: u64 = 0;
-        while delivered < n_u64 {
+        let mut delivered = 0;
+        let mut rotation = 0;
+        let mut stall_cycles = 0;
+        let mut last_arrival = 0;
+        let safety_bound = 1_000_000u64.max(n as u64 * t * 4 + 10_000);
+        let mut cycle = 0;
+        while delivered < n {
             assert!(
                 cycle < safety_bound,
                 "simulation exceeded {safety_bound} cycles — engine bug"
             );
 
             // Phase 1: service completions (only occupied modules can
-            // complete; `active` is ascending, so event order matches a
-            // full scan).
+            // complete).
             for &idx in active.iter() {
-                let module = &mut modules[idx];
-                let in_service = module.in_service().map(|r| r.element);
-                module.tick_complete(cycle);
-                if let (Some(element), None) = (in_service, module.in_service()) {
-                    trace.push(Event::Complete {
-                        cycle,
-                        module: ModuleId::new(idx as u64),
-                        element,
-                    });
+                if let Some(id) = modules[idx].tick_complete(cycle) {
+                    timings[id].done = cycle;
                 }
             }
 
@@ -324,72 +337,57 @@ impl MemorySystem {
             for _ in 0..cfg.ports() {
                 let grant = active
                     .iter()
-                    .filter_map(|&idx| modules[idx].output_ready().map(|ready| (ready, idx)))
+                    .filter_map(|&idx| modules[idx].output().map(|id| (timings[id].issue, idx)))
                     .min();
                 let Some((_, idx)) = grant else { break };
-                let req = modules[idx]
-                    .take_output()
-                    // cfva-lint: allow(L002, reason = "idx came from the output_ready() filter on the same tick, so take_output() cannot be empty")
-                    .expect("granted module has output");
-                let when = cycle + 1; // one-cycle bus
-                arrival[req.element as usize] = when;
-                last_arrival = last_arrival.max(when);
+                let Some(id) = modules[idx].take_output() else {
+                    break;
+                };
+                timings[id].grant = cycle;
+                let (element, _, _) = request(id);
+                last_arrival = cycle + 1; // one-cycle bus
+                out.arrival[element as usize] = last_arrival;
                 delivered += 1;
-                trace.push(Event::Deliver {
-                    cycle: when,
-                    element: req.element,
-                });
             }
 
-            // Phase 3: processor issue — one request per port. A
-            // blocked request blocks the ports behind it (in-order
-            // issue), matching a real address-bus head-of-line stall.
+            // Phase 3: processor issue — one request per port.
             for _ in 0..cfg.ports() {
-                if next_request >= n {
-                    break;
-                }
-                let (element, addr, module) = request(next_request);
-                let midx = module.get() as usize;
-                if modules[midx].can_accept() {
-                    modules[midx].accept(Request {
-                        element,
-                        addr,
-                        module,
-                        issue_cycle: cycle,
-                    });
-                    if let Err(pos) = active.binary_search(&midx) {
-                        active.insert(pos, midx);
+                let mut head = None;
+                let mut issued = false;
+                for s in (rotation..ends.len()).chain(0..rotation) {
+                    let id = cursors[s];
+                    if id == ends[s] {
+                        continue;
                     }
-                    first_issue.get_or_insert(cycle);
-                    next_request += 1;
-                    trace.push(Event::Issue {
-                        cycle,
-                        element,
-                        module,
-                    });
-                } else {
-                    stall_cycles += 1;
-                    trace.push(Event::Stall { cycle, module });
+                    head.get_or_insert(id);
+                    let (_, _, module) = request(id);
+                    let midx = module.get() as usize;
+                    if modules[midx].can_accept() {
+                        modules[midx].accept(id);
+                        if let Err(pos) = active.binary_search(&midx) {
+                            active.insert(pos, midx);
+                        }
+                        timings[id].issue = cycle;
+                        cursors[s] += 1;
+                        rotation = (s + 1) % ends.len();
+                        issued = true;
+                        break;
+                    }
+                }
+                if !issued {
+                    if let Some(id) = head {
+                        timings[id].stalls += 1;
+                        stall_cycles += 1;
+                    }
                     break;
                 }
             }
 
             // Phase 4: service starts.
             for &idx in active.iter() {
-                let module = &mut modules[idx];
-                let serving_before = module.served();
-                module.tick_start(cycle);
-                if module.served() > serving_before {
-                    let element = module
-                        .in_service()
-                        .map(|r| r.element)
-                        // cfva-lint: allow(L002, reason = "served() just increased, so the service stage holds a request")
-                        .expect("service stage just filled");
-                    trace.push(Event::ServiceStart {
-                        cycle,
-                        module: ModuleId::new(idx as u64),
-                        element,
-                    });
+                if let Some(id) = modules[idx].tick_start(cycle) {
+                    timings[id].start = cycle;
+                    out.module_busy[idx] += t;
                 }
             }
 
@@ -399,15 +397,13 @@ impl MemorySystem {
             cycle += 1;
         }
 
-        let first = first_issue.unwrap_or(0);
-        out.latency = last_arrival - first + 1;
-        out.elements = n_u64;
+        // The first request issues at cycle 0: the latency runs to the
+        // last arrival, inclusive.
+        out.latency = last_arrival + 1;
+        out.elements = n as u64;
         out.stall_cycles = stall_cycles;
-        out.conflicts = modules.iter().map(|m| m.queued_conflicts()).sum();
-        out.module_busy.clear();
-        out.module_busy
-            .extend(modules.iter().map(|m| m.busy_cycles()));
-        out.max_in_q = modules.iter().map(|m| m.max_in_q()).max().unwrap_or(0);
+        out.conflicts = timings.iter().filter(|r| r.start > r.issue).count() as u64;
+        out.max_in_q = modules.iter().map(MemModule::max_in_q).max().unwrap_or(0);
     }
 }
 
@@ -488,27 +484,25 @@ mod tests {
     }
 
     #[test]
-    fn trace_records_issue_and_deliver() {
+    fn timings_record_issue_and_grant() {
         let planner = Planner::matched(XorMatched::new(2, 2).unwrap());
         let vec = VectorSpec::new(0, 1, 16).unwrap();
         let plan = planner.plan(&vec, Strategy::ConflictFree).unwrap();
-        let mut sim = MemorySystem::new(MemConfig::new(2, 2).unwrap());
-        sim.enable_trace();
-        let _ = sim.run_plan(&plan); // run for the trace
-        let issues = sim
-            .trace()
-            .events()
+        let requests: Vec<_> = plan
             .iter()
-            .filter(|e| matches!(e, Event::Issue { .. }))
-            .count();
-        let delivers = sim
-            .trace()
-            .events()
-            .iter()
-            .filter(|e| matches!(e, Event::Deliver { .. }))
-            .count();
-        assert_eq!(issues, 16);
-        assert_eq!(delivers, 16);
+            .map(|e| (e.element(), e.addr(), e.module()))
+            .collect();
+        let (stats, timings) =
+            MemorySystem::new(MemConfig::new(2, 2).unwrap()).run_timed(&requests);
+        assert_eq!(timings.len(), 16);
+        for (k, (timing, entry)) in timings.iter().zip(plan.iter()).enumerate() {
+            assert_eq!(timing.issue, k as u64, "request {k}");
+            assert_eq!(
+                timing.grant + 1,
+                stats.arrival[entry.element() as usize],
+                "request {k}"
+            );
+        }
     }
 
     #[test]

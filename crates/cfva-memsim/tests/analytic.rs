@@ -4,7 +4,7 @@
 //! the registry coverage set, stride families, bases, queue depths,
 //! port counts and the long-vector regime the extrapolation targets.
 //! Inexact estimates must stay within a small relative error, and the
-//! short/multi-port/traced direct paths must be bit-identical
+//! short and multi-port direct paths must be bit-identical
 //! (per-element vectors included).
 
 use cfva_core::mapping::{Interleaved, Registry, XorMatched};
@@ -174,8 +174,8 @@ fn queue_depths_are_validated() {
     }
 }
 
-/// Multi-port, traced, tiny and empty streams run the direct path —
-/// trivially exact and bit-identical, traces included.
+/// Multi-port, tiny and empty streams run the direct path — trivially
+/// exact and bit-identical.
 #[test]
 fn direct_paths_are_bit_identical() {
     let wide = Planner::baseline(Interleaved::new(6).unwrap(), 3);
@@ -193,24 +193,6 @@ fn direct_paths_are_bit_identical() {
     let oracle = MemorySystem::new(cfg).run_requests(&tiny);
     let analytic = MemorySystem::new(cfg.with_engine(Engine::Analytic)).run_requests(&tiny);
     assert_eq!(oracle, analytic, "single request");
-
-    // Tracing forces the direct path: traces must match the oracle's.
-    let planner = Planner::matched(XorMatched::new(3, 4).unwrap());
-    let plan = planner
-        .plan(&VectorSpec::new(16, 12, 2048).unwrap(), Strategy::Canonical)
-        .unwrap();
-    let mut traced_oracle = MemorySystem::new(cfg);
-    traced_oracle.enable_trace();
-    let oracle_stats = traced_oracle.run_plan(&plan);
-    let mut traced_analytic = MemorySystem::new(cfg.with_engine(Engine::Analytic));
-    traced_analytic.enable_trace();
-    let analytic_stats = traced_analytic.run_plan(&plan);
-    assert_eq!(oracle_stats, analytic_stats, "traced stats");
-    assert_eq!(
-        traced_oracle.trace().events(),
-        traced_analytic.trace().events(),
-        "traced events"
-    );
 }
 
 /// Aperiodic streams degenerate to period ≈ n: probing would cost as

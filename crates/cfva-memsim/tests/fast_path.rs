@@ -105,19 +105,3 @@ fn empty_plan_is_identical() {
     let plan = AccessPlan::new();
     assert_equivalent(cfg, &plan, "empty plan");
 }
-
-#[test]
-fn tracing_disables_the_shortcut() {
-    // With tracing on, the fast system must still produce the full
-    // event stream (the shortcut would record none).
-    let planner = Planner::matched(XorMatched::new(3, 3).unwrap());
-    let vec = VectorSpec::new(16, 12, 64).unwrap();
-    let plan = planner.plan(&vec, Strategy::ConflictFree).unwrap();
-
-    let mut fast = MemorySystem::new(MemConfig::new(3, 3).unwrap());
-    fast.set_engine(Engine::FastPath);
-    fast.enable_trace();
-    let stats = fast.run_plan(&plan);
-    assert_eq!(stats.latency, 8 + 64 + 1);
-    assert!(!fast.trace().events().is_empty());
-}

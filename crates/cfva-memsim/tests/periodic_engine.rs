@@ -1,7 +1,7 @@
 //! Equivalence suite for the periodic steady-state fast-forward engine:
 //! `Engine::Periodic` (and `Engine::FastPath`, which now falls back to
-//! it) must produce **bit-identical** `AccessStats` — and, where
-//! traced, identical `Trace` output — to the per-cycle oracle, across
+//! it) must produce **bit-identical** `AccessStats` to the per-cycle
+//! oracle, across
 //! **every map in the registry coverage set** (a map registered in
 //! `cfva_core::mapping::Registry` is swept here automatically), stride
 //! families, queue depths, port counts, pathological same-module
@@ -10,20 +10,20 @@
 //! map, conflicted multi-port streams whose same-cycle issues tie at the
 //! bus, and output back-pressure, including periodic streams whose
 //! fast-forward lands on a blocked completion — and the request-order
-//! solver that serves untraced single-port streams with no recurrence
-//! to detect: aperiodic, back-pressured and hot-module streams over a
-//! grid of memory shapes, and the deepest queues behind one slow
-//! module. Traced and multi-port runs step the oracle itself; the
-//! traced and multi-port inputs pin that routing.
+//! solver that serves single-port streams with no recurrence to
+//! detect: aperiodic, back-pressured and hot-module streams over a grid
+//! of memory shapes, and the deepest queues behind one slow module.
+//! Multi-port runs step the oracle itself; the multi-port inputs pin
+//! that routing. The oracle's per-request timings witness that the
+//! same-cycle and back-pressured scenarios actually occur.
 
 use cfva_core::mapping::{Interleaved, Registry, XorMatched};
 use cfva_core::plan::{AccessPlan, Planner, Strategy};
 use cfva_core::{Addr, ModuleId, Stride, VectorSpec};
-use cfva_memsim::{Engine, Event, MemConfig, MemorySystem};
+use cfva_memsim::{Engine, MemConfig, MemorySystem, Timing};
 
 /// Runs one plan through the oracle and the periodic engine (fresh and
-/// reused systems) and asserts identical statistics, then compares full
-/// traces cycle-for-cycle (a traced periodic run steps the oracle).
+/// reused systems) and asserts identical statistics.
 fn assert_periodic_equivalent(cfg: MemConfig, plan: &AccessPlan, label: &str) {
     let oracle = MemorySystem::new(cfg).run_plan(plan);
 
@@ -37,18 +37,6 @@ fn assert_periodic_equivalent(cfg: MemConfig, plan: &AccessPlan, label: &str) {
     let mut chained = MemorySystem::new(cfg.with_engine(Engine::FastPath));
     let shortcut = chained.run_plan(plan);
     assert_eq!(oracle, shortcut, "{label} (fast path over periodic)");
-
-    let mut traced_oracle = MemorySystem::new(cfg);
-    traced_oracle.enable_trace();
-    let _ = traced_oracle.run_plan(plan); // run for the trace; stats are compared above
-    let mut traced_periodic = MemorySystem::new(cfg.with_engine(Engine::Periodic));
-    traced_periodic.enable_trace();
-    let _ = traced_periodic.run_plan(plan);
-    assert_eq!(
-        traced_oracle.trace().events(),
-        traced_periodic.trace().events(),
-        "{label} (trace)"
-    );
 }
 
 /// Runs a raw request stream through the oracle and the periodic
@@ -181,7 +169,7 @@ fn queue_depths_and_ports_are_identical() {
         for seed in 1..=4u64 {
             let stream = random_stream(seed, 256, 5);
             let label = format!("q={q_in} q'={q_out} random seed={seed}");
-            assert_traced_stream_equivalent(cfg, &stream, &label);
+            assert_timed_stream_equivalent(cfg, &stream, &label);
         }
     }
     // Multi-port memories: boundary detection is request-anchored and
@@ -238,37 +226,25 @@ fn stream_of(plan: &AccessPlan) -> Vec<(u64, Addr, ModuleId)> {
         .collect()
 }
 
-/// One traced oracle run against a traced and an untraced periodic
-/// run: statistics and full traces must be equal. Returns the oracle
-/// trace so callers can check their scenario actually occurred.
-fn assert_traced_stream_equivalent(
+/// One timed oracle run against a periodic run: statistics must be
+/// equal. Returns the oracle's per-request timings so callers can
+/// check their scenario actually occurred.
+fn assert_timed_stream_equivalent(
     cfg: MemConfig,
     stream: &[(u64, Addr, ModuleId)],
     label: &str,
-) -> Vec<Event> {
-    let mut oracle = MemorySystem::new(cfg);
-    oracle.enable_trace();
-    let expected = oracle.run_requests(stream);
-    let mut traced = MemorySystem::new(cfg.with_engine(Engine::Periodic));
-    traced.enable_trace();
-    assert_eq!(expected, traced.run_requests(stream), "{label} (traced)");
-    assert_eq!(
-        oracle.trace().events(),
-        traced.trace().events(),
-        "{label} (trace)"
-    );
+) -> Vec<Timing> {
+    let (expected, timings) = MemorySystem::new(cfg).run_timed(stream);
     let untraced = MemorySystem::new(cfg.with_engine(Engine::Periodic)).run_requests(stream);
     assert_eq!(expected, untraced, "{label} (untraced)");
-    oracle.trace().events().to_vec()
+    timings
 }
 
-/// Cycles in which two or more modules complete a service.
-fn same_cycle_completions(trace: &[Event]) -> usize {
-    let mut cycles: Vec<u64> = trace
-        .iter()
-        .filter(|e| matches!(e, Event::Complete { .. }))
-        .map(Event::cycle)
-        .collect();
+/// Completions that share their cycle with an earlier one: two or more
+/// modules completing a service together.
+fn same_cycle_completions(timings: &[Timing]) -> usize {
+    let mut cycles: Vec<u64> = timings.iter().map(|r| r.done).collect();
+    cycles.sort_unstable();
     let total = cycles.len();
     cycles.dedup();
     total - cycles.len()
@@ -276,21 +252,8 @@ fn same_cycle_completions(trace: &[Event]) -> usize {
 
 /// Completions deferred past their service time by a full output
 /// queue.
-fn deferred_completions(trace: &[Event], t: u64) -> usize {
-    let mut started = std::collections::HashMap::new();
-    let mut deferred = 0;
-    for event in trace {
-        match *event {
-            Event::ServiceStart { cycle, element, .. } => {
-                started.insert(element, cycle);
-            }
-            Event::Complete { cycle, element, .. } => {
-                deferred += usize::from(cycle > started[&element] + t);
-            }
-            _ => {}
-        }
-    }
-    deferred
+fn deferred_completions(timings: &[Timing], t: u64) -> usize {
+    timings.iter().filter(|r| r.done > r.start + t).count()
 }
 
 /// A deterministic pseudo-random stream over modules `0..width`
@@ -334,7 +297,7 @@ fn periodic_random_stream(
 }
 
 /// The dense regime: long `Auto` plans of every registered map, across
-/// stride families, traced and untraced.
+/// stride families.
 /// One test per queue depth, so the sweep spreads over the test
 /// threads.
 fn long_auto_sweep(q_in: usize, q_out: usize) {
@@ -351,7 +314,7 @@ fn long_auto_sweep(q_in: usize, q_out: usize) {
                 let plan = planner
                     .plan(&vec, Strategy::Auto)
                     .expect("auto always plans");
-                assert_traced_stream_equivalent(
+                assert_timed_stream_equivalent(
                     cfg,
                     &stream_of(&plan),
                     &format!("{spec} auto x={x} len={len} q={q_in} q'={q_out}"),
@@ -403,13 +366,13 @@ fn conflicted_multi_port_streams_are_identical() {
                 let vec = VectorSpec::with_stride(16u64.into(), stride, 256).unwrap();
                 let plan = planner.plan(&vec, Strategy::Canonical).unwrap();
                 let label = format!("ports={ports} q={q_in} q'={q_out} x={x}");
-                let trace = assert_traced_stream_equivalent(cfg, &stream_of(&plan), &label);
-                ties += same_cycle_completions(&trace);
+                let timings = assert_timed_stream_equivalent(cfg, &stream_of(&plan), &label);
+                ties += same_cycle_completions(&timings);
             }
             let stream = random_stream(ports as u64, 256, 5);
             let label = format!("ports={ports} q={q_in} q'={q_out} random");
-            let trace = assert_traced_stream_equivalent(cfg, &stream, &label);
-            ties += same_cycle_completions(&trace);
+            let timings = assert_timed_stream_equivalent(cfg, &stream, &label);
+            ties += same_cycle_completions(&timings);
         }
     }
     assert!(
@@ -445,16 +408,16 @@ fn output_back_pressure_is_identical() {
                 let stream = periodic_random_stream(seed, period, 480, (1 << m) - 1);
                 let label =
                     format!("m={m} t={t} ports={ports} q={q_in} seed={seed} period={period}");
-                let trace = assert_traced_stream_equivalent(cfg, &stream, &label);
-                simultaneous += same_cycle_completions(&trace);
-                deferred += deferred_completions(&trace, cfg.t_cycles());
+                let timings = assert_timed_stream_equivalent(cfg, &stream, &label);
+                simultaneous += same_cycle_completions(&timings);
+                deferred += deferred_completions(&timings, cfg.t_cycles());
             }
             // Aperiodic streams: on one port solved in request order,
             // blocked completions included.
             let stream = random_stream(seed, 96, (1 << m) - 1);
             let label = format!("m={m} t={t} ports={ports} q={q_in} seed={seed} aperiodic");
-            let trace = assert_traced_stream_equivalent(cfg, &stream, &label);
-            aperiodic_deferred += deferred_completions(&trace, cfg.t_cycles());
+            let timings = assert_timed_stream_equivalent(cfg, &stream, &label);
+            aperiodic_deferred += deferred_completions(&timings, cfg.t_cycles());
         }
     }
     assert!(

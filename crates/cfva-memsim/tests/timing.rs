@@ -3,7 +3,7 @@
 use cfva_core::mapping::{Interleaved, XorMatched};
 use cfva_core::plan::{Planner, Strategy};
 use cfva_core::VectorSpec;
-use cfva_memsim::{Event, MemConfig, MemorySystem};
+use cfva_memsim::{MemConfig, MemorySystem, Timing};
 
 /// Unobstructed requests arrive exactly `T + 1` cycles after issue.
 #[test]
@@ -23,48 +23,44 @@ fn arrival_is_issue_plus_t_plus_one() {
     }
 }
 
-/// Event stream sanity: for every element, Issue ≤ ServiceStart <
-/// Complete < Deliver, and the deliver cycle matches the recorded
-/// arrival.
+/// Per-request timing sanity on a conflicted plan: issue ≤ start,
+/// completion exactly `T` after the start (one output slot per module,
+/// and the bus never holds one back here), and arrival one cycle after
+/// the bus grant.
 #[test]
-fn trace_event_ordering_per_element() {
+fn timings_are_ordered_per_request() {
     let planner = Planner::matched(XorMatched::new(3, 3).unwrap());
     let vec = VectorSpec::new(16, 12, 64).unwrap();
     let plan = planner.plan(&vec, Strategy::Canonical).unwrap(); // has conflicts
-    let mut sim = MemorySystem::new(MemConfig::new(3, 3).unwrap());
-    sim.enable_trace();
-    let stats = sim.run_plan(&plan);
-
-    for element in 0..64u64 {
-        let mut issue = None;
-        let mut start = None;
-        let mut complete = None;
-        let mut deliver = None;
-        for e in sim.trace().events() {
-            match *e {
-                Event::Issue {
-                    cycle, element: el, ..
-                } if el == element => issue = Some(cycle),
-                Event::ServiceStart {
-                    cycle, element: el, ..
-                } if el == element => start = Some(cycle),
-                Event::Complete {
-                    cycle, element: el, ..
-                } if el == element => complete = Some(cycle),
-                Event::Deliver { cycle, element: el } if el == element => deliver = Some(cycle),
-                _ => {}
-            }
-        }
-        let (i, s, c, d) = (
-            issue.expect("issued"),
-            start.expect("started"),
-            complete.expect("completed"),
-            deliver.expect("delivered"),
+    let requests: Vec<_> = plan
+        .iter()
+        .map(|e| (e.element(), e.addr(), e.module()))
+        .collect();
+    let (stats, timings) = MemorySystem::new(MemConfig::new(3, 3).unwrap()).run_timed(&requests);
+    assert!(stats.conflicts > 0);
+    assert_eq!(timings.len(), 64);
+    for (timing, &(element, _, _)) in timings.iter().zip(&requests) {
+        let Timing {
+            issue,
+            start,
+            done,
+            grant,
+            ..
+        } = *timing;
+        assert!(
+            issue <= start,
+            "element {element}: issue {issue} > start {start}"
         );
-        assert!(i <= s, "element {element}: issue {i} > start {s}");
-        assert_eq!(c, s + 8, "element {element}: service is 8 cycles");
-        assert!(d > c, "element {element}: deliver {d} <= complete {c}");
-        assert_eq!(d, stats.arrival[element as usize], "element {element}");
+        assert_eq!(done, start + 8, "element {element}: service is 8 cycles");
+        assert!(
+            grant >= done,
+            "element {element}: grant {grant} < done {done}"
+        );
+        assert_eq!(
+            grant + 1,
+            stats.arrival[element as usize],
+            "element {element}"
+        );
     }
 }
 

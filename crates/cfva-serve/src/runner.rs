@@ -89,7 +89,7 @@ impl MeasureScratch {
         // FastPath → Periodic chain: conflict-free accesses take the
         // verified one-pass shortcut, and everything else is solved in
         // one pass in request order, long periodic accesses copied
-        // forward once their state recurs (traced or multi-port runs
+        // forward once their state recurs (multi-port runs
         // step the cycle oracle) — all bit-identical to the cycle
         // oracle (equivalence suites in
         // cfva-memsim/tests/{fast_path,periodic_engine}.rs) at a
@@ -335,7 +335,7 @@ impl BatchRunner {
     /// on [`Engine::FastPath`] — the `FastPath → Periodic` chain: the
     /// verified conflict-free shortcut, then the one-pass request-order
     /// solver with steady-state period fast-forwarding (the cycle
-    /// oracle for traced or multi-port runs). Pick
+    /// oracle for multi-port runs). Pick
     /// [`Engine::Cycle`] for verification-grade sweeps that must run
     /// the per-cycle oracle on every access, or [`Engine::Periodic`]
     /// to skip the conflict-free shortcut but keep period

@@ -86,7 +86,7 @@ use crate::workload::StrideSampler;
 
 /// A completion handle for one submitted request, deadline-aware: a
 /// ticket submitted with a budget ([`Service::submit_with_budget`] or
-/// [`ServiceConfig::default_budget`]) resolves with
+/// [`Service::submit_with_wake`]) resolves with
 /// [`ServeError::DeadlineExceeded`] instead of blocking past its
 /// deadline — [`wait`](ServeTicket::wait) never outlives the budget.
 #[must_use = "a ServeTicket is the only handle to the response; drop it and the response is lost"]
@@ -281,10 +281,6 @@ pub struct ServiceConfig {
     /// to `false`: degradation changes response types, so callers opt
     /// in.
     pub degraded_fallback: bool,
-    /// A deadline budget applied to every submission that does not
-    /// carry its own ([`Service::submit_with_budget`]). Defaults to
-    /// `None` — no deadline.
-    pub default_budget: Option<Duration>,
     /// The chaos plan injected into this service and its pool
     /// ([`crate::fault`]). Defaults to `None`; the hooks cost nothing
     /// when absent.
@@ -318,7 +314,6 @@ impl ServiceConfig {
             max_retries: Self::DEFAULT_MAX_RETRIES,
             max_worker_restarts: PoolOptions::DEFAULT_MAX_RESTARTS,
             degraded_fallback: false,
-            default_budget: None,
             fault_plan: None,
         }
     }
@@ -355,13 +350,6 @@ impl ServiceConfig {
     #[must_use]
     pub fn degraded_fallback(mut self, enabled: bool) -> Self {
         self.degraded_fallback = enabled;
-        self
-    }
-
-    /// Applies `budget` to every submission without an explicit one.
-    #[must_use]
-    pub fn default_budget(mut self, budget: Duration) -> Self {
-        self.default_budget = Some(budget);
         self
     }
 
@@ -537,8 +525,6 @@ pub struct Service {
     max_retries: u32,
     /// Whether overload/retry-exhaustion degrade to analytic estimates.
     degraded_fallback: bool,
-    /// Deadline applied to submissions without an explicit budget.
-    default_budget: Option<Duration>,
     /// The installed chaos plan; `None` (the default) costs nothing.
     faults: Option<Arc<FaultPlan>>,
     /// Submission index — the [`FaultPlan`]'s submit-side clock. Only
@@ -576,7 +562,6 @@ impl Service {
             degraded_sessions: ClassedMutex::new(LockClass::DegradedSessions, Default::default()),
             max_retries: config.max_retries,
             degraded_fallback: config.degraded_fallback,
-            default_budget: config.default_budget,
             faults: config.fault_plan,
             submit_seq: AtomicU64::new(0),
         }
@@ -637,7 +622,7 @@ impl Service {
     /// resolve through the ticket as `Err`.
     #[must_use = "the ServeTicket inside is the only handle to the response"]
     pub fn submit(&self, request: Request) -> Result<ServeTicket, ServeError> {
-        self.submit_inner(request, true, self.default_budget, None)
+        self.submit_inner(request, true, None, None)
     }
 
     /// [`submit`](Self::submit) without consulting or populating the
@@ -646,11 +631,11 @@ impl Service {
     /// checks). Counted under [`CacheStats::bypasses`].
     #[must_use = "the ServeTicket inside is the only handle to the response"]
     pub fn submit_uncached(&self, request: Request) -> Result<ServeTicket, ServeError> {
-        self.submit_inner(request, false, self.default_budget, None)
+        self.submit_inner(request, false, None, None)
     }
 
-    /// [`submit`](Self::submit) with a per-request deadline budget
-    /// (overriding [`ServiceConfig::default_budget`]). The returned
+    /// [`submit`](Self::submit) with a per-request deadline budget. The
+    /// returned
     /// ticket resolves with [`ServeError::DeadlineExceeded`] once the
     /// budget elapses: workers shed the request instead of starting it
     /// late, and [`ServeTicket::wait`] never blocks past the deadline.
@@ -663,11 +648,10 @@ impl Service {
         self.submit_inner(request, true, Some(budget), None)
     }
 
-    /// [`submit`](Self::submit) for an event-driven caller: `budget`
-    /// (or [`ServiceConfig::default_budget`] when `None`) bounds the
-    /// request as in [`submit_with_budget`](Self::submit_with_budget),
-    /// and `wake` runs on the worker once the response is on the
-    /// ticket — also when the pool drops the request unrun. A ticket
+    /// [`submit`](Self::submit) for an event-driven caller: `budget`,
+    /// when given, bounds the request as in
+    /// [`submit_with_budget`](Self::submit_with_budget), and `wake`
+    /// runs on the worker once the response is on the ticket — also when the pool drops the request unrun. A ticket
     /// born resolved (a cache hit or a submit-side degraded answer)
     /// never wakes, so poll every ticket once on receipt; a refused
     /// submission may still run `wake`.
@@ -678,7 +662,6 @@ impl Service {
         budget: Option<Duration>,
         wake: impl FnOnce() + Send + 'static,
     ) -> Result<ServeTicket, ServeError> {
-        let budget = budget.or(self.default_budget);
         self.submit_inner(request, true, budget, Some(Box::new(wake)))
     }
 

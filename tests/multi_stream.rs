@@ -230,3 +230,138 @@ fn module_disjoint_pair_co_runs_conflict_free_on_the_low_order_map() {
         .collect();
     assert!(disjoint.makespan < MultiStats::sequential_baseline(&solo));
 }
+
+/// FNV-1a over a run's numbers, in a fixed order.
+fn fold(digest: &mut u64, values: impl IntoIterator<Item = u64>) {
+    for value in values {
+        for byte in value.to_le_bytes() {
+            *digest ^= u64::from(byte);
+            *digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+fn fold_multi(digest: &mut u64, multi: &MultiStats) {
+    fold(
+        digest,
+        [multi.makespan, multi.conflicts, multi.stall_cycles],
+    );
+    for s in &multi.streams {
+        fold(
+            digest,
+            [
+                s.elements,
+                s.first_issue,
+                s.latency,
+                s.spread,
+                s.conflicts,
+                s.stall_cycles,
+            ],
+        );
+        fold(digest, s.arrival.iter().copied());
+    }
+}
+
+/// Pinned digests of every co-run and 2-port solo run, per registered
+/// map in registration order: each subset of the stream menu under all
+/// three issue policies, on 1 and 2 ports, with queues (1,1), (2,1) and
+/// (1,2), then each menu plan alone through `run_plan` on 2 ports. The
+/// constants pin the oracle's co-run semantics (including
+/// work-conserving issue and multi-port grants), which no other engine
+/// is compared against.
+#[test]
+fn co_run_and_multi_port_digests_are_pinned() {
+    const PINNED: &[u64] = &[
+        0x8020_f7aa_7291_0ab0,
+        0xed01_cab6_ac0a_e63f,
+        0x1417_89a5_ec9c_6278,
+        0x3984_fd9f_2e44_d89f,
+        0x45e7_250b_ddaf_69bb,
+        0x012b_24f6_5e8d_c0ed,
+        0xfb49_be1b_09ee_7635,
+        0xfb49_be1b_09ee_7635,
+    ];
+    let mut digests = Vec::new();
+    for spec in Registry::builtin().all_specs() {
+        let planner = Planner::from_spec(&spec).expect("coverage specs are buildable");
+        let base = MemConfig::from_spec(&spec).expect("coverage specs fit the simulator");
+        let menu = stream_menu(&planner);
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        for ports in [1usize, 2] {
+            for (q_in, q_out) in [(1usize, 1usize), (2, 1), (1, 2)] {
+                let cfg = base
+                    .with_queues(q_in, q_out)
+                    .and_then(|c| c.with_ports(ports))
+                    .expect("valid shape");
+                for mask in 1usize..1 << menu.len() {
+                    let plans: Vec<&AccessPlan> = menu
+                        .iter()
+                        .enumerate()
+                        .filter(|(i, _)| mask & (1 << i) != 0)
+                        .map(|(_, p)| p)
+                        .collect();
+                    for policy in [
+                        IssuePolicy::RoundRobin,
+                        IssuePolicy::Priority,
+                        IssuePolicy::WorkConserving,
+                    ] {
+                        let multi = run_multi(cfg, &plans, policy).expect("validated plans");
+                        fold_multi(&mut digest, &multi);
+                    }
+                }
+                if ports == 2 {
+                    for plan in &menu {
+                        let stats = MemorySystem::new(cfg).run_plan(plan);
+                        fold(
+                            &mut digest,
+                            [
+                                stats.latency,
+                                stats.elements,
+                                stats.stall_cycles,
+                                stats.conflicts,
+                                stats.max_in_q as u64,
+                            ],
+                        );
+                        fold(&mut digest, stats.arrival.iter().copied());
+                        fold(&mut digest, stats.module_busy.iter().copied());
+                    }
+                }
+            }
+        }
+        digests.push(digest);
+    }
+    assert_eq!(digests, PINNED);
+}
+
+/// A one-stream work-conserving co-run is the in-order oracle run of
+/// that stream.
+#[test]
+fn one_stream_work_conserving_equals_run_plan() {
+    for spec in Registry::builtin().all_specs() {
+        let planner = Planner::from_spec(&spec).expect("coverage specs are buildable");
+        let base = MemConfig::from_spec(&spec).expect("coverage specs fit the simulator");
+        for (q_in, q_out) in [(1usize, 1usize), (2, 1), (1, 2)] {
+            for ports in [1usize, 2] {
+                let cfg = base
+                    .with_queues(q_in, q_out)
+                    .and_then(|c| c.with_ports(ports))
+                    .expect("valid shape");
+                for plan in stream_menu(&planner) {
+                    let label = format!("{spec} q={q_in} q'={q_out} ports={ports}");
+                    let solo = MemorySystem::new(cfg).run_plan(&plan);
+                    let multi = run_multi(cfg, &[&plan], IssuePolicy::WorkConserving)
+                        .expect("validated plans");
+                    let stream = &multi.streams[0];
+                    assert_eq!(multi.makespan, solo.latency, "{label}");
+                    assert_eq!(stream.latency, solo.latency, "{label}");
+                    assert_eq!(stream.first_issue, 0, "{label}");
+                    assert_eq!(stream.arrival, solo.arrival, "{label}");
+                    assert_eq!(stream.conflicts, solo.conflicts, "{label}");
+                    assert_eq!(multi.conflicts, solo.conflicts, "{label}");
+                    assert_eq!(stream.stall_cycles, solo.stall_cycles, "{label}");
+                    assert_eq!(multi.stall_cycles, solo.stall_cycles, "{label}");
+                }
+            }
+        }
+    }
+}
