@@ -3,14 +3,16 @@
 //! (stride = M on low-order interleaving, T = 64), a conflicted
 //! canonical plan, a conflict-free plan, and a dense aperiodic stream
 //! with no recurrence to extrapolate, where the fast-path chain lands
-//! on the request-order solver.
+//! on the request-order solver. Last, a two-stream round-robin co-run
+//! against the same two plans run alone, both in ns per request (the
+//! co-run target is at most twice the solo cost).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use cfva_core::mapping::MapSpec;
 use cfva_core::plan::{Planner, Strategy};
 use cfva_core::VectorSpec;
-use cfva_memsim::{AccessStats, Engine, MemConfig, MemorySystem};
+use cfva_memsim::{run_multi, AccessStats, Engine, IssuePolicy, MemConfig, MemorySystem};
 
 /// Planner + memory geometry from one registry spec — engines are
 /// engine-vs-engine comparisons, so both sides must come from the same
@@ -81,6 +83,41 @@ fn bench_engines(c: &mut Criterion) {
             |b| b.iter(|| sys.run_plan_into(black_box(&plan), &mut out)),
         );
     }
+
+    // Co-run: two conflicted 1024-element in-order plans (P_x = 32
+    // and 16) merged round-robin, through the FastPath → Periodic chain,
+    // against the same plans run alone on one system. Both report
+    // per request of the pair (2048 requests).
+    let (planner, cfg) = from_spec("xor-matched:t=3,s=4");
+    let cfg = cfg.with_engine(Engine::FastPath);
+    let a = planner
+        .plan(
+            &VectorSpec::new(16, 12, 1024).expect("valid"),
+            Strategy::Canonical,
+        )
+        .expect("plans");
+    let b = planner
+        .plan(
+            &VectorSpec::new(4099, 24, 1024).expect("valid"),
+            Strategy::Canonical,
+        )
+        .expect("plans");
+    group.throughput(Throughput::Elements(2048));
+    group.bench_function(
+        BenchmarkId::new("co_run_round-robin_fast-path", 2048u64),
+        |bench| bench.iter(|| run_multi(cfg, black_box(&[&a, &b]), IssuePolicy::RoundRobin)),
+    );
+    let mut sys = MemorySystem::new(cfg);
+    let mut out = AccessStats::default();
+    group.bench_function(
+        BenchmarkId::new("co_run_solo_pair_fast-path", 2048u64),
+        |bench| {
+            bench.iter(|| {
+                sys.run_plan_into(black_box(&a), &mut out);
+                sys.run_plan_into(black_box(&b), &mut out);
+            })
+        },
+    );
 
     group.finish();
 }

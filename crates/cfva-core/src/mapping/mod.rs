@@ -63,6 +63,7 @@ pub use xor_unmatched::XorUnmatched;
 
 use crate::address::{Addr, ModuleId};
 use crate::stride::StrideFamily;
+use crate::vector::VectorSpec;
 
 /// The module-number component `b = F(A)` of an address mapping.
 ///
@@ -161,6 +162,18 @@ pub trait ModuleMap: std::fmt::Debug {
         }
     }
 
+    /// A true period of `vec`'s module sequence in element order: the
+    /// sequence repeats after this many elements. Defaults to
+    /// [`period`](Self::period) of the vector's family; a map whose
+    /// family-wide bound is loose for some vectors may return a tighter
+    /// one (an overridden [`RegionMap`] returns the governing map's
+    /// `P_x` when every region the vector touches shares it). The
+    /// planner attaches it to in-order plans
+    /// ([`AccessPlan::period`](crate::plan::AccessPlan::period)).
+    fn vector_period(&self, vec: &VectorSpec) -> u64 {
+        self.period(vec.family())
+    }
+
     /// Maps a whole constant-stride address walk in one call:
     /// `out[k] = module_of(base + k·stride)` for `0 ≤ k < out.len()`
     /// (the requested length is the length of `out`).
@@ -219,6 +232,10 @@ impl<M: ModuleMap + ?Sized> ModuleMap for &M {
         (**self).period(family)
     }
 
+    fn vector_period(&self, vec: &VectorSpec) -> u64 {
+        (**self).vector_period(vec)
+    }
+
     fn map_stride_into(&self, base: Addr, stride: i64, out: &mut [ModuleId]) {
         (**self).map_stride_into(base, stride, out)
     }
@@ -247,6 +264,10 @@ impl<M: ModuleMap + ?Sized> ModuleMap for Box<M> {
 
     fn period(&self, family: StrideFamily) -> u64 {
         (**self).period(family)
+    }
+
+    fn vector_period(&self, vec: &VectorSpec) -> u64 {
+        (**self).vector_period(vec)
     }
 
     fn map_stride_into(&self, base: Addr, stride: i64, out: &mut [ModuleId]) {

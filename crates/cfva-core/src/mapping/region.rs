@@ -170,6 +170,28 @@ impl ModuleMap for RegionMap {
         }
     }
 
+    fn vector_period(&self, vec: &VectorSpec) -> u64 {
+        // Addresses never wrap, so the vector touches only regions
+        // between those of its endpoints. When one map governs all of
+        // them, that map's own `P_x` is a period of the sequence.
+        let ends = [vec.base(), vec.element_addr(vec.len() - 1)].map(|a| self.region_of(a));
+        let (lo, hi) = (ends[0].min(ends[1]), ends[0].max(ends[1]));
+        let governing = self.map_at(vec.base());
+        let from = self.overrides.partition_point(|(r, _)| *r < lo);
+        let to = self.overrides.partition_point(|(r, _)| *r <= hi);
+        let inside = &self.overrides[from..to];
+        // Fewer overrides than regions in the span: the default governs
+        // the rest.
+        let default_inside = inside.len() as u64 <= hi - lo;
+        if inside.iter().all(|(_, map)| map == governing)
+            && (!default_inside || self.default == *governing)
+        {
+            governing.period(vec.family())
+        } else {
+            self.period(vec.family())
+        }
+    }
+
     fn map_stride_into(&self, base: Addr, stride: i64, out: &mut [ModuleId]) {
         // Regions span 2^region_bits addresses, so a stride walk stays
         // inside one region for long runs: resolve the governing map
@@ -254,6 +276,29 @@ mod tests {
             .with_region(1, 6)
             .unwrap();
         assert_eq!(map.map_at(Addr::new(1 << 20)).s(), 6);
+    }
+
+    #[test]
+    fn vector_period_tightens_inside_one_governing_map() {
+        use crate::stride::StrideFamily;
+        let map = two_region_map();
+        let family = StrideFamily::new(2);
+        // Overridden: no finite low-bit slice determines the module.
+        let loose = map.period(family);
+        assert_eq!(loose, 1 << 62);
+        let s3 = XorMatched::new(3, 3).unwrap().period(family);
+        let s6 = XorMatched::new(3, 6).unwrap().period(family);
+        let inside_default = VectorSpec::new(16, 12, 64).unwrap();
+        assert_eq!(map.vector_period(&inside_default), s3);
+        let inside_override = VectorSpec::new(1 << 20, 12, 64).unwrap();
+        assert_eq!(map.vector_period(&inside_override), s6);
+        // Descending from region 2 (default) into region 1 (s = 6).
+        let straddle = VectorSpec::new(2 << 20, -12, 64).unwrap();
+        assert_eq!(map.vector_period(&straddle), loose);
+        // Two default regions with no override between them share s = 3.
+        let far = RegionMap::new(3, 20, 3).unwrap().with_region(5, 6).unwrap();
+        let across_defaults = VectorSpec::new((1 << 20) - 24, 12, 64).unwrap();
+        assert_eq!(far.vector_period(&across_defaults), s3);
     }
 
     #[test]

@@ -70,10 +70,13 @@ struct PlanScratch {
 /// and refills an existing plan in place, reusing both the entry
 /// storage and internal planning scratch — the allocation-free hot path
 /// of the batch execution engine. Equality and hashing consider only
-/// the entries, never the scratch state.
+/// the entries, never the scratch state or the attached period.
 #[derive(Default)]
 pub struct AccessPlan {
     entries: Vec<PlanEntry>,
+    /// A true period of the module sequence in request order, when the
+    /// planner proved one (see [`period`](Self::period)).
+    period: Option<u64>,
     scratch: PlanScratch,
 }
 
@@ -84,6 +87,7 @@ impl Clone for AccessPlan {
         // for a deep copy of buffers it will never read.
         AccessPlan {
             entries: self.entries.clone(),
+            period: self.period,
             scratch: PlanScratch::default(),
         }
     }
@@ -93,6 +97,7 @@ impl fmt::Debug for AccessPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("AccessPlan")
             .field("entries", &self.entries)
+            .field("period", &self.period)
             .finish_non_exhaustive()
     }
 }
@@ -117,6 +122,7 @@ impl AccessPlan {
     pub fn with_capacity(len: u64) -> Self {
         AccessPlan {
             entries: Vec::with_capacity(len as usize),
+            period: None,
             scratch: PlanScratch::default(),
         }
     }
@@ -124,6 +130,7 @@ impl AccessPlan {
     /// Removes all requests, keeping the allocated buffers for reuse.
     pub fn clear(&mut self) {
         self.entries.clear();
+        self.period = None;
     }
 
     /// Resolves an element order into a plan under a mapping.
@@ -153,6 +160,7 @@ impl AccessPlan {
         );
         map_elements(map, vec, &mut self.scratch.modules);
         fill_entries(&mut self.entries, vec, &self.scratch.modules, order);
+        self.period = None;
     }
 
     /// Number of requests (the vector length).
@@ -173,6 +181,18 @@ impl AccessPlan {
     /// Iterates the entries in request order.
     pub fn iter(&self) -> std::slice::Iter<'_, PlanEntry> {
         self.entries.iter()
+    }
+
+    /// A true period of the plan's module sequence in request order:
+    /// request `k` targets the same module as request `k + P`. The
+    /// planner attaches the paper's `P_x`
+    /// ([`ModuleMap::vector_period`]) to every in-order plan, in O(1).
+    /// `None` when no period is known: out-of-order plans, plans built
+    /// [`from_order`](Self::from_order) and [`concat`](Self::concat)
+    /// results. The period need not be minimal, and may exceed the
+    /// plan's length (then it holds vacuously).
+    pub fn period(&self) -> Option<u64> {
+        self.period
     }
 
     /// The element indices in request order.
@@ -240,6 +260,7 @@ impl AccessPlan {
         }
         AccessPlan {
             entries,
+            period: None,
             scratch: PlanScratch::default(),
         }
     }
@@ -499,6 +520,8 @@ impl Planner {
         strategy: Strategy,
         out: &mut AccessPlan,
     ) -> Result<(), PlanError> {
+        // Only the in-order construction knows a period.
+        out.period = None;
         let result = match strategy {
             Strategy::Canonical => {
                 self.canonical_into(vec, out);
@@ -530,6 +553,7 @@ impl Planner {
             &out.scratch.modules,
             &out.scratch.order,
         );
+        out.period = Some(self.map().vector_period(vec));
     }
 
     fn subsequence_into(&self, vec: &VectorSpec, out: &mut AccessPlan) -> Result<(), PlanError> {
@@ -827,6 +851,32 @@ mod tests {
         assert_eq!(order, (0..32).collect::<Vec<u64>>());
         assert_eq!(combined.entries()[16].element(), 16);
         assert_eq!(combined.entries()[16].addr().get(), 1000);
+    }
+
+    #[test]
+    fn only_in_order_plans_carry_a_period() {
+        let planner = matched_planner();
+        let vec = VectorSpec::new(16, 12, 64).unwrap();
+        let canonical = planner.plan(&vec, Strategy::Canonical).unwrap();
+        assert_eq!(canonical.period(), Some(16)); // P_2 = 2^{3+3-2}
+        assert_eq!(canonical.clone().period(), Some(16));
+        let mut buf = canonical.clone();
+        planner
+            .plan_into(&vec, Strategy::ConflictFree, &mut buf)
+            .unwrap();
+        assert_eq!(buf.period(), None);
+        // Auto on an out-of-window family falls back to in order.
+        let wide = VectorSpec::new(0, 16, 64).unwrap();
+        planner.plan_into(&wide, Strategy::Auto, &mut buf).unwrap();
+        assert_eq!(buf.period(), Some(4));
+        assert!(planner
+            .plan_into(&wide, Strategy::ConflictFree, &mut buf)
+            .is_err());
+        assert_eq!(buf.period(), None);
+        let order: Vec<u64> = (0..64).collect();
+        let map = XorMatched::new(3, 3).unwrap();
+        assert_eq!(AccessPlan::from_order(&map, &vec, &order).period(), None);
+        assert_eq!(AccessPlan::concat([&canonical]).period(), None);
     }
 
     #[test]

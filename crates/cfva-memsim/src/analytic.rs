@@ -27,6 +27,10 @@
 //!   solver (`solver.rs`) times each request from the requests before
 //!   it alone, so one solver pass over the longest probe yields every
 //!   probe's aggregates.
+//! * When the plan carries `P_x ≤ n/3`, the period scan reads only
+//!   the first `2·P_x` requests (Fine–Wilf, as in `periodic.rs`); other
+//!   streams, a larger `P_x` included, are scanned whole, so the
+//!   reported period is always the minimal one.
 //! * Streams too short to amortize probing are simply solved in full,
 //!   and multi-port runs step the cycle oracle — trivially exact.
 //!
@@ -125,6 +129,7 @@ impl MemorySystem {
         let mut scratch = AccessStats::default();
         self.run_analytic(
             entries.len(),
+            plan.period(),
             &|k| {
                 let e = &entries[k];
                 (e.element(), e.addr(), e.module())
@@ -137,10 +142,13 @@ impl MemorySystem {
     /// request-order solver and extrapolates. Writes the estimated
     /// aggregates into `out` (per-element and per-module vectors
     /// cleared on the extrapolated path, fully populated on the direct
-    /// path).
+    /// path). `known` is a true period of the module sequence, when one
+    /// is known: at most `n / 3`, it bounds the period scan to the
+    /// first `2 · known` requests.
     pub(crate) fn run_analytic<F>(
         &mut self,
         n: usize,
+        known: Option<u64>,
         request: &F,
         out: &mut AccessStats,
     ) -> AnalyticEstimate
@@ -161,7 +169,13 @@ impl MemorySystem {
         }
 
         let scratch = &mut self.periodic;
-        let p = minimal_period(n, request, &mut scratch.seq, &mut scratch.fail, u64::MAX);
+        // The minimal period of `2P` requests with period `P` divides
+        // `P`, so it is the whole stream's.
+        let scan = match known {
+            Some(known) if (1..=n as u64 / 3).contains(&known) => 2 * known as usize,
+            _ => n,
+        };
+        let p = minimal_period(scan, request, &mut scratch.seq, &mut scratch.fail, u64::MAX);
 
         let n_u64 = n as u64;
         let r = n_u64 % p;

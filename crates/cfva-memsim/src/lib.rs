@@ -26,6 +26,12 @@
 //! recurs at a period boundary the rest of a long stream is copied from
 //! the logged window, shifted in time), and the verified conflict-free
 //! fast path of [`Engine::FastPath`] (which falls back to `Periodic`).
+//! The recurrence detector needs the stream's minimal period. An
+//! in-order plan carries the paper's `P_x`
+//! ([`AccessPlan::period`](cfva_core::plan::AccessPlan::period)), which
+//! limits the period scan to the first `2·P_x` requests, or skips it
+//! when fewer than three periods fit; other streams are scanned. Static
+//! single-port co-runs of [`multi`] go through the same pass.
 //! Multi-port runs of every engine step the oracle, and so do the
 //! work-conserving co-runs of [`multi`]: the oracle's one cycle loop
 //! issues by a work-conserving rotation over in-order streams, of which

@@ -40,15 +40,20 @@
 //!   one merged stream that is plain in-order issue. It runs at
 //!   `O(cycles × occupied modules)`; nothing in the workspace co-runs
 //!   on a multi-port memory.
-//! * Any other engine on a single-port memory solves the merged stream
-//!   of a static policy with the request-order solver (`solver.rs`),
-//!   conflict free or not, in `O(requests)`.
+//! * Any other engine on a single-port memory sends the merged stream
+//!   of a static policy through the periodic pass (`periodic.rs`): the
+//!   request-order solver (`solver.rs`) with the recurrence detector,
+//!   so a long co-run is solved only until its state recurs and the
+//!   rest is copied. A round-robin merge of `k` equal-length plans
+//!   that each carry a period `P_i` carries `k·lcm(P_i)`, which bounds
+//!   the detector's period scan; any other merge is scanned.
 //!
-//! Both record each request's [`Timing`] (issue cycle,
-//! service start, stall cycles charged), and one de-multiplexer reads
-//! the per-stream statistics off those records. `tests` prove
-//! `run_multi` bit-identical across the two paths for every registered
-//! map.
+//! Each request's [`Timing`] (issue cycle, service start, stall cycles
+//! charged, bus grant) goes to one de-multiplexer that accumulates the
+//! per-stream statistics: read off the oracle's records, or handed over
+//! by the periodic pass request by request, solved and copied alike.
+//! `tests` prove `run_multi` bit-identical across the paths for every
+//! registered map.
 //!
 //! ## Errors
 //!
@@ -56,8 +61,8 @@
 //! oversized merged streams and out-of-range plan modules all surface
 //! as [`ConfigError::OutOfRange`].
 
-use cfva_core::plan::AccessPlan;
-use cfva_core::{Addr, ConfigError, ModuleId};
+use cfva_core::plan::{AccessPlan, PlanEntry};
+use cfva_core::ConfigError;
 
 use crate::config::MemConfig;
 use crate::event::Engine;
@@ -139,13 +144,9 @@ impl MultiStats {
     }
 }
 
-/// The merged request stream: dense ids `0..total` in merge order,
-/// plus the side tables back to (stream, element).
-struct Merged {
-    requests: Vec<(u64, Addr, ModuleId)>,
-    stream_of: Vec<u32>,
-    elem_of: Vec<u64>,
-}
+/// The merged request stream in merge order: each request's stream
+/// and plan entry. Request `k` carries the dense id `k`.
+type Merged<'p> = Vec<(u32, &'p PlanEntry)>;
 
 /// Upper bound on concurrent streams (the stream side-table is `u32`;
 /// the practical bound is far lower).
@@ -153,9 +154,10 @@ const MAX_STREAMS: u64 = 1 << 15;
 /// Upper bound on the merged request stream.
 const MAX_TOTAL_ELEMENTS: u64 = 1 << 32;
 
-/// Validates stream count, combined length and module range up front so
-/// the engines below cannot hit their internal contract panics.
-fn validate(cfg: &MemConfig, plans: &[&AccessPlan]) -> Result<u64, ConfigError> {
+/// Validates stream count and combined length up front (and [`merge`]
+/// the module range) so the engines below cannot hit their internal
+/// contract panics.
+fn validate(plans: &[&AccessPlan]) -> Result<u64, ConfigError> {
     if plans.len() as u64 >= MAX_STREAMS {
         return Err(ConfigError::OutOfRange {
             what: "streams",
@@ -174,18 +176,6 @@ fn validate(cfg: &MemConfig, plans: &[&AccessPlan]) -> Result<u64, ConfigError> 
             constraint: "fewer than 2^32 elements across all streams",
         });
     }
-    let module_count = cfg.module_count();
-    for plan in plans {
-        for entry in plan.entries() {
-            if entry.module().get() >= module_count {
-                return Err(ConfigError::OutOfRange {
-                    what: "module",
-                    value: entry.module().get(),
-                    constraint: "every plan module within the memory's range",
-                });
-            }
-        }
-    }
     Ok(total)
 }
 
@@ -194,12 +184,14 @@ fn validate(cfg: &MemConfig, plans: &[&AccessPlan]) -> Result<u64, ConfigError> 
 /// Work-conserving co-runs, the config's [`Engine::Cycle`] (the
 /// default) and any multi-port memory step the per-cycle oracle; any
 /// other engine solves a static policy's merged stream in request
-/// order — see the [module docs](self).
+/// order and copies it past a recurrence — see the
+/// [module docs](self).
 ///
 /// # Performance
 ///
 /// A co-run on the oracle costs `O(cycles × occupied modules)`, where a
-/// solved one costs `O(requests)`.
+/// solved one costs `O(requests)`, mostly copying once a periodic
+/// stream recurs.
 ///
 /// # Errors
 ///
@@ -210,7 +202,7 @@ pub fn run_multi(
     plans: &[&AccessPlan],
     policy: IssuePolicy,
 ) -> Result<MultiStats, ConfigError> {
-    let total = validate(&cfg, plans)?;
+    let total = validate(plans)?;
     if total == 0 {
         return Ok(MultiStats {
             streams: plans.iter().map(|_| StreamStats::default()).collect(),
@@ -219,12 +211,17 @@ pub fn run_multi(
             stall_cycles: 0,
         });
     }
-    let merged = merge(plans, total, policy);
-    let request = |k: usize| merged.requests[k];
+    let merged = merge(&cfg, plans, total, policy)?;
+    let request = |k: usize| {
+        let (_, entry) = merged[k];
+        (k as u64, entry.addr(), entry.module())
+    };
+    let n = merged.len();
     let mut sim = MemorySystem::new(cfg);
     let mut combined = AccessStats::default();
+    let mut demux = Demux::new(plans, &merged);
     let work_conserving = policy == IssuePolicy::WorkConserving;
-    if work_conserving || cfg.engine() == Engine::Cycle || cfg.ports() != 1 {
+    if work_conserving || cfg.engine() == Engine::Cycle {
         // Work-conserving issue rotates over one stream per plan; a
         // static policy's merged stream is a single stream.
         let ends: Vec<usize> = if work_conserving {
@@ -236,143 +233,168 @@ pub fn run_multi(
                 })
                 .collect()
         } else {
-            vec![merged.requests.len()]
+            vec![n]
         };
         sim.run_cycle(&ends, &request, &mut combined);
-        return Ok(demux(plans, &merged, &sim.timings, &combined));
+        for (k, timing) in sim.timings.iter().enumerate() {
+            demux.record(k, timing);
+        }
+    } else {
+        // The periodic pass: solved, and copied past a recurrence, on
+        // one port; stepped on the oracle on several.
+        let period = merged_period(plans, policy);
+        sim.run_periodic(n, period, &request, &mut combined, |k, t| {
+            demux.record(k, t)
+        });
     }
-    let mut timings = Vec::with_capacity(merged.requests.len());
-    sim.solve(
-        merged.requests.len(),
-        &request,
-        &mut combined,
-        |_, solved, _| {
-            timings.push(solved.timing);
-            true
-        },
-    );
-    Ok(demux(plans, &merged, &timings, &combined))
+    Ok(demux.finish(&combined))
 }
 
-/// Builds the merged request stream: dense ids `0..total` plus side
-/// tables — no bit-tagging of element ids. Round-robin interleaves the
-/// plans; the other policies concatenate them in plan order.
-fn merge(plans: &[&AccessPlan], total: u64, policy: IssuePolicy) -> Merged {
-    let total = total as usize;
-    let mut requests = Vec::with_capacity(total);
-    let mut stream_of = Vec::with_capacity(total);
-    let mut elem_of = Vec::with_capacity(total);
-    fn push(
-        requests: &mut Vec<(u64, Addr, ModuleId)>,
-        stream_of: &mut Vec<u32>,
-        elem_of: &mut Vec<u64>,
-        s: usize,
-        entry: &cfva_core::plan::PlanEntry,
-    ) {
-        requests.push((requests.len() as u64, entry.addr(), entry.module()));
-        stream_of.push(s as u32);
-        elem_of.push(entry.element());
+/// A true period of the merged module sequence, when one is known: a
+/// round-robin merge of `k` equal-length plans that each carry a period
+/// `P_i` puts request `j` on plan `j mod k` at position `⌊j / k⌋`, so it
+/// repeats every `k·lcm(P_i)` requests. `None` for other merges, for a
+/// plan without a period, and on overflow.
+fn merged_period(plans: &[&AccessPlan], policy: IssuePolicy) -> Option<u64> {
+    let len = plans.first()?.len();
+    if policy != IssuePolicy::RoundRobin || plans.iter().any(|p| p.len() != len) {
+        return None;
     }
+    let lcm = plans.iter().try_fold(1u64, |lcm, plan| {
+        let p = plan.period().filter(|&p| p > 0)?;
+        let (mut a, mut b) = (lcm, p);
+        while b != 0 {
+            (a, b) = (b, a % b);
+        }
+        (lcm / a).checked_mul(p)
+    })?;
+    lcm.checked_mul(plans.len() as u64)
+}
+
+/// Builds the merged request stream of `total` requests, checking each
+/// module against the memory's range. Round-robin interleaves the
+/// plans, taking the `r`-th request of every plan that has one in turn
+/// `r`; the other policies concatenate them in plan order.
+fn merge<'p>(
+    cfg: &MemConfig,
+    plans: &[&'p AccessPlan],
+    total: u64,
+    policy: IssuePolicy,
+) -> Result<Merged<'p>, ConfigError> {
+    let module_count = cfg.module_count();
+    let mut merged = Vec::with_capacity(total as usize);
+    let mut push = |s: usize, entry: &'p PlanEntry| {
+        if entry.module().get() >= module_count {
+            return Err(ConfigError::OutOfRange {
+                what: "module",
+                value: entry.module().get(),
+                constraint: "every plan module within the memory's range",
+            });
+        }
+        merged.push((s as u32, entry));
+        Ok(())
+    };
     match policy {
         IssuePolicy::RoundRobin => {
-            let mut cursors = vec![0usize; plans.len()];
-            let mut turn = 0usize;
-            while requests.len() < total {
-                let s = turn % plans.len();
-                turn += 1;
-                let Some(entry) = plans[s].entries().get(cursors[s]) else {
-                    continue;
-                };
-                push(&mut requests, &mut stream_of, &mut elem_of, s, entry);
-                cursors[s] += 1;
+            let longest = plans.iter().map(|p| p.len()).max().unwrap_or(0) as usize;
+            for r in 0..longest {
+                for (s, plan) in plans.iter().enumerate() {
+                    if let Some(entry) = plan.entries().get(r) {
+                        push(s, entry)?;
+                    }
+                }
             }
         }
         IssuePolicy::Priority | IssuePolicy::WorkConserving => {
             for (s, plan) in plans.iter().enumerate() {
                 for entry in plan.entries() {
-                    push(&mut requests, &mut stream_of, &mut elem_of, s, entry);
+                    push(s, entry)?;
                 }
             }
         }
     }
-    Merged {
-        requests,
-        stream_of,
-        elem_of,
-    }
+    Ok(merged)
 }
 
-/// De-multiplexes per-stream statistics from the combined run and its
-/// per-request timings, indexed by merged request: each one's issue
-/// cycle, late service start (a conflict) and stall cycles charged.
-fn demux(
-    plans: &[&AccessPlan],
-    merged: &Merged,
-    timings: &[Timing],
-    combined: &AccessStats,
-) -> MultiStats {
-    let mut streams = empty_streams(plans);
-    let mut first_issue = vec![None; plans.len()];
-    for (k, timing) in timings.iter().enumerate() {
-        let s = merged.stream_of[k] as usize;
-        let elem = merged.elem_of[k] as usize;
-        if let Some(first) = first_issue.get_mut(s) {
+/// The de-multiplexer: per-stream statistics accumulated from the
+/// merged requests' timings, whichever engine produced them.
+struct Demux<'m, 'p> {
+    merged: &'m Merged<'p>,
+    /// Per-stream stats; `first_issue` holds `u64::MAX` until the
+    /// stream's first request is recorded.
+    streams: Vec<StreamStats>,
+}
+
+impl<'m, 'p> Demux<'m, 'p> {
+    /// Zeroed per-stream stats, arrival buffers sized to the plans.
+    fn new(plans: &[&AccessPlan], merged: &'m Merged<'p>) -> Self {
+        let streams = plans
+            .iter()
+            .map(|p| StreamStats {
+                elements: p.len(),
+                arrival: vec![0; p.len() as usize],
+                first_issue: u64::MAX,
+                ..StreamStats::default()
+            })
+            .collect();
+        Demux { merged, streams }
+    }
+
+    /// Charges merged request `k` to its stream: its issue cycle, late
+    /// service start (a conflict), stall cycles and arrival. Requests
+    /// come in merged order.
+    fn record(&mut self, k: usize, timing: &Timing) {
+        let (s, entry) = self.merged[k];
+        if let Some(stream) = self.streams.get_mut(s as usize) {
             // Each stream issues in order: its first request is its
             // first issue.
-            first.get_or_insert(timing.issue);
-        }
-        if let Some(stream) = streams.get_mut(s) {
+            stream.first_issue = stream.first_issue.min(timing.issue);
             stream.conflicts += u64::from(timing.start > timing.issue);
             stream.stall_cycles += timing.stalls;
-            if let Some(slot) = stream.arrival.get_mut(elem) {
-                *slot = combined.arrival.get(k).copied().unwrap_or(0);
+            if let Some(slot) = stream.arrival.get_mut(entry.element() as usize) {
+                *slot = timing.grant + 1; // one-cycle bus
             }
         }
     }
-    for (stream, first) in streams.iter_mut().zip(first_issue) {
-        finalize_stream(stream, first);
-    }
-    MultiStats {
-        streams,
-        makespan: combined.latency,
-        conflicts: combined.conflicts,
-        stall_cycles: combined.stall_cycles,
+
+    /// The run's statistics, with the combined run's totals.
+    fn finish(self, combined: &AccessStats) -> MultiStats {
+        let mut streams = self.streams;
+        for stream in &mut streams {
+            finalize_stream(stream);
+        }
+        MultiStats {
+            streams,
+            makespan: combined.latency,
+            conflicts: combined.conflicts,
+            stall_cycles: combined.stall_cycles,
+        }
     }
 }
 
-/// Fresh zeroed per-stream stats, arrival buffers sized to the plans.
-fn empty_streams(plans: &[&AccessPlan]) -> Vec<StreamStats> {
-    plans
-        .iter()
-        .map(|p| StreamStats {
-            elements: p.len(),
-            arrival: vec![0; p.len() as usize],
-            ..StreamStats::default()
-        })
-        .collect()
-}
-
-/// Derives `first_issue`, `latency` and `spread` from the filled
-/// arrival buffer. An empty stream reports all three as `0` (the
-/// regression the old stub got wrong: `last - first + 1` on default
-/// zeros reported a spread of 1).
-fn finalize_stream(stream: &mut StreamStats, first_issue: Option<u64>) {
-    let Some(first_issue) = first_issue else {
+/// Derives `latency` and `spread` from the filled arrival buffer and
+/// the recorded first issue. An empty stream reports all three as `0`
+/// (the regression the old stub got wrong: `last - first + 1` on
+/// default zeros reported a spread of 1).
+fn finalize_stream(stream: &mut StreamStats) {
+    if stream.elements == 0 {
         stream.first_issue = 0;
         stream.latency = 0;
         stream.spread = 0;
         return;
-    };
-    let first = stream.arrival.iter().copied().min().unwrap_or(0);
-    let last = stream.arrival.iter().copied().max().unwrap_or(0);
-    stream.first_issue = first_issue;
-    stream.latency = last - first_issue + 1;
+    }
+    let (first, last) = stream
+        .arrival
+        .iter()
+        .fold((u64::MAX, 0), |(lo, hi), &a| (lo.min(a), hi.max(a)));
+    stream.latency = last - stream.first_issue + 1;
     stream.spread = last - first + 1;
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::periodic::{Detection, PeriodicScratch};
     use cfva_core::mapping::XorMatched;
     use cfva_core::plan::{Planner, Strategy};
     use cfva_core::VectorSpec;
@@ -381,6 +403,69 @@ mod tests {
         let planner = Planner::matched(XorMatched::new(3, 4).unwrap());
         let vec = VectorSpec::new(base, stride, 128).unwrap();
         planner.plan(&vec, Strategy::ConflictFree).unwrap()
+    }
+
+    /// The co-run twin of the detector guard in `periodic.rs`: a long
+    /// two-stream conflicted round-robin co-run carries its merged
+    /// period and, with it or scanning for it, finds a recurrence and
+    /// copies at least 90% of its requests; its per-stream statistics
+    /// still equal the cycle oracle's.
+    #[test]
+    fn detection_copies_most_of_a_long_conflicted_co_run() {
+        let planner = Planner::matched(XorMatched::new(3, 4).unwrap());
+        let cfg = MemConfig::new(3, 3).unwrap().with_engine(Engine::FastPath);
+        let plan = |base, stride| {
+            let vec = VectorSpec::new(base, stride, 2048).unwrap();
+            planner.plan(&vec, Strategy::Canonical).unwrap()
+        };
+        // Families 2 and 3: P_x = 32 and 16.
+        let (a, b) = (plan(16, 12), plan(4099, 24));
+        let plans = [&a, &b];
+        let period = merged_period(&plans, IssuePolicy::RoundRobin);
+        assert_eq!(period, Some(2 * 32));
+        let merged = merge(&cfg, &plans, 4096, IssuePolicy::RoundRobin).unwrap();
+        let request = |k: usize| {
+            let (_, entry) = merged[k];
+            (k as u64, entry.addr(), entry.module())
+        };
+        for known in [None, period] {
+            let mut scratch = PeriodicScratch::default();
+            let mut detection = Detection::new(&cfg, 4096, known, &request, &mut scratch)
+                .expect("detection starts");
+            let mut out = AccessStats::default();
+            let sum = MemorySystem::new(cfg).solve(4096, &request, &mut out, |j, sum, solver| {
+                detection.visit(j, sum, solver)
+            });
+            assert!(sum.conflicts > 0);
+            let to = detection.matched_at().expect("a recurrence is found");
+            let copied = 4096 - to;
+            assert!(
+                10 * copied >= 9 * 4096,
+                "period {known:?}: only {copied} of 4096 copied"
+            );
+        }
+        let oracle = run_multi(
+            cfg.with_engine(Engine::Cycle),
+            &plans,
+            IssuePolicy::RoundRobin,
+        );
+        assert_eq!(run_multi(cfg, &plans, IssuePolicy::RoundRobin), oracle);
+    }
+
+    #[test]
+    fn merged_period_needs_equal_lengths_and_plan_periods() {
+        let planner = Planner::matched(XorMatched::new(3, 4).unwrap());
+        let canonical = |len| {
+            let vec = VectorSpec::new(16, 12, len).unwrap();
+            planner.plan(&vec, Strategy::Canonical).unwrap()
+        };
+        let (a, b, short) = (canonical(128), canonical(128), canonical(64));
+        let replay = cf_plan(16, 12);
+        assert_eq!(merged_period(&[&a], IssuePolicy::RoundRobin), Some(32));
+        assert_eq!(merged_period(&[&a, &b], IssuePolicy::RoundRobin), Some(64));
+        assert_eq!(merged_period(&[&a, &short], IssuePolicy::RoundRobin), None);
+        assert_eq!(merged_period(&[&a, &b], IssuePolicy::Priority), None);
+        assert_eq!(merged_period(&[&a, &replay], IssuePolicy::RoundRobin), None);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!
 //! This engine is the request-order solver (`solver.rs`) plus a
 //! recurrence detector that reads the solver's own state. At each
-//! boundary of the stream's (minimal) module-sequence period the
+//! boundary of the stream's minimal module-sequence period the
 //! detector takes the solver's **state signature**
 //! ([`Solver::signature`](crate::solver::Solver::signature)): the
 //! per-module rings, `done` cycles and held bus slots, relative to the
@@ -34,11 +34,28 @@
 //! A repeated element id (outside the input contract) keeps its last
 //! delivery, copied or solved, as in the oracle.
 //!
+//! ## The minimal period
+//!
+//! The paper gives the period in closed form, so the planner attaches
+//! `P_x` to every in-order plan
+//! ([`AccessPlan::period`](cfva_core::plan::AccessPlan::period)), and a
+//! round-robin co-run of equal-length plans carries `k·lcm(P_i)`
+//! (`multi.rs`). With a known period `P` and `3P ≤ n`, the KMP scan
+//! (`minimal_period`) reads only the first `2P` requests: by Fine–Wilf
+//! their minimal period divides `P`, so it is a true period of the
+//! whole stream, and nothing past `2P` is read. A known `P > n/3`
+//! leaves fewer than three periods, so the stream is solved to the end
+//! unscanned. Streams without a known period — raw request streams,
+//! concatenations, out-of-order plans, other co-runs — are scanned
+//! until their period is found or known to exceed `n/3`.
+//!
 //! A stream with no recurrence to detect — shorter than three whole
 //! periods of its module sequence, which covers short and aperiodic
 //! vectors — or whose transient outlasts the detection budget is simply
-//! solved to the end. Multi-port runs step the cycle oracle, exactly
-//! as an [`Engine::Cycle`](crate::Engine::Cycle) run.
+//! solved to the end. Every request's timing, solved or copied, goes
+//! to the caller's per-request callback, which is how co-runs account
+//! per stream. Multi-port runs step the cycle oracle, exactly as an
+//! [`Engine::Cycle`](crate::Engine::Cycle) run.
 
 use std::collections::VecDeque;
 
@@ -47,7 +64,7 @@ use cfva_core::{Addr, ModuleId};
 use crate::config::MemConfig;
 use crate::solver::{deliver, Solved, Solver};
 use crate::stats::AccessStats;
-use crate::system::MemorySystem;
+use crate::system::{MemorySystem, Timing};
 
 /// Reusable buffers of the periodic engine, kept on the
 /// [`MemorySystem`] so the working sets of repeated runs through a
@@ -62,10 +79,9 @@ pub(crate) struct PeriodicScratch {
     /// Sorted distinct modules of one period — the only modules that
     /// ever hold work, since the module sequence is periodic.
     modules: Vec<usize>,
-    /// Per request while detection runs, by request index: its bus
-    /// grant, the stall cycles charged before it issued, and whether
-    /// it started late.
-    log: Vec<(u64, u64, bool)>,
+    /// Per request while detection runs, by request index: its
+    /// timing.
+    log: Vec<Timing>,
     /// Recent boundaries, oldest first; a new signature is compared
     /// against all of them, so recurrences spanning several periods
     /// (beat patterns) are caught too.
@@ -127,9 +143,14 @@ where
         if i >= 2 * p {
             // The prefix is p-periodic: continue it without the tables.
             let start = i;
-            // cfva-lint: allow(L002, reason = "i % p < p <= start = seq.len(): the index stays inside the scanned prefix")
-            while i < n && module(i) == seq[i % p] {
+            let mut j = i % p;
+            // cfva-lint: allow(L002, reason = "j < p <= start = seq.len(): the index stays inside the scanned prefix")
+            while i < n && module(i) == seq[j] {
                 i += 1;
+                j += 1;
+                if j == p {
+                    j = 0;
+                }
             }
             if i == n {
                 return p as u64;
@@ -162,7 +183,7 @@ where
 }
 
 /// The recurrence detector, fed by the solver pass.
-struct Detection<'s> {
+pub(crate) struct Detection<'s> {
     scratch: &'s mut PeriodicScratch,
     t: u64,
     /// Minimal period of the stream's module sequence, in requests.
@@ -177,13 +198,53 @@ struct Detection<'s> {
     found: Option<Recurrence>,
 }
 
+/// The minimal period of the stream's module sequence if it is at most
+/// `n / 3`, else `None`; `scratch.seq` then starts with one period's
+/// modules. A known true period `known` bounds the KMP scan to the
+/// first `2 · known` requests, or skips it when `known > n / 3` (see
+/// the module docs).
+fn detectable_period<F>(
+    n: usize,
+    known: Option<u64>,
+    request: &F,
+    scratch: &mut PeriodicScratch,
+) -> Option<usize>
+where
+    F: Fn(usize) -> (u64, Addr, ModuleId),
+{
+    let cap = n / 3;
+    let len = match known {
+        None => n,
+        Some(known) => {
+            2 * usize::try_from(known)
+                .ok()
+                .filter(|p| (1..=cap).contains(p))?
+        }
+    };
+    let p = minimal_period(
+        len,
+        request,
+        &mut scratch.seq,
+        &mut scratch.fail,
+        cap as u64,
+    );
+    let p = usize::try_from(p).ok().filter(|&p| p <= cap)?;
+    debug_assert!(
+        known.is_none() || (p..n).all(|k| request(k).2 == request(k - p).2),
+        "an attached period {known:?} that is not a period of the stream"
+    );
+    Some(p)
+}
+
 impl<'s> Detection<'s> {
-    /// Sets up detection for a single-port stream, or `None` when the
+    /// Sets up detection for a single-port stream whose module sequence
+    /// has the true period `known`, if one is known; `None` when the
     /// stream has no usable recurrence: detection needs at least three
     /// whole periods.
-    fn new<F>(
+    pub(crate) fn new<F>(
         cfg: &MemConfig,
         n: usize,
+        known: Option<u64>,
         request: &F,
         scratch: &'s mut PeriodicScratch,
     ) -> Option<Self>
@@ -193,14 +254,7 @@ impl<'s> Detection<'s> {
         if n < 4 {
             return None;
         }
-        let p = minimal_period(
-            n,
-            request,
-            &mut scratch.seq,
-            &mut scratch.fail,
-            n as u64 / 3,
-        );
-        let p = usize::try_from(p).ok().filter(|&p| 3 * p <= n)?;
+        let p = detectable_period(n, known, request, scratch)?;
         scratch.modules.clear();
         scratch
             .modules
@@ -227,18 +281,16 @@ impl<'s> Detection<'s> {
     /// Logs solved request `j` and, at a boundary, compares the
     /// solver's signature with the recent ones. Returns `false` to stop
     /// the pass on a recurrence.
-    fn visit(&mut self, j: usize, sum: &Solved, solver: &Solver) -> bool {
+    pub(crate) fn visit(&mut self, j: usize, sum: &Solved, solver: &Solver) -> bool {
         let Some(boundary) = self.next_boundary else {
             return true;
         };
         let s = &mut *self.scratch;
-        let timing = &sum.timing;
-        s.log
-            .push((timing.grant, timing.stalls, timing.start > timing.issue));
+        s.log.push(sum.timing);
         if j + 1 < boundary {
             return true;
         }
-        let at = timing.issue + 1;
+        let at = sum.timing.issue + 1;
         solver.signature(&s.modules, at, self.t, &mut s.sig);
         if let Some(prev) = s.boundaries.iter().rev().find(|b| b.sig == s.sig) {
             self.found = Some(Recurrence {
@@ -261,15 +313,24 @@ impl<'s> Detection<'s> {
         true
     }
 
+    /// The request from which the rest of the stream is copied, once a
+    /// recurrence is found.
+    #[cfg(test)]
+    pub(crate) fn matched_at(&self) -> Option<usize> {
+        self.found.map(|found| found.to)
+    }
+
     /// Completes a run whose pass stopped on a recurrence, with totals
     /// `sum`: every later request copies its counterpart in the logged
     /// window, shifted by `dt` per window. Only the arrivals are written
-    /// per request; stall cycles, conflicts, busy time and latency are
+    /// per request, and `each` sees each copied request's shifted
+    /// timing; stall cycles, conflicts, busy time and latency are
     /// charged per window entry, times the copies it gets. Does nothing
     /// when no recurrence was found.
-    fn replay<F>(&self, sum: &Solved, n: usize, request: &F, out: &mut AccessStats)
+    fn replay<F, E>(&self, sum: &Solved, n: usize, request: &F, out: &mut AccessStats, each: &mut E)
     where
         F: Fn(usize) -> (u64, Addr, ModuleId),
+        E: FnMut(usize, &Timing),
     {
         let Some(Recurrence { from, to, dt }) = self.found else {
             return;
@@ -280,11 +341,11 @@ impl<'s> Detection<'s> {
         let mut last = 0;
         out.stall_cycles = sum.stall_cycles;
         out.conflicts = sum.conflicts;
-        for (i, &(grant, stalls, late)) in window.iter().enumerate() {
+        for (i, timing) in window.iter().enumerate() {
             let copies = (whole + usize::from(i < part)) as u64;
-            last = last.max(grant + copies * dt);
-            out.stall_cycles += copies * stalls;
-            out.conflicts += copies * u64::from(late);
+            last = last.max(timing.grant + copies * dt);
+            out.stall_cycles += copies * timing.stalls;
+            out.conflicts += copies * u64::from(timing.start > timing.issue);
             // The solver checked this request's module against the memory.
             let m = request(from + i).2.get() as usize;
             out.module_busy[m] += copies * self.t;
@@ -294,7 +355,9 @@ impl<'s> Detection<'s> {
         let (mut entry, mut shift) = (0, dt);
         for j in to..n {
             let (element, _, _) = request(j);
-            deliver(&mut out.arrival[element as usize], window[entry].0 + shift);
+            let timing = window[entry].shifted(shift);
+            deliver(&mut out.arrival[element as usize], timing.grant);
+            each(j, &timing);
             entry += 1;
             if entry == window.len() {
                 (entry, shift) = (0, shift + dt);
@@ -305,31 +368,48 @@ impl<'s> Detection<'s> {
 
 impl MemorySystem {
     /// The periodic steady-state fast-forward engine: the request-order
-    /// solver with the recurrence detector (see the module docs).
-    /// Multi-port runs step the cycle oracle. Statistics
-    /// land in `out`, reusing its buffers.
+    /// solver with the recurrence detector (see the module docs), given
+    /// a true period `known` of the module sequence when one is known.
+    /// Multi-port runs step the cycle oracle. Statistics land in `out`,
+    /// reusing its buffers, and `each` sees every request's timing,
+    /// solved or copied, in request order.
     ///
     /// # Panics
     ///
     /// Same conditions as [`run_plan`](Self::run_plan).
-    pub(crate) fn run_periodic<F>(&mut self, n: usize, request: &F, out: &mut AccessStats)
-    where
+    pub(crate) fn run_periodic<F, E>(
+        &mut self,
+        n: usize,
+        known: Option<u64>,
+        request: &F,
+        out: &mut AccessStats,
+        mut each: E,
+    ) where
         F: Fn(usize) -> (u64, Addr, ModuleId),
+        E: FnMut(usize, &Timing),
     {
         if self.cfg.ports() != 1 {
             // Multi-port runs have no request-order solution.
-            return self.run_cycle(&[n], request, out);
+            self.run_cycle(&[n], request, out);
+            for (j, timing) in self.timings.iter().enumerate() {
+                each(j, timing);
+            }
+            return;
         }
         let mut scratch = std::mem::take(&mut self.periodic);
-        match Detection::new(&self.cfg, n, request, &mut scratch) {
+        match Detection::new(&self.cfg, n, known, request, &mut scratch) {
             None => {
-                self.solve(n, request, out, |_, _, _| true);
+                self.solve(n, request, out, |j, sum, _| {
+                    each(j, &sum.timing);
+                    true
+                });
             }
             Some(mut detection) => {
                 let sum = self.solve(n, request, out, |j, sum, solver| {
+                    each(j, &sum.timing);
                     detection.visit(j, sum, solver)
                 });
-                detection.replay(&sum, n, request, out);
+                detection.replay(&sum, n, request, out, &mut each);
             }
         }
         self.periodic = scratch;
@@ -346,10 +426,11 @@ mod tests {
     }
 
     /// The detector on the two long conflicted plans the `periodic`
-    /// bench times: detection starts, a recurrence is found, and at
+    /// bench times, once with the plan's attached period and once
+    /// scanning for it: detection starts, a recurrence is found, and at
     /// least 90% of the requests are copied rather than solved. A
-    /// detector that never starts or never matches fails here, where a
-    /// timing ratio on a noisy machine might not.
+    /// detector that never starts or never matches, on either path,
+    /// fails here, where a timing ratio on a noisy machine might not.
     #[test]
     fn detection_copies_most_of_long_conflicted_plans() {
         use cfva_core::mapping::{Interleaved, XorMatched};
@@ -372,26 +453,28 @@ mod tests {
         ];
         for (planner, cfg, vec) in cases {
             let plan = planner.plan(&vec, Strategy::Canonical).unwrap();
+            assert!(plan.period().is_some(), "{vec:?} carries its period");
             let entries = plan.entries();
             let request = |k: usize| {
                 let e = &entries[k];
                 (e.element(), e.addr(), e.module())
             };
             let n = entries.len();
-            let mut scratch = PeriodicScratch::default();
-            let mut detection =
-                Detection::new(&cfg, n, &request, &mut scratch).expect("detection starts");
-            let mut out = AccessStats::default();
-            MemorySystem::new(cfg).solve(n, &request, &mut out, |j, sum, solver| {
-                detection.visit(j, sum, solver)
-            });
-            let found = detection.found.expect("a recurrence is found");
-            let copied = n - found.to;
-            assert!(
-                10 * copied >= 9 * n,
-                "{vec:?}: matched at request {}, only {copied} of {n} copied",
-                found.to
-            );
+            for known in [None, plan.period()] {
+                let mut scratch = PeriodicScratch::default();
+                let mut detection = Detection::new(&cfg, n, known, &request, &mut scratch)
+                    .expect("detection starts");
+                let mut out = AccessStats::default();
+                MemorySystem::new(cfg).solve(n, &request, &mut out, |j, sum, solver| {
+                    detection.visit(j, sum, solver)
+                });
+                let to = detection.matched_at().expect("a recurrence is found");
+                let copied = n - to;
+                assert!(
+                    10 * copied >= 9 * n,
+                    "{vec:?}, period {known:?}: matched at request {to}, only {copied} of {n} copied"
+                );
+            }
         }
     }
 

@@ -31,8 +31,9 @@
 //! engines other than [`Engine::Cycle`](crate::Engine::Cycle):
 //! [`Engine::Periodic`](crate::Engine::Periodic) (with its recurrence
 //! detector reading [`Solver::signature`]), the `FastPath → Periodic`
-//! chain, the analytic estimator's probes and direct runs, and every
-//! single-port static multi-stream co-run. `Engine::Cycle` runs,
+//! chain (which also carries every single-port static multi-stream
+//! co-run), and the analytic estimator's probes and direct runs.
+//! `Engine::Cycle` runs,
 //! multi-port runs and work-conserving co-runs step the cycle oracle.
 
 use cfva_core::{Addr, ModuleId};

@@ -30,6 +30,19 @@ pub struct Timing {
     pub stalls: u64,
 }
 
+impl Timing {
+    /// The same timing, `dt` cycles later.
+    pub(crate) fn shifted(&self, dt: u64) -> Timing {
+        Timing {
+            issue: self.issue + dt,
+            start: self.start + dt,
+            done: self.done + dt,
+            grant: self.grant + dt,
+            stalls: self.stalls,
+        }
+    }
+}
+
 /// The simulated memory system of the paper's Figure 2: a module array
 /// behind a single one-cycle return bus, driven by a processor that
 /// issues one request per cycle.
@@ -144,6 +157,7 @@ impl MemorySystem {
         let entries = plan.entries();
         self.run_core(
             entries.len(),
+            plan.period(),
             |k| {
                 let e = &entries[k];
                 (e.element(), e.addr(), e.module())
@@ -163,7 +177,7 @@ impl MemorySystem {
     #[must_use = "the returned AccessStats are the simulation's only output; dropping them wastes the run"]
     pub fn run_requests(&mut self, requests: &[(u64, Addr, ModuleId)]) -> AccessStats {
         let mut stats = AccessStats::default();
-        self.run_core(requests.len(), |k| requests[k], &mut stats);
+        self.run_core(requests.len(), None, |k| requests[k], &mut stats);
         stats
     }
 
@@ -228,14 +242,18 @@ impl MemorySystem {
     }
 
     /// Engine dispatch. `request(k)` yields the `k`-th request of the
-    /// stream; statistics are written into `out`, reusing its buffers.
-    fn run_core<F>(&mut self, n: usize, request: F, out: &mut AccessStats)
+    /// stream, and `period` is a true period of its module sequence
+    /// when one is known (an in-order plan's `P_x`); statistics are
+    /// written into `out`, reusing its buffers.
+    fn run_core<F>(&mut self, n: usize, period: Option<u64>, request: F, out: &mut AccessStats)
     where
         F: Fn(usize) -> (u64, Addr, ModuleId),
     {
         match self.cfg.engine() {
             Engine::Cycle => self.run_cycle(&[n], &request, out),
-            Engine::Periodic => self.run_periodic(n, &request, out),
+            Engine::Periodic => {
+                self.run_periodic(n, period, &request, out, |_, _| {});
+            }
             Engine::FastPath => {
                 if self.cfg.ports() == 1 && n > 0 && self.try_fast_path(n, &request, out) {
                     return;
@@ -245,13 +263,13 @@ impl MemorySystem {
                 // is solved in request order, and a long one is copied
                 // forward once its state recurs; a multi-port one steps
                 // the oracle. This is the FastPath → Periodic chain.
-                self.run_periodic(n, &request, out)
+                self.run_periodic(n, period, &request, out, |_, _| {});
             }
             Engine::Analytic => {
                 // Estimator semantics: aggregates only; per-element and
                 // per-module vectors stay empty on the extrapolated
                 // path (see `analytic.rs`).
-                self.run_analytic(n, &request, out);
+                self.run_analytic(n, period, &request, out);
             }
         }
     }

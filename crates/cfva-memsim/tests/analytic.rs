@@ -7,7 +7,7 @@
 //! short and multi-port direct paths must be bit-identical
 //! (per-element vectors included).
 
-use cfva_core::mapping::{Interleaved, Registry, XorMatched};
+use cfva_core::mapping::{Interleaved, MapSpec, Registry, XorMatched};
 use cfva_core::plan::{AccessPlan, Planner, Strategy};
 use cfva_core::{Addr, ModuleId, Stride, VectorSpec};
 use cfva_memsim::{AccessStats, Engine, MemConfig, MemorySystem};
@@ -251,4 +251,39 @@ fn probe_path_clears_reused_buffers() {
     assert!(out.arrival.is_empty(), "probe path clears stale arrivals");
     assert!(out.module_busy.is_empty(), "probe path clears busy vector");
     assert_eq!(out.elements, 8192);
+}
+
+/// A plan's attached period only shortens the period scan: each plan's
+/// estimate equals that of the same requests run with no period, also
+/// where the attached period is loose. Region vectors that cross into
+/// the override carry the map's family-wide bound, far above the
+/// minimal period that makes some of them extrapolate.
+#[test]
+fn attached_periods_leave_estimates_unchanged() {
+    let spec: MapSpec = "region:t=3,bits=10,s=3,regions=1:6".parse().unwrap();
+    let planner = Planner::from_spec(&spec).unwrap();
+    let cfg = MemConfig::from_spec(&spec).unwrap();
+    let mut sys = MemorySystem::new(cfg.with_engine(Engine::Analytic));
+    let mut loose_extrapolated = 0;
+    for x in 0..=10u32 {
+        for base in [0u64, 1000, 1024] {
+            for len in [1024u64, 3000] {
+                let stride = Stride::from_parts(1, x).expect("odd sigma");
+                let vec = VectorSpec::with_stride(base.into(), stride, len).expect("valid");
+                let plan = planner.plan(&vec, Strategy::Canonical).unwrap();
+                let requests: Vec<(u64, Addr, ModuleId)> = plan
+                    .entries()
+                    .iter()
+                    .map(|e| (e.element(), e.addr(), e.module()))
+                    .collect();
+                let with = sys.run_plan(&plan);
+                assert_eq!(with, sys.run_requests(&requests), "{vec}");
+                let loose = plan.period().is_some_and(|p| p > len / 3);
+                if loose && with.arrival.is_empty() {
+                    loose_extrapolated += 1;
+                }
+            }
+        }
+    }
+    assert!(loose_extrapolated > 0, "no loose-period plan extrapolated");
 }

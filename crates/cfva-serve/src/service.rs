@@ -906,9 +906,52 @@ impl Service {
     }
 }
 
+/// The most elements one request may ask the service to plan and
+/// simulate, summed over everything it runs. It bounds a request's
+/// work and memory: without it one short frame could ask for a 2^40
+/// element plan and abort the process on allocation failure, which
+/// the pool's panic supervision cannot catch. Every workload the
+/// workspace runs fits with room to spare (the largest, a 2^18
+/// element sweep over 13 families, asks for 3.4M).
+const MAX_REQUEST_ELEMENTS: u64 = 1 << 23;
+
+/// The elements `request` asks for, in O(1) per request item:
+/// Σ `len` over a measure, batch or co-run, `(max_x + 1)·len` for a
+/// sweep, and `samples·len` or `(max_x + 1)·per_family·len` for an
+/// estimate. Saturates instead of overflowing.
+fn request_elements(request: &Request) -> u64 {
+    match request {
+        Request::Measure { vec, .. } => vec.len(),
+        Request::MeasureBatch { accesses, .. } => accesses
+            .iter()
+            .map(|(vec, _)| vec.len())
+            .fold(0, u64::saturating_add),
+        Request::MultiStream { streams, .. } => streams
+            .iter()
+            .map(VectorSpec::len)
+            .fold(0, u64::saturating_add),
+        Request::FamilySweep { len, max_x, .. } => (u64::from(*max_x) + 1).saturating_mul(*len),
+        Request::Efficiency { len, estimator, .. } => match estimator {
+            Estimator::MonteCarlo { samples, .. } => u64::from(*samples).saturating_mul(*len),
+            Estimator::Stratified { max_x, per_family } => (u64::from(*max_x) + 1)
+                .saturating_mul(u64::from(*per_family))
+                .saturating_mul(*len),
+        },
+    }
+}
+
 /// Submit-side parameter validation: everything that can be rejected
-/// without a session is rejected before queueing.
+/// without a session is rejected before queueing, starting with the
+/// element budget.
 fn validate(request: &Request) -> Result<(), ServeError> {
+    let elements = request_elements(request);
+    if elements > MAX_REQUEST_ELEMENTS {
+        return Err(ServeError::Request(cfva_core::ConfigError::OutOfRange {
+            what: "request elements",
+            value: elements,
+            constraint: "at most 2^23 elements per request",
+        }));
+    }
     match request {
         Request::Measure { .. } | Request::MeasureBatch { .. } => Ok(()),
         Request::MultiStream { schedule, .. } => match schedule {

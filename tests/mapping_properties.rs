@@ -10,7 +10,8 @@ use cfva::core::dist::empirical_period;
 use cfva::core::mapping::{
     Interleaved, Linear, MapSpec, ModuleMap, Registry, Skewed, XorMatched, XorUnmatched,
 };
-use cfva::core::{Addr, Stride, VectorSpec};
+use cfva::core::plan::{AccessPlan, Planner, Strategy as PlanStrategy};
+use cfva::core::{Addr, ModuleId, Stride, VectorSpec};
 use proptest::prelude::*;
 
 fn assert_balanced_block<M: ModuleMap>(map: &M, block: u64) {
@@ -240,5 +241,103 @@ proptest! {
             let set: std::collections::BTreeSet<&u64> = w.iter().collect();
             prop_assert_eq!(set.len(), 8);
         }
+    }
+}
+
+/// The smallest `q ≥ 1` with `seq[k] == seq[k + q]` for every valid `k`.
+fn minimal_period(seq: &[ModuleId]) -> usize {
+    (1..=seq.len())
+        .find(|&q| (0..seq.len() - q).all(|k| seq[k] == seq[k + q]))
+        .unwrap_or(1)
+}
+
+/// Checks the period `plan` carries, if any: a true period of its module
+/// sequence in request order, and — once two periods fit — divisible by
+/// the minimal period of the first `2P` requests (Fine–Wilf: the scan
+/// the simulator runs over that prefix finds a period of the whole
+/// stream). A concatenation carries none.
+fn check_attached_period(plan: &AccessPlan, label: &str) {
+    assert_eq!(AccessPlan::concat([plan]).period(), None, "{label}: concat");
+    let Some(p) = plan.period() else {
+        return;
+    };
+    let seq = plan.module_sequence();
+    if p >= seq.len() as u64 {
+        return; // holds vacuously
+    }
+    let p = p as usize;
+    for k in 0..seq.len() - p {
+        assert_eq!(
+            seq[k],
+            seq[k + p],
+            "{label}: period {p} breaks at request {k}"
+        );
+    }
+    if 2 * p <= seq.len() {
+        let q = minimal_period(&seq[..2 * p]);
+        assert_eq!(
+            p % q,
+            0,
+            "{label}: minimal prefix period {q} does not divide {p}"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Every registered map × {canonical, conflict free where it plans,
+    /// auto}, with sampled strides (ascending and descending), bases
+    /// and lengths: the period the planner attaches is a true period of
+    /// the plan's module sequence. Bases below 4096 put the region
+    /// map's short vectors inside its default regions, inside its
+    /// override, and across the two.
+    #[test]
+    fn attached_plan_period_is_a_true_period(
+        kind in 0usize..registry_specs().len(),
+        x in 0u32..=8,
+        sigma in prop::sample::select(vec![1i64, 3, 5, 7, 9, -1, -3]),
+        base in 0u64..4096,
+        len in 1u64..=400,
+        strategy in prop::sample::select(vec![
+            PlanStrategy::Canonical,
+            PlanStrategy::ConflictFree,
+            PlanStrategy::Auto,
+        ]),
+    ) {
+        let spec = &registry_specs()[kind];
+        let planner = Planner::from_spec(spec).expect("coverage specs are buildable");
+        let stride = Stride::from_parts(sigma, x).expect("odd sigma");
+        // A descending walk starts high enough to stay addressable.
+        let base = base + if sigma < 0 { stride.magnitude() * (len - 1) } else { 0 };
+        let vec = VectorSpec::with_stride(base.into(), stride, len).expect("valid");
+        if let Ok(plan) = planner.plan(&vec, strategy) {
+            check_attached_period(&plan, &format!("{spec} {vec} {strategy}"));
+        }
+    }
+}
+
+/// The region map's per-vector period: a vector that stays under one
+/// governing map — a default region, or the override — gets that map's
+/// `P_x`, far below the family-wide bound of an overridden map, and
+/// it is a true period; one that crosses into the override keeps the
+/// loose bound.
+#[test]
+fn region_plans_carry_the_governing_period() {
+    let spec: MapSpec = "region:t=3,bits=10,s=3,regions=1:6".parse().unwrap();
+    let planner = Planner::from_spec(&spec).unwrap();
+    let map = planner.map();
+    for (base, stride, len, tight) in [
+        (0u64, 4i64, 200u64, Some(16)), // region 0, s = 3: P_2 = 2^{3+3-2}
+        (1024, 4, 250, Some(128)),      // region 1, the override s = 6
+        (1000, 4, 20, None),            // crosses from region 0 into region 1
+        (1030, -4, 20, None),           // descends from region 1 into region 0
+        (2048, 4, 200, Some(16)),       // region 2, default again
+    ] {
+        let vec = VectorSpec::new(base, stride, len).unwrap();
+        let plan = planner.plan(&vec, PlanStrategy::Canonical).unwrap();
+        let expect = tight.unwrap_or_else(|| map.period(vec.family()));
+        assert_eq!(plan.period(), Some(expect), "{vec}");
+        check_attached_period(&plan, &format!("{vec}"));
     }
 }
