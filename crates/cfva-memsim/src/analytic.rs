@@ -45,6 +45,7 @@ use cfva_core::plan::AccessPlan;
 use cfva_core::{Addr, ModuleId};
 
 use crate::periodic::minimal_period;
+use crate::solver::Solved;
 use crate::stats::AccessStats;
 use crate::system::MemorySystem;
 
@@ -106,16 +107,6 @@ impl AnalyticEstimate {
             exact: true,
         }
     }
-}
-
-/// The `(latency, stall_cycles, conflicts, max_in_q)` aggregates of one
-/// probe run.
-#[derive(Debug, Clone, Copy)]
-struct Probe {
-    latency: u64,
-    stalls: u64,
-    conflicts: u64,
-    max_in_q: usize,
 }
 
 impl MemorySystem {
@@ -203,12 +194,9 @@ impl MemorySystem {
             let (_, addr, module) = request(k);
             (k as u64, addr, module)
         };
-        let mut probes = [Probe {
-            latency: 0,
-            stalls: 0,
-            conflicts: 0,
-            max_in_q: 0,
-        }; PROBES];
+        // Each probe's aggregates are the solver's totals through its
+        // last request.
+        let mut probes = [Solved::default(); PROBES];
         let mut next = 0;
         let mut scratch = AccessStats::default();
         self.solve(
@@ -221,12 +209,7 @@ impl MemorySystem {
                 };
                 // Probe `next` ends at request `r + (c1 + next)·p - 1`.
                 if (k + 1) as u64 == r + (c1 + next as u64) * p {
-                    *probe = Probe {
-                        latency: sum.latency,
-                        stalls: sum.stall_cycles,
-                        conflicts: sum.conflicts,
-                        max_in_q: sum.max_in_q,
-                    };
+                    *probe = *sum;
                     next += 1;
                 }
                 true
@@ -262,9 +245,14 @@ impl MemorySystem {
 /// stalls and conflicts, the stream is in steady state with that beat
 /// and the aggregates at `k_n` periods follow in closed form from the
 /// largest probe congruent to `k_n` modulo the span.
-fn extrapolate(probes: &[Probe; PROBES], c1: u64, span: u64, k_n: u64) -> Option<AnalyticEstimate> {
+fn extrapolate(
+    probes: &[Solved; PROBES],
+    c1: u64,
+    span: u64,
+    k_n: u64,
+) -> Option<AnalyticEstimate> {
     let s = span as usize;
-    let delta = |f: fn(&Probe) -> u64| {
+    let delta = |f: fn(&Solved) -> u64| {
         let d = f(&probes[s]) - f(&probes[0]);
         probes
             .windows(s + 1)
@@ -273,7 +261,7 @@ fn extrapolate(probes: &[Probe; PROBES], c1: u64, span: u64, k_n: u64) -> Option
     };
     let (d_lat, d_stall, d_conf) = (
         delta(|p| p.latency)?,
-        delta(|p| p.stalls)?,
+        delta(|p| p.stall_cycles)?,
         delta(|p| p.conflicts)?,
     );
     // The largest probe index congruent to k_n (mod span); PROBES (7)
@@ -288,7 +276,7 @@ fn extrapolate(probes: &[Probe; PROBES], c1: u64, span: u64, k_n: u64) -> Option
     Some(AnalyticEstimate {
         latency: base.latency + steps * d_lat,
         elements: 0, // caller fills
-        stall_cycles: base.stalls + steps * d_stall,
+        stall_cycles: base.stall_cycles + steps * d_stall,
         conflicts: base.conflicts + steps * d_conf,
         max_in_q: base.max_in_q,
         period: 0, // caller fills
@@ -298,9 +286,9 @@ fn extrapolate(probes: &[Probe; PROBES], c1: u64, span: u64, k_n: u64) -> Option
 
 /// Linear-fit fallback when no span settles: per-period rates from the
 /// probe endpoints, rounded to nearest — explicitly approximate.
-fn approximate(probes: &[Probe; PROBES], c1: u64, k_n: u64) -> AnalyticEstimate {
+fn approximate(probes: &[Solved; PROBES], c1: u64, k_n: u64) -> AnalyticEstimate {
     let first = &probes[0];
-    // cfva-lint: allow(L002, reason = "probes is a fixed [Probe; PROBES] array, so PROBES - 1 is its last valid index")
+    // cfva-lint: allow(L002, reason = "probes is a fixed [Solved; PROBES] array, so PROBES - 1 is its last valid index")
     let last = &probes[PROBES - 1];
     let dc = (PROBES - 1) as u64;
     let c_last = c1 + dc;
@@ -311,7 +299,7 @@ fn approximate(probes: &[Probe; PROBES], c1: u64, k_n: u64) -> AnalyticEstimate 
     AnalyticEstimate {
         latency: fit(first.latency, last.latency),
         elements: 0, // caller fills
-        stall_cycles: fit(first.stalls, last.stalls),
+        stall_cycles: fit(first.stall_cycles, last.stall_cycles),
         conflicts: fit(first.conflicts, last.conflicts),
         max_in_q: probes.iter().map(|p| p.max_in_q).max().unwrap_or(0),
         period: 0, // caller fills

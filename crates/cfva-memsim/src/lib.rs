@@ -18,31 +18,17 @@
 //! paper); the integration tests assert this across the whole Theorem 1
 //! and Theorem 3 windows.
 //!
-//! Three interchangeable [`Engine`]s execute a request stream with
-//! bit-identical results: the per-cycle loop (the oracle, default),
-//! the periodic steady-state fast-forward engine of
-//! [`Engine::Periodic`] (a single-port stream is solved in one pass in
-//! request order instead of simulated, and once the solver's state
-//! recurs at a period boundary the rest of a long stream is copied from
-//! the logged window, shifted in time), and the verified conflict-free
-//! fast path of [`Engine::FastPath`] (which falls back to `Periodic`).
-//! The recurrence detector needs the stream's minimal period. An
-//! in-order plan carries the paper's `P_x`
-//! ([`AccessPlan::period`](cfva_core::plan::AccessPlan::period)), which
-//! limits the period scan to the first `2·P_x` requests, or skips it
-//! when fewer than three periods fit; other streams are scanned. Static
-//! single-port co-runs of [`multi`] go through the same pass.
-//! Multi-port runs of every engine step the oracle, and so do the
-//! work-conserving co-runs of [`multi`]: the oracle's one cycle loop
-//! issues by a work-conserving rotation over in-order streams, of which
-//! a plain run is the one-stream case. [`MemorySystem::run_timed`]
-//! returns the oracle's per-request [`Timing`]s. A fourth,
-//! [`Engine::Analytic`], trades the per-element
-//! vectors for closed-form **aggregate** estimates derived from a
-//! handful of short probe prefixes, solved in one pass, reporting via
-//! [`AnalyticEstimate::exact`] whether the estimate provably equals a
-//! full simulation. See the `Engine` docs and the equivalence suites
-//! under `tests/`.
+//! [`Engine`] selects how a request stream runs, and its docs tabulate
+//! the costs. Every engine's statistics are bit-identical to the
+//! per-cycle oracle's ([`Engine::Cycle`], the default), and
+//! [`Engine::Analytic`] estimates the aggregates only. Single-port runs
+//! of the others go through the request-order solver, one pass in issue
+//! order, which stops once its state recurs at a boundary of the
+//! stream's period (an in-order plan carries the paper's `P_x`,
+//! [`AccessPlan::period`](cfva_core::plan::AccessPlan::period)) and
+//! copies the rest. Multi-port runs and the work-conserving co-runs of
+//! [`multi`] step the oracle; [`MemorySystem::run_timed`] returns its
+//! per-request [`Timing`]s.
 //!
 //! ## Example
 //!

@@ -32,28 +32,17 @@
 //! Every policy runs as streams that each issue in order. The static
 //! policies (`RoundRobin`, `Priority`) merge the plans into one request
 //! stream; [`IssuePolicy::WorkConserving`] keeps one stream per plan,
-//! since its issue order depends on live module state.
-//!
-//! * The cycle oracle runs [`Engine::Cycle`] (the default config), every
-//!   multi-port memory and every work-conserving co-run. Its issue
-//!   phase is the work-conserving rotation over the streams, and with
-//!   one merged stream that is plain in-order issue. It runs at
-//!   `O(cycles × occupied modules)`; nothing in the workspace co-runs
-//!   on a multi-port memory.
-//! * Any other engine on a single-port memory sends the merged stream
-//!   of a static policy through the periodic pass (`periodic.rs`): the
-//!   request-order solver (`solver.rs`) with the recurrence detector,
-//!   so a long co-run is solved only until its state recurs and the
-//!   rest is copied. A round-robin merge of `k` equal-length plans
-//!   that each carry a period `P_i` carries `k·lcm(P_i)`, which bounds
-//!   the detector's period scan; any other merge is scanned.
-//!
-//! Each request's [`Timing`] (issue cycle, service start, stall cycles
-//! charged, bus grant) goes to one de-multiplexer that accumulates the
-//! per-stream statistics: read off the oracle's records, or handed over
-//! by the periodic pass request by request, solved and copied alike.
-//! `tests` prove `run_multi` bit-identical across the paths for every
-//! registered map.
+//! since its issue order depends on live module state. The cycle
+//! oracle runs [`Engine::Cycle`] (the default config), every multi-port
+//! memory and every work-conserving co-run, at `O(cycles × occupied
+//! modules)`. Any other engine sends a static policy's merged stream on
+//! one port through the periodic pass (`periodic.rs`), solved until its
+//! state recurs and copied after: a round-robin merge of `k`
+//! equal-length plans with periods `P_i` carries `k·lcm(P_i)`, and any
+//! other merge is scanned for its period. Either way each request's
+//! [`Timing`] goes to one de-multiplexer that accumulates the
+//! per-stream statistics; `tests` prove `run_multi` bit-identical
+//! across the paths for every registered map.
 //!
 //! ## Errors
 //!
@@ -221,7 +210,7 @@ pub fn run_multi(
     let mut combined = AccessStats::default();
     let mut demux = Demux::new(plans, &merged);
     let work_conserving = policy == IssuePolicy::WorkConserving;
-    if work_conserving || cfg.engine() == Engine::Cycle {
+    if work_conserving || cfg.engine() == Engine::Cycle || cfg.ports() != 1 {
         // Work-conserving issue rotates over one stream per plan; a
         // static policy's merged stream is a single stream.
         let ends: Vec<usize> = if work_conserving {
@@ -240,8 +229,7 @@ pub fn run_multi(
             demux.record(k, timing);
         }
     } else {
-        // The periodic pass: solved, and copied past a recurrence, on
-        // one port; stepped on the oracle on several.
+        // The periodic pass: solved, and copied past a recurrence.
         let period = merged_period(plans, policy);
         sim.run_periodic(n, period, &request, &mut combined, |k, t| {
             demux.record(k, t)

@@ -21,41 +21,42 @@
 //! recurs — boundary `B` equals boundary `B'`, `Δt` cycles later —
 //! request `j ≥ B` is request `j − i·(B − B')` of the window `[B', B)`,
 //! `i·Δt` cycles later, for the `i ≥ 1` that lands it there. The pass
-//! stops, and the rest of the stream is copied from the log:
+//! stops, and the rest of the stream is copied from the log, with
+//! nothing simulated past the recurrence:
 //!
-//! * per-element arrivals — each logged grant, shifted, written once
-//!   per later request;
+//! * arrivals — the window, repeated in the log to a block of at least
+//!   64 requests, one `Δt` per repeat, is written a block at a time:
+//!   one grant load and one arrival write per copied request;
 //! * stall cycles, conflicts, per-module busy time and latency — per
 //!   window entry, times the number of copies it gets, in closed form.
 //!
-//! Nothing is simulated past the recurrence. Stats are bit-identical to
-//! the cycle engine — asserted across every registered `ModuleMap` by
-//! `tests/periodic_engine.rs` and the engine-agreement property suite.
-//! A repeated element id (outside the input contract) keeps its last
-//! delivery, copied or solved, as in the oracle.
+//! A caller that reads per-request timings (the co-run de-multiplexer)
+//! gets every one, solved or copied, through its `each` callback; the
+//! arrival copy builds none, so a no-op `each` costs nothing. Stats and
+//! timings are bit-identical to the cycle oracle's — asserted across
+//! every registered `ModuleMap` by `tests/periodic_engine.rs`, the
+//! engine-agreement property suite and the unit test
+//! `every_request_timing_matches_the_oracle`. A repeated element id
+//! (outside the input contract) keeps its last delivery, copied or
+//! solved, as in the oracle.
 //!
 //! ## The minimal period
 //!
-//! The paper gives the period in closed form, so the planner attaches
-//! `P_x` to every in-order plan
+//! The planner attaches the paper's `P_x` to every in-order plan
 //! ([`AccessPlan::period`](cfva_core::plan::AccessPlan::period)), and a
 //! round-robin co-run of equal-length plans carries `k·lcm(P_i)`
 //! (`multi.rs`). With a known period `P` and `3P ≤ n`, the KMP scan
 //! (`minimal_period`) reads only the first `2P` requests: by Fine–Wilf
-//! their minimal period divides `P`, so it is a true period of the
-//! whole stream, and nothing past `2P` is read. A known `P > n/3`
-//! leaves fewer than three periods, so the stream is solved to the end
-//! unscanned. Streams without a known period — raw request streams,
-//! concatenations, out-of-order plans, other co-runs — are scanned
-//! until their period is found or known to exceed `n/3`.
+//! their minimal period divides `P` and holds for the whole stream. A
+//! known `P > n/3` leaves fewer than three periods: the stream is
+//! solved unscanned. Other streams are scanned until their period is
+//! found or known to exceed `n/3`.
 //!
 //! A stream with no recurrence to detect — shorter than three whole
 //! periods of its module sequence, which covers short and aperiodic
 //! vectors — or whose transient outlasts the detection budget is simply
-//! solved to the end. Every request's timing, solved or copied, goes
-//! to the caller's per-request callback, which is how co-runs account
-//! per stream. Multi-port runs step the cycle oracle, exactly as an
-//! [`Engine::Cycle`](crate::Engine::Cycle) run.
+//! solved to the end. Multi-port runs step the cycle oracle, exactly as
+//! an [`Engine::Cycle`](crate::Engine::Cycle) run.
 
 use std::collections::VecDeque;
 
@@ -80,7 +81,7 @@ pub(crate) struct PeriodicScratch {
     /// ever hold work, since the module sequence is periodic.
     modules: Vec<usize>,
     /// Per request while detection runs, by request index: its
-    /// timing.
+    /// timing; past a recurrence, the copy's block.
     log: Vec<Timing>,
     /// Recent boundaries, oldest first; a new signature is compared
     /// against all of them, so recurrences spanning several periods
@@ -101,6 +102,10 @@ struct Boundary {
 
 /// How many recent boundaries a new signature is compared against.
 const SIGNATURE_RING: usize = 4;
+
+/// The fewest requests the copy writes per block, so that a short
+/// window (one module: a period of one request) copies in long runs.
+const COPY_BLOCK: usize = 64;
 
 /// A detected recurrence: from request `to` on, the stream replays the
 /// window of requests `from..to`, `dt` cycles later per window.
@@ -322,12 +327,10 @@ impl<'s> Detection<'s> {
 
     /// Completes a run whose pass stopped on a recurrence, with totals
     /// `sum`: every later request copies its counterpart in the logged
-    /// window, shifted by `dt` per window. Only the arrivals are written
-    /// per request, and `each` sees each copied request's shifted
-    /// timing; stall cycles, conflicts, busy time and latency are
-    /// charged per window entry, times the copies it gets. Does nothing
-    /// when no recurrence was found.
-    fn replay<F, E>(&self, sum: &Solved, n: usize, request: &F, out: &mut AccessStats, each: &mut E)
+    /// window, shifted by `dt` per window (see the module docs), and
+    /// `each` sees its timing. Does nothing when no recurrence was
+    /// found.
+    fn replay<F, E>(self, sum: &Solved, n: usize, request: &F, out: &mut AccessStats, each: &mut E)
     where
         F: Fn(usize) -> (u64, Addr, ModuleId),
         E: FnMut(usize, &Timing),
@@ -335,7 +338,8 @@ impl<'s> Detection<'s> {
         let Some(Recurrence { from, to, dt }) = self.found else {
             return;
         };
-        let window = &self.scratch.log[from..to];
+        let log = &mut self.scratch.log;
+        let window = &log[from..to];
         let rest = n - to;
         let (whole, part) = (rest / window.len(), rest % window.len());
         let mut last = 0;
@@ -352,27 +356,37 @@ impl<'s> Detection<'s> {
         }
         out.latency = sum.latency.max(last + 2);
 
-        let (mut entry, mut shift) = (0, dt);
-        for j in to..n {
-            let (element, _, _) = request(j);
-            let timing = window[entry].shifted(shift);
-            deliver(&mut out.arrival[element as usize], timing.grant);
-            each(j, &timing);
-            entry += 1;
-            if entry == window.len() {
-                (entry, shift) = (0, shift + dt);
+        // Repeat the window at the end of the log (which ends at `to`)
+        // to a block, then copy blocks.
+        let repeats = COPY_BLOCK.div_ceil(to - from);
+        for k in from..from + (repeats - 1) * (to - from) {
+            let timing = log[k].shifted(dt);
+            log.push(timing);
+        }
+        let block = &log[from..];
+        let (mut first, mut shift) = (to, dt);
+        while first < n {
+            let len = block.len().min(n - first);
+            for (j, timing) in (first..).zip(&block[..len]) {
+                let (element, _, _) = request(j);
+                deliver(&mut out.arrival[element as usize], timing.grant + shift);
             }
+            for (j, timing) in (first..).zip(&block[..len]) {
+                each(j, &timing.shifted(shift));
+            }
+            first += len;
+            shift += repeats as u64 * dt;
         }
     }
 }
 
 impl MemorySystem {
-    /// The periodic steady-state fast-forward engine: the request-order
-    /// solver with the recurrence detector (see the module docs), given
-    /// a true period `known` of the module sequence when one is known.
-    /// Multi-port runs step the cycle oracle. Statistics land in `out`,
-    /// reusing its buffers, and `each` sees every request's timing,
-    /// solved or copied, in request order.
+    /// The periodic steady-state fast-forward engine on a single-port
+    /// stream: the request-order solver with the recurrence detector
+    /// (see the module docs), given a true period `known` of the module
+    /// sequence when one is known. Statistics land in `out`, reusing
+    /// its buffers, and `each` sees every request's timing, solved or
+    /// copied, in request order.
     ///
     /// # Panics
     ///
@@ -388,29 +402,16 @@ impl MemorySystem {
         F: Fn(usize) -> (u64, Addr, ModuleId),
         E: FnMut(usize, &Timing),
     {
-        if self.cfg.ports() != 1 {
-            // Multi-port runs have no request-order solution.
-            self.run_cycle(&[n], request, out);
-            for (j, timing) in self.timings.iter().enumerate() {
-                each(j, timing);
-            }
-            return;
-        }
         let mut scratch = std::mem::take(&mut self.periodic);
-        match Detection::new(&self.cfg, n, known, request, &mut scratch) {
-            None => {
-                self.solve(n, request, out, |j, sum, _| {
-                    each(j, &sum.timing);
-                    true
-                });
-            }
-            Some(mut detection) => {
-                let sum = self.solve(n, request, out, |j, sum, solver| {
-                    each(j, &sum.timing);
-                    detection.visit(j, sum, solver)
-                });
-                detection.replay(&sum, n, request, out, &mut each);
-            }
+        let mut detection = Detection::new(&self.cfg, n, known, request, &mut scratch);
+        let sum = self.solve(n, request, out, |j, sum, solver| {
+            each(j, &sum.timing);
+            detection
+                .as_mut()
+                .is_none_or(|detection| detection.visit(j, sum, solver))
+        });
+        if let Some(detection) = detection {
+            detection.replay(&sum, n, request, out, &mut each);
         }
         self.periodic = scratch;
     }
@@ -474,6 +475,97 @@ mod tests {
                     10 * copied >= 9 * n,
                     "{vec:?}, period {known:?}: matched at request {to}, only {copied} of {n} copied"
                 );
+            }
+        }
+    }
+
+    /// Every request's timing from the periodic pass, solved or copied,
+    /// is the one the cycle oracle records for it: the co-run
+    /// de-multiplexer charges each stream from these. Every registered
+    /// map, five queue shapes, three streams of random addresses mapped
+    /// onto the map's modules:
+    ///
+    /// * a long aperiodic stream, solved to the end;
+    /// * a short address pattern repeated, which recurs, so most of its
+    ///   timings are copied past the recurrence;
+    /// * a two-address pattern on a `T = 128` memory, whose grants run
+    ///   more than one 64-slot bitmap word ahead of the floor, so the
+    ///   bus bitmap has to widen.
+    #[test]
+    fn every_request_timing_matches_the_oracle() {
+        use cfva_core::mapping::Registry;
+
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut random = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for (spec, map) in Registry::builtin().all_maps() {
+            let bits = map.module_bits();
+            let base = MemConfig::from_spec(&spec).unwrap();
+            let stream = |addrs: Vec<u64>| -> Vec<(u64, Addr, ModuleId)> {
+                addrs
+                    .into_iter()
+                    .enumerate()
+                    .map(|(k, a)| (k as u64, Addr::new(a), map.module_of(Addr::new(a))))
+                    .collect()
+            };
+            let aperiodic = stream((0..3000).map(|_| random() % (1 << 20)).collect());
+            let pattern: Vec<u64> = (0..7).map(|_| random() % (1 << 20)).collect();
+            let recurring = stream((0..3000).map(|k| pattern[k % 7]).collect());
+            let pair = [random() % (1 << 20), random() % (1 << 20)];
+            let far = stream((0..600).map(|k| pair[usize::from(k % 3 == 0)]).collect());
+            for (q_in, q_out) in [(1, 1), (2, 1), (1, 2), (4, 2), (8, 8)] {
+                let cfg = base.with_queues(q_in, q_out).unwrap();
+                let slow = MemConfig::new(bits, 7)
+                    .unwrap()
+                    .with_queues(q_in, q_out)
+                    .unwrap();
+                for (name, cfg, requests) in [
+                    ("aperiodic", cfg, &aperiodic),
+                    ("recurring", cfg, &recurring),
+                    ("far", slow, &far),
+                ] {
+                    let case = format!("{spec} q = ({q_in}, {q_out}), {name}");
+                    let (stats, timings) = MemorySystem::new(cfg).run_timed(requests);
+                    let request = |k: usize| requests[k];
+                    let n = requests.len();
+                    let mut seen = Vec::with_capacity(n);
+                    let mut out = AccessStats::default();
+                    MemorySystem::new(cfg).run_periodic(
+                        n,
+                        None,
+                        &request,
+                        &mut out,
+                        |j, timing: &Timing| seen.push((j, *timing)),
+                    );
+                    assert_eq!(out, stats, "{case}: statistics");
+                    assert_eq!(seen.len(), n, "{case}: one timing per request");
+                    for (k, (j, timing)) in seen.into_iter().enumerate() {
+                        assert_eq!((j, timing), (k, timings[k]), "{case}: request {k}");
+                    }
+
+                    let mut scratch = PeriodicScratch::default();
+                    let copied = Detection::new(&cfg, n, None, &request, &mut scratch)
+                        .and_then(|mut detection| {
+                            MemorySystem::new(cfg).solve(n, &request, &mut out, |j, sum, s| {
+                                detection.visit(j, sum, s)
+                            });
+                            detection.matched_at()
+                        })
+                        .map_or(0, |to| n - to);
+                    let ahead = timings
+                        .iter()
+                        .map(|t| t.grant - (t.issue + cfg.t_cycles()))
+                        .max();
+                    match name {
+                        "aperiodic" => assert_eq!(copied, 0, "{case}: nothing recurs"),
+                        "recurring" => assert!(2 * copied > n, "{case}: {copied} copied"),
+                        _ => assert!(ahead > Some(64), "{case}: grants {ahead:?} ahead"),
+                    }
+                }
             }
         }
     }

@@ -27,43 +27,60 @@
 //!
 //! Each request's times are the [`Timing`](crate::Timing) the cycle
 //! oracle records for it, stalls charged to it included. The solver
-//! serves every single-port run that no cheaper path covers under the
-//! engines other than [`Engine::Cycle`](crate::Engine::Cycle):
-//! [`Engine::Periodic`](crate::Engine::Periodic) (with its recurrence
-//! detector reading [`Solver::signature`]), the `FastPath → Periodic`
-//! chain (which also carries every single-port static multi-stream
-//! co-run), and the analytic estimator's probes and direct runs.
-//! `Engine::Cycle` runs,
-//! multi-port runs and work-conserving co-runs step the cycle oracle.
+//! runs every single-port run of the engines other than
+//! [`Engine::Cycle`](crate::Engine::Cycle) that the conflict-free fast
+//! path does not cover, with the recurrence detector of `periodic.rs`
+//! reading [`Solver::signature`].
+//!
+//! ## State
+//!
+//! A step is a short chain of loads, maxima and one bus search, so its
+//! cost is the layout of the state it reads:
+//!
+//! * **one record per module**, `2 + 2·max(q, q')` words: `D` of the
+//!   module's last request, its request count (busy time, at the end),
+//!   then `S` and `G` of its `max(q, q')` most recent requests, most
+//!   recent first;
+//! * **a sentinel** in ring entries no request has written, `u64::MAX`,
+//!   whose `+ 1` wraps to 0: the terms of an absent `p_k(j)` vanish
+//!   from the maxima without a branch;
+//! * **a sliding bus bitmap**: slot `c` is bit `c mod 64` of word
+//!   `⌊c / 64⌋`, kept in a power-of-two window of words from the lowest
+//!   one a later request can reach (every later request completes at or
+//!   after `I_j + T`). Words are cleared as that floor passes them, and
+//!   the window doubles when a grant lands past its end.
+//!
+//! The depth-1 queues every service session uses run the same step
+//! with the depth a compile-time constant.
 
 use cfva_core::{Addr, ModuleId};
 
 use crate::stats::AccessStats;
 use crate::system::{MemorySystem, Timing};
 
+/// A ring entry no request has written yet (see the module docs).
+const UNWRITTEN: u64 = u64::MAX;
+
 /// Reusable state of the solver, kept on the [`MemorySystem`].
 #[derive(Debug, Default)]
 pub(crate) struct Solver {
-    /// Requests seen so far, per module.
-    count: Vec<u64>,
-    /// Cycle the last request on each module left its service stage.
-    done: Vec<u64>,
-    /// Service start and bus grant of each module's most recent
-    /// requests: a ring of `ring` slots per module, one request per
-    /// slot in module order.
-    starts: Vec<u64>,
-    grants: Vec<u64>,
-    ring: usize,
-    /// Bus slots held by earlier requests, as a ring of 64-slot words
-    /// tagged with the word they hold: slot `c` is bit `c % 64` of word
-    /// `c / 64`. A word whose tag differs holds nothing, so words no
-    /// later request can reach need no clearing; the ring doubles when
-    /// a grant would land a whole ring ahead of the reachable floor.
-    bus: Vec<(u64, u64)>,
-    /// The highest bus slot taken so far.
-    top: u64,
+    /// One record of `2 + 2 · depth` words per module (see the module
+    /// docs): `done`, the request count, then `start` and `grant` of
+    /// the request `b` places earlier at `2b` and `2b + 1`.
+    records: Vec<u64>,
     /// The deepest back-reference, `max(q, q')`.
     depth: usize,
+    bus: Bus,
+}
+
+/// Bus slots held by earlier requests, as a sliding bitmap (see the
+/// module docs): word `w` sits at `w mod len`, for `w` in
+/// `floor..floor + len`.
+#[derive(Debug, Default)]
+struct Bus {
+    words: Vec<u64>,
+    /// The lowest word a later request can reach.
+    floor: u64,
 }
 
 /// One solved request, plus the run's totals through it.
@@ -80,71 +97,76 @@ pub(crate) struct Solved {
     pub(crate) max_in_q: usize,
 }
 
-impl Solver {
-    /// Sizes the state for a run of `n` requests on `modules` modules.
-    /// The rings hold the deepest back-reference, `max(q, q')`
-    /// requests, rounded up to a power of two; a stream shorter than
-    /// that never reaches back so far.
-    fn prepare(&mut self, modules: usize, depth: usize, n: usize) {
-        self.depth = depth;
-        self.ring = depth.min(n).max(1).next_power_of_two();
-        self.top = 0;
-        self.count.clear();
-        self.count.resize(modules, 0);
-        self.done.clear();
-        self.done.resize(modules, 0);
-        let slots = modules * self.ring;
-        if self.starts.len() < slots {
-            self.starts.resize(slots, 0);
-            self.grants.resize(slots, 0);
-        }
-        if self.bus.is_empty() {
-            self.bus.push((0, 0));
-        }
-        self.bus.fill((0, 0));
+impl Bus {
+    /// Where word `w` sits in the bitmap.
+    fn index(&self, w: u64) -> usize {
+        w as usize & (self.words.len() - 1)
     }
 
-    /// The held-slot bits of bus word `w`.
+    /// The held-slot bits of word `w`, for `w >= floor`.
     fn word(&self, w: u64) -> u64 {
-        let at = w as usize & (self.bus.len() - 1);
-        match self.bus[at] {
-            (tag, bits) if tag == w => bits,
-            _ => 0,
+        let at = self.index(w);
+        let inside = w - self.floor < self.words.len() as u64;
+        if inside {
+            self.words[at]
+        } else {
+            0
         }
     }
 
-    /// Takes the first bus slot at or after `ready` that no earlier
-    /// request holds, and returns it. No later request searches below
-    /// `floor`.
+    /// Takes the first slot at or after `ready` that no earlier request
+    /// holds, and returns it. No later request searches below `floor`
+    /// (at most `ready`), so the words below it are cleared.
+    #[inline]
     fn grant(&mut self, ready: u64, floor: u64) -> u64 {
+        for w in self.floor..(floor / 64).min(self.floor + self.words.len() as u64) {
+            let at = self.index(w);
+            self.words[at] = 0;
+        }
+        self.floor = self.floor.max(floor / 64);
         let mut w = ready / 64;
         let mut free = !self.word(w) & (u64::MAX << (ready % 64));
         while free == 0 {
             w += 1;
             free = !self.word(w);
         }
-        let slot = w * 64 + u64::from(free.trailing_zeros());
-        // Every word that still holds a reachable slot lies in
-        // `[floor / 64, floor / 64 + ring)`, so distinct ones never
-        // share a ring entry.
-        let base = floor / 64;
-        while w - base >= self.bus.len() as u64 {
-            let wider = vec![(0, 0); 2 * self.bus.len()];
-            for (tag, bits) in std::mem::replace(&mut self.bus, wider) {
-                if bits != 0 && tag >= base {
-                    let at = tag as usize & (self.bus.len() - 1);
-                    self.bus[at] = (tag, bits);
-                }
+        if w - self.floor >= self.words.len() as u64 {
+            self.widen(w);
+        }
+        let at = self.index(w);
+        self.words[at] |= 1 << free.trailing_zeros();
+        w * 64 + u64::from(free.trailing_zeros())
+    }
+
+    /// Doubles the bitmap until it covers word `w`.
+    #[cold]
+    fn widen(&mut self, w: u64) {
+        while w - self.floor >= self.words.len() as u64 {
+            let mut wider = vec![0; 2 * self.words.len()];
+            for v in self.floor..self.floor + self.words.len() as u64 {
+                let at = v as usize & (wider.len() - 1);
+                wider[at] = self.word(v);
             }
+            self.words = wider;
         }
-        let at = w as usize & (self.bus.len() - 1);
-        let entry = &mut self.bus[at];
-        if entry.0 != w {
-            *entry = (w, 0);
+    }
+}
+
+impl Solver {
+    /// Sizes the state for a run on `modules` modules whose deepest
+    /// back-reference is `depth` requests.
+    fn prepare(&mut self, modules: usize, depth: usize) {
+        self.depth = depth;
+        self.records.clear();
+        self.records.resize(modules * (2 + 2 * depth), UNWRITTEN);
+        for record in self.records.chunks_exact_mut(2 + 2 * depth) {
+            record[..2].fill(0);
         }
-        entry.1 |= 1 << (slot % 64);
-        self.top = self.top.max(slot);
-        slot
+        // Every slot free; a bitmap widened by earlier runs stays wide.
+        let width = self.bus.words.len().max(1);
+        self.bus.words.clear();
+        self.bus.words.resize(width, 0);
+        self.bus.floor = 0;
     }
 
     /// Writes into `sig` the state every later request depends on, in
@@ -161,25 +183,23 @@ impl Solver {
     /// up to a constant time shift.
     pub(crate) fn signature(&self, modules: &[usize], at: u64, t: u64, sig: &mut Vec<i64>) {
         let rel = |c: u64| c as i64 - at as i64;
-        let mask = self.ring - 1;
         sig.clear();
-        for &m in modules {
-            let rank = self.count[m];
-            let held = rank.min(self.depth as u64);
+        for record in modules
+            .iter()
+            .filter_map(|&m| self.records.chunks_exact(2 + 2 * self.depth).nth(m))
+        {
+            let held = record[1].min(self.depth as u64);
             sig.push(held as i64);
-            sig.push(rel(self.done[m]).max(0));
-            for back in 1..=held {
-                let slot = m * self.ring + ((rank - back) as usize & mask);
-                sig.push(rel(self.starts[slot]).max(-1));
-                sig.push(rel(self.grants[slot]).max(t as i64 - 1));
+            sig.push(rel(record[0]).max(0));
+            for entry in record[2..].chunks_exact(2).take(held as usize) {
+                sig.push(rel(entry[0]).max(-1));
+                sig.push(rel(entry[1]).max(t as i64 - 1));
             }
         }
         let from = at + t;
-        for w in from / 64..=self.top / 64 {
-            let mut bits = self.word(w);
-            if w == from / 64 {
-                bits &= u64::MAX << (from % 64);
-            }
+        for w in from / 64..self.bus.floor + self.bus.words.len() as u64 {
+            let mut bits =
+                self.bus.word(w) & (u64::MAX << if w == from / 64 { from % 64 } else { 0 });
             while bits != 0 {
                 sig.push(rel(w * 64 + u64::from(bits.trailing_zeros())));
                 bits &= bits - 1;
@@ -213,6 +233,26 @@ impl MemorySystem {
         n: usize,
         request: &F,
         out: &mut AccessStats,
+        visit: V,
+    ) -> Solved
+    where
+        F: Fn(usize) -> (u64, Addr, ModuleId),
+        V: FnMut(usize, &Solved, &Solver) -> bool,
+    {
+        if (self.cfg.q_in(), self.cfg.q_out()) == (1, 1) {
+            self.solve_queues::<true, F, V>(n, request, out, visit)
+        } else {
+            self.solve_queues::<false, F, V>(n, request, out, visit)
+        }
+    }
+
+    /// [`solve`](Self::solve), with the depth-1 queues every service
+    /// session uses (`ONE`) known at compile time.
+    fn solve_queues<const ONE: bool, F, V>(
+        &mut self,
+        n: usize,
+        request: &F,
+        out: &mut AccessStats,
         mut visit: V,
     ) -> Solved
     where
@@ -222,14 +262,21 @@ impl MemorySystem {
         let cfg = self.cfg;
         debug_assert_eq!(cfg.ports(), 1, "the solver models one port");
         let modules = cfg.module_count() as usize;
-        let (t, q_in, q_out) = (cfg.t_cycles(), cfg.q_in(), cfg.q_out());
+        let t = cfg.t_cycles();
+        let (q_in, q_out) = if ONE {
+            (1, 1)
+        } else {
+            (cfg.q_in(), cfg.q_out())
+        };
+        let depth = q_in.max(q_out);
+        let stride = 2 + 2 * depth;
+        // The start of the request `q` places earlier on the module,
+        // and the grant of the one `q'` places earlier.
+        let (start_q, grant_q) = (2 * q_in, 2 * q_out + 1);
         let s = &mut self.solver;
-        s.prepare(modules, q_in.max(q_out), n);
-        let mask = s.ring - 1;
+        s.prepare(modules, depth);
         out.arrival.clear();
         out.arrival.resize(n, u64::MAX);
-        out.module_busy.clear();
-        out.module_busy.resize(modules, 0);
 
         let mut sum = Solved::default();
         let mut next_issue = 0;
@@ -240,43 +287,31 @@ impl MemorySystem {
                 midx < modules,
                 "request targets module {module} but memory has {modules}"
             );
-            let rank = s.count[midx];
-            let base = midx * s.ring;
-            // The ring slot of the request `back` places earlier on the
-            // module, when there is one.
-            let earlier = |back: usize| {
-                (rank >= back as u64).then(|| base + ((rank - back as u64) as usize & mask))
-            };
-
-            let mut issue = next_issue;
-            if let Some(at) = earlier(q_in) {
-                issue = issue.max(s.starts[at] + 1);
-            }
-            let start = issue.max(s.done[midx]);
-            let mut done = start + t;
-            if let Some(at) = earlier(q_out) {
-                done = done.max(s.grants[at] + 1);
-            }
+            let at = midx * stride;
+            // cfva-lint: allow(L002, reason = "midx < modules, asserted above, and records holds modules * stride words")
+            let record = &mut s.records[at..at + stride];
+            let issue = next_issue.max(record[start_q].wrapping_add(1));
+            let start = issue.max(record[0]);
+            let done = (start + t).max(record[grant_q].wrapping_add(1));
             // Input-queue occupancy once issued: this request plus the
             // earlier ones on the module that start at or after its
             // issue cycle (starts ascend in module order).
             let mut in_q = 1;
             for back in 1..q_in {
-                match earlier(back) {
-                    Some(at) if s.starts[at] >= issue => in_q += 1,
-                    _ => break,
+                // cfva-lint: allow(L002, reason = "back < q_in <= depth, so 2 * back lies inside the record")
+                if record[2 * back].wrapping_add(1) <= issue {
+                    break;
                 }
+                in_q += 1;
             }
             // Every later request completes at or after `issue + t`.
-            let grant = s.grant(done, issue + t);
-
-            let slot = base + (rank as usize & mask);
-            s.starts[slot] = start;
-            s.grants[slot] = grant;
-            s.done[midx] = done;
-            s.count[midx] = rank + 1;
+            let grant = s.bus.grant(done, issue + t);
+            record[0] = done;
+            record[1] += 1;
+            record.copy_within(2..stride - 2, 4);
+            record[2] = start;
+            record[3] = grant;
             deliver(&mut out.arrival[element as usize], grant);
-            out.module_busy[midx] += t;
 
             sum.timing = Timing {
                 issue,
@@ -295,6 +330,9 @@ impl MemorySystem {
             }
         }
 
+        out.module_busy.clear();
+        out.module_busy
+            .extend(s.records.chunks_exact(stride).map(|record| record[1] * t));
         // The first request issues at cycle 0: the latency runs to the
         // last arrival, inclusive.
         out.latency = sum.latency.max(1);

@@ -217,9 +217,7 @@ impl MemorySystem {
             let midx = module.get() as usize;
             assert!(
                 midx < m_count,
-                "request targets module {} but memory has {}",
-                module,
-                self.cfg.module_count()
+                "request targets module {module} but memory has {m_count}"
             );
             let k = k as u64;
             let last = self.last_start[midx];
@@ -251,18 +249,13 @@ impl MemorySystem {
     {
         match self.cfg.engine() {
             Engine::Cycle => self.run_cycle(&[n], &request, out),
-            Engine::Periodic => {
-                self.run_periodic(n, period, &request, out, |_, _| {});
-            }
-            Engine::FastPath => {
-                if self.cfg.ports() == 1 && n > 0 && self.try_fast_path(n, &request, out) {
-                    return;
-                }
-                // Conflicted (or multi-port) stream: the periodic
-                // fast-forward engine takes over — a single-port stream
-                // is solved in request order, and a long one is copied
-                // forward once its state recurs; a multi-port one steps
-                // the oracle. This is the FastPath → Periodic chain.
+            // Multi-port runs have no request-order solution.
+            _ if self.cfg.ports() != 1 => self.run_cycle(&[n], &request, out),
+            Engine::FastPath if n > 0 && self.try_fast_path(n, &request, out) => {}
+            // A conflicted stream: the FastPath → Periodic chain solves
+            // it in request order, and copies a long one forward once
+            // its state recurs.
+            Engine::Periodic | Engine::FastPath => {
                 self.run_periodic(n, period, &request, out, |_, _| {});
             }
             Engine::Analytic => {

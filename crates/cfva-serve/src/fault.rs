@@ -20,6 +20,10 @@
 //! * When no plan is installed the hooks cost nothing: the pool skips
 //!   even the per-job sequence counter, and the service's per-submit
 //!   check is a `None` branch.
+//! * A [`WorkerFault::Hold`] parks its job's worker until the test
+//!   holding the plan's [`Gate`] releases it — a wedge with no time
+//!   margin. The worker reports that it is parked, and waits for the
+//!   release, over one-shot channels of the kind tickets use.
 //! * Every scheduled fault fires **at most once** (an atomic
 //!   take-once flag per scheduled index): a job re-queued after an
 //!   injected worker kill, or retried after an injected panic, runs
@@ -34,6 +38,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, SyncSender};
 
 /// A fault the pool injects at one of its job sequence numbers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,6 +53,10 @@ pub enum WorkerFault {
         /// Busy-loop iterations (`std::hint::spin_loop`).
         spins: u32,
     },
+    /// Park the worker that popped the job until the [`Gate`] returned
+    /// by [`FaultPlan::hold_at`] is released or dropped, then run the
+    /// job — a stuck job that ends exactly when the test says so.
+    Hold,
 }
 
 /// A fault the service injects at one of its submission indices.
@@ -98,6 +107,9 @@ pub struct FaultPlan {
     worker: HashMap<u64, Armed<WorkerFault>>,
     /// Service submission index → fault.
     submit: HashMap<u64, Armed<SubmitFault>>,
+    /// Pool job sequence number of a [`WorkerFault::Hold`] → the
+    /// channel its worker sends its release channel on once parked.
+    holds: HashMap<u64, SyncSender<SyncSender<()>>>,
     /// Faults actually fired so far (worker + submit).
     injected: AtomicU64,
 }
@@ -157,6 +169,36 @@ impl FaultPlan {
         self
     }
 
+    /// Schedules a [`WorkerFault::Hold`] at pool job `seq`, and returns
+    /// the [`Gate`] that releases it.
+    #[must_use]
+    pub fn hold_at(mut self, seq: u64) -> (Self, Gate) {
+        let (parked, held) = mpsc::sync_channel(1);
+        self.worker.insert(seq, Armed::new(WorkerFault::Hold));
+        self.holds.insert(seq, parked);
+        (
+            self,
+            Gate {
+                held,
+                release: None,
+            },
+        )
+    }
+
+    /// Parks the calling worker, which popped pool job `seq`, until the
+    /// job's [`Gate`] is released or dropped. Returns at once when no
+    /// hold is scheduled there or the gate is already gone.
+    pub(crate) fn hold(&self, seq: u64) {
+        let Some(parked) = self.holds.get(&seq) else {
+            return;
+        };
+        let (release, released) = mpsc::sync_channel(1);
+        if parked.send(release).is_ok() {
+            // A release or a dropped gate both end the wait.
+            let _ = released.recv();
+        }
+    }
+
     /// Schedules a [`SubmitFault::PanicJob`] at submission `index`.
     #[must_use]
     pub fn panic_at(mut self, index: u64) -> Self {
@@ -209,6 +251,32 @@ impl FaultPlan {
     }
 }
 
+/// The test's side of a [`WorkerFault::Hold`]: learns when the held
+/// job's worker is parked, and lets the job run when released or
+/// dropped.
+#[derive(Debug)]
+pub struct Gate {
+    /// Where the parked worker sends its release channel.
+    held: Receiver<SyncSender<()>>,
+    /// The parked worker's release channel, once it has arrived.
+    release: Option<SyncSender<()>>,
+}
+
+impl Gate {
+    /// Blocks until the worker that popped the held job is parked at
+    /// the gate: from then on the job runs only after
+    /// [`release`](Gate::release). Returns early if the plan is dropped
+    /// before the job is popped.
+    pub fn wait_held(&mut self) {
+        if self.release.is_none() {
+            self.release = self.held.recv().ok();
+        }
+    }
+
+    /// Lets the held job run (dropping the gate does too).
+    pub fn release(self) {}
+}
+
 /// SplitMix64 of `seed` advanced `n` steps — the plan's only source of
 /// randomness, chosen for its tiny, dependency-free, stable definition.
 fn splitmix64(seed: u64, n: u64) -> u64 {
@@ -251,7 +319,7 @@ mod tests {
             match plan.take_worker_fault(i) {
                 Some(WorkerFault::KillWorker) => kills += 1,
                 Some(WorkerFault::Delay { .. }) => delays += 1,
-                None => {}
+                Some(WorkerFault::Hold) | None => {}
             }
             match plan.take_submit_fault(i) {
                 Some(SubmitFault::PanicJob) => panics += 1,
@@ -294,5 +362,27 @@ mod tests {
         );
         assert_eq!(plan.take_submit_fault(2), Some(SubmitFault::PoisonCache));
         spin(17); // the delay helper itself must be callable and finite
+    }
+
+    #[test]
+    fn a_held_job_waits_for_its_gate() {
+        let (plan, mut gate) = FaultPlan::new().hold_at(2);
+        let plan = std::sync::Arc::new(plan);
+        let (done_tx, done) = mpsc::sync_channel(1);
+        let worker = {
+            let plan = std::sync::Arc::clone(&plan);
+            std::thread::spawn(move || {
+                assert_eq!(plan.take_worker_fault(2), Some(WorkerFault::Hold));
+                plan.hold(2);
+                done_tx.send(()).expect("the test waits for it");
+            })
+        };
+        gate.wait_held();
+        assert!(done.try_recv().is_err(), "parked until released");
+        gate.release();
+        done.recv().expect("released jobs run");
+        worker.join().expect("the worker exits");
+        assert_eq!(plan.injected(), 1);
+        plan.hold(3); // nothing scheduled there: returns at once
     }
 }

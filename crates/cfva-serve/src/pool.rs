@@ -181,12 +181,12 @@ impl<S> Core<S> {
     }
 
     /// The pool-side fault hook: consults the plan (when installed)
-    /// for the popped job's tag. A `Delay` spins before returning the
-    /// job; a `KillWorker` **re-queues the job at the front first** —
-    /// it was accepted, so its ticket must still resolve, and it keeps
-    /// its place ahead of later submissions — and then panics the
-    /// worker thread with no lock held, handing control to the
-    /// supervisor path in [`supervise`].
+    /// for the popped job's tag. A `Delay` spins and a `Hold` waits for
+    /// its gate before returning the job; a `KillWorker` **re-queues
+    /// the job at the front first** — it was accepted, so its ticket
+    /// must still resolve, and it keeps its place ahead of later
+    /// submissions — and then panics the worker thread with no lock
+    /// held, handing control to the supervisor path in [`supervise`].
     fn apply_worker_fault(&self, job: Job<S>) -> Job<S> {
         let Some(plan) = &self.faults else {
             return job;
@@ -195,6 +195,10 @@ impl<S> Core<S> {
             None => job,
             Some(WorkerFault::Delay { spins }) => {
                 fault::spin(spins);
+                job
+            }
+            Some(WorkerFault::Hold) => {
+                plan.hold(job.tag);
                 job
             }
             Some(WorkerFault::KillWorker) => {

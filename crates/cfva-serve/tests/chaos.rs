@@ -303,24 +303,19 @@ fn deadline_budget_resolves_typed_error_instead_of_blocking() {
     service.shutdown();
 }
 
-/// Busy-loop iterations of the injected delay that wedges the worker
-/// in [`degraded_fallback_sheds_overload_with_flagged_estimates`]:
-/// about a second on a 2-core x86-64 host, and far longer than the
-/// test's own submissions on any machine.
-const WEDGE_SPINS: u32 = 50_000_000;
-
 #[test]
 fn degraded_fallback_sheds_overload_with_flagged_estimates() {
     // One worker, a 2-deep queue, fallback on: once the queue is full,
     // further submissions resolve *immediately* as Degraded instead of
     // Overloaded.
     let spec = "xor-matched:t=3,s=4";
+    let (plan, mut gate) = FaultPlan::new().hold_at(0);
     let service = Service::new(
         ServiceConfig::with_workers(1)
             .queue_capacity(2)
             .cache_capacity(0)
             .degraded_fallback(true)
-            .fault_plan(Arc::new(FaultPlan::new().delay_at(0, WEDGE_SPINS))),
+            .fault_plan(Arc::new(plan)),
     );
     let sweep = |sigma: i64| Request::FamilySweep {
         spec: spec.into(),
@@ -328,14 +323,11 @@ fn degraded_fallback_sheds_overload_with_flagged_estimates() {
         max_x: 4,
         sigma,
     };
-    // Wedge the worker: pool job 0 carries the injected delay, and the
-    // fault counter ticks when the worker pops that job, right before
-    // it starts spinning. Only then is the queue filled, so it cannot
-    // drain before the measures arrive.
+    // Wedge the worker: pool job 0 is held at the gate once the worker
+    // pops it. Only then is the queue filled, and it cannot drain until
+    // the gate opens after the last submission.
     let mut tickets = vec![service.submit(sweep(1)).expect("an empty queue admits")];
-    while service.stats().faults_injected == 0 {
-        std::thread::yield_now();
-    }
+    gate.wait_held();
     for sigma in [3, 5] {
         tickets.push(
             service
@@ -355,6 +347,7 @@ fn degraded_fallback_sheds_overload_with_flagged_estimates() {
             .expect("fallback absorbs overload instead of rejecting");
         tickets.push(ticket);
     }
+    gate.release();
     // Count sheds over every submission, sweeps included: the caller's
     // view and the service's counter must agree exactly.
     let mut shed = 0u64;

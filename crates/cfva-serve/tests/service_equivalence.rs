@@ -218,22 +218,17 @@ fn batch_and_sweep_and_efficiency_match_direct_session_calls() {
     service.shutdown();
 }
 
-/// Busy-loop iterations of the injected delay that wedges the worker
-/// in [`overloaded_burst_rejects_typed_and_every_accepted_ticket_resolves`]:
-/// about a second on a 2-core x86-64 host, and far longer than the
-/// burst's own submissions on any machine.
-const WEDGE_SPINS: u32 = 50_000_000;
-
 #[test]
 fn overloaded_burst_rejects_typed_and_every_accepted_ticket_resolves() {
-    // One worker wedged by an injected delay, a queue of two, and a
-    // burst: exactly two submissions fit behind the wedge, every other
-    // one comes back Overloaded (typed, with the observed depth), and
+    // One worker wedged by a held job, a queue of two, and a burst:
+    // exactly two submissions fit behind the wedge, every other one
+    // comes back Overloaded (typed, with the observed depth), and
     // everything accepted still resolves.
+    let (plan, mut gate) = FaultPlan::new().hold_at(0);
     let service = Service::new(
         ServiceConfig::with_workers(1)
             .queue_capacity(2)
-            .fault_plan(Arc::new(FaultPlan::new().delay_at(0, WEDGE_SPINS))),
+            .fault_plan(Arc::new(plan)),
     );
     let heavy = service
         .submit(Request::Efficiency {
@@ -248,12 +243,9 @@ fn overloaded_burst_rejects_typed_and_every_accepted_ticket_resolves() {
             seed: 3,
         })
         .expect("room");
-    // Pool job 0 carries the delay, and the fault counter ticks when
-    // the worker pops it, right before it starts spinning: from here on
-    // the queue cannot drain until the burst is over.
-    while service.stats().faults_injected == 0 {
-        std::thread::yield_now();
-    }
+    // Pool job 0 is held at the gate once the worker pops it: from
+    // here on the queue cannot drain until the burst is over.
+    gate.wait_held();
 
     let mut accepted = Vec::new();
     let mut overloads = 0u32;
@@ -276,6 +268,7 @@ fn overloaded_burst_rejects_typed_and_every_accepted_ticket_resolves() {
     }
     assert_eq!(accepted.len(), 2, "exactly the queue's capacity fits");
     assert_eq!(overloads, 198, "every other submission is refused");
+    gate.release();
     for ticket in accepted {
         assert!(matches!(ticket.wait(), Ok(Response::Measured(Some(_)))));
     }
@@ -490,11 +483,12 @@ fn a_pending_ticket_past_its_deadline_is_ready() {
     // A zero budget queued behind a wedged worker: the ticket is still
     // pending, but past its deadline `poll` resolves it, so `is_ready`
     // must say so before the poll and stop saying so after it.
+    let (plan, mut gate) = FaultPlan::new().hold_at(0);
     let service = Service::new(
         ServiceConfig::with_workers(1)
             .queue_capacity(8)
             .cache_capacity(0)
-            .fault_plan(Arc::new(FaultPlan::new().delay_at(0, WEDGE_SPINS))),
+            .fault_plan(Arc::new(plan)),
     );
     let wedge = service
         .submit(Request::Measure {
@@ -505,9 +499,7 @@ fn a_pending_ticket_past_its_deadline_is_ready() {
         .expect("room");
     // The wedge has started: the budgeted request cannot run before
     // the asserts below.
-    while service.stats().faults_injected == 0 {
-        std::thread::yield_now();
-    }
+    gate.wait_held();
     let mut budgeted = service
         .submit_with_budget(
             Request::Measure {
@@ -525,6 +517,7 @@ fn a_pending_ticket_past_its_deadline_is_ready() {
     ));
     assert!(!budgeted.is_ready(), "the deadline error is delivered once");
     drop(budgeted);
+    gate.release();
     wedge.wait().expect("the wedge itself serves normally");
     service.shutdown();
 }

@@ -42,10 +42,6 @@ fn serve_pair(config: ServiceConfig, wire: WireServerConfig) -> (Arc<Service>, W
     (service, server)
 }
 
-/// Busy-loop iterations of an injected delay that wedges one worker:
-/// about a second on a 2-core x86-64 host.
-const WEDGE_SPINS: u32 = 50_000_000;
-
 /// A raw connection past the hello exchange, for tests that need to
 /// see frames in the order the server wrote them. Reads time out, so
 /// a missing answer fails the test instead of hanging it.
@@ -415,16 +411,17 @@ fn deadline_budgets_are_forwarded_across_the_wire() {
 
 #[test]
 fn a_request_running_past_its_budget_answers_deadline_exceeded_as_in_process() {
-    // Two workers, no cache. Request A is wedged by an injected delay;
-    // request B, a sweep far longer than its 10 ms budget, starts at
-    // once on the other worker. In-process, B's ticket resolves
-    // DeadlineExceeded at its deadline while the sweep runs on; over
-    // the wire B must answer the same, before A — whichever of the two
-    // jobs finishes first.
+    // Two workers, no cache. Request A is held at a gate until B has
+    // answered; request B, a sweep far longer than its 10 ms budget,
+    // starts at once on the other worker. In-process, B's ticket
+    // resolves DeadlineExceeded at its deadline while the sweep runs
+    // on; over the wire B must answer the same, before A — whichever of
+    // the two jobs finishes first.
+    let (plan, mut gate) = FaultPlan::new().hold_at(0);
     let (service, server) = serve_pair(
         ServiceConfig::with_workers(2)
             .cache_capacity(0)
-            .fault_plan(Arc::new(FaultPlan::new().delay_at(0, WEDGE_SPINS))),
+            .fault_plan(Arc::new(plan)),
         WireServerConfig::default(),
     );
     let before = service.stats().deadline_exceeded;
@@ -440,6 +437,7 @@ fn a_request_running_past_its_budget_answers_deadline_exceeded_as_in_process() {
         },
         None,
     );
+    gate.wait_held();
     raw_submit(
         &mut raw,
         1,
@@ -457,6 +455,7 @@ fn a_request_running_past_its_budget_answers_deadline_exceeded_as_in_process() {
         }
         other => panic!("expected B's DeadlineExceeded first, got {other:?}"),
     }
+    gate.release();
     match raw_result(&mut reader) {
         (0, Ok(Response::Measured(Some(_)))) => {}
         other => panic!("expected A's response second, got {other:?}"),
@@ -476,10 +475,11 @@ fn duplicate_in_flight_request_ids_are_each_answered() {
     // The request_id is the client's correlation tag, not a key the
     // server may rely on: two submits reusing one id, both in flight
     // behind a wedged worker, must each get a Result frame.
+    let (plan, mut gate) = FaultPlan::new().hold_at(0);
     let (service, server) = serve_pair(
         ServiceConfig::with_workers(1)
             .cache_capacity(0)
-            .fault_plan(Arc::new(FaultPlan::new().delay_at(0, WEDGE_SPINS))),
+            .fault_plan(Arc::new(plan)),
         WireServerConfig::default(),
     );
     let (mut raw, mut reader) = raw_connect(server.local_addr());
@@ -495,6 +495,13 @@ fn duplicate_in_flight_request_ids_are_each_answered() {
             None,
         );
     }
+    // The first is held on the worker; release it once the second is
+    // queued behind it.
+    gate.wait_held();
+    while service.stats().queue_depth == 0 {
+        std::thread::yield_now();
+    }
+    gate.release();
     for _ in 0..2 {
         match raw_result(&mut reader) {
             (7, Ok(Response::Measured(Some(_)))) => {}

@@ -341,3 +341,73 @@ fn region_plans_carry_the_governing_period() {
         check_attached_period(&plan, &format!("{vec}"));
     }
 }
+
+/// The out-of-order plans carry no period today, but `P_x` is a true
+/// period of their request-order module sequence too: every
+/// conflict-free, subsequence and `Auto` plan the xor planners build,
+/// for every family in the window of `L = 2^λ` and one on each side,
+/// ascending and descending strides, several bases and lengths. So the
+/// planner could attach `P_x` to them as it does to in-order plans.
+#[test]
+fn out_of_order_plans_repeat_on_the_vector_period() {
+    let mut checked = 0;
+    for spec in [
+        "xor-matched:t=3,s=4",
+        "xor-matched:t=2,s=3",
+        "xor-matched:t=3,s=3",
+        "xor-unmatched:t=3,s=4,y=9",
+        "xor-unmatched:t=2,s=3,y=6",
+    ] {
+        let spec: MapSpec = spec.parse().unwrap();
+        let planner = Planner::from_spec(&spec).unwrap();
+        for lambda in 4..=9u32 {
+            let (lo, hi) = planner.window(lambda).expect("an out-of-order planner");
+            for x in lo.saturating_sub(1)..=hi + 1 {
+                for sigma in [1i64, 3, -5] {
+                    let stride = Stride::from_parts(sigma, x).unwrap();
+                    for base in [0u64, 17, 1000, 4096 * 3 + 5] {
+                        for len in [1u64 << lambda, 2 << lambda, (1 << lambda) + 8] {
+                            // A descending walk starts high enough to stay addressable.
+                            let base = base
+                                + if sigma < 0 {
+                                    stride.magnitude() * (len - 1)
+                                } else {
+                                    0
+                                };
+                            let vec = VectorSpec::with_stride(base.into(), stride, len).unwrap();
+                            for strategy in [
+                                PlanStrategy::ConflictFree,
+                                PlanStrategy::Subsequence,
+                                PlanStrategy::Auto,
+                            ] {
+                                let Ok(plan) = planner.plan(&vec, strategy) else {
+                                    continue;
+                                };
+                                if plan.period().is_some() {
+                                    continue; // in order: `attached_plan_period_is_a_true_period`
+                                }
+                                let p = planner.map().vector_period(&vec) as usize;
+                                let seq = plan.module_sequence();
+                                if p >= seq.len() {
+                                    continue; // holds vacuously
+                                }
+                                for k in 0..seq.len() - p {
+                                    assert_eq!(
+                                        seq[k],
+                                        seq[k + p],
+                                        "{spec} {vec} {strategy}: P_x = {p} breaks at request {k}"
+                                    );
+                                }
+                                checked += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        checked > 5000,
+        "only {checked} out-of-order plans span a period"
+    );
+}
