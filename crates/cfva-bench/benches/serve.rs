@@ -25,7 +25,9 @@
 //! family-sweep request served from the warm result cache (`hit`)
 //! against the same request forced down the pooled miss path
 //! (`miss_uncached`). The gap is the O(1) serve path's payoff and is
-//! expected to be well over 50×.
+//! expected to be well over 50×. `hit_4096` is a warm hit on a
+//! 4096-element `Measure`, whose response shares 32 KiB of arrival
+//! cycles with the cache entry instead of copying them.
 //!
 //! The `serve_wire` group measures the TCP front door's tax on that
 //! same warm-cache request: `loopback_hit` is one submit→wait round
@@ -224,6 +226,33 @@ fn bench_serve_cached(c: &mut Criterion) {
             checksum
         })
     });
+    // A warm hit on a 4096-element measurement: what a hit costs when
+    // the response carries 32 KiB of arrival cycles.
+    let long = Request::Measure {
+        spec: "xor-matched:t=3,s=4".into(),
+        vec: VectorSpec::new(16, 3, 4096).expect("valid"),
+        strategy: Strategy::Auto,
+    };
+    let expected_long = response_checksum(
+        &service
+            .submit(long.clone())
+            .expect("queue has room")
+            .wait()
+            .expect("valid request"),
+    );
+    group.bench_function(BenchmarkId::new("hit_4096", 1), |b| {
+        b.iter(|| {
+            let checksum = response_checksum(
+                &service
+                    .submit(long.clone())
+                    .expect("room")
+                    .wait()
+                    .expect("valid"),
+            );
+            assert_eq!(checksum, expected_long);
+            checksum
+        })
+    });
     group.bench_function(BenchmarkId::new("miss_uncached", 1), |b| {
         b.iter(|| {
             let checksum = response_checksum(
@@ -252,7 +281,7 @@ fn bench_serve_degraded(c: &mut Criterion) {
     let service = Service::new(
         ServiceConfig::with_workers(1)
             .queue_capacity(1)
-            .cache_capacity(0)
+            .cache_bytes(0)
             .degraded_fallback(true),
     );
     let stride = Stride::from_parts(9, 6).expect("odd sigma");

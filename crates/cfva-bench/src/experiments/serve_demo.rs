@@ -391,10 +391,14 @@ pub fn serve_demo(config: &DemoConfig) -> DemoOutcome {
                 format!("{:.1}%", 100.0 * cache.hit_rate()),
             ]);
             t.row_owned(vec![
-                "cache entries / capacity / evictions".into(),
+                "cache entries / evictions".into(),
+                format!("{} / {}", cache.entries, cache.evictions),
+            ]);
+            t.row_owned(vec![
+                "cache bytes / capacity bytes / oversize".into(),
                 format!(
                     "{} / {} / {}",
-                    cache.entries, cache.capacity, cache.evictions
+                    cache.bytes, cache.capacity_bytes, cache.oversize
                 ),
             ]);
         }

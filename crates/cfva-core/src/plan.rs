@@ -186,8 +186,9 @@ impl AccessPlan {
     /// A true period of the plan's module sequence in request order:
     /// request `k` targets the same module as request `k + P`. The
     /// planner attaches the paper's `P_x`
-    /// ([`ModuleMap::vector_period`]) to every in-order plan, in O(1).
-    /// `None` when no period is known: out-of-order plans, plans built
+    /// ([`ModuleMap::vector_period`]) to every plan it builds, in O(1):
+    /// in-order plans, and the xor planners' conflict-free (replay) and
+    /// subsequence orders. `None` when no period is known: plans built
     /// [`from_order`](Self::from_order) and [`concat`](Self::concat)
     /// results. The period need not be minimal, and may exceed the
     /// plan's length (then it holds vacuously).
@@ -520,8 +521,6 @@ impl Planner {
         strategy: Strategy,
         out: &mut AccessPlan,
     ) -> Result<(), PlanError> {
-        // Only the in-order construction knows a period.
-        out.period = None;
         let result = match strategy {
             Strategy::Canonical => {
                 self.canonical_into(vec, out);
@@ -538,8 +537,13 @@ impl Planner {
                 Ok(())
             }
         };
-        if result.is_err() {
-            out.clear();
+        match result {
+            // Every construction repeats on the vector's `P_x`: the
+            // in-order one by definition, the xor planners' replay and
+            // subsequence orders as `tests/mapping_properties.rs`
+            // checks over their windows.
+            Ok(()) => out.period = Some(self.map().vector_period(vec)),
+            Err(_) => out.clear(),
         }
         result
     }
@@ -553,7 +557,6 @@ impl Planner {
             &out.scratch.modules,
             &out.scratch.order,
         );
-        out.period = Some(self.map().vector_period(vec));
     }
 
     fn subsequence_into(&self, vec: &VectorSpec, out: &mut AccessPlan) -> Result<(), PlanError> {
@@ -854,7 +857,7 @@ mod tests {
     }
 
     #[test]
-    fn only_in_order_plans_carry_a_period() {
+    fn planned_orders_carry_the_vector_period() {
         let planner = matched_planner();
         let vec = VectorSpec::new(16, 12, 64).unwrap();
         let canonical = planner.plan(&vec, Strategy::Canonical).unwrap();
@@ -864,7 +867,11 @@ mod tests {
         planner
             .plan_into(&vec, Strategy::ConflictFree, &mut buf)
             .unwrap();
-        assert_eq!(buf.period(), None);
+        assert_eq!(buf.period(), Some(16), "the replay order too");
+        planner
+            .plan_into(&vec, Strategy::Subsequence, &mut buf)
+            .unwrap();
+        assert_eq!(buf.period(), Some(16), "and the subsequence order");
         // Auto on an out-of-window family falls back to in order.
         let wide = VectorSpec::new(0, 16, 64).unwrap();
         planner.plan_into(&wide, Strategy::Auto, &mut buf).unwrap();

@@ -230,7 +230,7 @@ impl MemorySystem {
         out.stall_cycles = estimate.stall_cycles;
         out.conflicts = estimate.conflicts;
         out.max_in_q = estimate.max_in_q;
-        out.arrival.clear();
+        out.arrival.reset(0, 0);
         out.module_busy.clear();
         AnalyticEstimate {
             elements: n_u64,

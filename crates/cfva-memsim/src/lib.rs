@@ -24,7 +24,7 @@
 //! [`Engine::Analytic`] estimates the aggregates only. Single-port runs
 //! of the others go through the request-order solver, one pass in issue
 //! order, which stops once its state recurs at a boundary of the
-//! stream's period (an in-order plan carries the paper's `P_x`,
+//! stream's period (every planned access carries the paper's `P_x`,
 //! [`AccessPlan::period`](cfva_core::plan::AccessPlan::period)) and
 //! copies the rest. Multi-port runs and the work-conserving co-runs of
 //! [`multi`] step the oracle; [`MemorySystem::run_timed`] returns its
@@ -69,5 +69,5 @@ pub use analytic::AnalyticEstimate;
 pub use config::MemConfig;
 pub use event::Engine;
 pub use multi::{run_multi, IssuePolicy, MultiStats, StreamStats};
-pub use stats::AccessStats;
+pub use stats::{AccessStats, Arrivals};
 pub use system::{MemorySystem, Timing};

@@ -449,11 +449,19 @@ mod tests {
         };
         let (a, b, short) = (canonical(128), canonical(128), canonical(64));
         let replay = cf_plan(16, 12);
+        let unknown = AccessPlan::concat([&a]);
         assert_eq!(merged_period(&[&a], IssuePolicy::RoundRobin), Some(32));
         assert_eq!(merged_period(&[&a, &b], IssuePolicy::RoundRobin), Some(64));
         assert_eq!(merged_period(&[&a, &short], IssuePolicy::RoundRobin), None);
         assert_eq!(merged_period(&[&a, &b], IssuePolicy::Priority), None);
-        assert_eq!(merged_period(&[&a, &replay], IssuePolicy::RoundRobin), None);
+        assert_eq!(
+            merged_period(&[&a, &replay], IssuePolicy::RoundRobin),
+            Some(64)
+        );
+        assert_eq!(
+            merged_period(&[&a, &unknown], IssuePolicy::RoundRobin),
+            None
+        );
     }
 
     #[test]

@@ -42,7 +42,8 @@
 //!
 //! ## The minimal period
 //!
-//! The planner attaches the paper's `P_x` to every in-order plan
+//! The planner attaches the paper's `P_x` to every plan it builds, in
+//! order or out of order
 //! ([`AccessPlan::period`](cfva_core::plan::AccessPlan::period)), and a
 //! round-robin co-run of equal-length plans carries `k·lcm(P_i)`
 //! (`multi.rs`). With a known period `P` and `3P ≤ n`, the KMP scan
@@ -364,12 +365,13 @@ impl<'s> Detection<'s> {
             log.push(timing);
         }
         let block = &log[from..];
+        let arrival = out.arrival.make_mut();
         let (mut first, mut shift) = (to, dt);
         while first < n {
             let len = block.len().min(n - first);
             for (j, timing) in (first..).zip(&block[..len]) {
                 let (element, _, _) = request(j);
-                deliver(&mut out.arrival[element as usize], timing.grant + shift);
+                deliver(&mut arrival[element as usize], timing.grant + shift);
             }
             for (j, timing) in (first..).zip(&block[..len]) {
                 each(j, &timing.shifted(shift));

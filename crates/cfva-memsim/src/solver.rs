@@ -275,8 +275,7 @@ impl MemorySystem {
         let (start_q, grant_q) = (2 * q_in, 2 * q_out + 1);
         let s = &mut self.solver;
         s.prepare(modules, depth);
-        out.arrival.clear();
-        out.arrival.resize(n, u64::MAX);
+        let arrival = out.arrival.reset(n, u64::MAX);
 
         let mut sum = Solved::default();
         let mut next_issue = 0;
@@ -311,7 +310,7 @@ impl MemorySystem {
             record.copy_within(2..stride - 2, 4);
             record[2] = start;
             record[3] = grant;
-            deliver(&mut out.arrival[element as usize], grant);
+            deliver(&mut arrival[element as usize], grant);
 
             sum.timing = Timing {
                 issue,

@@ -1,12 +1,113 @@
 //! Access statistics reported by the simulator.
 
 use std::fmt;
+use std::ops::Deref;
+use std::sync::Arc;
+
+/// Per-element arrival cycles: an immutable, reference-counted buffer
+/// that derefs to `[u64]`.
+///
+/// Cloning is a reference-count bump, so a cloned [`AccessStats`] (a
+/// response handed to a caller, an entry in a result cache) shares the
+/// cycles instead of copying them. `Eq`, `Hash` and `Debug` work on the
+/// values, as for a `Vec<u64>`.
+///
+/// An engine refills the buffer in place when no clone shares it, and
+/// starts a fresh one when a clone is still alive, so a handed-out
+/// clone never changes and a run whose statistics nobody keeps
+/// allocates nothing once warm.
+#[derive(Clone, Default, PartialEq, Eq, Hash)]
+pub struct Arrivals(Arc<Vec<u64>>);
+
+impl Arrivals {
+    /// The buffer refilled with `n` copies of `fill`, for an engine to
+    /// write in place: the allocation is reused when no clone shares it
+    /// and it holds `n` cycles, and a fresh one of exactly `n` is
+    /// started otherwise.
+    pub(crate) fn reset(&mut self, n: usize, fill: u64) -> &mut [u64] {
+        match Arc::get_mut(&mut self.0) {
+            Some(buf) if buf.capacity() >= n => {
+                buf.clear();
+                buf.resize(n, fill);
+            }
+            _ => self.0 = Arc::new(vec![fill; n]),
+        }
+        self.make_mut()
+    }
+
+    /// The cycles for an engine to amend after [`reset`](Self::reset)
+    /// (a no-op share check: the buffer is unique by then).
+    pub(crate) fn make_mut(&mut self) -> &mut [u64] {
+        Arc::<Vec<u64>>::make_mut(&mut self.0)
+    }
+
+    /// A handle for a caller to keep: a clone (a reference-count bump)
+    /// when the buffer is exactly its length, and otherwise a copy that
+    /// is, so the spare capacity a longer earlier run left behind does
+    /// not ride along with a kept result.
+    #[must_use]
+    pub fn kept(&self) -> Arrivals {
+        if self.0.capacity() == self.0.len() {
+            self.clone()
+        } else {
+            Arrivals::from(self.0.to_vec())
+        }
+    }
+
+    /// Whether `self` and `other` share one buffer.
+    pub fn ptr_eq(&self, other: &Arrivals) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+}
+
+impl Deref for Arrivals {
+    type Target = [u64];
+
+    fn deref(&self) -> &[u64] {
+        &self.0
+    }
+}
+
+impl<'a> IntoIterator for &'a Arrivals {
+    type Item = &'a u64;
+    type IntoIter = std::slice::Iter<'a, u64>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+/// Takes ownership of the vector: no copy of its elements.
+impl From<Vec<u64>> for Arrivals {
+    fn from(cycles: Vec<u64>) -> Self {
+        Arrivals(Arc::new(cycles))
+    }
+}
+
+impl fmt::Debug for Arrivals {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
+impl PartialEq<Vec<u64>> for Arrivals {
+    fn eq(&self, other: &Vec<u64>) -> bool {
+        **self == **other
+    }
+}
+
+impl PartialEq<Arrivals> for Vec<u64> {
+    fn eq(&self, other: &Arrivals) -> bool {
+        **self == **other
+    }
+}
 
 /// Measurements of one simulated vector access.
 ///
 /// Doubles as a reusable buffer:
 /// [`MemorySystem::run_plan_into`](crate::MemorySystem::run_plan_into)
-/// clears and refills the per-element and per-module vectors in place.
+/// refills the per-element and per-module vectors in place. Cloning
+/// shares the arrival cycles ([`Arrivals`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AccessStats {
     /// Total latency in processor cycles: from the cycle the first
@@ -22,8 +123,9 @@ pub struct AccessStats {
     /// Requests that had to wait in an input queue before service
     /// (zero ⇔ the access was conflict free in the paper's sense).
     pub conflicts: u64,
-    /// Per-element arrival cycle, indexed by element number.
-    pub arrival: Vec<u64>,
+    /// Per-element arrival cycle, indexed by element number; shared,
+    /// not copied, when the statistics are cloned.
+    pub arrival: Arrivals,
     /// Per-module busy cycles.
     pub module_busy: Vec<u64>,
     /// Highest input-queue occupancy observed on any module.
@@ -105,10 +207,42 @@ mod tests {
             elements: 64,
             stall_cycles: 0,
             conflicts: 0,
-            arrival: vec![],
+            arrival: Arrivals::default(),
             module_busy: vec![],
             max_in_q: 1,
         }
+    }
+
+    #[test]
+    fn clones_share_arrivals_and_a_shared_buffer_is_never_rewritten() {
+        let mut s = stats();
+        s.arrival.reset(4, 7).copy_from_slice(&[5, 6, 8, 14]);
+        let kept = s.clone();
+        assert!(
+            kept.arrival.ptr_eq(&s.arrival),
+            "a clone is a refcount bump"
+        );
+        assert_eq!(format!("{:?}", kept.arrival), "[5, 6, 8, 14]");
+
+        // The engine refills `s` while `kept` is alive: a fresh buffer.
+        s.arrival.reset(2, 0);
+        assert_eq!(kept.arrival, vec![5, 6, 8, 14]);
+        assert_eq!(s.arrival, vec![0, 0]);
+
+        // Nothing shares it now, so the next refill reuses it.
+        let before = s.arrival.as_ptr();
+        s.arrival.reset(2, 1);
+        assert_eq!(s.arrival.as_ptr(), before, "a unique buffer is reused");
+        assert_eq!(s.arrival, Arrivals::from(vec![1, 1]));
+
+        // A short result kept from a long run's buffer is copied tight.
+        s.arrival.reset(1, 9);
+        assert_eq!(s.arrival.as_ptr(), before, "a shorter run reuses it too");
+        let kept = s.arrival.kept();
+        assert!(!kept.ptr_eq(&s.arrival));
+        assert_eq!(kept, vec![9]);
+        s.arrival.reset(2, 9);
+        assert!(s.arrival.kept().ptr_eq(&s.arrival));
     }
 
     #[test]

@@ -208,8 +208,7 @@ impl MemorySystem {
         let m_count = self.cfg.module_count() as usize;
         self.last_start.clear();
         self.last_start.resize(m_count, u64::MAX);
-        out.arrival.clear();
-        out.arrival.resize(n, u64::MAX);
+        let arrival = out.arrival.reset(n, u64::MAX);
         out.module_busy.clear();
         out.module_busy.resize(m_count, 0);
         for k in 0..n {
@@ -229,7 +228,7 @@ impl MemorySystem {
             // immediately, completes at k + T, crosses the bus in one
             // cycle.
             out.module_busy[midx] += t;
-            out.arrival[element as usize] = k + t + 1;
+            arrival[element as usize] = k + t + 1;
         }
         out.latency = t + n as u64 + 1;
         out.elements = n as u64;
@@ -241,7 +240,7 @@ impl MemorySystem {
 
     /// Engine dispatch. `request(k)` yields the `k`-th request of the
     /// stream, and `period` is a true period of its module sequence
-    /// when one is known (an in-order plan's `P_x`); statistics are
+    /// when one is known (a planned access's `P_x`); statistics are
     /// written into `out`, reusing its buffers.
     fn run_core<F>(&mut self, n: usize, period: Option<u64>, request: F, out: &mut AccessStats)
     where
@@ -318,8 +317,7 @@ impl MemorySystem {
         cursors.extend_from_slice(ends.split_last().map_or(&[], |(_, rest)| rest));
         timings.clear();
         timings.resize(n, Timing::default());
-        out.arrival.clear();
-        out.arrival.resize(n, u64::MAX);
+        let arrival = out.arrival.reset(n, u64::MAX);
         out.module_busy.clear();
         out.module_busy.resize(modules.len(), 0);
 
@@ -357,7 +355,7 @@ impl MemorySystem {
                 timings[id].grant = cycle;
                 let (element, _, _) = request(id);
                 last_arrival = cycle + 1; // one-cycle bus
-                out.arrival[element as usize] = last_arrival;
+                arrival[element as usize] = last_arrival;
                 delivered += 1;
             }
 

@@ -89,7 +89,7 @@ fn bus_delivers_one_per_cycle() {
     let plan = planner.plan(&vec, Strategy::Subsequence).unwrap();
     let cfg = MemConfig::new(3, 3).unwrap().with_queues(2, 1).unwrap();
     let stats = MemorySystem::new(cfg).run_plan(&plan);
-    let mut arrivals = stats.arrival.clone();
+    let mut arrivals = stats.arrival.to_vec();
     arrivals.sort_unstable();
     for w in arrivals.windows(2) {
         assert!(w[0] < w[1], "two deliveries at cycle {}", w[0]);

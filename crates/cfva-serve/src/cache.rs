@@ -11,26 +11,54 @@
 //! touching the pool.
 //!
 //! Sharded (8 ways, keyed by the request hash) so concurrent
-//! submitters do not serialize on one lock; bounded with exact
-//! least-recently-used eviction per shard (a monotonic clock stamp per
-//! entry, the minimum evicted on overflow — an `O(shard)` scan, cheap
-//! at serving shard sizes and free of linked-list bookkeeping). Only
-//! `Ok` responses are cached: a session build failure may be transient
-//! (a matrix file appearing later), and errors are cheap to recompute.
+//! submitters do not serialize on one lock. Only `Ok` responses are
+//! cached: a session build failure may be transient (a matrix file
+//! appearing later), and errors are cheap to recompute.
+//!
+//! # Byte bound
+//!
+//! The cache is bounded in **bytes**. Each entry is charged its payload
+//! (arrival and module-busy words, batch items, sweep rows, co-run
+//! summaries, a batch or co-run key's classes) plus
+//! [`ENTRY_OVERHEAD`], the fixed cost of its key, response header,
+//! table slot and queue slot. Each shard holds at most an eighth of the
+//! budget; a response charged more than that is answered but never
+//! cached, and counted ([`CacheStats::oversize`]).
+//!
+//! # Shared entries
+//!
+//! An entry holds its response behind an `Arc`, and the response's
+//! arrival cycles are themselves shared ([`cfva_memsim::Arrivals`]). A
+//! hit clones the `Arc` under the shard lock and the response after it:
+//! the arrivals of every hit on one entry are one buffer, never a copy.
+//!
+//! # Recency: second chance
+//!
+//! Each shard keeps its keys in a FIFO queue in insertion order, and a
+//! hit sets the entry's reference bit — the only write a hit makes
+//! under the lock (no allocation, no key clone). To make room, an
+//! insert pops the queue's head: a referenced entry has its bit cleared
+//! and goes to the back (its second chance), an unreferenced one is
+//! evicted. So the order kept is insertion order with one reprieve
+//! per hit: no entry hit since it last passed the head is evicted while
+//! an entry without such a hit remains. Each bit a hit sets is cleared
+//! at most once, so an insert that evicts `k` entries costs amortized
+//! `O(k)`.
 //!
 //! Counters ([`CacheStats`]) are relaxed atomics — monitoring data,
 //! not synchronization.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasher, RandomState};
+use std::mem::size_of;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use cfva_core::plan::Strategy;
 use cfva_core::StrideClass;
-use cfva_memsim::IssuePolicy;
+use cfva_memsim::{AccessStats, IssuePolicy};
 
-use crate::api::{Estimator, Response, SchedulePlan};
+use crate::api::{Estimator, FamilyPoint, Response, SchedulePlan, StreamSummary};
 use crate::locks::{ClassedMutex, LockClass};
 
 /// Shard count; a power of two so the shard pick is a mask.
@@ -100,11 +128,73 @@ pub(crate) struct CacheKey {
     pub(crate) req: RequestKey,
 }
 
-/// One cached response with its recency stamp.
+/// One cached response, shared with every hit.
 #[derive(Debug)]
 struct Entry {
-    value: Response,
-    stamp: u64,
+    value: Arc<Response>,
+    /// Bytes charged against the shard's budget.
+    bytes: usize,
+    /// Set by a hit; cleared when the entry passes the queue's head.
+    referenced: bool,
+}
+
+/// One shard: the table, its keys in insertion order, and their charge.
+#[derive(Debug, Default)]
+struct Shard {
+    map: HashMap<Arc<CacheKey>, Entry>,
+    /// Every resident key once, oldest insertion (or second chance)
+    /// first.
+    queue: VecDeque<Arc<CacheKey>>,
+    bytes: usize,
+}
+
+/// Bytes a reference-counted allocation adds before its value.
+const ARC_HEADER: usize = 2 * size_of::<usize>();
+
+/// The fixed bytes charged per entry on top of its payload: the key and
+/// the response in their shared allocations, the table slot (the key's
+/// handle and the [`Entry`]) and the queue slot.
+const ENTRY_OVERHEAD: usize = ARC_HEADER
+    + size_of::<CacheKey>()
+    + ARC_HEADER
+    + size_of::<Response>()
+    + size_of::<(Arc<CacheKey>, Entry)>()
+    + size_of::<Arc<CacheKey>>();
+
+/// Heap bytes one `AccessStats` holds: its shared arrival buffer
+/// (header and cycles) and its module-busy words.
+fn stats_bytes(s: &AccessStats) -> usize {
+    ARC_HEADER + size_of::<Vec<u64>>() + (s.arrival.len() + s.module_busy.len()) * size_of::<u64>()
+}
+
+/// Heap bytes `r` holds beyond its `Response` header.
+fn response_bytes(r: &Response) -> usize {
+    match r {
+        Response::Measured(s) => s.as_ref().map_or(0, stats_bytes),
+        Response::Batch(items) => items
+            .iter()
+            .map(|s| size_of::<Option<AccessStats>>() + s.as_ref().map_or(0, stats_bytes))
+            .sum(),
+        Response::FamilySweep(rows) => rows.len() * size_of::<FamilyPoint>(),
+        Response::Efficiency(_) => 0,
+        Response::MultiStream(o) => {
+            o.per_stream.len() * size_of::<StreamSummary>()
+                + o.wave_makespans.len() * size_of::<u64>()
+        }
+        Response::Degraded { response, .. } => size_of::<Response>() + response_bytes(response),
+    }
+}
+
+/// The bytes an entry for `key → value` is charged: its payload plus
+/// [`ENTRY_OVERHEAD`]. The spec text is shared with the spec table and
+/// not charged.
+fn entry_bytes(key: &CacheKey, value: &Response) -> usize {
+    let key_bytes = match &key.req {
+        RequestKey::Batch { items } => items.len() * size_of::<(StrideClass, Strategy)>(),
+        RequestKey::MultiStream { streams, .. } => streams.len() * size_of::<StrideClass>(),
+        _ => 0,
+    };
+    ENTRY_OVERHEAD + key_bytes + response_bytes(value)
 }
 
 /// Counters and occupancy of the serving result cache, as reported by
@@ -116,7 +206,7 @@ pub struct CacheStats {
     /// Cacheable requests that went to the pool (and populate the
     /// cache on success).
     pub misses: u64,
-    /// Entries evicted to stay within the capacity bound.
+    /// Entries evicted to stay within the byte bound.
     pub evictions: u64,
     /// Requests that skipped the cache: explicit
     /// `Service::submit_uncached` calls, and requests with no sound
@@ -126,10 +216,15 @@ pub struct CacheStats {
     /// injector's cache poisoning, or an explicit flush) — distinct
     /// from capacity `evictions`.
     pub invalidations: u64,
+    /// Responses answered but not cached because one entry would be
+    /// charged more than a shard's share of the byte bound.
+    pub oversize: u64,
     /// Entries currently resident.
     pub entries: usize,
-    /// The configured capacity bound.
-    pub capacity: usize,
+    /// Bytes currently charged to resident entries (a gauge).
+    pub bytes: usize,
+    /// The byte bound: the shards' budgets summed.
+    pub capacity_bytes: usize,
 }
 
 impl CacheStats {
@@ -144,14 +239,13 @@ impl CacheStats {
     }
 }
 
-/// The sharded, bounded, LRU result cache. See the [module docs](self).
+/// The sharded, byte-bounded, second-chance result cache. See the
+/// [module docs](self).
 #[derive(Debug)]
 pub(crate) struct ResultCache {
-    shards: Vec<ClassedMutex<HashMap<CacheKey, Entry>>>,
-    /// Entry bound per shard (total capacity split evenly, minimum 1).
-    shard_capacity: usize,
-    /// Monotonic recency clock; every touch stamps the entry.
-    clock: AtomicU64,
+    shards: Vec<ClassedMutex<Shard>>,
+    /// Byte budget per shard (the total split evenly).
+    shard_bytes: usize,
     /// Stable hasher for shard selection (the maps hash independently).
     shard_hasher: RandomState,
     hits: AtomicU64,
@@ -159,43 +253,47 @@ pub(crate) struct ResultCache {
     evictions: AtomicU64,
     bypasses: AtomicU64,
     invalidations: AtomicU64,
+    oversize: AtomicU64,
 }
 
 impl ResultCache {
-    /// A cache bounded to (about) `capacity` entries. `capacity` must
-    /// be at least 1 — a zero capacity means "no cache" and is the
+    /// A cache bounded to `capacity_bytes` (rounded down to a multiple
+    /// of the shard count). A zero bound means "no cache" and is the
     /// caller's branch, not this type's.
-    pub(crate) fn new(capacity: usize) -> Self {
-        assert!(capacity >= 1, "a result cache needs capacity");
+    pub(crate) fn new(capacity_bytes: usize) -> Self {
+        assert!(capacity_bytes >= 1, "a result cache needs capacity");
         ResultCache {
             shards: (0..SHARDS)
-                .map(|_| ClassedMutex::new(LockClass::CacheShard, HashMap::new()))
+                .map(|_| ClassedMutex::new(LockClass::CacheShard, Shard::default()))
                 .collect(),
-            shard_capacity: capacity.div_ceil(SHARDS).max(1),
-            clock: AtomicU64::new(0),
+            shard_bytes: capacity_bytes / SHARDS,
             shard_hasher: RandomState::new(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             bypasses: AtomicU64::new(0),
             invalidations: AtomicU64::new(0),
+            oversize: AtomicU64::new(0),
         }
     }
 
-    fn shard(&self, key: &CacheKey) -> &ClassedMutex<HashMap<CacheKey, Entry>> {
+    fn shard(&self, key: &CacheKey) -> &ClassedMutex<Shard> {
         // cfva-lint: allow(L002, reason = "index is masked with SHARDS - 1, a power-of-two bound, so it is always < SHARDS")
         &self.shards[(self.shard_hasher.hash_one(key) as usize) & (SHARDS - 1)]
     }
 
-    /// Looks `key` up, counting a hit (and refreshing the entry's
-    /// recency) or a miss.
+    /// Looks `key` up, counting a hit (and setting the entry's
+    /// reference bit) or a miss. The response is cloned after the lock
+    /// is released, sharing the entry's arrival buffers.
     pub(crate) fn get(&self, key: &CacheKey) -> Option<Response> {
-        let mut shard = self.shard(key).lock();
-        match shard.get_mut(key) {
-            Some(entry) => {
-                entry.stamp = self.clock.fetch_add(1, Ordering::Relaxed);
+        let hit = self.shard(key).lock().map.get_mut(key).map(|entry| {
+            entry.referenced = true;
+            Arc::clone(&entry.value)
+        });
+        match hit {
+            Some(value) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(entry.value.clone())
+                Some(Response::clone(&value))
             }
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
@@ -204,24 +302,57 @@ impl ResultCache {
         }
     }
 
-    /// Inserts (or refreshes) `key → value`, evicting the shard's
-    /// least-recently-used entry if it is full. Concurrent misses of
-    /// the same key overwrite each other — responses are deterministic,
-    /// so both wrote the same value.
-    pub(crate) fn insert(&self, key: CacheKey, value: Response) {
-        let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
-        let mut shard = self.shard(&key).lock();
-        if !shard.contains_key(&key) && shard.len() >= self.shard_capacity {
-            if let Some(oldest) = shard
-                .iter()
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(k, _)| k.clone())
-            {
-                shard.remove(&oldest);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
+    /// Caches `key → value` (sharing `value`'s arrivals), evicting by
+    /// second chance until the shard is back within its budget. A
+    /// response charged more than a shard's budget is counted and not
+    /// cached. Concurrent misses of the same key insert once —
+    /// responses are deterministic, so both computed the same value.
+    pub(crate) fn insert(&self, key: CacheKey, value: &Response) {
+        let bytes = entry_bytes(&key, value);
+        if bytes > self.shard_bytes {
+            self.oversize.fetch_add(1, Ordering::Relaxed);
+            return;
+        }
+        let value = Arc::new(value.clone());
+        // Declared before the guard, so evicted responses are freed
+        // after the lock is released.
+        let mut evicted = Vec::new();
+        let mut guard = self.shard(&key).lock();
+        let shard = &mut *guard;
+        if shard.map.contains_key(&key) {
+            return;
+        }
+        let key = Arc::new(key);
+        shard.queue.push_back(Arc::clone(&key));
+        shard.map.insert(
+            key,
+            Entry {
+                value,
+                bytes,
+                referenced: false,
+            },
+        );
+        shard.bytes += bytes;
+        while shard.bytes > self.shard_bytes {
+            let Some(oldest) = shard.queue.pop_front() else {
+                break;
+            };
+            match shard.map.get_mut(&*oldest) {
+                Some(entry) if entry.referenced => {
+                    entry.referenced = false;
+                    shard.queue.push_back(oldest);
+                }
+                _ => {
+                    if let Some(entry) = shard.map.remove(&*oldest) {
+                        shard.bytes -= entry.bytes;
+                        evicted.push(entry.value);
+                    }
+                }
             }
         }
-        shard.insert(key, Entry { value, stamp });
+        drop(guard);
+        self.evictions
+            .fetch_add(evicted.len() as u64, Ordering::Relaxed);
     }
 
     /// Counts a request that skipped the cache.
@@ -238,24 +369,30 @@ impl ResultCache {
     /// linearized snapshot.
     pub(crate) fn invalidate_all(&self) {
         for shard in &self.shards {
-            let mut shard = shard.lock();
-            let dropped = shard.len() as u64;
-            shard.clear();
-            drop(shard);
-            self.invalidations.fetch_add(dropped, Ordering::Relaxed);
+            let dropped = std::mem::take(&mut *shard.lock());
+            self.invalidations
+                .fetch_add(dropped.map.len() as u64, Ordering::Relaxed);
         }
     }
 
     /// A snapshot of the counters and occupancy.
     pub(crate) fn stats(&self) -> CacheStats {
+        let (mut entries, mut bytes) = (0, 0);
+        for shard in &self.shards {
+            let shard = shard.lock();
+            entries += shard.map.len();
+            bytes += shard.bytes;
+        }
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             bypasses: self.bypasses.load(Ordering::Relaxed),
             invalidations: self.invalidations.load(Ordering::Relaxed),
-            entries: self.shards.iter().map(|s| s.lock().len()).sum(),
-            capacity: self.shard_capacity * SHARDS,
+            oversize: self.oversize.load(Ordering::Relaxed),
+            entries,
+            bytes,
+            capacity_bytes: self.shard_bytes * SHARDS,
         }
     }
 }
@@ -281,9 +418,9 @@ mod tests {
 
     #[test]
     fn hit_miss_and_occupancy_counters() {
-        let cache = ResultCache::new(64);
+        let cache = ResultCache::new(64 * ENTRY_OVERHEAD);
         assert_eq!(cache.get(&key(1)), None);
-        cache.insert(key(1), Response::Efficiency(0.5));
+        cache.insert(key(1), &Response::Efficiency(0.5));
         assert_eq!(cache.get(&key(1)), Some(Response::Efficiency(0.5)));
         assert_eq!(cache.get(&key(2)), None);
         let stats = cache.stats();
@@ -293,11 +430,11 @@ mod tests {
 
     #[test]
     fn capacity_bound_evicts_least_recently_used() {
-        // Capacity 8 → one entry per shard: every insert beyond a
-        // shard's slot evicts its previous occupant.
-        let cache = ResultCache::new(8);
+        // Eight entries' bytes → one entry per shard: every insert
+        // beyond a shard's slot evicts its previous occupant.
+        let cache = ResultCache::new(8 * ENTRY_OVERHEAD);
         for seed in 0..64 {
-            cache.insert(key(seed), Response::Efficiency(seed as f64));
+            cache.insert(key(seed), &Response::Efficiency(seed as f64));
         }
         let stats = cache.stats();
         assert!(stats.entries <= 8, "bounded: {} entries", stats.entries);
@@ -305,12 +442,12 @@ mod tests {
 
         // Recency: with two slots per shard, an entry touched before
         // every insert always outranks the churn slot — it must never
-        // be the LRU victim.
-        let cache = ResultCache::new(16);
-        cache.insert(key(0), Response::Efficiency(0.0));
+        // be evicted.
+        let cache = ResultCache::new(16 * ENTRY_OVERHEAD);
+        cache.insert(key(0), &Response::Efficiency(0.0));
         for seed in 1..256 {
             cache.get(&key(0));
-            cache.insert(key(seed), Response::Efficiency(seed as f64));
+            cache.insert(key(seed), &Response::Efficiency(seed as f64));
         }
         assert_eq!(
             cache.get(&key(0)),
@@ -319,15 +456,53 @@ mod tests {
         );
     }
 
+    fn measured(len: usize) -> Response {
+        Response::Measured(Some(AccessStats {
+            arrival: vec![7; len].into(),
+            module_busy: vec![1; 8],
+            ..AccessStats::default()
+        }))
+    }
+
+    #[test]
+    fn entries_are_charged_their_words_and_oversize_ones_are_not_cached() {
+        let cache = ResultCache::new(8 * (ENTRY_OVERHEAD + 1024 * 8));
+        let small = measured(64);
+        cache.insert(key(1), &small);
+        let charged = entry_bytes(&key(1), &small);
+        assert_eq!(
+            charged,
+            ENTRY_OVERHEAD + ARC_HEADER + size_of::<Vec<u64>>() + (64 + 8) * 8
+        );
+        let stats = cache.stats();
+        assert_eq!((stats.entries, stats.bytes), (1, charged));
+        assert_eq!(stats.capacity_bytes, 8 * (ENTRY_OVERHEAD + 1024 * 8));
+
+        // Over a shard's eighth of the bound: answered, counted, not kept.
+        cache.insert(key(2), &measured(1024));
+        assert_eq!(cache.get(&key(2)), None);
+        let stats = cache.stats();
+        assert_eq!((stats.entries, stats.oversize), (1, 1));
+
+        // A hit shares the entry's arrival buffer.
+        let (Some(Response::Measured(Some(a))), Some(Response::Measured(Some(b)))) =
+            (cache.get(&key(1)), cache.get(&key(1)))
+        else {
+            panic!("two hits");
+        };
+        assert!(a.arrival.ptr_eq(&b.arrival));
+    }
+
     #[test]
     fn invalidate_all_flushes_everything_and_counts_it() {
-        let cache = ResultCache::new(64);
+        let cache = ResultCache::new(64 * ENTRY_OVERHEAD);
         for seed in 0..10 {
-            cache.insert(key(seed), Response::Efficiency(seed as f64));
+            cache.insert(key(seed), &Response::Efficiency(seed as f64));
         }
         cache.invalidate_all();
         let stats = cache.stats();
         assert_eq!(stats.entries, 0, "poisoned cache holds nothing");
+        assert_eq!(stats.bytes, 0, "and is charged nothing");
         assert_eq!(stats.invalidations, 10);
         assert_eq!(stats.evictions, 0, "invalidation is not eviction");
         assert_eq!(cache.get(&key(3)), None, "flushed entries simply miss");
@@ -349,8 +524,8 @@ mod tests {
         };
         let b = a.clone();
         assert_eq!(a, b);
-        let cache = ResultCache::new(16);
-        cache.insert(a, Response::FamilySweep(Vec::new()));
+        let cache = ResultCache::new(16 * ENTRY_OVERHEAD);
+        cache.insert(a, &Response::FamilySweep(Vec::new()));
         assert!(cache.get(&b).is_some());
     }
 }

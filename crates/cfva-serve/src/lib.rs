@@ -20,8 +20,8 @@
 //!   [`runner::BatchRunner`] sessions are cached by spec, and a full
 //!   admission queue rejects with
 //!   [`api::ServeError::Overloaded`] instead of queueing unboundedly.
-//!   A sharded LRU **result cache**, keyed on the canonical spec plus
-//!   the stride-equivalence class of the request (see
+//!   A sharded, byte-bounded **result cache**, keyed on the canonical
+//!   spec plus the stride-equivalence class of the request (see
 //!   [`cfva_core::StrideClass`]), resolves repeated requests without
 //!   touching the pool — [`service::Service::stats`] reports its
 //!   hit/miss/eviction counters. [`api::Request::MultiStream`] co-runs

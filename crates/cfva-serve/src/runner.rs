@@ -392,11 +392,19 @@ impl BatchRunner {
         &self.scratch.stats
     }
 
-    /// Like [`measure`](Self::measure) but returns an owned copy of the
-    /// statistics, for callers that outlive the next measurement.
+    /// Like [`measure`](Self::measure) but returns owned statistics,
+    /// for callers that outlive the next measurement. The arrival
+    /// cycles are shared with the session's buffer
+    /// ([`Arrivals::kept`](cfva_memsim::Arrivals::kept)), whose next
+    /// run then starts a fresh one.
     #[must_use = "the measurement's statistics are its only output"]
     pub fn measure_owned(&mut self, vec: &VectorSpec, strategy: Strategy) -> Option<AccessStats> {
-        self.measure(vec, strategy).cloned()
+        let stats = self.measure(vec, strategy)?;
+        Some(AccessStats {
+            arrival: stats.arrival.kept(),
+            module_busy: stats.module_busy.clone(),
+            ..*stats
+        })
     }
 
     /// The O(1) analytic steady-state estimate of one access

@@ -34,10 +34,13 @@
 //!
 //! Determinism makes responses memoizable, and stride equivalence
 //! ([`cfva_core::StrideClass`]) makes the memo key *smaller than the
-//! request*: `submit` consults a sharded, bounded LRU cache keyed on
+//! request*: `submit` consults a sharded, byte-bounded cache keyed on
 //! the canonical spec string plus the class-reduced request **before**
 //! touching the pool. A hit resolves the ticket immediately — the O(1)
-//! serve path: no queueing, no session, no simulation.
+//! serve path: no queueing, no session, no simulation. Cached responses
+//! are shared, not copied: every hit on one entry returns the same
+//! arrival buffer, and an entry is evicted by second chance (a hit sets
+//! a reference bit that spares the entry once).
 //!
 //! The spec side of the key comes from the **spec table**: each
 //! distinct raw spec string is parsed, canonicalized and built once
@@ -50,8 +53,9 @@
 //! a fresh entry of its own — slower, never different. Misses populate
 //! the cache when the worker completes (successful responses only).
 //! Bypass per request with [`Service::submit_uncached`], or disable
-//! service-wide with [`ServiceConfig::cache_capacity`]` = 0`;
-//! [`Service::stats`] reports hit/miss/eviction/bypass counters. The
+//! service-wide with [`ServiceConfig::cache_bytes`]` = 0`;
+//! [`Service::stats`] reports hit/miss/eviction/bypass/oversize
+//! counters and the bytes held against the bound. The
 //! cache-on ≡ cache-off bit-identity is pinned by proptest in
 //! `tests/service_cache.rs`.
 
@@ -68,7 +72,7 @@ use cfva_core::Stride;
 use cfva_core::StrideClass;
 use cfva_core::VectorSpec;
 use cfva_memsim::multi::run_multi;
-use cfva_memsim::{AccessStats, AnalyticEstimate, IssuePolicy};
+use cfva_memsim::{AccessStats, AnalyticEstimate, Arrivals, IssuePolicy};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -80,7 +84,7 @@ use crate::cache::{CacheKey, CacheStats, RequestKey, ResultCache};
 use crate::fault::{FaultPlan, SubmitFault};
 use crate::locks::{ClassedMutex, LockClass};
 use crate::pool::{panic_message, Pool, PoolOptions, SubmitError, Ticket, Wake};
-use crate::runner::BatchRunner;
+use crate::runner::{cycles_per_element, BatchRunner};
 use crate::sched::{plan_waves, score_milli};
 use crate::workload::StrideSampler;
 
@@ -261,10 +265,14 @@ pub struct ServiceConfig {
     /// rejected with [`ServeError::Overloaded`]. Defaults to
     /// `16 × workers`.
     pub queue_capacity: usize,
-    /// Result-cache bound in entries ([module docs](self) under
-    /// "Result cache"). `0` disables the cache entirely. Defaults to
-    /// [`ServiceConfig::DEFAULT_CACHE_CAPACITY`].
-    pub cache_capacity: usize,
+    /// Result-cache bound in bytes ([module docs](self) under "Result
+    /// cache"). Each entry is charged its payload words plus a fixed
+    /// overhead for its key, table slot and response header; each of
+    /// the cache's eight shards holds at most an eighth of the bound,
+    /// and a response charged more than that is answered but not
+    /// cached. `0` disables the cache entirely. Defaults to
+    /// [`ServiceConfig::DEFAULT_CACHE_BYTES`].
+    pub cache_bytes: usize,
     /// Worker-side execution retries after a panicking attempt
     /// (requests are idempotent — responses are pure functions of the
     /// request — so re-execution is always sound). Defaults to
@@ -297,9 +305,11 @@ impl Default for ServiceConfig {
 }
 
 impl ServiceConfig {
-    /// Default result-cache bound: generous for repeated-request
-    /// serving, small next to one cached `AccessStats`' arrival vector.
-    pub const DEFAULT_CACHE_CAPACITY: usize = 4096;
+    /// Default result-cache bound, 8 MiB, chosen from repeated-request
+    /// traffic whose hot set holds 1.92 MiB of payload: each shard's
+    /// 1 MiB share keeps its part of that set, while at 4 MiB crowded
+    /// shards evicted hot entries and the hit rate fell.
+    pub const DEFAULT_CACHE_BYTES: usize = 8 << 20;
 
     /// Default worker-side retry budget per request.
     pub const DEFAULT_MAX_RETRIES: u32 = 2;
@@ -310,7 +320,7 @@ impl ServiceConfig {
         ServiceConfig {
             workers,
             queue_capacity: 16 * workers,
-            cache_capacity: Self::DEFAULT_CACHE_CAPACITY,
+            cache_bytes: Self::DEFAULT_CACHE_BYTES,
             max_retries: Self::DEFAULT_MAX_RETRIES,
             max_worker_restarts: PoolOptions::DEFAULT_MAX_RESTARTS,
             degraded_fallback: false,
@@ -325,10 +335,10 @@ impl ServiceConfig {
         self
     }
 
-    /// Replaces the result-cache bound; `0` disables the cache.
+    /// Replaces the result-cache byte bound; `0` disables the cache.
     #[must_use]
-    pub fn cache_capacity(mut self, capacity: usize) -> Self {
-        self.cache_capacity = capacity;
+    pub fn cache_bytes(mut self, bytes: usize) -> Self {
+        self.cache_bytes = bytes;
         self
     }
 
@@ -371,7 +381,7 @@ pub struct ServiceStats {
     /// executing); cache hits never count here.
     pub in_flight: usize,
     /// Cache counters, or `None` when the cache is disabled
-    /// (`cache_capacity == 0`).
+    /// (`cache_bytes == 0`).
     pub cache: Option<CacheStats>,
     /// Worker-side execution retries after panicking attempts.
     pub retries: u64,
@@ -554,8 +564,7 @@ impl Service {
         });
         Service {
             pool,
-            cache: (config.cache_capacity > 0)
-                .then(|| Arc::new(ResultCache::new(config.cache_capacity))),
+            cache: (config.cache_bytes > 0).then(|| Arc::new(ResultCache::new(config.cache_bytes))),
             specs: ClassedMutex::new(LockClass::SpecTable, HashMap::new()),
             in_flight: Arc::new(AtomicUsize::new(0)),
             counters: Arc::new(ServeCounters::default()),
@@ -749,7 +758,7 @@ impl Service {
                     sessions,
                     &entry,
                     &request,
-                    &populate,
+                    populate,
                     ServeAttempts {
                         deadline,
                         budget,
@@ -1066,7 +1075,7 @@ fn serve_one(
     sessions: &mut SpecSessions,
     entry: &SpecEntry,
     request: &Request,
-    populate: &Option<(Arc<ResultCache>, CacheKey)>,
+    mut populate: Option<(Arc<ResultCache>, CacheKey)>,
     policy: ServeAttempts<'_>,
 ) -> ServeResult {
     let mut inject_panic = policy.inject_panic;
@@ -1108,11 +1117,11 @@ fn serve_one(
                         .actual_conflicts
                         .fetch_add(outcome.actual_conflicts, Ordering::Relaxed);
                 }
-                if let (Some((cache, key)), Ok(response)) = (populate, &result) {
+                if let (Some((cache, key)), Ok(response)) = (populate.take(), &result) {
                     // Degraded responses are never cached: they are
                     // stand-ins, not the request's true response.
                     if !matches!(response, Response::Degraded { .. }) {
-                        cache.insert(key.clone(), response.clone());
+                        cache.insert(key, response);
                     }
                 }
                 return result;
@@ -1173,7 +1182,7 @@ fn stats_of(est: &AnalyticEstimate) -> AccessStats {
         elements: est.elements,
         stall_cycles: est.stall_cycles,
         conflicts: est.conflicts,
-        arrival: Vec::new(),
+        arrival: Arrivals::default(),
         module_busy: Vec::new(),
         max_in_q: est.max_in_q,
     }
@@ -1276,13 +1285,14 @@ fn execute(sessions: &mut SpecSessions, entry: &SpecEntry, request: &Request) ->
 }
 
 fn family_sweep(session: &mut BatchRunner, len: u64, max_x: u32, sigma: i64) -> ServeResult {
+    let mem = session.mem();
     let mut rows = Vec::with_capacity(max_x as usize + 1);
     for x in 0..=max_x {
         let stride = Stride::from_parts(sigma, x).map_err(ServeError::Request)?;
         let vec =
             VectorSpec::with_stride(16u64.into(), stride, len).map_err(ServeError::Request)?;
         let stats = session
-            .measure_owned(&vec, Strategy::Auto)
+            .measure(&vec, Strategy::Auto)
             // cfva-lint: allow(L002, reason = "Strategy::Auto falls back to naive order, which plans for every valid spec/vector pair — see plan::auto")
             .expect("auto always plans");
         rows.push(FamilyPoint {
@@ -1291,7 +1301,7 @@ fn family_sweep(session: &mut BatchRunner, len: u64, max_x: u32, sigma: i64) -> 
             latency: stats.latency,
             conflicts: stats.conflicts,
             stall_cycles: stats.stall_cycles,
-            cycles_per_element: session.cycles_per_element(&stats),
+            cycles_per_element: cycles_per_element(stats, mem),
         });
     }
     Ok(Response::FamilySweep(rows))
@@ -1498,7 +1508,7 @@ mod tests {
     fn spec_table_and_session_maps_stay_bounded() {
         const CAP: usize = Service::SPEC_TABLE_CAPACITY;
         let cached = Service::new(ServiceConfig::with_workers(1));
-        let uncached = Service::new(ServiceConfig::with_workers(1).cache_capacity(0));
+        let uncached = Service::new(ServiceConfig::with_workers(1).cache_bytes(0));
         // CAP + 8 distinct buildable canonical specs: two independent
         // GF(2) rows, the second one varying.
         for k in 2..CAP as u64 + 10 {

@@ -81,7 +81,7 @@ fn serial_truth(requests: &[Request]) -> Vec<Response> {
             Request::FamilySweep { .. } => {
                 // The sweep's truth comes from the service itself with
                 // no faults installed — same code path, no chaos.
-                let calm = Service::new(ServiceConfig::with_workers(1).cache_capacity(0));
+                let calm = Service::new(ServiceConfig::with_workers(1).cache_bytes(0));
                 let response = calm
                     .submit(request.clone())
                     .expect("calm queue has room")
@@ -196,7 +196,7 @@ fn cache_on_equals_cache_off_under_chaos() {
     let requests = request_mix(64);
     let seed = SMOKE_SEEDS[0];
     let cached = drive(chaos_config(seed, 4096), &requests).0;
-    let uncached = drive(chaos_config(seed, 4096).cache_capacity(0), &requests).0;
+    let uncached = drive(chaos_config(seed, 4096).cache_bytes(0), &requests).0;
     for (i, (a, b)) in cached.iter().zip(&uncached).enumerate() {
         assert_eq!(
             a.as_ref().expect("recoverable"),
@@ -313,7 +313,7 @@ fn degraded_fallback_sheds_overload_with_flagged_estimates() {
     let service = Service::new(
         ServiceConfig::with_workers(1)
             .queue_capacity(2)
-            .cache_capacity(0)
+            .cache_bytes(0)
             .degraded_fallback(true)
             .fault_plan(Arc::new(plan)),
     );

@@ -1,8 +1,9 @@
 //! The result-cache contract: caching is **invisible** in values
 //! (cache-on ≡ cache-off, bit for bit, over random request streams),
 //! equivalent requests share one entry (canonical spec spelling,
-//! stride-class membership), the bypass knobs really bypass, the bound
-//! really bounds — and a hit is *much* cheaper than a pooled miss.
+//! stride-class membership), the bypass knobs really bypass, the byte
+//! bound really bounds, hits share one arrival buffer — and a hit is
+//! *much* cheaper than a pooled miss.
 
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
@@ -83,7 +84,7 @@ proptest! {
         requests.push(requests[0].clone());
 
         let cached = Service::new(ServiceConfig::with_workers(2));
-        let uncached = Service::new(ServiceConfig::with_workers(2).cache_capacity(0));
+        let uncached = Service::new(ServiceConfig::with_workers(2).cache_bytes(0));
         for request in &requests {
             let warm = cached
                 .submit(request.clone())
@@ -235,7 +236,9 @@ fn submit_uncached_bypasses_and_never_populates() {
 
 #[test]
 fn tiny_capacity_stays_bounded_and_evicts() {
-    let service = Service::new(ServiceConfig::with_workers(2).cache_capacity(8));
+    // 16 KiB: each shard holds two 64-element measurements.
+    const BOUND: usize = 16 << 10;
+    let service = Service::new(ServiceConfig::with_workers(2).cache_bytes(BOUND));
     // 64 distinct stride classes (odd parts 1, 3, …, 127 are distinct
     // mod 2^used for every builtin map), all cached successfully.
     for i in 0..64i64 {
@@ -251,7 +254,7 @@ fn tiny_capacity_stays_bounded_and_evicts() {
     }
     let cache = service.stats().cache.expect("cache on");
     assert!(
-        cache.entries <= cache.capacity && cache.capacity == 8,
+        cache.bytes <= cache.capacity_bytes && cache.capacity_bytes == BOUND,
         "bounded: {cache:?}"
     );
     assert_eq!(
@@ -259,6 +262,88 @@ fn tiny_capacity_stays_bounded_and_evicts() {
         64,
         "every distinct miss was inserted, overflow evicted: {cache:?}"
     );
+    service.shutdown();
+}
+
+/// A `Measure` of 4096 elements: 32 KiB of arrival cycles.
+fn long_measure(base: u64) -> Request {
+    Request::Measure {
+        spec: "xor-matched:t=3,s=4".into(),
+        vec: VectorSpec::new(base, 3, 4096).expect("valid"),
+        strategy: Strategy::Auto,
+    }
+}
+
+#[test]
+fn byte_bound_holds_after_every_response_of_a_long_measure_stream() {
+    // 1 MiB: each shard's 128 KiB holds three 4096-element entries.
+    let service = Service::new(ServiceConfig::with_workers(2).cache_bytes(1 << 20));
+    // Bases 0..64 are distinct mod 2^used: 64 distinct keys.
+    for base in 0..64 {
+        service
+            .submit(long_measure(base))
+            .expect("room")
+            .wait()
+            .expect("serves");
+        let cache = service.stats().cache.expect("cache on");
+        assert!(cache.bytes <= cache.capacity_bytes, "bounded: {cache:?}");
+        assert_eq!(cache.misses, base + 1, "every key is new: {cache:?}");
+        assert_eq!(
+            cache.evictions + cache.entries as u64,
+            cache.misses,
+            "evictions and entries account for every insert: {cache:?}"
+        );
+    }
+    let cache = service.stats().cache.expect("cache on");
+    assert_eq!(cache.oversize, 0, "{cache:?}");
+    assert!(cache.evictions > 0, "the bound was reached: {cache:?}");
+    service.shutdown();
+}
+
+#[test]
+fn a_response_over_a_shards_budget_is_served_but_not_cached() {
+    // 64 KiB: a shard's 8 KiB cannot hold 32 KiB of arrivals.
+    let service = Service::new(ServiceConfig::with_workers(1).cache_bytes(64 << 10));
+    let request = long_measure(16);
+    let Request::Measure { vec, strategy, .. } = &request else {
+        unreachable!("a measure");
+    };
+    let serial = BatchRunner::from_spec_str("xor-matched:t=3,s=4")
+        .expect("builds")
+        .measure_owned(vec, *strategy);
+    for round in 1..=2 {
+        let got = service.submit(request.clone()).expect("room").wait();
+        assert_eq!(got, Ok(Response::Measured(serial.clone())));
+        let cache = service.stats().cache.expect("cache on");
+        assert_eq!(
+            (
+                cache.hits,
+                cache.misses,
+                cache.oversize,
+                cache.entries,
+                cache.bytes
+            ),
+            (0, round, round, 0, 0),
+            "answered, counted, never cached: {cache:?}"
+        );
+    }
+    service.shutdown();
+}
+
+#[test]
+fn hits_on_one_entry_share_one_arrival_buffer() {
+    let service = Service::new(ServiceConfig::with_workers(1));
+    let arrivals = || match service.submit(long_measure(0)).expect("room").wait() {
+        Ok(Response::Measured(Some(stats))) => stats.arrival,
+        other => panic!("a measurement: {other:?}"),
+    };
+    let miss = arrivals();
+    let (a, b) = (arrivals(), arrivals());
+    assert!(a.ptr_eq(&b), "two hits return one buffer");
+    assert_eq!(a.as_ptr(), b.as_ptr());
+    assert!(miss.ptr_eq(&a), "the miss's response is the cached one");
+    let cache = service.stats().cache.expect("cache on");
+    assert_eq!((cache.hits, cache.misses), (2, 1), "{cache:?}");
     service.shutdown();
 }
 

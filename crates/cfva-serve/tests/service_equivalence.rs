@@ -418,7 +418,7 @@ fn deadline_and_degraded_responses_stay_equivalent_to_their_sources() {
     let shedding = Service::new(
         ServiceConfig::with_workers(1)
             .queue_capacity(1)
-            .cache_capacity(0)
+            .cache_bytes(0)
             .degraded_fallback(true),
     );
     let wedges: Vec<_> = (0..2)
@@ -487,7 +487,7 @@ fn a_pending_ticket_past_its_deadline_is_ready() {
     let service = Service::new(
         ServiceConfig::with_workers(1)
             .queue_capacity(8)
-            .cache_capacity(0)
+            .cache_bytes(0)
             .fault_plan(Arc::new(plan)),
     );
     let wedge = service
@@ -533,7 +533,7 @@ fn multi_stream_conflict_aware_beats_fifo_and_reconciles_with_serial() {
         .into_iter()
         .map(|base| VectorSpec::new(base, 2, 64).expect("valid"))
         .collect();
-    let service = Service::new(ServiceConfig::with_workers(1).cache_capacity(0));
+    let service = Service::new(ServiceConfig::with_workers(1).cache_bytes(0));
     let run = |schedule: SchedulePlan| {
         let ticket = service
             .submit(Request::MultiStream {
@@ -615,7 +615,7 @@ fn multi_stream_conflict_aware_beats_fifo_and_reconciles_with_serial() {
 fn scheduler_stats_expose_every_counter_in_one_snapshot() {
     // A contended MultiStream co-run, then the full `ServiceStats`
     // snapshot field by field.
-    let service = Service::new(ServiceConfig::with_workers(1).cache_capacity(0));
+    let service = Service::new(ServiceConfig::with_workers(1).cache_bytes(0));
     let outcome = service
         .submit(Request::MultiStream {
             spec: "interleaved:m=3".into(),

@@ -30,8 +30,10 @@ use crate::json::Encode;
 
 /// The protocol version exchanged in the hello frames. Bump on any
 /// incompatible schema change; the server refuses mismatched hellos
-/// with a typed `Fatal` frame instead of mis-decoding.
-pub const PROTOCOL_VERSION: u32 = 2;
+/// with a typed `Fatal` frame instead of mis-decoding. Version 3: the
+/// cache counters in a stats frame report a byte bound (`bytes`,
+/// `capacity_bytes`, `oversize`) in place of an entry `capacity`.
+pub const PROTOCOL_VERSION: u32 = 3;
 
 /// Upper bound on a frame's payload length, in bytes (64 MiB). A
 /// `Response::FamilySweep` over a large family fits with orders of

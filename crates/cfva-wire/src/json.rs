@@ -54,7 +54,7 @@ use std::time::Duration;
 
 use cfva_core::plan::Strategy;
 use cfva_core::{ConfigError, VectorSpec};
-use cfva_memsim::{AccessStats, IssuePolicy};
+use cfva_memsim::{AccessStats, Arrivals, IssuePolicy};
 use cfva_serve::api::{
     Estimator, FamilyPoint, MultiStreamOutcome, Request, Response, SchedulePlan, ServeError,
     ServeResult, StreamSummary,
@@ -1069,6 +1069,20 @@ impl<T: Decode> Decode for Vec<T> {
     }
 }
 
+/// Arrival cycles travel as a plain `u64` array.
+impl Encode for Arrivals {
+    fn encode(&self, out: &mut String) {
+        u64::encode_slice(self, out);
+    }
+}
+
+/// The decoded vector becomes the shared buffer as is, without a copy.
+impl Decode for Arrivals {
+    fn decode(p: &mut Parser<'_>, what: &'static str) -> Result<Self, DecodeError> {
+        u64::decode_vec(p, what).map(Arrivals::from)
+    }
+}
+
 /// `null` for `None`. As a struct field, an absent key is `None` too.
 impl<T: Encode> Encode for Option<T> {
     fn encode(&self, out: &mut String) {
@@ -1183,7 +1197,8 @@ record! {
         predicted_conflicts_milli, actual_conflicts,
     }
     CacheStats {
-        hits, misses, evictions, bypasses, invalidations, entries, capacity,
+        hits, misses, evictions, bypasses, invalidations, oversize, entries, bytes,
+        capacity_bytes,
     }
     ServiceStats {
         queue_depth, in_flight, cache, retries, restarts, deadline_exceeded, degraded,

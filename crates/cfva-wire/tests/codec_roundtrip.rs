@@ -55,7 +55,7 @@ fn access_stats(k: u64) -> AccessStats {
         elements: 64,
         stall_cycles: k % 7,
         conflicts: k % 5,
-        arrival: vec![k, k + 1, k + 3, k + 9],
+        arrival: vec![k, k + 1, k + 3, k + 9].into(),
         module_busy: vec![8, 9, 10, k % 11],
         max_in_q: usize::try_from(k % 4).unwrap(),
     }
@@ -417,8 +417,10 @@ fn service_stats_round_trips() {
             evictions: 3,
             bypasses: 4,
             invalidations: 5,
+            oversize: 6,
             entries: 17,
-            capacity: 64,
+            bytes: 48_000,
+            capacity_bytes: 65_536,
         }),
         retries: 6,
         restarts: 7,
@@ -752,8 +754,10 @@ fn golden_cases() -> Vec<(&'static str, String)> {
             evictions: 3,
             bypasses: 4,
             invalidations: 5,
+            oversize: 6,
             entries: 17,
-            capacity: 64,
+            bytes: 48_000,
+            capacity_bytes: 65_536,
         }),
         retries: 6,
         restarts: 7,
@@ -1022,7 +1026,7 @@ fn golden_cases() -> Vec<(&'static str, String)> {
 /// here changes the wire format, which needs a `PROTOCOL_VERSION`
 /// bump.
 const GOLDEN: &[(&str, &str)] = &[
-    ("client hello", r#"{"hello":{"proto":2}}"#),
+    ("client hello", r#"{"hello":{"proto":3}}"#),
     (
         "client submit with budget",
         r#"{"submit":{"id":42,"request":{"measure":{"spec":"xor-matched:t=3,s=4","vec":{"base":16,"stride":12,"len":64},"strategy":"auto"}},"budget":{"secs":1,"nanos":250000000}}}"#,
@@ -1034,7 +1038,7 @@ const GOLDEN: &[(&str, &str)] = &[
     ("client stats", r#"{"stats":{"id":7}}"#),
     (
         "server hello",
-        r#"{"hello":{"proto":2,"max_in_flight":64}}"#,
+        r#"{"hello":{"proto":3,"max_in_flight":64}}"#,
     ),
     (
         "server result",
@@ -1042,7 +1046,7 @@ const GOLDEN: &[(&str, &str)] = &[
     ),
     (
         "server stats",
-        r#"{"stats":{"id":5,"stats":{"queue_depth":3,"in_flight":2,"cache":{"hits":10,"misses":20,"evictions":3,"bypasses":4,"invalidations":5,"entries":17,"capacity":64},"retries":6,"restarts":7,"deadline_exceeded":8,"degraded":9,"faults_injected":10,"scheduler_predicted_conflicts_milli":11,"scheduler_actual_conflicts":12,"wire_connections":13,"wire_rejections":14,"wire_in_flight":15}}}"#,
+        r#"{"stats":{"id":5,"stats":{"queue_depth":3,"in_flight":2,"cache":{"hits":10,"misses":20,"evictions":3,"bypasses":4,"invalidations":5,"oversize":6,"entries":17,"bytes":48000,"capacity_bytes":65536},"retries":6,"restarts":7,"deadline_exceeded":8,"degraded":9,"faults_injected":10,"scheduler_predicted_conflicts_milli":11,"scheduler_actual_conflicts":12,"wire_connections":13,"wire_rejections":14,"wire_in_flight":15}}}"#,
     ),
     (
         "server stats without cache",
@@ -1174,8 +1178,8 @@ const GOLDEN: &[(&str, &str)] = &[
 fn wire_format_matches_the_golden_text() {
     assert_eq!(
         frame::PROTOCOL_VERSION,
-        2,
-        "the golden text below is protocol version 2"
+        3,
+        "the golden text below is protocol version 3"
     );
     let cases = golden_cases();
     assert_eq!(cases.len(), GOLDEN.len(), "one golden text per case");
@@ -1405,8 +1409,10 @@ proptest! {
                     evictions: a % 101,
                     bypasses: a % 7,
                     invalidations: a % 11,
+                    oversize: a % 5,
                     entries: b % 257,
-                    capacity: 1 + b % 1024,
+                    bytes: b * 3,
+                    capacity_bytes: 1 + b % 1024 * 8,
                 })
             } else {
                 None

@@ -375,7 +375,7 @@ fn deadline_budgets_are_forwarded_across_the_wire() {
     let (service, server) = serve_pair(
         ServiceConfig::with_workers(1)
             .queue_capacity(8)
-            .cache_capacity(0),
+            .cache_bytes(0),
         WireServerConfig::default(),
     );
     let mut client = WireClient::connect(server.local_addr()).expect("connect");
@@ -420,7 +420,7 @@ fn a_request_running_past_its_budget_answers_deadline_exceeded_as_in_process() {
     let (plan, mut gate) = FaultPlan::new().hold_at(0);
     let (service, server) = serve_pair(
         ServiceConfig::with_workers(2)
-            .cache_capacity(0)
+            .cache_bytes(0)
             .fault_plan(Arc::new(plan)),
         WireServerConfig::default(),
     );
@@ -478,7 +478,7 @@ fn duplicate_in_flight_request_ids_are_each_answered() {
     let (plan, mut gate) = FaultPlan::new().hold_at(0);
     let (service, server) = serve_pair(
         ServiceConfig::with_workers(1)
-            .cache_capacity(0)
+            .cache_bytes(0)
             .fault_plan(Arc::new(plan)),
         WireServerConfig::default(),
     );

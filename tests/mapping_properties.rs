@@ -286,8 +286,8 @@ fn check_attached_period(plan: &AccessPlan, label: &str) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Every registered map × {canonical, conflict free where it plans,
-    /// auto}, with sampled strides (ascending and descending), bases
+    /// Every registered map × {canonical, conflict free and subsequence
+    /// where they plan, auto}, with sampled strides (ascending and descending), bases
     /// and lengths: the period the planner attaches is a true period of
     /// the plan's module sequence. Bases below 4096 put the region
     /// map's short vectors inside its default regions, inside its
@@ -302,6 +302,7 @@ proptest! {
         strategy in prop::sample::select(vec![
             PlanStrategy::Canonical,
             PlanStrategy::ConflictFree,
+            PlanStrategy::Subsequence,
             PlanStrategy::Auto,
         ]),
     ) {
@@ -342,12 +343,11 @@ fn region_plans_carry_the_governing_period() {
     }
 }
 
-/// The out-of-order plans carry no period today, but `P_x` is a true
-/// period of their request-order module sequence too: every
+/// The out-of-order plans carry `P_x` as in-order plans do, and it is a
+/// true period of their request-order module sequence: every
 /// conflict-free, subsequence and `Auto` plan the xor planners build,
 /// for every family in the window of `L = 2^λ` and one on each side,
-/// ascending and descending strides, several bases and lengths. So the
-/// planner could attach `P_x` to them as it does to in-order plans.
+/// ascending and descending strides, several bases and lengths.
 #[test]
 fn out_of_order_plans_repeat_on_the_vector_period() {
     let mut checked = 0;
@@ -383,10 +383,13 @@ fn out_of_order_plans_repeat_on_the_vector_period() {
                                 let Ok(plan) = planner.plan(&vec, strategy) else {
                                     continue;
                                 };
-                                if plan.period().is_some() {
-                                    continue; // in order: `attached_plan_period_is_a_true_period`
-                                }
-                                let p = planner.map().vector_period(&vec) as usize;
+                                let p = planner.map().vector_period(&vec);
+                                assert_eq!(
+                                    plan.period(),
+                                    Some(p),
+                                    "{spec} {vec} {strategy}: the plan carries P_x"
+                                );
+                                let p = p as usize;
                                 let seq = plan.module_sequence();
                                 if p >= seq.len() {
                                     continue; // holds vacuously
