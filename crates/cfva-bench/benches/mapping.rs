@@ -7,6 +7,13 @@
 //! delta `Planner::plan_into` gains by resolving all modules of a plan
 //! through one virtual call (periodic head + cyclic copy) instead of
 //! one call per element.
+//!
+//! The `plan_into` group times whole plans into a reused buffer. A plan
+//! stores only that element-indexed module table and, when the order is
+//! not the identity, the element order, so an in-order plan costs about
+//! one bulk mapping; `auto_*` are the strategy a serving session plans
+//! with, on an out-of-order (`xor-matched`) and an in-order
+//! (`pseudo-random`) planner.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
@@ -110,7 +117,9 @@ fn bench_bulk_mapping(c: &mut Criterion) {
     group.finish();
 
     // The downstream payoff: plan construction through the reused
-    // buffer, which now performs one map_stride_into call per plan.
+    // buffer. A plan is one map_stride_into fill plus, out of order,
+    // the element order, so `canonical` should sit near the bulk
+    // mapping above.
     let mut group = c.benchmark_group("plan_into");
     group.throughput(Throughput::Elements(LEN as u64));
     let planner = Planner::matched(XorMatched::new(3, 4).expect("valid"));
@@ -122,6 +131,23 @@ fn bench_bulk_mapping(c: &mut Criterion) {
                 planner
                     .plan_into(black_box(&vec), strategy, &mut plan)
                     .expect("plannable")
+            })
+        });
+    }
+    // `Auto` as a serving session plans: a reused buffer, on an
+    // out-of-order planner and on an in-order one.
+    for name in ["xor-matched", "pseudo-random"] {
+        let spec = Registry::builtin()
+            .all_specs()
+            .into_iter()
+            .find(|spec| spec.name() == name)
+            .expect("a registered map");
+        let planner = Planner::from_spec(&spec).expect("coverage specs are buildable");
+        group.bench_function(BenchmarkId::new(format!("auto_{name}"), LEN), |b| {
+            b.iter(|| {
+                planner
+                    .plan_into(black_box(&vec), Strategy::Auto, &mut plan)
+                    .expect("auto always plans")
             })
         });
     }

@@ -22,6 +22,7 @@
 //! across every registered map.
 
 use crate::mapping::ModuleMap;
+use crate::plan::AccessPlan;
 use crate::stride::Stride;
 use crate::vector::VectorSpec;
 use crate::ModuleId;
@@ -205,20 +206,69 @@ impl OccupancySignature {
 /// Predicts the module-occupancy signature of `vec` under `map` — see
 /// [`OccupancySignature`].
 pub fn occupancy_signature<M: ModuleMap + ?Sized>(map: &M, vec: &VectorSpec) -> OccupancySignature {
+    let (n, exact) = signature_prefix(map, vec);
+    let mut modules = vec![ModuleId::new(0); n];
+    map.map_stride_into(vec.base(), vec.stride().get(), &mut modules);
+    signature_of(&modules, exact, map.module_count())
+}
+
+/// The signature [`occupancy_signature`] predicts for `vec`, read off
+/// the element-indexed module table of `plan`, a plan of `vec` under
+/// `map` (any strategy: every plan maps every element), instead of
+/// mapping the vector again.
+///
+/// # Panics
+///
+/// Panics if `plan` is shorter than `vec`.
+pub fn plan_signature<M: ModuleMap + ?Sized>(
+    map: &M,
+    vec: &VectorSpec,
+    plan: &AccessPlan,
+) -> OccupancySignature {
+    debug_assert_eq!(plan.len(), vec.len(), "a plan of another vector");
+    let (n, exact) = signature_prefix(map, vec);
+    signature_of(&plan.modules()[..n], exact, map.module_count())
+}
+
+/// How many leading elements a signature reads — one period of the
+/// module sequence, at most the whole vector and the
+/// [`SIGNATURE_PREFIX_CAP`] — and whether they determine the
+/// distribution exactly.
+fn signature_prefix<M: ModuleMap + ?Sized>(map: &M, vec: &VectorSpec) -> (usize, bool) {
     let period = map.period(vec.stride().family());
     let len = vec.len();
     let n = len.min(period).min(SIGNATURE_PREFIX_CAP);
-    let exact = n == len || period <= n;
-    let mut modules = vec![ModuleId::new(0); n as usize];
-    map.map_stride_into(vec.base(), vec.stride().get(), &mut modules);
-    let mut hits: Vec<u64> = modules.iter().map(|m| m.get()).collect();
-    hits.sort_unstable();
+    (n as usize, n == len || period <= n)
+}
+
+/// The signature of a module prefix: each module's weight is `1/n`
+/// added once per request it receives, in the same repeated additions
+/// whether the modules are counted (when the memory has at most `n`
+/// modules) or sorted.
+fn signature_of(modules: &[ModuleId], exact: bool, module_count: u64) -> OccupancySignature {
+    let share = 1.0 / modules.len() as f64;
     let mut weights: Vec<(u64, f64)> = Vec::new();
-    let share = 1.0 / n as f64;
-    for module in hits {
-        match weights.last_mut() {
-            Some((last, weight)) if *last == module => *weight += share,
-            _ => weights.push((module, share)),
+    let mut add = |module: u64| match weights.last_mut() {
+        Some((last, weight)) if *last == module => *weight += share,
+        _ => weights.push((module, share)),
+    };
+    if module_count <= modules.len() as u64 {
+        let mut counts = vec![0u32; module_count as usize];
+        for m in modules {
+            if let Some(count) = counts.get_mut(m.get() as usize) {
+                *count += 1;
+            }
+        }
+        for (module, &count) in counts.iter().enumerate() {
+            for _ in 0..count {
+                add(module as u64);
+            }
+        }
+    } else {
+        let mut hits: Vec<u64> = modules.iter().map(|m| m.get()).collect();
+        hits.sort_unstable();
+        for module in hits {
+            add(module);
         }
     }
     OccupancySignature { weights, exact }
@@ -364,6 +414,59 @@ mod tests {
         // Short vectors are exact regardless of the period.
         let short = vec_of(0, 1, 0, 64);
         assert!(occupancy_signature(&map, &short).is_exact());
+    }
+
+    /// The sort-based construction signatures had before counting:
+    /// every weight must match it bit for bit.
+    fn sorted_signature<M: ModuleMap + ?Sized>(map: &M, vec: &VectorSpec) -> Vec<(u64, f64)> {
+        let (n, _) = signature_prefix(map, vec);
+        let mut modules = vec![ModuleId::new(0); n];
+        map.map_stride_into(vec.base(), vec.stride().get(), &mut modules);
+        let mut hits: Vec<u64> = modules.iter().map(|m| m.get()).collect();
+        hits.sort_unstable();
+        let mut weights: Vec<(u64, f64)> = Vec::new();
+        let share = 1.0 / n as f64;
+        for module in hits {
+            match weights.last_mut() {
+                Some((last, weight)) if *last == module => *weight += share,
+                _ => weights.push((module, share)),
+            }
+        }
+        weights
+    }
+
+    #[test]
+    fn plan_signatures_match_mapped_and_sorted_signatures() {
+        use crate::mapping::Registry;
+        use crate::plan::Strategy;
+
+        let registry = Registry::builtin();
+        let mut counted = 0;
+        for spec in registry.all_specs() {
+            let planner = registry.planner(&spec).unwrap();
+            let map = planner.map();
+            for x in [0u32, 1, 2, 3, 5, 9] {
+                for (base, len) in [(16u64, 64u64), (1000, 1000), (7, 4096), (3, 5000)] {
+                    let vec = vec_of(base, 3, x, len);
+                    let expected = sorted_signature(map, &vec);
+                    let mapped = occupancy_signature(map, &vec);
+                    assert_eq!(mapped.weights(), &expected[..], "{spec} {vec}");
+                    counted +=
+                        usize::from(map.module_count() <= signature_prefix(map, &vec).0 as u64);
+                    for strategy in [Strategy::Canonical, Strategy::Auto, Strategy::ConflictFree] {
+                        let Ok(plan) = planner.plan(&vec, strategy) else {
+                            continue;
+                        };
+                        assert_eq!(
+                            plan_signature(map, &vec, &plan),
+                            mapped,
+                            "{spec} {vec} {strategy}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(counted > 0, "no signature took the counting path");
     }
 
     #[test]

@@ -27,8 +27,9 @@
 //!   Section 3.1 subsequence order (Figure 4), and the Section 3.2/4.2
 //!   conflict-free *replay* order.
 //! * [`plan`] — [`plan::AccessPlan`]: the fully resolved request stream
-//!   (element, address, module, register slot) fed to a simulator or to
-//!   real hardware models.
+//!   fed to a simulator or to real hardware models, stored as what the
+//!   conflict-free condition depends on: the element-indexed module
+//!   table and, when it is not the identity, the element order.
 //! * [`window`] — the conflict-free stride-family windows of Theorems 1
 //!   and 3, and the recommended `s`/`y` parameter choices.
 //! * [`analysis`] — Section 5 analytics: fraction of conflict-free
@@ -49,7 +50,7 @@
 //! `s = 3`), the running example of the paper's Section 3:
 //!
 //! ```
-//! use cfva_core::mapping::XorMatched;
+//! use cfva_core::mapping::{ModuleMap, XorMatched};
 //! use cfva_core::plan::{Planner, Strategy};
 //! use cfva_core::vector::VectorSpec;
 //!
@@ -61,6 +62,12 @@
 //!
 //! // Any 8 consecutive requests touch 8 distinct modules:
 //! assert!(plan.is_conflict_free(8));
+//! // Out of element order; each request names its element and module,
+//! // and the address follows from the vector.
+//! let first = plan.request(0);
+//! assert!(!plan.is_in_order());
+//! let addr = vec.element_addr(first.element());
+//! assert_eq!(first.module(), planner.map().module_of(addr));
 //! # Ok(())
 //! # }
 //! ```

@@ -40,13 +40,6 @@ pub fn canonical_order(len: u64) -> Vec<u64> {
     (0..len).collect()
 }
 
-/// The canonical request order, built into caller-owned storage: `out`
-/// is cleared and refilled with `0, 1, …, len−1`.
-pub fn canonical_order_into(len: u64, out: &mut Vec<u64>) {
-    out.clear();
-    out.extend(0..len);
-}
-
 /// Checks that `order` is a permutation of `0..len` — every element
 /// requested exactly once. All orders produced by this module satisfy
 /// this; the check is used by validators and tests.

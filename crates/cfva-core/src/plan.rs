@@ -1,17 +1,25 @@
 //! Access plans: the fully resolved request stream of one vector access.
 //!
 //! An [`AccessPlan`] is what the memory-access module of the processor
-//! actually executes: one entry per cycle, each naming the element
-//! requested, its address, the module it lives in, and the vector
-//! register slot the datum must be written to (always the element index
-//! — out-of-order return is absorbed by a random-access register file,
-//! paper Section 5D).
+//! actually executes: one request per cycle, each naming the element
+//! requested and the module it lives in; the element index is also the
+//! vector register slot the datum is written to (out-of-order return is
+//! absorbed by a random-access register file, paper Section 5D).
+//!
+//! The paper's conflict-free condition depends only on the plan's module
+//! sequence (its temporal distribution), so that is all a plan stores:
+//! the element-indexed module table one bulk
+//! [`ModuleMap::map_stride_into`] call fills, and the element order when
+//! it is not the identity. Request `k` asks for element `order[k]` (or
+//! `k`) in module `modules[element]`; its address is
+//! [`VectorSpec::element_addr`] of the planned vector.
 //!
 //! A [`Planner`] builds plans from a mapping and a [`Strategy`].
 
+use std::borrow::Cow;
 use std::fmt;
 
-use crate::address::{Addr, ModuleId};
+use crate::address::ModuleId;
 use crate::dist;
 use crate::error::PlanError;
 use crate::mapping::{ModuleMap, XorMatched, XorUnmatched};
@@ -19,11 +27,11 @@ use crate::order::{self, ReplayKey, ReplayScratch, SubseqStructure};
 use crate::vector::VectorSpec;
 use crate::window::{MatchedWindow, ReplayKind, UnmatchedWindow};
 
-/// One request of an access plan.
+/// One request of an access plan, by value: the element requested and
+/// the module it lives in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PlanEntry {
     element: u64,
-    addr: Addr,
     module: ModuleId,
 }
 
@@ -32,11 +40,6 @@ impl PlanEntry {
     /// returned datum is written to).
     pub const fn element(&self) -> u64 {
         self.element
-    }
-
-    /// Memory address of the element.
-    pub const fn addr(&self) -> Addr {
-        self.addr
     }
 
     /// Module the element lives in.
@@ -50,45 +53,41 @@ impl PlanEntry {
     }
 }
 
-/// Reusable working storage carried inside an [`AccessPlan`]: the
-/// element-order buffer, the element-indexed module table (filled by
-/// one bulk [`ModuleMap::map_stride_into`] call per plan) and the
-/// replay scratch, reused by [`Planner::plan_into`] so repeated
-/// planning into the same plan performs no heap allocation after
-/// warm-up.
-#[derive(Debug, Clone, Default)]
-struct PlanScratch {
-    order: Vec<u64>,
-    modules: Vec<ModuleId>,
-    replay: ReplayScratch,
-}
-
-/// The resolved request stream of one vector access: entries in request
-/// order, one per processor cycle (ignoring stalls).
+/// The resolved request stream of one vector access, one request per
+/// processor cycle (ignoring stalls): the element-indexed module table
+/// and, for out-of-order plans, the element order.
 ///
 /// A plan doubles as a reusable buffer: [`Planner::plan_into`] clears
-/// and refills an existing plan in place, reusing both the entry
-/// storage and internal planning scratch — the allocation-free hot path
-/// of the batch execution engine. Equality and hashing consider only
-/// the entries, never the scratch state or the attached period.
+/// and refills an existing plan in place, reusing its tables and the
+/// replay scratch — the allocation-free hot path of the batch execution
+/// engine. Equality compares the `(element, module)` request sequence,
+/// never the scratch state or the attached period.
 #[derive(Default)]
 pub struct AccessPlan {
-    entries: Vec<PlanEntry>,
+    /// Module of each element, indexed by element.
+    modules: Vec<ModuleId>,
+    /// Element requested at each step; empty when the plan requests the
+    /// elements in order (the order is stored only when it is not the
+    /// identity, so equal request sequences have equal tables).
+    order: Vec<u64>,
     /// A true period of the module sequence in request order, when the
     /// planner proved one (see [`period`](Self::period)).
     period: Option<u64>,
-    scratch: PlanScratch,
+    /// Working storage of the replay order, reused by the next
+    /// [`Planner::plan_into`] call.
+    replay: ReplayScratch,
 }
 
 impl Clone for AccessPlan {
     fn clone(&self) -> Self {
-        // The scratch is working storage for the *next* plan_into call;
-        // a clone starts with fresh (empty) scratch instead of paying
-        // for a deep copy of buffers it will never read.
+        // The replay scratch is working storage for the *next* plan_into
+        // call; a clone starts with fresh (empty) scratch instead of
+        // paying for a deep copy of buffers it will never read.
         AccessPlan {
-            entries: self.entries.clone(),
+            modules: self.modules.clone(),
+            order: self.order.clone(),
             period: self.period,
-            scratch: PlanScratch::default(),
+            replay: ReplayScratch::default(),
         }
     }
 }
@@ -96,7 +95,8 @@ impl Clone for AccessPlan {
 impl fmt::Debug for AccessPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("AccessPlan")
-            .field("entries", &self.entries)
+            .field("modules", &self.modules)
+            .field("order", &self.order())
             .field("period", &self.period)
             .finish_non_exhaustive()
     }
@@ -104,7 +104,9 @@ impl fmt::Debug for AccessPlan {
 
 impl PartialEq for AccessPlan {
     fn eq(&self, other: &Self) -> bool {
-        self.entries == other.entries
+        // A request sequence determines both tables, and each plan
+        // stores an order only when it is not the identity.
+        self.modules == other.modules && self.order == other.order
     }
 }
 
@@ -117,19 +119,19 @@ impl AccessPlan {
         AccessPlan::default()
     }
 
-    /// Creates an empty plan whose entry buffer can hold `len` requests
+    /// Creates an empty plan whose module table can hold `len` requests
     /// without reallocating.
     pub fn with_capacity(len: u64) -> Self {
         AccessPlan {
-            entries: Vec::with_capacity(len as usize),
-            period: None,
-            scratch: PlanScratch::default(),
+            modules: Vec::with_capacity(len as usize),
+            ..AccessPlan::default()
         }
     }
 
     /// Removes all requests, keeping the allocated buffers for reuse.
     pub fn clear(&mut self) {
-        self.entries.clear();
+        self.modules.clear();
+        self.order.clear();
         self.period = None;
     }
 
@@ -146,7 +148,7 @@ impl AccessPlan {
 
     /// Clears the plan and refills it from an element order — the
     /// in-place equivalent of [`from_order`](Self::from_order), reusing
-    /// the entry buffer.
+    /// the plan's buffers.
     pub fn fill_from_order<M: ModuleMap + ?Sized>(
         &mut self,
         map: &M,
@@ -158,29 +160,62 @@ impl AccessPlan {
             "order must be a permutation of 0..{}",
             vec.len()
         );
-        map_elements(map, vec, &mut self.scratch.modules);
-        fill_entries(&mut self.entries, vec, &self.scratch.modules, order);
+        map_elements(map, vec, &mut self.modules);
+        self.order.clear();
+        self.order.extend_from_slice(order);
+        self.drop_identity_order();
         self.period = None;
+    }
+
+    /// Forgets an order that turned out to be the identity. Stops at the
+    /// first element out of place, so an out-of-order plan pays a step
+    /// or two.
+    fn drop_identity_order(&mut self) {
+        if self.order.iter().enumerate().all(|(k, &e)| e == k as u64) {
+            self.order.clear();
+        }
     }
 
     /// Number of requests (the vector length).
     pub fn len(&self) -> u64 {
-        self.entries.len() as u64
+        self.modules.len() as u64
     }
 
     /// Returns `true` if the plan has no requests.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.modules.is_empty()
     }
 
-    /// The plan entries in request order.
-    pub fn entries(&self) -> &[PlanEntry] {
-        &self.entries
+    /// The module of each element, indexed by element (not by request).
+    pub fn modules(&self) -> &[ModuleId] {
+        &self.modules
     }
 
-    /// Iterates the entries in request order.
-    pub fn iter(&self) -> std::slice::Iter<'_, PlanEntry> {
-        self.entries.iter()
+    /// The element requested at each step, or `None` when the plan
+    /// requests the elements in order.
+    pub fn order(&self) -> Option<&[u64]> {
+        (!self.order.is_empty()).then_some(&self.order[..])
+    }
+
+    /// Request `k` (in issue order).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k >= len()`.
+    pub fn request(&self, k: usize) -> PlanEntry {
+        let element = self.order.get(k).map_or(k as u64, |&e| e);
+        PlanEntry {
+            element,
+            module: self.modules[element as usize],
+        }
+    }
+
+    /// Iterates the requests in issue order.
+    pub fn iter(&self) -> Iter<'_> {
+        Iter {
+            plan: self,
+            range: 0..self.modules.len(),
+        }
     }
 
     /// A true period of the plan's module sequence in request order:
@@ -198,37 +233,46 @@ impl AccessPlan {
 
     /// The element indices in request order.
     pub fn element_order(&self) -> Vec<u64> {
-        self.entries.iter().map(|e| e.element).collect()
+        match self.order() {
+            Some(order) => order.to_vec(),
+            None => (0..self.len()).collect(),
+        }
     }
 
     /// The module sequence (temporal distribution) of the plan.
     pub fn module_sequence(&self) -> Vec<ModuleId> {
-        self.entries.iter().map(|e| e.module).collect()
+        self.temporal().into_owned()
+    }
+
+    /// The module sequence, borrowed from the module table when the
+    /// plan is in order.
+    fn temporal(&self) -> Cow<'_, [ModuleId]> {
+        match self.order() {
+            None => Cow::Borrowed(&self.modules),
+            Some(order) => Cow::Owned(order.iter().map(|&e| self.modules[e as usize]).collect()),
+        }
     }
 
     /// Whether every window of `t_cycles` consecutive requests touches
     /// `t_cycles` distinct modules — the paper's conflict-free
     /// condition.
     pub fn is_conflict_free(&self, t_cycles: u64) -> bool {
-        dist::is_conflict_free(&self.module_sequence(), t_cycles)
+        dist::is_conflict_free(&self.temporal(), t_cycles)
     }
 
     /// Position of the first conflicting request, or `None`.
     pub fn first_conflict(&self, t_cycles: u64) -> Option<usize> {
-        dist::first_conflict(&self.module_sequence(), t_cycles)
+        dist::first_conflict(&self.temporal(), t_cycles)
     }
 
     /// Number of conflicting requests.
     pub fn conflict_count(&self, t_cycles: u64) -> usize {
-        dist::conflict_count(&self.module_sequence(), t_cycles)
+        dist::conflict_count(&self.temporal(), t_cycles)
     }
 
     /// Whether the requests are in element order.
     pub fn is_in_order(&self) -> bool {
-        self.entries
-            .iter()
-            .enumerate()
-            .all(|(k, e)| e.element == k as u64)
+        self.order.is_empty()
     }
 
     /// Minimum possible latency of this access on a conflict-free
@@ -249,21 +293,16 @@ impl AccessPlan {
     where
         I: IntoIterator<Item = &'a AccessPlan>,
     {
-        let mut entries = Vec::new();
-        let mut offset = 0u64;
+        let mut combined = AccessPlan::new();
         for plan in plans {
-            entries.extend(plan.entries().iter().map(|e| PlanEntry {
-                element: e.element + offset,
-                addr: e.addr,
-                module: e.module,
-            }));
-            offset += plan.len();
+            let offset = combined.len();
+            combined
+                .order
+                .extend(plan.iter().map(|e| e.element + offset));
+            combined.modules.extend_from_slice(&plan.modules);
         }
-        AccessPlan {
-            entries,
-            period: None,
-            scratch: PlanScratch::default(),
-        }
+        combined.drop_identity_order();
+        combined
     }
 }
 
@@ -276,26 +315,31 @@ fn map_elements<M: ModuleMap + ?Sized>(map: &M, vec: &VectorSpec, modules: &mut 
     map.map_stride_into(vec.base(), vec.stride().get(), modules);
 }
 
-/// Clears `entries` and refills it by resolving `order` against the
-/// element-indexed `modules` table (from [`map_elements`]).
-fn fill_entries(
-    entries: &mut Vec<PlanEntry>,
-    vec: &VectorSpec,
-    modules: &[ModuleId],
-    order: &[u64],
-) {
-    entries.clear();
-    entries.reserve(order.len());
-    entries.extend(order.iter().map(|&element| PlanEntry {
-        element,
-        addr: vec.element_addr(element),
-        module: modules[element as usize],
-    }));
+/// The requests of an [`AccessPlan`] in issue order
+/// ([`AccessPlan::iter`]).
+#[derive(Debug, Clone)]
+pub struct Iter<'a> {
+    plan: &'a AccessPlan,
+    range: std::ops::Range<usize>,
 }
 
+impl Iterator for Iter<'_> {
+    type Item = PlanEntry;
+
+    fn next(&mut self) -> Option<PlanEntry> {
+        self.range.next().map(|k| self.plan.request(k))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.range.size_hint()
+    }
+}
+
+impl ExactSizeIterator for Iter<'_> {}
+
 impl<'a> IntoIterator for &'a AccessPlan {
-    type Item = &'a PlanEntry;
-    type IntoIter = std::slice::Iter<'a, PlanEntry>;
+    type Item = PlanEntry;
+    type IntoIter = Iter<'a>;
 
     fn into_iter(self) -> Self::IntoIter {
         self.iter()
@@ -506,9 +550,11 @@ impl Planner {
     /// Builds the plan for `vec` into caller-owned storage.
     ///
     /// The in-place equivalent of [`plan`](Self::plan): `out` is cleared
-    /// and refilled, reusing its entry buffer and internal planning
-    /// scratch — no heap allocation once the buffers have grown to the
-    /// working size. This is the batch execution engine's hot path.
+    /// and refilled, reusing its tables and internal planning scratch —
+    /// no heap allocation once the buffers have grown to the working
+    /// size. This is the batch execution engine's hot path. The vector
+    /// is mapped once; every strategy, and each attempt of
+    /// [`Strategy::Auto`], orders the same module table.
     ///
     /// On error `out` is left cleared (empty).
     ///
@@ -521,18 +567,18 @@ impl Planner {
         strategy: Strategy,
         out: &mut AccessPlan,
     ) -> Result<(), PlanError> {
+        map_elements(self.map(), vec, &mut out.modules);
+        out.order.clear();
         let result = match strategy {
-            Strategy::Canonical => {
-                self.canonical_into(vec, out);
-                Ok(())
-            }
-            Strategy::Subsequence => self.subsequence_into(vec, out),
-            Strategy::ConflictFree => self.conflict_free_into(vec, out),
+            Strategy::Canonical => Ok(()),
+            Strategy::Subsequence => self.subsequence_order(vec, out),
+            Strategy::ConflictFree => self.conflict_free_order(vec, out),
             Strategy::Auto => {
-                if self.conflict_free_into(vec, out).is_err()
-                    && self.subsequence_into(vec, out).is_err()
+                if self.conflict_free_order(vec, out).is_err()
+                    && self.subsequence_order(vec, out).is_err()
                 {
-                    self.canonical_into(vec, out);
+                    // In element order.
+                    out.order.clear();
                 }
                 Ok(())
             }
@@ -542,87 +588,48 @@ impl Planner {
             // in-order one by definition, the xor planners' replay and
             // subsequence orders as `tests/mapping_properties.rs`
             // checks over their windows.
-            Ok(()) => out.period = Some(self.map().vector_period(vec)),
+            Ok(()) => {
+                out.drop_identity_order();
+                out.period = Some(self.map().vector_period(vec));
+            }
             Err(_) => out.clear(),
         }
         result
     }
 
-    fn canonical_into(&self, vec: &VectorSpec, out: &mut AccessPlan) {
-        order::canonical_order_into(vec.len(), &mut out.scratch.order);
-        map_elements(self.map(), vec, &mut out.scratch.modules);
-        fill_entries(
-            &mut out.entries,
-            vec,
-            &out.scratch.modules,
-            &out.scratch.order,
-        );
+    /// Writes the Section 3.1 subsequence order into `out.order`.
+    fn subsequence_order(&self, vec: &VectorSpec, out: &mut AccessPlan) -> Result<(), PlanError> {
+        let x = vec.family();
+        let st = match &self.kind {
+            PlannerKind::Matched(m) => SubseqStructure::for_matched(m, x)?,
+            PlannerKind::Unmatched(m) if x.exponent() <= m.s() => {
+                SubseqStructure::for_unmatched_lower(m, x)?
+            }
+            PlannerKind::Unmatched(m) => SubseqStructure::for_unmatched_upper(m, x)?,
+            PlannerKind::Baseline { .. } => {
+                return Err(PlanError::UnsupportedStrategy {
+                    strategy: "subsequence",
+                    reason: "baseline planners access in order only",
+                })
+            }
+        };
+        order::subseq_order_into(&st, vec.len(), &mut out.order)
     }
 
-    fn subsequence_into(&self, vec: &VectorSpec, out: &mut AccessPlan) -> Result<(), PlanError> {
+    /// Writes the Section 3.2/4.2 replay order of the mapped vector
+    /// into `out.order` (left empty for the in-order conflict-free
+    /// case).
+    fn conflict_free_order(&self, vec: &VectorSpec, out: &mut AccessPlan) -> Result<(), PlanError> {
         let x = vec.family();
-        match &self.kind {
-            PlannerKind::Matched(m) => {
-                let st = SubseqStructure::for_matched(m, x)?;
-                order::subseq_order_into(&st, vec.len(), &mut out.scratch.order)?;
-                map_elements(m, vec, &mut out.scratch.modules);
-                fill_entries(
-                    &mut out.entries,
-                    vec,
-                    &out.scratch.modules,
-                    &out.scratch.order,
-                );
-                Ok(())
-            }
-            PlannerKind::Unmatched(m) => {
-                let st = if x.exponent() <= m.s() {
-                    SubseqStructure::for_unmatched_lower(m, x)?
-                } else {
-                    SubseqStructure::for_unmatched_upper(m, x)?
-                };
-                order::subseq_order_into(&st, vec.len(), &mut out.scratch.order)?;
-                map_elements(m, vec, &mut out.scratch.modules);
-                fill_entries(
-                    &mut out.entries,
-                    vec,
-                    &out.scratch.modules,
-                    &out.scratch.order,
-                );
-                Ok(())
-            }
-            PlannerKind::Baseline { .. } => Err(PlanError::UnsupportedStrategy {
-                strategy: "subsequence",
-                reason: "baseline planners access in order only",
-            }),
-        }
-    }
-
-    fn conflict_free_into(&self, vec: &VectorSpec, out: &mut AccessPlan) -> Result<(), PlanError> {
-        let x = vec.family();
-        match &self.kind {
+        let (st, key) = match &self.kind {
             PlannerKind::Matched(m) => {
                 if x.exponent() == m.s() {
                     // In-order access is conflict free for the map's own
                     // family, for any length and base (Harper's result).
-                    self.canonical_into(vec, out);
+                    out.order.clear();
                     return Ok(());
                 }
-                let st = SubseqStructure::for_matched(m, x)?;
-                map_elements(m, vec, &mut out.scratch.modules);
-                order::replay_order_into(
-                    &out.scratch.modules,
-                    &st,
-                    ReplayKey::Module,
-                    &mut out.scratch.replay,
-                    &mut out.scratch.order,
-                )?;
-                fill_entries(
-                    &mut out.entries,
-                    vec,
-                    &out.scratch.modules,
-                    &out.scratch.order,
-                );
-                Ok(())
+                (SubseqStructure::for_matched(m, x)?, ReplayKey::Module)
             }
             PlannerKind::Unmatched(m) => {
                 // Choose the replay kind per Section 4.2; for
@@ -648,7 +655,7 @@ impl Planner {
                         hi: m.y(),
                     });
                 };
-                let (st, key) = match kind {
+                match kind {
                     ReplayKind::Supermodule => (
                         SubseqStructure::for_unmatched_lower(m, x)?,
                         ReplayKey::Supermodule { t: m.t() },
@@ -657,28 +664,16 @@ impl Planner {
                         SubseqStructure::for_unmatched_upper(m, x)?,
                         ReplayKey::Section { t: m.t() },
                     ),
-                };
-                map_elements(m, vec, &mut out.scratch.modules);
-                order::replay_order_into(
-                    &out.scratch.modules,
-                    &st,
-                    key,
-                    &mut out.scratch.replay,
-                    &mut out.scratch.order,
-                )?;
-                fill_entries(
-                    &mut out.entries,
-                    vec,
-                    &out.scratch.modules,
-                    &out.scratch.order,
-                );
-                Ok(())
+                }
             }
-            PlannerKind::Baseline { .. } => Err(PlanError::UnsupportedStrategy {
-                strategy: "conflict-free",
-                reason: "baseline planners access in order only",
-            }),
-        }
+            PlannerKind::Baseline { .. } => {
+                return Err(PlanError::UnsupportedStrategy {
+                    strategy: "conflict-free",
+                    reason: "baseline planners access in order only",
+                })
+            }
+        };
+        order::replay_order_into(&out.modules, &st, key, &mut out.replay, &mut out.order)
     }
 }
 
@@ -692,16 +687,18 @@ mod tests {
     }
 
     #[test]
-    fn plan_entries_carry_addresses_and_modules() {
+    fn plan_requests_carry_elements_and_modules() {
         let planner = matched_planner();
         let vec = VectorSpec::new(16, 12, 16).unwrap();
         let plan = planner.plan(&vec, Strategy::Canonical).unwrap();
         assert_eq!(plan.len(), 16);
-        let e = &plan.entries()[1];
+        let e = plan.request(1);
         assert_eq!(e.element(), 1);
-        assert_eq!(e.addr().get(), 28);
+        assert_eq!(vec.element_addr(e.element()).get(), 28);
         assert_eq!(e.module().get(), 7);
         assert_eq!(e.register_slot(), 1);
+        assert!(plan.order().is_none(), "an in-order plan stores no order");
+        assert_eq!(plan.modules()[1], e.module());
     }
 
     #[test]
@@ -852,8 +849,46 @@ mod tests {
         let mut order = combined.element_order();
         order.sort_unstable();
         assert_eq!(order, (0..32).collect::<Vec<u64>>());
-        assert_eq!(combined.entries()[16].element(), 16);
-        assert_eq!(combined.entries()[16].addr().get(), 1000);
+        assert_eq!(combined.request(16).element(), 16);
+        assert_eq!(combined.request(16).module(), b.request(0).module());
+        assert!(
+            combined.is_in_order(),
+            "two in-order plans concatenate in order"
+        );
+    }
+
+    #[test]
+    fn concat_of_in_order_and_out_of_order_plans() {
+        let planner = matched_planner();
+        let head = planner
+            .plan(&VectorSpec::new(0, 8, 16).unwrap(), Strategy::Canonical)
+            .unwrap();
+        let tail_vec = VectorSpec::new(16, 12, 64).unwrap();
+        let tail = planner.plan(&tail_vec, Strategy::ConflictFree).unwrap();
+        assert!(head.is_in_order() && !tail.is_in_order());
+        let combined = AccessPlan::concat([&head, &tail]);
+        assert_eq!(combined.len(), 80);
+        assert!(!combined.is_in_order());
+        let requests: Vec<PlanEntry> = combined.iter().collect();
+        let expected: Vec<PlanEntry> = head
+            .iter()
+            .chain(tail.iter().map(|e| PlanEntry {
+                element: e.element() + 16,
+                module: e.module(),
+            }))
+            .collect();
+        assert_eq!(requests, expected);
+        let mut order = combined.element_order();
+        order.sort_unstable();
+        assert_eq!(order, (0..80).collect::<Vec<u64>>());
+        assert_eq!(&combined.modules()[16..], tail.modules());
+        let mut seq = head.module_sequence();
+        seq.extend(tail.module_sequence());
+        assert_eq!(combined.module_sequence(), seq);
+        // The other way round, too: the in-order tail keeps its slots.
+        let swapped = AccessPlan::concat([&tail, &head]);
+        assert_eq!(swapped.request(64).element(), 64);
+        assert_eq!(swapped.request(0), tail.request(0));
     }
 
     #[test]

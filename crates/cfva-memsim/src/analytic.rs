@@ -42,7 +42,7 @@
 //! engine.
 
 use cfva_core::plan::AccessPlan;
-use cfva_core::{Addr, ModuleId};
+use cfva_core::ModuleId;
 
 use crate::periodic::minimal_period;
 use crate::solver::Solved;
@@ -116,17 +116,25 @@ impl MemorySystem {
     /// [module docs](self) for when the estimate is exact.
     #[must_use = "an AnalyticEstimate is the estimator's only output; dropping it wastes the probe runs"]
     pub fn analytic_estimate(&mut self, plan: &AccessPlan) -> AnalyticEstimate {
-        let entries = plan.entries();
+        let modules = plan.modules();
         let mut scratch = AccessStats::default();
-        self.run_analytic(
-            entries.len(),
-            plan.period(),
-            &|k| {
-                let e = &entries[k];
-                (e.element(), e.addr(), e.module())
-            },
-            &mut scratch,
-        )
+        match plan.order() {
+            None => self.run_analytic(
+                modules.len(),
+                plan.period(),
+                &|k| (k as u64, modules[k]),
+                &mut scratch,
+            ),
+            Some(order) => self.run_analytic(
+                order.len(),
+                plan.period(),
+                &|k| {
+                    let element = order[k];
+                    (element, modules[element as usize])
+                },
+                &mut scratch,
+            ),
+        }
     }
 
     /// The estimator core: probes short congruent prefixes with the
@@ -144,7 +152,7 @@ impl MemorySystem {
         out: &mut AccessStats,
     ) -> AnalyticEstimate
     where
-        F: Fn(usize) -> (u64, Addr, ModuleId),
+        F: Fn(usize) -> (u64, ModuleId),
     {
         // Streams the probing machinery does not cover run directly:
         // multi-port issue (period boundaries are request-anchored) on
@@ -191,8 +199,8 @@ impl MemorySystem {
         // is not itself a permutation of its own length, and the
         // aggregates being estimated do not depend on element labels.
         let probe_request = |k: usize| {
-            let (_, addr, module) = request(k);
-            (k as u64, addr, module)
+            let (_, module) = request(k);
+            (k as u64, module)
         };
         // Each probe's aggregates are the solver's totals through its
         // last request.

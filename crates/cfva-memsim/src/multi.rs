@@ -51,7 +51,7 @@
 //! as [`ConfigError::OutOfRange`].
 
 use cfva_core::plan::{AccessPlan, PlanEntry};
-use cfva_core::ConfigError;
+use cfva_core::{ConfigError, ModuleId};
 
 use crate::config::MemConfig;
 use crate::event::Engine;
@@ -133,9 +133,10 @@ impl MultiStats {
     }
 }
 
-/// The merged request stream in merge order: each request's stream
-/// and plan entry. Request `k` carries the dense id `k`.
-type Merged<'p> = Vec<(u32, &'p PlanEntry)>;
+/// The merged request stream in merge order: each request's stream,
+/// its element within that stream (below 2^32, as [`validate`] bounds
+/// the total) and its module. Request `k` carries the dense id `k`.
+type Merged = Vec<(u32, u32, ModuleId)>;
 
 /// Upper bound on concurrent streams (the stream side-table is `u32`;
 /// the practical bound is far lower).
@@ -201,10 +202,7 @@ pub fn run_multi(
         });
     }
     let merged = merge(&cfg, plans, total, policy)?;
-    let request = |k: usize| {
-        let (_, entry) = merged[k];
-        (k as u64, entry.addr(), entry.module())
-    };
+    let request = |k: usize| (k as u64, merged[k].2);
     let n = merged.len();
     let mut sim = MemorySystem::new(cfg);
     let mut combined = AccessStats::default();
@@ -263,15 +261,15 @@ fn merged_period(plans: &[&AccessPlan], policy: IssuePolicy) -> Option<u64> {
 /// module against the memory's range. Round-robin interleaves the
 /// plans, taking the `r`-th request of every plan that has one in turn
 /// `r`; the other policies concatenate them in plan order.
-fn merge<'p>(
+fn merge(
     cfg: &MemConfig,
-    plans: &[&'p AccessPlan],
+    plans: &[&AccessPlan],
     total: u64,
     policy: IssuePolicy,
-) -> Result<Merged<'p>, ConfigError> {
+) -> Result<Merged, ConfigError> {
     let module_count = cfg.module_count();
     let mut merged = Vec::with_capacity(total as usize);
-    let mut push = |s: usize, entry: &'p PlanEntry| {
+    let mut push = |s: usize, entry: PlanEntry| {
         if entry.module().get() >= module_count {
             return Err(ConfigError::OutOfRange {
                 what: "module",
@@ -279,23 +277,23 @@ fn merge<'p>(
                 constraint: "every plan module within the memory's range",
             });
         }
-        merged.push((s as u32, entry));
+        merged.push((s as u32, entry.element() as u32, entry.module()));
         Ok(())
     };
     match policy {
         IssuePolicy::RoundRobin => {
-            let longest = plans.iter().map(|p| p.len()).max().unwrap_or(0) as usize;
+            let longest = plans.iter().map(|p| p.len()).max().unwrap_or(0);
             for r in 0..longest {
                 for (s, plan) in plans.iter().enumerate() {
-                    if let Some(entry) = plan.entries().get(r) {
-                        push(s, entry)?;
+                    if r < plan.len() {
+                        push(s, plan.request(r as usize))?;
                     }
                 }
             }
         }
         IssuePolicy::Priority | IssuePolicy::WorkConserving => {
             for (s, plan) in plans.iter().enumerate() {
-                for entry in plan.entries() {
+                for entry in plan.iter() {
                     push(s, entry)?;
                 }
             }
@@ -306,16 +304,16 @@ fn merge<'p>(
 
 /// The de-multiplexer: per-stream statistics accumulated from the
 /// merged requests' timings, whichever engine produced them.
-struct Demux<'m, 'p> {
-    merged: &'m Merged<'p>,
+struct Demux<'m> {
+    merged: &'m Merged,
     /// Per-stream stats; `first_issue` holds `u64::MAX` until the
     /// stream's first request is recorded.
     streams: Vec<StreamStats>,
 }
 
-impl<'m, 'p> Demux<'m, 'p> {
+impl<'m> Demux<'m> {
     /// Zeroed per-stream stats, arrival buffers sized to the plans.
-    fn new(plans: &[&AccessPlan], merged: &'m Merged<'p>) -> Self {
+    fn new(plans: &[&AccessPlan], merged: &'m Merged) -> Self {
         let streams = plans
             .iter()
             .map(|p| StreamStats {
@@ -332,14 +330,14 @@ impl<'m, 'p> Demux<'m, 'p> {
     /// service start (a conflict), stall cycles and arrival. Requests
     /// come in merged order.
     fn record(&mut self, k: usize, timing: &Timing) {
-        let (s, entry) = self.merged[k];
+        let (s, element, _) = self.merged[k];
         if let Some(stream) = self.streams.get_mut(s as usize) {
             // Each stream issues in order: its first request is its
             // first issue.
             stream.first_issue = stream.first_issue.min(timing.issue);
             stream.conflicts += u64::from(timing.start > timing.issue);
             stream.stall_cycles += timing.stalls;
-            if let Some(slot) = stream.arrival.get_mut(entry.element() as usize) {
+            if let Some(slot) = stream.arrival.get_mut(element as usize) {
                 *slot = timing.grant + 1; // one-cycle bus
             }
         }
@@ -412,10 +410,7 @@ mod tests {
         let period = merged_period(&plans, IssuePolicy::RoundRobin);
         assert_eq!(period, Some(2 * 32));
         let merged = merge(&cfg, &plans, 4096, IssuePolicy::RoundRobin).unwrap();
-        let request = |k: usize| {
-            let (_, entry) = merged[k];
-            (k as u64, entry.addr(), entry.module())
-        };
+        let request = |k: usize| (k as u64, merged[k].2);
         for known in [None, period] {
             let mut scratch = PeriodicScratch::default();
             let mut detection = Detection::new(&cfg, 4096, known, &request, &mut scratch)

@@ -61,7 +61,7 @@
 
 use std::collections::VecDeque;
 
-use cfva_core::{Addr, ModuleId};
+use cfva_core::ModuleId;
 
 use crate::config::MemConfig;
 use crate::solver::{deliver, Solved, Solver};
@@ -135,9 +135,9 @@ pub(crate) fn minimal_period<F>(
     cap: u64,
 ) -> u64
 where
-    F: Fn(usize) -> (u64, Addr, ModuleId),
+    F: Fn(usize) -> (u64, ModuleId),
 {
-    let module = |k: usize| request(k).2.get() as u32;
+    let module = |k: usize| request(k).1.get() as u32;
     seq.clear();
     seq.push(module(0));
     fail.clear();
@@ -216,7 +216,7 @@ fn detectable_period<F>(
     scratch: &mut PeriodicScratch,
 ) -> Option<usize>
 where
-    F: Fn(usize) -> (u64, Addr, ModuleId),
+    F: Fn(usize) -> (u64, ModuleId),
 {
     let cap = n / 3;
     let len = match known {
@@ -236,7 +236,7 @@ where
     );
     let p = usize::try_from(p).ok().filter(|&p| p <= cap)?;
     debug_assert!(
-        known.is_none() || (p..n).all(|k| request(k).2 == request(k - p).2),
+        known.is_none() || (p..n).all(|k| request(k).1 == request(k - p).1),
         "an attached period {known:?} that is not a period of the stream"
     );
     Some(p)
@@ -255,7 +255,7 @@ impl<'s> Detection<'s> {
         scratch: &'s mut PeriodicScratch,
     ) -> Option<Self>
     where
-        F: Fn(usize) -> (u64, Addr, ModuleId),
+        F: Fn(usize) -> (u64, ModuleId),
     {
         if n < 4 {
             return None;
@@ -333,7 +333,7 @@ impl<'s> Detection<'s> {
     /// found.
     fn replay<F, E>(self, sum: &Solved, n: usize, request: &F, out: &mut AccessStats, each: &mut E)
     where
-        F: Fn(usize) -> (u64, Addr, ModuleId),
+        F: Fn(usize) -> (u64, ModuleId),
         E: FnMut(usize, &Timing),
     {
         let Some(Recurrence { from, to, dt }) = self.found else {
@@ -352,7 +352,7 @@ impl<'s> Detection<'s> {
             out.stall_cycles += copies * timing.stalls;
             out.conflicts += copies * u64::from(timing.start > timing.issue);
             // The solver checked this request's module against the memory.
-            let m = request(from + i).2.get() as usize;
+            let m = request(from + i).1.get() as usize;
             out.module_busy[m] += copies * self.t;
         }
         out.latency = sum.latency.max(last + 2);
@@ -370,7 +370,7 @@ impl<'s> Detection<'s> {
         while first < n {
             let len = block.len().min(n - first);
             for (j, timing) in (first..).zip(&block[..len]) {
-                let (element, _, _) = request(j);
+                let (element, _) = request(j);
                 deliver(&mut arrival[element as usize], timing.grant + shift);
             }
             for (j, timing) in (first..).zip(&block[..len]) {
@@ -401,7 +401,7 @@ impl MemorySystem {
         out: &mut AccessStats,
         mut each: E,
     ) where
-        F: Fn(usize) -> (u64, Addr, ModuleId),
+        F: Fn(usize) -> (u64, ModuleId),
         E: FnMut(usize, &Timing),
     {
         let mut scratch = std::mem::take(&mut self.periodic);
@@ -423,9 +423,9 @@ impl MemorySystem {
 mod tests {
     use super::*;
 
-    fn stream(mods: &[u32]) -> impl Fn(usize) -> (u64, Addr, ModuleId) {
+    fn stream(mods: &[u32]) -> impl Fn(usize) -> (u64, ModuleId) {
         let mods = mods.to_vec();
-        move |k| (k as u64, Addr::new(k as u64), ModuleId::new(mods[k].into()))
+        move |k| (k as u64, ModuleId::new(mods[k].into()))
     }
 
     /// The detector on the two long conflicted plans the `periodic`
@@ -457,12 +457,11 @@ mod tests {
         for (planner, cfg, vec) in cases {
             let plan = planner.plan(&vec, Strategy::Canonical).unwrap();
             assert!(plan.period().is_some(), "{vec:?} carries its period");
-            let entries = plan.entries();
             let request = |k: usize| {
-                let e = &entries[k];
-                (e.element(), e.addr(), e.module())
+                let e = plan.request(k);
+                (e.element(), e.module())
             };
-            let n = entries.len();
+            let n = plan.len() as usize;
             for known in [None, plan.period()] {
                 let mut scratch = PeriodicScratch::default();
                 let mut detection = Detection::new(&cfg, n, known, &request, &mut scratch)
@@ -496,6 +495,7 @@ mod tests {
     #[test]
     fn every_request_timing_matches_the_oracle() {
         use cfva_core::mapping::Registry;
+        use cfva_core::Addr;
 
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
         let mut random = move || {
@@ -532,7 +532,10 @@ mod tests {
                 ] {
                     let case = format!("{spec} q = ({q_in}, {q_out}), {name}");
                     let (stats, timings) = MemorySystem::new(cfg).run_timed(requests);
-                    let request = |k: usize| requests[k];
+                    let request = |k: usize| {
+                        let (element, _, module) = requests[k];
+                        (element, module)
+                    };
                     let n = requests.len();
                     let mut seen = Vec::with_capacity(n);
                     let mut out = AccessStats::default();

@@ -53,7 +53,7 @@
 //! The depth-1 queues every service session uses run the same step
 //! with the depth a compile-time constant.
 
-use cfva_core::{Addr, ModuleId};
+use cfva_core::ModuleId;
 
 use crate::stats::AccessStats;
 use crate::system::{MemorySystem, Timing};
@@ -236,7 +236,7 @@ impl MemorySystem {
         visit: V,
     ) -> Solved
     where
-        F: Fn(usize) -> (u64, Addr, ModuleId),
+        F: Fn(usize) -> (u64, ModuleId),
         V: FnMut(usize, &Solved, &Solver) -> bool,
     {
         if (self.cfg.q_in(), self.cfg.q_out()) == (1, 1) {
@@ -256,7 +256,7 @@ impl MemorySystem {
         mut visit: V,
     ) -> Solved
     where
-        F: Fn(usize) -> (u64, Addr, ModuleId),
+        F: Fn(usize) -> (u64, ModuleId),
         V: FnMut(usize, &Solved, &Solver) -> bool,
     {
         let cfg = self.cfg;
@@ -280,7 +280,7 @@ impl MemorySystem {
         let mut sum = Solved::default();
         let mut next_issue = 0;
         for j in 0..n {
-            let (element, _, module) = request(j);
+            let (element, module) = request(j);
             let midx = module.get() as usize;
             assert!(
                 midx < modules,

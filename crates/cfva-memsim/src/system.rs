@@ -154,22 +154,30 @@ impl MemorySystem {
     ///
     /// Same conditions as [`run_plan`](Self::run_plan).
     pub fn run_plan_into(&mut self, plan: &AccessPlan, out: &mut AccessStats) {
-        let entries = plan.entries();
-        self.run_core(
-            entries.len(),
-            plan.period(),
-            |k| {
-                let e = &entries[k];
-                (e.element(), e.addr(), e.module())
-            },
-            out,
-        );
+        let modules = plan.modules();
+        match plan.order() {
+            None => self.run_core(
+                modules.len(),
+                plan.period(),
+                |k| (k as u64, modules[k]),
+                out,
+            ),
+            Some(order) => self.run_core(
+                order.len(),
+                plan.period(),
+                |k| {
+                    let element = order[k];
+                    (element, modules[element as usize])
+                },
+                out,
+            ),
+        }
     }
 
     /// Executes an arbitrary request stream: `(element, addr, module)`
     /// triples in issue order, with element ids forming a permutation of
-    /// `0..len`. This is the raw interface used by [`run_plan`](Self::run_plan) and by
-    /// the multi-vector runner in [`crate::multi`].
+    /// `0..len`. Only the elements and modules matter to the timing; the
+    /// addresses are not read.
     ///
     /// # Panics
     ///
@@ -177,7 +185,7 @@ impl MemorySystem {
     #[must_use = "the returned AccessStats are the simulation's only output; dropping them wastes the run"]
     pub fn run_requests(&mut self, requests: &[(u64, Addr, ModuleId)]) -> AccessStats {
         let mut stats = AccessStats::default();
-        self.run_core(requests.len(), None, |k| requests[k], &mut stats);
+        self.run_core(requests.len(), None, |k| project(requests[k]), &mut stats);
         stats
     }
 
@@ -191,7 +199,7 @@ impl MemorySystem {
     #[must_use = "the returned statistics and timings are the run's only output"]
     pub fn run_timed(&mut self, requests: &[(u64, Addr, ModuleId)]) -> (AccessStats, Vec<Timing>) {
         let mut stats = AccessStats::default();
-        self.run_cycle(&[requests.len()], &|k| requests[k], &mut stats);
+        self.run_cycle(&[requests.len()], &|k| project(requests[k]), &mut stats);
         (stats, std::mem::take(&mut self.timings))
     }
 
@@ -202,7 +210,7 @@ impl MemorySystem {
     /// back to the cycle engine, which rewrites `out` from scratch.
     fn try_fast_path<F>(&mut self, n: usize, request: &F, out: &mut AccessStats) -> bool
     where
-        F: Fn(usize) -> (u64, Addr, ModuleId),
+        F: Fn(usize) -> (u64, ModuleId),
     {
         let t = self.cfg.t_cycles();
         let m_count = self.cfg.module_count() as usize;
@@ -212,7 +220,7 @@ impl MemorySystem {
         out.module_busy.clear();
         out.module_busy.resize(m_count, 0);
         for k in 0..n {
-            let (element, _, module) = request(k);
+            let (element, module) = request(k);
             let midx = module.get() as usize;
             assert!(
                 midx < m_count,
@@ -244,7 +252,7 @@ impl MemorySystem {
     /// written into `out`, reusing its buffers.
     fn run_core<F>(&mut self, n: usize, period: Option<u64>, request: F, out: &mut AccessStats)
     where
-        F: Fn(usize) -> (u64, Addr, ModuleId),
+        F: Fn(usize) -> (u64, ModuleId),
     {
         match self.cfg.engine() {
             Engine::Cycle => self.run_cycle(&[n], &request, out),
@@ -283,13 +291,13 @@ impl MemorySystem {
     /// it, like a real address bus's head-of-line stall.
     pub(crate) fn run_cycle<F>(&mut self, ends: &[usize], request: &F, out: &mut AccessStats)
     where
-        F: Fn(usize) -> (u64, Addr, ModuleId),
+        F: Fn(usize) -> (u64, ModuleId),
     {
         let n = ends.last().copied().unwrap_or(0);
         let t = self.cfg.t_cycles();
         let m_count = self.cfg.module_count();
         for k in 0..n {
-            let (_, _, module) = request(k);
+            let (_, module) = request(k);
             assert!(
                 module.get() < m_count,
                 "request targets module {module} but memory has {m_count}"
@@ -353,7 +361,7 @@ impl MemorySystem {
                     break;
                 };
                 timings[id].grant = cycle;
-                let (element, _, _) = request(id);
+                let (element, _) = request(id);
                 last_arrival = cycle + 1; // one-cycle bus
                 arrival[element as usize] = last_arrival;
                 delivered += 1;
@@ -369,7 +377,7 @@ impl MemorySystem {
                         continue;
                     }
                     head.get_or_insert(id);
-                    let (_, _, module) = request(id);
+                    let (_, module) = request(id);
                     let midx = module.get() as usize;
                     if modules[midx].can_accept() {
                         modules[midx].accept(id);
@@ -414,6 +422,11 @@ impl MemorySystem {
         out.conflicts = timings.iter().filter(|r| r.start > r.issue).count() as u64;
         out.max_in_q = modules.iter().map(MemModule::max_in_q).max().unwrap_or(0);
     }
+}
+
+/// A request triple without its address, which no engine reads.
+fn project((element, _, module): (u64, Addr, ModuleId)) -> (u64, ModuleId) {
+    (element, module)
 }
 
 impl fmt::Debug for MemorySystem {
@@ -499,7 +512,7 @@ mod tests {
         let plan = planner.plan(&vec, Strategy::ConflictFree).unwrap();
         let requests: Vec<_> = plan
             .iter()
-            .map(|e| (e.element(), e.addr(), e.module()))
+            .map(|e| (e.element(), vec.element_addr(e.element()), e.module()))
             .collect();
         let (stats, timings) =
             MemorySystem::new(MemConfig::new(2, 2).unwrap()).run_timed(&requests);

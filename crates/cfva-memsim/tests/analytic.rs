@@ -272,9 +272,8 @@ fn attached_periods_leave_estimates_unchanged() {
                 let vec = VectorSpec::with_stride(base.into(), stride, len).expect("valid");
                 let plan = planner.plan(&vec, Strategy::Canonical).unwrap();
                 let requests: Vec<(u64, Addr, ModuleId)> = plan
-                    .entries()
                     .iter()
-                    .map(|e| (e.element(), e.addr(), e.module()))
+                    .map(|e| (e.element(), vec.element_addr(e.element()), e.module()))
                     .collect();
                 let with = sys.run_plan(&plan);
                 assert_eq!(with, sys.run_requests(&requests), "{vec}");

@@ -219,10 +219,10 @@ fn queue_depths_and_ports_are_identical() {
 /// `queue_depths_and_ports_are_identical`.
 const GRID_TRIALS: usize = 100;
 
-/// The request stream of a plan, in issue order.
-fn stream_of(plan: &AccessPlan) -> Vec<(u64, Addr, ModuleId)> {
+/// The request stream of a plan of `vec`, in issue order.
+fn stream_of(vec: &VectorSpec, plan: &AccessPlan) -> Vec<(u64, Addr, ModuleId)> {
     plan.iter()
-        .map(|e| (e.element(), e.addr(), e.module()))
+        .map(|e| (e.element(), vec.element_addr(e.element()), e.module()))
         .collect()
 }
 
@@ -316,7 +316,7 @@ fn long_auto_sweep(q_in: usize, q_out: usize) {
                     .expect("auto always plans");
                 assert_timed_stream_equivalent(
                     cfg,
-                    &stream_of(&plan),
+                    &stream_of(&vec, &plan),
                     &format!("{spec} auto x={x} len={len} q={q_in} q'={q_out}"),
                 );
             }
@@ -366,7 +366,7 @@ fn conflicted_multi_port_streams_are_identical() {
                 let vec = VectorSpec::with_stride(16u64.into(), stride, 256).unwrap();
                 let plan = planner.plan(&vec, Strategy::Canonical).unwrap();
                 let label = format!("ports={ports} q={q_in} q'={q_out} x={x}");
-                let timings = assert_timed_stream_equivalent(cfg, &stream_of(&plan), &label);
+                let timings = assert_timed_stream_equivalent(cfg, &stream_of(&vec, &plan), &label);
                 ties += same_cycle_completions(&timings);
             }
             let stream = random_stream(ports as u64, 256, 5);

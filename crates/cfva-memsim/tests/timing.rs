@@ -34,7 +34,7 @@ fn timings_are_ordered_per_request() {
     let plan = planner.plan(&vec, Strategy::Canonical).unwrap(); // has conflicts
     let requests: Vec<_> = plan
         .iter()
-        .map(|e| (e.element(), e.addr(), e.module()))
+        .map(|e| (e.element(), vec.element_addr(e.element()), e.module()))
         .collect();
     let (stats, timings) = MemorySystem::new(MemConfig::new(3, 3).unwrap()).run_timed(&requests);
     assert!(stats.conflicts > 0);

@@ -267,6 +267,10 @@ pub fn stratified_efficiency<R: Rng + ?Sized>(
 pub struct BatchRunner {
     planner: Planner,
     scratch: MeasureScratch,
+    /// Plan buffers a co-run request plans its streams into, kept
+    /// across requests: the service takes them out, plans into them
+    /// and runs them on the session, then puts them back.
+    pub(crate) co_run_plans: Vec<AccessPlan>,
 }
 
 impl BatchRunner {
@@ -276,6 +280,7 @@ impl BatchRunner {
         BatchRunner {
             planner,
             scratch: MeasureScratch::new(mem),
+            co_run_plans: Vec::new(),
         }
     }
 

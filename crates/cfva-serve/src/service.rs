@@ -65,7 +65,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cfva_core::equiv::occupancy_signature;
+use cfva_core::equiv::plan_signature;
 use cfva_core::mapping::{MapSpec, Registry};
 use cfva_core::plan::{AccessPlan, Strategy};
 use cfva_core::Stride;
@@ -1323,28 +1323,28 @@ fn multi_stream(
     schedule: SchedulePlan,
 ) -> ServeResult {
     let cfg = session.mem();
-    let (plans, signatures, module_count) = {
+    let mut plans = std::mem::take(&mut session.co_run_plans);
+    plans.resize_with(streams.len(), AccessPlan::new);
+    let (signatures, module_count) = {
         let planner = session.planner();
         let map = planner.map();
-        let mut plans = Vec::with_capacity(streams.len());
-        for vec in streams {
-            let plan = match planner.plan(vec, strategy) {
-                Ok(plan) => plan,
+        for (vec, plan) in streams.iter().zip(plans.iter_mut()) {
+            if planner.plan_into(vec, strategy, plan).is_err() {
                 // The requested strategy cannot serve this stream's
                 // family/length; measure it in the order Auto picks
                 // rather than failing the whole co-run.
-                Err(_) => planner
-                    .plan(vec, Strategy::Auto)
+                planner
+                    .plan_into(vec, Strategy::Auto, plan)
                     // cfva-lint: allow(L002, reason = "Strategy::Auto falls back to naive order, which plans for every valid spec/vector pair — see plan::auto")
-                    .expect("auto always plans"),
-            };
-            plans.push(plan);
+                    .expect("auto always plans");
+            }
         }
         let signatures: Vec<_> = streams
             .iter()
-            .map(|vec| occupancy_signature(map, vec))
+            .zip(plans.iter())
+            .map(|(vec, plan)| plan_signature(map, vec, plan))
             .collect();
-        (plans, signatures, map.module_count() as f64)
+        (signatures, map.module_count() as f64)
     };
     let waves = plan_waves(streams.len(), schedule, |i, j| {
         score_milli(module_count, &signatures[i], &signatures[j])
@@ -1382,6 +1382,7 @@ fn multi_stream(
     for plan in &plans {
         sequential_baseline += session.run_plan(plan).latency;
     }
+    session.co_run_plans = plans;
     Ok(Response::MultiStream(MultiStreamOutcome {
         // Waves partition the stream indices, so every slot is filled.
         per_stream: per_stream.into_iter().flatten().collect(),

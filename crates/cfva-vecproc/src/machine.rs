@@ -298,7 +298,7 @@ impl Machine {
             (
                 mem_stats.arrival[e.element() as usize],
                 e.element(),
-                e.addr().get(),
+                vec.element_addr(e.element()).get(),
             )
         }));
         self.arrivals.sort_unstable();
@@ -325,8 +325,10 @@ impl Machine {
             .plan_into(vec, self.cfg.strategy, &mut self.plan)?;
         self.mem.run_plan_into(&self.plan, &mut self.mem_stats);
         for entry in &self.plan {
-            self.image
-                .insert(entry.addr().get(), values[entry.element() as usize]);
+            self.image.insert(
+                vec.element_addr(entry.element()).get(),
+                values[entry.element() as usize],
+            );
         }
         Ok((self.mem_stats.latency, self.mem_stats.conflicts))
     }

@@ -50,11 +50,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let replay = session.planner().plan(&vec, Strategy::ConflictFree)?;
     assert!(replay.is_conflict_free(mem.t_cycles()));
     println!("\nfirst 8 requests of the replay order:");
-    for entry in replay.entries().iter().take(8) {
+    for entry in replay.iter().take(8) {
         println!(
             "  element {:>2}  address {:>4}  module {}",
             entry.element(),
-            entry.addr(),
+            vec.element_addr(entry.element()),
             entry.module()
         );
     }

@@ -109,9 +109,10 @@ proptest! {
             order.sort_unstable();
             let want: Vec<u64> = (0..128).collect();
             prop_assert_eq!(order, want);
-            // Entries agree with the vector's address arithmetic.
+            // Requests agree with the map at the vector's addresses.
+            let map = planner.map();
             for e in &plan {
-                prop_assert_eq!(e.addr(), vec.element_addr(e.element()));
+                prop_assert_eq!(e.module(), map.module_of(vec.element_addr(e.element())));
             }
         }
     }

@@ -318,6 +318,64 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// A plan is the map's module table plus an element order: every
+    /// registered map × {canonical, subsequence, conflict free, auto}
+    /// wherever the strategy plans, ascending and descending strides,
+    /// bases inside and across the region map's override. The element
+    /// order is a permutation of `0..len`, every request's module is the
+    /// map's module of the element's address, and the plan carries the
+    /// vector's `P_x`, also when planned into a reused buffer.
+    #[test]
+    fn plans_are_permuted_module_tables(
+        kind in 0usize..registry_specs().len(),
+        x in 0u32..=8,
+        sigma in prop::sample::select(vec![1i64, 3, 5, -1, -3, -7]),
+        base in 0u64..4096,
+        len in 1u64..=400,
+        strategy in prop::sample::select(vec![
+            PlanStrategy::Canonical,
+            PlanStrategy::Subsequence,
+            PlanStrategy::ConflictFree,
+            PlanStrategy::Auto,
+        ]),
+    ) {
+        let spec = &registry_specs()[kind];
+        let planner = Planner::from_spec(spec).expect("coverage specs are buildable");
+        let map = planner.map();
+        let stride = Stride::from_parts(sigma, x).expect("odd sigma");
+        // A descending walk starts high enough to stay addressable.
+        let base = base + if sigma < 0 { stride.magnitude() * (len - 1) } else { 0 };
+        let vec = VectorSpec::with_stride(base.into(), stride, len).expect("valid");
+        let Ok(plan) = planner.plan(&vec, strategy) else {
+            return Ok(());
+        };
+        let label = format!("{spec} {vec} {strategy}");
+        let mut order = plan.element_order();
+        prop_assert_eq!(plan.is_in_order(), order.iter().copied().eq(0..len), "{}", &label);
+        order.sort_unstable();
+        prop_assert!(order.iter().copied().eq(0..len), "{}: not a permutation", &label);
+        prop_assert_eq!(plan.iter().len() as u64, len);
+        for e in &plan {
+            prop_assert_eq!(
+                e.module(),
+                map.module_of(vec.element_addr(e.element())),
+                "{}: element {}", &label, e.element()
+            );
+        }
+        prop_assert_eq!(plan.period(), Some(map.vector_period(&vec)), "{}", &label);
+        // The same plan through a buffer that held a longer, permuted one.
+        let mut reused = planner
+            .plan(&VectorSpec::new(3, 12, 512).unwrap(), PlanStrategy::Auto)
+            .unwrap();
+        planner.plan_into(&vec, strategy, &mut reused).unwrap();
+        prop_assert_eq!(&reused, &plan, "{}: reused buffer", &label);
+        prop_assert_eq!(reused.period(), plan.period());
+    }
+}
+
 /// The region map's per-vector period: a vector that stays under one
 /// governing map — a default region, or the override — gets that map's
 /// `P_x`, far below the family-wide bound of an overridden map, and
