@@ -103,9 +103,12 @@ pub struct DemoOutcome {
 
 /// The pinned request every client re-submits every 30 iterations: the
 /// demo's temporal locality, and the guarantee behind
-/// `--require-cache-hits` — by a client's second submission its first
-/// response has long been reaped (the in-flight window is far smaller
-/// than 30), so the result cache must hold it.
+/// `--require-cache-hits` with two or more clients. The cache admits a
+/// key on its second miss, so at iteration 0 one client's submission
+/// is declined and the next one's is admitted; that job sits near the
+/// head of the FIFO pool queue, so by iteration 30 (the in-flight
+/// window is far smaller than 30) its response is in the result cache.
+/// A lone client first hits at iteration 60.
 fn pinned_request(specs: &[String]) -> Request {
     Request::FamilySweep {
         spec: specs[0].clone(),
@@ -475,10 +478,12 @@ mod tests {
 
     #[test]
     fn long_enough_run_is_guaranteed_cache_hits() {
-        // 31 requests re-submit the pinned request once per client,
-        // long after its first response was reaped — the hit cannot be
-        // raced away. This is the contract `--require-cache-hits`
-        // (the CI cached-path smoke) stands on.
+        // Two clients submit the pinned request at iteration 0: the
+        // second sighting admits it. The 31st request re-submits it
+        // once per client; the admitted job was queued ahead of ~26
+        // later jobs of each client, so it has long finished. This is
+        // the contract `--require-cache-hits` (the CI cached-path
+        // smoke, three clients) stands on.
         let outcome = serve_demo(&DemoConfig {
             workers: 2,
             clients: 2,

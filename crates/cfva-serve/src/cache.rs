@@ -15,6 +15,28 @@
 //! cached: a session build failure may be transient (a matrix file
 //! appearing later), and errors are cheap to recompute.
 //!
+//! # Admission
+//!
+//! A key is cached on its **second** miss, not its first (TinyLFU's
+//! doorkeeper: a response whose key never comes back should not
+//! displace one whose key does). Each shard keeps, under its lock, an
+//! admission window: the 64-bit fingerprints (the shard hash the lookup
+//! computes anyway) of its most recently missed keys, oldest first,
+//! with a set for lookup. A miss whose fingerprint is in the window is
+//! admitted — its response is inserted once computed. Any other miss is
+//! declined: its fingerprint is recorded and the oldest one drops out.
+//! So a repeated key misses twice and hits from its third submission,
+//! and a one-off key costs a fingerprint instead of an entry and an
+//! eviction. Declined misses are the misses that no insert accounts
+//! for: on a quiesced service they number `misses − (entries +
+//! evictions + invalidations + oversize)`.
+//!
+//! The window is exact, not a lossy table, so admission never depends
+//! on the per-process hash beyond which keys share a shard: a run with
+//! fewer misses per shard than the window holds admits exactly the
+//! keys it has seen before. Invalidation drops entries and keeps the
+//! window, so a flushed key that comes back is admitted at once.
+//!
 //! # Byte bound
 //!
 //! The cache is bounded in **bytes**. Each entry is charged its payload
@@ -23,7 +45,11 @@
 //! [`ENTRY_OVERHEAD`], the fixed cost of its key, response header,
 //! table slot and queue slot. Each shard holds at most an eighth of the
 //! budget; a response charged more than that is answered but never
-//! cached, and counted ([`CacheStats::oversize`]).
+//! cached, and counted ([`CacheStats::oversize`]). A shard's admission
+//! window holds at most as many fingerprints as the shard could hold
+//! entries (`shard budget / ENTRY_OVERHEAD`) and is allocated once:
+//! about 0.8 MiB over the 8 shards at the 8 MiB default, outside the
+//! byte bound.
 //!
 //! # Shared entries
 //!
@@ -36,14 +62,15 @@
 //!
 //! Each shard keeps its keys in a FIFO queue in insertion order, and a
 //! hit sets the entry's reference bit — the only write a hit makes
-//! under the lock (no allocation, no key clone). To make room, an
-//! insert pops the queue's head: a referenced entry has its bit cleared
-//! and goes to the back (its second chance), an unreferenced one is
-//! evicted. So the order kept is insertion order with one reprieve
-//! per hit: no entry hit since it last passed the head is evicted while
-//! an entry without such a hit remains. Each bit a hit sets is cleared
-//! at most once, so an insert that evicts `k` entries costs amortized
-//! `O(k)`.
+//! under the lock (no allocation, no key clone, no window access). To
+//! make room, an insert pops the queue's head: a referenced entry has
+//! its bit cleared and goes to the back (its second chance), an
+//! unreferenced one is evicted. So the order kept is insertion order
+//! with one reprieve per hit: no entry hit since it last passed the
+//! head is evicted while an entry without such a hit remains. Each bit
+//! a hit sets is cleared at most once, so an insert that evicts `k`
+//! entries costs amortized `O(k)`. Only admitted keys are inserted, so
+//! every entry has been asked for at least twice.
 //!
 //! Counters ([`CacheStats`]) are relaxed atomics — monitoring data,
 //! not synchronization.
@@ -138,14 +165,127 @@ struct Entry {
     referenced: bool,
 }
 
-/// One shard: the table, its keys in insertion order, and their charge.
-#[derive(Debug, Default)]
+/// One shard: the table, its keys in insertion order, their charge,
+/// and the admission window.
+#[derive(Debug)]
 struct Shard {
     map: HashMap<Arc<CacheKey>, Entry>,
     /// Every resident key once, oldest insertion (or second chance)
     /// first.
     queue: VecDeque<Arc<CacheKey>>,
     bytes: usize,
+    window: Window,
+}
+
+/// The fingerprints of a shard's most recently missed keys (see
+/// [Admission](self#admission)): each at most once, oldest first, with
+/// a set for lookup. The set is open-addressed (linear probing,
+/// backward-shift deletion, so no tombstones) and at most two-thirds
+/// full, so its one allocation never grows: the window's heap is fixed
+/// when it is built. (A std `HashSet` under this FIFO churn fills with
+/// tombstones and rehashes into twice the buckets.) Fingerprints are
+/// keyed hashes, so clients cannot aim keys at one probe run.
+#[derive(Debug)]
+struct Window {
+    /// The fingerprints, oldest first.
+    order: VecDeque<u64>,
+    /// The set: each fingerprint in `order` once, `0` in an empty slot
+    /// (fingerprint `0` is held as `1`). A power-of-two length.
+    slots: Box<[u64]>,
+    /// The most fingerprints held.
+    len: usize,
+}
+
+impl Window {
+    /// An empty window holding at most `len` fingerprints.
+    fn new(len: usize) -> Self {
+        Window {
+            order: VecDeque::with_capacity(len),
+            slots: vec![0; (len + len / 2 + 1).next_power_of_two()].into_boxed_slice(),
+            len,
+        }
+    }
+
+    /// Whether `print` is in the window; if not, records it, dropping
+    /// the oldest fingerprint when the window is full.
+    fn admit(&mut self, print: u64) -> bool {
+        let print = print.max(1); // `0` marks an empty slot
+        if self.probe(print).0 {
+            return true;
+        }
+        if self.len == 0 {
+            return false;
+        }
+        if self.order.len() == self.len {
+            if let Some(oldest) = self.order.pop_front() {
+                self.remove(oldest);
+            }
+        }
+        let (_, slot) = self.probe(print);
+        self.slots[slot] = print;
+        self.order.push_back(print);
+        false
+    }
+
+    /// `value`'s home slot, from the bits above the shard pick (which
+    /// are equal for every key in one shard).
+    fn home(&self, value: u64) -> usize {
+        (value >> SHARDS.trailing_zeros()) as usize & (self.slots.len() - 1)
+    }
+
+    /// Whether `value` is held, and the slot that holds it or the first
+    /// empty slot of its probe run. The set is never full, so the probe
+    /// ends.
+    fn probe(&self, value: u64) -> (bool, usize) {
+        let mask = self.slots.len() - 1;
+        let mut slot = self.home(value);
+        loop {
+            match self.slots[slot] {
+                0 => return (false, slot),
+                held if held == value => return (true, slot),
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+
+    /// Removes `value` (present by the ring's invariant), shifting
+    /// later entries of its probe run back so that every held value
+    /// stays reachable from its home slot.
+    fn remove(&mut self, value: u64) {
+        let (found, mut hole) = self.probe(value);
+        if !found {
+            return;
+        }
+        let mask = self.slots.len() - 1;
+        let mut next = hole;
+        loop {
+            next = (next + 1) & mask;
+            let held = self.slots[next];
+            if held == 0 {
+                break;
+            }
+            // `held` may fill the hole unless its home lies cyclically
+            // in (hole, next].
+            if (next.wrapping_sub(self.home(held)) & mask) >= (next.wrapping_sub(hole) & mask) {
+                self.slots[hole] = held;
+                hole = next;
+            }
+        }
+        self.slots[hole] = 0;
+    }
+}
+
+/// The outcome of [`ResultCache::get`].
+#[derive(Debug, PartialEq)]
+pub(crate) enum Lookup {
+    /// The cached response, sharing the entry's arrival buffers.
+    Hit(Response),
+    /// Not cached. `admit`: the key was missed recently, so its
+    /// response should be inserted once computed.
+    Miss {
+        /// Whether to insert the computed response.
+        admit: bool,
+    },
 }
 
 /// Bytes a reference-counted allocation adds before its value.
@@ -203,8 +343,9 @@ fn entry_bytes(key: &CacheKey, value: &Response) -> usize {
 pub struct CacheStats {
     /// Requests resolved from the cache (no pool submission).
     pub hits: u64,
-    /// Cacheable requests that went to the pool (and populate the
-    /// cache on success).
+    /// Cacheable requests that went to the pool. A key's first miss
+    /// only records it in the admission window; later misses populate
+    /// the cache on success.
     pub misses: u64,
     /// Entries evicted to stay within the byte bound.
     pub evictions: u64,
@@ -258,15 +399,25 @@ pub(crate) struct ResultCache {
 
 impl ResultCache {
     /// A cache bounded to `capacity_bytes` (rounded down to a multiple
-    /// of the shard count). A zero bound means "no cache" and is the
-    /// caller's branch, not this type's.
+    /// of the shard count), each shard's admission window sized to the
+    /// most entries its budget could hold. A zero bound means "no
+    /// cache" and is the caller's branch, not this type's.
     pub(crate) fn new(capacity_bytes: usize) -> Self {
         assert!(capacity_bytes >= 1, "a result cache needs capacity");
+        let shard_bytes = capacity_bytes / SHARDS;
         ResultCache {
             shards: (0..SHARDS)
-                .map(|_| ClassedMutex::new(LockClass::CacheShard, Shard::default()))
+                .map(|_| {
+                    let shard = Shard {
+                        map: HashMap::new(),
+                        queue: VecDeque::new(),
+                        bytes: 0,
+                        window: Window::new(shard_bytes / ENTRY_OVERHEAD),
+                    };
+                    ClassedMutex::new(LockClass::CacheShard, shard)
+                })
                 .collect(),
-            shard_bytes: capacity_bytes / SHARDS,
+            shard_bytes,
             shard_hasher: RandomState::new(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -277,27 +428,40 @@ impl ResultCache {
         }
     }
 
-    fn shard(&self, key: &CacheKey) -> &ClassedMutex<Shard> {
-        // cfva-lint: allow(L002, reason = "index is masked with SHARDS - 1, a power-of-two bound, so it is always < SHARDS")
-        &self.shards[(self.shard_hasher.hash_one(key) as usize) & (SHARDS - 1)]
+    /// `key`'s fingerprint: the shard hash, which picks the shard by its
+    /// low bits and stands for the key in the admission window.
+    fn fingerprint(&self, key: &CacheKey) -> u64 {
+        self.shard_hasher.hash_one(key)
     }
 
-    /// Looks `key` up, counting a hit (and setting the entry's
-    /// reference bit) or a miss. The response is cloned after the lock
-    /// is released, sharing the entry's arrival buffers.
-    pub(crate) fn get(&self, key: &CacheKey) -> Option<Response> {
-        let hit = self.shard(key).lock().map.get_mut(key).map(|entry| {
+    fn shard(&self, print: u64) -> &ClassedMutex<Shard> {
+        // cfva-lint: allow(L002, reason = "index is masked with SHARDS - 1, a power-of-two bound, so it is always < SHARDS")
+        &self.shards[(print as usize) & (SHARDS - 1)]
+    }
+
+    /// Looks `key` up under one lock, counting a hit (and setting the
+    /// entry's reference bit) or a miss, which the shard's admission
+    /// window admits or declines (see [Admission](self#admission)). A
+    /// hit's response is cloned after the lock is released, sharing the
+    /// entry's arrival buffers.
+    pub(crate) fn get(&self, key: &CacheKey) -> Lookup {
+        let print = self.fingerprint(key);
+        let mut shard = self.shard(print).lock();
+        let hit = shard.map.get_mut(key).map(|entry| {
             entry.referenced = true;
             Arc::clone(&entry.value)
         });
         match hit {
             Some(value) => {
+                drop(shard);
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(Response::clone(&value))
+                Lookup::Hit(Response::clone(&value))
             }
             None => {
+                let admit = shard.window.admit(print);
+                drop(shard);
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                None
+                Lookup::Miss { admit }
             }
         }
     }
@@ -317,7 +481,7 @@ impl ResultCache {
         // Declared before the guard, so evicted responses are freed
         // after the lock is released.
         let mut evicted = Vec::new();
-        let mut guard = self.shard(&key).lock();
+        let mut guard = self.shard(self.fingerprint(&key)).lock();
         let shard = &mut *guard;
         if shard.map.contains_key(&key) {
             return;
@@ -361,17 +525,22 @@ impl ResultCache {
     }
 
     /// Drops every resident entry — the fault injector's cache
-    /// poisoning. Correctness-neutral by construction: the next lookup
-    /// of any dropped key misses and recomputes the same deterministic
-    /// response. Shards are flushed one at a time (the lock hierarchy
-    /// holds one shard at most), so a concurrent insert may survive;
-    /// that is fine — poisoning promises "entries dropped", not a
-    /// linearized snapshot.
+    /// poisoning — and keeps the admission windows. Correctness-neutral
+    /// by construction: the next lookup of any dropped key misses and
+    /// recomputes the same deterministic response. Shards are flushed
+    /// one at a time (the lock hierarchy holds one shard at most), so a
+    /// concurrent insert may survive; that is fine — poisoning promises
+    /// "entries dropped", not a linearized snapshot.
     pub(crate) fn invalidate_all(&self) {
         for shard in &self.shards {
-            let dropped = std::mem::take(&mut *shard.lock());
+            let dropped = {
+                let mut shard = shard.lock();
+                shard.bytes = 0;
+                shard.queue.clear();
+                std::mem::take(&mut shard.map)
+            };
             self.invalidations
-                .fetch_add(dropped.map.len() as u64, Ordering::Relaxed);
+                .fetch_add(dropped.len() as u64, Ordering::Relaxed);
         }
     }
 
@@ -419,10 +588,10 @@ mod tests {
     #[test]
     fn hit_miss_and_occupancy_counters() {
         let cache = ResultCache::new(64 * ENTRY_OVERHEAD);
-        assert_eq!(cache.get(&key(1)), None);
+        assert_eq!(cache.get(&key(1)), Lookup::Miss { admit: false });
         cache.insert(key(1), &Response::Efficiency(0.5));
-        assert_eq!(cache.get(&key(1)), Some(Response::Efficiency(0.5)));
-        assert_eq!(cache.get(&key(2)), None);
+        assert_eq!(cache.get(&key(1)), Lookup::Hit(Response::Efficiency(0.5)));
+        assert_eq!(cache.get(&key(2)), Lookup::Miss { admit: false });
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 2, 1));
         assert!((stats.hit_rate() - 1.0 / 3.0).abs() < 1e-12);
@@ -451,7 +620,7 @@ mod tests {
         }
         assert_eq!(
             cache.get(&key(0)),
-            Some(Response::Efficiency(0.0)),
+            Lookup::Hit(Response::Efficiency(0.0)),
             "a constantly-touched entry is never the LRU victim"
         );
     }
@@ -480,12 +649,12 @@ mod tests {
 
         // Over a shard's eighth of the bound: answered, counted, not kept.
         cache.insert(key(2), &measured(1024));
-        assert_eq!(cache.get(&key(2)), None);
+        assert_eq!(cache.get(&key(2)), Lookup::Miss { admit: false });
         let stats = cache.stats();
         assert_eq!((stats.entries, stats.oversize), (1, 1));
 
         // A hit shares the entry's arrival buffer.
-        let (Some(Response::Measured(Some(a))), Some(Response::Measured(Some(b)))) =
+        let (Lookup::Hit(Response::Measured(Some(a))), Lookup::Hit(Response::Measured(Some(b)))) =
             (cache.get(&key(1)), cache.get(&key(1)))
         else {
             panic!("two hits");
@@ -505,7 +674,11 @@ mod tests {
         assert_eq!(stats.bytes, 0, "and is charged nothing");
         assert_eq!(stats.invalidations, 10);
         assert_eq!(stats.evictions, 0, "invalidation is not eviction");
-        assert_eq!(cache.get(&key(3)), None, "flushed entries simply miss");
+        assert_eq!(
+            cache.get(&key(3)),
+            Lookup::Miss { admit: false },
+            "flushed entries simply miss"
+        );
     }
 
     #[test]
@@ -526,6 +699,85 @@ mod tests {
         assert_eq!(a, b);
         let cache = ResultCache::new(16 * ENTRY_OVERHEAD);
         cache.insert(a, &Response::FamilySweep(Vec::new()));
-        assert!(cache.get(&b).is_some());
+        assert!(matches!(cache.get(&b), Lookup::Hit(_)));
+    }
+
+    /// Heap bytes of every shard's admission window: the ring's and
+    /// the set's words.
+    fn window_heap_bytes(cache: &ResultCache) -> usize {
+        cache
+            .shards
+            .iter()
+            .map(|shard| {
+                let window = &shard.lock().window;
+                (window.order.capacity() + window.slots.len()) * size_of::<u64>()
+            })
+            .sum()
+    }
+
+    #[test]
+    fn window_matches_a_fifo_of_distinct_fingerprints() {
+        use std::collections::HashSet;
+        // A small pool of fingerprints, half of them sharing a few home
+        // slots, so probe runs collide, wrap and shift back on removal.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let pool: Vec<u64> = (0..48)
+            .map(|i| match i % 2 {
+                0 => next(),
+                _ => (next() & !0xff) | (i % 3) << 3,
+            })
+            .chain([0, 1, u64::MAX])
+            .collect();
+        for len in [0, 1, 2, 3, 7, 16, 40] {
+            let mut window = Window::new(len);
+            let mut order: VecDeque<u64> = VecDeque::new();
+            for step in 0..4000 {
+                let print = pool[(next() % pool.len() as u64) as usize].max(1);
+                let expected = order.contains(&print);
+                if !expected && len > 0 {
+                    if order.len() == len {
+                        order.pop_front();
+                    }
+                    order.push_back(print);
+                }
+                assert_eq!(window.admit(print), expected, "len {len}, step {step}");
+                assert_eq!(window.order, order, "len {len}, step {step}");
+                let held: HashSet<u64> = window.slots.iter().copied().filter(|&v| v != 0).collect();
+                assert_eq!(
+                    held,
+                    order.iter().copied().collect(),
+                    "len {len}, step {step}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn window_heap_stays_within_a_mebibyte_at_the_default_and_scales() {
+        const DEFAULT: usize = 8 << 20;
+        let fingerprints = |bytes: usize| SHARDS * (bytes / SHARDS / ENTRY_OVERHEAD);
+        let default = ResultCache::new(DEFAULT);
+        let heap = window_heap_bytes(&default);
+        assert!(heap <= 1 << 20, "{heap} bytes at the 8 MiB default");
+        assert!(fingerprints(DEFAULT) * size_of::<u64>() <= heap);
+        // Filling the window allocates nothing more.
+        for seed in 0..2 * fingerprints(DEFAULT) as u64 {
+            default.get(&key(seed));
+        }
+        assert_eq!(window_heap_bytes(&default), heap);
+        for bytes in [DEFAULT / 8, DEFAULT / 2, 2 * DEFAULT] {
+            let heap = window_heap_bytes(&ResultCache::new(bytes));
+            let slots = fingerprints(bytes);
+            assert!(
+                slots * size_of::<u64>() <= heap && heap <= slots * 32,
+                "{heap} bytes for {slots} fingerprints at a {bytes}-byte bound"
+            );
+        }
     }
 }

@@ -51,7 +51,9 @@
 //! The table holds at most [`Service::SPEC_TABLE_CAPACITY`] raw
 //! strings; past that, each request with an unseen spelling resolves
 //! a fresh entry of its own — slower, never different. Misses populate
-//! the cache when the worker completes (successful responses only).
+//! the cache when the worker completes (successful responses only),
+//! from a key's second miss on: a shard's admission window remembers
+//! the keys it missed recently, so a key seen once costs no entry.
 //! Bypass per request with [`Service::submit_uncached`], or disable
 //! service-wide with [`ServiceConfig::cache_bytes`]` = 0`;
 //! [`Service::stats`] reports hit/miss/eviction/bypass/oversize
@@ -80,7 +82,7 @@ use crate::api::{
     Estimator, FamilyPoint, MultiStreamOutcome, Request, Response, SchedulePlan, ServeError,
     ServeResult, StreamSummary,
 };
-use crate::cache::{CacheKey, CacheStats, RequestKey, ResultCache};
+use crate::cache::{CacheKey, CacheStats, Lookup, RequestKey, ResultCache};
 use crate::fault::{FaultPlan, SubmitFault};
 use crate::locks::{ClassedMutex, LockClass};
 use crate::pool::{panic_message, Pool, PoolOptions, SubmitError, Ticket, Wake};
@@ -270,7 +272,11 @@ pub struct ServiceConfig {
     /// overhead for its key, table slot and response header; each of
     /// the cache's eight shards holds at most an eighth of the bound,
     /// and a response charged more than that is answered but not
-    /// cached. `0` disables the cache entirely. Defaults to
+    /// cached. The bound also sizes the admission window: a key is
+    /// cached on its second miss while the shard still remembers the
+    /// first, and a shard remembers as many missed keys as its budget
+    /// could hold entries (about 0.8 MiB of fingerprints at the default,
+    /// outside the bound). `0` disables the cache entirely. Defaults to
     /// [`ServiceConfig::DEFAULT_CACHE_BYTES`].
     pub cache_bytes: usize,
     /// Worker-side execution retries after a panicking attempt
@@ -712,14 +718,13 @@ impl Service {
         }
         let inject_panic = matches!(submit_fault, Some(SubmitFault::PanicJob));
 
-        let key = match &self.cache {
+        // Only an admitted miss carries its key to the worker.
+        let populate = match &self.cache {
             Some(cache) if use_cache => match Self::cache_key(&entry, &request) {
-                Some(key) => {
-                    if let Some(response) = cache.get(&key) {
-                        return Ok(ServeTicket::now(Ok(response)));
-                    }
-                    Some(key)
-                }
+                Some(key) => match cache.get(&key) {
+                    Lookup::Hit(response) => return Ok(ServeTicket::now(Ok(response))),
+                    Lookup::Miss { admit } => admit.then(|| (Arc::clone(cache), key)),
+                },
                 None => {
                     cache.note_bypass();
                     None
@@ -730,10 +735,6 @@ impl Service {
                 None
             }
             None => None,
-        };
-        let populate = match (&self.cache, key) {
-            (Some(cache), Some(key)) => Some((Arc::clone(cache), key)),
-            _ => None,
         };
 
         let deadline = budget.map(|b| Instant::now() + b);

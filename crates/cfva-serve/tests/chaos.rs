@@ -169,7 +169,10 @@ fn chaos_recovery_counters_account_for_the_injections() {
         .queue_capacity(256)
         .max_retries(2)
         .fault_plan(Arc::clone(&plan));
-    let requests = request_mix(32);
+    // A repeat of request 0 as submission 1: its second miss populates
+    // the cache, so the poison at 7 has an entry to flush.
+    let mut requests = request_mix(32);
+    requests.insert(1, requests[0].clone());
     let truth = serial_truth(&requests);
     let (results, stats) = drive(config, &requests);
     for (i, (result, expected)) in results.iter().zip(&truth).enumerate() {
@@ -187,7 +190,7 @@ fn chaos_recovery_counters_account_for_the_injections() {
     let cache = stats.cache.expect("cache enabled");
     assert!(
         cache.invalidations >= 1,
-        "the poison flushed the entries populated by submissions 0–6"
+        "the poison flushed the entry populated by submission 1"
     );
 }
 

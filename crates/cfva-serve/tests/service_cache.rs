@@ -2,18 +2,21 @@
 //! (cache-on ≡ cache-off, bit for bit, over random request streams),
 //! equivalent requests share one entry (canonical spec spelling,
 //! stride-class membership), the bypass knobs really bypass, the byte
-//! bound really bounds, hits share one arrival buffer — and a hit is
+//! bound really bounds, hits share one arrival buffer, a key is cached
+//! on its second miss only (one-off keys cost no entry) — and a hit is
 //! *much* cheaper than a pooled miss.
 
-use std::sync::Barrier;
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use cfva_core::mapping::{MapSpec, ModuleMap, Registry};
 use cfva_core::plan::Strategy;
 use cfva_core::{ConfigError, Stride, VectorSpec};
 use cfva_serve::api::{Estimator, Request, Response, ServeError};
+use cfva_serve::fault::FaultPlan;
 use cfva_serve::runner::BatchRunner;
 use cfva_serve::service::{Service, ServiceConfig};
+use cfva_serve::CacheStats;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -79,8 +82,10 @@ proptest! {
                 requests.push(request);
             }
         }
-        // At least one guaranteed repeat, so `hits > 0` below is not
-        // at the mercy of the coin flips.
+        // A guaranteed third sighting of one key (the second miss
+        // admits it), so `hits > 0` below is not at the mercy of the
+        // coin flips.
+        requests.push(requests[0].clone());
         requests.push(requests[0].clone());
 
         let cached = Service::new(ServiceConfig::with_workers(2));
@@ -120,16 +125,23 @@ fn repeated_request_is_served_from_the_cache() {
         .wait()
         .expect("serves");
     let second = service
-        .submit(request)
+        .submit(request.clone())
         .expect("room")
         .wait()
         .expect("serves");
     assert_eq!(first, second);
+    // The second miss admitted the key: the third submission hits.
+    let third = service
+        .submit(request)
+        .expect("room")
+        .wait()
+        .expect("serves");
+    assert_eq!(first, third);
 
     let stats = service.stats();
     let cache = stats.cache.expect("cache on by default");
-    assert_eq!((cache.hits, cache.misses, cache.entries), (1, 1, 1));
-    assert!((cache.hit_rate() - 0.5).abs() < 1e-12);
+    assert_eq!((cache.hits, cache.misses, cache.entries), (1, 2, 1));
+    assert!((cache.hit_rate() - 1.0 / 3.0).abs() < 1e-12);
     // Both tickets were waited on: nothing queued, nothing in flight.
     assert_eq!((stats.queue_depth, stats.in_flight), (0, 0));
     service.shutdown();
@@ -162,6 +174,8 @@ fn equivalent_spellings_and_class_members_share_one_entry() {
     };
 
     let original = submit("xor-matched:t=3,s=4", base, stride);
+    // The key's second miss admits it.
+    assert_eq!(submit("xor-matched:t=3,s=4", base, stride), original);
     // Same map, scrambled key order and hex/binary literals.
     let respelled = submit("xor-matched:s=0x4,t=0b11", base, stride);
     // Same stride class: base shifted by 2^used…
@@ -179,7 +193,7 @@ fn equivalent_spellings_and_class_members_share_one_entry() {
     let cache = service.stats().cache.expect("cache on");
     assert_eq!(
         (cache.hits, cache.misses, cache.entries),
-        (3, 1, 1),
+        (3, 2, 1),
         "all four spellings reduce to one key: {cache:?}"
     );
     service.shutdown();
@@ -213,13 +227,16 @@ fn submit_uncached_bypasses_and_never_populates() {
         "uncached submissions neither consult nor populate: {cache:?}"
     );
 
-    // A cached submission after the bypasses starts cold (miss), and a
-    // bypass after the populate still goes to the pool.
-    service
-        .submit(request.clone())
-        .expect("room")
-        .wait()
-        .expect("serves");
+    // Cached submissions after the bypasses start cold (the second
+    // miss populates), and a bypass after the populate still goes to
+    // the pool.
+    for _ in 0..2 {
+        service
+            .submit(request.clone())
+            .expect("room")
+            .wait()
+            .expect("serves");
+    }
     service
         .submit_uncached(request)
         .expect("room")
@@ -228,7 +245,7 @@ fn submit_uncached_bypasses_and_never_populates() {
     let cache = service.stats().cache.expect("cache on");
     assert_eq!(
         (cache.hits, cache.misses, cache.entries, cache.bypasses),
-        (0, 1, 1, 3),
+        (0, 2, 1, 3),
         "{cache:?}"
     );
     service.shutdown();
@@ -240,17 +257,20 @@ fn tiny_capacity_stays_bounded_and_evicts() {
     const BOUND: usize = 16 << 10;
     let service = Service::new(ServiceConfig::with_workers(2).cache_bytes(BOUND));
     // 64 distinct stride classes (odd parts 1, 3, …, 127 are distinct
-    // mod 2^used for every builtin map), all cached successfully.
+    // mod 2^used for every builtin map), each submitted twice so the
+    // second miss admits it, all cached successfully.
     for i in 0..64i64 {
-        service
-            .submit(Request::Measure {
-                spec: "xor-matched:t=3,s=4".into(),
-                vec: VectorSpec::new(0, 2 * i + 1, 64).expect("valid"),
-                strategy: Strategy::Auto,
-            })
-            .expect("room")
-            .wait()
-            .expect("serves");
+        for _ in 0..2 {
+            service
+                .submit(Request::Measure {
+                    spec: "xor-matched:t=3,s=4".into(),
+                    vec: VectorSpec::new(0, 2 * i + 1, 64).expect("valid"),
+                    strategy: Strategy::Auto,
+                })
+                .expect("room")
+                .wait()
+                .expect("serves");
+        }
     }
     let cache = service.stats().cache.expect("cache on");
     assert!(
@@ -260,7 +280,7 @@ fn tiny_capacity_stays_bounded_and_evicts() {
     assert_eq!(
         cache.evictions + cache.entries as u64,
         64,
-        "every distinct miss was inserted, overflow evicted: {cache:?}"
+        "every admitted miss was inserted, overflow evicted: {cache:?}"
     );
     service.shutdown();
 }
@@ -278,21 +298,28 @@ fn long_measure(base: u64) -> Request {
 fn byte_bound_holds_after_every_response_of_a_long_measure_stream() {
     // 1 MiB: each shard's 128 KiB holds three 4096-element entries.
     let service = Service::new(ServiceConfig::with_workers(2).cache_bytes(1 << 20));
-    // Bases 0..64 are distinct mod 2^used: 64 distinct keys.
+    // Bases 0..64 are distinct mod 2^used: 64 distinct keys, each
+    // submitted twice so the second miss admits it.
     for base in 0..64 {
-        service
-            .submit(long_measure(base))
-            .expect("room")
-            .wait()
-            .expect("serves");
-        let cache = service.stats().cache.expect("cache on");
-        assert!(cache.bytes <= cache.capacity_bytes, "bounded: {cache:?}");
-        assert_eq!(cache.misses, base + 1, "every key is new: {cache:?}");
-        assert_eq!(
-            cache.evictions + cache.entries as u64,
-            cache.misses,
-            "evictions and entries account for every insert: {cache:?}"
-        );
+        for sighting in 1..=2 {
+            service
+                .submit(long_measure(base))
+                .expect("room")
+                .wait()
+                .expect("serves");
+            let cache = service.stats().cache.expect("cache on");
+            assert!(cache.bytes <= cache.capacity_bytes, "bounded: {cache:?}");
+            assert_eq!(
+                cache.misses,
+                2 * base + sighting,
+                "every key is new: {cache:?}"
+            );
+            assert_eq!(
+                cache.evictions + cache.entries as u64,
+                base + sighting - 1,
+                "evictions and entries account for every insert: {cache:?}"
+            );
+        }
     }
     let cache = service.stats().cache.expect("cache on");
     assert_eq!(cache.oversize, 0, "{cache:?}");
@@ -311,6 +338,9 @@ fn a_response_over_a_shards_budget_is_served_but_not_cached() {
     let serial = BatchRunner::from_spec_str("xor-matched:t=3,s=4")
         .expect("builds")
         .measure_owned(vec, *strategy);
+    // The first miss is declined; every later one is admitted.
+    let declined = service.submit(request.clone()).expect("room").wait();
+    assert_eq!(declined, Ok(Response::Measured(serial.clone())));
     for round in 1..=2 {
         let got = service.submit(request.clone()).expect("room").wait();
         assert_eq!(got, Ok(Response::Measured(serial.clone())));
@@ -323,7 +353,7 @@ fn a_response_over_a_shards_budget_is_served_but_not_cached() {
                 cache.entries,
                 cache.bytes
             ),
-            (0, round, round, 0, 0),
+            (0, round + 1, round, 0, 0),
             "answered, counted, never cached: {cache:?}"
         );
     }
@@ -337,13 +367,14 @@ fn hits_on_one_entry_share_one_arrival_buffer() {
         Ok(Response::Measured(Some(stats))) => stats.arrival,
         other => panic!("a measurement: {other:?}"),
     };
+    let _declined = arrivals();
     let miss = arrivals();
     let (a, b) = (arrivals(), arrivals());
     assert!(a.ptr_eq(&b), "two hits return one buffer");
     assert_eq!(a.as_ptr(), b.as_ptr());
     assert!(miss.ptr_eq(&a), "the miss's response is the cached one");
     let cache = service.stats().cache.expect("cache on");
-    assert_eq!((cache.hits, cache.misses), (2, 1), "{cache:?}");
+    assert_eq!((cache.hits, cache.misses), (2, 2), "{cache:?}");
     service.shutdown();
 }
 
@@ -360,12 +391,18 @@ fn cache_hit_path_is_50x_faster_than_pooled_misses() {
         sigma: 3,
     };
 
-    // Warm the single entry.
+    // Warm the single entry: the second miss inserts it.
     let warm = service
         .submit(request.clone())
         .expect("room")
         .wait()
         .expect("serves");
+    let admitted = service
+        .submit(request.clone())
+        .expect("room")
+        .wait()
+        .expect("serves");
+    assert_eq!(admitted, warm);
 
     const ITERS: u32 = 32;
     let hits = Instant::now();
@@ -429,6 +466,13 @@ fn hostile_spelling_churn_still_shares_one_entry_past_the_spec_table_cap() {
         .expect("room")
         .wait()
         .expect("serves");
+    // The key's second miss admits it.
+    let admitted = service
+        .submit(measure("interleaved:m=3"))
+        .expect("room")
+        .wait()
+        .expect("serves");
+    assert_eq!(admitted, expected);
     for (i, spelling) in spellings.iter().enumerate() {
         let refused = service.submit(measure(&format!("interleaved:m{i}")));
         assert!(
@@ -445,7 +489,7 @@ fn hostile_spelling_churn_still_shares_one_entry_past_the_spec_table_cap() {
     let cache = service.stats().cache.expect("cache on");
     assert_eq!(
         (cache.hits, cache.misses, cache.entries, cache.bypasses),
-        (spellings.len() as u64, 1, 1, 0),
+        (spellings.len() as u64, 2, 1, 0),
         "every spelling shares the first spelling's entry: {cache:?}"
     );
     service.shutdown();
@@ -533,5 +577,184 @@ fn concurrent_first_touch_of_a_cold_spec_answers_identically() {
     let cache = service.stats().cache.expect("cache on");
     assert_eq!(cache.entries, 1, "{cache:?}");
     assert_eq!(cache.hits + cache.misses, THREADS as u64, "{cache:?}");
+    service.shutdown();
+}
+
+/// Serves `request` and waits for its response.
+fn serve(service: &Service, request: &Request) -> Response {
+    service
+        .submit(request.clone())
+        .expect("room")
+        .wait()
+        .expect("serves")
+}
+
+fn cache_of(service: &Service) -> CacheStats {
+    service.stats().cache.expect("cache on")
+}
+
+/// The misses an insert accounts for: every admitted miss's response is
+/// resident, evicted, invalidated or refused as oversize.
+fn inserted(cache: &CacheStats) -> u64 {
+    cache.entries as u64 + cache.evictions + cache.invalidations + cache.oversize
+}
+
+#[test]
+fn one_off_keys_are_never_cached() {
+    const KEYS: u64 = 64;
+    let service = Service::new(ServiceConfig::with_workers(2));
+    for i in 0..KEYS as i64 {
+        serve(
+            &service,
+            &Request::Measure {
+                spec: "xor-matched:t=3,s=4".into(),
+                vec: VectorSpec::new(0, 2 * i + 1, 1024).expect("valid"),
+                strategy: Strategy::Auto,
+            },
+        );
+    }
+    let cache = cache_of(&service);
+    assert_eq!(
+        (cache.misses, cache.entries, cache.bytes, cache.evictions),
+        (KEYS, 0, 0, 0),
+        "a key seen once costs no entry and evicts nothing: {cache:?}"
+    );
+    service.shutdown();
+}
+
+#[test]
+fn a_repeated_key_misses_twice_then_hits_the_second_response() {
+    let service = Service::new(ServiceConfig::with_workers(1));
+    let arrivals = || match serve(&service, &long_measure(0)) {
+        Response::Measured(Some(stats)) => stats.arrival,
+        other => panic!("a measurement: {other:?}"),
+    };
+    let first = arrivals();
+    assert_eq!(cache_of(&service).entries, 0, "the first miss is declined");
+    let second = arrivals();
+    let cache = cache_of(&service);
+    assert_eq!(
+        (cache.misses, cache.entries),
+        (2, 1),
+        "the second miss inserts: {cache:?}"
+    );
+    let third = arrivals();
+    assert_eq!(cache_of(&service).hits, 1, "the third submission hits");
+    assert!(
+        third.ptr_eq(&second),
+        "the hit shares the admitted response"
+    );
+    assert!(!third.ptr_eq(&first), "the declined response was not kept");
+    assert_eq!(first, third);
+    service.shutdown();
+}
+
+/// An `Efficiency` request: its response and key carry no payload, so
+/// its entry is charged exactly the fixed per-entry overhead.
+fn efficiency(seed: u64) -> Request {
+    Request::Efficiency {
+        spec: "interleaved:m=3".into(),
+        strategy: Strategy::Auto,
+        len: 64,
+        estimator: Estimator::Stratified {
+            max_x: 4,
+            per_family: 1,
+        },
+        seed,
+    }
+}
+
+/// The bytes one entry is charged beyond its payload.
+fn entry_overhead() -> usize {
+    let service = Service::new(ServiceConfig::with_workers(1));
+    serve(&service, &efficiency(0));
+    serve(&service, &efficiency(0));
+    let cache = cache_of(&service);
+    assert_eq!(cache.entries, 1, "{cache:?}");
+    service.shutdown();
+    cache.bytes
+}
+
+#[test]
+fn a_key_aged_out_of_its_window_is_declined_again_then_admitted() {
+    // Each shard's budget holds WINDOW entries, so its admission window
+    // holds WINDOW fingerprints.
+    const WINDOW: usize = 2;
+    const SHARDS: usize = 8;
+    let bound = SHARDS * WINDOW * entry_overhead();
+    let service = Service::new(ServiceConfig::with_workers(1).cache_bytes(bound));
+    let keys: Vec<Request> = (0..(SHARDS * WINDOW) as u64 + 1).map(efficiency).collect();
+    for key in &keys {
+        serve(&service, key);
+    }
+    let cache = cache_of(&service);
+    assert_eq!((cache.misses, cache.entries), (keys.len() as u64, 0));
+
+    // More keys than the windows hold, so some shard saw more than
+    // WINDOW of them, and the first of those has aged out: it is
+    // declined again on the second pass (no key before it in the pass
+    // touches its shard's window). A declined key is admitted on its
+    // next miss; a remembered one is admitted at once.
+    let mut declined = 0;
+    for (i, key) in keys.iter().enumerate() {
+        let before = inserted(&cache_of(&service));
+        serve(&service, key);
+        if inserted(&cache_of(&service)) == before {
+            declined += 1;
+            serve(&service, key);
+            assert_eq!(
+                inserted(&cache_of(&service)),
+                before + 1,
+                "key {i} is admitted on the miss after its decline"
+            );
+        }
+    }
+    assert!(declined >= 1, "{:?}", cache_of(&service));
+    assert_eq!(cache_of(&service).hits, 0);
+    service.shutdown();
+}
+
+#[test]
+fn declined_admissions_are_the_misses_no_insert_accounts_for() {
+    // 256 KiB: a shard's 32 KiB holds one 2048-element measurement and
+    // refuses a 4096-element one as oversize.
+    let measure = |base: u64| Request::Measure {
+        spec: "xor-matched:t=3,s=4".into(),
+        vec: VectorSpec::new(base, 3, 2048).expect("valid"),
+        strategy: Strategy::Auto,
+    };
+    // Submission 36 (after 17 keys twice and the oversize key twice)
+    // poisons the cache.
+    let service = Service::new(
+        ServiceConfig::with_workers(2)
+            .cache_bytes(256 << 10)
+            .fault_plan(Arc::new(FaultPlan::new().poison_cache_at(36))),
+    );
+    // 17 distinct keys admitted on their second miss: some shard gets
+    // two of them and evicts.
+    for base in 0..17 {
+        serve(&service, &measure(base));
+        serve(&service, &measure(base));
+    }
+    serve(&service, &long_measure(0));
+    serve(&service, &long_measure(0));
+    // After the poison every key misses again, and its remembered
+    // fingerprint admits it at once; the first insert into each
+    // emptied shard is hit by the next submission.
+    for base in 0..17 {
+        serve(&service, &measure(base));
+        serve(&service, &measure(base));
+    }
+    let cache = cache_of(&service);
+    assert!(
+        cache.evictions > 0 && cache.oversize == 1 && cache.invalidations > 0,
+        "{cache:?}"
+    );
+    assert!(cache.hits > 0, "{cache:?}");
+    assert_eq!(
+        cache.misses - inserted(&cache),
+        18,
+        "one declined miss per distinct key: {cache:?}"
+    );
     service.shutdown();
 }
