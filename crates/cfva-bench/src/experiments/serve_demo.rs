@@ -11,10 +11,13 @@
 //! must *reject* with `Overloaded` — never deadlock — which the
 //! summary reports and CI asserts via `--require-rejections`.
 //!
-//! The mix has deliberate **temporal locality**: every client re-submits
-//! one pinned request every 30 iterations, so a run long enough to
-//! repeat it (`--requests` ≥ 31, window < 30) is *guaranteed* to hit
-//! the service's result cache. The report prints the final
+//! The mix has deliberate **temporal locality**: every client submits
+//! one pinned request at iterations 0 and 1 and again every 30
+//! iterations. The result cache admits a key on its second miss, so a
+//! client's second submission either hits or is admitted, and a run
+//! long enough to repeat it (`--requests` ≥ 31, window < 30) is
+//! *guaranteed* to hit the service's result cache, with any number of
+//! clients. The report prints the final
 //! [`Service::stats`] snapshot (cache hits/misses/evictions, hit
 //! rate), and CI asserts a nonzero hit rate via `--require-cache-hits`.
 //!
@@ -101,14 +104,19 @@ pub struct DemoOutcome {
     pub report: String,
 }
 
-/// The pinned request every client re-submits every 30 iterations: the
-/// demo's temporal locality, and the guarantee behind
-/// `--require-cache-hits` with two or more clients. The cache admits a
-/// key on its second miss, so at iteration 0 one client's submission
-/// is declined and the next one's is admitted; that job sits near the
-/// head of the FIFO pool queue, so by iteration 30 (the in-flight
-/// window is far smaller than 30) its response is in the result cache.
-/// A lone client first hits at iteration 60.
+/// Whether a client's `iteration` submits [`pinned_request`]:
+/// iterations 0 and 1 and every 30 after. This is the demo's temporal
+/// locality, and the guarantee behind `--require-cache-hits`: the cache
+/// admits a key on its second miss, so a client's iteration-1
+/// submission hits or is admitted; an admitted response is inserted
+/// before its ticket resolves, and by iteration 30 the client has
+/// reaped that ticket (the in-flight window is far smaller than 30),
+/// so the result cache holds it whatever the other clients do.
+fn is_pinned(iteration: usize) -> bool {
+    iteration == 1 || iteration.is_multiple_of(30)
+}
+
+/// The request every client submits on [`is_pinned`] iterations.
 fn pinned_request(specs: &[String]) -> Request {
     Request::FamilySweep {
         spec: specs[0].clone(),
@@ -184,7 +192,7 @@ fn direct_client_loop(
             }
         };
     for i in 0..config.requests_per_client {
-        let request = if i % 30 == 0 {
+        let request = if is_pinned(i) {
             pinned_request(specs)
         } else {
             sample_request(&mut rng, specs)
@@ -235,7 +243,7 @@ fn wire_client_loop(
     let mut latencies = Vec::with_capacity(config.requests_per_client);
     let (mut rejected, mut failed) = (0u64, 0u64);
     for i in 0..config.requests_per_client {
-        let request = if i % 30 == 0 {
+        let request = if is_pinned(i) {
             pinned_request(specs)
         } else {
             sample_request(&mut rng, specs)
@@ -478,12 +486,12 @@ mod tests {
 
     #[test]
     fn long_enough_run_is_guaranteed_cache_hits() {
-        // Two clients submit the pinned request at iteration 0: the
-        // second sighting admits it. The 31st request re-submits it
-        // once per client; the admitted job was queued ahead of ~26
-        // later jobs of each client, so it has long finished. This is
-        // the contract `--require-cache-hits` (the CI cached-path
-        // smoke, three clients) stands on.
+        // Each client submits the pinned request at iterations 0 and 1:
+        // its second submission hits or is admitted, and the client
+        // reaps it long before its 31st request re-submits the pinned
+        // request — the hit cannot be raced away, whatever the other
+        // client does. This is the contract `--require-cache-hits`
+        // (the CI cached-path smoke) stands on.
         let outcome = serve_demo(&DemoConfig {
             workers: 2,
             clients: 2,

@@ -46,10 +46,10 @@
 //! table slot and queue slot. Each shard holds at most an eighth of the
 //! budget; a response charged more than that is answered but never
 //! cached, and counted ([`CacheStats::oversize`]). A shard's admission
-//! window holds at most as many fingerprints as the shard could hold
-//! entries (`shard budget / ENTRY_OVERHEAD`) and is allocated once:
-//! about 0.8 MiB over the 8 shards at the 8 MiB default, outside the
-//! byte bound.
+//! window holds as many fingerprints as the shard could hold entries
+//! (`shard budget / ENTRY_OVERHEAD`), up to [`WINDOW_CAP`], and is
+//! allocated once, outside the byte bound: at the 8 MiB default the cap
+//! binds, and the 8 windows hold 28,672 fingerprints in about 0.8 MiB.
 //!
 //! # Shared entries
 //!
@@ -75,7 +75,7 @@
 //! Counters ([`CacheStats`]) are relaxed atomics — monitoring data,
 //! not synchronization.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::{BuildHasher, RandomState};
 use std::mem::size_of;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -90,6 +90,14 @@ use crate::locks::{ClassedMutex, LockClass};
 
 /// Shard count; a power of two so the shard pick is a mask.
 const SHARDS: usize = 8;
+
+/// The most fingerprints one shard's admission window holds, whatever
+/// the byte bound. Its set, reserved at twice this, then fits 8,192
+/// buckets, so a full window's ring and set take about 0.1 MiB per
+/// shard. A shard's 1 MiB share of the default bound could hold 4,854
+/// entries, so the cap binds there; it also keeps a very large bound
+/// from asking for a window of its size up front.
+const WINDOW_CAP: usize = 3584;
 
 /// The request part of a cache key, with measurements reduced to their
 /// stride-equivalence classes (see the [module docs](self)).
@@ -179,19 +187,15 @@ struct Shard {
 
 /// The fingerprints of a shard's most recently missed keys (see
 /// [Admission](self#admission)): each at most once, oldest first, with
-/// a set for lookup. The set is open-addressed (linear probing,
-/// backward-shift deletion, so no tombstones) and at most two-thirds
-/// full, so its one allocation never grows: the window's heap is fixed
-/// when it is built. (A std `HashSet` under this FIFO churn fills with
-/// tombstones and rehashes into twice the buckets.) Fingerprints are
-/// keyed hashes, so clients cannot aim keys at one probe run.
+/// a set for lookup. The set is reserved at twice the window's length,
+/// so FIFO churn never fills it past half: its tombstones are cleared by
+/// rehashing in place, and the window's heap is fixed when it is built.
 #[derive(Debug)]
 struct Window {
     /// The fingerprints, oldest first.
     order: VecDeque<u64>,
-    /// The set: each fingerprint in `order` once, `0` in an empty slot
-    /// (fingerprint `0` is held as `1`). A power-of-two length.
-    slots: Box<[u64]>,
+    /// Each fingerprint in `order`.
+    set: HashSet<u64>,
     /// The most fingerprints held.
     len: usize,
 }
@@ -201,7 +205,7 @@ impl Window {
     fn new(len: usize) -> Self {
         Window {
             order: VecDeque::with_capacity(len),
-            slots: vec![0; (len + len / 2 + 1).next_power_of_two()].into_boxed_slice(),
+            set: HashSet::with_capacity(2 * len),
             len,
         }
     }
@@ -209,8 +213,7 @@ impl Window {
     /// Whether `print` is in the window; if not, records it, dropping
     /// the oldest fingerprint when the window is full.
     fn admit(&mut self, print: u64) -> bool {
-        let print = print.max(1); // `0` marks an empty slot
-        if self.probe(print).0 {
+        if self.set.contains(&print) {
             return true;
         }
         if self.len == 0 {
@@ -218,60 +221,12 @@ impl Window {
         }
         if self.order.len() == self.len {
             if let Some(oldest) = self.order.pop_front() {
-                self.remove(oldest);
+                self.set.remove(&oldest);
             }
         }
-        let (_, slot) = self.probe(print);
-        self.slots[slot] = print;
+        self.set.insert(print);
         self.order.push_back(print);
         false
-    }
-
-    /// `value`'s home slot, from the bits above the shard pick (which
-    /// are equal for every key in one shard).
-    fn home(&self, value: u64) -> usize {
-        (value >> SHARDS.trailing_zeros()) as usize & (self.slots.len() - 1)
-    }
-
-    /// Whether `value` is held, and the slot that holds it or the first
-    /// empty slot of its probe run. The set is never full, so the probe
-    /// ends.
-    fn probe(&self, value: u64) -> (bool, usize) {
-        let mask = self.slots.len() - 1;
-        let mut slot = self.home(value);
-        loop {
-            match self.slots[slot] {
-                0 => return (false, slot),
-                held if held == value => return (true, slot),
-                _ => slot = (slot + 1) & mask,
-            }
-        }
-    }
-
-    /// Removes `value` (present by the ring's invariant), shifting
-    /// later entries of its probe run back so that every held value
-    /// stays reachable from its home slot.
-    fn remove(&mut self, value: u64) {
-        let (found, mut hole) = self.probe(value);
-        if !found {
-            return;
-        }
-        let mask = self.slots.len() - 1;
-        let mut next = hole;
-        loop {
-            next = (next + 1) & mask;
-            let held = self.slots[next];
-            if held == 0 {
-                break;
-            }
-            // `held` may fill the hole unless its home lies cyclically
-            // in (hole, next].
-            if (next.wrapping_sub(self.home(held)) & mask) >= (next.wrapping_sub(hole) & mask) {
-                self.slots[hole] = held;
-                hole = next;
-            }
-        }
-        self.slots[hole] = 0;
     }
 }
 
@@ -400,8 +355,9 @@ pub(crate) struct ResultCache {
 impl ResultCache {
     /// A cache bounded to `capacity_bytes` (rounded down to a multiple
     /// of the shard count), each shard's admission window sized to the
-    /// most entries its budget could hold. A zero bound means "no
-    /// cache" and is the caller's branch, not this type's.
+    /// most entries its budget could hold, up to [`WINDOW_CAP`]. A zero
+    /// bound means "no cache" and is the caller's branch, not this
+    /// type's.
     pub(crate) fn new(capacity_bytes: usize) -> Self {
         assert!(capacity_bytes >= 1, "a result cache needs capacity");
         let shard_bytes = capacity_bytes / SHARDS;
@@ -412,7 +368,7 @@ impl ResultCache {
                         map: HashMap::new(),
                         queue: VecDeque::new(),
                         bytes: 0,
-                        window: Window::new(shard_bytes / ENTRY_OVERHEAD),
+                        window: Window::new((shard_bytes / ENTRY_OVERHEAD).min(WINDOW_CAP)),
                     };
                     ClassedMutex::new(LockClass::CacheShard, shard)
                 })
@@ -702,82 +658,56 @@ mod tests {
         assert!(matches!(cache.get(&b), Lookup::Hit(_)));
     }
 
-    /// Heap bytes of every shard's admission window: the ring's and
-    /// the set's words.
-    fn window_heap_bytes(cache: &ResultCache) -> usize {
-        cache
-            .shards
-            .iter()
-            .map(|shard| {
-                let window = &shard.lock().window;
-                (window.order.capacity() + window.slots.len()) * size_of::<u64>()
-            })
-            .sum()
+    /// Heap bytes of a window: its ring's words and its set's buckets,
+    /// a word and a control byte each, at most 7/8 of them usable.
+    fn window_heap_bytes(window: &Window) -> usize {
+        let buckets = (window.set.capacity() * 8).div_ceil(7).next_power_of_two();
+        window.order.capacity() * size_of::<u64>() + buckets * (size_of::<u64>() + 1)
     }
 
     #[test]
-    fn window_matches_a_fifo_of_distinct_fingerprints() {
-        use std::collections::HashSet;
-        // A small pool of fingerprints, half of them sharing a few home
-        // slots, so probe runs collide, wrap and shift back on removal.
-        let mut state = 0x9e37_79b9_7f4a_7c15u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let pool: Vec<u64> = (0..48)
-            .map(|i| match i % 2 {
-                0 => next(),
-                _ => (next() & !0xff) | (i % 3) << 3,
-            })
-            .chain([0, 1, u64::MAX])
-            .collect();
-        for len in [0, 1, 2, 3, 7, 16, 40] {
-            let mut window = Window::new(len);
-            let mut order: VecDeque<u64> = VecDeque::new();
-            for step in 0..4000 {
-                let print = pool[(next() % pool.len() as u64) as usize].max(1);
-                let expected = order.contains(&print);
-                if !expected && len > 0 {
-                    if order.len() == len {
-                        order.pop_front();
-                    }
-                    order.push_back(print);
-                }
-                assert_eq!(window.admit(print), expected, "len {len}, step {step}");
-                assert_eq!(window.order, order, "len {len}, step {step}");
-                let held: HashSet<u64> = window.slots.iter().copied().filter(|&v| v != 0).collect();
-                assert_eq!(
-                    held,
-                    order.iter().copied().collect(),
-                    "len {len}, step {step}"
-                );
-            }
+    fn window_churn_keeps_the_latest_fingerprints_and_never_grows_the_set() {
+        let mut window = Window::new(WINDOW_CAP);
+        let heap = window_heap_bytes(&window);
+        let set = window.set.capacity();
+        let rounds = 10 * WINDOW_CAP as u64;
+        for print in 0..rounds {
+            assert!(!window.admit(print), "{print} is new");
+            assert!(window.set.capacity() <= set, "the set grew at {print}");
         }
+        assert_eq!(window_heap_bytes(&window), heap);
+        assert_eq!(window.set.len(), WINDOW_CAP);
+        assert!(window.admit(rounds - WINDOW_CAP as u64), "the oldest held");
+        assert!(!window.admit(rounds - WINDOW_CAP as u64 - 1), "aged out");
     }
 
     #[test]
-    fn window_heap_stays_within_a_mebibyte_at_the_default_and_scales() {
+    fn window_heap_stays_within_a_mebibyte_at_the_default_and_is_capped() {
         const DEFAULT: usize = 8 << 20;
-        let fingerprints = |bytes: usize| SHARDS * (bytes / SHARDS / ENTRY_OVERHEAD);
-        let default = ResultCache::new(DEFAULT);
-        let heap = window_heap_bytes(&default);
-        assert!(heap <= 1 << 20, "{heap} bytes at the 8 MiB default");
-        assert!(fingerprints(DEFAULT) * size_of::<u64>() <= heap);
-        // Filling the window allocates nothing more.
-        for seed in 0..2 * fingerprints(DEFAULT) as u64 {
-            default.get(&key(seed));
-        }
-        assert_eq!(window_heap_bytes(&default), heap);
-        for bytes in [DEFAULT / 8, DEFAULT / 2, 2 * DEFAULT] {
-            let heap = window_heap_bytes(&ResultCache::new(bytes));
-            let slots = fingerprints(bytes);
+        let prints = |bytes: usize| (bytes / SHARDS / ENTRY_OVERHEAD).min(WINDOW_CAP);
+        for bytes in [
+            DEFAULT / 32,
+            DEFAULT / 8,
+            DEFAULT / 2,
+            DEFAULT,
+            2 * DEFAULT,
+            usize::MAX / 2,
+        ] {
+            let cache = ResultCache::new(bytes);
+            let mut heap = 0;
+            for shard in &cache.shards {
+                let window = &shard.lock().window;
+                assert_eq!(window.len, prints(bytes), "{bytes}-byte bound");
+                heap += window_heap_bytes(window);
+            }
+            let held = SHARDS * prints(bytes);
             assert!(
-                slots * size_of::<u64>() <= heap && heap <= slots * 32,
-                "{heap} bytes for {slots} fingerprints at a {bytes}-byte bound"
+                held * size_of::<u64>() <= heap && heap <= held * 64,
+                "{heap} bytes for {held} fingerprints at a {bytes}-byte bound"
             );
+            if bytes == DEFAULT {
+                assert!(heap <= 1 << 20, "{heap} bytes at the 8 MiB default");
+            }
         }
     }
 }

@@ -275,8 +275,9 @@ pub struct ServiceConfig {
     /// cached. The bound also sizes the admission window: a key is
     /// cached on its second miss while the shard still remembers the
     /// first, and a shard remembers as many missed keys as its budget
-    /// could hold entries (about 0.8 MiB of fingerprints at the default,
-    /// outside the bound). `0` disables the cache entirely. Defaults to
+    /// could hold entries, capped at 3,584 per shard (28,672 in all,
+    /// about 0.8 MiB of fingerprints outside the bound; the cap binds
+    /// at the default). `0` disables the cache entirely. Defaults to
     /// [`ServiceConfig::DEFAULT_CACHE_BYTES`].
     pub cache_bytes: usize,
     /// Worker-side execution retries after a panicking attempt
