@@ -135,38 +135,6 @@ impl AccessPlan {
         self.period = None;
     }
 
-    /// Resolves an element order into a plan under a mapping.
-    ///
-    /// `order[k]` is the element requested at step `k`; it must be a
-    /// permutation of `0..vec.len()` (checked by
-    /// [`debug_assert!`]; orders from [`crate::order`] always are).
-    pub fn from_order<M: ModuleMap + ?Sized>(map: &M, vec: &VectorSpec, order: &[u64]) -> Self {
-        let mut plan = AccessPlan::with_capacity(vec.len());
-        plan.fill_from_order(map, vec, order);
-        plan
-    }
-
-    /// Clears the plan and refills it from an element order — the
-    /// in-place equivalent of [`from_order`](Self::from_order), reusing
-    /// the plan's buffers.
-    pub fn fill_from_order<M: ModuleMap + ?Sized>(
-        &mut self,
-        map: &M,
-        vec: &VectorSpec,
-        order: &[u64],
-    ) {
-        debug_assert!(
-            order::is_permutation(order, vec.len()),
-            "order must be a permutation of 0..{}",
-            vec.len()
-        );
-        map_elements(map, vec, &mut self.modules);
-        self.order.clear();
-        self.order.extend_from_slice(order);
-        self.drop_identity_order();
-        self.period = None;
-    }
-
     /// Forgets an order that turned out to be the identity. Stops at the
     /// first element out of place, so an out-of-order plan pays a step
     /// or two.
@@ -223,10 +191,10 @@ impl AccessPlan {
     /// planner attaches the paper's `P_x`
     /// ([`ModuleMap::vector_period`]) to every plan it builds, in O(1):
     /// in-order plans, and the xor planners' conflict-free (replay) and
-    /// subsequence orders. `None` when no period is known: plans built
-    /// [`from_order`](Self::from_order) and [`concat`](Self::concat)
-    /// results. The period need not be minimal, and may exceed the
-    /// plan's length (then it holds vacuously).
+    /// subsequence orders. `None` when no period is known:
+    /// [`concat`](Self::concat) results. The period need not be
+    /// minimal, and may exceed the plan's length (then it holds
+    /// vacuously).
     pub fn period(&self) -> Option<u64> {
         self.period
     }
@@ -915,9 +883,6 @@ mod tests {
             .plan_into(&wide, Strategy::ConflictFree, &mut buf)
             .is_err());
         assert_eq!(buf.period(), None);
-        let order: Vec<u64> = (0..64).collect();
-        let map = XorMatched::new(3, 3).unwrap();
-        assert_eq!(AccessPlan::from_order(&map, &vec, &order).period(), None);
         assert_eq!(AccessPlan::concat([&canonical]).period(), None);
     }
 

@@ -7,8 +7,8 @@
 //!   `forbid` (unlike `deny`) cannot be overridden downstream;
 //! * every `pub fn` returning one of the workspace's *handle types* —
 //!   `Ticket` / `ServeTicket` (a pending result that is lost if
-//!   dropped), `AccessStats` (a measurement someone paid simulation
-//!   time for) or `AnalyticEstimate` — is `#[must_use]`. A `must_use`
+//!   dropped) or `AccessStats` (a measurement someone paid simulation
+//!   time for) — is `#[must_use]`. A `must_use`
 //!   on the type covers plain returns but not `Option<Ticket<_>>` and
 //!   friends, which is exactly how `try_submit` results get dropped;
 //!   the attribute on the function closes that hole.
@@ -19,13 +19,7 @@ use crate::lexer::TokenKind;
 use crate::workspace::{Role, SourceFile, Workspace};
 
 /// Return types whose producers must be `#[must_use]`.
-const HANDLE_TYPES: &[&str] = &[
-    "Ticket",
-    "ServeTicket",
-    "WireTicket",
-    "AccessStats",
-    "AnalyticEstimate",
-];
+const HANDLE_TYPES: &[&str] = &["Ticket", "ServeTicket", "WireTicket", "AccessStats"];
 
 pub struct Hygiene;
 

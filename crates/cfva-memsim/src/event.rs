@@ -14,20 +14,17 @@ use std::fmt;
 /// Which simulation core executes a request stream.
 ///
 /// The three simulating engines produce bit-identical [`AccessStats`];
-/// they differ only in cost. The
-/// fourth, [`Analytic`](Engine::Analytic), is an **estimator**: its
-/// aggregate statistics equal the oracle's whenever its steady-state
-/// check holds (which it reports via
-/// [`AnalyticEstimate::exact`](crate::AnalyticEstimate)), but it leaves
-/// the per-element arrival and per-module busy vectors empty on the
-/// extrapolated path.
+/// they differ only in cost. The fourth,
+/// [`Analytic`](Engine::Analytic), reports the same aggregate
+/// statistics, but leaves the per-element arrival and per-module busy
+/// vectors empty once a stream recurs.
 ///
 /// | engine | cost | role |
 /// |---|---|---|
 /// | [`Cycle`](Engine::Cycle) | `O(latency · occupied modules)` | the oracle — reference semantics, default |
 /// | [`Periodic`](Engine::Periodic) | `O(P_x + transient)` solved, then one copy per later request | the request-order solver (`solver.rs`) plus a recurrence detector on its state (`periodic.rs`): once a period boundary's state recurs, the rest of the stream is copied from a log of the window, shifted in time; a stream with no recurrence is solved to the end in `O(requests)`; multi-port runs step the oracle |
 /// | [`FastPath`](Engine::FastPath) | `O(requests)` | verified conflict-free shortcut, falls back to `Periodic` |
-/// | [`Analytic`](Engine::Analytic) | `O(P_x + transient)` simulated | closed-form aggregate estimates from short congruent probes (`analytic.rs`); aggregates only |
+/// | [`Analytic`](Engine::Analytic) | `O(P_x + transient)` solved | the `Periodic` pass without the copy: once the state recurs, latency, stalls and conflicts of the rest follow in closed form; aggregates only past a recurrence, full vectors on a stream solved to the end or on the oracle |
 ///
 /// Select an engine with [`MemConfig::with_engine`](crate::MemConfig::with_engine)
 /// or [`MemorySystem::set_engine`]. The batch execution engine
@@ -64,14 +61,14 @@ pub enum Engine {
     /// [`Engine::Periodic`]. The batch execution engine
     /// (`cfva-serve::runner::BatchRunner`) starts its sessions here.
     FastPath,
-    /// The analytic steady-state estimator (`analytic.rs`): aggregate
-    /// statistics derived in closed form from a handful of short probe
-    /// prefixes instead of simulating the stream. Exact whenever the
-    /// steady-state check holds (use
-    /// [`MemorySystem::analytic_estimate`] to see the flag); per-element
-    /// arrival and per-module busy vectors are left **empty** on the
-    /// extrapolated path. Short streams are solved in full by the
-    /// request-order solver; multi-port streams step the oracle.
+    /// The aggregates-only form of [`Engine::Periodic`]: once the
+    /// solver's state recurs, the rest of the stream's latency, stalls
+    /// and conflicts follow in closed form, with no request copied, and
+    /// the per-element arrival and per-module busy vectors are left
+    /// **empty**. The aggregates always equal the oracle's. A stream
+    /// that never recurs is solved to the end and keeps its vectors;
+    /// multi-port streams step the oracle. See
+    /// [`MemorySystem::analytic_estimate`](crate::MemorySystem::analytic_estimate).
     Analytic,
 }
 

@@ -20,15 +20,17 @@
 //!
 //! [`Engine`] selects how a request stream runs, and its docs tabulate
 //! the costs. Every engine's statistics are bit-identical to the
-//! per-cycle oracle's ([`Engine::Cycle`], the default), and
-//! [`Engine::Analytic`] estimates the aggregates only. Single-port runs
-//! of the others go through the request-order solver, one pass in issue
-//! order, which stops once its state recurs at a boundary of the
-//! stream's period (every planned access carries the paper's `P_x`,
+//! per-cycle oracle's ([`Engine::Cycle`], the default), except that
+//! [`Engine::Analytic`] leaves the per-element vectors of a recurring
+//! stream empty. Single-port runs of the others go through the
+//! request-order solver, one pass in issue order, which stops once its
+//! state recurs at a boundary of the stream's period (every planned
+//! access carries the paper's `P_x`,
 //! [`AccessPlan::period`](cfva_core::plan::AccessPlan::period)) and
-//! copies the rest. Multi-port runs and the work-conserving co-runs of
-//! [`multi`] step the oracle; [`MemorySystem::run_timed`] returns its
-//! per-request [`Timing`]s.
+//! copies the rest, or for `Analytic` only sums it in closed form.
+//! Multi-port runs and the work-conserving co-runs of [`multi`] step
+//! the oracle; [`MemorySystem::run_timed`] returns its per-request
+//! [`Timing`]s.
 //!
 //! ## Example
 //!
@@ -55,7 +57,6 @@
 #![deny(missing_debug_implementations)]
 #![forbid(unsafe_code)]
 
-mod analytic;
 mod config;
 mod event;
 mod module;
@@ -65,7 +66,6 @@ mod solver;
 mod stats;
 mod system;
 
-pub use analytic::AnalyticEstimate;
 pub use config::MemConfig;
 pub use event::Engine;
 pub use multi::{run_multi, IssuePolicy, MultiStats, StreamStats};

@@ -39,7 +39,7 @@
 //! one port through the periodic pass (`periodic.rs`), solved until its
 //! state recurs and copied after: a round-robin merge of `k`
 //! equal-length plans with periods `P_i` carries `k·lcm(P_i)`, and any
-//! other merge is scanned for its period. Either way each request's
+//! other merge, having no known period, is solved to the end. Either way each request's
 //! [`Timing`] goes to one de-multiplexer that accumulates the
 //! per-stream statistics; `tests` prove `run_multi` bit-identical
 //! across the paths for every registered map.
@@ -229,7 +229,7 @@ pub fn run_multi(
     } else {
         // The periodic pass: solved, and copied past a recurrence.
         let period = merged_period(plans, policy);
-        sim.run_periodic(n, period, &request, &mut combined, |k, t| {
+        sim.run_periodic(n, period, false, &request, &mut combined, |k, t| {
             demux.record(k, t)
         });
     }
@@ -393,9 +393,9 @@ mod tests {
 
     /// The co-run twin of the detector guard in `periodic.rs`: a long
     /// two-stream conflicted round-robin co-run carries its merged
-    /// period and, with it or scanning for it, finds a recurrence and
-    /// copies at least 90% of its requests; its per-stream statistics
-    /// still equal the cycle oracle's.
+    /// period and, with it, finds a recurrence and copies at least 90%
+    /// of its requests; its per-stream statistics still equal the cycle
+    /// oracle's.
     #[test]
     fn detection_copies_most_of_a_long_conflicted_co_run() {
         let planner = Planner::matched(XorMatched::new(3, 4).unwrap());
@@ -411,22 +411,17 @@ mod tests {
         assert_eq!(period, Some(2 * 32));
         let merged = merge(&cfg, &plans, 4096, IssuePolicy::RoundRobin).unwrap();
         let request = |k: usize| (k as u64, merged[k].2);
-        for known in [None, period] {
-            let mut scratch = PeriodicScratch::default();
-            let mut detection = Detection::new(&cfg, 4096, known, &request, &mut scratch)
-                .expect("detection starts");
-            let mut out = AccessStats::default();
-            let sum = MemorySystem::new(cfg).solve(4096, &request, &mut out, |j, sum, solver| {
-                detection.visit(j, sum, solver)
-            });
-            assert!(sum.conflicts > 0);
-            let to = detection.matched_at().expect("a recurrence is found");
-            let copied = 4096 - to;
-            assert!(
-                10 * copied >= 9 * 4096,
-                "period {known:?}: only {copied} of 4096 copied"
-            );
-        }
+        let mut scratch = PeriodicScratch::default();
+        let mut detection =
+            Detection::new(&cfg, 4096, period, &request, &mut scratch).expect("detection starts");
+        let mut out = AccessStats::default();
+        let sum = MemorySystem::new(cfg).solve(4096, &request, &mut out, |j, sum, solver| {
+            detection.visit(j, sum, solver)
+        });
+        assert!(sum.conflicts > 0);
+        let to = detection.matched_at().expect("a recurrence is found");
+        let copied = 4096 - to;
+        assert!(10 * copied >= 9 * 4096, "only {copied} of 4096 copied");
         let oracle = run_multi(
             cfg.with_engine(Engine::Cycle),
             &plans,

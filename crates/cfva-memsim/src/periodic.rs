@@ -11,8 +11,8 @@
 //!
 //! This engine is the request-order solver (`solver.rs`) plus a
 //! recurrence detector that reads the solver's own state. At each
-//! boundary of the stream's minimal module-sequence period the
-//! detector takes the solver's **state signature**
+//! boundary of the stream's module-sequence period `P` the detector
+//! takes the solver's **state signature**
 //! ([`Solver::signature`](crate::solver::Solver::signature)): the
 //! per-module rings, `done` cycles and held bus slots, relative to the
 //! boundary's first possible issue cycle and clamped where they can no
@@ -30,6 +30,10 @@
 //! * stall cycles, conflicts, per-module busy time and latency — per
 //!   window entry, times the number of copies it gets, in closed form.
 //!
+//! [`Engine::Analytic`](crate::Engine::Analytic) is the same pass with
+//! the arrival copy skipped: past a recurrence it keeps the closed-form
+//! aggregates and leaves the arrival and busy vectors empty.
+//!
 //! A caller that reads per-request timings (the co-run de-multiplexer)
 //! gets every one, solved or copied, through its `each` callback; the
 //! arrival copy builds none, so a no-op `each` costs nothing. Stats and
@@ -40,23 +44,22 @@
 //! (outside the input contract) keeps its last delivery, copied or
 //! solved, as in the oracle.
 //!
-//! ## The minimal period
+//! ## The period
 //!
-//! The planner attaches the paper's `P_x` to every plan it builds, in
+//! The period comes from the caller, never from the requests. The
+//! planner attaches the paper's `P_x` to every plan it builds, in
 //! order or out of order
 //! ([`AccessPlan::period`](cfva_core::plan::AccessPlan::period)), and a
 //! round-robin co-run of equal-length plans carries `k·lcm(P_i)`
-//! (`multi.rs`). With a known period `P` and `3P ≤ n`, the KMP scan
-//! (`minimal_period`) reads only the first `2P` requests: by Fine–Wilf
-//! their minimal period divides `P` and holds for the whole stream. A
-//! known `P > n/3` leaves fewer than three periods: the stream is
-//! solved unscanned. Other streams are scanned until their period is
-//! found or known to exceed `n/3`.
+//! (`multi.rs`). Boundaries fall on multiples of that `P`, which need
+//! not be the minimal period: a state that recurs every minimal period
+//! recurs every `P` as well. A debug build checks that `P` is a true
+//! period of the stream.
 //!
-//! A stream with no recurrence to detect — shorter than three whole
-//! periods of its module sequence, which covers short and aperiodic
-//! vectors — or whose transient outlasts the detection budget is simply
-//! solved to the end. Multi-port runs step the cycle oracle, exactly as
+//! A stream with no known period (raw request streams, concatenated
+//! plans, other co-runs), with fewer than three whole periods
+//! (`3P > n`), or whose transient outlasts the detection budget is simply solved
+//! to the end. Multi-port runs step the cycle oracle, exactly as
 //! an [`Engine::Cycle`](crate::Engine::Cycle) run.
 
 use std::collections::VecDeque;
@@ -73,11 +76,6 @@ use crate::system::{MemorySystem, Timing};
 /// long-lived system (the batch-runner hot path) are allocated once.
 #[derive(Debug, Default)]
 pub(crate) struct PeriodicScratch {
-    /// The stream's module sequence and the KMP failure function over
-    /// it (shared with the analytic estimator, which detects periods
-    /// the same way).
-    pub(crate) seq: Vec<u32>,
-    pub(crate) fail: Vec<usize>,
     /// Sorted distinct modules of one period — the only modules that
     /// ever hold work, since the module sequence is periodic.
     modules: Vec<usize>,
@@ -117,82 +115,11 @@ struct Recurrence {
     dt: u64,
 }
 
-/// Minimal period of the module sequence `request(0..n).module`, or
-/// some value above `cap` as soon as the period is known to exceed it,
-/// for `n >= 1` — the standard KMP border argument: `n - fail[n-1]`
-/// satisfies `module(k) == module(k + p)` for every valid `k`, even
-/// when `p` does not divide `n`. A prefix's minimal period never shrinks
-/// as the prefix grows, so the scan stops at the first prefix whose
-/// period exceeds `cap`. Once the scanned prefix holds two whole
-/// periods, the rest is checked against it directly; the tables grow
-/// again only if that check fails. `seq` receives the module sequence
-/// as far as the tables go.
-pub(crate) fn minimal_period<F>(
-    n: usize,
-    request: &F,
-    seq: &mut Vec<u32>,
-    fail: &mut Vec<usize>,
-    cap: u64,
-) -> u64
-where
-    F: Fn(usize) -> (u64, ModuleId),
-{
-    let module = |k: usize| request(k).1.get() as u32;
-    seq.clear();
-    seq.push(module(0));
-    fail.clear();
-    fail.push(0);
-    let mut len = 0usize;
-    let mut i = 1;
-    while i < n {
-        let p = i - len;
-        if i >= 2 * p {
-            // The prefix is p-periodic: continue it without the tables.
-            let start = i;
-            let mut j = i % p;
-            // cfva-lint: allow(L002, reason = "j < p <= start = seq.len(): the index stays inside the scanned prefix")
-            while i < n && module(i) == seq[j] {
-                i += 1;
-                j += 1;
-                if j == p {
-                    j = 0;
-                }
-            }
-            if i == n {
-                return p as u64;
-            }
-            // A mismatch: the verified stretch keeps period p, so its
-            // table entries follow in closed form; resume the scan.
-            for j in start..i {
-                // cfva-lint: allow(L002, reason = "j >= start >= 2p, so j - p indexes the already-filled prefix")
-                seq.push(seq[j - p]);
-                fail.push(j + 1 - p);
-            }
-            len = i - p;
-        }
-        let mi = module(i);
-        seq.push(mi);
-        while len > 0 && mi != seq[len] {
-            // cfva-lint: allow(L002, reason = "the loop condition len > 0 bounds len - 1 below the table length")
-            len = fail[len - 1];
-        }
-        if mi == seq[len] {
-            len += 1;
-        }
-        fail.push(len);
-        i += 1;
-        if (i - len) as u64 > cap {
-            return (i - len) as u64;
-        }
-    }
-    (n - len) as u64
-}
-
 /// The recurrence detector, fed by the solver pass.
 pub(crate) struct Detection<'s> {
     scratch: &'s mut PeriodicScratch,
     t: u64,
-    /// Minimal period of the stream's module sequence, in requests.
+    /// The period of the stream's module sequence, in requests.
     p: usize,
     /// Request count at which to take the next signature, while
     /// detection runs.
@@ -204,49 +131,11 @@ pub(crate) struct Detection<'s> {
     found: Option<Recurrence>,
 }
 
-/// The minimal period of the stream's module sequence if it is at most
-/// `n / 3`, else `None`; `scratch.seq` then starts with one period's
-/// modules. A known true period `known` bounds the KMP scan to the
-/// first `2 · known` requests, or skips it when `known > n / 3` (see
-/// the module docs).
-fn detectable_period<F>(
-    n: usize,
-    known: Option<u64>,
-    request: &F,
-    scratch: &mut PeriodicScratch,
-) -> Option<usize>
-where
-    F: Fn(usize) -> (u64, ModuleId),
-{
-    let cap = n / 3;
-    let len = match known {
-        None => n,
-        Some(known) => {
-            2 * usize::try_from(known)
-                .ok()
-                .filter(|p| (1..=cap).contains(p))?
-        }
-    };
-    let p = minimal_period(
-        len,
-        request,
-        &mut scratch.seq,
-        &mut scratch.fail,
-        cap as u64,
-    );
-    let p = usize::try_from(p).ok().filter(|&p| p <= cap)?;
-    debug_assert!(
-        known.is_none() || (p..n).all(|k| request(k).1 == request(k - p).1),
-        "an attached period {known:?} that is not a period of the stream"
-    );
-    Some(p)
-}
-
 impl<'s> Detection<'s> {
     /// Sets up detection for a single-port stream whose module sequence
     /// has the true period `known`, if one is known; `None` when the
-    /// stream has no usable recurrence: detection needs at least three
-    /// whole periods.
+    /// stream has no usable recurrence: detection needs a known period
+    /// and at least three whole periods of it.
     pub(crate) fn new<F>(
         cfg: &MemConfig,
         n: usize,
@@ -257,14 +146,17 @@ impl<'s> Detection<'s> {
     where
         F: Fn(usize) -> (u64, ModuleId),
     {
-        if n < 4 {
-            return None;
-        }
-        let p = detectable_period(n, known, request, scratch)?;
+        let p = known
+            .and_then(|p| usize::try_from(p).ok())
+            .filter(|&p| p > 0 && p <= n / 3)?;
+        debug_assert!(
+            (p..n).all(|k| request(k).1 == request(k - p).1),
+            "an attached period {p} that is not a period of the stream"
+        );
         scratch.modules.clear();
         scratch
             .modules
-            .extend(scratch.seq.iter().take(p).map(|&m| m as usize));
+            .extend((0..p).map(|k| request(k).1.get() as usize));
         scratch.modules.sort_unstable();
         scratch.modules.dedup();
         scratch.log.clear();
@@ -329,10 +221,19 @@ impl<'s> Detection<'s> {
     /// Completes a run whose pass stopped on a recurrence, with totals
     /// `sum`: every later request copies its counterpart in the logged
     /// window, shifted by `dt` per window (see the module docs), and
-    /// `each` sees its timing. Does nothing when no recurrence was
-    /// found.
-    fn replay<F, E>(self, sum: &Solved, n: usize, request: &F, out: &mut AccessStats, each: &mut E)
-    where
+    /// `each` sees its timing. With `aggregates_only`, only the
+    /// closed-form aggregates are kept: no request is copied and the
+    /// arrival and busy vectors are left empty. Does nothing when no
+    /// recurrence was found.
+    fn replay<F, E>(
+        self,
+        sum: &Solved,
+        n: usize,
+        aggregates_only: bool,
+        request: &F,
+        out: &mut AccessStats,
+        each: &mut E,
+    ) where
         F: Fn(usize) -> (u64, ModuleId),
         E: FnMut(usize, &Timing),
     {
@@ -356,6 +257,11 @@ impl<'s> Detection<'s> {
             out.module_busy[m] += copies * self.t;
         }
         out.latency = sum.latency.max(last + 2);
+        if aggregates_only {
+            out.arrival.reset(0, 0);
+            out.module_busy.clear();
+            return;
+        }
 
         // Repeat the window at the end of the log (which ends at `to`)
         // to a block, then copy blocks.
@@ -388,7 +294,10 @@ impl MemorySystem {
     /// (see the module docs), given a true period `known` of the module
     /// sequence when one is known. Statistics land in `out`, reusing
     /// its buffers, and `each` sees every request's timing, solved or
-    /// copied, in request order.
+    /// copied, in request order. With `aggregates_only` (the
+    /// [`Engine::Analytic`](crate::Engine::Analytic) run) a recurring
+    /// stream keeps only its aggregates and `each` sees only the solved
+    /// requests.
     ///
     /// # Panics
     ///
@@ -397,6 +306,7 @@ impl MemorySystem {
         &mut self,
         n: usize,
         known: Option<u64>,
+        aggregates_only: bool,
         request: &F,
         out: &mut AccessStats,
         mut each: E,
@@ -413,7 +323,7 @@ impl MemorySystem {
                 .is_none_or(|detection| detection.visit(j, sum, solver))
         });
         if let Some(detection) = detection {
-            detection.replay(&sum, n, request, out, &mut each);
+            detection.replay(&sum, n, aggregates_only, request, out, &mut each);
         }
         self.periodic = scratch;
     }
@@ -422,23 +332,34 @@ impl MemorySystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cfva_core::plan::{Planner, Strategy};
+    use cfva_core::{Addr, VectorSpec};
 
-    fn stream(mods: &[u32]) -> impl Fn(usize) -> (u64, ModuleId) {
-        let mods = mods.to_vec();
-        move |k| (k as u64, ModuleId::new(mods[k].into()))
+    /// The request from which detection copies the rest of a stream
+    /// with the true period `known`, or `None` when detection does not
+    /// start or finds no recurrence.
+    fn matched_at<F>(cfg: MemConfig, n: usize, known: Option<u64>, request: &F) -> Option<usize>
+    where
+        F: Fn(usize) -> (u64, ModuleId),
+    {
+        let mut scratch = PeriodicScratch::default();
+        let mut detection = Detection::new(&cfg, n, known, request, &mut scratch)?;
+        let mut out = AccessStats::default();
+        MemorySystem::new(cfg).solve(n, request, &mut out, |j, sum, solver| {
+            detection.visit(j, sum, solver)
+        });
+        detection.matched_at()
     }
 
     /// The detector on the two long conflicted plans the `periodic`
-    /// bench times, once with the plan's attached period and once
-    /// scanning for it: detection starts, a recurrence is found, and at
-    /// least 90% of the requests are copied rather than solved. A
-    /// detector that never starts or never matches, on either path,
-    /// fails here, where a timing ratio on a noisy machine might not.
+    /// bench times, with the plan's attached period: detection starts,
+    /// a recurrence is found, and at least 90% of the requests are
+    /// copied rather than solved. A detector that never starts or never
+    /// matches fails here, where a timing ratio on a noisy machine
+    /// might not.
     #[test]
     fn detection_copies_most_of_long_conflicted_plans() {
         use cfva_core::mapping::{Interleaved, XorMatched};
-        use cfva_core::plan::{Planner, Strategy};
-        use cfva_core::VectorSpec;
 
         let cases = [
             // Stride 12 (family x = 2) on the eq. (1) map: P_x = 32.
@@ -462,40 +383,161 @@ mod tests {
                 (e.element(), e.module())
             };
             let n = plan.len() as usize;
-            for known in [None, plan.period()] {
-                let mut scratch = PeriodicScratch::default();
-                let mut detection = Detection::new(&cfg, n, known, &request, &mut scratch)
-                    .expect("detection starts");
-                let mut out = AccessStats::default();
-                MemorySystem::new(cfg).solve(n, &request, &mut out, |j, sum, solver| {
-                    detection.visit(j, sum, solver)
-                });
-                let to = detection.matched_at().expect("a recurrence is found");
-                let copied = n - to;
-                assert!(
-                    10 * copied >= 9 * n,
-                    "{vec:?}, period {known:?}: matched at request {to}, only {copied} of {n} copied"
-                );
+            let to = matched_at(cfg, n, plan.period(), &request).expect("a recurrence is found");
+            let copied = n - to;
+            assert!(
+                10 * copied >= 9 * n,
+                "{vec:?}: matched at request {to}, only {copied} of {n} copied"
+            );
+        }
+    }
+
+    /// A plan whose module sequence repeats more often than its
+    /// attached period: the `xor-matched` replay order of a unit-stride
+    /// vector carries `P_0 = 128` but repeats every 8 requests.
+    /// Boundaries fall on multiples of the attached period all the
+    /// same, most of the stream is copied, and the run, full or
+    /// aggregates only, equals the oracle's.
+    #[test]
+    fn boundaries_fall_on_the_attached_period() {
+        let spec = "xor-matched:t=3,s=4".parse().unwrap();
+        let planner = Planner::from_spec(&spec).unwrap();
+        let cfg = MemConfig::from_spec(&spec).unwrap();
+        let plan = planner
+            .plan(&VectorSpec::new(16, 1, 1024).unwrap(), Strategy::Auto)
+            .unwrap();
+        let request = |k: usize| {
+            let e = plan.request(k);
+            (e.element(), e.module())
+        };
+        let n = plan.len() as usize;
+        let p = plan.period().unwrap() as usize;
+        let minimal = (1..=p).find(|&q| (q..n).all(|k| request(k).1 == request(k - q).1));
+        assert_eq!((p, minimal), (128, Some(8)));
+
+        let to = matched_at(cfg, n, plan.period(), &request).expect("a recurrence is found");
+        assert_eq!(to % p, 0, "matched at request {to}");
+        assert!(2 * (n - to) >= n, "matched at request {to}");
+
+        let oracle = MemorySystem::new(cfg).run_plan(&plan);
+        let mut sys = MemorySystem::new(cfg);
+        let mut out = AccessStats::default();
+        sys.run_periodic(n, plan.period(), false, &request, &mut out, |_, _| {});
+        assert_eq!(out, oracle);
+        sys.run_periodic(n, plan.period(), true, &request, &mut out, |_, _| {});
+        assert!(out.arrival.is_empty() && out.module_busy.is_empty());
+        assert_eq!(out.latency, oracle.latency);
+        assert_eq!(
+            (out.stall_cycles, out.conflicts, out.max_in_q),
+            (oracle.stall_cycles, oracle.conflicts, oracle.max_in_q)
+        );
+    }
+
+    /// Random periodic streams over a grid of memory shapes and queue
+    /// depths, through one reused system per shape, each run with its
+    /// pattern's period: full runs equal the oracle, aggregates-only
+    /// runs equal its aggregates, and most streams are copied past a
+    /// recurrence, so the recurrence detector's signature is what keeps
+    /// them equal. Some copied streams hold completions that a full
+    /// output queue blocked. Dropping the held grants and bus slots from
+    /// the signature fails this grid.
+    #[test]
+    fn random_periodic_streams_match_the_oracle() {
+        let (mut total, mut copied, mut blocked) = (0, 0, 0);
+        for m in 1..=3u32 {
+            for t in 0..=4u32 {
+                for (q_in, q_out) in [(1, 1), (2, 1), (1, 2), (4, 2), (3, 3), (1, 4), (8, 8)] {
+                    let cfg = MemConfig::new(m, t)
+                        .unwrap()
+                        .with_queues(q_in, q_out)
+                        .unwrap();
+                    let mut sys = MemorySystem::new(cfg);
+                    let (mut out, mut aggregates) =
+                        (AccessStats::default(), AccessStats::default());
+                    let shape = u64::from(8 * m + t) << 16 | (q_in << 8 | q_out) as u64;
+                    let mut r = shape.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+                    let mut random = move || {
+                        r ^= r << 13;
+                        r ^= r >> 7;
+                        r ^= r << 17;
+                        r
+                    };
+                    for _ in 0..100 {
+                        let r = random();
+                        let period = (r % 12 + 1) as usize;
+                        let n = period * ((r >> 8) % 41 + 3) as usize + (r >> 16) as usize % period;
+                        let pattern: Vec<u64> = (0..period).map(|_| random() % (1 << m)).collect();
+                        let stream: Vec<(u64, Addr, ModuleId)> = (0..n)
+                            .map(|k| {
+                                let module = ModuleId::new(pattern[k % period]);
+                                (k as u64, Addr::new(k as u64), module)
+                            })
+                            .collect();
+                        let label =
+                            format!("m={m} t={t} q={q_in} q'={q_out} period={period} n={n}");
+                        let (oracle, timings) = MemorySystem::new(cfg).run_timed(&stream);
+                        let request = |k: usize| (stream[k].0, stream[k].2);
+                        let known = Some(period as u64);
+                        sys.run_periodic(n, known, false, &request, &mut out, |_, _| {});
+                        assert_eq!(out, oracle, "{label}");
+                        sys.run_periodic(n, known, true, &request, &mut aggregates, |_, _| {});
+                        assert_eq!(
+                            (
+                                aggregates.latency,
+                                aggregates.stall_cycles,
+                                aggregates.conflicts
+                            ),
+                            (oracle.latency, oracle.stall_cycles, oracle.conflicts),
+                            "{label}: aggregates only"
+                        );
+                        assert_eq!(aggregates.max_in_q, oracle.max_in_q, "{label}");
+                        total += 1;
+                        if aggregates.arrival.is_empty() {
+                            copied += 1;
+                            let t = cfg.t_cycles();
+                            blocked += timings.iter().filter(|r| r.done > r.start + t).count();
+                        }
+                    }
+                }
             }
         }
+        assert!(
+            2 * copied > total,
+            "only {copied} of {total} streams copied"
+        );
+        assert!(blocked > 0, "no copied stream blocked a completion");
+    }
+
+    /// A repeated element id (outside the input contract) keeps its
+    /// last delivery past a recurrence too, as in the oracle.
+    #[test]
+    fn repeated_element_ids_keep_their_last_delivery() {
+        let cfg = MemConfig::new(3, 3).unwrap();
+        let stream: Vec<(u64, Addr, ModuleId)> = (0..512u64)
+            .map(|i| (i % 100, Addr::new(i), ModuleId::new(i % 3)))
+            .collect();
+        let request = |k: usize| (stream[k].0, stream[k].2);
+        assert!(matched_at(cfg, 512, Some(3), &request).is_some());
+        let mut out = AccessStats::default();
+        MemorySystem::new(cfg).run_periodic(512, Some(3), false, &request, &mut out, |_, _| {});
+        assert_eq!(out, MemorySystem::new(cfg).run_requests(&stream));
     }
 
     /// Every request's timing from the periodic pass, solved or copied,
     /// is the one the cycle oracle records for it: the co-run
     /// de-multiplexer charges each stream from these. Every registered
     /// map, five queue shapes, three streams of random addresses mapped
-    /// onto the map's modules:
+    /// onto the map's modules, each run with its pattern's period:
     ///
-    /// * a long aperiodic stream, solved to the end;
-    /// * a short address pattern repeated, which recurs, so most of its
+    /// * a long aperiodic stream, with no period, solved to the end;
+    /// * a 7-address pattern repeated, which recurs, so most of its
     ///   timings are copied past the recurrence;
-    /// * a two-address pattern on a `T = 128` memory, whose grants run
-    ///   more than one 64-slot bitmap word ahead of the floor, so the
-    ///   bus bitmap has to widen.
+    /// * a 3-request pattern over two addresses on a `T = 128` memory,
+    ///   whose grants run more than one 64-slot bitmap word ahead of the
+    ///   floor, so the bus bitmap has to widen.
     #[test]
     fn every_request_timing_matches_the_oracle() {
         use cfva_core::mapping::Registry;
-        use cfva_core::Addr;
 
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
         let mut random = move || {
@@ -525,10 +567,10 @@ mod tests {
                     .unwrap()
                     .with_queues(q_in, q_out)
                     .unwrap();
-                for (name, cfg, requests) in [
-                    ("aperiodic", cfg, &aperiodic),
-                    ("recurring", cfg, &recurring),
-                    ("far", slow, &far),
+                for (name, cfg, known, requests) in [
+                    ("aperiodic", cfg, None, &aperiodic),
+                    ("recurring", cfg, Some(7), &recurring),
+                    ("far", slow, Some(3), &far),
                 ] {
                     let case = format!("{spec} q = ({q_in}, {q_out}), {name}");
                     let (stats, timings) = MemorySystem::new(cfg).run_timed(requests);
@@ -541,7 +583,8 @@ mod tests {
                     let mut out = AccessStats::default();
                     MemorySystem::new(cfg).run_periodic(
                         n,
-                        None,
+                        known,
+                        false,
                         &request,
                         &mut out,
                         |j, timing: &Timing| seen.push((j, *timing)),
@@ -552,15 +595,7 @@ mod tests {
                         assert_eq!((j, timing), (k, timings[k]), "{case}: request {k}");
                     }
 
-                    let mut scratch = PeriodicScratch::default();
-                    let copied = Detection::new(&cfg, n, None, &request, &mut scratch)
-                        .and_then(|mut detection| {
-                            MemorySystem::new(cfg).solve(n, &request, &mut out, |j, sum, s| {
-                                detection.visit(j, sum, s)
-                            });
-                            detection.matched_at()
-                        })
-                        .map_or(0, |to| n - to);
+                    let copied = matched_at(cfg, n, known, &request).map_or(0, |to| n - to);
                     let ahead = timings
                         .iter()
                         .map(|t| t.grant - (t.issue + cfg.t_cycles()))
@@ -570,82 +605,6 @@ mod tests {
                         "recurring" => assert!(2 * copied > n, "{case}: {copied} copied"),
                         _ => assert!(ahead > Some(64), "{case}: grants {ahead:?} ahead"),
                     }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn minimal_period_of_streams() {
-        let period = |seq: &[u32]| {
-            minimal_period(
-                seq.len(),
-                &stream(seq),
-                &mut Vec::new(),
-                &mut Vec::new(),
-                u64::MAX,
-            )
-        };
-        assert_eq!(period(&[0, 1, 2, 0, 1, 2, 0, 1]), 3);
-        assert_eq!(period(&[5, 5, 5, 5]), 1);
-        assert_eq!(period(&[0, 1, 2, 3]), 4);
-        // Weak periodicity: p need not divide n.
-        assert_eq!(period(&[2, 7, 2, 7, 2]), 2);
-    }
-
-    #[test]
-    fn minimal_period_stops_past_the_cap() {
-        let s = stream(&[0, 1, 2, 3, 4, 5, 6, 0, 1, 2, 3, 4, 5, 6]);
-        let (mut seq, mut fail) = (Vec::new(), Vec::new());
-        assert_eq!(minimal_period(14, &s, &mut seq, &mut fail, u64::MAX), 7);
-        assert_eq!(minimal_period(14, &s, &mut seq, &mut fail, 7), 7);
-        // Known to exceed 4 after five elements: the scan stops there.
-        assert_eq!(minimal_period(14, &s, &mut seq, &mut fail, 4), 5);
-        assert_eq!(seq, [0, 1, 2, 3, 4]);
-        // A long periodic run that breaks late still finds the full
-        // period, and the tables resume exactly.
-        let mut mods: Vec<u32> = (0..40).map(|k| k % 3).collect();
-        mods.push(7);
-        mods.extend_from_within(..41);
-        let s = stream(&mods);
-        assert_eq!(minimal_period(82, &s, &mut seq, &mut fail, u64::MAX), 41);
-        assert_eq!(seq, mods);
-    }
-
-    #[test]
-    fn minimal_period_matches_brute_force() {
-        let mut state = 0x2545_F491_4F6C_DD1Du64;
-        let (mut seq, mut fail) = (Vec::new(), Vec::new());
-        for trial in 0..2000 {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            // Random repeats of a random pattern, sometimes perturbed.
-            let n = (state % 60 + 1) as usize;
-            let period = (state >> 8) % 7 + 1;
-            let pattern: Vec<u32> = (0..period)
-                .map(|k| ((state >> (16 + 3 * k)) % 3) as u32)
-                .collect();
-            let mut mods: Vec<u32> = (0..n).map(|k| pattern[k % period as usize]).collect();
-            if trial % 3 == 0 {
-                let at = (state >> 40) as usize % n;
-                mods[at] = 9;
-            }
-            let brute = (1..=n)
-                .find(|&p| (0..n - p).all(|k| mods[k] == mods[k + p]))
-                .unwrap() as u64;
-            let s = stream(&mods);
-            assert_eq!(
-                minimal_period(n, &s, &mut seq, &mut fail, u64::MAX),
-                brute,
-                "{mods:?}"
-            );
-            for cap in 0..n as u64 {
-                let got = minimal_period(n, &s, &mut seq, &mut fail, cap);
-                if brute <= cap {
-                    assert_eq!(got, brute, "{mods:?} cap {cap}");
-                } else {
-                    assert!(got > cap && got <= brute, "{mods:?} cap {cap}: {got}");
                 }
             }
         }

@@ -154,15 +154,38 @@ impl MemorySystem {
     ///
     /// Same conditions as [`run_plan`](Self::run_plan).
     pub fn run_plan_into(&mut self, plan: &AccessPlan, out: &mut AccessStats) {
+        self.run_plan_on(self.cfg.engine(), plan, out);
+    }
+
+    /// The aggregate statistics of an access plan from
+    /// [`Engine::Analytic`], whatever engine the system is set to.
+    /// Latency, elements, stalls, conflicts and peak queue occupancy
+    /// always equal the cycle oracle's. The arrival and busy vectors
+    /// are empty when the stream recurred and the rest of it was
+    /// closed in form, and full when it was simulated to the end.
+    #[must_use = "the returned AccessStats are the estimate's only output; dropping them wastes the run"]
+    pub fn analytic_estimate(&mut self, plan: &AccessPlan) -> AccessStats {
+        let mut stats = AccessStats::default();
+        self.run_plan_on(Engine::Analytic, plan, &mut stats);
+        // Drop the spare capacity an emptied arrival buffer still holds.
+        stats.arrival = stats.arrival.kept();
+        stats
+    }
+
+    /// Executes an access plan on `engine`, reading the plan's tables
+    /// directly.
+    fn run_plan_on(&mut self, engine: Engine, plan: &AccessPlan, out: &mut AccessStats) {
         let modules = plan.modules();
         match plan.order() {
             None => self.run_core(
+                engine,
                 modules.len(),
                 plan.period(),
                 |k| (k as u64, modules[k]),
                 out,
             ),
             Some(order) => self.run_core(
+                engine,
                 order.len(),
                 plan.period(),
                 |k| {
@@ -185,7 +208,13 @@ impl MemorySystem {
     #[must_use = "the returned AccessStats are the simulation's only output; dropping them wastes the run"]
     pub fn run_requests(&mut self, requests: &[(u64, Addr, ModuleId)]) -> AccessStats {
         let mut stats = AccessStats::default();
-        self.run_core(requests.len(), None, |k| project(requests[k]), &mut stats);
+        self.run_core(
+            self.cfg.engine(),
+            requests.len(),
+            None,
+            |k| project(requests[k]),
+            &mut stats,
+        );
         stats
     }
 
@@ -250,26 +279,27 @@ impl MemorySystem {
     /// stream, and `period` is a true period of its module sequence
     /// when one is known (a planned access's `P_x`); statistics are
     /// written into `out`, reusing its buffers.
-    fn run_core<F>(&mut self, n: usize, period: Option<u64>, request: F, out: &mut AccessStats)
-    where
+    fn run_core<F>(
+        &mut self,
+        engine: Engine,
+        n: usize,
+        period: Option<u64>,
+        request: F,
+        out: &mut AccessStats,
+    ) where
         F: Fn(usize) -> (u64, ModuleId),
     {
-        match self.cfg.engine() {
+        match engine {
             Engine::Cycle => self.run_cycle(&[n], &request, out),
             // Multi-port runs have no request-order solution.
             _ if self.cfg.ports() != 1 => self.run_cycle(&[n], &request, out),
             Engine::FastPath if n > 0 && self.try_fast_path(n, &request, out) => {}
             // A conflicted stream: the FastPath → Periodic chain solves
             // it in request order, and copies a long one forward once
-            // its state recurs.
-            Engine::Periodic | Engine::FastPath => {
-                self.run_periodic(n, period, &request, out, |_, _| {});
-            }
-            Engine::Analytic => {
-                // Estimator semantics: aggregates only; per-element and
-                // per-module vectors stay empty on the extrapolated
-                // path (see `analytic.rs`).
-                self.run_analytic(n, period, &request, out);
+            // its state recurs; Analytic keeps only the aggregates there.
+            Engine::Periodic | Engine::FastPath | Engine::Analytic => {
+                let aggregates_only = engine == Engine::Analytic;
+                self.run_periodic(n, period, aggregates_only, &request, out, |_, _| {});
             }
         }
     }

@@ -1,25 +1,23 @@
-//! Validation suite for the analytic steady-state estimator:
-//! `Engine::Analytic` estimates, when flagged `exact`, must **equal**
-//! the per-cycle oracle's aggregate statistics — across every map in
-//! the registry coverage set, stride families, bases, queue depths,
-//! port counts and the long-vector regime the extrapolation targets.
-//! Inexact estimates must stay within a small relative error, and the
-//! short and multi-port direct paths must be bit-identical
-//! (per-element vectors included).
+//! Validation suite for the aggregates-only engine: every
+//! `Engine::Analytic` run must report exactly the per-cycle oracle's
+//! aggregate statistics — across every map in the registry coverage
+//! set, stride families, bases, queue depths, port counts and the
+//! long-vector regime where the rest of a recurring stream is summed
+//! in closed form — and every run it simulates to the end (no
+//! recurrence, multi-port, tiny) must be bit-identical, per-element
+//! vectors included.
 
 use cfva_core::mapping::{Interleaved, MapSpec, Registry, XorMatched};
 use cfva_core::plan::{AccessPlan, Planner, Strategy};
 use cfva_core::{Addr, ModuleId, Stride, VectorSpec};
 use cfva_memsim::{AccessStats, Engine, MemConfig, MemorySystem};
 
-/// Runs one plan through the oracle and the analytic estimator and
-/// checks the contract: exact estimates equal the oracle's aggregates,
-/// approximate ones land within `APPROX_TOL` relative error, and the
-/// `Engine::Analytic` stats output carries the same aggregates as the
-/// estimate.
+/// Runs one plan through the oracle and the analytic engine and checks
+/// the contract: the estimate's aggregates equal the oracle's, the
+/// `Engine::Analytic` dispatch path returns the same statistics as the
+/// estimate, and a run that kept its vectors equals the oracle's
+/// outright.
 fn assert_analytic_valid(cfg: MemConfig, plan: &AccessPlan, label: &str) {
-    const APPROX_TOL: f64 = 0.05;
-
     let oracle = MemorySystem::new(cfg).run_plan(plan);
 
     let mut sys = MemorySystem::new(cfg.with_engine(Engine::Analytic));
@@ -27,56 +25,19 @@ fn assert_analytic_valid(cfg: MemConfig, plan: &AccessPlan, label: &str) {
     let est = sys.analytic_estimate(plan);
 
     assert_eq!(est.elements, oracle.elements, "{label}: elements");
-    if est.exact {
-        assert_eq!(est.latency, oracle.latency, "{label}: exact latency");
-        assert_eq!(
-            est.stall_cycles, oracle.stall_cycles,
-            "{label}: exact stalls"
-        );
-        assert_eq!(est.conflicts, oracle.conflicts, "{label}: exact conflicts");
-        assert_eq!(est.max_in_q, oracle.max_in_q, "{label}: exact max_in_q");
-    } else {
-        let close = |got: u64, want: u64| {
-            (got as f64 - want as f64).abs() <= APPROX_TOL * (want as f64) + 2.0
-        };
-        assert!(
-            close(est.latency, oracle.latency),
-            "{label}: approximate latency {} vs oracle {}",
-            est.latency,
-            oracle.latency
-        );
-        assert!(
-            close(est.stall_cycles, oracle.stall_cycles),
-            "{label}: approximate stalls {} vs oracle {}",
-            est.stall_cycles,
-            oracle.stall_cycles
-        );
-        assert!(
-            close(est.conflicts, oracle.conflicts),
-            "{label}: approximate conflicts {} vs oracle {}",
-            est.conflicts,
-            oracle.conflicts
-        );
-    }
+    assert_eq!(est.latency, oracle.latency, "{label}: latency");
+    assert_eq!(est.stall_cycles, oracle.stall_cycles, "{label}: stalls");
+    assert_eq!(est.conflicts, oracle.conflicts, "{label}: conflicts");
+    assert_eq!(est.max_in_q, oracle.max_in_q, "{label}: max_in_q");
 
-    // The engine-dispatch path carries the estimate's aggregates, and a
-    // reused system keeps giving the same answer.
-    let stats = sys.run_plan(plan);
-    assert_eq!(stats.latency, est.latency, "{label}: engine latency");
-    assert_eq!(stats.elements, est.elements, "{label}: engine elements");
-    assert_eq!(
-        stats.stall_cycles, est.stall_cycles,
-        "{label}: engine stalls"
-    );
-    assert_eq!(stats.conflicts, est.conflicts, "{label}: engine conflicts");
-    assert_eq!(stats.max_in_q, est.max_in_q, "{label}: engine max_in_q");
+    // The engine-dispatch path gives the estimate, and a reused system
+    // keeps giving the same answer.
+    assert_eq!(sys.run_plan(plan), est, "{label}: engine path");
     assert_eq!(sys.analytic_estimate(plan), est, "{label}: reused system");
 
-    if !stats.arrival.is_empty() {
-        // Direct path: the run is a full event simulation and must be
-        // bit-identical to the oracle, vectors included.
-        assert_eq!(oracle, stats, "{label}: direct path is bit-identical");
-        assert!(est.exact, "{label}: direct path is exact by construction");
+    if !est.arrival.is_empty() {
+        // Simulated to the end: bit-identical, vectors included.
+        assert_eq!(oracle, est, "{label}: direct path is bit-identical");
     }
 }
 
@@ -99,15 +60,15 @@ fn sweep(planner: &Planner, cfg: MemConfig, label: &str) {
             }
         }
     }
-    // Long vectors: enough whole periods that probing pays off and the
-    // closed-form extrapolation is actually exercised.
+    // Long vectors: enough whole periods that the rest of the stream is
+    // summed in closed form.
     for x in [0u32, 2, 4] {
         let stride = Stride::from_parts(3, x).expect("odd sigma");
         let p = planner.map().period(stride.family());
         // Saturating: maps with no finite period (the overridden region
         // map) just get the cap.
         let len = p.saturating_mul(192).clamp(1024, 16_384);
-        // Off-period length: the congruent-residue tail is exercised.
+        // Off-period length: a partial window is summed too.
         let len = len + (p / 3).min(97);
         let vec = VectorSpec::with_stride(11u64.into(), stride, len).expect("valid");
         let plan = planner
@@ -129,22 +90,22 @@ fn every_registered_map_is_validated_against_the_oracle() {
 }
 
 /// The serialized worst case (every request on one module) settles into
-/// a period-1 steady state: the estimator must extrapolate it exactly,
-/// and must do so from probe runs orders of magnitude shorter than the
-/// stream.
+/// a period-1 steady state: a stride of `M` on low-order interleaving
+/// carries `P = 1`, and the rest of the stream past the recurrence must
+/// be summed exactly, with no vectors built.
 #[test]
 fn one_module_streams_extrapolate_exactly() {
     for (m, t) in [(3u32, 3u32), (3, 6), (2, 4)] {
         let cfg = MemConfig::new(m, t).unwrap();
-        let stream: Vec<(u64, Addr, ModuleId)> = (0..8192u64)
-            .map(|i| (i, Addr::new(i << m), ModuleId::new(0)))
-            .collect();
-        let oracle = MemorySystem::new(cfg).run_requests(&stream);
-        let mut sys = MemorySystem::new(cfg.with_engine(Engine::Analytic));
-        let stats = sys.run_requests(&stream);
+        let planner = Planner::baseline(Interleaved::new(m).unwrap(), t);
+        let vec = VectorSpec::new(0, 1 << m, 8192).unwrap();
+        let plan = planner.plan(&vec, Strategy::Canonical).unwrap();
+        assert_eq!(plan.period(), Some(1), "m={m} t={t}");
+        let oracle = MemorySystem::new(cfg).run_plan(&plan);
+        let stats = MemorySystem::new(cfg.with_engine(Engine::Analytic)).run_plan(&plan);
         assert!(
             stats.arrival.is_empty(),
-            "m={m} t={t}: long one-module stream must take the probe path"
+            "m={m} t={t}: a long one-module stream recurs"
         );
         assert_eq!(stats.latency, oracle.latency, "m={m} t={t}: latency");
         assert_eq!(
@@ -195,9 +156,8 @@ fn direct_paths_are_bit_identical() {
     assert_eq!(oracle, analytic, "single request");
 }
 
-/// Aperiodic streams degenerate to period ≈ n: probing would cost as
-/// much as running, so the estimator must fall back to the (exact)
-/// direct path rather than extrapolate garbage.
+/// A raw request stream carries no period: it is solved to the end,
+/// vectors included.
 #[test]
 fn aperiodic_streams_take_the_direct_path() {
     let cfg = MemConfig::new(3, 3).unwrap();
@@ -209,7 +169,7 @@ fn aperiodic_streams_take_the_direct_path() {
     assert_eq!(oracle, analytic, "aperiodic stream is run, not estimated");
 }
 
-/// The estimate's derived rates are consistent with its own aggregates.
+/// The estimate's derived rate is consistent with its own aggregates.
 #[test]
 fn throughput_is_consistent() {
     let planner = Planner::matched(XorMatched::new(3, 4).unwrap());
@@ -218,21 +178,18 @@ fn throughput_is_consistent() {
         .unwrap();
     let cfg = MemConfig::new(3, 3).unwrap();
     let est = MemorySystem::new(cfg.with_engine(Engine::Analytic)).analytic_estimate(&plan);
-    assert!(est.period > 0);
     assert!((est.throughput() - est.elements as f64 / est.latency as f64).abs() < 1e-12);
-    assert!((est.cycles_per_element() * est.throughput() - 1.0).abs() < 1e-9);
 
     let empty =
         MemorySystem::new(cfg.with_engine(Engine::Analytic)).analytic_estimate(&AccessPlan::new());
     assert_eq!(empty.throughput(), 0.0);
-    assert_eq!(empty.cycles_per_element(), 0.0);
 }
 
 /// A reused `AccessStats` buffer from a vector-bearing run must come
-/// back with its per-element vectors **cleared** on the probe path —
+/// back with its per-element vectors **cleared** once a run recurs —
 /// stale arrivals would silently masquerade as estimator output.
 #[test]
-fn probe_path_clears_reused_buffers() {
+fn recurring_runs_clear_reused_buffers() {
     let cfg = MemConfig::new(3, 3).unwrap();
     let mut sys = MemorySystem::new(cfg.with_engine(Engine::Analytic));
     let mut out = AccessStats::default();
@@ -248,41 +205,34 @@ fn probe_path_clears_reused_buffers() {
         .plan(&VectorSpec::new(16, 12, 8192).unwrap(), Strategy::Canonical)
         .unwrap();
     sys.run_plan_into(&long, &mut out);
-    assert!(out.arrival.is_empty(), "probe path clears stale arrivals");
-    assert!(out.module_busy.is_empty(), "probe path clears busy vector");
+    assert!(
+        out.arrival.is_empty(),
+        "a recurring run clears stale arrivals"
+    );
+    assert!(
+        out.module_busy.is_empty(),
+        "a recurring run clears busy vector"
+    );
     assert_eq!(out.elements, 8192);
 }
 
-/// A plan's attached period only shortens the period scan: each plan's
-/// estimate equals that of the same requests run with no period, also
-/// where the attached period is loose. Region vectors that cross into
-/// the override carry the map's family-wide bound, far above the
-/// minimal period that makes some of them extrapolate.
+/// Region vectors that cross into the override carry the map's
+/// family-wide bound as their period, far above the minimal one: a
+/// loose period only leaves the stream solved to the end, and every
+/// run still equals the oracle.
 #[test]
-fn attached_periods_leave_estimates_unchanged() {
+fn loose_region_periods_match_the_oracle() {
     let spec: MapSpec = "region:t=3,bits=10,s=3,regions=1:6".parse().unwrap();
     let planner = Planner::from_spec(&spec).unwrap();
     let cfg = MemConfig::from_spec(&spec).unwrap();
-    let mut sys = MemorySystem::new(cfg.with_engine(Engine::Analytic));
-    let mut loose_extrapolated = 0;
     for x in 0..=10u32 {
         for base in [0u64, 1000, 1024] {
             for len in [1024u64, 3000] {
                 let stride = Stride::from_parts(1, x).expect("odd sigma");
                 let vec = VectorSpec::with_stride(base.into(), stride, len).expect("valid");
                 let plan = planner.plan(&vec, Strategy::Canonical).unwrap();
-                let requests: Vec<(u64, Addr, ModuleId)> = plan
-                    .iter()
-                    .map(|e| (e.element(), vec.element_addr(e.element()), e.module()))
-                    .collect();
-                let with = sys.run_plan(&plan);
-                assert_eq!(with, sys.run_requests(&requests), "{vec}");
-                let loose = plan.period().is_some_and(|p| p > len / 3);
-                if loose && with.arrival.is_empty() {
-                    loose_extrapolated += 1;
-                }
+                assert_analytic_valid(cfg, &plan, &format!("{vec}"));
             }
         }
     }
-    assert!(loose_extrapolated > 0, "no loose-period plan extrapolated");
 }

@@ -8,11 +8,13 @@
 //! streams and the long-vector regime the extrapolation targets — plus
 //! the dense regime: long `Strategy::Auto` plans of every registered
 //! map, conflicted multi-port streams whose same-cycle issues tie at the
-//! bus, and output back-pressure, including periodic streams whose
-//! fast-forward lands on a blocked completion — and the request-order
-//! solver that serves single-port streams with no recurrence to
-//! detect: aperiodic, back-pressured and hot-module streams over a grid
-//! of memory shapes, and the deepest queues behind one slow module.
+//! bus, and output back-pressure — and the request-order solver that
+//! serves single-port streams with no recurrence to detect: raw request
+//! streams, which carry no period (aperiodic, periodic, back-pressured
+//! and hot-module ones over a grid of memory shapes), and the deepest
+//! queues behind one slow module. Random periodic streams run with
+//! their period, and so copied past a recurrence, in the unit tests of
+//! `src/periodic.rs`.
 //! Multi-port runs step the oracle itself; the multi-port inputs pin
 //! that routing. The oracle's per-request timings witness that the
 //! same-cycle and back-pressured scenarios actually occur.
@@ -40,7 +42,7 @@ fn assert_periodic_equivalent(cfg: MemConfig, plan: &AccessPlan, label: &str) {
 }
 
 /// Runs a raw request stream through the oracle and the periodic
-/// engine.
+/// engine, which solves it to the end: it carries no period.
 fn assert_stream_equivalent(cfg: MemConfig, stream: &[(u64, Addr, ModuleId)], label: &str) {
     let oracle = MemorySystem::new(cfg).run_requests(stream);
     let periodic = MemorySystem::new(cfg.with_engine(Engine::Periodic)).run_requests(stream);
@@ -183,41 +185,7 @@ fn queue_depths_and_ports_are_identical() {
         let cfg = MemConfig::new(6, 3).unwrap().with_ports(ports).unwrap();
         assert_periodic_equivalent(cfg, &plan, &format!("ports={ports}"));
     }
-    // Random periodic streams over a grid of memory shapes and queue
-    // depths, through one reused system per shape. Every stream holds at
-    // least three periods, so detection starts on each, and most are
-    // copied past a recurrence: the recurrence detector's signature is
-    // what keeps these equal to the oracle. Dropping the held grants and
-    // bus slots from the signature fails this grid.
-    for m in 1..=3u32 {
-        for t in 0..=4u32 {
-            for (q_in, q_out) in [(1, 1), (2, 1), (1, 2), (4, 2), (3, 3), (1, 4), (8, 8)] {
-                let cfg = MemConfig::new(m, t)
-                    .unwrap()
-                    .with_queues(q_in, q_out)
-                    .unwrap();
-                let mut periodic = MemorySystem::new(cfg.with_engine(Engine::Periodic));
-                let shape = u64::from(8 * m + t) << 16 | (q_in << 8 | q_out) as u64;
-                let mut r = shape.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-                for _ in 0..GRID_TRIALS {
-                    r ^= r << 13;
-                    r ^= r >> 7;
-                    r ^= r << 17;
-                    let period = r % 12 + 1;
-                    let len = period * ((r >> 8) % 41 + 3) + (r >> 16) % period;
-                    let stream = periodic_random_stream(r >> 24, period, len, 1 << m);
-                    let label = format!("m={m} t={t} q={q_in} q'={q_out} period={period} n={len}");
-                    let oracle = MemorySystem::new(cfg).run_requests(&stream);
-                    assert_eq!(oracle, periodic.run_requests(&stream), "{label}");
-                }
-            }
-        }
-    }
 }
-
-/// Random periodic streams per memory shape in
-/// `queue_depths_and_ports_are_identical`.
-const GRID_TRIALS: usize = 100;
 
 /// The request stream of a plan of `vec`, in issue order.
 fn stream_of(vec: &VectorSpec, plan: &AccessPlan) -> Vec<(u64, Addr, ModuleId)> {
@@ -383,9 +351,8 @@ fn conflicted_multi_port_streams_are_identical() {
 
 /// Output back-pressure on periodic streams: with one output slot,
 /// modules that finish in the same cycle queue for the bus and some
-/// completions block; the detected steady state then includes blocked
-/// completions and their retries, which the fast-forward must carry
-/// over exactly. The multi-port shapes step the oracle.
+/// completions block, which the solver must time exactly. The
+/// multi-port shapes step the oracle.
 #[test]
 fn output_back_pressure_is_identical() {
     let (mut simultaneous, mut deferred, mut aperiodic_deferred) = (0, 0, 0);
@@ -436,7 +403,7 @@ fn output_back_pressure_is_identical() {
 
 /// Element ids are a permutation of `0..n` by contract; a stream that
 /// repeats ids still matches the oracle (a repeated id keeps its last
-/// delivery, solved or copied past a recurrence).
+/// delivery).
 #[test]
 fn repeated_element_ids_match_the_oracle() {
     let cfg = MemConfig::new(3, 3).unwrap();
@@ -456,7 +423,7 @@ fn repeated_element_ids_match_the_oracle() {
 #[test]
 fn pathological_same_module_streams_are_identical() {
     // Everything lands on one module: period 1, steady state after the
-    // queue fills — the deepest extrapolation regime.
+    // queue fills.
     for (m, t) in [(3u32, 3u32), (3, 6), (2, 4)] {
         let cfg = MemConfig::new(m, t).unwrap();
         for len in [1u64, 2, 7, 64, 1024] {

@@ -267,16 +267,17 @@ pub enum Response {
     ///
     /// Only [`Request::Measure`] and [`Request::FamilySweep`] degrade;
     /// the wrapped response has the same shape the full path would
-    /// produce, with aggregate statistics estimated (per-element
-    /// vectors empty) and `exact` reporting whether every underlying
-    /// estimate was provably equal to a full simulation. Degraded
-    /// responses are never cached.
+    /// produce, with the full simulation's aggregate statistics (from
+    /// `cfva_memsim::Engine::Analytic`: per-element vectors empty once
+    /// the stream recurs). Degraded responses are never cached.
     Degraded {
         /// The estimated response ([`Response::Measured`] or
         /// [`Response::FamilySweep`] shaped).
         response: Box<Response>,
-        /// `true` when every analytic estimate inside was provably
-        /// exact (see `cfva_memsim::AnalyticEstimate::exact`).
+        /// Whether every estimate inside equals a full simulation's
+        /// aggregates. Always `true`: the analytic engine is exact. The
+        /// field stays because the version-3 wire protocol encodes it
+        /// and its clients read it.
         exact: bool,
     },
 }

@@ -14,7 +14,7 @@
 
 use cfva_core::plan::{AccessPlan, Planner, Strategy};
 use cfva_core::VectorSpec;
-use cfva_memsim::{AccessStats, AnalyticEstimate, Engine, MemConfig, MemorySystem};
+use cfva_memsim::{AccessStats, Engine, MemConfig, MemorySystem};
 use rand::Rng;
 
 use crate::workload::StrideSampler;
@@ -412,17 +412,16 @@ impl BatchRunner {
         })
     }
 
-    /// The O(1) analytic steady-state estimate of one access
+    /// The analytic steady-state estimate of one access
     /// ([`MemorySystem::analytic_estimate`]) through the session's
     /// reused plan buffer — the serving layer's **degraded-mode
-    /// fallback**: aggregate statistics without a full simulation,
-    /// with [`AnalyticEstimate::exact`] reporting whether the estimate
-    /// is provably equal to one.
+    /// fallback**: the full simulation's aggregate statistics, with the
+    /// per-element vectors left empty once the stream recurs.
     ///
     /// `None` when the strategy cannot plan the access — same contract
     /// as [`measure`](Self::measure).
     #[must_use = "the estimate is the computation's only output"]
-    pub fn analytic(&mut self, vec: &VectorSpec, strategy: Strategy) -> Option<AnalyticEstimate> {
+    pub fn analytic(&mut self, vec: &VectorSpec, strategy: Strategy) -> Option<AccessStats> {
         self.planner
             .plan_into(vec, strategy, &mut self.scratch.plan)
             .ok()?;

@@ -74,7 +74,7 @@ use cfva_core::Stride;
 use cfva_core::StrideClass;
 use cfva_core::VectorSpec;
 use cfva_memsim::multi::run_multi;
-use cfva_memsim::{AccessStats, AnalyticEstimate, Arrivals, IssuePolicy};
+use cfva_memsim::IssuePolicy;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -1175,50 +1175,26 @@ fn degradable(request: &Request) -> bool {
     )
 }
 
-/// `AccessStats` carrying an [`AnalyticEstimate`]'s aggregates, with
-/// the per-element vectors (which the estimator does not produce)
-/// empty.
-fn stats_of(est: &AnalyticEstimate) -> AccessStats {
-    AccessStats {
-        latency: est.latency,
-        elements: est.elements,
-        stall_cycles: est.stall_cycles,
-        conflicts: est.conflicts,
-        arrival: Arrivals::default(),
-        module_busy: Vec::new(),
-        max_in_q: est.max_in_q,
-    }
-}
-
 /// The analytic stand-in for a degradable request, against an existing
 /// session. `None` only for non-degradable shapes.
 fn degraded_response_session(session: &mut BatchRunner, request: &Request) -> Option<Response> {
     match request {
-        Request::Measure { vec, strategy, .. } => {
-            let (inner, exact) = match session.analytic(vec, *strategy) {
-                Some(est) => (Response::Measured(Some(stats_of(&est))), est.exact),
-                // The strategy cannot plan the access: the full path
-                // would answer `Measured(None)`, exactly.
-                None => (Response::Measured(None), true),
-            };
-            Some(Response::Degraded {
-                response: Box::new(inner),
-                exact,
-            })
-        }
+        // `None` when the strategy cannot plan the access, as on the
+        // full path.
+        Request::Measure { vec, strategy, .. } => Some(Response::Degraded {
+            response: Box::new(Response::Measured(session.analytic(vec, *strategy))),
+            exact: true,
+        }),
         Request::FamilySweep {
             len, max_x, sigma, ..
         } => {
             let mut rows = Vec::with_capacity(*max_x as usize + 1);
-            let mut exact = true;
             for x in 0..=*max_x {
                 // Validated at submission: these constructions succeed
                 // for every admitted sweep.
                 let stride = Stride::from_parts(*sigma, x).ok()?;
                 let vec = VectorSpec::with_stride(16u64.into(), stride, *len).ok()?;
-                let est = session.analytic(&vec, Strategy::Auto)?;
-                exact &= est.exact;
-                let stats = stats_of(&est);
+                let stats = session.analytic(&vec, Strategy::Auto)?;
                 rows.push(FamilyPoint {
                     x,
                     stride: stride.get(),
@@ -1230,7 +1206,7 @@ fn degraded_response_session(session: &mut BatchRunner, request: &Request) -> Op
             }
             Some(Response::Degraded {
                 response: Box::new(Response::FamilySweep(rows)),
-                exact,
+                exact: true,
             })
         }
         Request::MeasureBatch { .. } | Request::Efficiency { .. } | Request::MultiStream { .. } => {

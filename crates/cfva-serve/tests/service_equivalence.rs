@@ -456,25 +456,23 @@ fn deadline_and_degraded_responses_stay_equivalent_to_their_sources() {
     }
     shedding.shutdown();
 
-    // When the analytic estimate claims exactness, its aggregates are
-    // bit-identical to the full simulation the non-degraded path would
-    // run.
+    // The analytic estimate's aggregates are bit-identical to the full
+    // simulation the non-degraded path would run.
     let mut serial =
         BatchRunner::from_spec(&"xor-matched:t=3,s=4".parse().expect("valid")).expect("builds");
     let stride = Stride::from_parts(1, 0).expect("odd");
     let vec = VectorSpec::with_stride(0u64.into(), stride, 256).expect("valid");
-    if let Some(est) = serial.analytic(&vec, Strategy::Auto) {
-        if est.exact {
-            let full = serial
-                .measure_owned(&vec, Strategy::Auto)
-                .expect("auto always plans");
-            assert_eq!(
-                (est.latency, est.stall_cycles, est.conflicts),
-                (full.latency, full.stall_cycles, full.conflicts),
-                "an exact Degraded estimate must match the full run"
-            );
-        }
-    }
+    let est = serial
+        .analytic(&vec, Strategy::Auto)
+        .expect("auto always plans");
+    let full = serial
+        .measure_owned(&vec, Strategy::Auto)
+        .expect("auto always plans");
+    assert_eq!(
+        (est.latency, est.stall_cycles, est.conflicts),
+        (full.latency, full.stall_cycles, full.conflicts),
+        "a Degraded estimate must match the full run"
+    );
 }
 
 #[test]

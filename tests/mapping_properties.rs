@@ -253,9 +253,9 @@ fn minimal_period(seq: &[ModuleId]) -> usize {
 
 /// Checks the period `plan` carries, if any: a true period of its module
 /// sequence in request order, and — once two periods fit — divisible by
-/// the minimal period of the first `2P` requests (Fine–Wilf: the scan
-/// the simulator runs over that prefix finds a period of the whole
-/// stream). A concatenation carries none.
+/// the minimal period of the first `2P` requests (Fine–Wilf). The
+/// simulator's recurrence detector puts its boundaries on multiples of
+/// this period. A concatenation carries none.
 fn check_attached_period(plan: &AccessPlan, label: &str) {
     assert_eq!(AccessPlan::concat([plan]).period(), None, "{label}: concat");
     let Some(p) = plan.period() else {
