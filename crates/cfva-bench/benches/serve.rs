@@ -273,13 +273,14 @@ fn bench_serve_cached(c: &mut Criterion) {
     service.shutdown();
 }
 
-/// The graceful-degradation path under permanent overload: one worker,
-/// a queue of one, fallback on. The worker is wedged behind big
-/// uncached sweeps, so nearly every submission sheds to the caller-side
-/// O(1) analytic estimate — the measured quantity is the cost of a
-/// shed (parse + canonicalize + route + full-queue rejection + analytic
-/// estimate), the latency a caller pays when the service degrades
-/// instead of erroring.
+/// The shed path under permanent overload: one worker, a queue of one,
+/// fallback on. The worker is wedged behind big uncached sweeps, so
+/// nearly every submission is served on the caller's thread — the
+/// measured quantity is the cost of a shed (parse + canonicalize +
+/// full-queue rejection + the full request on the caller's session),
+/// the latency a caller pays when the service sheds instead of
+/// erroring. The id keeps its name from the estimator the shed used to
+/// run.
 fn bench_serve_degraded(c: &mut Criterion) {
     let service = Service::new(
         ServiceConfig::with_workers(1)
@@ -316,7 +317,7 @@ fn bench_serve_degraded(c: &mut Criterion) {
         b.iter(|| loop {
             let ticket = service
                 .submit(request.clone())
-                .expect("degradation absorbs overload");
+                .expect("shedding absorbs overload");
             if ticket.is_ready() {
                 break response_checksum(&ticket.wait().expect("valid request"));
             }

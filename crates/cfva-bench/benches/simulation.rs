@@ -1,6 +1,6 @@
-//! Simulator throughput: cycles simulated per second, across memory
-//! sizes and plan kinds. Keeps the experiment harness honest about its
-//! own cost.
+//! Cycle-oracle throughput: fresh systems running
+//! `MemorySystem::run_oracle`, construction included, across memory
+//! sizes and plan kinds.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
@@ -12,7 +12,7 @@ use cfva_memsim::{MemConfig, MemorySystem};
 fn bench_simulation(c: &mut Criterion) {
     let mut group = c.benchmark_group("memsim");
 
-    // Matched, conflict-free plan (the fast path: no queueing).
+    // Matched, conflict-free plan (no queueing).
     let planner = Planner::matched(XorMatched::new(3, 4).expect("valid"));
     for len in [128u64, 1024] {
         let vec = VectorSpec::new(16, 12, len).expect("valid");
@@ -22,7 +22,7 @@ fn bench_simulation(c: &mut Criterion) {
         let mem = MemConfig::new(3, 3).expect("valid");
         group.throughput(Throughput::Elements(len));
         group.bench_function(BenchmarkId::new("conflict_free", len), |b| {
-            b.iter(|| MemorySystem::new(mem).run_plan(black_box(&plan)))
+            b.iter(|| MemorySystem::new(mem).run_oracle(black_box(&plan)))
         });
     }
 
@@ -31,7 +31,7 @@ fn bench_simulation(c: &mut Criterion) {
     let plan = planner.plan(&vec, Strategy::Canonical).expect("plannable");
     let mem = MemConfig::new(3, 3).expect("valid");
     group.bench_function(BenchmarkId::new("conflicting_canonical", 128u64), |b| {
-        b.iter(|| MemorySystem::new(mem).run_plan(black_box(&plan)))
+        b.iter(|| MemorySystem::new(mem).run_oracle(black_box(&plan)))
     });
 
     // Unmatched memory: 64 modules.
@@ -42,7 +42,7 @@ fn bench_simulation(c: &mut Criterion) {
         .expect("in window");
     let mem = MemConfig::new(6, 3).expect("valid");
     group.bench_function(BenchmarkId::new("unmatched_64_modules", 128u64), |b| {
-        b.iter(|| MemorySystem::new(mem).run_plan(black_box(&plan)))
+        b.iter(|| MemorySystem::new(mem).run_oracle(black_box(&plan)))
     });
 
     group.finish();

@@ -4,7 +4,7 @@
 use cfva_core::mapping::{XorMatched, XorUnmatched};
 use cfva_core::plan::{Planner, Strategy};
 use cfva_core::{Stride, VectorSpec};
-use cfva_memsim::{Engine, MemConfig};
+use cfva_memsim::MemConfig;
 
 use crate::runner::BatchRunner;
 use crate::table::Table;
@@ -47,10 +47,10 @@ fn probe_windows(
 ) -> Vec<(u32, bool)> {
     let families: Vec<u32> = (0..=max_x).collect();
     BatchRunner::sweep(make_session, &families, |session, &x| {
-        // This experiment *verifies* the windows, so every access must
-        // go through the per-cycle oracle — not the conflict-free
-        // shortcut, and not the request-order solver either.
-        session.set_engine(Engine::Cycle);
+        // The session's route checks each plan's windows of `T`
+        // requests before taking the conflict-free shortcut, and solves
+        // any plan that fails the check; its statistics equal the cycle
+        // oracle's (`tests/engine_agreement.rs`).
         let (_, cf) = probe_family(session, x, len);
         (x, cf)
     })

@@ -4,8 +4,6 @@ use std::fmt;
 
 use cfva_core::ConfigError;
 
-use crate::event::Engine;
-
 /// Configuration of a simulated multi-module memory (paper Figure 2).
 ///
 /// Defaults: one input buffer and one output buffer per module — the
@@ -33,7 +31,6 @@ pub struct MemConfig {
     q_in: usize,
     q_out: usize,
     ports: usize,
-    engine: Engine,
 }
 
 impl MemConfig {
@@ -65,7 +62,6 @@ impl MemConfig {
             q_in: 1,
             q_out: 1,
             ports: 1,
-            engine: Engine::Cycle,
         })
     }
 
@@ -94,19 +90,6 @@ impl MemConfig {
     pub fn from_spec(spec: &cfva_core::mapping::MapSpec) -> Result<Self, ConfigError> {
         let planner = cfva_core::plan::Planner::from_spec(spec)?;
         MemConfig::new(planner.map().module_bits(), planner.t())
-    }
-
-    /// Selects the simulation [`Engine`] systems built from this
-    /// configuration use. The default is [`Engine::Cycle`] — the
-    /// per-cycle oracle every other engine is verified against.
-    pub const fn with_engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// The simulation engine selected for this configuration.
-    pub const fn engine(&self) -> Engine {
-        self.engine
     }
 
     /// Sets the per-module input and output buffer depths.
@@ -249,14 +232,6 @@ mod tests {
     fn display() {
         let cfg = MemConfig::new(3, 2).unwrap().with_queues(2, 1).unwrap();
         assert_eq!(cfg.to_string(), "memory M=8 T=4 q=2 q'=1");
-    }
-
-    #[test]
-    fn engine_defaults_to_cycle_oracle() {
-        let cfg = MemConfig::new(3, 3).unwrap();
-        assert_eq!(cfg.engine(), Engine::Cycle);
-        assert_eq!(cfg.with_engine(Engine::Periodic).engine(), Engine::Periodic);
-        assert_eq!(cfg.with_engine(Engine::FastPath).engine(), Engine::FastPath);
     }
 
     #[test]

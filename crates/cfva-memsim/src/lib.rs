@@ -18,19 +18,22 @@
 //! paper); the integration tests assert this across the whole Theorem 1
 //! and Theorem 3 windows.
 //!
-//! [`Engine`] selects how a request stream runs, and its docs tabulate
-//! the costs. Every engine's statistics are bit-identical to the
-//! per-cycle oracle's ([`Engine::Cycle`], the default), except that
-//! [`Engine::Analytic`] leaves the per-element vectors of a recurring
-//! stream empty. Single-port runs of the others go through the
-//! request-order solver, one pass in issue order, which stops once its
-//! state recurs at a boundary of the stream's period (every planned
-//! access carries the paper's `P_x`,
+//! One route runs every access. A single-port run first checks, in one
+//! pass, whether the stream is conflict free in the paper's sense (every
+//! window of `T` consecutive requests touches `T` distinct modules); if
+//! it is, the statistics are fully determined (request `k` arrives at
+//! `k + T + 1`). Otherwise the request-order solver times it in one
+//! pass in issue order, stopping once its state recurs at a boundary of
+//! the stream's period (every planned access carries the paper's `P_x`,
 //! [`AccessPlan::period`](cfva_core::plan::AccessPlan::period)) and
-//! copies the rest, or for `Analytic` only sums it in closed form.
-//! Multi-port runs and the work-conserving co-runs of [`multi`] step
-//! the oracle; [`MemorySystem::run_timed`] returns its per-request
-//! [`Timing`]s.
+//! copying the rest. Multi-port runs and the work-conserving co-runs of
+//! [`multi`] step the per-cycle oracle.
+//!
+//! The oracle is the reference semantics every result is verified
+//! against, reached by name: [`MemorySystem::run_oracle`],
+//! [`MemorySystem::run_timed`] (which also returns each request's
+//! [`Timing`]) and [`multi::run_multi_oracle`]. The route's statistics
+//! are bit-identical to the oracle's.
 //!
 //! ## Example
 //!
@@ -58,7 +61,6 @@
 #![forbid(unsafe_code)]
 
 mod config;
-mod event;
 mod module;
 pub mod multi;
 mod periodic;
@@ -67,7 +69,6 @@ mod stats;
 mod system;
 
 pub use config::MemConfig;
-pub use event::Engine;
-pub use multi::{run_multi, IssuePolicy, MultiStats, StreamStats};
+pub use multi::{run_multi, run_multi_oracle, IssuePolicy, MultiStats, StreamStats};
 pub use stats::{AccessStats, Arrivals};
 pub use system::{MemorySystem, Timing};

@@ -19,7 +19,7 @@
 //!   stalling the bus; the processor stalls only when every pending
 //!   stream is blocked.
 //!
-//! Accounting is per stream, [`AccessStats`](crate::AccessStats)-grade:
+//! Accounting is per stream, [`AccessStats`]-grade:
 //! each [`StreamStats`] carries the stream's arrival cycles, first
 //! issue, latency, spread, and — attributed to the stream that *lost*
 //! arbitration — its queueing conflicts and bus stalls. Cross-stream
@@ -33,16 +33,16 @@
 //! policies (`RoundRobin`, `Priority`) merge the plans into one request
 //! stream; [`IssuePolicy::WorkConserving`] keeps one stream per plan,
 //! since its issue order depends on live module state. The cycle
-//! oracle runs [`Engine::Cycle`] (the default config), every multi-port
-//! memory and every work-conserving co-run, at `O(cycles × occupied
-//! modules)`. Any other engine sends a static policy's merged stream on
-//! one port through the periodic pass (`periodic.rs`), solved until its
-//! state recurs and copied after: a round-robin merge of `k`
+//! oracle runs every multi-port memory and every work-conserving
+//! co-run, at `O(cycles × occupied modules)`, and every co-run of
+//! [`run_multi_oracle`]. [`run_multi`] sends a static policy's merged
+//! stream on one port through the periodic pass (`periodic.rs`), solved
+//! until its state recurs and copied after: a round-robin merge of `k`
 //! equal-length plans with periods `P_i` carries `k·lcm(P_i)`, and any
-//! other merge, having no known period, is solved to the end. Either way each request's
-//! [`Timing`] goes to one de-multiplexer that accumulates the
-//! per-stream statistics; `tests` prove `run_multi` bit-identical
-//! across the paths for every registered map.
+//! other merge, having no known period, is solved to the end. Either
+//! way each request's [`Timing`] goes to one de-multiplexer that
+//! accumulates the per-stream statistics; `tests` prove the two entry
+//! points bit-identical for every registered map.
 //!
 //! ## Errors
 //!
@@ -54,7 +54,6 @@ use cfva_core::plan::{AccessPlan, PlanEntry};
 use cfva_core::{ConfigError, ModuleId};
 
 use crate::config::MemConfig;
-use crate::event::Engine;
 use crate::stats::AccessStats;
 use crate::system::{MemorySystem, Timing};
 
@@ -171,11 +170,11 @@ fn validate(plans: &[&AccessPlan]) -> Result<u64, ConfigError> {
 
 /// Runs several plans through one memory under an issue policy.
 ///
-/// Work-conserving co-runs, the config's [`Engine::Cycle`] (the
-/// default) and any multi-port memory step the per-cycle oracle; any
-/// other engine solves a static policy's merged stream in request
-/// order and copies it past a recurrence — see the
-/// [module docs](self).
+/// Work-conserving co-runs and any multi-port memory step the per-cycle
+/// oracle; a static policy's merged stream on one port is solved in
+/// request order and copied past a recurrence — see the
+/// [module docs](self). The statistics equal
+/// [`run_multi_oracle`]'s.
 ///
 /// # Performance
 ///
@@ -187,10 +186,37 @@ fn validate(plans: &[&AccessPlan]) -> Result<u64, ConfigError> {
 ///
 /// [`ConfigError::OutOfRange`] on more than `2^15` streams, more than
 /// `2^32` combined elements, or a plan module outside the memory.
+#[must_use = "the co-run's statistics are its only output"]
 pub fn run_multi(
     cfg: MemConfig,
     plans: &[&AccessPlan],
     policy: IssuePolicy,
+) -> Result<MultiStats, ConfigError> {
+    co_run(cfg, plans, policy, false)
+}
+
+/// [`run_multi`] on the per-cycle oracle, whatever the policy and the
+/// port count: the reference semantics of a co-run.
+///
+/// # Errors
+///
+/// As [`run_multi`].
+#[must_use = "the co-run's statistics are its only output"]
+pub fn run_multi_oracle(
+    cfg: MemConfig,
+    plans: &[&AccessPlan],
+    policy: IssuePolicy,
+) -> Result<MultiStats, ConfigError> {
+    co_run(cfg, plans, policy, true)
+}
+
+/// The co-run behind [`run_multi`] and, with `oracle`,
+/// [`run_multi_oracle`].
+fn co_run(
+    cfg: MemConfig,
+    plans: &[&AccessPlan],
+    policy: IssuePolicy,
+    oracle: bool,
 ) -> Result<MultiStats, ConfigError> {
     let total = validate(plans)?;
     if total == 0 {
@@ -208,7 +234,7 @@ pub fn run_multi(
     let mut combined = AccessStats::default();
     let mut demux = Demux::new(plans, &merged);
     let work_conserving = policy == IssuePolicy::WorkConserving;
-    if work_conserving || cfg.engine() == Engine::Cycle || cfg.ports() != 1 {
+    if oracle || work_conserving || cfg.ports() != 1 {
         // Work-conserving issue rotates over one stream per plan; a
         // static policy's merged stream is a single stream.
         let ends: Vec<usize> = if work_conserving {
@@ -229,7 +255,7 @@ pub fn run_multi(
     } else {
         // The periodic pass: solved, and copied past a recurrence.
         let period = merged_period(plans, policy);
-        sim.run_periodic(n, period, false, &request, &mut combined, |k, t| {
+        sim.run_periodic(n, period, &request, &mut combined, |k, t| {
             demux.record(k, t)
         });
     }
@@ -399,7 +425,7 @@ mod tests {
     #[test]
     fn detection_copies_most_of_a_long_conflicted_co_run() {
         let planner = Planner::matched(XorMatched::new(3, 4).unwrap());
-        let cfg = MemConfig::new(3, 3).unwrap().with_engine(Engine::FastPath);
+        let cfg = MemConfig::new(3, 3).unwrap();
         let plan = |base, stride| {
             let vec = VectorSpec::new(base, stride, 2048).unwrap();
             planner.plan(&vec, Strategy::Canonical).unwrap()
@@ -422,11 +448,7 @@ mod tests {
         let to = detection.matched_at().expect("a recurrence is found");
         let copied = 4096 - to;
         assert!(10 * copied >= 9 * 4096, "only {copied} of 4096 copied");
-        let oracle = run_multi(
-            cfg.with_engine(Engine::Cycle),
-            &plans,
-            IssuePolicy::RoundRobin,
-        );
+        let oracle = run_multi_oracle(cfg, &plans, IssuePolicy::RoundRobin);
         assert_eq!(run_multi(cfg, &plans, IssuePolicy::RoundRobin), oracle);
     }
 
@@ -640,7 +662,7 @@ mod tests {
     }
 
     #[test]
-    fn fast_path_matches_cycle_oracle_on_conflicted_and_free_streams() {
+    fn the_route_matches_the_oracle_on_conflicted_and_free_streams() {
         let planner = Planner::matched(XorMatched::new(3, 4).unwrap());
         let free_a = cf_plan(16, 12);
         let free_b = cf_plan(4096, 24);
@@ -651,16 +673,13 @@ mod tests {
             )
             .unwrap();
         let single = MemConfig::new(3, 3).unwrap();
-        // One port runs on the solver; two step the oracle under every
-        // engine.
+        // One port runs on the solver; two step the oracle.
         for cfg in [single, single.with_ports(2).unwrap()] {
             for policy in [IssuePolicy::RoundRobin, IssuePolicy::Priority] {
                 for plans in [vec![&free_a, &free_b], vec![&free_a, &clustered]] {
-                    let oracle = run_multi(cfg, &plans, policy).unwrap();
-                    for engine in [Engine::FastPath, Engine::Periodic] {
-                        let fast_path = run_multi(cfg.with_engine(engine), &plans, policy).unwrap();
-                        assert_eq!(oracle, fast_path, "{policy} {engine:?} {}", cfg.ports());
-                    }
+                    let oracle = run_multi_oracle(cfg, &plans, policy).unwrap();
+                    let route = run_multi(cfg, &plans, policy).unwrap();
+                    assert_eq!(oracle, route, "{policy} {}", cfg.ports());
                 }
             }
         }

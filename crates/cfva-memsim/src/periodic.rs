@@ -30,10 +30,6 @@
 //! * stall cycles, conflicts, per-module busy time and latency — per
 //!   window entry, times the number of copies it gets, in closed form.
 //!
-//! [`Engine::Analytic`](crate::Engine::Analytic) is the same pass with
-//! the arrival copy skipped: past a recurrence it keeps the closed-form
-//! aggregates and leaves the arrival and busy vectors empty.
-//!
 //! A caller that reads per-request timings (the co-run de-multiplexer)
 //! gets every one, solved or copied, through its `each` callback; the
 //! arrival copy builds none, so a no-op `each` costs nothing. Stats and
@@ -59,8 +55,8 @@
 //! A stream with no known period (raw request streams, concatenated
 //! plans, other co-runs), with fewer than three whole periods
 //! (`3P > n`), or whose transient outlasts the detection budget is simply solved
-//! to the end. Multi-port runs step the cycle oracle, exactly as
-//! an [`Engine::Cycle`](crate::Engine::Cycle) run.
+//! to the end. Multi-port runs never get here: they step the cycle
+//! oracle.
 
 use std::collections::VecDeque;
 
@@ -221,19 +217,10 @@ impl<'s> Detection<'s> {
     /// Completes a run whose pass stopped on a recurrence, with totals
     /// `sum`: every later request copies its counterpart in the logged
     /// window, shifted by `dt` per window (see the module docs), and
-    /// `each` sees its timing. With `aggregates_only`, only the
-    /// closed-form aggregates are kept: no request is copied and the
-    /// arrival and busy vectors are left empty. Does nothing when no
-    /// recurrence was found.
-    fn replay<F, E>(
-        self,
-        sum: &Solved,
-        n: usize,
-        aggregates_only: bool,
-        request: &F,
-        out: &mut AccessStats,
-        each: &mut E,
-    ) where
+    /// `each` sees its timing. Does nothing when no recurrence was
+    /// found.
+    fn replay<F, E>(self, sum: &Solved, n: usize, request: &F, out: &mut AccessStats, each: &mut E)
+    where
         F: Fn(usize) -> (u64, ModuleId),
         E: FnMut(usize, &Timing),
     {
@@ -257,11 +244,6 @@ impl<'s> Detection<'s> {
             out.module_busy[m] += copies * self.t;
         }
         out.latency = sum.latency.max(last + 2);
-        if aggregates_only {
-            out.arrival.reset(0, 0);
-            out.module_busy.clear();
-            return;
-        }
 
         // Repeat the window at the end of the log (which ends at `to`)
         // to a block, then copy blocks.
@@ -294,10 +276,7 @@ impl MemorySystem {
     /// (see the module docs), given a true period `known` of the module
     /// sequence when one is known. Statistics land in `out`, reusing
     /// its buffers, and `each` sees every request's timing, solved or
-    /// copied, in request order. With `aggregates_only` (the
-    /// [`Engine::Analytic`](crate::Engine::Analytic) run) a recurring
-    /// stream keeps only its aggregates and `each` sees only the solved
-    /// requests.
+    /// copied, in request order.
     ///
     /// # Panics
     ///
@@ -306,7 +285,6 @@ impl MemorySystem {
         &mut self,
         n: usize,
         known: Option<u64>,
-        aggregates_only: bool,
         request: &F,
         out: &mut AccessStats,
         mut each: E,
@@ -323,7 +301,7 @@ impl MemorySystem {
                 .is_none_or(|detection| detection.visit(j, sum, solver))
         });
         if let Some(detection) = detection {
-            detection.replay(&sum, n, aggregates_only, request, out, &mut each);
+            detection.replay(&sum, n, request, out, &mut each);
         }
         self.periodic = scratch;
     }
@@ -396,8 +374,8 @@ mod tests {
     /// attached period: the `xor-matched` replay order of a unit-stride
     /// vector carries `P_0 = 128` but repeats every 8 requests.
     /// Boundaries fall on multiples of the attached period all the
-    /// same, most of the stream is copied, and the run, full or
-    /// aggregates only, equals the oracle's.
+    /// same, most of the stream is copied, and the run equals the
+    /// oracle's.
     #[test]
     fn boundaries_fall_on_the_attached_period() {
         let spec = "xor-matched:t=3,s=4".parse().unwrap();
@@ -419,25 +397,16 @@ mod tests {
         assert_eq!(to % p, 0, "matched at request {to}");
         assert!(2 * (n - to) >= n, "matched at request {to}");
 
-        let oracle = MemorySystem::new(cfg).run_plan(&plan);
-        let mut sys = MemorySystem::new(cfg);
+        let oracle = MemorySystem::new(cfg).run_oracle(&plan);
         let mut out = AccessStats::default();
-        sys.run_periodic(n, plan.period(), false, &request, &mut out, |_, _| {});
+        MemorySystem::new(cfg).run_periodic(n, plan.period(), &request, &mut out, |_, _| {});
         assert_eq!(out, oracle);
-        sys.run_periodic(n, plan.period(), true, &request, &mut out, |_, _| {});
-        assert!(out.arrival.is_empty() && out.module_busy.is_empty());
-        assert_eq!(out.latency, oracle.latency);
-        assert_eq!(
-            (out.stall_cycles, out.conflicts, out.max_in_q),
-            (oracle.stall_cycles, oracle.conflicts, oracle.max_in_q)
-        );
     }
 
     /// Random periodic streams over a grid of memory shapes and queue
     /// depths, through one reused system per shape, each run with its
-    /// pattern's period: full runs equal the oracle, aggregates-only
-    /// runs equal its aggregates, and most streams are copied past a
-    /// recurrence, so the recurrence detector's signature is what keeps
+    /// pattern's period: every run equals the oracle, and most streams
+    /// are copied past a recurrence, so the recurrence detector's signature is what keeps
     /// them equal. Some copied streams hold completions that a full
     /// output queue blocked. Dropping the held grants and bus slots from
     /// the signature fails this grid.
@@ -452,8 +421,7 @@ mod tests {
                         .with_queues(q_in, q_out)
                         .unwrap();
                     let mut sys = MemorySystem::new(cfg);
-                    let (mut out, mut aggregates) =
-                        (AccessStats::default(), AccessStats::default());
+                    let mut out = AccessStats::default();
                     let shape = u64::from(8 * m + t) << 16 | (q_in << 8 | q_out) as u64;
                     let mut r = shape.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
                     let mut random = move || {
@@ -478,21 +446,10 @@ mod tests {
                         let (oracle, timings) = MemorySystem::new(cfg).run_timed(&stream);
                         let request = |k: usize| (stream[k].0, stream[k].2);
                         let known = Some(period as u64);
-                        sys.run_periodic(n, known, false, &request, &mut out, |_, _| {});
+                        sys.run_periodic(n, known, &request, &mut out, |_, _| {});
                         assert_eq!(out, oracle, "{label}");
-                        sys.run_periodic(n, known, true, &request, &mut aggregates, |_, _| {});
-                        assert_eq!(
-                            (
-                                aggregates.latency,
-                                aggregates.stall_cycles,
-                                aggregates.conflicts
-                            ),
-                            (oracle.latency, oracle.stall_cycles, oracle.conflicts),
-                            "{label}: aggregates only"
-                        );
-                        assert_eq!(aggregates.max_in_q, oracle.max_in_q, "{label}");
                         total += 1;
-                        if aggregates.arrival.is_empty() {
+                        if matched_at(cfg, n, known, &request).is_some() {
                             copied += 1;
                             let t = cfg.t_cycles();
                             blocked += timings.iter().filter(|r| r.done > r.start + t).count();
@@ -519,8 +476,8 @@ mod tests {
         let request = |k: usize| (stream[k].0, stream[k].2);
         assert!(matched_at(cfg, 512, Some(3), &request).is_some());
         let mut out = AccessStats::default();
-        MemorySystem::new(cfg).run_periodic(512, Some(3), false, &request, &mut out, |_, _| {});
-        assert_eq!(out, MemorySystem::new(cfg).run_requests(&stream));
+        MemorySystem::new(cfg).run_periodic(512, Some(3), &request, &mut out, |_, _| {});
+        assert_eq!(out, MemorySystem::new(cfg).run_timed(&stream).0);
     }
 
     /// Every request's timing from the periodic pass, solved or copied,
@@ -584,7 +541,6 @@ mod tests {
                     MemorySystem::new(cfg).run_periodic(
                         n,
                         known,
-                        false,
                         &request,
                         &mut out,
                         |j, timing: &Timing| seen.push((j, *timing)),

@@ -23,14 +23,13 @@
 //! follow from these times (see [`Solved`]). The statistics are
 //! bit-identical to the cycle oracle's — asserted by
 //! `tests/periodic_engine.rs` (aperiodic, back-pressured and deep-queue
-//! streams), `tests/analytic.rs` and the root engine-agreement suites.
+//! streams) and the root engine-agreement suites.
 //!
 //! Each request's times are the [`Timing`](crate::Timing) the cycle
 //! oracle records for it, stalls charged to it included. The solver
-//! runs every single-port run of the engines other than
-//! [`Engine::Cycle`](crate::Engine::Cycle) that the conflict-free fast
-//! path does not cover, with the recurrence detector of `periodic.rs`
-//! reading [`Solver::signature`].
+//! runs every single-port run that the conflict-free fast path does not
+//! cover, with the recurrence detector of `periodic.rs` reading
+//! [`Solver::signature`].
 //!
 //! ## State
 //!

@@ -1,4 +1,4 @@
-//! The cycle engine: processor, bus and module array.
+//! The memory system: one simulating route, and the cycle oracle by name.
 
 use std::fmt;
 
@@ -6,7 +6,6 @@ use cfva_core::plan::AccessPlan;
 use cfva_core::{Addr, ModuleId};
 
 use crate::config::MemConfig;
-use crate::event::Engine;
 use crate::module::MemModule;
 use crate::periodic::PeriodicScratch;
 use crate::solver::Solver;
@@ -100,23 +99,6 @@ impl MemorySystem {
         }
     }
 
-    /// Selects the simulation engine for subsequent runs (equivalent
-    /// to building the system from a config carrying
-    /// [`MemConfig::with_engine`]).
-    ///
-    /// All three simulating engines produce **bit-identical**
-    /// [`AccessStats`]; [`Engine::Cycle`] (the default) is the oracle
-    /// the others are verified against (`tests/fast_path.rs`,
-    /// `tests/periodic_engine.rs`).
-    pub fn set_engine(&mut self, engine: Engine) {
-        self.cfg = self.cfg.with_engine(engine);
-    }
-
-    /// The engine in use.
-    pub const fn engine(&self) -> Engine {
-        self.cfg.engine()
-    }
-
     /// The configuration in use.
     pub const fn config(&self) -> MemConfig {
         self.cfg
@@ -125,6 +107,11 @@ impl MemorySystem {
     /// Executes an access plan to completion and reports statistics.
     /// The module array is reset first, so a system can be reused across
     /// runs.
+    ///
+    /// A single-port run takes the verified conflict-free shortcut when
+    /// the plan is conflict free, and the periodic pass otherwise; a
+    /// multi-port run steps the oracle. The statistics are bit-identical
+    /// to [`run_oracle`](Self::run_oracle)'s either way.
     ///
     /// # Panics
     ///
@@ -154,38 +141,15 @@ impl MemorySystem {
     ///
     /// Same conditions as [`run_plan`](Self::run_plan).
     pub fn run_plan_into(&mut self, plan: &AccessPlan, out: &mut AccessStats) {
-        self.run_plan_on(self.cfg.engine(), plan, out);
-    }
-
-    /// The aggregate statistics of an access plan from
-    /// [`Engine::Analytic`], whatever engine the system is set to.
-    /// Latency, elements, stalls, conflicts and peak queue occupancy
-    /// always equal the cycle oracle's. The arrival and busy vectors
-    /// are empty when the stream recurred and the rest of it was
-    /// closed in form, and full when it was simulated to the end.
-    #[must_use = "the returned AccessStats are the estimate's only output; dropping them wastes the run"]
-    pub fn analytic_estimate(&mut self, plan: &AccessPlan) -> AccessStats {
-        let mut stats = AccessStats::default();
-        self.run_plan_on(Engine::Analytic, plan, &mut stats);
-        // Drop the spare capacity an emptied arrival buffer still holds.
-        stats.arrival = stats.arrival.kept();
-        stats
-    }
-
-    /// Executes an access plan on `engine`, reading the plan's tables
-    /// directly.
-    fn run_plan_on(&mut self, engine: Engine, plan: &AccessPlan, out: &mut AccessStats) {
         let modules = plan.modules();
         match plan.order() {
             None => self.run_core(
-                engine,
                 modules.len(),
                 plan.period(),
                 |k| (k as u64, modules[k]),
                 out,
             ),
             Some(order) => self.run_core(
-                engine,
                 order.len(),
                 plan.period(),
                 |k| {
@@ -195,6 +159,23 @@ impl MemorySystem {
                 out,
             ),
         }
+    }
+
+    /// Executes an access plan on the per-cycle oracle: the reference
+    /// semantics every other run is verified against.
+    ///
+    /// # Panics
+    ///
+    /// Same conditions as [`run_plan`](Self::run_plan).
+    #[must_use = "the returned AccessStats are the simulation's only output; dropping them wastes the run"]
+    pub fn run_oracle(&mut self, plan: &AccessPlan) -> AccessStats {
+        let mut stats = AccessStats::default();
+        let request = |k: usize| {
+            let entry = plan.request(k);
+            (entry.element(), entry.module())
+        };
+        self.run_cycle(&[plan.len() as usize], &request, &mut stats);
+        stats
     }
 
     /// Executes an arbitrary request stream: `(element, addr, module)`
@@ -208,19 +189,12 @@ impl MemorySystem {
     #[must_use = "the returned AccessStats are the simulation's only output; dropping them wastes the run"]
     pub fn run_requests(&mut self, requests: &[(u64, Addr, ModuleId)]) -> AccessStats {
         let mut stats = AccessStats::default();
-        self.run_core(
-            self.cfg.engine(),
-            requests.len(),
-            None,
-            |k| project(requests[k]),
-            &mut stats,
-        );
+        self.run_core(requests.len(), None, |k| project(requests[k]), &mut stats);
         stats
     }
 
     /// Executes a request stream as [`run_requests`](Self::run_requests)
-    /// does, but always on the cycle oracle, whatever the engine, and
-    /// also returns each request's [`Timing`], indexed like `requests`.
+    /// does, but on the cycle oracle, and also returns each request's [`Timing`], indexed like `requests`.
     ///
     /// # Panics
     ///
@@ -236,7 +210,7 @@ impl MemorySystem {
     /// property while accumulating the (fully determined) statistics.
     /// Returns `false` — leaving `out` in an unspecified but resizable
     /// state — as soon as a conflict is found, and the caller falls
-    /// back to the cycle engine, which rewrites `out` from scratch.
+    /// back to the periodic pass, which rewrites `out` from scratch.
     fn try_fast_path<F>(&mut self, n: usize, request: &F, out: &mut AccessStats) -> bool
     where
         F: Fn(usize) -> (u64, ModuleId),
@@ -258,7 +232,7 @@ impl MemorySystem {
             let k = k as u64;
             let last = self.last_start[midx];
             if last != u64::MAX && k - last < t {
-                return false; // conflict: cycle engine takes over
+                return false; // conflict: the periodic pass takes over
             }
             self.last_start[midx] = k;
             // Request k issues at cycle k (no stalls), starts service
@@ -275,32 +249,21 @@ impl MemorySystem {
         true
     }
 
-    /// Engine dispatch. `request(k)` yields the `k`-th request of the
-    /// stream, and `period` is a true period of its module sequence
-    /// when one is known (a planned access's `P_x`); statistics are
-    /// written into `out`, reusing its buffers.
-    fn run_core<F>(
-        &mut self,
-        engine: Engine,
-        n: usize,
-        period: Option<u64>,
-        request: F,
-        out: &mut AccessStats,
-    ) where
+    /// The route. `request(k)` yields the `k`-th request of the stream,
+    /// and `period` is a true period of its module sequence when one is
+    /// known (a planned access's `P_x`); statistics are written into
+    /// `out`, reusing its buffers.
+    fn run_core<F>(&mut self, n: usize, period: Option<u64>, request: F, out: &mut AccessStats)
+    where
         F: Fn(usize) -> (u64, ModuleId),
     {
-        match engine {
-            Engine::Cycle => self.run_cycle(&[n], &request, out),
+        if self.cfg.ports() != 1 {
             // Multi-port runs have no request-order solution.
-            _ if self.cfg.ports() != 1 => self.run_cycle(&[n], &request, out),
-            Engine::FastPath if n > 0 && self.try_fast_path(n, &request, out) => {}
-            // A conflicted stream: the FastPath → Periodic chain solves
-            // it in request order, and copies a long one forward once
-            // its state recurs; Analytic keeps only the aggregates there.
-            Engine::Periodic | Engine::FastPath | Engine::Analytic => {
-                let aggregates_only = engine == Engine::Analytic;
-                self.run_periodic(n, period, aggregates_only, &request, out, |_, _| {});
-            }
+            self.run_cycle(&[n], &request, out);
+        } else if n == 0 || !self.try_fast_path(n, &request, out) {
+            // A conflicted stream: solved in request order, and copied
+            // forward once its state recurs.
+            self.run_periodic(n, period, &request, out, |_, _| {});
         }
     }
 
@@ -564,8 +527,10 @@ mod tests {
         let plan = planner.plan(&vec, Strategy::ConflictFree).unwrap();
         let mut sim = MemorySystem::new(MemConfig::new(3, 3).unwrap());
         let a = sim.run_plan(&plan);
+        let oracle = sim.run_oracle(&plan);
         let b = sim.run_plan(&plan);
-        assert_eq!(a, b);
+        assert_eq!(a, oracle);
+        assert_eq!(b, oracle);
     }
 
     #[test]

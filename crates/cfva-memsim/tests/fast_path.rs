@@ -1,25 +1,23 @@
-//! Equivalence suite: the opt-in conflict-free fast path must produce
-//! **bit-identical** `AccessStats` to the full cycle engine, for every
-//! kind of plan — conflict free (where the shortcut engages),
-//! conflicted (where it must fall back), buffered and multi-port
-//! configurations (where it must not engage).
+//! Equivalence suite: the route's conflict-free fast path must produce
+//! **bit-identical** `AccessStats` to the cycle oracle, for every kind
+//! of plan — conflict free (where the shortcut engages), conflicted
+//! (where it must fall back), buffered and multi-port configurations
+//! (where it must not engage).
 
 use cfva_core::mapping::{Interleaved, XorMatched, XorUnmatched};
 use cfva_core::plan::{AccessPlan, Planner, Strategy};
 use cfva_core::{Stride, VectorSpec};
-use cfva_memsim::{Engine, MemConfig, MemorySystem};
+use cfva_memsim::{MemConfig, MemorySystem};
 
-/// Runs one plan through a fresh full-engine system and a fresh
-/// fast-path system and asserts identical statistics.
+/// Runs one plan through the oracle and the route on fresh systems and
+/// asserts identical statistics.
 fn assert_equivalent(cfg: MemConfig, plan: &AccessPlan, label: &str) {
-    let oracle = MemorySystem::new(cfg).run_plan(plan);
+    let oracle = MemorySystem::new(cfg).run_oracle(plan);
     let mut fast = MemorySystem::new(cfg);
-    fast.set_engine(Engine::FastPath);
-    assert_eq!(fast.engine(), Engine::FastPath);
     let shortcut = fast.run_plan(plan);
     assert_eq!(oracle, shortcut, "{label}");
-    // And again through the same (reused) fast system: reuse must not
-    // leak state between runs.
+    // And again through the same (reused) system: reuse must not leak
+    // state between runs.
     let again = fast.run_plan(plan);
     assert_eq!(oracle, again, "{label} (reused system)");
 }

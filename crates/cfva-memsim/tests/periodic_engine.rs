@@ -1,7 +1,8 @@
-//! Equivalence suite for the periodic steady-state fast-forward engine:
-//! `Engine::Periodic` (and `Engine::FastPath`, which now falls back to
-//! it) must produce **bit-identical** `AccessStats` to the per-cycle
-//! oracle, across
+//! Equivalence suite for the periodic steady-state fast-forward pass:
+//! the route (`MemorySystem::run_plan` and `run_requests`: the
+//! conflict-free fast path, then the periodic pass) must produce
+//! **bit-identical** `AccessStats` to the per-cycle oracle
+//! (`run_oracle`, `run_timed`), across
 //! **every map in the registry coverage set** (a map registered in
 //! `cfva_core::mapping::Registry` is swept here automatically), stride
 //! families, queue depths, port counts, pathological same-module
@@ -22,31 +23,39 @@
 use cfva_core::mapping::{Interleaved, Registry, XorMatched};
 use cfva_core::plan::{AccessPlan, Planner, Strategy};
 use cfva_core::{Addr, ModuleId, Stride, VectorSpec};
-use cfva_memsim::{Engine, MemConfig, MemorySystem, Timing};
+use cfva_memsim::{MemConfig, MemorySystem, Timing};
 
-/// Runs one plan through the oracle and the periodic engine (fresh and
-/// reused systems) and asserts identical statistics.
+/// Runs one plan through the oracle and the route (fresh and reused
+/// systems, and into a reused buffer that last held a longer run) and
+/// asserts identical statistics.
 fn assert_periodic_equivalent(cfg: MemConfig, plan: &AccessPlan, label: &str) {
-    let oracle = MemorySystem::new(cfg).run_plan(plan);
+    let oracle = MemorySystem::new(cfg).run_oracle(plan);
 
-    let mut periodic = MemorySystem::new(cfg.with_engine(Engine::Periodic));
-    assert_eq!(periodic.engine(), Engine::Periodic);
-    let fast = periodic.run_plan(plan);
-    assert_eq!(oracle, fast, "{label} (periodic engine)");
-    let again = periodic.run_plan(plan);
-    assert_eq!(oracle, again, "{label} (periodic engine, reused system)");
+    let mut route = MemorySystem::new(cfg);
+    let fresh = route.run_plan(plan);
+    assert_eq!(oracle, fresh, "{label}");
+    let again = route.run_plan(plan);
+    assert_eq!(oracle, again, "{label} (reused system)");
 
-    let mut chained = MemorySystem::new(cfg.with_engine(Engine::FastPath));
-    let shortcut = chained.run_plan(plan);
-    assert_eq!(oracle, shortcut, "{label} (fast path over periodic)");
+    let mut stale = route.run_requests(&stale_stream(plan.len() + 96));
+    route.run_plan_into(plan, &mut stale);
+    assert_eq!(oracle, stale, "{label} (reused buffer)");
 }
 
-/// Runs a raw request stream through the oracle and the periodic
-/// engine, which solves it to the end: it carries no period.
+/// A conflicted request stream on modules 0 and 1, to leave a long run
+/// in a buffer before a shorter one reuses it.
+fn stale_stream(len: u64) -> Vec<(u64, Addr, ModuleId)> {
+    (0..len)
+        .map(|i| (i, Addr::new(i), ModuleId::new(i % 2)))
+        .collect()
+}
+
+/// Runs a raw request stream through the oracle and the route, which
+/// solves it to the end: it carries no period.
 fn assert_stream_equivalent(cfg: MemConfig, stream: &[(u64, Addr, ModuleId)], label: &str) {
-    let oracle = MemorySystem::new(cfg).run_requests(stream);
-    let periodic = MemorySystem::new(cfg.with_engine(Engine::Periodic)).run_requests(stream);
-    assert_eq!(oracle, periodic, "{label}");
+    let (oracle, _) = MemorySystem::new(cfg).run_timed(stream);
+    let route = MemorySystem::new(cfg).run_requests(stream);
+    assert_eq!(oracle, route, "{label}");
 }
 
 /// Canonical plans over a spread of families and bases — the conflicted
@@ -69,18 +78,22 @@ fn sweep_canonical(planner: &Planner, cfg: MemConfig, label: &str) {
             }
         }
     }
-    // Long vectors: many whole periods beyond the transient.
+    // Long vectors: many whole periods beyond the transient, and a
+    // longer off-period length whose last window is partial.
     for x in [0u32, 2, 4] {
         let stride = Stride::from_parts(3, x).expect("odd sigma");
         let p = planner.map().period(stride.family());
         // Saturating: maps with no finite period (the overridden region
         // map) just get the cap.
-        let len = p.saturating_mul(16).clamp(64, 4096);
-        let vec = VectorSpec::with_stride(11u64.into(), stride, len).expect("valid");
-        let plan = planner
-            .plan(&vec, Strategy::Canonical)
-            .expect("canonical always plans");
-        assert_periodic_equivalent(cfg, &plan, &format!("{label} long x={x} len={len}"));
+        let whole = p.saturating_mul(16).clamp(64, 4096);
+        let partial = p.saturating_mul(192).clamp(1024, 16_384) + (p / 3).min(97);
+        for len in [whole, partial] {
+            let vec = VectorSpec::with_stride(11u64.into(), stride, len).expect("valid");
+            let plan = planner
+                .plan(&vec, Strategy::Canonical)
+                .expect("canonical always plans");
+            assert_periodic_equivalent(cfg, &plan, &format!("{label} long x={x} len={len}"));
+        }
     }
 }
 
@@ -151,7 +164,7 @@ fn queue_depths_and_ports_are_identical() {
             .unwrap()
             .with_queues(q_in, q_out)
             .unwrap();
-        for len in [128u64, 512] {
+        for len in [128u64, 512, 4096] {
             let vec = VectorSpec::new(16, 12, len).unwrap();
             for strategy in [Strategy::Canonical, Strategy::Subsequence] {
                 let plan = planner.plan(&vec, strategy).unwrap();
@@ -175,7 +188,7 @@ fn queue_depths_and_ports_are_identical() {
         }
     }
     // Multi-port memories: boundary detection is request-anchored and
-    // the solver models one port, so the periodic engine runs these on
+    // the solver models one port, so the route runs these on
     // the oracle.
     let wide = Planner::baseline(Interleaved::new(6).unwrap(), 3);
     let plan = wide
@@ -203,7 +216,7 @@ fn assert_timed_stream_equivalent(
     label: &str,
 ) -> Vec<Timing> {
     let (expected, timings) = MemorySystem::new(cfg).run_timed(stream);
-    let untraced = MemorySystem::new(cfg.with_engine(Engine::Periodic)).run_requests(stream);
+    let untraced = MemorySystem::new(cfg).run_requests(stream);
     assert_eq!(expected, untraced, "{label} (untraced)");
     timings
 }
@@ -432,6 +445,17 @@ fn pathological_same_module_streams_are_identical() {
                 .collect();
             assert_stream_equivalent(cfg, &stream, &format!("one-module m={m} t={t} len={len}"));
         }
+        // The same stride as a plan, which carries `P = 1`: a long one
+        // is copied past the recurrence.
+        let planner = Planner::baseline(Interleaved::new(m).unwrap(), t);
+        let plan = planner
+            .plan(
+                &VectorSpec::new(0, 1 << m, 8192).unwrap(),
+                Strategy::Canonical,
+            )
+            .unwrap();
+        assert_eq!(plan.period(), Some(1), "m={m} t={t}");
+        assert_periodic_equivalent(cfg, &plan, &format!("one-module plan m={m} t={t}"));
         // Two modules, alternating burst lengths (period 13).
         for len in [96u64, 512] {
             let stream: Vec<(u64, Addr, ModuleId)> = (0..len)
@@ -458,7 +482,7 @@ fn pathological_same_module_streams_are_identical() {
     let plan = planner
         .plan(&VectorSpec::new(0, 8, 64).unwrap(), Strategy::Canonical)
         .unwrap();
-    let stats = MemorySystem::new(cfg.with_engine(Engine::Periodic)).run_plan(&plan);
+    let stats = MemorySystem::new(cfg).run_plan(&plan);
     assert!(stats.latency >= 64 * 8, "latency {}", stats.latency);
     assert!(stats.conflicts > 0);
     assert!(stats.stall_cycles > 0);
@@ -491,10 +515,12 @@ fn aperiodic_and_tiny_streams_are_identical() {
     assert_stream_equivalent(cfg, &stream, "single request");
     // An aperiodic module sequence: detection never starts, and the run
     // is solved in request order.
-    let stream: Vec<(u64, Addr, ModuleId)> = (0..64u64)
-        .map(|i| (i, Addr::new(i), ModuleId::new((i * i + i / 3) % 8)))
-        .collect();
-    assert_stream_equivalent(cfg, &stream, "aperiodic stream");
+    for len in [64u64, 256] {
+        let stream: Vec<(u64, Addr, ModuleId)> = (0..len)
+            .map(|i| (i, Addr::new(i), ModuleId::new((i * i + i / 3) % 8)))
+            .collect();
+        assert_stream_equivalent(cfg, &stream, &format!("aperiodic stream len={len}"));
+    }
     // Periodic but with a one-off perturbation: the module sequence's
     // minimal period degenerates to ~n, so no extrapolation applies.
     let stream: Vec<(u64, Addr, ModuleId)> = (0..96u64)
@@ -523,7 +549,7 @@ fn aperiodic_and_tiny_streams_are_identical() {
                     .unwrap()
                     .with_queues(q_in, q_out)
                     .unwrap();
-                let mut periodic = MemorySystem::new(cfg.with_engine(Engine::Periodic));
+                let mut route = MemorySystem::new(cfg);
                 for trial in 0..12 {
                     let len = next() % 160 + 1;
                     let hot = trial % 2 == 1;
@@ -539,8 +565,8 @@ fn aperiodic_and_tiny_streams_are_identical() {
                         })
                         .collect();
                     let label = format!("m={m} t={t} q={q_in} q'={q_out} trial={trial}");
-                    let oracle = MemorySystem::new(cfg).run_requests(&stream);
-                    assert_eq!(oracle, periodic.run_requests(&stream), "{label}");
+                    let (oracle, _) = MemorySystem::new(cfg).run_timed(&stream);
+                    assert_eq!(oracle, route.run_requests(&stream), "{label}");
                 }
             }
         }
@@ -560,6 +586,27 @@ fn non_pow2_lengths_leave_a_tail_to_simulate() {
             let vec = VectorSpec::new(5, stride, len).unwrap();
             let plan = planner.plan(&vec, Strategy::Canonical).unwrap();
             assert_periodic_equivalent(cfg, &plan, &format!("tail len={len} stride={stride}"));
+        }
+    }
+}
+
+/// Region vectors that cross into the override carry the map's
+/// family-wide bound as their period, far above the minimal one: a
+/// loose period only leaves the stream solved to the end, and every
+/// run still equals the oracle.
+#[test]
+fn loose_region_periods_match_the_oracle() {
+    let spec = "region:t=3,bits=10,s=3,regions=1:6".parse().unwrap();
+    let planner = Planner::from_spec(&spec).unwrap();
+    let cfg = MemConfig::from_spec(&spec).unwrap();
+    for x in 0..=10u32 {
+        for base in [0u64, 1000, 1024] {
+            for len in [1024u64, 3000] {
+                let stride = Stride::from_parts(1, x).expect("odd sigma");
+                let vec = VectorSpec::with_stride(base.into(), stride, len).expect("valid");
+                let plan = planner.plan(&vec, Strategy::Canonical).unwrap();
+                assert_periodic_equivalent(cfg, &plan, &format!("{vec}"));
+            }
         }
     }
 }

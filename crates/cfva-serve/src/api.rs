@@ -258,24 +258,17 @@ pub enum Response {
     /// structure the scheduler chose, and the contended makespan
     /// against the sequential baseline.
     MultiStream(MultiStreamOutcome),
-    /// A **degraded** response: the service answered from the O(1)
-    /// analytic steady-state estimator instead of a full simulation —
-    /// either to shed overload
-    /// ([`ServiceConfig::degraded_fallback`](crate::service::ServiceConfig)
-    /// turning an [`ServeError::Overloaded`] rejection into an
-    /// estimate) or after a request exhausted its retry budget.
-    ///
-    /// Only [`Request::Measure`] and [`Request::FamilySweep`] degrade;
-    /// the wrapped response has the same shape the full path would
-    /// produce, with the full simulation's aggregate statistics (from
-    /// `cfva_memsim::Engine::Analytic`: per-element vectors empty once
-    /// the stream recurs). Degraded responses are never cached.
+    /// A response **served on the caller's thread**: the request found
+    /// the admission queue full, and with
+    /// [`ServiceConfig::degraded_fallback`](crate::service::ServiceConfig)
+    /// on, the submitting thread ran it instead of rejecting it with
+    /// [`ServeError::Overloaded`]. Every request shape sheds this way,
+    /// and the wrapped response is the one a worker would have
+    /// returned, bit for bit.
     Degraded {
-        /// The estimated response ([`Response::Measured`] or
-        /// [`Response::FamilySweep`] shaped).
+        /// The response the request would have had from a worker.
         response: Box<Response>,
-        /// Whether every estimate inside equals a full simulation's
-        /// aggregates. Always `true`: the analytic engine is exact. The
+        /// Always `true`: the wrapped response is the full one. The
         /// field stays because the version-3 wire protocol encodes it
         /// and its clients read it.
         exact: bool,

@@ -67,7 +67,7 @@ pub enum SubmitFault {
     PanicJob,
     /// Flood the admission queue with `jobs` no-op jobs right before
     /// this submission — queue-pressure exercising backpressure and
-    /// the degraded fallback.
+    /// shedding onto the caller's thread.
     QueueBurst {
         /// Number of no-op filler jobs.
         jobs: u32,

@@ -36,7 +36,7 @@
 //!   supervised workers restart (in-flight jobs re-queued), panicked
 //!   requests retry with backoff, per-request deadlines resolve
 //!   [`api::ServeError::DeadlineExceeded`] instead of blocking, and
-//!   overload can shed to the O(1) analytic estimator as
+//!   overload can shed onto the caller's thread, answered as
 //!   [`api::Response::Degraded`] — see `tests/chaos.rs` for the
 //!   invariants (every accepted ticket resolves, bit-identical to a
 //!   fault-free serial run, under any seeded schedule).

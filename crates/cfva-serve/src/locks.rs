@@ -8,7 +8,7 @@
 //! ([`SpecTable`](LockClass::SpecTable)), the result-cache shards
 //! ([`CacheShard`](LockClass::CacheShard)), the pool supervisor's
 //! restart ledger ([`Supervisor`](LockClass::Supervisor)), the
-//! degraded-fallback session map
+//! session map for shed requests
 //! ([`DegradedSessions`](LockClass::DegradedSessions)), the wire
 //! front end's connection registry
 //! ([`WireConns`](LockClass::WireConns)) and the wire codec's
@@ -33,9 +33,10 @@
 //!   *after* every scheduler guard is gone — the respawn itself, and
 //!   any subsequent `Sched` acquisition by the replacement, happens
 //!   strictly outside the ledger lock.
-//! * `DegradedSessions` guards the submit-side analytic fallback's
-//!   session map; the fallback computes entirely on the caller's
-//!   thread with no other serve lock held.
+//! * `DegradedSessions` guards the session map of requests shed onto
+//!   the caller's thread. A shed runs the worker's request loop under
+//!   it, panics caught inside, with no other serve lock held; its
+//!   cache fill happens after the guard is released.
 //! * `WireConns` guards the wire server's list of live connection
 //!   handles. The acceptor swaps out finished handles and pushes the
 //!   new one under the lock, and joins the finished ones after
@@ -84,7 +85,7 @@ pub enum LockClass {
     CacheShard,
     /// The pool supervisor's per-worker restart ledger.
     Supervisor,
-    /// The service's degraded-fallback session map.
+    /// The service's session map for shed requests.
     DegradedSessions,
     /// The wire server's live-connection registry (`cfva-wire`).
     WireConns,

@@ -14,14 +14,16 @@
 
 use cfva_core::plan::{AccessPlan, Planner, Strategy};
 use cfva_core::VectorSpec;
-use cfva_memsim::{AccessStats, Engine, MemConfig, MemorySystem};
+use cfva_memsim::{AccessStats, MemConfig, MemorySystem};
 use rand::Rng;
 
 use crate::workload::StrideSampler;
 
 /// Plans and simulates one vector access — the naive per-call path: a
-/// fresh memory system and plan are allocated every call. Prefer a
-/// [`BatchRunner`] for anything measured more than once.
+/// fresh memory system and plan are allocated every call, and the
+/// access runs on the cycle oracle
+/// ([`MemorySystem::run_oracle`]). Prefer a [`BatchRunner`] for
+/// anything measured more than once.
 ///
 /// Falls back per [`Strategy::Auto`] semantics if the requested strategy
 /// cannot serve the access *and* `strategy` is `Auto`; otherwise
@@ -35,7 +37,7 @@ pub fn measure(
     mem: MemConfig,
 ) -> Option<AccessStats> {
     let plan = planner.plan(vec, strategy).ok()?;
-    Some(MemorySystem::new(mem).run_plan(&plan))
+    Some(MemorySystem::new(mem).run_oracle(&plan))
 }
 
 /// Steady-state service cycles per element of one access: the latency
@@ -85,27 +87,8 @@ struct MeasureScratch {
 
 impl MeasureScratch {
     fn new(mem: MemConfig) -> Self {
-        // Sessions default to `Engine::FastPath`, the head of the
-        // FastPath → Periodic chain: conflict-free accesses take the
-        // verified one-pass shortcut, and everything else is solved in
-        // one pass in request order, long periodic accesses copied
-        // forward once their state recurs (multi-port runs
-        // step the cycle oracle) — all bit-identical to the cycle
-        // oracle (equivalence suites in
-        // cfva-memsim/tests/{fast_path,periodic_engine}.rs) at a
-        // fraction of the cost. A `mem` carrying `Engine::Periodic` or
-        // `Engine::FastPath` via `MemConfig::with_engine` is honored
-        // as-is. `Engine::Cycle` is indistinguishable from the config
-        // default and therefore CANNOT be requested through the
-        // config: a verification-grade session must call
-        // `BatchRunner::set_engine(Engine::Cycle)` after construction
-        // (as the `window` experiment does).
-        let mut system = MemorySystem::new(mem);
-        if mem.engine() == Engine::Cycle {
-            system.set_engine(Engine::FastPath);
-        }
         MeasureScratch {
-            system,
+            system: MemorySystem::new(mem),
             plan: AccessPlan::new(),
             stats: AccessStats::default(),
         }
@@ -336,24 +319,6 @@ impl BatchRunner {
         self.scratch.mem()
     }
 
-    /// Selects the simulation engine for this session. Sessions start
-    /// on [`Engine::FastPath`] — the `FastPath → Periodic` chain: the
-    /// verified conflict-free shortcut, then the one-pass request-order
-    /// solver with steady-state period fast-forwarding (the cycle
-    /// oracle for multi-port runs). Pick
-    /// [`Engine::Cycle`] for verification-grade sweeps that must run
-    /// the per-cycle oracle on every access, or [`Engine::Periodic`]
-    /// to skip the conflict-free shortcut but keep period
-    /// extrapolation.
-    pub fn set_engine(&mut self, engine: Engine) {
-        self.scratch.system.set_engine(engine);
-    }
-
-    /// The engine this session simulates with.
-    pub fn engine(&self) -> Engine {
-        self.scratch.system.engine()
-    }
-
     /// Plans and simulates one access through the reused buffers,
     /// returning a view of the session's stats buffer (valid until the
     /// next measurement).
@@ -410,22 +375,6 @@ impl BatchRunner {
             module_busy: stats.module_busy.clone(),
             ..*stats
         })
-    }
-
-    /// The analytic steady-state estimate of one access
-    /// ([`MemorySystem::analytic_estimate`]) through the session's
-    /// reused plan buffer — the serving layer's **degraded-mode
-    /// fallback**: the full simulation's aggregate statistics, with the
-    /// per-element vectors left empty once the stream recurs.
-    ///
-    /// `None` when the strategy cannot plan the access — same contract
-    /// as [`measure`](Self::measure).
-    #[must_use = "the estimate is the computation's only output"]
-    pub fn analytic(&mut self, vec: &VectorSpec, strategy: Strategy) -> Option<AccessStats> {
-        self.planner
-            .plan_into(vec, strategy, &mut self.scratch.plan)
-            .ok()?;
-        Some(self.scratch.system.analytic_estimate(&self.scratch.plan))
     }
 
     /// Steady-state service cycles per element under this session's
@@ -742,53 +691,19 @@ mod tests {
     }
 
     #[test]
-    fn session_engine_threads_through_config_and_setter() {
+    fn session_measures_equal_the_oracle() {
         let mem = MemConfig::new(3, 3).unwrap();
-
-        // Default: the oracle config upgrades to the throughput engine.
-        let session = BatchRunner::new(Planner::matched(XorMatched::new(3, 3).unwrap()), mem);
-        assert_eq!(session.engine(), Engine::FastPath);
-
-        // An explicit engine in the config is honored as-is.
-        let session = BatchRunner::new(
-            Planner::matched(XorMatched::new(3, 3).unwrap()),
-            mem.with_engine(Engine::Periodic),
-        );
-        assert_eq!(session.engine(), Engine::Periodic);
-
-        // And the setter pins the oracle for verification sweeps.
-        let mut session = BatchRunner::new(Planner::matched(XorMatched::new(3, 3).unwrap()), mem);
-        session.set_engine(Engine::Cycle);
-        assert_eq!(session.engine(), Engine::Cycle);
-        session.set_engine(Engine::FastPath);
-        assert_eq!(session.engine(), Engine::FastPath);
-    }
-
-    #[test]
-    fn all_session_engines_measure_identically() {
-        let mem = MemConfig::new(3, 3).unwrap();
-        let engines = [Engine::Cycle, Engine::Periodic, Engine::FastPath];
-        let mut sessions: Vec<BatchRunner> = engines
-            .into_iter()
-            .map(|engine| {
-                let mut s = BatchRunner::new(Planner::matched(XorMatched::new(3, 4).unwrap()), mem);
-                s.set_engine(engine);
-                s
-            })
-            .collect();
+        let mut session = BatchRunner::new(Planner::matched(XorMatched::new(3, 4).unwrap()), mem);
+        let mut oracle = MemorySystem::new(mem);
         for (base, stride) in [(16u64, 12i64), (0, 1), (0, 8), (9, 96), (0, 256)] {
             let vec = VectorSpec::new(base, stride, 128).unwrap();
             for strategy in [Strategy::Canonical, Strategy::Auto] {
-                let results: Vec<Option<AccessStats>> = sessions
-                    .iter_mut()
-                    .map(|s| s.measure_owned(&vec, strategy))
-                    .collect();
-                for (engine, result) in engines.iter().zip(&results).skip(1) {
-                    assert_eq!(
-                        &results[0], result,
-                        "cycle vs {engine}: base {base} stride {stride} {strategy}"
-                    );
-                }
+                let (plan, stats) = session.measure_full(&vec, strategy).unwrap();
+                assert_eq!(
+                    stats,
+                    &oracle.run_oracle(plan),
+                    "base {base} stride {stride} {strategy}"
+                );
             }
         }
     }

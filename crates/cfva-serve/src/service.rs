@@ -17,7 +17,10 @@
 //!
 //! The admission queue is bounded ([`ServiceConfig::queue_capacity`]).
 //! A full queue rejects with [`ServeError::Overloaded`] — callers get
-//! a typed signal to back off instead of unbounded queueing.
+//! a typed signal to back off instead of unbounded queueing — unless
+//! [`ServiceConfig::degraded_fallback`] is on: then the caller's thread
+//! serves the request itself and gets the worker's response wrapped in
+//! [`Response::Degraded`].
 //! [`Service::shutdown`] stops admission ([`ServeError::ShuttingDown`])
 //! and **drains**: every accepted request completes and resolves its
 //! ticket before the workers exit.
@@ -51,7 +54,8 @@
 //! The table holds at most [`Service::SPEC_TABLE_CAPACITY`] raw
 //! strings; past that, each request with an unseen spelling resolves
 //! a fresh entry of its own — slower, never different. Misses populate
-//! the cache when the worker completes (successful responses only),
+//! the cache when the worker (or, for a shed request, the caller's
+//! thread) completes (successful responses only),
 //! from a key's second miss on: a shard's admission window remembers
 //! the keys it missed recently, so a key seen once costs no entry.
 //! Bypass per request with [`Service::submit_uncached`], or disable
@@ -289,12 +293,14 @@ pub struct ServiceConfig {
     /// ([`PoolOptions::max_restarts`]). Defaults to
     /// [`PoolOptions::DEFAULT_MAX_RESTARTS`].
     pub max_worker_restarts: u32,
-    /// When `true`, `Measure`/`FamilySweep` requests degrade to the
-    /// O(1) analytic estimate — wrapped in [`Response::Degraded`] —
-    /// instead of failing with [`ServeError::Overloaded`] (full queue)
-    /// or [`ServeError::WorkerPanicked`] (retries exhausted). Defaults
-    /// to `false`: degradation changes response types, so callers opt
-    /// in.
+    /// When `true`, a request that finds the admission queue full is
+    /// served on the caller's thread instead of failing with
+    /// [`ServeError::Overloaded`]: the same execution a worker runs
+    /// (deadline check, panic capture, retries), against the service's
+    /// own sessions, and the same response, wrapped in
+    /// [`Response::Degraded`]. Every request shape sheds this way.
+    /// Defaults to `false`: shedding changes the response type and
+    /// spends the caller's time, so callers opt in.
     pub degraded_fallback: bool,
     /// The chaos plan injected into this service and its pool
     /// ([`crate::fault`]). Defaults to `None`; the hooks cost nothing
@@ -363,7 +369,8 @@ impl ServiceConfig {
         self
     }
 
-    /// Enables (or disables) the degraded analytic fallback.
+    /// Enables (or disables) shedding a full queue onto the caller's
+    /// thread.
     #[must_use]
     pub fn degraded_fallback(mut self, enabled: bool) -> Self {
         self.degraded_fallback = enabled;
@@ -397,8 +404,9 @@ pub struct ServiceStats {
     /// Requests resolved with [`ServeError::DeadlineExceeded`]
     /// (worker-side sheds and caller-side expiries combined).
     pub deadline_exceeded: u64,
-    /// Requests answered with a [`Response::Degraded`] analytic
-    /// estimate instead of a full simulation.
+    /// Requests shed onto the caller's thread because the admission
+    /// queue was full (answered as [`Response::Degraded`] when they
+    /// serve).
     pub degraded: u64,
     /// Faults the installed [`FaultPlan`] has fired so far (0 without
     /// a plan).
@@ -436,7 +444,7 @@ struct ServeCounters {
 }
 
 /// One raw spec string, resolved once by the spec table: everything
-/// the cache key, the session lookup and the degraded fallback need.
+/// the cache key and the session lookup need.
 #[derive(Debug)]
 struct SpecEntry {
     /// The canonical spec text (`MapSpec::canonical`), shared by every
@@ -452,7 +460,7 @@ struct SpecEntry {
 
 /// A session cache: canonical spec text → warm session, holding at
 /// most [`Service::SPEC_TABLE_CAPACITY`] sessions. One per pool worker,
-/// plus the service's degraded-fallback map.
+/// plus the service's map for shed requests.
 #[derive(Debug, Default)]
 struct SpecSessions {
     sessions: HashMap<Arc<str>, BatchRunner>,
@@ -534,13 +542,12 @@ pub struct Service {
     in_flight: Arc<AtomicUsize>,
     /// Robustness counters, shared with every pending ticket.
     counters: Arc<ServeCounters>,
-    /// Caller-thread sessions for the submit-side degraded fallback
-    /// (overload shedding never touches the saturated pool), bounded
-    /// like every worker's.
+    /// Caller-thread sessions for shed requests (shedding never
+    /// touches the saturated pool), bounded like every worker's.
     degraded_sessions: ClassedMutex<SpecSessions>,
-    /// Worker-side retry budget per request.
+    /// Retry budget per request.
     max_retries: u32,
-    /// Whether overload/retry-exhaustion degrade to analytic estimates.
+    /// Whether a full queue sheds onto the caller's thread.
     degraded_fallback: bool,
     /// The installed chaos plan; `None` (the default) costs nothing.
     faults: Option<Arc<FaultPlan>>,
@@ -630,7 +637,9 @@ impl Service {
     /// * [`ServeError::Spec`] — the spec string does not parse;
     /// * [`ServeError::Request`] — invalid sweep/estimator parameters
     ///   (even `sigma`, zero `per_family`, …);
-    /// * [`ServeError::Overloaded`] — admission queue full;
+    /// * [`ServeError::Overloaded`] — admission queue full and
+    ///   [`ServiceConfig::degraded_fallback`] off (on, the caller's
+    ///   thread serves the request instead);
     /// * [`ServeError::ShuttingDown`] — [`shutdown`](Self::shutdown)
     ///   has begun.
     ///
@@ -668,8 +677,7 @@ impl Service {
     /// when given, bounds the request as in
     /// [`submit_with_budget`](Self::submit_with_budget), and `wake`
     /// runs on the worker once the response is on the ticket — also when the pool drops the request unrun. A ticket
-    /// born resolved (a cache hit or a submit-side degraded answer)
-    /// never wakes, so poll every ticket once on receipt; a refused
+    /// born resolved (a cache hit or a shed request) never wakes, so poll every ticket once on receipt; a refused
     /// submission may still run `wake`.
     #[must_use = "the ServeTicket inside is the only handle to the response"]
     pub fn submit_with_wake(
@@ -740,10 +748,11 @@ impl Service {
 
         let deadline = budget.map(|b| Instant::now() + b);
 
-        // Only the degraded overload path needs the request after the
-        // closure takes it; clone up front only when that path is live.
-        let fallback_inputs = (self.degraded_fallback && degradable(&request))
-            .then(|| (Arc::clone(&entry), request.clone()));
+        // Only a shed needs the request after the closure takes it;
+        // clone up front only when shedding is on.
+        let shed_inputs = self
+            .degraded_fallback
+            .then(|| (Arc::clone(&entry), request.clone(), populate.clone()));
         self.in_flight.fetch_add(1, Ordering::Relaxed);
         // The guard rides inside the closure from here on: any way the
         // job can end — completion, panic, rejection at the queue, or
@@ -752,24 +761,23 @@ impl Service {
         let guard = InFlightGuard(Arc::clone(&self.in_flight));
         let counters = Arc::clone(&self.counters);
         let max_retries = self.max_retries;
-        let degrade = self.degraded_fallback;
         let submitted = self.pool.try_submit_waking(
             move |sessions: &mut SpecSessions| {
                 let _guard = guard;
-                serve_one(
+                let result = serve_one(
                     sessions,
                     &entry,
                     &request,
-                    populate,
                     ServeAttempts {
                         deadline,
                         budget,
                         max_retries,
-                        degrade,
                         inject_panic,
                         counters: &counters,
                     },
-                )
+                );
+                cache_success(populate, &result);
+                result
             },
             wake,
         );
@@ -783,36 +791,50 @@ impl Service {
             Err(SubmitError::QueueFull {
                 queue_depth,
                 capacity,
-            }) => {
-                // Graceful degradation: shed the overload onto the O(1)
-                // analytic estimator (caller thread — the saturated
-                // pool is left alone) when the caller opted in and the
-                // request shape degrades.
-                if let Some((entry, request)) = &fallback_inputs {
-                    if let Some(response) = self.degrade_on_submit(entry, request) {
-                        self.counters.degraded.fetch_add(1, Ordering::Relaxed);
-                        return Ok(ServeTicket::now(Ok(response)));
-                    }
+            }) => match shed_inputs {
+                // Caller runs: the saturated pool is left alone.
+                Some((entry, request, populate)) => {
+                    let policy = ServeAttempts {
+                        deadline,
+                        budget,
+                        max_retries: self.max_retries,
+                        inject_panic,
+                        counters: &self.counters,
+                    };
+                    Ok(ServeTicket::now(
+                        self.shed(&entry, &request, populate, policy),
+                    ))
                 }
-                Err(ServeError::Overloaded {
+                None => Err(ServeError::Overloaded {
                     queue_depth,
                     capacity,
-                })
-            }
+                }),
+            },
             Err(SubmitError::ShuttingDown) => Err(ServeError::ShuttingDown),
         }
     }
 
-    /// The submit-side degraded path: an analytic estimate computed on
-    /// the **caller's** thread against the service's fallback session
-    /// map. `None` when the request shape does not degrade
-    /// (batch/efficiency) or the spec does not build.
-    fn degrade_on_submit(&self, entry: &SpecEntry, request: &Request) -> Option<Response> {
-        if !degradable(request) {
-            return None;
-        }
-        let mut sessions = self.degraded_sessions.lock();
-        degraded_response_session(sessions.get_or_create(entry).ok()?, request)
+    /// Serves a request that found the admission queue full on the
+    /// **caller's** thread, against the service's own session map: the
+    /// loop a worker runs ([`serve_one`]), then the cache fill of a
+    /// miss. A response comes back wrapped in [`Response::Degraded`].
+    fn shed(
+        &self,
+        entry: &SpecEntry,
+        request: &Request,
+        populate: Option<(Arc<ResultCache>, CacheKey)>,
+        policy: ServeAttempts<'_>,
+    ) -> ServeResult {
+        self.counters.degraded.fetch_add(1, Ordering::Relaxed);
+        let result = {
+            let mut sessions = self.degraded_sessions.lock();
+            serve_one(&mut sessions, entry, request, policy)
+        };
+        cache_success(populate, &result);
+        result.map(|response| Response::Degraded {
+            response: Box::new(response),
+            exact: true,
+        })
     }
 
     /// The cache key of `request` under the resolved spec `entry`, or
@@ -1062,22 +1084,21 @@ struct ServeAttempts<'a> {
     deadline: Option<Instant>,
     budget: Option<Duration>,
     max_retries: u32,
-    degrade: bool,
     /// Chaos: panic on the first attempt ([`SubmitFault::PanicJob`]).
     inject_panic: bool,
     counters: &'a ServeCounters,
 }
 
-/// The worker-side request loop: deadline shed → execute under
-/// `catch_unwind` → bounded retry with backoff → degraded fallback or
-/// typed [`ServeError::WorkerPanicked`]. Requests are idempotent by
-/// construction (responses are pure functions of the request, sessions
-/// are rebuilt on demand), so re-execution after a panic is sound.
+/// The request loop of a worker, and of a shed on the caller's thread:
+/// deadline shed → execute under `catch_unwind` → bounded retry with
+/// backoff → typed [`ServeError::WorkerPanicked`] once the retries are
+/// spent. Requests are idempotent by construction (responses are pure
+/// functions of the request, sessions are rebuilt on demand), so
+/// re-execution after a panic is sound.
 fn serve_one(
     sessions: &mut SpecSessions,
     entry: &SpecEntry,
     request: &Request,
-    mut populate: Option<(Arc<ResultCache>, CacheKey)>,
     policy: ServeAttempts<'_>,
 ) -> ServeResult {
     let mut inject_panic = policy.inject_panic;
@@ -1119,13 +1140,6 @@ fn serve_one(
                         .actual_conflicts
                         .fetch_add(outcome.actual_conflicts, Ordering::Relaxed);
                 }
-                if let (Some((cache, key)), Ok(response)) = (populate.take(), &result) {
-                    // Degraded responses are never cached: they are
-                    // stand-ins, not the request's true response.
-                    if !matches!(response, Response::Degraded { .. }) {
-                        cache.insert(key, response);
-                    }
-                }
                 return result;
             }
             Err(payload) => {
@@ -1134,20 +1148,6 @@ fn serve_one(
                     policy.counters.retries.fetch_add(1, Ordering::Relaxed);
                     backoff(attempt);
                     continue;
-                }
-                // Retries exhausted. Degrade if the caller opted in and
-                // the shape allows; otherwise surface the typed error.
-                if policy.degrade && degradable(request) {
-                    let fallback = catch_unwind(AssertUnwindSafe(|| {
-                        let session = sessions.get_or_create(entry).ok()?;
-                        degraded_response_session(session, request)
-                    }))
-                    .ok()
-                    .flatten();
-                    if let Some(response) = fallback {
-                        policy.counters.degraded.fetch_add(1, Ordering::Relaxed);
-                        return Ok(response);
-                    }
                 }
                 return Err(ServeError::WorkerPanicked {
                     attempts: attempt,
@@ -1167,51 +1167,11 @@ fn backoff(attempt: u32) {
     }
 }
 
-/// Whether the request shape has an analytic stand-in.
-fn degradable(request: &Request) -> bool {
-    matches!(
-        request,
-        Request::Measure { .. } | Request::FamilySweep { .. }
-    )
-}
-
-/// The analytic stand-in for a degradable request, against an existing
-/// session. `None` only for non-degradable shapes.
-fn degraded_response_session(session: &mut BatchRunner, request: &Request) -> Option<Response> {
-    match request {
-        // `None` when the strategy cannot plan the access, as on the
-        // full path.
-        Request::Measure { vec, strategy, .. } => Some(Response::Degraded {
-            response: Box::new(Response::Measured(session.analytic(vec, *strategy))),
-            exact: true,
-        }),
-        Request::FamilySweep {
-            len, max_x, sigma, ..
-        } => {
-            let mut rows = Vec::with_capacity(*max_x as usize + 1);
-            for x in 0..=*max_x {
-                // Validated at submission: these constructions succeed
-                // for every admitted sweep.
-                let stride = Stride::from_parts(*sigma, x).ok()?;
-                let vec = VectorSpec::with_stride(16u64.into(), stride, *len).ok()?;
-                let stats = session.analytic(&vec, Strategy::Auto)?;
-                rows.push(FamilyPoint {
-                    x,
-                    stride: stride.get(),
-                    latency: stats.latency,
-                    conflicts: stats.conflicts,
-                    stall_cycles: stats.stall_cycles,
-                    cycles_per_element: session.cycles_per_element(&stats),
-                });
-            }
-            Some(Response::Degraded {
-                response: Box::new(Response::FamilySweep(rows)),
-                exact: true,
-            })
-        }
-        Request::MeasureBatch { .. } | Request::Efficiency { .. } | Request::MultiStream { .. } => {
-            None
-        }
+/// Caches a successful response under the key its miss was admitted
+/// with, if it was.
+fn cache_success(populate: Option<(Arc<ResultCache>, CacheKey)>, result: &ServeResult) {
+    if let (Some((cache, key)), Ok(response)) = (populate, result) {
+        cache.insert(key, response);
     }
 }
 
@@ -1497,7 +1457,20 @@ mod tests {
             assert!(warm.is_ok(), "rows=1|{k}: {warm:?}");
             assert_eq!(warm, cold, "rows=1|{k}");
             let entry = cached.resolve(request.spec()).expect("parses");
-            assert!(cached.degrade_on_submit(&entry, &request).is_some());
+            let policy = ServeAttempts {
+                deadline: None,
+                budget: None,
+                max_retries: 0,
+                inject_panic: false,
+                counters: &cached.counters,
+            };
+            assert_eq!(
+                cached.shed(&entry, &request, None, policy),
+                warm.map(|response| Response::Degraded {
+                    response: Box::new(response),
+                    exact: true,
+                })
+            );
         }
         for service in [&cached, &uncached] {
             assert_eq!(service.specs.lock().len(), CAP);

@@ -310,7 +310,7 @@ fn deadline_budget_resolves_typed_error_instead_of_blocking() {
 fn degraded_fallback_sheds_overload_with_flagged_estimates() {
     // One worker, a 2-deep queue, fallback on: once the queue is full,
     // further submissions resolve *immediately* as Degraded instead of
-    // Overloaded.
+    // Overloaded, and each shed carries the fault-free response.
     let spec = "xor-matched:t=3,s=4";
     let (plan, mut gate) = FaultPlan::new().hold_at(0);
     let service = Service::new(
@@ -326,52 +326,44 @@ fn degraded_fallback_sheds_overload_with_flagged_estimates() {
         max_x: 4,
         sigma,
     };
+    let stride = Stride::from_parts(7, 1).expect("odd sigma");
+    let mut requests: Vec<Request> = [1, 3, 5].into_iter().map(sweep).collect();
+    requests.extend((0..8u64).map(|i| Request::Measure {
+        spec: spec.into(),
+        vec: VectorSpec::with_stride((128 + i).into(), stride, 64).expect("bounded"),
+        strategy: Strategy::Auto,
+    }));
+    let truth = serial_truth(&requests);
     // Wedge the worker: pool job 0 is held at the gate once the worker
     // pops it. Only then is the queue filled, and it cannot drain until
     // the gate opens after the last submission.
-    let mut tickets = vec![service.submit(sweep(1)).expect("an empty queue admits")];
+    let mut tickets = vec![service
+        .submit(requests[0].clone())
+        .expect("an empty queue admits")];
     gate.wait_held();
-    for sigma in [3, 5] {
+    for request in &requests[1..] {
         tickets.push(
             service
-                .submit(sweep(sigma))
-                .expect("fallback absorbs overload"),
+                .submit(request.clone())
+                .expect("fallback absorbs overload instead of rejecting"),
         );
-    }
-    let stride = Stride::from_parts(7, 1).expect("odd sigma");
-    for i in 0..8u64 {
-        let vec = VectorSpec::with_stride((128 + i).into(), stride, 64).expect("bounded");
-        let ticket = service
-            .submit(Request::Measure {
-                spec: spec.into(),
-                vec,
-                strategy: Strategy::Auto,
-            })
-            .expect("fallback absorbs overload instead of rejecting");
-        tickets.push(ticket);
     }
     gate.release();
     // Count sheds over every submission, sweeps included: the caller's
     // view and the service's counter must agree exactly.
     let mut shed = 0u64;
-    for (i, ticket) in tickets.into_iter().enumerate() {
+    for (i, (ticket, truth)) in tickets.into_iter().zip(&truth).enumerate() {
         let result = ticket
             .wait_timeout(Duration::from_secs(60))
             .unwrap_or_else(|_| panic!("submission {i} failed to resolve"))
             .expect("submissions serve");
         match result {
-            Response::Degraded { response, .. } => {
-                assert!(
-                    matches!(
-                        *response,
-                        Response::Measured(Some(_)) | Response::FamilySweep(_)
-                    ),
-                    "degraded responses keep their full shape"
-                );
+            Response::Degraded { response, exact } => {
+                assert!(exact, "submission {i}");
+                assert_eq!(*response, *truth, "submission {i}: shed response");
                 shed += 1;
             }
-            Response::Measured(Some(_)) | Response::FamilySweep(_) => {}
-            other => panic!("unexpected response {other:?}"),
+            response => assert_eq!(response, *truth, "submission {i}"),
         }
     }
     assert!(
@@ -380,25 +372,6 @@ fn degraded_fallback_sheds_overload_with_flagged_estimates() {
     );
     assert_eq!(service.stats().degraded, shed);
     service.shutdown();
-}
-
-#[test]
-fn degraded_exact_estimates_match_the_full_simulation() {
-    // The degraded response's aggregates must equal the full
-    // simulation's.
-    let mut session =
-        BatchRunner::from_spec(&"xor-matched:t=3,s=4".parse().expect("valid")).expect("builds");
-    let stride = Stride::from_parts(1, 0).expect("odd");
-    let vec = VectorSpec::with_stride(0u64.into(), stride, 512).expect("bounded");
-    let est = session
-        .analytic(&vec, Strategy::Auto)
-        .expect("auto always plans");
-    let full = session
-        .measure_owned(&vec, Strategy::Auto)
-        .expect("auto always plans");
-    assert_eq!(est.latency, full.latency);
-    assert_eq!(est.stall_cycles, full.stall_cycles);
-    assert_eq!(est.conflicts, full.conflicts);
 }
 
 proptest! {

@@ -337,48 +337,54 @@ fn submits_after_shutdown_are_refused_as_shutting_down() {
 fn exhausted_retries_resolve_worker_panicked_with_the_message() {
     // A panic injected at submission 0 with retries disabled: the
     // ticket resolves the typed error, the worker survives, and the
-    // service keeps serving bit-identically.
-    let plan = Arc::new(FaultPlan::new().panic_at(0));
-    let service = Service::new(
-        ServiceConfig::with_workers(1)
-            .max_retries(0)
-            .fault_plan(plan),
-    );
-    let vec = VectorSpec::new(0, 3, 64).expect("valid");
-    let doomed = service
-        .submit(Request::Measure {
-            spec: "interleaved:m=3".into(),
-            vec,
-            strategy: Strategy::Auto,
-        })
-        .expect("room");
-    match doomed.wait() {
-        Err(ServeError::WorkerPanicked { attempts, message }) => {
-            assert_eq!(attempts, 1);
-            assert!(message.contains("injected fault"), "{message}");
+    // service keeps serving bit-identically. Shedding on or off, spent
+    // retries are an error: nothing reruns the code that panicked.
+    for fallback in [false, true] {
+        let plan = Arc::new(FaultPlan::new().panic_at(0));
+        let service = Service::new(
+            ServiceConfig::with_workers(1)
+                .max_retries(0)
+                .degraded_fallback(fallback)
+                .fault_plan(plan),
+        );
+        let vec = VectorSpec::new(0, 3, 64).expect("valid");
+        let doomed = service
+            .submit(Request::Measure {
+                spec: "interleaved:m=3".into(),
+                vec,
+                strategy: Strategy::Auto,
+            })
+            .expect("room");
+        match doomed.wait() {
+            Err(ServeError::WorkerPanicked { attempts, message }) => {
+                assert_eq!(attempts, 1, "fallback {fallback}");
+                assert!(message.contains("injected fault"), "{message}");
+            }
+            other => panic!("fallback {fallback}: expected WorkerPanicked, got {other:?}"),
         }
-        other => panic!("expected WorkerPanicked, got {other:?}"),
+        // The follow-up request (no fault scheduled) matches a fresh
+        // serial session exactly.
+        let vec = VectorSpec::new(0, 3, 64).expect("valid");
+        let served = service
+            .submit(Request::Measure {
+                spec: "interleaved:m=3".into(),
+                vec,
+                strategy: Strategy::Auto,
+            })
+            .expect("room")
+            .wait()
+            .expect("serves");
+        let mut serial =
+            BatchRunner::from_spec(&"interleaved:m=3".parse().expect("valid")).expect("builds");
+        let vec = VectorSpec::new(0, 3, 64).expect("valid");
+        assert_eq!(
+            served,
+            Response::Measured(serial.measure_owned(&vec, Strategy::Auto)),
+            "fallback {fallback}"
+        );
+        assert_eq!(service.stats().degraded, 0, "fallback {fallback}");
+        service.shutdown();
     }
-    // The follow-up request (no fault scheduled) matches a fresh
-    // serial session exactly.
-    let vec = VectorSpec::new(0, 3, 64).expect("valid");
-    let served = service
-        .submit(Request::Measure {
-            spec: "interleaved:m=3".into(),
-            vec,
-            strategy: Strategy::Auto,
-        })
-        .expect("room")
-        .wait()
-        .expect("serves");
-    let mut serial =
-        BatchRunner::from_spec(&"interleaved:m=3".parse().expect("valid")).expect("builds");
-    let vec = VectorSpec::new(0, 3, 64).expect("valid");
-    assert_eq!(
-        served,
-        Response::Measured(serial.measure_owned(&vec, Strategy::Auto))
-    );
-    service.shutdown();
 }
 
 #[test]
@@ -413,8 +419,9 @@ fn deadline_and_degraded_responses_stay_equivalent_to_their_sources() {
     wedge.wait().expect("the wedge itself serves normally");
     service.shutdown();
 
-    // `Response::Degraded`: a saturated opted-in service sheds with a
-    // flagged analytic estimate whose shape matches the full path's.
+    // `Response::Degraded`: a saturated opted-in service runs the
+    // overflow on the caller's thread and returns the response a worker
+    // would have, arrivals included.
     let shedding = Service::new(
         ServiceConfig::with_workers(1)
             .queue_capacity(1)
@@ -433,46 +440,34 @@ fn deadline_and_degraded_responses_stay_equivalent_to_their_sources() {
                 .expect("worker + queue absorb the first two")
         })
         .collect();
-    let vec = VectorSpec::new(0, 5, 64).expect("valid");
+    let request = Request::Measure {
+        spec: "xor-matched:t=3,s=4".into(),
+        vec: VectorSpec::new(0, 5, 64).expect("valid"),
+        strategy: Strategy::Auto,
+    };
     let shed = shedding
-        .submit(Request::Measure {
-            spec: "xor-matched:t=3,s=4".into(),
-            vec,
-            strategy: Strategy::Auto,
-        })
-        .expect("degradation absorbs the overflow")
+        .submit(request.clone())
+        .expect("shedding absorbs the overflow")
         .wait()
         .expect("serves");
-    match shed {
-        Response::Degraded { response, .. } => {
-            assert!(matches!(*response, Response::Measured(Some(_))));
-        }
-        // The wedge cleared between submissions; the full path answered.
-        Response::Measured(Some(_)) => {}
-        other => panic!("unexpected response {other:?}"),
-    }
     for w in wedges {
         w.wait().expect("wedges serve normally");
     }
+    let pooled = shedding
+        .submit(request)
+        .expect("the drained queue has room")
+        .wait()
+        .expect("serves");
+    assert!(matches!(pooled, Response::Measured(Some(_))), "{pooled:?}");
+    match shed {
+        Response::Degraded { response, exact } => {
+            assert!(exact);
+            assert_eq!(*response, pooled, "a shed response equals the pooled one");
+        }
+        // The wedge cleared between submissions; the full path answered.
+        response => assert_eq!(response, pooled),
+    }
     shedding.shutdown();
-
-    // The analytic estimate's aggregates are bit-identical to the full
-    // simulation the non-degraded path would run.
-    let mut serial =
-        BatchRunner::from_spec(&"xor-matched:t=3,s=4".parse().expect("valid")).expect("builds");
-    let stride = Stride::from_parts(1, 0).expect("odd");
-    let vec = VectorSpec::with_stride(0u64.into(), stride, 256).expect("valid");
-    let est = serial
-        .analytic(&vec, Strategy::Auto)
-        .expect("auto always plans");
-    let full = serial
-        .measure_owned(&vec, Strategy::Auto)
-        .expect("auto always plans");
-    assert_eq!(
-        (est.latency, est.stall_cycles, est.conflicts),
-        (full.latency, full.stall_cycles, full.conflicts),
-        "a Degraded estimate must match the full run"
-    );
 }
 
 #[test]

@@ -1,6 +1,6 @@
-//! Property suite: the three simulation engines (`Cycle` oracle,
-//! `Periodic` steady-state fast-forward, `FastPath` shortcut) agree
-//! bit-for-bit on randomly generated plans — across
+//! Property suite: the simulating route (the conflict-free fast path,
+//! then the periodic steady-state fast-forward pass) agrees bit-for-bit
+//! with the cycle oracle on randomly generated plans — across
 //! **every registered `ModuleMap`** (the registry coverage set, so new
 //! maps are covered on registration) — and on synthetic request
 //! streams that mix conflict-free windows with bursts to a single
@@ -8,7 +8,7 @@
 
 use cfva::core::mapping::Registry;
 use cfva::core::plan::{Planner, Strategy};
-use cfva::memsim::{Engine, MemConfig, MemorySystem};
+use cfva::memsim::{MemConfig, MemorySystem};
 use cfva::{Addr, ModuleId, Stride, VectorSpec};
 use proptest::prelude::*;
 
@@ -29,7 +29,7 @@ fn planner_for(kind: usize) -> (Planner, MemConfig) {
     )
 }
 
-/// Runs one plan through all three engines on fresh systems and
+/// Runs one plan through the oracle and the route on fresh systems and
 /// asserts identical statistics.
 fn engines_agree_on_plan(
     planner: &Planner,
@@ -42,11 +42,9 @@ fn engines_agree_on_plan(
         // window for ConflictFree): nothing to compare.
         return Ok(());
     };
-    let oracle = MemorySystem::new(cfg).run_plan(&plan);
-    let periodic = MemorySystem::new(cfg.with_engine(Engine::Periodic)).run_plan(&plan);
-    let fast = MemorySystem::new(cfg.with_engine(Engine::FastPath)).run_plan(&plan);
-    prop_assert_eq!(&oracle, &periodic, "cycle vs periodic");
-    prop_assert_eq!(&oracle, &fast, "cycle vs fast-path");
+    let oracle = MemorySystem::new(cfg).run_oracle(&plan);
+    let route = MemorySystem::new(cfg).run_plan(&plan);
+    prop_assert_eq!(&oracle, &route, "oracle vs route");
     Ok(())
 }
 
@@ -54,7 +52,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Random plans over every registered map, strategies and queue
-    /// shapes: identical `AccessStats` from all three engines.
+    /// shapes: identical `AccessStats` from the oracle and the route.
     #[test]
     fn engines_agree_on_random_plans(
         kind in 0usize..registry_len(),
@@ -80,7 +78,7 @@ proptest! {
 
     /// Synthetic request streams alternating conflict-free rotations
     /// with bursts pinned to one module — the mixed regime where the
-    /// fast path gives way and the periodic engine's solver queues.
+    /// fast path gives way and the request-order solver queues.
     #[test]
     fn engines_agree_on_mixed_window_burst_streams(
         m in 1u32..=3,
@@ -115,10 +113,8 @@ proptest! {
             })
             .collect();
 
-        let oracle = MemorySystem::new(cfg).run_requests(&stream);
-        let periodic = MemorySystem::new(cfg.with_engine(Engine::Periodic)).run_requests(&stream);
-        let fast = MemorySystem::new(cfg.with_engine(Engine::FastPath)).run_requests(&stream);
-        prop_assert_eq!(&oracle, &periodic, "cycle vs periodic");
-        prop_assert_eq!(&oracle, &fast, "cycle vs fast-path");
+        let (oracle, _) = MemorySystem::new(cfg).run_timed(&stream);
+        let route = MemorySystem::new(cfg).run_requests(&stream);
+        prop_assert_eq!(&oracle, &route, "oracle vs route");
     }
 }

@@ -1,8 +1,9 @@
 //! Multi-stream engine properties across **every registered map** (the
 //! registry coverage set, so new maps are covered on registration):
 //!
-//! * the fast path (request-order solver records) is bit-identical to
-//!   the traced cycle oracle for both static issue policies;
+//! * the route (`run_multi`: request-order solver records) is
+//!   bit-identical to the cycle oracle (`run_multi_oracle`) for both
+//!   static issue policies;
 //! * per-stream statistics of conflict-free co-scheduled batches are
 //!   permutation-invariant: reordering the streams permutes the
 //!   per-stream views (up to the deterministic issue-slot shift of the
@@ -10,8 +11,8 @@
 
 use cfva::core::mapping::Registry;
 use cfva::core::plan::{AccessPlan, Planner, Strategy};
-use cfva::memsim::multi::{run_multi, IssuePolicy, MultiStats};
-use cfva::memsim::{Engine, MemConfig, MemorySystem};
+use cfva::memsim::multi::{run_multi, run_multi_oracle, IssuePolicy, MultiStats};
+use cfva::memsim::{MemConfig, MemorySystem};
 use cfva::{Stride, VectorSpec};
 use proptest::prelude::*;
 
@@ -54,8 +55,8 @@ fn stream_menu(planner: &Planner) -> Vec<AccessPlan> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Fast path ≡ cycle oracle, bit for bit, for every registered
-    /// map, both static policies, any stream subset.
+    /// Route ≡ cycle oracle, bit for bit, for every registered map,
+    /// both static policies, any stream subset.
     #[test]
     fn multi_stream_fast_path_bit_identical_to_cycle_oracle(
         kind in 0usize..64,
@@ -73,9 +74,8 @@ proptest! {
             .collect();
         prop_assume!(!plans.is_empty());
         let policy = [IssuePolicy::RoundRobin, IssuePolicy::Priority][policy_ix];
-        let oracle = run_multi(cfg, &plans, policy).expect("validated plans");
-        let fast = run_multi(cfg.with_engine(Engine::FastPath), &plans, policy)
-            .expect("validated plans");
+        let oracle = run_multi_oracle(cfg, &plans, policy).expect("validated plans");
+        let fast = run_multi(cfg, &plans, policy).expect("validated plans");
         prop_assert_eq!(&oracle, &fast, "map {} policy {}", kind, policy);
         // The totals are the per-stream sums under both paths.
         prop_assert_eq!(
@@ -265,10 +265,10 @@ fn fold_multi(digest: &mut u64, multi: &MultiStats) {
 /// Pinned digests of every co-run and 2-port solo run, per registered
 /// map in registration order: each subset of the stream menu under all
 /// three issue policies, on 1 and 2 ports, with queues (1,1), (2,1) and
-/// (1,2), then each menu plan alone through `run_plan` on 2 ports. The
-/// constants pin the oracle's co-run semantics (including
-/// work-conserving issue and multi-port grants), which no other engine
-/// is compared against.
+/// (1,2), then each menu plan alone through `run_oracle` on 2 ports, all
+/// on the oracle by name. The constants pin the oracle's co-run
+/// semantics (including work-conserving issue and multi-port grants),
+/// which the route never reaches.
 #[test]
 fn co_run_and_multi_port_digests_are_pinned() {
     const PINNED: &[u64] = &[
@@ -305,13 +305,13 @@ fn co_run_and_multi_port_digests_are_pinned() {
                         IssuePolicy::Priority,
                         IssuePolicy::WorkConserving,
                     ] {
-                        let multi = run_multi(cfg, &plans, policy).expect("validated plans");
+                        let multi = run_multi_oracle(cfg, &plans, policy).expect("validated plans");
                         fold_multi(&mut digest, &multi);
                     }
                 }
                 if ports == 2 {
                     for plan in &menu {
-                        let stats = MemorySystem::new(cfg).run_plan(plan);
+                        let stats = MemorySystem::new(cfg).run_oracle(plan);
                         fold(
                             &mut digest,
                             [
