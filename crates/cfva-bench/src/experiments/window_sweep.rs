@@ -4,7 +4,7 @@
 use cfva_core::mapping::{XorMatched, XorUnmatched};
 use cfva_core::plan::{Planner, Strategy};
 use cfva_core::{Stride, VectorSpec};
-use cfva_memsim::MemConfig;
+use cfva_memsim::{MemConfig, MemorySystem};
 
 use crate::runner::BatchRunner;
 use crate::table::Table;
@@ -12,23 +12,27 @@ use crate::table::Table;
 const SIGMAS: [i64; 4] = [1, 3, 5, 7];
 const BASES: [u64; 5] = [0, 1, 16, 37, 1000];
 
-/// For every family, try all σ/base samples through one session:
-/// returns `(plannable, all conflict-free at T+L+1)`.
-fn probe_family(session: &mut BatchRunner, x: u32, len: u64) -> (bool, bool) {
+/// For every family, try all σ/base samples through one session's
+/// planner: returns `(plannable, all conflict-free at T+L+1)`. This
+/// experiment *verifies* the windows, so each plan runs on the cycle
+/// oracle, not on the route's conflict-free shortcut.
+fn probe_family(session: &BatchRunner, x: u32, len: u64) -> (bool, bool) {
     let floor = session.mem().t_cycles() + len + 1;
+    let mut oracle = MemorySystem::new(session.mem());
     let mut plannable = true;
     let mut all_cf = true;
     for sigma in SIGMAS {
         for base in BASES {
             let stride = Stride::from_parts(sigma, x).expect("odd sigma");
             let vec = VectorSpec::with_stride(base.into(), stride, len).expect("valid");
-            match session.measure(&vec, Strategy::ConflictFree) {
-                Some(stats) => {
+            match session.planner().plan(&vec, Strategy::ConflictFree) {
+                Ok(plan) => {
+                    let stats = oracle.run_oracle(&plan);
                     if stats.latency != floor || stats.conflicts != 0 {
                         all_cf = false;
                     }
                 }
-                None => {
+                Err(_) => {
                     plannable = false;
                     all_cf = false;
                 }
@@ -47,10 +51,6 @@ fn probe_windows(
 ) -> Vec<(u32, bool)> {
     let families: Vec<u32> = (0..=max_x).collect();
     BatchRunner::sweep(make_session, &families, |session, &x| {
-        // The session's route checks each plan's windows of `T`
-        // requests before taking the conflict-free shortcut, and solves
-        // any plan that fails the check; its statistics equal the cycle
-        // oracle's (`tests/engine_agreement.rs`).
         let (_, cf) = probe_family(session, x, len);
         (x, cf)
     })

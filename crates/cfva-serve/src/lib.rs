@@ -36,8 +36,8 @@
 //!   supervised workers restart (in-flight jobs re-queued), panicked
 //!   requests retry with backoff, per-request deadlines resolve
 //!   [`api::ServeError::DeadlineExceeded`] instead of blocking, and
-//!   overload can shed onto the caller's thread, answered as
-//!   [`api::Response::Degraded`] — see `tests/chaos.rs` for the
+//!   overload can shed onto the caller's thread (which then runs the
+//!   whole request), answered as [`api::Response::Degraded`] — see `tests/chaos.rs` for the
 //!   invariants (every accepted ticket resolves, bit-identical to a
 //!   fault-free serial run, under any seeded schedule).
 //!

@@ -34,9 +34,9 @@
 //!   any subsequent `Sched` acquisition by the replacement, happens
 //!   strictly outside the ledger lock.
 //! * `DegradedSessions` guards the session map of requests shed onto
-//!   the caller's thread. A shed runs the worker's request loop under
-//!   it, panics caught inside, with no other serve lock held; its
-//!   cache fill happens after the guard is released.
+//!   the caller's thread. A shed holds it to take its spec's session
+//!   out of the map and again to put it back; the request itself, and
+//!   the cache fill after it, run between the two acquisitions.
 //! * `WireConns` guards the wire server's list of live connection
 //!   handles. The acceptor swaps out finished handles and pushes the
 //!   new one under the lock, and joins the finished ones after

@@ -19,7 +19,8 @@
 //! A full queue rejects with [`ServeError::Overloaded`] — callers get
 //! a typed signal to back off instead of unbounded queueing — unless
 //! [`ServiceConfig::degraded_fallback`] is on: then the caller's thread
-//! serves the request itself and gets the worker's response wrapped in
+//! serves the request itself, blocking in `submit` for the whole
+//! request, and gets the worker's response wrapped in
 //! [`Response::Degraded`].
 //! [`Service::shutdown`] stops admission ([`ServeError::ShuttingDown`])
 //! and **drains**: every accepted request completes and resolves its
@@ -99,6 +100,9 @@ use crate::workload::StrideSampler;
 /// [`Service::submit_with_wake`]) resolves with
 /// [`ServeError::DeadlineExceeded`] instead of blocking past its
 /// deadline — [`wait`](ServeTicket::wait) never outlives the budget.
+/// (A request shed onto the caller's thread runs inside `submit`, which
+/// may return past the deadline; its ticket is then born resolved with
+/// the same error.)
 #[must_use = "a ServeTicket is the only handle to the response; drop it and the response is lost"]
 #[derive(Debug)]
 pub struct ServeTicket {
@@ -299,6 +303,12 @@ pub struct ServiceConfig {
     /// (deadline check, panic capture, retries), against the service's
     /// own sessions, and the same response, wrapped in
     /// [`Response::Degraded`]. Every request shape sheds this way.
+    /// A shed blocks the submitting thread for the whole request (up to
+    /// the element budget a request may ask for), budget or not — for
+    /// the wire front end that is the connection's reader thread — and
+    /// a shed that completes past its deadline resolves
+    /// [`ServeError::DeadlineExceeded`]. Sheds run concurrently, with
+    /// no lock held while a request runs.
     /// Defaults to `false`: shedding changes the response type and
     /// spends the caller's time, so callers opt in.
     pub degraded_fallback: bool,
@@ -476,15 +486,24 @@ impl SpecSessions {
     fn get_or_create(&mut self, entry: &SpecEntry) -> Result<&mut BatchRunner, ServeError> {
         if !self.sessions.contains_key(&*entry.canon) {
             let session = BatchRunner::from_spec(&entry.spec).map_err(ServeError::Spec)?;
-            if self.sessions.len() >= Service::SPEC_TABLE_CAPACITY {
-                if let Some(victim) = self.sessions.keys().next().cloned() {
-                    self.sessions.remove(&victim);
-                }
-            }
-            self.sessions.insert(Arc::clone(&entry.canon), session);
+            self.insert(entry, session);
         }
         // cfva-lint: allow(L002, reason = "contains_key above guarantees the entry; the double lookup (vs the Entry API) keeps the hot path free of refcount traffic on the shared key")
         Ok(self.sessions.get_mut(&*entry.canon).expect("just ensured"))
+    }
+
+    /// Stores `session` as `entry`'s, replacing any session the map
+    /// holds for it and otherwise evicting an arbitrary session from a
+    /// full map.
+    fn insert(&mut self, entry: &SpecEntry, session: BatchRunner) {
+        if self.sessions.len() >= Service::SPEC_TABLE_CAPACITY
+            && !self.sessions.contains_key(&*entry.canon)
+        {
+            if let Some(victim) = self.sessions.keys().next().cloned() {
+                self.sessions.remove(&victim);
+            }
+        }
+        self.sessions.insert(Arc::clone(&entry.canon), session);
     }
 }
 
@@ -543,7 +562,8 @@ pub struct Service {
     /// Robustness counters, shared with every pending ticket.
     counters: Arc<ServeCounters>,
     /// Caller-thread sessions for shed requests (shedding never
-    /// touches the saturated pool), bounded like every worker's.
+    /// touches the saturated pool), bounded like every worker's. A shed
+    /// takes its spec's session out and puts it back afterwards.
     degraded_sessions: ClassedMutex<SpecSessions>,
     /// Retry budget per request.
     max_retries: u32,
@@ -664,6 +684,10 @@ impl Service {
     /// ticket resolves with [`ServeError::DeadlineExceeded`] once the
     /// budget elapses: workers shed the request instead of starting it
     /// late, and [`ServeTicket::wait`] never blocks past the deadline.
+    /// A request shed onto the caller's thread
+    /// ([`ServiceConfig::degraded_fallback`]) is the exception: this
+    /// call runs it and may return past the deadline, with a ticket
+    /// resolved to [`ServeError::DeadlineExceeded`].
     #[must_use = "the ServeTicket inside is the only handle to the response"]
     pub fn submit_with_budget(
         &self,
@@ -678,7 +702,9 @@ impl Service {
     /// [`submit_with_budget`](Self::submit_with_budget), and `wake`
     /// runs on the worker once the response is on the ticket — also when the pool drops the request unrun. A ticket
     /// born resolved (a cache hit or a shed request) never wakes, so poll every ticket once on receipt; a refused
-    /// submission may still run `wake`.
+    /// submission may still run `wake`. A shed request
+    /// ([`ServiceConfig::degraded_fallback`]) runs on this call's
+    /// thread, which it blocks for the whole request.
     #[must_use = "the ServeTicket inside is the only handle to the response"]
     pub fn submit_with_wake(
         &self,
@@ -815,9 +841,16 @@ impl Service {
     }
 
     /// Serves a request that found the admission queue full on the
-    /// **caller's** thread, against the service's own session map: the
-    /// loop a worker runs ([`serve_one`]), then the cache fill of a
-    /// miss. A response comes back wrapped in [`Response::Degraded`].
+    /// **caller's** thread: the loop a worker runs ([`serve_one`]),
+    /// then the cache fill of a miss. A response comes back wrapped in
+    /// [`Response::Degraded`]; one that completes past the request's
+    /// deadline resolves [`ServeError::DeadlineExceeded`], as a pooled
+    /// ticket would.
+    ///
+    /// The request runs with no lock held: the spec's session is taken
+    /// out of the shed session map and put back afterwards, so
+    /// concurrent sheds of one spec each take or build a session of
+    /// their own, and the last one put back stays.
     fn shed(
         &self,
         entry: &SpecEntry,
@@ -826,15 +859,34 @@ impl Service {
         policy: ServeAttempts<'_>,
     ) -> ServeResult {
         self.counters.degraded.fetch_add(1, Ordering::Relaxed);
-        let result = {
-            let mut sessions = self.degraded_sessions.lock();
-            serve_one(&mut sessions, entry, request, policy)
-        };
+        let (deadline, budget) = (policy.deadline, policy.budget);
+        let mut taken = SpecSessions::default();
+        let session = self.degraded_sessions.lock().sessions.remove(&*entry.canon);
+        if let Some(session) = session {
+            taken.insert(entry, session);
+        }
+        let result = serve_one(&mut taken, entry, request, policy);
+        if let Some(session) = taken.sessions.remove(&*entry.canon) {
+            self.degraded_sessions.lock().insert(entry, session);
+        }
         cache_success(populate, &result);
-        result.map(|response| Response::Degraded {
-            response: Box::new(response),
-            exact: true,
-        })
+        match deadline {
+            Some(deadline)
+                if Instant::now() >= deadline
+                    && !matches!(result, Err(ServeError::DeadlineExceeded { .. })) =>
+            {
+                self.counters
+                    .deadline_exceeded
+                    .fetch_add(1, Ordering::Relaxed);
+                Err(ServeError::DeadlineExceeded {
+                    budget: budget.unwrap_or_default(),
+                })
+            }
+            _ => result.map(|response| Response::Degraded {
+                response: Box::new(response),
+                exact: true,
+            }),
+        }
     }
 
     /// The cache key of `request` under the resolved spec `entry`, or

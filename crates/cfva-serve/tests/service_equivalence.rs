@@ -389,7 +389,7 @@ fn exhausted_retries_resolve_worker_panicked_with_the_message() {
 
 #[test]
 fn deadline_and_degraded_responses_stay_equivalent_to_their_sources() {
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
     // `ServeError::DeadlineExceeded`: a zero budget against a wedged
     // worker resolves typed, never blocks.
     let service = Service::new(ServiceConfig::with_workers(1).queue_capacity(8));
@@ -468,6 +468,56 @@ fn deadline_and_degraded_responses_stay_equivalent_to_their_sources() {
         response => assert_eq!(response, pooled),
     }
     shedding.shutdown();
+
+    // A shed with a budget: the caller's thread runs the whole request,
+    // and one that completes past its deadline resolves typed, as a
+    // pooled ticket would — never `Ok` after the budget. The budget is
+    // a quarter of the request's serial run, so it elapses mid-run.
+    let long = Request::FamilySweep {
+        spec: "xor-matched:t=3,s=4".into(),
+        len: 65536,
+        max_x: 8,
+        sigma: 7,
+    };
+    let timing = Service::new(ServiceConfig::with_workers(1).cache_bytes(0));
+    let started = Instant::now();
+    let ticket = timing.submit(long.clone()).expect("room");
+    ticket.wait().expect("serves");
+    let budget = started.elapsed() / 4;
+    timing.shutdown();
+    let (plan, mut gate) = FaultPlan::new().hold_at(0);
+    let shedding = Service::new(
+        ServiceConfig::with_workers(1)
+            .queue_capacity(1)
+            .cache_bytes(0)
+            .degraded_fallback(true)
+            .fault_plan(Arc::new(plan)),
+    );
+    let measure = |base: u64| Request::Measure {
+        spec: "xor-matched:t=3,s=4".into(),
+        vec: VectorSpec::new(base, 5, 64).expect("valid"),
+        strategy: Strategy::Auto,
+    };
+    let wedge = shedding.submit(measure(0)).expect("an empty queue admits");
+    gate.wait_held();
+    let queued = shedding.submit(measure(1)).expect("the queue's one slot");
+    let budgeted = shedding
+        .submit_with_budget(long, budget)
+        .map(|ticket| ticket.wait());
+    let stats = shedding.stats();
+    // Open the gate before asserting: a failed assert must not leave
+    // the service's drain waiting on a held worker.
+    gate.release();
+    wedge.wait().expect("the wedge itself serves normally");
+    queued.wait().expect("the queued request serves normally");
+    shedding.shutdown();
+    match budgeted {
+        Ok(Err(ServeError::DeadlineExceeded { budget: reported })) => {
+            assert_eq!(reported, budget);
+        }
+        other => panic!("a shed past its budget resolved {other:?}"),
+    }
+    assert_eq!((stats.degraded, stats.deadline_exceeded), (1, 1));
 }
 
 #[test]

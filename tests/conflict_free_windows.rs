@@ -1,6 +1,8 @@
 //! Property tests of the paper's central claims: for ANY stride in the
 //! window and ANY initial address, the replay order is conflict free
-//! and the access completes in exactly `T + L + 1` cycles.
+//! and the access completes in exactly `T + L + 1` cycles — simulated
+//! on the cycle oracle (`MemorySystem::run_oracle`), not on the route,
+//! whose conflict-free shortcut would assume what these tests check.
 
 use cfva::core::mapping::{XorMatched, XorUnmatched};
 use cfva::core::plan::{Planner, Strategy};
@@ -25,7 +27,7 @@ proptest! {
         let plan = planner.plan(&vec, Strategy::ConflictFree).unwrap();
         prop_assert!(plan.is_conflict_free(8));
 
-        let stats = MemorySystem::new(MemConfig::new(3, 3).unwrap()).run_plan(&plan);
+        let stats = MemorySystem::new(MemConfig::new(3, 3).unwrap()).run_oracle(&plan);
         prop_assert_eq!(stats.latency, 8 + 128 + 1);
         prop_assert_eq!(stats.conflicts, 0);
         prop_assert_eq!(stats.stall_cycles, 0);
@@ -45,7 +47,7 @@ proptest! {
         let plan = planner.plan(&vec, Strategy::ConflictFree).unwrap();
         prop_assert!(plan.is_conflict_free(8));
 
-        let stats = MemorySystem::new(MemConfig::new(6, 3).unwrap()).run_plan(&plan);
+        let stats = MemorySystem::new(MemConfig::new(6, 3).unwrap()).run_oracle(&plan);
         prop_assert_eq!(stats.latency, 8 + 128 + 1);
         prop_assert_eq!(stats.conflicts, 0);
     }
@@ -79,7 +81,7 @@ proptest! {
 
         let plan = planner.plan(&vec, Strategy::Subsequence).unwrap();
         let mem = MemConfig::new(3, 3).unwrap().with_queues(2, 1).unwrap();
-        let stats = MemorySystem::new(mem).run_plan(&plan);
+        let stats = MemorySystem::new(mem).run_oracle(&plan);
         prop_assert!(
             stats.latency <= 2 * 8 + 128,
             "latency {} > 2T+L",
@@ -131,8 +133,8 @@ proptest! {
 
         let auto = planner.plan(&vec, Strategy::Auto).unwrap();
         let canonical = planner.plan(&vec, Strategy::Canonical).unwrap();
-        let auto_lat = MemorySystem::new(mem).run_plan(&auto).latency;
-        let canon_lat = MemorySystem::new(mem).run_plan(&canonical).latency;
+        let auto_lat = MemorySystem::new(mem).run_oracle(&auto).latency;
+        let canon_lat = MemorySystem::new(mem).run_oracle(&canonical).latency;
         prop_assert!(auto_lat <= canon_lat, "auto {auto_lat} > canonical {canon_lat}");
     }
 }

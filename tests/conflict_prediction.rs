@@ -1,6 +1,7 @@
 //! Validates the closed-form conflict predictor
 //! (`equiv::conflict_score`) against **measured** multi-stream
-//! conflicts for every registered map.
+//! conflicts for every registered map, measured on the cycle oracle
+//! (`run_multi_oracle`, `MemorySystem::run_oracle`).
 //!
 //! The predictor promises, per map:
 //!
@@ -17,7 +18,7 @@
 use cfva::core::equiv::conflict_score;
 use cfva::core::mapping::Registry;
 use cfva::core::plan::{AccessPlan, Planner, Strategy};
-use cfva::memsim::multi::{run_multi, IssuePolicy};
+use cfva::memsim::multi::{run_multi_oracle, IssuePolicy};
 use cfva::memsim::{MemConfig, MemorySystem};
 use cfva::{Stride, VectorSpec};
 
@@ -42,7 +43,7 @@ fn cf_candidates(planner: &Planner, cfg: MemConfig) -> Vec<(VectorSpec, AccessPl
         let Ok(plan) = planner.plan(&vec, Strategy::Auto) else {
             continue;
         };
-        let alone = MemorySystem::new(cfg).run_plan(&plan);
+        let alone = MemorySystem::new(cfg).run_oracle(&plan);
         if alone.conflicts == 0 && alone.stall_cycles == 0 {
             out.push((vec, plan));
         }
@@ -68,7 +69,7 @@ fn zero_score_pairs_measure_zero_conflicts() {
                 // Disjoint modules + both CF alone: the co-run issues
                 // each stream at half rate onto disjoint modules, so
                 // spacing only grows — zero conflicts, guaranteed.
-                let co = run_multi(cfg, &[pa, pb], IssuePolicy::RoundRobin)
+                let co = run_multi_oracle(cfg, &[pa, pb], IssuePolicy::RoundRobin)
                     .expect("two validated streams");
                 assert_eq!(
                     co.conflicts, 0,
@@ -112,8 +113,8 @@ fn clustered_same_module_pairs_score_high_and_measure_conflicts() {
         );
         let pa = planner.plan(&va, Strategy::Auto).expect("plannable");
         let pb = planner.plan(&vb, Strategy::Auto).expect("plannable");
-        let co =
-            run_multi(cfg, &[&pa, &pb], IssuePolicy::RoundRobin).expect("two validated streams");
+        let co = run_multi_oracle(cfg, &[&pa, &pb], IssuePolicy::RoundRobin)
+            .expect("two validated streams");
         assert!(
             co.conflicts > 0,
             "map {}: clustered co-run measured no conflicts",
@@ -177,7 +178,7 @@ fn score_ordering_tracks_measured_conflicts() {
         // each stream suffers alone (clustered streams self-conflict
         // even solo; the predictor only speaks to the interaction).
         let measure = |i: usize, j: usize| {
-            let co = run_multi(
+            let co = run_multi_oracle(
                 cfg,
                 &[&candidates[i].1, &candidates[j].1],
                 IssuePolicy::RoundRobin,
@@ -185,8 +186,8 @@ fn score_ordering_tracks_measured_conflicts() {
             .expect("two validated streams")
             .conflicts;
             let mut system = MemorySystem::new(cfg);
-            let alone = system.run_plan(&candidates[i].1).conflicts
-                + system.run_plan(&candidates[j].1).conflicts;
+            let alone = system.run_oracle(&candidates[i].1).conflicts
+                + system.run_oracle(&candidates[j].1).conflicts;
             co.saturating_sub(alone)
         };
         let hi_measured = measure(hi_i, hi_j);

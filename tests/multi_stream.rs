@@ -4,8 +4,8 @@
 //! * the route (`run_multi`: request-order solver records) is
 //!   bit-identical to the cycle oracle (`run_multi_oracle`) for both
 //!   static issue policies;
-//! * per-stream statistics of conflict-free co-scheduled batches are
-//!   permutation-invariant: reordering the streams permutes the
+//! * per-stream statistics of conflict-free co-scheduled batches, on
+//!   the oracle, are permutation-invariant: reordering the streams permutes the
 //!   per-stream views (up to the deterministic issue-slot shift of the
 //!   arrivals) and changes nothing else.
 
@@ -164,14 +164,15 @@ proptest! {
         }
         prop_assume!(menu.len() as u64 == t_cycles);
         let plans: Vec<&AccessPlan> = menu.iter().collect();
-        let baseline = run_multi(cfg, &plans, IssuePolicy::RoundRobin).expect("validated");
+        let baseline = run_multi_oracle(cfg, &plans, IssuePolicy::RoundRobin).expect("validated");
         prop_assert_eq!(baseline.conflicts, 0, "disjoint clustered batch is CF");
         prop_assert_eq!(baseline.stall_cycles, 0);
 
         let rotated: Vec<&AccessPlan> = (0..plans.len())
             .map(|i| plans[(i + rotation) % plans.len()])
             .collect();
-        let permuted = run_multi(cfg, &rotated, IssuePolicy::RoundRobin).expect("validated");
+        let permuted =
+            run_multi_oracle(cfg, &rotated, IssuePolicy::RoundRobin).expect("validated");
         prop_assert_eq!(permuted.conflicts, 0);
         prop_assert_eq!(permuted.stall_cycles, 0);
         prop_assert_eq!(permuted.makespan, baseline.makespan);
@@ -216,17 +217,19 @@ fn module_disjoint_pair_co_runs_conflict_free_on_the_low_order_map() {
     };
     let (even, odd, even2) = (plan(0), plan(1), plan(2));
 
-    let disjoint = run_multi(cfg, &[&even, &odd], IssuePolicy::RoundRobin).expect("validated");
+    let disjoint =
+        run_multi_oracle(cfg, &[&even, &odd], IssuePolicy::RoundRobin).expect("validated");
     assert_eq!(disjoint.conflicts, 0, "disjoint module sets co-run CF");
     assert_eq!(disjoint.stall_cycles, 0);
 
-    let shared = run_multi(cfg, &[&even, &even2], IssuePolicy::RoundRobin).expect("validated");
+    let shared =
+        run_multi_oracle(cfg, &[&even, &even2], IssuePolicy::RoundRobin).expect("validated");
     assert!(shared.conflicts > 0, "shared module sets keep conflicting");
 
     // The CF co-schedule beats running the two streams back to back.
     let solo: Vec<u64> = [&even, &odd]
         .iter()
-        .map(|p| MemorySystem::new(cfg).run_plan(p).latency)
+        .map(|p| MemorySystem::new(cfg).run_oracle(p).latency)
         .collect();
     assert!(disjoint.makespan < MultiStats::sequential_baseline(&solo));
 }
@@ -268,7 +271,8 @@ fn fold_multi(digest: &mut u64, multi: &MultiStats) {
 /// (1,2), then each menu plan alone through `run_oracle` on 2 ports, all
 /// on the oracle by name. The constants pin the oracle's co-run
 /// semantics (including work-conserving issue and multi-port grants),
-/// which the route never reaches.
+/// which the route also steps for those runs, so no other path is
+/// compared against them.
 #[test]
 fn co_run_and_multi_port_digests_are_pinned() {
     const PINNED: &[u64] = &[

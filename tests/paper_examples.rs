@@ -1,5 +1,6 @@
 //! End-to-end checks of every worked example in the paper, through the
-//! full planner → simulator pipeline.
+//! full planner → simulator pipeline, simulated on the cycle oracle
+//! (`MemorySystem::run_oracle`).
 
 use cfva::core::dist::{ctp, SpatialDistribution};
 use cfva::core::mapping::{ModuleMap, XorMatched, XorUnmatched};
@@ -27,12 +28,12 @@ fn section_3_running_example() {
     let mem = MemConfig::new(3, 3).unwrap();
 
     let canonical = planner.plan(&vec, Strategy::Canonical).unwrap();
-    let stats = MemorySystem::new(mem).run_plan(&canonical);
+    let stats = MemorySystem::new(mem).run_oracle(&canonical);
     assert!(stats.conflicts > 0);
     assert!(stats.latency > 73);
 
     let replay = planner.plan(&vec, Strategy::ConflictFree).unwrap();
-    let stats = MemorySystem::new(mem).run_plan(&replay);
+    let stats = MemorySystem::new(mem).run_oracle(&replay);
     assert_eq!(stats.latency, 73);
     assert_eq!(stats.conflicts, 0);
 }
@@ -70,7 +71,7 @@ fn section_3_3_window_example() {
     for x in 0..=4u32 {
         let vec = VectorSpec::new(100, 1i64 << x, 128).unwrap();
         let plan = planner.plan(&vec, Strategy::ConflictFree).unwrap();
-        let stats = MemorySystem::new(mem).run_plan(&plan);
+        let stats = MemorySystem::new(mem).run_oracle(&plan);
         assert_eq!(stats.latency, 8 + 128 + 1, "family {x}");
     }
     // x = 5 is outside.
@@ -94,13 +95,13 @@ fn section_4_unmatched_examples() {
     let planner = Planner::unmatched(map);
     let mem = MemConfig::new(4, 2).unwrap();
     let plan = planner.plan(&vec, Strategy::ConflictFree).unwrap();
-    let stats = MemorySystem::new(mem).run_plan(&plan);
+    let stats = MemorySystem::new(mem).run_oracle(&plan);
     assert_eq!(stats.latency, 4 + 32 + 1);
 
     // x = 6, σ = 3: modules (0,12,8,4)/(4,0,12,8) pre-replay.
     let vec = VectorSpec::new(0, 192, 32).unwrap();
     let plan = planner.plan(&vec, Strategy::ConflictFree).unwrap();
-    let stats = MemorySystem::new(mem).run_plan(&plan);
+    let stats = MemorySystem::new(mem).run_oracle(&plan);
     assert_eq!(stats.latency, 4 + 32 + 1);
     assert_eq!(stats.conflicts, 0);
 }
@@ -113,7 +114,7 @@ fn section_4_3_window_example() {
     for x in 0..=9u32 {
         let vec = VectorSpec::new(12345, 3i64 << x, 128).unwrap();
         let plan = planner.plan(&vec, Strategy::ConflictFree).unwrap();
-        let stats = MemorySystem::new(mem).run_plan(&plan);
+        let stats = MemorySystem::new(mem).run_oracle(&plan);
         assert_eq!(stats.latency, 8 + 128 + 1, "family {x}");
         assert_eq!(stats.conflicts, 0, "family {x}");
     }
