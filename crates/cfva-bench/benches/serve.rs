@@ -273,64 +273,6 @@ fn bench_serve_cached(c: &mut Criterion) {
     service.shutdown();
 }
 
-/// The shed path under permanent overload: one worker, a queue of one,
-/// fallback on. The worker is wedged behind big uncached sweeps, so
-/// nearly every submission is served on the caller's thread — the
-/// measured quantity is the cost of a shed (parse + canonicalize +
-/// full-queue rejection + the full request on the caller's session),
-/// the latency a caller pays when the service sheds instead of
-/// erroring. The id keeps its name from the estimator the shed used to
-/// run.
-fn bench_serve_degraded(c: &mut Criterion) {
-    let service = Service::new(
-        ServiceConfig::with_workers(1)
-            .queue_capacity(1)
-            .cache_bytes(0)
-            .degraded_fallback(true),
-    );
-    let stride = Stride::from_parts(9, 6).expect("odd sigma");
-    let vec = VectorSpec::with_stride(16u64.into(), stride, 4096).expect("valid");
-    let request = Request::Measure {
-        spec: "xor-matched:t=3,s=4".into(),
-        vec,
-        strategy: Strategy::Auto,
-    };
-    // Wedge the worker (and fill the 1-deep queue) with long sweeps.
-    // Once they eventually finish, the queued-then-abandoned measure
-    // copies from the loop below keep the worker saturated: executing
-    // one costs far more than a shed, so the queue stays full.
-    let wedges: Vec<_> = (0..2)
-        .map(|_| {
-            service
-                .submit_uncached(Request::FamilySweep {
-                    spec: "xor-matched:t=3,s=4".into(),
-                    len: 1 << 18,
-                    max_x: 12,
-                    sigma: 9,
-                })
-                .expect("worker + queue absorb the wedges")
-        })
-        .collect();
-
-    let mut group = c.benchmark_group("serve_degraded");
-    group.bench_function(BenchmarkId::new("analytic_shed", 1), |b| {
-        b.iter(|| loop {
-            let ticket = service
-                .submit(request.clone())
-                .expect("shedding absorbs overload");
-            if ticket.is_ready() {
-                break response_checksum(&ticket.wait().expect("valid request"));
-            }
-            // The queue momentarily had room: this queued copy re-wedges
-            // it. Abandon the ticket and shed the next submission.
-            drop(ticket);
-        })
-    });
-    group.finish();
-    drop(wedges);
-    service.shutdown();
-}
-
 /// The wire tax: the `serve_cached/hit` request over a loopback socket.
 /// The service side is a warm O(1) cache hit, so the measured quantity
 /// is what the TCP front door adds — JSON encode, length-prefixed
@@ -473,7 +415,6 @@ criterion_group!(
     bench_serve_throughput,
     bench_serve_cached,
     bench_serve_wire,
-    bench_serve_degraded,
     bench_serve_contended
 );
 criterion_main!(benches);

@@ -39,8 +39,9 @@ const REQUEST_SITES: &[&str] = &[
 /// Files every `Response` and `ServeError` variant must appear in: the
 /// equivalence suite is the service's behavioural contract, so a
 /// response or error shape nobody asserts on is a shape nobody checked
-/// (`Degraded` and `DeadlineExceeded` ship with recovery machinery
-/// that only tests make real).
+/// (`DeadlineExceeded` ships with recovery machinery that only tests
+/// make real, and `Degraded`, which the service never produces, is
+/// named there by the test that pins a full queue to `Overloaded`).
 const OUTCOME_SITES: &[&str] = &["crates/cfva-serve/tests/service_equivalence.rs"];
 /// Where `ServiceStats` is declared.
 const SERVICE: &str = "crates/cfva-serve/src/service.rs";

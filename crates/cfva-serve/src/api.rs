@@ -258,19 +258,17 @@ pub enum Response {
     /// structure the scheduler chose, and the contended makespan
     /// against the sequential baseline.
     MultiStream(MultiStreamOutcome),
-    /// A response **served on the caller's thread**: the request found
-    /// the admission queue full, and with
-    /// [`ServiceConfig::degraded_fallback`](crate::service::ServiceConfig)
-    /// on, the submitting thread ran it instead of rejecting it with
-    /// [`ServeError::Overloaded`]. Every request shape sheds this way,
-    /// and the wrapped response is the one a worker would have
-    /// returned, bit for bit.
+    /// A response wrapped as served under overload. The service never
+    /// produces it: a full admission queue answers
+    /// [`ServeError::Overloaded`] for every request shape. The variant
+    /// stays only because the version-3 wire frame encodes it and its
+    /// clients match on it; the protocol's next version bump removes
+    /// it.
     Degraded {
-        /// The response the request would have had from a worker.
+        /// The wrapped response.
         response: Box<Response>,
-        /// Always `true`: the wrapped response is the full one. The
-        /// field stays because the version-3 wire protocol encodes it
-        /// and its clients read it.
+        /// Whether the wrapped response is the full one. The version-3
+        /// frame carries it.
         exact: bool,
     },
 }
@@ -297,7 +295,7 @@ pub enum ServeError {
     /// overflowing address stream, …).
     Request(ConfigError),
     /// The request's deadline budget elapsed before a result was
-    /// produced: either the worker shed the request before executing
+    /// produced: either the worker dropped the request before executing
     /// it (the ticket resolves with this error), or the caller's
     /// `wait` on the ticket gave up at the deadline. The request is
     /// **not** retried past its deadline.

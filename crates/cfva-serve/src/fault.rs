@@ -66,8 +66,8 @@ pub enum SubmitFault {
     /// exercising retry-with-backoff (the retry runs clean).
     PanicJob,
     /// Flood the admission queue with `jobs` no-op jobs right before
-    /// this submission — queue-pressure exercising backpressure and
-    /// shedding onto the caller's thread.
+    /// this submission — queue-pressure exercising backpressure
+    /// ([`ServeError::Overloaded`](crate::api::ServeError::Overloaded)).
     QueueBurst {
         /// Number of no-op filler jobs.
         jobs: u32,

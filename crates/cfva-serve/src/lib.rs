@@ -35,10 +35,9 @@
 //!   installed. The substrate it exercises is **self-healing**:
 //!   supervised workers restart (in-flight jobs re-queued), panicked
 //!   requests retry with backoff, per-request deadlines resolve
-//!   [`api::ServeError::DeadlineExceeded`] instead of blocking, and
-//!   overload can shed onto the caller's thread (which then runs the
-//!   whole request), answered as [`api::Response::Degraded`] — see `tests/chaos.rs` for the
-//!   invariants (every accepted ticket resolves, bit-identical to a
+//!   [`api::ServeError::DeadlineExceeded`] instead of blocking, and a
+//!   full queue answers [`api::ServeError::Overloaded`] — see
+//!   `tests/chaos.rs` for the invariants (every accepted ticket resolves, bit-identical to a
 //!   fault-free serial run, under any seeded schedule).
 //!
 //! ```

@@ -2,14 +2,12 @@
 //!
 //! # The hierarchy: every lock is a leaf
 //!
-//! The serving layer owns eight lock classes ([`LockClass`]): the
+//! The serving layer owns seven lock classes ([`LockClass`]): the
 //! scheduler ([`Sched`](LockClass::Sched)), the worker-handle registry
 //! ([`Handles`](LockClass::Handles)), the spec table
 //! ([`SpecTable`](LockClass::SpecTable)), the result-cache shards
 //! ([`CacheShard`](LockClass::CacheShard)), the pool supervisor's
-//! restart ledger ([`Supervisor`](LockClass::Supervisor)), the
-//! session map for shed requests
-//! ([`DegradedSessions`](LockClass::DegradedSessions)), the wire
+//! restart ledger ([`Supervisor`](LockClass::Supervisor)), the wire
 //! front end's connection registry
 //! ([`WireConns`](LockClass::WireConns)) and the wire codec's
 //! `&'static str` intern pool
@@ -33,10 +31,6 @@
 //!   *after* every scheduler guard is gone — the respawn itself, and
 //!   any subsequent `Sched` acquisition by the replacement, happens
 //!   strictly outside the ledger lock.
-//! * `DegradedSessions` guards the session map of requests shed onto
-//!   the caller's thread. A shed holds it to take its spec's session
-//!   out of the map and again to put it back; the request itself, and
-//!   the cache fill after it, run between the two acquisitions.
 //! * `WireConns` guards the wire server's list of live connection
 //!   handles. The acceptor swaps out finished handles and pushes the
 //!   new one under the lock, and joins the finished ones after
@@ -85,8 +79,6 @@ pub enum LockClass {
     CacheShard,
     /// The pool supervisor's per-worker restart ledger.
     Supervisor,
-    /// The service's session map for shed requests.
-    DegradedSessions,
     /// The wire server's live-connection registry (`cfva-wire`).
     WireConns,
     /// The wire codec's `&'static str` intern pool (`cfva-wire`).

@@ -76,145 +76,6 @@ pub fn naive_simulated_efficiency<R: Rng + ?Sized>(
     samples as f64 / total_cpe
 }
 
-/// The reusable simulator-side state of a measurement session: one
-/// memory system plus the plan and stats scratch buffers.
-#[derive(Debug)]
-struct MeasureScratch {
-    system: MemorySystem,
-    plan: AccessPlan,
-    stats: AccessStats,
-}
-
-impl MeasureScratch {
-    fn new(mem: MemConfig) -> Self {
-        MeasureScratch {
-            system: MemorySystem::new(mem),
-            plan: AccessPlan::new(),
-            stats: AccessStats::default(),
-        }
-    }
-
-    fn mem(&self) -> MemConfig {
-        self.system.config()
-    }
-
-    /// One measurement through the reused buffers. `None` when the
-    /// strategy cannot plan the access (same contract as [`measure`]).
-    fn measure(
-        &mut self,
-        planner: &Planner,
-        vec: &VectorSpec,
-        strategy: Strategy,
-    ) -> Option<&AccessStats> {
-        planner.plan_into(vec, strategy, &mut self.plan).ok()?;
-        self.system.run_plan_into(&self.plan, &mut self.stats);
-        Some(&self.stats)
-    }
-}
-
-fn simulated_efficiency_core<R: Rng + ?Sized>(
-    planner: &Planner,
-    scratch: &mut MeasureScratch,
-    strategy: Strategy,
-    len: u64,
-    samples: u32,
-    sampler: &StrideSampler,
-    rng: &mut R,
-) -> f64 {
-    let mem = scratch.mem();
-    let mut total_cpe = 0.0;
-    for _ in 0..samples {
-        let vec = sampler.sample_vector(rng, 1 << 24, len);
-        let stats = scratch
-            .measure(planner, &vec, strategy)
-            // cfva-lint: allow(L002, reason = "the sampler only emits specs the auto/canonical strategies can plan; a None here is a sampler bug")
-            .expect("auto/canonical strategies always plan");
-        total_cpe += cycles_per_element(stats, mem);
-    }
-    samples as f64 / total_cpe
-}
-
-fn stratified_efficiency_core<R: Rng + ?Sized>(
-    planner: &Planner,
-    scratch: &mut MeasureScratch,
-    strategy: Strategy,
-    len: u64,
-    max_x: u32,
-    per_family: u32,
-    rng: &mut R,
-) -> f64 {
-    let mem = scratch.mem();
-    let mut avg_cpe = 0.0;
-    let mut last_family_cpe = 1.0;
-    for x in 0..=max_x {
-        let mut family_cpe = 0.0;
-        for _ in 0..per_family {
-            let sigma = 2 * rng.gen_range(0i64..8) + 1;
-            let base = rng.gen_range(0u64..1 << 24);
-            // cfva-lint: allow(L002, reason = "sigma = 2k+1 is odd by construction and x <= max_x is validated upstream, so from_parts cannot fail")
-            let stride = cfva_core::Stride::from_parts(sigma, x).expect("odd sigma, bounded x");
-            // cfva-lint: allow(L002, reason = "base < 2^24 and the stride was just built, so with_stride's range checks hold by construction")
-            let vec = VectorSpec::with_stride(base.into(), stride, len).expect("valid");
-            let stats = scratch
-                .measure(planner, &vec, strategy)
-                // cfva-lint: allow(L002, reason = "the stratified estimator is only reachable with plannable strategies (validated at the service boundary)")
-                .expect("strategy always plans");
-            family_cpe += cycles_per_element(stats, mem);
-        }
-        family_cpe /= per_family as f64;
-        let weight = 0.5f64.powi(x as i32 + 1);
-        avg_cpe += weight * family_cpe;
-        last_family_cpe = family_cpe;
-    }
-    // Fold the truncated tail (total weight 2^-(max_x+1)) into the last
-    // measured family, whose cost has saturated.
-    avg_cpe += 0.5f64.powi(max_x as i32 + 1) * last_family_cpe;
-    1.0 / avg_cpe
-}
-
-/// Monte-Carlo estimate of the paper's Section 5B efficiency `η`: the
-/// reciprocal of the population-average service cycles per element,
-/// with strides sampled from the family distribution.
-///
-/// Runs through one internal measurement session, so the per-sample
-/// cost is allocation-free after the first access.
-pub fn simulated_efficiency<R: Rng + ?Sized>(
-    planner: &Planner,
-    strategy: Strategy,
-    mem: MemConfig,
-    len: u64,
-    samples: u32,
-    sampler: &StrideSampler,
-    rng: &mut R,
-) -> f64 {
-    let mut scratch = MeasureScratch::new(mem);
-    simulated_efficiency_core(planner, &mut scratch, strategy, len, samples, sampler, rng)
-}
-
-/// Stratified estimate of the Section 5B efficiency `η`: measures the
-/// service cycles per element of each family `x ≤ max_x` directly
-/// (averaged over `per_family` random σ/base draws) and combines them
-/// with the exact family weights `2^-(x+1)`. The truncated tail
-/// (`x > max_x`) reuses the `max_x` measurement, exact once the
-/// per-family cost has saturated at `2^t` (i.e. `max_x ≥ w + t`).
-///
-/// Far lower variance than the plain Monte-Carlo estimator: the
-/// geometric tail is weighted analytically instead of sampled. Runs
-/// through one internal measurement session (allocation-free per
-/// sample).
-pub fn stratified_efficiency<R: Rng + ?Sized>(
-    planner: &Planner,
-    strategy: Strategy,
-    mem: MemConfig,
-    len: u64,
-    max_x: u32,
-    per_family: u32,
-    rng: &mut R,
-) -> f64 {
-    let mut scratch = MeasureScratch::new(mem);
-    stratified_efficiency_core(planner, &mut scratch, strategy, len, max_x, per_family, rng)
-}
-
 /// A long-lived measurement session: owns the planner, one reusable
 /// [`MemorySystem`] and the plan/stats scratch buffers.
 ///
@@ -249,7 +110,9 @@ pub fn stratified_efficiency<R: Rng + ?Sized>(
 #[derive(Debug)]
 pub struct BatchRunner {
     planner: Planner,
-    scratch: MeasureScratch,
+    system: MemorySystem,
+    plan: AccessPlan,
+    stats: AccessStats,
     /// Plan buffers a co-run request plans its streams into, kept
     /// across requests: the service takes them out, plans into them
     /// and runs them on the session, then puts them back.
@@ -262,7 +125,9 @@ impl BatchRunner {
     pub fn new(planner: Planner, mem: MemConfig) -> Self {
         BatchRunner {
             planner,
-            scratch: MeasureScratch::new(mem),
+            system: MemorySystem::new(mem),
+            plan: AccessPlan::new(),
+            stats: AccessStats::default(),
             co_run_plans: Vec::new(),
         }
     }
@@ -316,7 +181,7 @@ impl BatchRunner {
 
     /// The memory configuration simulated.
     pub fn mem(&self) -> MemConfig {
-        self.scratch.mem()
+        self.system.config()
     }
 
     /// Plans and simulates one access through the reused buffers,
@@ -327,7 +192,7 @@ impl BatchRunner {
     /// as the free [`measure`], without its per-call allocations.
     #[must_use = "the measurement's statistics are its only output"]
     pub fn measure(&mut self, vec: &VectorSpec, strategy: Strategy) -> Option<&AccessStats> {
-        self.scratch.measure(&self.planner, vec, strategy)
+        self.measure_full(vec, strategy).map(|(_, stats)| stats)
     }
 
     /// Like [`measure`](Self::measure) but returns views of **both**
@@ -341,14 +206,9 @@ impl BatchRunner {
         vec: &VectorSpec,
         strategy: Strategy,
     ) -> Option<(&AccessPlan, &AccessStats)> {
-        let scratch = &mut self.scratch;
-        self.planner
-            .plan_into(vec, strategy, &mut scratch.plan)
-            .ok()?;
-        scratch
-            .system
-            .run_plan_into(&scratch.plan, &mut scratch.stats);
-        Some((&scratch.plan, &scratch.stats))
+        self.planner.plan_into(vec, strategy, &mut self.plan).ok()?;
+        self.system.run_plan_into(&self.plan, &mut self.stats);
+        Some((&self.plan, &self.stats))
     }
 
     /// Executes a caller-built plan (e.g. a concatenated short-vector
@@ -356,10 +216,8 @@ impl BatchRunner {
     /// system, reusing the stats buffer.
     #[must_use = "the execution's statistics are its only output"]
     pub fn run_plan(&mut self, plan: &AccessPlan) -> &AccessStats {
-        self.scratch
-            .system
-            .run_plan_into(plan, &mut self.scratch.stats);
-        &self.scratch.stats
+        self.system.run_plan_into(plan, &mut self.stats);
+        &self.stats
     }
 
     /// Like [`measure`](Self::measure) but returns owned statistics,
@@ -381,7 +239,7 @@ impl BatchRunner {
     /// memory configuration (1.0 for a conflict-free access).
     #[must_use = "the derived rate is the computation's only output"]
     pub fn cycles_per_element(&self, stats: &AccessStats) -> f64 {
-        cycles_per_element(stats, self.scratch.mem())
+        cycles_per_element(stats, self.mem())
     }
 
     /// Measures a batch of accesses, reusing the session buffers across
@@ -395,8 +253,10 @@ impl BatchRunner {
             .collect()
     }
 
-    /// Monte-Carlo Section 5B efficiency through this session — see
-    /// [`simulated_efficiency`].
+    /// Monte-Carlo estimate of the paper's Section 5B efficiency `η`:
+    /// the reciprocal of the population-average service cycles per
+    /// element, with strides sampled from the family distribution.
+    /// Allocation-free per sample once the session's buffers are warm.
     pub fn simulated_efficiency<R: Rng + ?Sized>(
         &mut self,
         strategy: Strategy,
@@ -405,19 +265,30 @@ impl BatchRunner {
         sampler: &StrideSampler,
         rng: &mut R,
     ) -> f64 {
-        simulated_efficiency_core(
-            &self.planner,
-            &mut self.scratch,
-            strategy,
-            len,
-            samples,
-            sampler,
-            rng,
-        )
+        let mem = self.mem();
+        let mut total_cpe = 0.0;
+        for _ in 0..samples {
+            let vec = sampler.sample_vector(rng, 1 << 24, len);
+            let stats = self
+                .measure(&vec, strategy)
+                // cfva-lint: allow(L002, reason = "the sampler only emits specs the auto/canonical strategies can plan; a None here is a sampler bug")
+                .expect("auto/canonical strategies always plan");
+            total_cpe += cycles_per_element(stats, mem);
+        }
+        samples as f64 / total_cpe
     }
 
-    /// Stratified Section 5B efficiency through this session — see
-    /// [`stratified_efficiency`].
+    /// Stratified estimate of the Section 5B efficiency `η`: measures
+    /// the service cycles per element of each family `x ≤ max_x`
+    /// directly (averaged over `per_family` random σ/base draws) and
+    /// combines them with the exact family weights `2^-(x+1)`. The
+    /// truncated tail (`x > max_x`) reuses the `max_x` measurement,
+    /// exact once the per-family cost has saturated at `2^t` (i.e.
+    /// `max_x ≥ w + t`).
+    ///
+    /// Far lower variance than the plain Monte-Carlo estimator: the
+    /// geometric tail is weighted analytically instead of sampled.
+    /// Allocation-free per sample once the session's buffers are warm.
     pub fn stratified_efficiency<R: Rng + ?Sized>(
         &mut self,
         strategy: Strategy,
@@ -426,15 +297,33 @@ impl BatchRunner {
         per_family: u32,
         rng: &mut R,
     ) -> f64 {
-        stratified_efficiency_core(
-            &self.planner,
-            &mut self.scratch,
-            strategy,
-            len,
-            max_x,
-            per_family,
-            rng,
-        )
+        let mem = self.mem();
+        let mut avg_cpe = 0.0;
+        let mut last_family_cpe = 1.0;
+        for x in 0..=max_x {
+            let mut family_cpe = 0.0;
+            for _ in 0..per_family {
+                let sigma = 2 * rng.gen_range(0i64..8) + 1;
+                let base = rng.gen_range(0u64..1 << 24);
+                // cfva-lint: allow(L002, reason = "sigma = 2k+1 is odd by construction and x <= max_x is validated upstream, so from_parts cannot fail")
+                let stride = cfva_core::Stride::from_parts(sigma, x).expect("odd sigma, bounded x");
+                // cfva-lint: allow(L002, reason = "base < 2^24 and the stride was just built, so with_stride's range checks hold by construction")
+                let vec = VectorSpec::with_stride(base.into(), stride, len).expect("valid");
+                let stats = self
+                    .measure(&vec, strategy)
+                    // cfva-lint: allow(L002, reason = "the stratified estimator is only reachable with plannable strategies (validated at the service boundary)")
+                    .expect("strategy always plans");
+                family_cpe += cycles_per_element(stats, mem);
+            }
+            family_cpe /= per_family as f64;
+            let weight = 0.5f64.powi(x as i32 + 1);
+            avg_cpe += weight * family_cpe;
+            last_family_cpe = family_cpe;
+        }
+        // Fold the truncated tail (total weight 2^-(max_x+1)) into the
+        // last measured family, whose cost has saturated.
+        avg_cpe += 0.5f64.powi(max_x as i32 + 1) * last_family_cpe;
+        1.0 / avg_cpe
     }
 
     /// Runs `run` over every sweep point, in parallel on
@@ -627,10 +516,10 @@ mod tests {
     fn simulated_efficiency_close_to_analytic_for_proposed_scheme() {
         // Small config for speed: t = 2, λ = 6, s = λ−t = 4.
         let planner = Planner::matched(XorMatched::new(2, 4).unwrap());
-        let mem = MemConfig::new(2, 2).unwrap();
+        let mut session = BatchRunner::new(planner, MemConfig::new(2, 2).unwrap());
         let sampler = StrideSampler::new(10, 9);
         let mut rng = StdRng::seed_from_u64(3);
-        let eta = simulated_efficiency(&planner, Strategy::Auto, mem, 64, 400, &sampler, &mut rng);
+        let eta = session.simulated_efficiency(Strategy::Auto, 64, 400, &sampler, &mut rng);
         let analytic = cfva_core::analysis::efficiency(4, 2);
         assert!(
             (eta - analytic).abs() < 0.05,
@@ -641,53 +530,14 @@ mod tests {
     #[test]
     fn stratified_efficiency_tracks_analytic_closely() {
         let planner = Planner::matched(XorMatched::new(2, 4).unwrap());
-        let mem = MemConfig::new(2, 2).unwrap();
+        let mut session = BatchRunner::new(planner, MemConfig::new(2, 2).unwrap());
         let mut rng = StdRng::seed_from_u64(5);
-        let eta = stratified_efficiency(&planner, Strategy::Auto, mem, 64, 8, 4, &mut rng);
+        let eta = session.stratified_efficiency(Strategy::Auto, 64, 8, 4, &mut rng);
         let analytic = cfva_core::analysis::efficiency(4, 2);
         assert!(
             (eta - analytic).abs() < 0.03,
             "stratified {eta} vs analytic {analytic}"
         );
-    }
-
-    #[test]
-    fn session_efficiency_methods_match_free_functions() {
-        let mem = MemConfig::new(2, 2).unwrap();
-        let planner = Planner::matched(XorMatched::new(2, 4).unwrap());
-        let sampler = StrideSampler::new(10, 9);
-
-        let free = simulated_efficiency(
-            &planner,
-            Strategy::Auto,
-            mem,
-            64,
-            100,
-            &sampler,
-            &mut StdRng::seed_from_u64(17),
-        );
-        let mut session = BatchRunner::new(Planner::matched(XorMatched::new(2, 4).unwrap()), mem);
-        let through_session = session.simulated_efficiency(
-            Strategy::Auto,
-            64,
-            100,
-            &sampler,
-            &mut StdRng::seed_from_u64(17),
-        );
-        assert_eq!(free, through_session);
-
-        let free = stratified_efficiency(
-            &planner,
-            Strategy::Auto,
-            mem,
-            64,
-            8,
-            4,
-            &mut StdRng::seed_from_u64(23),
-        );
-        let through_session =
-            session.stratified_efficiency(Strategy::Auto, 64, 8, 4, &mut StdRng::seed_from_u64(23));
-        assert_eq!(free, through_session);
     }
 
     #[test]

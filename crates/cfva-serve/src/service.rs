@@ -17,10 +17,8 @@
 //!
 //! The admission queue is bounded ([`ServiceConfig::queue_capacity`]).
 //! A full queue rejects with [`ServeError::Overloaded`] — callers get
-//! a typed signal to back off instead of unbounded queueing — unless
-//! [`ServiceConfig::degraded_fallback`] is on: then the caller's thread
-//! serves the request itself, blocking in `submit` for the whole
-//! request, and gets the worker's response wrapped in
+//! a typed signal to back off instead of unbounded queueing. Every
+//! request shape is refused alike; the service never answers
 //! [`Response::Degraded`].
 //! [`Service::shutdown`] stops admission ([`ServeError::ShuttingDown`])
 //! and **drains**: every accepted request completes and resolves its
@@ -55,8 +53,7 @@
 //! The table holds at most [`Service::SPEC_TABLE_CAPACITY`] raw
 //! strings; past that, each request with an unseen spelling resolves
 //! a fresh entry of its own — slower, never different. Misses populate
-//! the cache when the worker (or, for a shed request, the caller's
-//! thread) completes (successful responses only),
+//! the cache when the worker completes (successful responses only),
 //! from a key's second miss on: a shard's admission window remembers
 //! the keys it missed recently, so a key seen once costs no entry.
 //! Bypass per request with [`Service::submit_uncached`], or disable
@@ -100,9 +97,6 @@ use crate::workload::StrideSampler;
 /// [`Service::submit_with_wake`]) resolves with
 /// [`ServeError::DeadlineExceeded`] instead of blocking past its
 /// deadline — [`wait`](ServeTicket::wait) never outlives the budget.
-/// (A request shed onto the caller's thread runs inside `submit`, which
-/// may return past the deadline; its ticket is then born resolved with
-/// the same error.)
 #[must_use = "a ServeTicket is the only handle to the response; drop it and the response is lost"]
 #[derive(Debug)]
 pub struct ServeTicket {
@@ -119,8 +113,7 @@ pub struct ServeTicket {
 }
 
 impl ServeTicket {
-    /// A ticket born resolved — cache hits and submit-side degraded
-    /// responses.
+    /// A ticket born resolved: a cache hit.
     fn now(result: ServeResult) -> Self {
         ServeTicket {
             inner: Ticket::ready(result),
@@ -297,21 +290,6 @@ pub struct ServiceConfig {
     /// ([`PoolOptions::max_restarts`]). Defaults to
     /// [`PoolOptions::DEFAULT_MAX_RESTARTS`].
     pub max_worker_restarts: u32,
-    /// When `true`, a request that finds the admission queue full is
-    /// served on the caller's thread instead of failing with
-    /// [`ServeError::Overloaded`]: the same execution a worker runs
-    /// (deadline check, panic capture, retries), against the service's
-    /// own sessions, and the same response, wrapped in
-    /// [`Response::Degraded`]. Every request shape sheds this way.
-    /// A shed blocks the submitting thread for the whole request (up to
-    /// the element budget a request may ask for), budget or not — for
-    /// the wire front end that is the connection's reader thread — and
-    /// a shed that completes past its deadline resolves
-    /// [`ServeError::DeadlineExceeded`]. Sheds run concurrently, with
-    /// no lock held while a request runs.
-    /// Defaults to `false`: shedding changes the response type and
-    /// spends the caller's time, so callers opt in.
-    pub degraded_fallback: bool,
     /// The chaos plan injected into this service and its pool
     /// ([`crate::fault`]). Defaults to `None`; the hooks cost nothing
     /// when absent.
@@ -346,7 +324,6 @@ impl ServiceConfig {
             cache_bytes: Self::DEFAULT_CACHE_BYTES,
             max_retries: Self::DEFAULT_MAX_RETRIES,
             max_worker_restarts: PoolOptions::DEFAULT_MAX_RESTARTS,
-            degraded_fallback: false,
             fault_plan: None,
         }
     }
@@ -379,14 +356,6 @@ impl ServiceConfig {
         self
     }
 
-    /// Enables (or disables) shedding a full queue onto the caller's
-    /// thread.
-    #[must_use]
-    pub fn degraded_fallback(mut self, enabled: bool) -> Self {
-        self.degraded_fallback = enabled;
-        self
-    }
-
     /// Installs a fault plan (chaos injection; see [`crate::fault`]).
     #[must_use]
     pub fn fault_plan(mut self, plan: Arc<FaultPlan>) -> Self {
@@ -412,11 +381,13 @@ pub struct ServiceStats {
     /// Worker threads restarted by the pool supervisor.
     pub restarts: u64,
     /// Requests resolved with [`ServeError::DeadlineExceeded`]
-    /// (worker-side sheds and caller-side expiries combined).
+    /// (requests a worker dropped unstarted and caller-side expiries
+    /// combined).
     pub deadline_exceeded: u64,
-    /// Requests shed onto the caller's thread because the admission
-    /// queue was full (answered as [`Response::Degraded`] when they
-    /// serve).
+    /// Requests answered as [`Response::Degraded`]. Always 0: a full
+    /// queue answers [`ServeError::Overloaded`]. The field stays only
+    /// because the v3 wire frame carries it, and goes with that
+    /// frame's version bump.
     pub degraded: u64,
     /// Faults the installed [`FaultPlan`] has fired so far (0 without
     /// a plan).
@@ -448,7 +419,6 @@ pub struct ServiceStats {
 struct ServeCounters {
     retries: AtomicU64,
     deadline_exceeded: AtomicU64,
-    degraded: AtomicU64,
     predicted_conflicts_milli: AtomicU64,
     actual_conflicts: AtomicU64,
 }
@@ -469,8 +439,7 @@ struct SpecEntry {
 }
 
 /// A session cache: canonical spec text → warm session, holding at
-/// most [`Service::SPEC_TABLE_CAPACITY`] sessions. One per pool worker,
-/// plus the service's map for shed requests.
+/// most [`Service::SPEC_TABLE_CAPACITY`] sessions. One per pool worker.
 #[derive(Debug, Default)]
 struct SpecSessions {
     sessions: HashMap<Arc<str>, BatchRunner>,
@@ -486,24 +455,15 @@ impl SpecSessions {
     fn get_or_create(&mut self, entry: &SpecEntry) -> Result<&mut BatchRunner, ServeError> {
         if !self.sessions.contains_key(&*entry.canon) {
             let session = BatchRunner::from_spec(&entry.spec).map_err(ServeError::Spec)?;
-            self.insert(entry, session);
+            if self.sessions.len() >= Service::SPEC_TABLE_CAPACITY {
+                if let Some(victim) = self.sessions.keys().next().cloned() {
+                    self.sessions.remove(&victim);
+                }
+            }
+            self.sessions.insert(Arc::clone(&entry.canon), session);
         }
         // cfva-lint: allow(L002, reason = "contains_key above guarantees the entry; the double lookup (vs the Entry API) keeps the hot path free of refcount traffic on the shared key")
         Ok(self.sessions.get_mut(&*entry.canon).expect("just ensured"))
-    }
-
-    /// Stores `session` as `entry`'s, replacing any session the map
-    /// holds for it and otherwise evicting an arbitrary session from a
-    /// full map.
-    fn insert(&mut self, entry: &SpecEntry, session: BatchRunner) {
-        if self.sessions.len() >= Service::SPEC_TABLE_CAPACITY
-            && !self.sessions.contains_key(&*entry.canon)
-        {
-            if let Some(victim) = self.sessions.keys().next().cloned() {
-                self.sessions.remove(&victim);
-            }
-        }
-        self.sessions.insert(Arc::clone(&entry.canon), session);
     }
 }
 
@@ -561,14 +521,8 @@ pub struct Service {
     in_flight: Arc<AtomicUsize>,
     /// Robustness counters, shared with every pending ticket.
     counters: Arc<ServeCounters>,
-    /// Caller-thread sessions for shed requests (shedding never
-    /// touches the saturated pool), bounded like every worker's. A shed
-    /// takes its spec's session out and puts it back afterwards.
-    degraded_sessions: ClassedMutex<SpecSessions>,
     /// Retry budget per request.
     max_retries: u32,
-    /// Whether a full queue sheds onto the caller's thread.
-    degraded_fallback: bool,
     /// The installed chaos plan; `None` (the default) costs nothing.
     faults: Option<Arc<FaultPlan>>,
     /// Submission index — the [`FaultPlan`]'s submit-side clock. Only
@@ -602,9 +556,7 @@ impl Service {
             specs: ClassedMutex::new(LockClass::SpecTable, HashMap::new()),
             in_flight: Arc::new(AtomicUsize::new(0)),
             counters: Arc::new(ServeCounters::default()),
-            degraded_sessions: ClassedMutex::new(LockClass::DegradedSessions, Default::default()),
             max_retries: config.max_retries,
-            degraded_fallback: config.degraded_fallback,
             faults: config.fault_plan,
             submit_seq: AtomicU64::new(0),
         }
@@ -634,7 +586,7 @@ impl Service {
             retries: self.counters.retries.load(Ordering::Relaxed),
             restarts: self.pool.restarts(),
             deadline_exceeded: self.counters.deadline_exceeded.load(Ordering::Relaxed),
-            degraded: self.counters.degraded.load(Ordering::Relaxed),
+            degraded: 0,
             faults_injected: self.faults.as_ref().map_or(0, |p| p.injected()),
             scheduler_predicted_conflicts_milli: self
                 .counters
@@ -657,9 +609,8 @@ impl Service {
     /// * [`ServeError::Spec`] — the spec string does not parse;
     /// * [`ServeError::Request`] — invalid sweep/estimator parameters
     ///   (even `sigma`, zero `per_family`, …);
-    /// * [`ServeError::Overloaded`] — admission queue full and
-    ///   [`ServiceConfig::degraded_fallback`] off (on, the caller's
-    ///   thread serves the request instead);
+    /// * [`ServeError::Overloaded`] — admission queue full, whatever
+    ///   the request's shape;
     /// * [`ServeError::ShuttingDown`] — [`shutdown`](Self::shutdown)
     ///   has begun.
     ///
@@ -682,12 +633,8 @@ impl Service {
     /// [`submit`](Self::submit) with a per-request deadline budget. The
     /// returned
     /// ticket resolves with [`ServeError::DeadlineExceeded`] once the
-    /// budget elapses: workers shed the request instead of starting it
+    /// budget elapses: workers drop the request instead of starting it
     /// late, and [`ServeTicket::wait`] never blocks past the deadline.
-    /// A request shed onto the caller's thread
-    /// ([`ServiceConfig::degraded_fallback`]) is the exception: this
-    /// call runs it and may return past the deadline, with a ticket
-    /// resolved to [`ServeError::DeadlineExceeded`].
     #[must_use = "the ServeTicket inside is the only handle to the response"]
     pub fn submit_with_budget(
         &self,
@@ -701,10 +648,8 @@ impl Service {
     /// when given, bounds the request as in
     /// [`submit_with_budget`](Self::submit_with_budget), and `wake`
     /// runs on the worker once the response is on the ticket — also when the pool drops the request unrun. A ticket
-    /// born resolved (a cache hit or a shed request) never wakes, so poll every ticket once on receipt; a refused
-    /// submission may still run `wake`. A shed request
-    /// ([`ServiceConfig::degraded_fallback`]) runs on this call's
-    /// thread, which it blocks for the whole request.
+    /// born resolved (a cache hit) never wakes, so poll every ticket once on receipt; a refused
+    /// submission may still run `wake`.
     #[must_use = "the ServeTicket inside is the only handle to the response"]
     pub fn submit_with_wake(
         &self,
@@ -773,12 +718,6 @@ impl Service {
         };
 
         let deadline = budget.map(|b| Instant::now() + b);
-
-        // Only a shed needs the request after the closure takes it;
-        // clone up front only when shedding is on.
-        let shed_inputs = self
-            .degraded_fallback
-            .then(|| (Arc::clone(&entry), request.clone(), populate.clone()));
         self.in_flight.fetch_add(1, Ordering::Relaxed);
         // The guard rides inside the closure from here on: any way the
         // job can end — completion, panic, rejection at the queue, or
@@ -790,19 +729,59 @@ impl Service {
         let submitted = self.pool.try_submit_waking(
             move |sessions: &mut SpecSessions| {
                 let _guard = guard;
-                let result = serve_one(
-                    sessions,
-                    &entry,
-                    &request,
-                    ServeAttempts {
-                        deadline,
-                        budget,
-                        max_retries,
-                        inject_panic,
-                        counters: &counters,
-                    },
-                );
-                cache_success(populate, &result);
+                // Deadline drop → execute under `catch_unwind` → bounded
+                // retry with backoff → typed `WorkerPanicked` once the
+                // retries are spent. Requests are idempotent (responses
+                // are pure functions of the request, sessions are rebuilt
+                // on demand), so re-execution after a panic is sound.
+                let mut panic_next = inject_panic;
+                let mut attempt: u32 = 0;
+                let result = loop {
+                    // A request past its deadline is not worth starting
+                    // (or re-starting): resolve the typed error instead.
+                    if deadline.is_some_and(|deadline| Instant::now() >= deadline) {
+                        counters.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
+                        break Err(ServeError::DeadlineExceeded {
+                            budget: budget.unwrap_or_default(),
+                        });
+                    }
+                    let panic_now = std::mem::take(&mut panic_next);
+                    let outcome = catch_unwind(AssertUnwindSafe(|| {
+                        if panic_now {
+                            // cfva-lint: allow(L002, reason = "the injected fault itself — fires only under an installed FaultPlan, and the surrounding retry loop is its test subject")
+                            panic!("injected fault: request panicked by FaultPlan");
+                        }
+                        execute(sessions, &entry, &request)
+                    }));
+                    match outcome {
+                        Ok(result) => break result,
+                        Err(payload) => {
+                            attempt += 1;
+                            if attempt > max_retries {
+                                break Err(ServeError::WorkerPanicked {
+                                    attempts: attempt,
+                                    message: panic_message(payload.as_ref()),
+                                });
+                            }
+                            counters.retries.fetch_add(1, Ordering::Relaxed);
+                            backoff(attempt);
+                        }
+                    }
+                };
+                // Predicted-vs-actual accounting for co-run responses.
+                // Cache hits skip this by design: the counters track
+                // executed co-runs, and a hit executes nothing.
+                if let Ok(Response::MultiStream(outcome)) = &result {
+                    counters
+                        .predicted_conflicts_milli
+                        .fetch_add(outcome.predicted_conflicts_milli, Ordering::Relaxed);
+                    counters
+                        .actual_conflicts
+                        .fetch_add(outcome.actual_conflicts, Ordering::Relaxed);
+                }
+                if let (Some((cache, key)), Ok(response)) = (populate, &result) {
+                    cache.insert(key, response);
+                }
                 result
             },
             wake,
@@ -817,75 +796,11 @@ impl Service {
             Err(SubmitError::QueueFull {
                 queue_depth,
                 capacity,
-            }) => match shed_inputs {
-                // Caller runs: the saturated pool is left alone.
-                Some((entry, request, populate)) => {
-                    let policy = ServeAttempts {
-                        deadline,
-                        budget,
-                        max_retries: self.max_retries,
-                        inject_panic,
-                        counters: &self.counters,
-                    };
-                    Ok(ServeTicket::now(
-                        self.shed(&entry, &request, populate, policy),
-                    ))
-                }
-                None => Err(ServeError::Overloaded {
-                    queue_depth,
-                    capacity,
-                }),
-            },
-            Err(SubmitError::ShuttingDown) => Err(ServeError::ShuttingDown),
-        }
-    }
-
-    /// Serves a request that found the admission queue full on the
-    /// **caller's** thread: the loop a worker runs ([`serve_one`]),
-    /// then the cache fill of a miss. A response comes back wrapped in
-    /// [`Response::Degraded`]; one that completes past the request's
-    /// deadline resolves [`ServeError::DeadlineExceeded`], as a pooled
-    /// ticket would.
-    ///
-    /// The request runs with no lock held: the spec's session is taken
-    /// out of the shed session map and put back afterwards, so
-    /// concurrent sheds of one spec each take or build a session of
-    /// their own, and the last one put back stays.
-    fn shed(
-        &self,
-        entry: &SpecEntry,
-        request: &Request,
-        populate: Option<(Arc<ResultCache>, CacheKey)>,
-        policy: ServeAttempts<'_>,
-    ) -> ServeResult {
-        self.counters.degraded.fetch_add(1, Ordering::Relaxed);
-        let (deadline, budget) = (policy.deadline, policy.budget);
-        let mut taken = SpecSessions::default();
-        let session = self.degraded_sessions.lock().sessions.remove(&*entry.canon);
-        if let Some(session) = session {
-            taken.insert(entry, session);
-        }
-        let result = serve_one(&mut taken, entry, request, policy);
-        if let Some(session) = taken.sessions.remove(&*entry.canon) {
-            self.degraded_sessions.lock().insert(entry, session);
-        }
-        cache_success(populate, &result);
-        match deadline {
-            Some(deadline)
-                if Instant::now() >= deadline
-                    && !matches!(result, Err(ServeError::DeadlineExceeded { .. })) =>
-            {
-                self.counters
-                    .deadline_exceeded
-                    .fetch_add(1, Ordering::Relaxed);
-                Err(ServeError::DeadlineExceeded {
-                    budget: budget.unwrap_or_default(),
-                })
-            }
-            _ => result.map(|response| Response::Degraded {
-                response: Box::new(response),
-                exact: true,
+            }) => Err(ServeError::Overloaded {
+                queue_depth,
+                capacity,
             }),
+            Err(SubmitError::ShuttingDown) => Err(ServeError::ShuttingDown),
         }
     }
 
@@ -1131,99 +1046,12 @@ fn validate(request: &Request) -> Result<(), ServeError> {
     }
 }
 
-/// Per-request execution policy carried into [`serve_one`].
-struct ServeAttempts<'a> {
-    deadline: Option<Instant>,
-    budget: Option<Duration>,
-    max_retries: u32,
-    /// Chaos: panic on the first attempt ([`SubmitFault::PanicJob`]).
-    inject_panic: bool,
-    counters: &'a ServeCounters,
-}
-
-/// The request loop of a worker, and of a shed on the caller's thread:
-/// deadline shed → execute under `catch_unwind` → bounded retry with
-/// backoff → typed [`ServeError::WorkerPanicked`] once the retries are
-/// spent. Requests are idempotent by construction (responses are pure
-/// functions of the request, sessions are rebuilt on demand), so
-/// re-execution after a panic is sound.
-fn serve_one(
-    sessions: &mut SpecSessions,
-    entry: &SpecEntry,
-    request: &Request,
-    policy: ServeAttempts<'_>,
-) -> ServeResult {
-    let mut inject_panic = policy.inject_panic;
-    let mut attempt: u32 = 0;
-    loop {
-        // Shed: a request past its deadline is not worth starting (or
-        // re-starting) — resolve the typed error instead.
-        if let Some(deadline) = policy.deadline {
-            if Instant::now() >= deadline {
-                policy
-                    .counters
-                    .deadline_exceeded
-                    .fetch_add(1, Ordering::Relaxed);
-                return Err(ServeError::DeadlineExceeded {
-                    budget: policy.budget.unwrap_or_default(),
-                });
-            }
-        }
-        let panic_now = std::mem::take(&mut inject_panic);
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            if panic_now {
-                // cfva-lint: allow(L002, reason = "the injected fault itself — fires only under an installed FaultPlan, and the surrounding retry loop is its test subject")
-                panic!("injected fault: request panicked by FaultPlan");
-            }
-            execute(sessions, entry, request)
-        }));
-        match outcome {
-            Ok(result) => {
-                // Predicted-vs-actual accounting for co-run responses.
-                // Cache hits skip this by design: the counters track
-                // executed co-runs, and a hit executes nothing.
-                if let Ok(Response::MultiStream(outcome)) = &result {
-                    policy
-                        .counters
-                        .predicted_conflicts_milli
-                        .fetch_add(outcome.predicted_conflicts_milli, Ordering::Relaxed);
-                    policy
-                        .counters
-                        .actual_conflicts
-                        .fetch_add(outcome.actual_conflicts, Ordering::Relaxed);
-                }
-                return result;
-            }
-            Err(payload) => {
-                attempt += 1;
-                if attempt <= policy.max_retries {
-                    policy.counters.retries.fetch_add(1, Ordering::Relaxed);
-                    backoff(attempt);
-                    continue;
-                }
-                return Err(ServeError::WorkerPanicked {
-                    attempts: attempt,
-                    message: panic_message(payload.as_ref()),
-                });
-            }
-        }
-    }
-}
-
 /// Retry backoff: `2^attempt` scheduler yields. Deterministic in
 /// structure (no wall-clock sleeps), cheap, and enough to let a
 /// transiently-wedged resource settle between attempts.
 fn backoff(attempt: u32) {
     for _ in 0..(1u32 << attempt.min(6)) {
         std::thread::yield_now();
-    }
-}
-
-/// Caches a successful response under the key its miss was admitted
-/// with, if it was.
-fn cache_success(populate: Option<(Arc<ResultCache>, CacheKey)>, result: &ServeResult) {
-    if let (Some((cache, key)), Ok(response)) = (populate, result) {
-        cache.insert(key, response);
     }
 }
 
@@ -1508,27 +1336,11 @@ mod tests {
             let cold = uncached.submit(request.clone()).expect("room").wait();
             assert!(warm.is_ok(), "rows=1|{k}: {warm:?}");
             assert_eq!(warm, cold, "rows=1|{k}");
-            let entry = cached.resolve(request.spec()).expect("parses");
-            let policy = ServeAttempts {
-                deadline: None,
-                budget: None,
-                max_retries: 0,
-                inject_panic: false,
-                counters: &cached.counters,
-            };
-            assert_eq!(
-                cached.shed(&entry, &request, None, policy),
-                warm.map(|response| Response::Degraded {
-                    response: Box::new(response),
-                    exact: true,
-                })
-            );
         }
         for service in [&cached, &uncached] {
             assert_eq!(service.specs.lock().len(), CAP);
             assert_eq!(worker_sessions(service), CAP);
         }
-        assert_eq!(cached.degraded_sessions.lock().sessions.len(), CAP);
         // Past the cap every spec still serves; an evicted session is
         // rebuilt on demand.
         let again = measure("custom-gf2:rows=1|2");

@@ -224,12 +224,15 @@ fn overloaded_burst_rejects_typed_and_every_accepted_ticket_resolves() {
     // exactly two submissions fit behind the wedge, every other one
     // comes back Overloaded (typed, with the observed depth), and
     // everything accepted still resolves.
-    let (plan, mut gate) = FaultPlan::new().hold_at(0);
+    let (plan, gate) = FaultPlan::new().hold_at(0);
     let service = Service::new(
         ServiceConfig::with_workers(1)
             .queue_capacity(2)
             .fault_plan(Arc::new(plan)),
     );
+    // Bound after the service, so a failing assert drops (opens) the
+    // gate before the service's drain waits on the held worker.
+    let mut gate = gate;
     let heavy = service
         .submit(Request::Efficiency {
             spec: "xor-matched:t=3,s=4".into(),
@@ -268,6 +271,60 @@ fn overloaded_burst_rejects_typed_and_every_accepted_ticket_resolves() {
     }
     assert_eq!(accepted.len(), 2, "exactly the queue's capacity fits");
     assert_eq!(overloads, 198, "every other submission is refused");
+    // Every request shape is refused alike behind the full queue: the
+    // service never serves a refused request itself.
+    let spec = "xor-matched:t=3,s=4";
+    let vec = VectorSpec::new(1000, 12, 64).expect("valid");
+    let shapes = [
+        Request::Measure {
+            spec: spec.into(),
+            vec,
+            strategy: Strategy::Auto,
+        },
+        Request::MeasureBatch {
+            spec: spec.into(),
+            accesses: vec![(vec, Strategy::Auto), (vec, Strategy::Canonical)],
+        },
+        Request::FamilySweep {
+            spec: spec.into(),
+            len: 64,
+            max_x: 4,
+            sigma: 3,
+        },
+        Request::Efficiency {
+            spec: spec.into(),
+            strategy: Strategy::Auto,
+            len: 64,
+            estimator: Estimator::Stratified {
+                max_x: 4,
+                per_family: 2,
+            },
+            seed: 11,
+        },
+        Request::MultiStream {
+            spec: spec.into(),
+            streams: vec![vec, VectorSpec::new(1001, 12, 64).expect("valid")],
+            strategy: Strategy::Auto,
+            policy: IssuePolicy::RoundRobin,
+            schedule: SchedulePlan::Together,
+        },
+    ];
+    for request in shapes {
+        match service.submit(request.clone()) {
+            Err(ServeError::Overloaded {
+                queue_depth,
+                capacity,
+            }) => assert_eq!((queue_depth, capacity), (2, 2), "{request:?}"),
+            Ok(mut ticket) => match ticket.poll() {
+                Some(Ok(Response::Degraded { .. })) => {
+                    panic!("a full queue served {request:?} on the caller's thread")
+                }
+                other => panic!("a full queue admitted {request:?}: {other:?}"),
+            },
+            Err(e) => panic!("unexpected submit error for {request:?}: {e}"),
+        }
+    }
+    assert_eq!(service.stats().degraded, 0, "nothing is ever degraded");
     gate.release();
     for ticket in accepted {
         assert!(matches!(ticket.wait(), Ok(Response::Measured(Some(_)))));
@@ -337,59 +394,53 @@ fn submits_after_shutdown_are_refused_as_shutting_down() {
 fn exhausted_retries_resolve_worker_panicked_with_the_message() {
     // A panic injected at submission 0 with retries disabled: the
     // ticket resolves the typed error, the worker survives, and the
-    // service keeps serving bit-identically. Shedding on or off, spent
-    // retries are an error: nothing reruns the code that panicked.
-    for fallback in [false, true] {
-        let plan = Arc::new(FaultPlan::new().panic_at(0));
-        let service = Service::new(
-            ServiceConfig::with_workers(1)
-                .max_retries(0)
-                .degraded_fallback(fallback)
-                .fault_plan(plan),
-        );
-        let vec = VectorSpec::new(0, 3, 64).expect("valid");
-        let doomed = service
-            .submit(Request::Measure {
-                spec: "interleaved:m=3".into(),
-                vec,
-                strategy: Strategy::Auto,
-            })
-            .expect("room");
-        match doomed.wait() {
-            Err(ServeError::WorkerPanicked { attempts, message }) => {
-                assert_eq!(attempts, 1, "fallback {fallback}");
-                assert!(message.contains("injected fault"), "{message}");
-            }
-            other => panic!("fallback {fallback}: expected WorkerPanicked, got {other:?}"),
+    // service keeps serving bit-identically.
+    let plan = Arc::new(FaultPlan::new().panic_at(0));
+    let service = Service::new(
+        ServiceConfig::with_workers(1)
+            .max_retries(0)
+            .fault_plan(plan),
+    );
+    let vec = VectorSpec::new(0, 3, 64).expect("valid");
+    let doomed = service
+        .submit(Request::Measure {
+            spec: "interleaved:m=3".into(),
+            vec,
+            strategy: Strategy::Auto,
+        })
+        .expect("room");
+    match doomed.wait() {
+        Err(ServeError::WorkerPanicked { attempts, message }) => {
+            assert_eq!(attempts, 1);
+            assert!(message.contains("injected fault"), "{message}");
         }
-        // The follow-up request (no fault scheduled) matches a fresh
-        // serial session exactly.
-        let vec = VectorSpec::new(0, 3, 64).expect("valid");
-        let served = service
-            .submit(Request::Measure {
-                spec: "interleaved:m=3".into(),
-                vec,
-                strategy: Strategy::Auto,
-            })
-            .expect("room")
-            .wait()
-            .expect("serves");
-        let mut serial =
-            BatchRunner::from_spec(&"interleaved:m=3".parse().expect("valid")).expect("builds");
-        let vec = VectorSpec::new(0, 3, 64).expect("valid");
-        assert_eq!(
-            served,
-            Response::Measured(serial.measure_owned(&vec, Strategy::Auto)),
-            "fallback {fallback}"
-        );
-        assert_eq!(service.stats().degraded, 0, "fallback {fallback}");
-        service.shutdown();
+        other => panic!("expected WorkerPanicked, got {other:?}"),
     }
+    // The follow-up request (no fault scheduled) matches a fresh
+    // serial session exactly.
+    let vec = VectorSpec::new(0, 3, 64).expect("valid");
+    let served = service
+        .submit(Request::Measure {
+            spec: "interleaved:m=3".into(),
+            vec,
+            strategy: Strategy::Auto,
+        })
+        .expect("room")
+        .wait()
+        .expect("serves");
+    let mut serial =
+        BatchRunner::from_spec(&"interleaved:m=3".parse().expect("valid")).expect("builds");
+    let vec = VectorSpec::new(0, 3, 64).expect("valid");
+    assert_eq!(
+        served,
+        Response::Measured(serial.measure_owned(&vec, Strategy::Auto))
+    );
+    service.shutdown();
 }
 
 #[test]
-fn deadline_and_degraded_responses_stay_equivalent_to_their_sources() {
-    use std::time::{Duration, Instant};
+fn a_zero_budget_behind_a_busy_worker_resolves_deadline_exceeded() {
+    use std::time::Duration;
     // `ServeError::DeadlineExceeded`: a zero budget against a wedged
     // worker resolves typed, never blocks.
     let service = Service::new(ServiceConfig::with_workers(1).queue_capacity(8));
@@ -418,106 +469,6 @@ fn deadline_and_degraded_responses_stay_equivalent_to_their_sources() {
     ));
     wedge.wait().expect("the wedge itself serves normally");
     service.shutdown();
-
-    // `Response::Degraded`: a saturated opted-in service runs the
-    // overflow on the caller's thread and returns the response a worker
-    // would have, arrivals included.
-    let shedding = Service::new(
-        ServiceConfig::with_workers(1)
-            .queue_capacity(1)
-            .cache_bytes(0)
-            .degraded_fallback(true),
-    );
-    let wedges: Vec<_> = (0..2)
-        .map(|i| {
-            shedding
-                .submit(Request::FamilySweep {
-                    spec: "xor-matched:t=3,s=4".into(),
-                    len: 65536,
-                    max_x: 8,
-                    sigma: 2 * i + 1,
-                })
-                .expect("worker + queue absorb the first two")
-        })
-        .collect();
-    let request = Request::Measure {
-        spec: "xor-matched:t=3,s=4".into(),
-        vec: VectorSpec::new(0, 5, 64).expect("valid"),
-        strategy: Strategy::Auto,
-    };
-    let shed = shedding
-        .submit(request.clone())
-        .expect("shedding absorbs the overflow")
-        .wait()
-        .expect("serves");
-    for w in wedges {
-        w.wait().expect("wedges serve normally");
-    }
-    let pooled = shedding
-        .submit(request)
-        .expect("the drained queue has room")
-        .wait()
-        .expect("serves");
-    assert!(matches!(pooled, Response::Measured(Some(_))), "{pooled:?}");
-    match shed {
-        Response::Degraded { response, exact } => {
-            assert!(exact);
-            assert_eq!(*response, pooled, "a shed response equals the pooled one");
-        }
-        // The wedge cleared between submissions; the full path answered.
-        response => assert_eq!(response, pooled),
-    }
-    shedding.shutdown();
-
-    // A shed with a budget: the caller's thread runs the whole request,
-    // and one that completes past its deadline resolves typed, as a
-    // pooled ticket would — never `Ok` after the budget. The budget is
-    // a quarter of the request's serial run, so it elapses mid-run.
-    let long = Request::FamilySweep {
-        spec: "xor-matched:t=3,s=4".into(),
-        len: 65536,
-        max_x: 8,
-        sigma: 7,
-    };
-    let timing = Service::new(ServiceConfig::with_workers(1).cache_bytes(0));
-    let started = Instant::now();
-    let ticket = timing.submit(long.clone()).expect("room");
-    ticket.wait().expect("serves");
-    let budget = started.elapsed() / 4;
-    timing.shutdown();
-    let (plan, mut gate) = FaultPlan::new().hold_at(0);
-    let shedding = Service::new(
-        ServiceConfig::with_workers(1)
-            .queue_capacity(1)
-            .cache_bytes(0)
-            .degraded_fallback(true)
-            .fault_plan(Arc::new(plan)),
-    );
-    let measure = |base: u64| Request::Measure {
-        spec: "xor-matched:t=3,s=4".into(),
-        vec: VectorSpec::new(base, 5, 64).expect("valid"),
-        strategy: Strategy::Auto,
-    };
-    let wedge = shedding.submit(measure(0)).expect("an empty queue admits");
-    gate.wait_held();
-    let queued = shedding.submit(measure(1)).expect("the queue's one slot");
-    let budgeted = shedding
-        .submit_with_budget(long, budget)
-        .map(|ticket| ticket.wait());
-    let stats = shedding.stats();
-    // Open the gate before asserting: a failed assert must not leave
-    // the service's drain waiting on a held worker.
-    gate.release();
-    wedge.wait().expect("the wedge itself serves normally");
-    queued.wait().expect("the queued request serves normally");
-    shedding.shutdown();
-    match budgeted {
-        Ok(Err(ServeError::DeadlineExceeded { budget: reported })) => {
-            assert_eq!(reported, budget);
-        }
-        other => panic!("a shed past its budget resolved {other:?}"),
-    }
-    assert_eq!((stats.degraded, stats.deadline_exceeded), (1, 1));
 }
 
 #[test]
@@ -526,13 +477,16 @@ fn a_pending_ticket_past_its_deadline_is_ready() {
     // A zero budget queued behind a wedged worker: the ticket is still
     // pending, but past its deadline `poll` resolves it, so `is_ready`
     // must say so before the poll and stop saying so after it.
-    let (plan, mut gate) = FaultPlan::new().hold_at(0);
+    let (plan, gate) = FaultPlan::new().hold_at(0);
     let service = Service::new(
         ServiceConfig::with_workers(1)
             .queue_capacity(8)
             .cache_bytes(0)
             .fault_plan(Arc::new(plan)),
     );
+    // Bound after the service, so a failing assert drops (opens) the
+    // gate before the service's drain waits on the held worker.
+    let mut gate = gate;
     let wedge = service
         .submit(Request::Measure {
             spec: "xor-matched:t=3,s=4".into(),

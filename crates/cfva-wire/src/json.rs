@@ -65,8 +65,8 @@ use cfva_serve::CacheStats;
 
 /// Maximum nesting depth the lexer accepts before returning a typed
 /// error instead of risking the stack. The deepest legitimate wire
-/// document is a `Response::Degraded` chain; the service produces
-/// depth ≤ 2 of those, so 96 is generous.
+/// document is a `Response::Degraded` chain, which the version-3 frame
+/// still decodes though the service produces none, so 96 is generous.
 pub const MAX_DEPTH: u32 = 96;
 
 // ---------------------------------------------------------------------

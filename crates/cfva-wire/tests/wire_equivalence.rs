@@ -417,13 +417,16 @@ fn a_request_running_past_its_budget_answers_deadline_exceeded_as_in_process() {
     // resolves DeadlineExceeded at its deadline while the sweep runs
     // on; over the wire B must answer the same, before A — whichever of
     // the two jobs finishes first.
-    let (plan, mut gate) = FaultPlan::new().hold_at(0);
+    let (plan, gate) = FaultPlan::new().hold_at(0);
     let (service, server) = serve_pair(
         ServiceConfig::with_workers(2)
             .cache_bytes(0)
             .fault_plan(Arc::new(plan)),
         WireServerConfig::default(),
     );
+    // Bound after the service and server, so a failing assert drops
+    // (opens) the gate before their drains wait on the held worker.
+    let mut gate = gate;
     let before = service.stats().deadline_exceeded;
     let (mut raw, mut reader) = raw_connect(server.local_addr());
     let budget = Duration::from_millis(10);
@@ -475,13 +478,16 @@ fn duplicate_in_flight_request_ids_are_each_answered() {
     // The request_id is the client's correlation tag, not a key the
     // server may rely on: two submits reusing one id, both in flight
     // behind a wedged worker, must each get a Result frame.
-    let (plan, mut gate) = FaultPlan::new().hold_at(0);
+    let (plan, gate) = FaultPlan::new().hold_at(0);
     let (service, server) = serve_pair(
         ServiceConfig::with_workers(1)
             .cache_bytes(0)
             .fault_plan(Arc::new(plan)),
         WireServerConfig::default(),
     );
+    // Bound after the service and server, so a failing assert drops
+    // (opens) the gate before their drains wait on the held worker.
+    let mut gate = gate;
     let (mut raw, mut reader) = raw_connect(server.local_addr());
     for base in [0u64, 64] {
         raw_submit(
