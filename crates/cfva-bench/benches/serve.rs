@@ -35,7 +35,10 @@
 //! decode on top of the O(1) serve), and `loopback_pipelined` amortises
 //! the round trip by keeping 16 requests in flight on one connection
 //! before reaping — the protocol's out-of-order correlation is what
-//! makes that pipelining legal.
+//! makes that pipelining legal. `encode_response` and
+//! `decode_response` time the JSON codec alone on a 4096-element
+//! `Measure` response, the largest frame of the benchmark's hot set,
+//! whose text is mostly its array of arrival cycles.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -281,6 +284,7 @@ fn bench_serve_cached(c: &mut Criterion) {
 /// amortising the per-round-trip latency across the batch.
 fn bench_serve_wire(c: &mut Criterion) {
     use cfva_wire::client::WireClient;
+    use cfva_wire::json;
     use cfva_wire::server::{WireServer, WireServerConfig};
     use std::sync::Arc;
 
@@ -333,6 +337,27 @@ fn bench_serve_wire(c: &mut Criterion) {
                 .map(|t| response_checksum(&client.wait(t).expect("transport up").expect("valid")))
                 .sum::<u64>()
         })
+    });
+
+    // The codec alone, on the wire's hottest frame: a 4096-element
+    // `Measure` response (≈ 19.6 KB of text, mostly arrival cycles).
+    let long = Request::Measure {
+        spec: "xor-matched:t=3,s=4".into(),
+        vec: VectorSpec::new(16, 3, 4096).expect("valid"),
+        strategy: Strategy::Auto,
+    };
+    let response = service
+        .submit(long)
+        .expect("room")
+        .wait()
+        .expect("valid request");
+    let text = json::encode_response(&response);
+    assert_eq!(json::decode_response(&text).as_ref(), Ok(&response));
+    group.bench_function(BenchmarkId::new("encode_response", 4096), |b| {
+        b.iter(|| json::encode_response(&response).len())
+    });
+    group.bench_function(BenchmarkId::new("decode_response", 4096), |b| {
+        b.iter(|| response_checksum(&json::decode_response(&text).expect("decodes")))
     });
     group.finish();
     drop(client);

@@ -40,8 +40,8 @@ const ALLOWED_NESTING: &[(&str, &str)] = &[];
 
 /// The crates whose locks this lint governs: the serve substrate and
 /// its wire front end, which reuses the same `ClassedMutex` classes
-/// (`WireConns`, `WireIntern`) and so answers to the same leaf
-/// discipline.
+/// (`WireConns`, `WireIntern`, `WireSink`) and so answers to the same
+/// leaf discipline.
 const LOCKED_CRATES: &[&str] = &["cfva-serve", "cfva-wire"];
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

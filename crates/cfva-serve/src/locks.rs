@@ -2,18 +2,19 @@
 //!
 //! # The hierarchy: every lock is a leaf
 //!
-//! The serving layer owns seven lock classes ([`LockClass`]): the
+//! The serving layer owns eight lock classes ([`LockClass`]): the
 //! scheduler ([`Sched`](LockClass::Sched)), the worker-handle registry
 //! ([`Handles`](LockClass::Handles)), the spec table
 //! ([`SpecTable`](LockClass::SpecTable)), the result-cache shards
 //! ([`CacheShard`](LockClass::CacheShard)), the pool supervisor's
 //! restart ledger ([`Supervisor`](LockClass::Supervisor)), the wire
 //! front end's connection registry
-//! ([`WireConns`](LockClass::WireConns)) and the wire codec's
+//! ([`WireConns`](LockClass::WireConns)), the wire codec's
 //! `&'static str` intern pool
-//! ([`WireIntern`](LockClass::WireIntern)) — the last two acquired
-//! only by `cfva-wire`, which reuses this module rather than growing
-//! a second lock discipline. The concurrency design keeps the
+//! ([`WireIntern`](LockClass::WireIntern)) and each wire connection's
+//! write half ([`WireSink`](LockClass::WireSink)) — the last three
+//! acquired only by `cfva-wire`, which reuses this module rather than
+//! growing a second lock discipline. The concurrency design keeps the
 //! hierarchy deliberately **flat**: a thread holds at most one of
 //! them at a time.
 //!
@@ -42,6 +43,14 @@
 //!   `&'static str` values (decoding `ConfigError` needs statics).
 //!   Interning is pure string work; no other lock is reachable from
 //!   inside it.
+//! * `WireSink` guards one connection's socket write half and its
+//!   queued frames, shared by the connection's reader (which answers
+//!   cache hits, stats and rejections itself) and its writer (which
+//!   reaps pending tickets). It is held only to encode a frame or to
+//!   flush: every service call (submit, ticket poll, stats) and every
+//!   decode, which may intern under `WireIntern`, happens before the
+//!   acquisition, so it stays a leaf. A flush under it blocks for at
+//!   most the socket's short write timeout.
 //!
 //! So any nested acquisition is a bug by definition: either a latent
 //! deadlock (two threads nesting in opposite orders) or an accidental
@@ -83,6 +92,9 @@ pub enum LockClass {
     WireConns,
     /// The wire codec's `&'static str` intern pool (`cfva-wire`).
     WireIntern,
+    /// One wire connection's write half and queued frames
+    /// (`cfva-wire`).
+    WireSink,
 }
 
 /// A `Mutex` that knows which [`LockClass`] it belongs to and, in

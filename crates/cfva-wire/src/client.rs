@@ -211,6 +211,8 @@ impl WireClient {
     /// Sends one frame, length word and payload, with one write.
     fn send(&mut self, msg: &ClientFrame) -> Result<(), WireError> {
         self.outbox.push(msg)?;
+        // The socket has no write timeout, so the flush returns only
+        // once every byte has left.
         self.outbox.flush(&mut self.writer)?;
         Ok(())
     }

@@ -20,9 +20,10 @@
 //! * **One write per frame.** The client and server send through an
 //!   `Outbox`: each frame's payload is encoded in place behind a
 //!   placeholder length word in one reused per-connection buffer, and
-//!   the length word and payload leave together in one `write_all`,
-//!   never split across two syscalls (or, under `TCP_NODELAY`, two
-//!   segments).
+//!   every queued frame leaves in one write, length words and
+//!   payloads together (a frame is split only where the socket takes
+//!   part of a write). The flush is resumable, so a server can put a
+//!   short write timeout on a socket whose client stops reading.
 
 use std::io::{self, Read, Write};
 
@@ -127,15 +128,22 @@ fn frame_len(len: usize) -> Result<u32, FrameError> {
 ///
 /// [`push`](Outbox::push) appends a placeholder length word and
 /// encodes the payload straight after it; [`flush`](Outbox::flush)
-/// patches the length words and sends every queued frame with one
-/// `write_all`. Once grown, the buffer serves every later frame
+/// patches the length words and sends every queued frame in one
+/// stretch of writes. Once grown, the buffer serves every later frame
 /// without allocating; past [`RETAINED_CAPACITY`] it shrinks back
-/// after each flush.
+/// after each flush. A flush is resumable: on a socket with a write
+/// timeout, a write that times out leaves the unsent bytes queued,
+/// ahead of any later frame, for the next flush.
 #[derive(Debug, Default)]
 pub(crate) struct Outbox {
     buf: String,
     /// Each queued frame's start in `buf` and its payload length.
     frames: Vec<(usize, u32)>,
+    /// Patched bytes a flush has taken from `buf`, and how many of
+    /// them have left. Non-empty between flushes only after a write
+    /// timed out.
+    unsent: Vec<u8>,
+    sent: usize,
 }
 
 impl Outbox {
@@ -158,26 +166,71 @@ impl Outbox {
         }
     }
 
-    /// Sends every queued frame with one `write_all`. The queue is
-    /// emptied whether or not the write succeeds.
-    pub(crate) fn flush<W: Write>(&mut self, w: &mut W) -> Result<(), FrameError> {
-        if self.frames.is_empty() {
-            return Ok(());
-        }
-        // The patched length words are not UTF-8, so the bytes leave
-        // the `String` for the write and come back empty.
-        let mut bytes = std::mem::take(&mut self.buf).into_bytes();
-        for (start, len) in self.frames.drain(..) {
-            if let Some(word) = bytes.get_mut(start..start + 4) {
-                word.copy_from_slice(&len.to_be_bytes());
+    /// Sends every queued byte. `Ok(true)` once all of it has left;
+    /// `Ok(false)` if a write timed out (`WouldBlock` or `TimedOut`)
+    /// first, keeping the rest queued. On any other error the queue is
+    /// emptied.
+    pub(crate) fn flush<W: Write>(&mut self, w: &mut W) -> Result<bool, FrameError> {
+        if !self.frames.is_empty() {
+            // The patched length words are not UTF-8, so the bytes
+            // leave the `String` for the write.
+            let mut bytes = std::mem::take(&mut self.buf).into_bytes();
+            for (start, len) in self.frames.drain(..) {
+                if let Some(word) = bytes.get_mut(start..start + 4) {
+                    word.copy_from_slice(&len.to_be_bytes());
+                }
+            }
+            if self.unsent.is_empty() {
+                self.unsent = bytes;
+            } else {
+                self.unsent.extend_from_slice(&bytes);
+                self.recycle(bytes);
             }
         }
-        let sent = w.write_all(&bytes);
-        bytes.clear();
-        bytes.shrink_to(RETAINED_CAPACITY);
-        // An empty buffer is valid UTF-8: this keeps the allocation.
-        self.buf = String::from_utf8(bytes).unwrap_or_default();
-        sent.map_err(FrameError::Io)
+        let result = loop {
+            let Some(rest) = self.unsent.get(self.sent..).filter(|rest| !rest.is_empty()) else {
+                break Ok(true);
+            };
+            match w.write(rest) {
+                Ok(0) => break Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => self.sent += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                    ) =>
+                {
+                    return Ok(false)
+                }
+                Err(e) => break Err(e),
+            }
+        };
+        let bytes = std::mem::take(&mut self.unsent);
+        self.sent = 0;
+        self.recycle(bytes);
+        result.map_err(FrameError::Io)
+    }
+
+    /// Keeps `bytes`' allocation, cleared and shrunk to
+    /// [`RETAINED_CAPACITY`], for the next frames, unless `buf`
+    /// already holds one.
+    fn recycle(&mut self, mut bytes: Vec<u8>) {
+        if self.buf.capacity() == 0 {
+            bytes.clear();
+            bytes.shrink_to(RETAINED_CAPACITY);
+            // An empty buffer is valid UTF-8: this keeps the allocation.
+            self.buf = String::from_utf8(bytes).unwrap_or_default();
+        }
+    }
+}
+
+/// Whether `buffered` starts with a whole frame, length word and
+/// payload, so that reading it cannot block.
+pub(crate) fn holds_frame(buffered: &[u8]) -> bool {
+    match buffered.first_chunk::<4>() {
+        Some(word) => buffered.len() - 4 >= u32::from_be_bytes(*word) as usize,
+        None => false,
     }
 }
 
@@ -286,5 +339,57 @@ mod tests {
         assert_eq!(sink.0.len(), 2);
         outbox.flush(&mut sink).expect("nothing queued");
         assert_eq!(sink.0.len(), 2, "an empty flush writes nothing");
+    }
+
+    /// A socket that takes `room` more bytes, then times out.
+    struct Stalls {
+        taken: Vec<u8>,
+        room: usize,
+    }
+
+    impl Write for Stalls {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            let n = buf.len().min(self.room).min(7);
+            if n == 0 {
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            self.room -= n;
+            self.taken.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_timed_out_flush_resumes_where_it_stopped() {
+        let frame = |i: usize| ServerFrame::Fatal {
+            reason: format!("frame {i}"),
+        };
+        let mut outbox = Outbox::default();
+        let mut socket = Stalls {
+            taken: Vec::new(),
+            room: 10,
+        };
+        outbox.push(&frame(0)).expect("small frame fits");
+        outbox.push(&frame(1)).expect("small frame fits");
+        assert!(!outbox.flush(&mut socket).expect("a timeout is no error"));
+        assert_eq!(socket.taken.len(), 10);
+        // Frames queued during the stall leave after the stalled bytes.
+        outbox.push(&frame(2)).expect("small frame fits");
+        socket.room = 1 << 10;
+        assert!(outbox.flush(&mut socket).expect("drains"));
+        assert!(outbox.flush(&mut socket).expect("nothing queued"));
+        assert!(holds_frame(&socket.taken));
+        let mut stream = io::Cursor::new(socket.taken);
+        for i in 0..3 {
+            let payload = read_frame(&mut stream).expect("frame reads back");
+            assert_eq!(payload, json::encode_server_frame(&frame(i)));
+        }
+        assert!(matches!(read_frame(&mut stream), Err(FrameError::Closed)));
+        assert!(!holds_frame(&[0, 0, 0, 2, b'{']));
+        assert!(!holds_frame(&[0, 0]));
     }
 }

@@ -69,6 +69,11 @@ use cfva_serve::CacheStats;
 /// still decodes though the service produces none, so 96 is generous.
 pub const MAX_DEPTH: u32 = 96;
 
+/// Items the one-pass integer-array reader reserves room for before
+/// it reads the array (8 Ki, a 64 KiB heap block); a longer array
+/// grows.
+const MAX_RESERVED_ITEMS: usize = 1 << 13;
+
 // ---------------------------------------------------------------------
 // Document model
 // ---------------------------------------------------------------------
@@ -540,27 +545,49 @@ impl<'a> Parser<'a> {
     // error, so a shape error never stops the rest of the document
     // from being syntax-checked.
 
-    /// A compact array of plain integers (`[1,22,333]`, no
-    /// whitespace, as every encoder writes an arrival profile), read
-    /// in one tight pass. `None`, with nothing consumed, for anything
-    /// else, which the general path then reads.
+    /// A compact array of plain integers (`[1,22,333]`: no
+    /// whitespace, 1 to 19 digits each, as every encoder writes an
+    /// arrival profile), read in one pass over digits, commas and `]`
+    /// into an exact-length vector. `None`, with nothing consumed, for
+    /// anything else, which the general path then reads.
     fn plain_uint_array(&mut self) -> Option<Vec<u64>> {
         if self.peek() != Some(b'[') || self.depth >= MAX_DEPTH {
             return None;
         }
-        let rest = self.bytes.get(self.pos + 1..)?;
-        let body = rest.get(..rest.iter().position(|b| *b == b']')?)?;
+        let mut at = self.pos + 1;
         let mut items = Vec::new();
-        if !body.is_empty() {
-            items.reserve(1 + body.iter().filter(|b| **b == b',').count());
-            for number in body.split(|b| *b == b',') {
-                if !(1..=19).contains(&number.len()) || !number.iter().all(u8::is_ascii_digit) {
+        if self.bytes.get(at) == Some(&b']') {
+            at += 1;
+        } else {
+            // Room for every item the rest of the text can hold (each
+            // takes at least two bytes), within a bound, trimmed to
+            // length at the end: one allocation for all but the
+            // longest arrays.
+            items.reserve((self.bytes.len() - at).div_ceil(2).min(MAX_RESERVED_ITEMS));
+            loop {
+                let (mut n, mut digits) = (0u64, 0);
+                let end = loop {
+                    match *self.bytes.get(at)? {
+                        digit @ b'0'..=b'9' if digits < 19 => {
+                            n = n * 10 + u64::from(digit - b'0');
+                            digits += 1;
+                            at += 1;
+                        }
+                        other => break other,
+                    }
+                };
+                if digits == 0 || !matches!(end, b',' | b']') {
                     return None;
                 }
-                items.push(number.iter().fold(0, |n, d| n * 10 + u64::from(d - b'0')));
+                items.push(n);
+                at += 1;
+                if end == b']' {
+                    break;
+                }
             }
+            items.shrink_to_fit();
         }
-        self.pos += body.len() + 2;
+        self.pos = at;
         Some(items)
     }
 
@@ -721,6 +748,36 @@ fn decode_items<T: Decode>(p: &mut Parser<'_>, what: &'static str) -> Result<Vec
     bad.map_or(Ok(items), Err)
 }
 
+/// What the two readers of a `u64` array made of one text, for the
+/// codec's equivalence suite.
+#[doc(hidden)]
+#[derive(Debug)]
+pub struct UintArrayReads {
+    /// The one-pass reader's items, `None` when it fell back.
+    pub one_pass: Option<Vec<u64>>,
+    /// The bytes the one-pass reader consumed.
+    pub one_pass_end: usize,
+    /// The general item-by-item reader's result.
+    pub general: Result<Vec<u64>, DecodeError>,
+    /// The bytes the general reader consumed.
+    pub general_end: usize,
+}
+
+/// Runs both readers of a `u64` array on `text`.
+#[doc(hidden)]
+pub fn uint_array_readers(text: &str) -> UintArrayReads {
+    let mut one_pass = Parser::new(text);
+    let fast = one_pass.plain_uint_array();
+    let mut general = Parser::new(text);
+    let items = decode_items(&mut general, "items");
+    UintArrayReads {
+        one_pass: fast,
+        one_pass_end: one_pass.pos,
+        general: items,
+        general_end: general.pos,
+    }
+}
+
 /// A field's final value: its decoded result, its default when it was
 /// absent, or a missing-field error.
 fn take<T: Decode>(
@@ -834,14 +891,37 @@ macro_rules! decode_fields {
 // Scalars and containers
 // ---------------------------------------------------------------------
 
+/// The two decimal digits of every `n < 100`, `"00"` to `"99"`: a
+/// 200-byte table.
+const DIGIT_PAIRS: [[u8; 2]; 100] = {
+    let mut pairs = [[0u8; 2]; 100];
+    let mut n = 0;
+    while n < 100 {
+        pairs[n] = [b'0' + (n / 10) as u8, b'0' + (n % 10) as u8];
+        n += 1;
+    }
+    pairs
+};
+
 /// Writes `n`'s decimal digits at the front of `buf` (20 bytes hold
-/// any `u64`) and returns how many it wrote.
+/// any `u64`), two per step from the last, and returns how many it
+/// wrote.
 fn put_u64(buf: &mut [u8], n: u64) -> usize {
     let width = n.checked_ilog10().map_or(1, |log| log as usize + 1);
+    let Some(digits) = buf.get_mut(..width) else {
+        return 0;
+    };
     let mut rest = n;
-    for slot in buf.iter_mut().take(width).rev() {
-        *slot = b'0' + (rest % 10) as u8;
-        rest /= 10;
+    let mut pairs = digits.rchunks_exact_mut(2);
+    for slot in &mut pairs {
+        if let (Some(pair), [hi, lo]) = (DIGIT_PAIRS.get((rest % 100) as usize), slot) {
+            [*hi, *lo] = *pair;
+        }
+        rest /= 100;
+    }
+    // An odd width leaves the leading digit: `rest < 10` by then.
+    if let [lead] = pairs.into_remainder() {
+        *lead = b'0' + rest as u8;
     }
     width
 }

@@ -26,13 +26,16 @@
 //!   invalid UTF-8. Both ends send each frame, length word and
 //!   payload, with one write from a reused per-connection buffer. A
 //!   versioned hello opens every connection.
-//! * [`server`] — [`server::WireServer`]: one acceptor thread,
-//!   per-connection reader/writer threads, and a completion-driven
-//!   writer: each request's wake hook tells the writer its response is
-//!   ready, and the writer otherwise sleeps until the next message or
-//!   the earliest pending deadline (responses are correlated by
-//!   `request_id` and may return out of submission order),
-//!   per-connection admission caps surfacing typed
+//! * [`server`] — [`server::WireServer`]: one acceptor thread and
+//!   per-connection reader/writer threads. The reader answers what
+//!   needs no waiting (cache hits, stats, rejections) on its own
+//!   thread, flushing once per burst; the writer is completion-driven:
+//!   each request's wake hook tells it a response is ready, and it
+//!   otherwise sleeps until the next message or the earliest pending
+//!   deadline (responses are correlated by `request_id` and may return
+//!   out of submission order). A client that stops reading stalls its
+//!   connection without wedging the reader. Per-connection admission
+//!   caps surface typed
 //!   [`ServeError::Overloaded`](cfva_serve::api::ServeError) and
 //!   [`ServeError::ShuttingDown`](cfva_serve::api::ServeError) on the
 //!   wire, and a graceful drain: shutdown stops accepting, flushes
@@ -42,7 +45,8 @@
 //!   transports without restructuring.
 //!
 //! Locking reuses `cfva-serve`'s [`ClassedMutex`] leaf discipline
-//! (classes `WireConns` and `WireIntern`) — no new lock hierarchy,
+//! (classes `WireConns`, `WireIntern` and `WireSink`) — no new lock
+//! hierarchy,
 //! and the same static (L001) and debug-build dynamic checkers apply.
 //!
 //! ```no_run

@@ -1,29 +1,54 @@
 //! The serving side of the wire: accept connections, feed
-//! [`Service::submit_with_wake`], reap tickets back onto the socket.
+//! [`Service::submit_with_wake`], answer on the socket.
 //!
 //! # Thread anatomy
 //!
 //! One **acceptor** thread owns the listener. Each connection gets a
-//! **reader** and a **writer** thread, joined by one channel:
+//! **reader** and a **writer** thread. They share the connection's
+//! sink — its write half and one reused frame buffer
+//! ([`frame::Outbox`](crate::frame)) — behind a `WireSink` lock that
+//! is held only to queue or flush frames, never across a service call,
+//! and they are joined by one channel.
 //!
-//! * the reader parses frames, enforces the per-connection admission
-//!   cap, checks the shutdown flag and submits to the service — every
-//!   outcome (a live ticket under a reader-assigned sequence number,
-//!   or an immediate typed rejection) is handed to the writer over the
-//!   channel. When it stops reading it says so with an explicit
-//!   message;
-//! * each admitted request carries a wake hook that, on completion,
-//!   pushes the ticket's sequence number onto the same channel;
-//! * the writer owns the socket's write half and the connection's
-//!   pending tickets, keyed by sequence number (clients may reuse a
-//!   `request_id`). It polls a ticket once on receipt and again on its
-//!   wake, and otherwise sleeps until the next message or the earliest
-//!   pending deadline — responses return **out of submission order**,
-//!   correlated by `request_id`. It keeps reaping even if the socket
-//!   dies, so no accepted ticket is ever abandoned. Frames are encoded
-//!   in place into one reused buffer ([`frame::Outbox`](crate::frame))
-//!   and every batch of messages the writer wakes to leaves in one
-//!   write.
+//! * The reader parses frames, enforces the per-connection admission
+//!   cap, checks the shutdown flag and submits to the service. It
+//!   answers everything that needs no waiting itself, encoding the
+//!   frame into the sink: the hello, stats, every immediate typed
+//!   rejection and every ticket the service returns already resolved
+//!   (a cache hit). A ticket still running goes to the writer under a
+//!   reader-assigned sequence number. When the reader stops reading it
+//!   says so with an explicit message.
+//! * Each admitted request carries a wake hook that, on completion,
+//!   pushes the ticket's sequence number onto the same channel.
+//! * The writer holds the connection's pending tickets, keyed by
+//!   sequence number (clients may reuse a `request_id`). It polls a
+//!   ticket once on receipt and again on its wake, and otherwise sleeps
+//!   until the next message or the earliest pending deadline —
+//!   responses return **out of submission order**, correlated by
+//!   `request_id`. It keeps reaping even if the socket dies, so no
+//!   accepted ticket is ever abandoned. Every batch of messages it
+//!   wakes to leaves in one flush.
+//!
+//! # The flush rule
+//!
+//! The reader flushes the sink before any read that can block: once
+//! per burst, whenever its buffer holds no complete frame. So a
+//! pipelined burst is answered with one write, and an answer never
+//! waits behind a frame the client has only half sent.
+//!
+//! # A client that stops reading
+//!
+//! Its socket buffers fill, and a blocking write would wedge the
+//! reader. So the socket carries a short write timeout
+//! (`WRITE_STALL`) and a flush is resumable: a write that times out
+//! leaves the rest queued and marks the connection stalled. The writer
+//! then owns the drain. It retries until the client reads again, and
+//! until then the reader writes nothing: it hands every answer to the
+//! writer, and every ticket, cache hits included, through the ticket
+//! path, which counts it against the per-connection cap. So a stalled
+//! client's further submissions come back as typed
+//! [`ServeError::Overloaded`] instead of growing the sink, and the
+//! reader keeps reading.
 //!
 //! # Admission control is per-client
 //!
@@ -50,14 +75,19 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use cfva_serve::api::{ServeError, ServeResult};
+use cfva_serve::api::{Request, ServeError};
 use cfva_serve::locks::{ClassedMutex, LockClass};
 use cfva_serve::service::{ServeTicket, Service, ServiceStats};
 
 use crate::frame::{self, FrameError, Outbox, PROTOCOL_VERSION};
 use crate::json::{self, ClientFrame, ServerFrame};
+
+/// How long one write to a client may block. A write that times out
+/// stalls the connection until the writer drains it (see the
+/// [module docs](self)).
+const WRITE_STALL: Duration = Duration::from_millis(10);
 
 /// Tuning knobs for a [`WireServer`].
 #[derive(Debug, Clone, Copy)]
@@ -115,11 +145,9 @@ impl ConnHandle {
 /// What a reader — or a completing request's wake hook — hands its
 /// connection's writer.
 enum Outgoing {
-    /// The client's hello checked out: answer it.
-    Hello,
-    /// An immediate outcome with no ticket (rejection or decode-level
-    /// service error).
-    Ready(u64, ServeResult),
+    /// A frame to send: an answer the reader could not write itself
+    /// because the connection is stalled.
+    Frame(ServerFrame),
     /// An admitted ticket to reap, answering `request_id` `id`, under
     /// the reader-assigned sequence number `seq`.
     Ticket {
@@ -130,13 +158,45 @@ enum Outgoing {
     /// The request behind sequence number `seq` has its response on
     /// the ticket. It may arrive before that ticket does.
     Wake(u64),
-    /// A stats snapshot to send.
-    Stats(u64, ServiceStats),
+    /// The reader's flush timed out: drain the sink.
+    Drain,
     /// A protocol violation: report it, then stop writing.
     Fatal(String),
     /// The reader has stopped: nothing more will be admitted. Sent
     /// explicitly because pending wake hooks keep the channel open.
     Closed,
+}
+
+/// What a connection's reader and writer share.
+struct Conn {
+    sink: ClassedMutex<Sink>,
+    /// A flush timed out with bytes unsent. Until one drains them, only
+    /// the writer flushes, and the reader hands it every answer.
+    /// Written under the sink lock, read without it.
+    stalled: AtomicBool,
+    /// Tickets handed to the writer and not yet answered.
+    in_flight: AtomicUsize,
+    max_in_flight: usize,
+}
+
+impl Conn {
+    fn send(&self, frame_msg: &ServerFrame) {
+        self.sink.lock().send(frame_msg);
+    }
+
+    /// One flush attempt; `true` once nothing is left queued.
+    fn flush(&self) -> bool {
+        let mut sink = self.sink.lock();
+        let drained = sink.flush();
+        self.stalled.store(!drained, Ordering::Release);
+        drained
+    }
+
+    /// Flushes until nothing is left queued, however long the client
+    /// takes to read: each attempt blocks at most [`WRITE_STALL`].
+    fn drain(&self) {
+        while !self.flush() {}
+    }
 }
 
 /// A TCP front door for one [`Service`].
@@ -279,6 +339,9 @@ fn accept_loop(
         // ACK (~40 ms per round trip on loopback). Best effort — a
         // socket that can't set the option still works, just slower.
         let _ = stream.set_nodelay(true);
+        // A client that stops reading must not wedge the reader: a
+        // timed-out write leaves the drain to the writer.
+        let _ = stream.set_write_timeout(Some(WRITE_STALL));
         let Ok(read_half) = stream.try_clone() else {
             continue;
         };
@@ -288,33 +351,37 @@ fn accept_loop(
         counters.connections.fetch_add(1, Ordering::Relaxed);
 
         let (tx, rx) = std::sync::mpsc::channel::<Outgoing>();
-        let conn_in_flight = Arc::new(AtomicUsize::new(0));
+        let conn = Arc::new(Conn {
+            sink: ClassedMutex::new(
+                LockClass::WireSink,
+                Sink {
+                    stream,
+                    outbox: Outbox::default(),
+                    broken: false,
+                },
+            ),
+            stalled: AtomicBool::new(false),
+            in_flight: AtomicUsize::new(0),
+            max_in_flight: config.max_in_flight_per_conn,
+        });
 
         let reader = {
-            let service = Arc::clone(service);
-            let shutdown = Arc::clone(shutdown);
-            let counters = Arc::clone(counters);
-            let conn_in_flight = Arc::clone(&conn_in_flight);
+            let mut reader = Reader {
+                tx,
+                conn: Arc::clone(&conn),
+                service: Arc::clone(service),
+                shutdown: Arc::clone(shutdown),
+                counters: Arc::clone(counters),
+                next_seq: 0,
+            };
             std::thread::spawn(move || {
-                reader_loop(
-                    read_half,
-                    &tx,
-                    &service,
-                    &shutdown,
-                    &counters,
-                    &conn_in_flight,
-                    config.max_in_flight_per_conn,
-                );
-                let _ = tx.send(Outgoing::Closed);
+                reader.run(read_half);
+                let _ = reader.tx.send(Outgoing::Closed);
             })
         };
         let writer = {
             let counters = Arc::clone(counters);
-            let conn_in_flight = Arc::clone(&conn_in_flight);
-            let max = config.max_in_flight_per_conn;
-            std::thread::spawn(move || {
-                writer_loop(stream, &rx, &counters, &conn_in_flight, max);
-            })
+            std::thread::spawn(move || writer_loop(&conn, &rx, &counters))
         };
         // Reap on every accept: finished connections leave the
         // registry, closing its socket clone. Their threads have
@@ -340,116 +407,140 @@ fn accept_loop(
     }
 }
 
-/// Parses and admits one connection's frames. Every submission gets
-/// exactly one eventual `Result` frame: a live ticket handed to the
-/// writer, or an immediate typed rejection.
-fn reader_loop(
-    stream: TcpStream,
-    tx: &Sender<Outgoing>,
-    service: &Service,
-    shutdown: &AtomicBool,
-    counters: &WireCounters,
-    conn_in_flight: &AtomicUsize,
-    max_in_flight: usize,
-) {
-    let mut reader = BufReader::new(stream);
-    let mut next_seq = 0u64;
+/// One connection's reader: parses and admits its frames. Every
+/// submission gets exactly one `Result` frame: written here if it
+/// needs no waiting, else by the writer.
+struct Reader {
+    tx: Sender<Outgoing>,
+    conn: Arc<Conn>,
+    service: Arc<Service>,
+    shutdown: Arc<AtomicBool>,
+    counters: Arc<WireCounters>,
+    next_seq: u64,
+}
 
-    // The handshake: exactly one hello, version-checked, before
-    // anything else.
-    match frame::read_frame(&mut reader) {
-        Ok(text) => match json::decode_client_frame(&text) {
-            Ok(ClientFrame::Hello { proto }) if proto == PROTOCOL_VERSION => {
-                let _ = tx.send(Outgoing::Hello);
+impl Reader {
+    fn run(&mut self, stream: TcpStream) {
+        let mut reader = BufReader::new(stream);
+
+        // The handshake: exactly one hello, version-checked, before
+        // anything else.
+        match frame::read_frame(&mut reader) {
+            Ok(text) => match json::decode_client_frame(&text) {
+                Ok(ClientFrame::Hello { proto }) if proto == PROTOCOL_VERSION => {
+                    self.answer(ServerFrame::Hello {
+                        proto: PROTOCOL_VERSION,
+                        max_in_flight: u32::try_from(self.conn.max_in_flight).unwrap_or(u32::MAX),
+                    });
+                }
+                Ok(ClientFrame::Hello { proto }) => {
+                    return self.fatal(format!(
+                        "unsupported protocol version {proto} (server speaks {PROTOCOL_VERSION})"
+                    ));
+                }
+                Ok(_) => return self.fatal("first frame must be a hello".to_string()),
+                Err(e) => return self.fatal(e.to_string()),
+            },
+            Err(FrameError::Closed) | Err(FrameError::Io(_)) => return,
+            Err(e) => return self.fatal(e.to_string()),
+        }
+
+        loop {
+            // The flush rule: flush before any read that can block.
+            if !frame::holds_frame(reader.buffer()) {
+                self.flush();
             }
-            Ok(ClientFrame::Hello { proto }) => {
-                let _ = tx.send(Outgoing::Fatal(format!(
-                    "unsupported protocol version {proto} (server speaks {PROTOCOL_VERSION})"
-                )));
-                return;
+            let text = match frame::read_frame(&mut reader) {
+                Ok(text) => text,
+                // Clean goodbye or a lost/drained peer: stop reading;
+                // the writer flushes and drains whatever was admitted.
+                Err(FrameError::Closed) | Err(FrameError::Io(_)) => return,
+                // Oversize length or bad UTF-8: the stream may be
+                // misaligned, so report and close rather than mis-parse.
+                Err(e) => return self.fatal(e.to_string()),
+            };
+            match json::decode_client_frame(&text) {
+                Ok(ClientFrame::Submit {
+                    id,
+                    request,
+                    budget,
+                }) => self.submit(id, request, budget),
+                Ok(ClientFrame::Stats { id }) => {
+                    let stats = wire_stats(&self.service, &self.counters);
+                    self.answer(ServerFrame::Stats { id, stats });
+                }
+                Ok(ClientFrame::Hello { .. }) => return self.fatal("duplicate hello".to_string()),
+                Err(e) => return self.fatal(e.to_string()),
             }
-            Ok(_) => {
-                let _ = tx.send(Outgoing::Fatal("first frame must be a hello".to_string()));
-                return;
-            }
-            Err(e) => {
-                let _ = tx.send(Outgoing::Fatal(e.to_string()));
-                return;
-            }
-        },
-        Err(FrameError::Closed) | Err(FrameError::Io(_)) => return,
-        Err(e) => {
-            let _ = tx.send(Outgoing::Fatal(e.to_string()));
-            return;
         }
     }
 
-    loop {
-        let text = match frame::read_frame(&mut reader) {
-            Ok(text) => text,
-            // Clean goodbye or a lost/drained peer: stop reading; the
-            // writer drains whatever was admitted.
-            Err(FrameError::Closed) | Err(FrameError::Io(_)) => return,
-            // Oversize length or bad UTF-8: the stream may be
-            // misaligned, so report and close rather than mis-parse.
-            Err(e) => {
-                let _ = tx.send(Outgoing::Fatal(e.to_string()));
-                return;
-            }
-        };
-        match json::decode_client_frame(&text) {
-            Ok(ClientFrame::Submit {
+    fn submit(&mut self, id: u64, request: Request, budget: Option<Duration>) {
+        if self.shutdown.load(Ordering::SeqCst) {
+            return self.reject(id, ServeError::ShuttingDown);
+        }
+        let held = self.conn.in_flight.load(Ordering::Relaxed);
+        if held >= self.conn.max_in_flight {
+            return self.reject(
                 id,
-                request,
-                budget,
-            }) => {
-                if shutdown.load(Ordering::SeqCst) {
-                    counters.rejections.fetch_add(1, Ordering::Relaxed);
-                    let _ = tx.send(Outgoing::Ready(id, Err(ServeError::ShuttingDown)));
-                    continue;
-                }
-                let held = conn_in_flight.load(Ordering::Relaxed);
-                if held >= max_in_flight {
-                    counters.rejections.fetch_add(1, Ordering::Relaxed);
-                    let _ = tx.send(Outgoing::Ready(
-                        id,
-                        Err(ServeError::Overloaded {
-                            queue_depth: held,
-                            capacity: max_in_flight,
-                        }),
-                    ));
-                    continue;
-                }
-                let seq = next_seq;
-                next_seq += 1;
-                let waker = tx.clone();
-                let wake = move || {
-                    let _ = waker.send(Outgoing::Wake(seq));
-                };
-                match service.submit_with_wake(request, budget, wake) {
-                    Ok(ticket) => {
-                        conn_in_flight.fetch_add(1, Ordering::Relaxed);
-                        counters.in_flight.fetch_add(1, Ordering::Relaxed);
-                        let _ = tx.send(Outgoing::Ticket { seq, id, ticket });
-                    }
-                    Err(e) => {
-                        counters.rejections.fetch_add(1, Ordering::Relaxed);
-                        let _ = tx.send(Outgoing::Ready(id, Err(e)));
-                    }
-                }
-            }
-            Ok(ClientFrame::Stats { id }) => {
-                let _ = tx.send(Outgoing::Stats(id, wire_stats(service, counters)));
-            }
-            Ok(ClientFrame::Hello { .. }) => {
-                let _ = tx.send(Outgoing::Fatal("duplicate hello".to_string()));
-                return;
-            }
-            Err(e) => {
-                let _ = tx.send(Outgoing::Fatal(e.to_string()));
-                return;
+                ServeError::Overloaded {
+                    queue_depth: held,
+                    capacity: self.conn.max_in_flight,
+                },
+            );
+        }
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let waker = self.tx.clone();
+        let wake = move || {
+            let _ = waker.send(Outgoing::Wake(seq));
+        };
+        let mut ticket = match self.service.submit_with_wake(request, budget, wake) {
+            Ok(ticket) => ticket,
+            Err(e) => return self.reject(id, e),
+        };
+        // A cache hit is born resolved: answer it here, unless the
+        // connection is stalled and it must count against the cap.
+        if !self.conn.stalled.load(Ordering::Acquire) {
+            if let Some(result) = ticket.poll() {
+                return self.answer(ServerFrame::Result { id, result });
             }
         }
+        self.conn.in_flight.fetch_add(1, Ordering::Relaxed);
+        self.counters.in_flight.fetch_add(1, Ordering::Relaxed);
+        let _ = self.tx.send(Outgoing::Ticket { seq, id, ticket });
+    }
+
+    fn reject(&self, id: u64, error: ServeError) {
+        self.counters.rejections.fetch_add(1, Ordering::Relaxed);
+        self.answer(ServerFrame::Result {
+            id,
+            result: Err(error),
+        });
+    }
+
+    /// Queues `frame` in the sink, or hands it to the writer while the
+    /// connection is stalled.
+    fn answer(&self, frame: ServerFrame) {
+        if self.conn.stalled.load(Ordering::Acquire) {
+            let _ = self.tx.send(Outgoing::Frame(frame));
+        } else {
+            self.conn.send(&frame);
+        }
+    }
+
+    /// The end of a burst: flushes unless the writer owns a stalled
+    /// flush, and hands the drain to the writer if this one stalls.
+    fn flush(&self) {
+        if !self.conn.stalled.load(Ordering::Acquire) && !self.conn.flush() {
+            let _ = self.tx.send(Outgoing::Drain);
+        }
+    }
+
+    /// Reports a protocol violation through the writer, behind every
+    /// answer queued before it, and stops reading.
+    fn fatal(&self, reason: String) {
+        let _ = self.tx.send(Outgoing::Fatal(reason));
     }
 }
 
@@ -470,45 +561,37 @@ impl Sink {
         }
     }
 
-    fn flush(&mut self) {
-        if self.outbox.flush(&mut self.stream).is_err() {
-            self.broken = true;
+    /// `false` if the write timed out with bytes unsent; they stay
+    /// queued for the next flush.
+    fn flush(&mut self) -> bool {
+        match self.outbox.flush(&mut self.stream) {
+            Ok(drained) => drained,
+            Err(_) => {
+                self.broken = true;
+                true
+            }
         }
     }
 }
 
-/// The writer's state: the write half and the pending tickets, keyed
-/// by sequence number, each with the `request_id` it answers.
+/// The writer's state: the pending tickets, keyed by sequence number,
+/// each with the `request_id` it answers.
 struct Writer<'a> {
-    sink: Sink,
+    conn: &'a Conn,
     pending: HashMap<u64, (u64, ServeTicket)>,
     counters: &'a WireCounters,
-    conn_in_flight: &'a AtomicUsize,
-    max_in_flight: usize,
     /// `false` once the reader has stopped: no new tickets.
     reading: bool,
 }
 
-/// Owns the write half and the pending tickets. Writes whichever
-/// ticket resolves first; never abandons a ticket, even when the
-/// socket dies mid-connection.
-fn writer_loop(
-    stream: TcpStream,
-    rx: &Receiver<Outgoing>,
-    counters: &WireCounters,
-    conn_in_flight: &AtomicUsize,
-    max_in_flight: usize,
-) {
+/// Reaps the pending tickets onto the sink. Writes whichever ticket
+/// resolves first; never abandons a ticket, even when the socket dies
+/// mid-connection.
+fn writer_loop(conn: &Conn, rx: &Receiver<Outgoing>, counters: &WireCounters) {
     let mut w = Writer {
-        sink: Sink {
-            stream,
-            outbox: Outbox::default(),
-            broken: false,
-        },
+        conn,
         pending: HashMap::new(),
         counters,
-        conn_in_flight,
-        max_in_flight,
         reading: true,
     };
     while w.reading || !w.pending.is_empty() {
@@ -537,21 +620,14 @@ fn writer_loop(
             // was handled, so nothing is left pending.
             Err(RecvTimeoutError::Disconnected) => break,
         }
-        w.sink.flush();
+        conn.drain();
     }
 }
 
 impl Writer<'_> {
     fn handle(&mut self, msg: Outgoing) {
         match msg {
-            Outgoing::Hello => {
-                let max = u32::try_from(self.max_in_flight).unwrap_or(u32::MAX);
-                self.sink.send(&ServerFrame::Hello {
-                    proto: PROTOCOL_VERSION,
-                    max_in_flight: max,
-                });
-            }
-            Outgoing::Ready(id, result) => self.sink.send(&ServerFrame::Result { id, result }),
+            Outgoing::Frame(frame_msg) => self.conn.send(&frame_msg),
             Outgoing::Ticket { seq, id, ticket } => {
                 self.pending.insert(seq, (id, ticket));
                 self.reap(seq);
@@ -560,11 +636,12 @@ impl Writer<'_> {
             // already or has not arrived yet (then it is polled on
             // receipt).
             Outgoing::Wake(seq) => self.reap(seq),
-            Outgoing::Stats(id, stats) => self.sink.send(&ServerFrame::Stats { id, stats }),
+            // The loop drains after every batch.
+            Outgoing::Drain => {}
             Outgoing::Fatal(reason) => {
-                self.sink.send(&ServerFrame::Fatal { reason });
-                self.sink.flush();
-                self.sink.broken = true;
+                self.conn.send(&ServerFrame::Fatal { reason });
+                self.conn.drain();
+                self.conn.sink.lock().broken = true;
             }
             Outgoing::Closed => self.reading = false,
         }
@@ -580,8 +657,8 @@ impl Writer<'_> {
             return;
         };
         self.pending.remove(&seq);
-        self.conn_in_flight.fetch_sub(1, Ordering::Relaxed);
+        self.conn.in_flight.fetch_sub(1, Ordering::Relaxed);
         self.counters.in_flight.fetch_sub(1, Ordering::Relaxed);
-        self.sink.send(&ServerFrame::Result { id, result });
+        self.conn.send(&ServerFrame::Result { id, result });
     }
 }

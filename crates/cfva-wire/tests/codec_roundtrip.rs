@@ -1320,6 +1320,56 @@ fn malformed_text_after_a_shape_problem_is_still_a_syntax_error() {
     }
 }
 
+#[test]
+fn integers_encode_as_their_decimal_text_at_every_power_of_ten() {
+    let mut values = vec![0, u64::MAX];
+    for k in 0..=19 {
+        let p = 10u64.pow(k);
+        values.extend([p - 1, p, p + 1]);
+    }
+    for &v in &values {
+        let text = json::encode_response(&Response::Measured(Some(AccessStats {
+            latency: v,
+            arrival: values.clone().into(),
+            ..access_stats(0)
+        })));
+        assert!(
+            text.starts_with(&format!("{{\"measured\":{{\"latency\":{v},")),
+            "{v}: {text}"
+        );
+        let arrival: Vec<String> = values.iter().map(u64::to_string).collect();
+        assert!(
+            text.contains(&format!("\"arrival\":[{}]", arrival.join(","))),
+            "{text}"
+        );
+    }
+}
+
+/// A splitmix64 step: the integer-array property's own word stream.
+fn next_word(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// A value of one of the widths the one-pass array reader must tell
+/// apart: zero, short, 19 digits, 20 digits, `u64::MAX`, any.
+fn array_value(state: &mut u64) -> u64 {
+    const E18: u64 = 1_000_000_000_000_000_000;
+    const E19: u64 = 10_000_000_000_000_000_000;
+    let w = next_word(state);
+    match w % 6 {
+        0 => 0,
+        1 => u64::MAX,
+        2 => w % 1000,
+        3 => E18 + w % (E19 - E18),
+        4 => E19 + w % (u64::MAX - E19),
+        _ => w,
+    }
+}
+
 // ---------------------------------------------------------------
 // Property tests
 // ---------------------------------------------------------------
@@ -1430,6 +1480,75 @@ proptest! {
         };
         let text = json::encode_service_stats(&stats);
         prop_assert_eq!(json::decode_service_stats(&text).expect("decodes"), stats);
+    }
+
+    /// The one-pass integer-array reader returns exactly what the
+    /// general item-by-item reader returns, consuming the same bytes,
+    /// or consumes nothing and falls back. It must take every compact
+    /// array of values up to 19 digits.
+    #[test]
+    fn prop_one_pass_uint_arrays_match_the_general_reader(
+        seed in 0u64..u64::MAX,
+        len in 0usize..24,
+        shape in 0usize..10,
+        at in 0usize..1000,
+    ) {
+        let mut state = seed;
+        let values: Vec<u64> = (0..len).map(|_| array_value(&mut state)).collect();
+        let mut items: Vec<String> = values.iter().map(u64::to_string).collect();
+        let well_formed = match shape {
+            3 if !items.is_empty() => {
+                items.insert(at % (items.len() + 1), String::new());
+                false
+            }
+            4 => {
+                items.push(String::new());
+                false
+            }
+            6 if !items.is_empty() => {
+                let i = at % items.len();
+                items[i].insert(0, if at % 2 == 0 { '-' } else { '+' });
+                false
+            }
+            7 => {
+                items.insert(at % (items.len() + 1), "18446744073709551616".to_string());
+                false
+            }
+            _ => true,
+        };
+        let mut body = format!("[{}]", items.join(","));
+        let well_formed = match shape {
+            5 => {
+                // Whitespace between tokens: valid JSON, not compact.
+                let gaps: Vec<usize> = body.match_indices(['[', ',']).map(|(i, _)| i + 1).collect();
+                body.insert(gaps[at % gaps.len()], ' ');
+                well_formed
+            }
+            8 => {
+                body.pop();
+                false
+            }
+            _ => well_formed,
+        };
+        // Text after the array, as inside a document.
+        let text = if shape == 8 { body } else { format!("{body},\"next\":[7]}}") };
+
+        let json::UintArrayReads { one_pass, one_pass_end, general, general_end } =
+            json::uint_array_readers(&text);
+        match one_pass {
+            Some(read) => {
+                prop_assert_eq!(general, Ok(read), "text was {}", text);
+                prop_assert_eq!(one_pass_end, general_end, "text was {}", text);
+            }
+            None => {
+                prop_assert_eq!(one_pass_end, 0, "a fallback consumed bytes of {}", text);
+                let plain = shape != 5 && values.iter().all(|v| v.to_string().len() <= 19);
+                prop_assert!(!(well_formed && plain), "the one-pass reader refused {}", text);
+                if well_formed {
+                    prop_assert_eq!(general, Ok(values), "text was {}", text);
+                }
+            }
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! and the `wire_*` counters in [`ServiceStats`] account for every
 //! connection, rejection and in-flight ticket.
 
-use std::io::BufReader;
+use std::io::{BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
@@ -514,6 +514,59 @@ fn duplicate_in_flight_request_ids_are_each_answered() {
             other => panic!("expected an answer to id 7, got {other:?}"),
         }
     }
+    drop((raw, reader));
+    server.shutdown();
+    service.shutdown();
+}
+
+/// The flush rule: the server flushes before any read that can block.
+/// One write carries a whole cache-hit frame and the first bytes of a
+/// second frame; the hit's answer must arrive before the rest is sent.
+#[test]
+fn a_half_sent_frame_does_not_hold_back_an_answer() {
+    let (service, server) = serve_pair(ServiceConfig::with_workers(1), WireServerConfig::default());
+    let (mut raw, mut reader) = raw_connect(server.local_addr());
+    // A missing answer fails in seconds, not at the helper's minute.
+    raw.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let request = Request::Measure {
+        spec: "xor-matched:t=3,s=4".to_string(),
+        vec: VectorSpec::new(16, 12, 64).expect("valid"),
+        strategy: Strategy::Auto,
+    };
+    // Admission caches a key on its second miss.
+    for id in 0..2 {
+        raw_submit(&mut raw, id, request.clone(), None);
+        let (got, result) = raw_result(&mut reader);
+        assert_eq!(got, id);
+        result.expect("valid request");
+    }
+    let framed = |id| {
+        let text = json::encode_client_frame(&ClientFrame::Submit {
+            id,
+            request: request.clone(),
+            budget: None,
+        });
+        let mut bytes = Vec::new();
+        frame::write_frame(&mut bytes, &text).expect("encode");
+        bytes
+    };
+    let (hit, next) = (framed(2), framed(3));
+    let (head, tail) = next.split_at(6);
+    raw.write_all(&[hit.as_slice(), head].concat())
+        .expect("write a frame and a half");
+    let (id, answer) = raw_result(&mut reader);
+    assert_eq!(id, 2);
+    assert_eq!(
+        service.stats().cache.expect("cache on").hits,
+        1,
+        "frame 2 was a cache hit"
+    );
+    let direct = service.submit(request.clone()).expect("room").wait();
+    assert_eq!(answer, direct);
+    raw.write_all(tail).expect("write the rest");
+    assert_eq!(raw_result(&mut reader), (3, direct));
+
     drop((raw, reader));
     server.shutdown();
     service.shutdown();
