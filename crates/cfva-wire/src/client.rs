@@ -10,6 +10,20 @@
 //! so callers can pipeline submissions and collect results in any
 //! order over one connection.
 //!
+//! # When a submit leaves
+//!
+//! A submit only queues its frame. Queued frames leave together, in
+//! one write, under the flush rule the server obeys too: before any
+//! read that can block (inside `wait` or `stats` when no whole answer
+//! is buffered yet), in [`stats`](WireClient::stats), once 64 KiB are
+//! queued, and, best effort, when the client is dropped. So a
+//! pipelined burst costs one `send`, not one per request. A deadline
+//! budget starts when the server receives the frame, not at `submit`.
+//! A caller that waits for the server's side effects elsewhere (on
+//! another connection, or in process) calls
+//! [`stats`](WireClient::stats) first: it returns only after the
+//! server has read every earlier submit.
+//!
 //! The client is deliberately single-threaded (`&mut self`
 //! everywhere, no locks): one connection, one caller. Fan-out across
 //! threads wants one client per thread — connections are cheap and
@@ -26,6 +40,14 @@ use cfva_serve::service::ServiceStats;
 use crate::frame::{self, Outbox, PROTOCOL_VERSION};
 use crate::json::{self, ClientFrame, ServerFrame};
 use crate::WireError;
+
+/// Queued bytes that make a submit flush (64 KiB): a caller that
+/// never waits cannot grow the client's memory without bound.
+const FLUSH_BYTES: usize = 64 << 10;
+
+/// How long the flush on drop may wait for a server that stopped
+/// reading before it gives the queued frames up.
+const DROP_STALL: Duration = Duration::from_millis(100);
 
 /// A handle for one in-flight wire request, redeemed with
 /// [`WireClient::wait`]. Dropping it without waiting abandons the
@@ -50,8 +72,10 @@ impl WireTicket {
 pub struct WireClient {
     writer: TcpStream,
     reader: BufReader<TcpStream>,
-    /// The reused send buffer: every frame leaves in one write.
+    /// Submits not yet sent; they leave together in one write.
     outbox: Outbox,
+    /// The reused receive buffer: each answer's payload, in turn.
+    payload: Vec<u8>,
     next_id: u64,
     /// The per-connection in-flight cap the server announced in its
     /// hello.
@@ -68,8 +92,8 @@ impl WireClient {
     /// is not a hello (e.g. a `Fatal` refusing our protocol version).
     pub fn connect<A: ToSocketAddrs>(addr: A) -> Result<WireClient, WireError> {
         let writer = TcpStream::connect(addr).map_err(frame::FrameError::Io)?;
-        // Each frame leaves in one write and the client then waits for
-        // the answer: TCP_NODELAY sends it at once instead of letting
+        // A burst leaves in one write and the client then waits for
+        // the answers: TCP_NODELAY sends it at once instead of letting
         // Nagle hold it behind the server's delayed ACK. Best effort.
         let _ = writer.set_nodelay(true);
         let read_half = writer.try_clone().map_err(frame::FrameError::Io)?;
@@ -77,11 +101,12 @@ impl WireClient {
             writer,
             reader: BufReader::new(read_half),
             outbox: Outbox::default(),
+            payload: Vec::new(),
             next_id: 0,
             max_in_flight: 0,
             stash: HashMap::new(),
         };
-        client.send(&ClientFrame::Hello {
+        client.outbox.push(&ClientFrame::Hello {
             proto: PROTOCOL_VERSION,
         })?;
         match client.recv()? {
@@ -116,8 +141,10 @@ impl WireClient {
 
     /// Submits a request; mirrors
     /// [`Service::submit`](cfva_serve::service::Service::submit).
+    /// The frame is queued, and leaves as the [module docs](self) say.
     ///
-    /// An `Err` here is a *transport* failure. Service-level
+    /// An `Err` here is a *transport* failure of this frame or, when
+    /// the queue reached 64 KiB, of the flush. Service-level
     /// rejections (`Overloaded`, `ShuttingDown`, …) arrive as the
     /// ticket's result from [`wait`](WireClient::wait), exactly as
     /// they would in-process.
@@ -144,11 +171,14 @@ impl WireClient {
     ) -> Result<WireTicket, WireError> {
         let id = self.next_id;
         self.next_id += 1;
-        self.send(&ClientFrame::Submit {
+        self.outbox.push(&ClientFrame::Submit {
             id,
             request,
             budget,
         })?;
+        if self.outbox.queued() >= FLUSH_BYTES {
+            self.flush()?;
+        }
         Ok(WireTicket { id })
     }
 
@@ -159,11 +189,12 @@ impl WireClient {
     /// handed out by their own `wait` calls, so tickets may be
     /// redeemed in any order.
     pub fn wait(&mut self, ticket: WireTicket) -> Result<ServeResult, WireError> {
+        if let Some(result) = self.stash.remove(&ticket.id) {
+            return Ok(result);
+        }
         loop {
-            if let Some(result) = self.stash.remove(&ticket.id) {
-                return Ok(result);
-            }
             match self.recv()? {
+                ServerFrame::Result { id, result } if id == ticket.id => return Ok(result),
                 ServerFrame::Result { id, result } => {
                     self.stash.insert(id, result);
                 }
@@ -185,10 +216,14 @@ impl WireClient {
     /// Fetches the server's [`ServiceStats`] snapshot, `wire_*`
     /// counters included; mirrors
     /// [`Service::stats`](cfva_serve::service::Service::stats).
+    ///
+    /// A barrier: every queued submit leaves first, and the server
+    /// reads them all before it takes the snapshot.
     pub fn stats(&mut self) -> Result<ServiceStats, WireError> {
         let id = self.next_id;
         self.next_id += 1;
-        self.send(&ClientFrame::Stats { id })?;
+        self.outbox.push(&ClientFrame::Stats { id })?;
+        self.flush()?;
         loop {
             match self.recv()? {
                 ServerFrame::Stats { id: got, stats } if got == id => return Ok(stats),
@@ -208,17 +243,88 @@ impl WireClient {
         }
     }
 
-    /// Sends one frame, length word and payload, with one write.
-    fn send(&mut self, msg: &ClientFrame) -> Result<(), WireError> {
-        self.outbox.push(msg)?;
-        // The socket has no write timeout, so the flush returns only
-        // once every byte has left.
+    /// Sends every queued frame in one write. The socket has no write
+    /// timeout, so this returns only once every byte has left.
+    fn flush(&mut self) -> Result<(), WireError> {
         self.outbox.flush(&mut self.writer)?;
         Ok(())
     }
 
+    /// The next answer. Flushes first unless a whole frame is already
+    /// buffered, so no read blocks while a submit is still queued.
     fn recv(&mut self) -> Result<ServerFrame, WireError> {
-        let text = frame::read_frame(&mut self.reader)?;
-        Ok(json::decode_server_frame(&text)?)
+        if !frame::holds_frame(self.reader.buffer()) {
+            self.flush()?;
+        }
+        let text = frame::read_frame_into(&mut self.reader, &mut self.payload)?;
+        Ok(json::decode_server_frame(text)?)
+    }
+}
+
+impl Drop for WireClient {
+    /// Sends the queued submits, best effort: a server that stopped
+    /// reading gets `DROP_STALL` per write, not forever.
+    fn drop(&mut self) {
+        if self.outbox.queued() > 0 {
+            let _ = self.writer.set_write_timeout(Some(DROP_STALL));
+            let _ = self.outbox.flush(&mut self.writer);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    #[test]
+    fn queued_submits_stay_below_the_flush_bound_plus_one_frame() {
+        const SUBMITS: u64 = 10_000;
+        // A peer that answers the hello, then counts what it receives.
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let peer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("accept");
+            frame::read_frame(&mut stream).expect("the client's hello");
+            let hello = json::encode_server_frame(&ServerFrame::Hello {
+                proto: PROTOCOL_VERSION,
+                max_in_flight: 64,
+            });
+            frame::write_frame(&mut stream, &hello).expect("hello back");
+            std::io::copy(&mut stream, &mut std::io::sink()).expect("reads to the end")
+        });
+        let request = Request::FamilySweep {
+            spec: "xor-matched:t=3,s=4".to_string(),
+            len: 64,
+            max_x: 4,
+            sigma: 3,
+        };
+        let framed = |id| {
+            let frame = ClientFrame::Submit {
+                id,
+                request: request.clone(),
+                budget: None,
+            };
+            4 + json::encode_client_frame(&frame).len()
+        };
+
+        let mut client = WireClient::connect(addr).expect("connect");
+        let mut most = 0;
+        for _ in 0..SUBMITS {
+            let _ = client.submit(request.clone()).expect("queued");
+            most = most.max(client.outbox.queued());
+        }
+        assert!(most < FLUSH_BYTES + framed(SUBMITS), "{most} bytes queued");
+        assert!(
+            most + framed(SUBMITS) >= FLUSH_BYTES,
+            "submits left before the bound"
+        );
+        drop(client);
+        let sent: usize = (0..SUBMITS).map(framed).sum();
+        assert_eq!(
+            peer.join().expect("peer thread"),
+            sent as u64,
+            "the drop sent the rest"
+        );
     }
 }

@@ -16,14 +16,17 @@
 //! * **Bounded memory.** A frame length is attacker-controlled input;
 //!   [`MAX_FRAME_LEN`] caps what a single frame may ask the reader to
 //!   allocate, and the payload buffer grows only as bytes arrive, so a
-//!   bare length word cannot pin the cap's worth of memory.
-//! * **One write per frame.** The client and server send through an
+//!   bare length word cannot pin the cap's worth of memory. Both ends
+//!   read every frame of a connection into one reused buffer
+//!   ([`read_frame_into`]).
+//! * **One write per burst.** The client and server send through an
 //!   `Outbox`: each frame's payload is encoded in place behind a
 //!   placeholder length word in one reused per-connection buffer, and
 //!   every queued frame leaves in one write, length words and
 //!   payloads together (a frame is split only where the socket takes
-//!   part of a write). The flush is resumable, so a server can put a
-//!   short write timeout on a socket whose client stops reading.
+//!   part of a write). Both ends flush before any read that can
+//!   block. The flush is resumable, so a server can put a short write
+//!   timeout on a socket whose client stops reading.
 
 use std::io::{self, Read, Write};
 
@@ -47,9 +50,10 @@ pub const MAX_FRAME_LEN: u32 = 64 << 20;
 /// bytes actually received.
 const INITIAL_PAYLOAD_CAPACITY: usize = 64 << 10;
 
-/// Capacity an [`Outbox`] keeps between flushes (1 MiB): a burst of
-/// large frames grows it once, and it shrinks back after the burst.
-const RETAINED_CAPACITY: usize = 1 << 20;
+/// Capacity an [`Outbox`] or a [`read_frame_into`] buffer keeps
+/// between frames (64 KiB, the client's flush bound): a burst of large
+/// frames grows it once, and it shrinks back after the burst.
+const RETAINED_CAPACITY: usize = 64 << 10;
 
 /// Why a frame could not be read or written.
 #[derive(Debug)]
@@ -166,6 +170,11 @@ impl Outbox {
         }
     }
 
+    /// Bytes queued and not yet sent, length words included.
+    pub(crate) fn queued(&self) -> usize {
+        self.buf.len() + self.unsent.len() - self.sent
+    }
+
     /// Sends every queued byte. `Ok(true)` once all of it has left;
     /// `Ok(false)` if a write timed out (`WouldBlock` or `TimedOut`)
     /// first, keeping the rest queued. On any other error the queue is
@@ -240,6 +249,32 @@ pub(crate) fn holds_frame(buffered: &[u8]) -> bool {
 /// peer finished cleanly); EOF anywhere after is an IO error with
 /// [`io::ErrorKind::UnexpectedEof`].
 pub fn read_frame<R: Read>(r: &mut R) -> Result<String, FrameError> {
+    let mut payload = Vec::new();
+    read_payload(r, &mut payload)?;
+    String::from_utf8(payload).map_err(|e| FrameError::InvalidUtf8 {
+        valid_up_to: e.utf8_error().valid_up_to(),
+    })
+}
+
+/// Reads one frame's payload into `buf`, replacing its contents, and
+/// returns it as text: [`read_frame`] for a reader that keeps one
+/// buffer per connection. Every check is the same; past 64 KiB the
+/// buffer shrinks back before the next frame.
+pub fn read_frame_into<'b, R: Read>(
+    r: &mut R,
+    buf: &'b mut Vec<u8>,
+) -> Result<&'b str, FrameError> {
+    buf.clear();
+    buf.shrink_to(RETAINED_CAPACITY);
+    read_payload(r, buf)?;
+    std::str::from_utf8(buf).map_err(|e| FrameError::InvalidUtf8 {
+        valid_up_to: e.valid_up_to(),
+    })
+}
+
+/// Reads one frame's length word, then appends its payload to the
+/// empty `payload`.
+fn read_payload<R: Read>(r: &mut R, payload: &mut Vec<u8>) -> Result<(), FrameError> {
     let mut len_word = [0u8; 4];
     read_exact_or_closed(r, &mut len_word)?;
     let len = u32::from_be_bytes(len_word);
@@ -251,17 +286,15 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<String, FrameError> {
     }
     // Grow the buffer with the bytes that actually arrive: the length
     // word alone must not pin `len` bytes of memory.
-    let mut payload = Vec::with_capacity((len as usize).min(INITIAL_PAYLOAD_CAPACITY));
-    r.take(u64::from(len)).read_to_end(&mut payload)?;
+    payload.reserve((len as usize).min(INITIAL_PAYLOAD_CAPACITY));
+    r.take(u64::from(len)).read_to_end(payload)?;
     if payload.len() < len as usize {
         return Err(FrameError::Io(io::Error::new(
             io::ErrorKind::UnexpectedEof,
             "eof inside a frame payload",
         )));
     }
-    String::from_utf8(payload).map_err(|e| FrameError::InvalidUtf8 {
-        valid_up_to: e.utf8_error().valid_up_to(),
-    })
+    Ok(())
 }
 
 /// `read_exact`, except EOF at byte 0 is the typed

@@ -23,9 +23,10 @@
 //! * [`frame`] — the transport framing: a big-endian `u32` payload
 //!   length followed by that many bytes of UTF-8 JSON, with an
 //!   oversize cap and typed errors for truncation, bad lengths and
-//!   invalid UTF-8. Both ends send each frame, length word and
-//!   payload, with one write from a reused per-connection buffer. A
-//!   versioned hello opens every connection.
+//!   invalid UTF-8. Both ends queue frames, length words and payloads,
+//!   in one reused per-connection buffer and send each burst with one
+//!   write, and read every frame into one reused buffer. A versioned
+//!   hello opens every connection.
 //! * [`server`] — [`server::WireServer`]: one acceptor thread and
 //!   per-connection reader/writer threads. The reader answers what
 //!   needs no waiting (cache hits, stats, rejections) on its own
@@ -39,10 +40,13 @@
 //!   [`ServeError::Overloaded`](cfva_serve::api::ServeError) and
 //!   [`ServeError::ShuttingDown`](cfva_serve::api::ServeError) on the
 //!   wire, and a graceful drain: shutdown stops accepting, flushes
-//!   every accepted ticket to its client, then closes.
+//!   every accepted ticket to its client (giving up a client that has
+//!   stopped reading after a bounded stall), then closes.
 //! * [`client`] — [`client::WireClient`]: a blocking
 //!   connect/submit/wait API mirroring `Service`, so callers can swap
-//!   transports without restructuring.
+//!   transports without restructuring. A submit only queues its frame:
+//!   queued submits leave in one write before the client blocks on a
+//!   read, in `stats` (a barrier), past 64 KiB, and on drop.
 //!
 //! Locking reuses `cfva-serve`'s [`ClassedMutex`] leaf discipline
 //! (classes `WireConns`, `WireIntern` and `WireSink`) — no new lock

@@ -42,7 +42,8 @@
 //! reader. So the socket carries a short write timeout
 //! (`WRITE_STALL`) and a flush is resumable: a write that times out
 //! leaves the rest queued and marks the connection stalled. The writer
-//! then owns the drain. It retries until the client reads again, and
+//! then owns the drain. It retries until the client reads again (or,
+//! once shutdown has begun, gives the client up; see below), and
 //! until then the reader writes nothing: it hands every answer to the
 //! writer, and every ticket, cache hits included, through the ticket
 //! path, which counts it against the per-connection cap. So a stalled
@@ -66,7 +67,10 @@
 //! [`WireServer::shutdown`] stops accepting, closes every
 //! connection's read half (no new submissions), lets each writer
 //! flush every accepted ticket's result to its client, then joins all
-//! threads. Zero lost tickets, verified by the CI wire smoke.
+//! threads. Zero lost tickets, verified by the CI wire smoke. A client
+//! that has stopped reading is given up once its drain has sent
+//! nothing for `DRAIN_STALL`: its writer still reaps every pending
+//! ticket, and drops the answers.
 
 use std::collections::HashMap;
 use std::io::BufReader;
@@ -88,6 +92,11 @@ use crate::json::{self, ClientFrame, ServerFrame};
 /// stalls the connection until the writer drains it (see the
 /// [module docs](self)).
 const WRITE_STALL: Duration = Duration::from_millis(10);
+
+/// How long a drain may send nothing, once shutdown has begun, before
+/// it gives the client up: `shutdown` must not wait forever on a client
+/// that stopped reading.
+const DRAIN_STALL: Duration = Duration::from_secs(1);
 
 /// Tuning knobs for a [`WireServer`].
 #[derive(Debug, Clone, Copy)]
@@ -177,6 +186,8 @@ struct Conn {
     /// Tickets handed to the writer and not yet answered.
     in_flight: AtomicUsize,
     max_in_flight: usize,
+    /// The server's shutdown flag.
+    shutdown: Arc<AtomicBool>,
 }
 
 impl Conn {
@@ -184,18 +195,32 @@ impl Conn {
         self.sink.lock().send(frame_msg);
     }
 
-    /// One flush attempt; `true` once nothing is left queued.
-    fn flush(&self) -> bool {
+    /// One flush attempt; the bytes it left queued.
+    fn flush(&self) -> usize {
         let mut sink = self.sink.lock();
-        let drained = sink.flush();
-        self.stalled.store(!drained, Ordering::Release);
-        drained
+        let left = sink.flush();
+        self.stalled.store(left > 0, Ordering::Release);
+        left
     }
 
     /// Flushes until nothing is left queued, however long the client
     /// takes to read: each attempt blocks at most [`WRITE_STALL`].
+    /// Once shutdown has begun, a drain that sends nothing for
+    /// [`DRAIN_STALL`] breaks the sink and drops the unsent bytes.
     fn drain(&self) {
-        while !self.flush() {}
+        let mut left = self.flush();
+        let mut progress = Instant::now();
+        while left > 0 {
+            let now_left = self.flush();
+            if now_left < left || !self.shutdown.load(Ordering::SeqCst) {
+                progress = Instant::now();
+            } else if progress.elapsed() >= DRAIN_STALL {
+                self.sink.lock().abandon();
+                self.stalled.store(false, Ordering::Release);
+                return;
+            }
+            left = now_left;
+        }
     }
 }
 
@@ -363,6 +388,7 @@ fn accept_loop(
             stalled: AtomicBool::new(false),
             in_flight: AtomicUsize::new(0),
             max_in_flight: config.max_in_flight_per_conn,
+            shutdown: Arc::clone(shutdown),
         });
 
         let reader = {
@@ -370,7 +396,6 @@ fn accept_loop(
                 tx,
                 conn: Arc::clone(&conn),
                 service: Arc::clone(service),
-                shutdown: Arc::clone(shutdown),
                 counters: Arc::clone(counters),
                 next_seq: 0,
             };
@@ -414,7 +439,6 @@ struct Reader {
     tx: Sender<Outgoing>,
     conn: Arc<Conn>,
     service: Arc<Service>,
-    shutdown: Arc<AtomicBool>,
     counters: Arc<WireCounters>,
     next_seq: u64,
 }
@@ -422,11 +446,13 @@ struct Reader {
 impl Reader {
     fn run(&mut self, stream: TcpStream) {
         let mut reader = BufReader::new(stream);
+        // Every frame's payload, in turn.
+        let mut payload = Vec::new();
 
         // The handshake: exactly one hello, version-checked, before
         // anything else.
-        match frame::read_frame(&mut reader) {
-            Ok(text) => match json::decode_client_frame(&text) {
+        match frame::read_frame_into(&mut reader, &mut payload) {
+            Ok(text) => match json::decode_client_frame(text) {
                 Ok(ClientFrame::Hello { proto }) if proto == PROTOCOL_VERSION => {
                     self.answer(ServerFrame::Hello {
                         proto: PROTOCOL_VERSION,
@@ -450,7 +476,7 @@ impl Reader {
             if !frame::holds_frame(reader.buffer()) {
                 self.flush();
             }
-            let text = match frame::read_frame(&mut reader) {
+            let text = match frame::read_frame_into(&mut reader, &mut payload) {
                 Ok(text) => text,
                 // Clean goodbye or a lost/drained peer: stop reading;
                 // the writer flushes and drains whatever was admitted.
@@ -459,7 +485,7 @@ impl Reader {
                 // misaligned, so report and close rather than mis-parse.
                 Err(e) => return self.fatal(e.to_string()),
             };
-            match json::decode_client_frame(&text) {
+            match json::decode_client_frame(text) {
                 Ok(ClientFrame::Submit {
                     id,
                     request,
@@ -476,7 +502,7 @@ impl Reader {
     }
 
     fn submit(&mut self, id: u64, request: Request, budget: Option<Duration>) {
-        if self.shutdown.load(Ordering::SeqCst) {
+        if self.conn.shutdown.load(Ordering::SeqCst) {
             return self.reject(id, ServeError::ShuttingDown);
         }
         let held = self.conn.in_flight.load(Ordering::Relaxed);
@@ -532,7 +558,7 @@ impl Reader {
     /// The end of a burst: flushes unless the writer owns a stalled
     /// flush, and hands the drain to the writer if this one stalls.
     fn flush(&self) {
-        if !self.conn.stalled.load(Ordering::Acquire) && !self.conn.flush() {
+        if !self.conn.stalled.load(Ordering::Acquire) && self.conn.flush() > 0 {
             let _ = self.tx.send(Outgoing::Drain);
         }
     }
@@ -561,16 +587,20 @@ impl Sink {
         }
     }
 
-    /// `false` if the write timed out with bytes unsent; they stay
-    /// queued for the next flush.
-    fn flush(&mut self) -> bool {
-        match self.outbox.flush(&mut self.stream) {
-            Ok(drained) => drained,
-            Err(_) => {
-                self.broken = true;
-                true
-            }
+    /// One flush; returns the bytes a timed-out write left queued for
+    /// the next one.
+    fn flush(&mut self) -> usize {
+        if self.outbox.flush(&mut self.stream).is_err() {
+            self.broken = true;
         }
+        self.outbox.queued()
+    }
+
+    /// Gives the client up: drops the unsent bytes and every later
+    /// frame.
+    fn abandon(&mut self) {
+        self.outbox = Outbox::default();
+        self.broken = true;
     }
 }
 

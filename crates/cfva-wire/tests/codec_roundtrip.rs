@@ -645,6 +645,69 @@ fn non_utf8_payloads_are_rejected() {
     }
 }
 
+/// A read's outcome, comparable across `read_frame` and
+/// `read_frame_into`: the text, or the error's variant and IO kind.
+fn frame_outcome(read: Result<&str, &FrameError>) -> Result<String, String> {
+    read.map(str::to_string).map_err(|e| match e {
+        FrameError::Io(e) => format!("io {:?}", e.kind()),
+        other => other.to_string(),
+    })
+}
+
+#[test]
+fn read_frame_into_reads_as_read_frame_does_into_one_reused_buffer() {
+    let mut valid = Vec::new();
+    frame::write_frame(&mut valid, "{\"x\":1}").expect("write");
+    let mut cases: Vec<Vec<u8>> = (0..=valid.len()).map(|cut| valid[..cut].to_vec()).collect();
+    cases.push((MAX_FRAME_LEN + 1).to_be_bytes().to_vec());
+    cases.push(u32::MAX.to_be_bytes().to_vec());
+    cases.push([&4u32.to_be_bytes()[..], &[b'o', b'k', 0xFF, 0xFE]].concat());
+    // One buffer for every case, starting with stale bytes and the
+    // capacity of a large frame.
+    let mut buf = vec![b'z'; 1 << 20];
+    for bytes in &cases {
+        let fresh = frame::read_frame(&mut Cursor::new(bytes));
+        let reused = frame::read_frame_into(&mut Cursor::new(bytes), &mut buf);
+        assert_eq!(
+            frame_outcome(reused.as_deref()),
+            frame_outcome(fresh.as_deref()),
+            "bytes {bytes:?}"
+        );
+        assert!(
+            buf.capacity() < 1 << 20,
+            "the buffer shrinks back after a large frame"
+        );
+    }
+
+    // Back to back on one stream, a bare 64 MiB length word last: only
+    // the bytes that arrive are buffered.
+    let mut stream = Vec::new();
+    for payload in ["{}", "[1,2,3]", ""] {
+        frame::write_frame(&mut stream, payload).expect("write");
+    }
+    stream.extend_from_slice(&MAX_FRAME_LEN.to_be_bytes());
+    stream.extend_from_slice(b"{\"x\"");
+    let mut reader = LargestRead {
+        bytes: Cursor::new(stream),
+        largest: 0,
+    };
+    for payload in ["{}", "[1,2,3]", ""] {
+        assert_eq!(
+            frame::read_frame_into(&mut reader, &mut buf).expect("frame reads back"),
+            payload
+        );
+    }
+    match frame::read_frame_into(&mut reader, &mut buf) {
+        Err(FrameError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof),
+        other => panic!("expected UnexpectedEof, got {other:?}"),
+    }
+    assert!(
+        reader.largest < 1 << 20,
+        "a bare length word made the reader offer a {}-byte buffer",
+        reader.largest
+    );
+}
+
 #[test]
 fn oversize_writes_are_refused_before_touching_the_stream() {
     let huge = "x".repeat(MAX_FRAME_LEN as usize + 1);
